@@ -177,9 +177,8 @@ def test_compiled_tier_speedup():
 
     On an R-MAT scale-14 instance: triangle counting / clustering
     coefficients and the single-level pLA sweep must hit >= 5x over
-    the numpy tier with bit-identical results; the msbfs traversal
-    speedup is recorded unasserted (its numpy tier is already one
-    fused gather per level).  Always writes
+    the numpy tier with bit-identical results (msbfs is word-parallel
+    numpy on every tier and is not part of this gate).  Always writes
     ``benchmarks/results/compiled_tier.json`` — with
     ``numba_available: false`` (and no timings) when the compiled tier
     is unavailable, so downstream tooling can distinguish "not run"
@@ -192,7 +191,6 @@ def test_compiled_tier_speedup():
         _vertex_strengths,
     )
     from repro.kernels import dispatch
-    from repro.kernels.bfs import msbfs
     from repro.metrics.clustering import triangle_counts
 
     if not dispatch.numba_available():
@@ -234,14 +232,6 @@ def test_compiled_tier_speedup():
     assert q_np == q_c and moved_np == moved_c
     sweep_speedup = t_sweep_np / t_sweep_c
 
-    srcs = np.arange(0, g.n_vertices, g.n_vertices // 16, dtype=np.int64)
-    with dispatch.use_tier("numpy"):
-        d_ref, t_bfs_np = timed(lambda: msbfs(g, srcs).distances)
-    with dispatch.use_tier("compiled"):
-        d_got, t_bfs_c = timed(lambda: msbfs(g, srcs).distances)
-    np.testing.assert_array_equal(d_ref, d_got)
-    msbfs_speedup = t_bfs_np / t_bfs_c
-
     write_result_json(
         "compiled_tier",
         {
@@ -261,11 +251,6 @@ def test_compiled_tier_speedup():
                 "numpy_seconds": t_sweep_np,
                 "compiled_seconds": t_sweep_c,
                 "speedup": sweep_speedup,
-            },
-            "msbfs": {
-                "numpy_seconds": t_bfs_np,
-                "compiled_seconds": t_bfs_c,
-                "speedup": msbfs_speedup,
             },
             "threshold": 5.0,
         },

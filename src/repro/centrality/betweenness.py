@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.kernels import _compiled, dispatch
 from repro.kernels._frontier import GraphLike, expand, expand_batch, unwrap
-from repro.kernels.bfs import _claimed_frontier, default_batch_size, source_batches
+from repro.kernels.bfs import default_batch_size, source_batches
 from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
 from repro.parallel.runtime import ParallelContext, ensure_context
@@ -210,6 +210,23 @@ def _scatter_add(out_flat: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> Non
     repeated-index accumulation primitive.
     """
     np.add.at(out_flat, idx, vals)
+
+
+def _claimed_frontier(
+    dist_flat: np.ndarray, cand: np.ndarray, new_level: int, kn: int
+) -> np.ndarray:
+    """Sorted, deduplicated flat frontier after a level's distance claims.
+
+    ``cand`` are the (duplicated) flat indices just assigned
+    ``new_level``.  Dense frontiers are recovered by scanning the
+    ``(K, n)`` plane for the fresh level mark — linear in ``kn`` but
+    branch-free and allocation-light — while sparse frontiers (long-
+    diameter graphs) fall back to sorting the candidates, avoiding an
+    O(diameter · K · n) total scan cost.
+    """
+    if cand.shape[0] * 8 >= kn:
+        return np.flatnonzero(dist_flat == new_level)
+    return np.unique(cand)
 
 
 def _brandes_batch(

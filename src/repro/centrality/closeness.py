@@ -26,17 +26,14 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 
-def _closeness_batch_worker(graph, batch, payload):
+def _closeness_batch_worker(graph, batch, mask):
     """One source batch → per-lane ``(reached_count, distance_total)``.
 
     Module-level so the process backend can ship it by reference; the
-    payload is the optional edge-activity mask, or a
-    ``(mask, kernel_tier)`` tuple — the caller resolves the tier once
-    so every worker traverses on the same tier.
+    payload is the optional edge-activity mask.
     """
-    mask, tier = payload if isinstance(payload, tuple) else (payload, None)
     g: GraphLike = graph if mask is None else EdgeSubsetView(graph, mask)
-    dist = msbfs(g, batch, kernel_tier=tier).distances
+    dist = msbfs(g, batch).distances
     reached = dist >= 0
     r = reached.sum(axis=1)
     total = np.where(reached, dist, 0).sum(axis=1).astype(np.float64)
@@ -97,12 +94,11 @@ def closeness_centrality(
     else:
         base, mask = graph, edge_active
     batches = source_batches(src_list, batch_size, n)
-    tier = ctx.tier_for(graph.n_arcs)
     results = ctx.map_batches(
         _closeness_batch_worker,
         base,
         batches,
-        payload=(mask, tier),
+        payload=mask,
         costs=[per_traversal * len(b) for b in batches],
     )
     for batch, (r, total) in zip(batches, results):

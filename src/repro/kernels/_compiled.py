@@ -207,51 +207,6 @@ def _py_sweep_best_moves(
 
 
 # ---------------------------------------------------------------------------
-# msbfs direction-optimizing frontier steps
-# ---------------------------------------------------------------------------
-def _py_msbfs_topdown(offsets, targets, dist_flat, verts, lanes_base, level, out):
-    """One top-down level over all lanes; claims into ``dist_flat``.
-
-    Writes each claimed flat index into ``out`` (first-come claim per
-    target — the same claimed *set* as the numpy dedup-then-assign
-    step) and returns the claim count.  ``lanes_base[i]`` is
-    ``lane[i] * n``.
-    """
-    nl = np.int32(level + 1)
-    cnt = 0
-    for i in range(verts.shape[0]):
-        v = verts[i]
-        base = lanes_base[i]
-        for a in range(offsets[v], offsets[v + 1]):
-            t = base + targets[a]
-            if dist_flat[t] == -1:
-                dist_flat[t] = nl
-                out[cnt] = t
-                cnt += 1
-    return cnt
-
-
-def _py_msbfs_bottomup(offsets, targets, dist_flat, n, level, out):
-    """One bottom-up level: every unvisited (lane, vertex) scans its own
-    arcs for a frontier neighbor; claims are emitted in ascending flat
-    order (already the sorted frontier).  Returns the claim count."""
-    nl = np.int32(level + 1)
-    cnt = 0
-    kn = dist_flat.shape[0]
-    for f in range(kn):
-        if dist_flat[f] == -1:
-            v = f % n
-            base = f - v
-            for a in range(offsets[v], offsets[v + 1]):
-                if dist_flat[base + targets[a]] == level:
-                    dist_flat[f] = nl
-                    out[cnt] = f
-                    cnt += 1
-                    break
-    return cnt
-
-
-# ---------------------------------------------------------------------------
 # Brandes backward accumulation
 # ---------------------------------------------------------------------------
 def _py_brandes_accumulate(
@@ -283,8 +238,6 @@ _BODIES = {
     "intersect_count": _py_intersect_count,
     "intersect_fill": _py_intersect_fill,
     "sweep_best_moves": _py_sweep_best_moves,
-    "msbfs_topdown": _py_msbfs_topdown,
-    "msbfs_bottomup": _py_msbfs_bottomup,
     "brandes_accumulate": _py_brandes_accumulate,
 }
 
@@ -303,8 +256,6 @@ segment_argmax_fill = JIT_KERNELS["segment_argmax_fill"]
 intersect_count = JIT_KERNELS["intersect_count"]
 intersect_fill = JIT_KERNELS["intersect_fill"]
 sweep_best_moves = JIT_KERNELS["sweep_best_moves"]
-msbfs_topdown = JIT_KERNELS["msbfs_topdown"]
-msbfs_bottomup = JIT_KERNELS["msbfs_bottomup"]
 brandes_accumulate = JIT_KERNELS["brandes_accumulate"]
 
 

@@ -34,14 +34,14 @@ def frontier_arc_indices(graph: Graph, frontier: np.ndarray) -> tuple[np.ndarray
     ``frontier[i]`` (useful for attributing arcs back to sources via
     ``np.repeat(frontier, degs)``).
     """
-    starts = graph.offsets[frontier]
-    ends = graph.offsets[frontier + 1]
-    degs = ends - starts
+    starts = graph.offsets.take(frontier)
+    degs = graph.degrees().take(frontier)
     total = int(degs.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), degs
-    # Standard CSR multi-slice gather: a single arange shifted per segment.
-    shifts = np.repeat(starts - np.concatenate(([0], np.cumsum(degs)[:-1])), degs)
+    # Standard CSR multi-slice gather: a single arange shifted per
+    # segment by (segment start - exclusive prefix sum of the degrees).
+    shifts = np.repeat(starts - (np.cumsum(degs) - degs), degs)
     arc_idx = np.arange(total, dtype=np.int64) + shifts
     return arc_idx, degs
 

@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels import _compiled, dispatch
-from repro.kernels._frontier import GraphLike, expand, expand_batch, unwrap
+from repro.kernels._frontier import GraphLike, expand, frontier_arc_indices, unwrap
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -38,10 +37,24 @@ UNREACHED = -1
 #: this bounds the engine's working set to a few tens of MB).
 BATCH_STATE_BUDGET = 1 << 21
 
-#: Lane-count ceiling: measured msbfs throughput peaks around 8–32
-#: lanes (smaller state planes stay cache-resident; direction-optimized
-#: levels leave little dispatch overhead to amortize further).
+#: Lane-count ceiling of the default batch.  It is a bound on batched
+#: Brandes' ``(K, n)`` σ/δ planes, whose per-level work grows with K;
+#: ``msbfs`` callers share the default, but ``msbfs`` itself is
+#: word-parallel and its per-lane cost keeps falling up to
+#: 64 lanes (DESIGN §10 has the measured K-sweep).
 MAX_BATCH_LANES = 32
+
+#: Lanes per ``msbfs`` word; the narrowest unsigned dtype that holds a
+#: word's lane count carries its per-vertex bits.
+_WORD_LANES = 64
+_WORD_DTYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
+
+#: ``msbfs`` pulls once the frontier owns more than 1/_PULL_ARC_RATIO of
+#: the arcs: a pull streams every arc through one gather + segmented
+#: OR (~5 ns/arc measured), a push also builds the arc index list and
+#: sorts by target (~40-60 ns/arc); the optimum is flat between 6 and 16.
+_PULL_ARC_RATIO = 8
 
 
 def default_batch_size(n_vertices: int) -> int:
@@ -62,23 +75,6 @@ def source_batches(sources, batch_size: Optional[int], n_vertices: int) -> list:
     if k < 1:
         raise ValueError("batch_size must be >= 1")
     return [srcs[i : i + k] for i in range(0, srcs.shape[0], k)]
-
-
-def _claimed_frontier(
-    dist_flat: np.ndarray, cand: np.ndarray, new_level: int, kn: int
-) -> np.ndarray:
-    """Sorted, deduplicated flat frontier after a level's distance claims.
-
-    ``cand`` are the (duplicated) flat indices just assigned
-    ``new_level``.  Dense frontiers are recovered by scanning the
-    ``(K, n)`` plane for the fresh level mark — linear in ``kn`` but
-    branch-free and allocation-light — while sparse frontiers (long-
-    diameter graphs) fall back to sorting the candidates, avoiding an
-    O(diameter · K · n) total scan cost.
-    """
-    if cand.shape[0] * 8 >= kn:
-        return np.flatnonzero(dist_flat == new_level)
-    return np.unique(cand)
 
 
 @dataclass
@@ -192,25 +188,17 @@ def msbfs(
     *,
     ctx: Optional[ParallelContext] = None,
     max_depth: Optional[int] = None,
-    kernel_tier: Optional[str] = None,
 ) -> MSBFSResult:
     """Level-synchronous BFS from ``K`` sources simultaneously.
 
-    The batch's traversal state is a flat ``(K, n)`` distance plane and
-    its frontier a ``(lanes, vertices)`` pair, so each level is a single
-    vectorized :func:`expand_batch` + scatter pass shared by all lanes —
-    the per-source Python-loop overhead of ``K`` separate :func:`bfs`
-    calls collapses into one NumPy dispatch per level.  Lanes are fully
-    independent: ``result.distances[k]`` equals
-    ``bfs(g, sources[k]).distances`` exactly.
-
-    On the compiled tier (``kernel_tier`` / ``ctx.kernel_tier`` /
-    DESIGN §9 resolution) the per-level expand + claim is one njit
-    pass over the CSR arrays instead of the gather/scatter cascade;
-    direction choice, frontier bookkeeping and spans are shared, and
-    claimed frontiers/distances are bit-identical.  Edge-masked views
-    always traverse on the numpy tier (the compiled step reads the raw
-    CSR adjacency).
+    Word-parallel: each vertex carries one machine word of lane bits
+    (bit ``k`` set = lane ``k`` has reached it), so all lanes of a word
+    share a single pass over the arcs per level instead of one arc
+    gather per (lane, vertex) pair.  More than 64 sources traverse as
+    consecutive words writing into the one ``(K, n)`` output.  Lanes
+    are fully independent: ``result.distances[k]`` equals
+    ``bfs(g, sources[k]).distances`` exactly, duplicate sources
+    included.
     """
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
@@ -221,122 +209,134 @@ def msbfs(
         bad = srcs[(srcs < 0) | (srcs >= n)][0]
         raise GraphStructureError(f"source {int(bad)} out of range [0, {n})")
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
-    if k == 0:
-        return MSBFSResult(srcs, dist, 0)
-    tier = ctx.tier_for(graph.n_arcs * k, override=kernel_tier)
-    compiled_steps = tier == "compiled" and edge_active is None
-    dist_flat = dist.reshape(-1)
-    lanes = np.arange(k, dtype=np.int64)
-    dist[lanes, srcs] = 0
-    verts = srcs.copy()
-    level = 0
-    kn = k * n
-    degs_all = graph.degrees()
-    offsets, targets = graph.offsets, graph.targets
-    # Claim scratch for the compiled steps: both directions claim at
-    # most the remaining unvisited entries, so one kn-sized buffer per
-    # traversal serves every level.
-    claims = np.empty(kn, dtype=np.int64) if compiled_steps else None
-    # Direction-optimizing levels (Beamer et al.): when fewer arcs hang
-    # off the unvisited side than off the frontier, expand the unvisited
-    # side instead — on an undirected graph an unvisited vertex joins
-    # level + 1 exactly when one of its own arcs reaches the frontier.
-    bottom_up_ok = not graph.directed
-    todo_arcs = int(k * graph.n_arcs - degs_all[srcs].sum())
-    tr = ctx.tracer
+    n_levels = 0
     with ctx.region():
-        while verts.shape[0]:
-            if max_depth is not None and level >= max_depth:
-                break
-            # One barrier-separated phase covers the whole batch level.
-            ctx.record_phase_from_work(degs_all[verts])
-            bottom_up = bottom_up_ok and todo_arcs < int(
-                degs_all.take(verts).sum()
+        for lo in range(0, k, _WORD_LANES):
+            hi = lo + _WORD_LANES
+            depth = _msbfs_word(
+                graph, edge_active, srcs[lo:hi], dist[lo:hi], max_depth, ctx
             )
-            sp = (
-                tr.begin(
-                    "level",
-                    depth=level,
-                    frontier=int(verts.shape[0]),
-                    direction="bottom_up" if bottom_up else "top_down",
-                    kernel_tier=tier,
-                )
-                if tr
-                else None
+            n_levels = max(n_levels, depth)
+    return MSBFSResult(srcs, dist, n_levels)
+
+
+def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
+    """Traverse one word of lanes into ``dist`` (its rows of the output).
+
+    ``seen[v]`` holds the lanes that have reached ``v``; the frontier is
+    the vertices ``verts`` newly reached on some lane plus their
+    new-lane words ``words``.  Each level picks a direction from the
+    frontier's arc count.  A *push* gathers only the frontier vertices'
+    arcs, ORs the words landing on each target (sort + segmented OR)
+    and scatters distances from the unpacked bits of the newly reached
+    vertices, so a sparse level costs O(frontier arcs) and never O(n).
+    A *pull* (undirected graphs only: ``v`` joins exactly when one of
+    its own arcs reaches the frontier) streams every arc once through
+    ``bitwise_or.reduceat`` and adds the new bit planes onto the
+    distance rows.  Returns the deepest level reached.
+    """
+    n, n_arcs = graph.n_vertices, graph.n_arcs
+    kw = srcs.shape[0]
+    word = np.dtype(next(dt for bits, dt in _WORD_DTYPES if kw <= bits))
+    # Byte j of a little-endian word holds lanes 8j .. 8j+7.
+    le_word, n_bytes = word.newbyteorder("<"), word.itemsize
+    lane_ids = np.arange(kw, dtype=np.int64)
+    dist_flat = dist.reshape(-1)
+    dist_flat[lane_ids * n + srcs] = 0
+    seen = np.zeros(n, dtype=word)
+    np.bitwise_or.at(seen, srcs, (1 << lane_ids.astype(np.uint64)).astype(word))
+    verts = np.unique(srcs)
+    words = seen.take(verts)
+    offsets, targets = graph.offsets, graph.targets
+    degs_all = graph.degrees()
+    pull_ok = not graph.directed
+    seg_verts = seg_starts = dead_arcs = None  # pull-only, built on first use
+    level = 0
+    tr = ctx.tracer
+    while verts.shape[0] and (max_depth is None or level < max_depth):
+        f_arcs = int(degs_all.take(verts).sum())
+        pull = pull_ok and f_arcs * _PULL_ARC_RATIO > n_arcs
+        sp = (
+            tr.begin(
+                "level",
+                depth=level,
+                frontier=int(verts.shape[0]),
+                direction="pull" if pull else "push",
             )
-            if compiled_steps:
-                # First-come claims visit the same candidate set as the
-                # dedup-then-assign numpy step, so the claimed set — and
-                # every distance — is identical; sorting the claim log
-                # reproduces _claimed_frontier's sorted-unique order
-                # (bottom-up claims are already ascending).
-                if bottom_up:
-                    cnt = _compiled.msbfs_bottomup(
-                        offsets, targets, dist_flat, n, level, claims
+            if tr
+            else None
+        )
+        nxt = level + 1
+        if pull:
+            # One barrier-separated phase covers the whole word's level.
+            ctx.record_phase_from_work(degs_all)
+            if seg_verts is None:
+                # reduceat misreads empty segments; reduce only the
+                # non-empty ones (their starts still delimit exactly).
+                seg_verts = np.flatnonzero(degs_all)
+                seg_starts = offsets.take(seg_verts)
+                if edge_active is not None:
+                    dead_arcs = np.flatnonzero(
+                        ~edge_active.take(graph.arc_edge_ids)
                     )
-                else:
-                    cnt = _compiled.msbfs_topdown(
-                        offsets, targets, dist_flat, verts, lanes * n,
-                        level, claims,
-                    )
-                if cnt == 0:
-                    if sp is not None:
-                        tr.end(sp, discovered=0)
-                    break
-                nxt = np.sort(claims[:cnt])
-            else:
-                if bottom_up:
-                    un_flat = np.flatnonzero(dist_flat == UNREACHED)
-                    ulanes = un_flat // n
-                    uverts = un_flat - ulanes * n
-                    src_pos, nbr_flat, _ = expand_batch(
-                        graph, ulanes, uverts, edge_active
-                    )
-                    hit = np.flatnonzero(dist_flat.take(nbr_flat) == level)
-                    cand = un_flat.take(src_pos.take(hit))
-                else:
-                    _, tgt_flat, _ = expand_batch(
-                        graph, lanes, verts, edge_active
-                    )
-                    unseen = np.flatnonzero(
-                        dist_flat.take(tgt_flat) == UNREACHED
-                    )
-                    cand = tgt_flat.take(unseen)
-                if cand.shape[0] == 0:
-                    if sp is not None:
-                        tr.end(sp, discovered=0)
-                    break
-                dist_flat[cand] = level + 1
-                nxt = _claimed_frontier(dist_flat, cand, level + 1, kn)
-            lanes = nxt // n
-            verts = nxt - lanes * n
-            todo_arcs -= int(degs_all.take(verts).sum())
-            level += 1
-            if sp is not None:
-                tr.end(sp, discovered=int(nxt.shape[0]))
-    return MSBFSResult(srcs, dist, level)
-
-
-def _warm_msbfs_steps() -> None:
-    """Compile both frontier-step kernels on a 2-vertex path, 1 lane."""
-    offsets = np.asarray([0, 1, 2], dtype=np.int64)
-    targets = np.asarray([1, 0], dtype=np.int64)
-    claims = np.empty(2, dtype=np.int64)
-    dist_flat = np.asarray([0, -1], dtype=np.int32)
-    _compiled.msbfs_topdown(
-        offsets, targets, dist_flat,
-        np.asarray([0], dtype=np.int64), np.zeros(1, dtype=np.int64),
-        0, claims,
-    )
-    dist_flat = np.asarray([0, -1], dtype=np.int32)
-    _compiled.msbfs_bottomup(offsets, targets, dist_flat, 2, 0, claims)
-
-
-dispatch.register(
-    "msbfs_frontier",
-    compiled_fn=_compiled.msbfs_topdown,
-    warmup=_warm_msbfs_steps,
-)
+            frontier = np.zeros(n, dtype=word)
+            frontier[verts] = words
+            got = frontier.take(targets)
+            if dead_arcs is not None:
+                got[dead_arcs] = 0
+            arcs = n_arcs
+            fresh = np.zeros(n, dtype=word)
+            fresh[seg_verts] = np.bitwise_or.reduceat(got, seg_starts)
+            fresh &= ~seen
+            seen |= fresh
+            verts = np.flatnonzero(fresh)
+            words = fresh.take(verts)
+            # (lanes, n) 0/1 planes of the new bits; unreached entries
+            # are -1, so adding plane * (nxt + 1) writes nxt.
+            lane_bytes = fresh.astype(le_word, copy=False).view(np.uint8)
+            planes = (
+                lane_bytes.reshape(n, n_bytes).T[:, None, :] >> _BIT_SHIFTS
+            ) & 1
+            planes = planes.reshape(-1, n)[:kw]
+            dist += np.multiply(planes, nxt + 1, dtype=np.int32)
+            discovered = int(planes.sum()) if sp is not None else 0
+        else:
+            # Method-form calls and inline run heads (not the np.*
+            # wrappers / segments.group_offsets): wrapper overhead is
+            # ~a third of a two-vertex level, and a long path is
+            # nothing but such levels.
+            arc_idx, degs = frontier_arc_indices(graph, verts)
+            ctx.record_phase_from_work(degs)
+            tgt = targets.take(arc_idx)
+            got = words.repeat(degs)
+            if edge_active is not None:
+                live = edge_active.take(
+                    graph.arc_edge_ids.take(arc_idx)
+                ).nonzero()[0]
+                tgt, got = tgt.take(live), got.take(live)
+            arcs = int(tgt.shape[0])
+            got &= ~seen.take(tgt)
+            hit = got.nonzero()[0]
+            order = hit.take(tgt.take(hit).argsort())
+            tgt, got = tgt.take(order), got.take(order)
+            head = np.empty(tgt.shape[0], dtype=bool)
+            head[:1] = True
+            np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
+            heads = head.nonzero()[0]
+            verts = tgt.take(heads)
+            words = np.bitwise_or.reduceat(got, heads)
+            seen[verts] = seen.take(verts) | words
+            lane_bytes = words.astype(le_word, copy=False).view(np.uint8)
+            bits = np.unpackbits(lane_bytes, bitorder="little")
+            pos, lanes = np.divmod(bits.view(np.bool_).nonzero()[0], 8 * n_bytes)
+            dist_flat[lanes * n + verts.take(pos)] = nxt
+            discovered = int(pos.shape[0])
+        if sp is not None:
+            tr.end(sp, arcs=arcs, discovered=discovered)
+        if verts.shape[0] == 0:
+            break
+        level = nxt
+    return level
 
 
 @algorithm("st_connectivity", operands=2)

@@ -167,10 +167,9 @@ class Kernel:
     """One registered kernel: reference + optional compiled variant.
 
     ``numpy_fn`` may be ``None`` for kernels whose numpy path is
-    inlined in the owning algorithm (the msbfs frontier steps, the
-    Brandes accumulation); such entries exist for warm-up and
-    introspection, and the algorithm branches on the resolved tier
-    itself.  ``warmup_fn`` invokes the compiled variant on tiny typed
+    inlined in the owning algorithm (the Brandes accumulation); such
+    entries exist for warm-up and introspection, and the algorithm
+    branches on the resolved tier itself.  ``warmup_fn`` invokes the compiled variant on tiny typed
     inputs covering every dtype specialization it is dispatched with.
     """
 
@@ -223,7 +222,6 @@ def _import_kernel_modules() -> None:
     """Import every module that registers kernels (idempotent)."""
     import repro.centrality.betweenness  # noqa: F401
     import repro.community.pla  # noqa: F401
-    import repro.kernels.bfs  # noqa: F401
     import repro.kernels.segments  # noqa: F401
 
 

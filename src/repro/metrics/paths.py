@@ -30,17 +30,15 @@ def _sources(n: int, n_samples: Optional[int], rng: np.random.Generator) -> np.n
     return rng.choice(n, size=n_samples, replace=False)
 
 
-def _distance_stats_batch(graph, batch, payload):
+def _distance_stats_batch(graph, batch, mask):
     """One source batch → ``(sum, pairs, histogram, per-lane ecc)``.
 
     The shared per-source-distance reduction behind all three metrics;
     module-level so the process backend can ship it by reference.
-    ``payload`` is the optional edge-activity mask, or a
-    ``(mask, kernel_tier)`` tuple resolved once by the caller.
+    ``mask`` is the optional edge-activity mask.
     """
-    mask, tier = payload if isinstance(payload, tuple) else (payload, None)
     g: GraphLike = graph if mask is None else EdgeSubsetView(graph, mask)
-    dist = msbfs(g, batch, kernel_tier=tier).distances
+    dist = msbfs(g, batch).distances
     pos = dist > 0
     vals = dist[pos]
     hist = np.bincount(vals) if vals.shape[0] else np.zeros(0, dtype=np.int64)
@@ -55,12 +53,11 @@ def _batched_stats(g: GraphLike, srcs: np.ndarray, ctx: ParallelContext):
     graph, edge_active = unwrap(g)
     batches = source_batches(srcs, None, graph.n_vertices)
     per = float(max(1, graph.n_arcs))
-    tier = ctx.tier_for(graph.n_arcs)
     return ctx.map_batches(
         _distance_stats_batch,
         graph,
         batches,
-        payload=(edge_active, tier),
+        payload=edge_active,
         costs=[per * len(b) for b in batches],
     )
 

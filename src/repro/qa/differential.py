@@ -392,6 +392,18 @@ def _run_bfs(graph: Graph, ctx) -> np.ndarray:
     return res.distances
 
 
+def _msbfs_sources(n: int) -> list[int]:
+    """70 lanes — two msbfs words, the second partial — striding over
+    the vertices so that small graphs repeat sources."""
+    return [(7 * i) % n for i in range(70)]
+
+
+def _run_msbfs(graph: Graph, ctx) -> np.ndarray:
+    from repro.kernels.bfs import msbfs
+
+    return msbfs(graph, _msbfs_sources(graph.n_vertices), ctx=ctx).distances
+
+
 def _run_cc(method: str):
     def run(graph: Graph, ctx) -> np.ndarray:
         from repro.kernels.connected import connected_components
@@ -585,6 +597,10 @@ def _run_sharded(kind: str):
 
 CHECKS: tuple[Check, ...] = (
     Check("bfs", _run_bfs, lambda ref: oracles.bfs_levels(ref, 0),
+          _cmp_int_arrays, directed_ok=True, min_vertices=1),
+    Check("msbfs", _run_msbfs,
+          lambda ref: [oracles.bfs_levels(ref, s)
+                       for s in _msbfs_sources(ref.n)],
           _cmp_int_arrays, directed_ok=True, min_vertices=1),
     Check("connected_sv", _run_cc("sv"), oracles.connected_components,
           _cmp_int_arrays, directed_ok=True),

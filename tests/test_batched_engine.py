@@ -23,8 +23,10 @@ from repro.centrality.closeness import closeness_centrality
 from repro.datasets.karate import karate_club
 from repro.generators.planted import planted_partition
 from repro.generators.rmat import rmat
+from repro.graph import from_edge_array
 from repro.graph.csr import EdgeSubsetView
 from repro.kernels.bfs import bfs, default_batch_size, msbfs, source_batches
+from repro.obs import run
 from repro.parallel.runtime import ParallelContext
 from repro.parallel.shm import attach_graph, share_graph
 
@@ -47,30 +49,86 @@ def _views(graph, seed=7):
 
 GRAPHS = _graphs()
 
+#: msbfs-only inputs on top of GRAPHS: a directed graph (push levels
+#: only), a vertex with no arcs, and a path deeper than 255 levels.
+MSBFS_GRAPHS = {
+    **GRAPHS,
+    "rmat_directed": rmat(
+        8, 8.0, rng=np.random.default_rng(13), directed=True
+    ),
+    "isolated": from_edge_array(
+        6, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), directed=False
+    ),
+    "path300": from_edge_array(
+        300, np.arange(299), np.arange(1, 300), directed=False
+    ),
+}
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
+#: Lane counts straddling every word width (uint8/16/32/64) and the
+#: 64-lane word boundary (65 and 130 span two and three words).
+LANE_COUNTS = (1, 8, 9, 16, 17, 32, 33, 64, 65, 130)
+
+
+def _source_pool(graph, rng):
+    """130 sources: vertex 0, a duplicate of it, a minimum-degree
+    (isolated where the graph has one) vertex, then random draws —
+    with replacement, so wide lane sets repeat sources."""
+    pool = rng.integers(0, graph.n_vertices, size=max(LANE_COUNTS))
+    pool[:3] = (0, 0, int(np.argmin(graph.degrees())))
+    return pool
+
+
+def _assert_lanes_match_bfs(gv, pool, max_depth=None):
+    rows = {
+        int(s): bfs(gv, int(s), max_depth=max_depth).distances
+        for s in np.unique(pool)
+    }
+    for k in LANE_COUNTS:
+        res = msbfs(gv, pool[:k], max_depth=max_depth)
+        assert np.array_equal(res.sources, pool[:k])
+        assert res.distances.shape == (k, rows[0].shape[0])
+        assert res.distances.dtype == np.int32
+        for lane, s in enumerate(pool[:k]):
+            assert np.array_equal(res.distances[lane], rows[int(s)]), (k, lane)
+        assert res.n_levels == int(res.distances.max())
+
+
+@pytest.mark.parametrize("name", sorted(MSBFS_GRAPHS))
 def test_msbfs_matches_per_source_bfs(name):
-    graph = GRAPHS[name]
+    graph = MSBFS_GRAPHS[name]
     rng = np.random.default_rng(5)
     for gv in _views(graph):
-        srcs = rng.choice(graph.n_vertices, size=min(graph.n_vertices, 40), replace=False)
-        res = msbfs(gv, srcs)
-        assert res.distances.shape == (srcs.shape[0], graph.n_vertices)
-        for lane, s in enumerate(srcs):
-            expected = bfs(gv, int(s)).distances
-            assert np.array_equal(res.distances[lane], expected.astype(res.distances.dtype))
+        _assert_lanes_match_bfs(gv, _source_pool(graph, rng))
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("name", sorted(MSBFS_GRAPHS))
 def test_msbfs_max_depth_parity(name):
-    graph = GRAPHS[name]
+    graph = MSBFS_GRAPHS[name]
     rng = np.random.default_rng(6)
     for gv in _views(graph):
-        srcs = rng.choice(graph.n_vertices, size=min(graph.n_vertices, 12), replace=False)
-        res = msbfs(gv, srcs, max_depth=2)
-        for lane, s in enumerate(srcs):
-            expected = bfs(gv, int(s), max_depth=2).distances
-            assert np.array_equal(res.distances[lane], expected.astype(res.distances.dtype))
+        pool = _source_pool(graph, rng)
+        for max_depth in (0, 1, 2):
+            _assert_lanes_match_bfs(gv, pool, max_depth=max_depth)
+
+
+def test_msbfs_sparse_levels_touch_only_frontier_arcs():
+    """Long-diameter guard: a push level reports (and pays for) the
+    frontier's own arcs, never the whole graph's."""
+    path = MSBFS_GRAPHS["path300"]
+    res = run("msbfs", path, [0, 150], trace=True)
+    assert res.value.n_levels == 299
+    levels = res.trace.find("level")
+    assert len(levels) == 300  # the last one discovers nothing
+    for sp in levels:
+        assert sp.attrs["direction"] == "push"
+        # source 0 walks right, source 150 both ways: <= 2 arcs each
+        assert sp.attrs["arcs"] <= 2 * sp.attrs["frontier"] <= 6
+    wide = run("msbfs", path, list(range(0, 300, 3)), trace=True)
+    directions = {sp.attrs["direction"] for sp in wide.trace.find("level")}
+    assert directions == {"pull", "push"}
+    for sp in wide.trace.find("level"):
+        if sp.attrs["direction"] == "pull":
+            assert sp.attrs["arcs"] == path.n_arcs
 
 
 def test_msbfs_empty_and_bad_sources():

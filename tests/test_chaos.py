@@ -14,8 +14,8 @@ path; the exhaustive fault x backend x crash-mode matrix is marked
 
 from __future__ import annotations
 
-import _thread
 import os
+import signal
 import threading
 import time
 import warnings
@@ -382,6 +382,9 @@ class TestKeyboardInterrupt:
     def test_interrupt_during_map_batches(self, backend):
         before = _shm_entries()
         g = _small_graph()
+        # The hang outlasts the time bound below on both backends (an
+        # abandoned thread cannot be killed and is joined at interpreter
+        # exit, so the thread hang stays short).
         hang = 1.5 if backend == "thread" else 30.0
         ctx = ParallelContext(
             2, backend=backend,
@@ -390,7 +393,14 @@ class TestKeyboardInterrupt:
                 [Fault("hang", task_index=0, hang_seconds=hang)]
             ),
         )
-        timer = threading.Timer(0.3, _thread.interrupt_main)
+        # A real SIGINT, as Ctrl-C delivers it: _thread.interrupt_main
+        # only sets a flag and never wakes a main thread blocked in the
+        # futures wait, so it sat out the whole planted hang.
+        timer = threading.Timer(
+            0.3, signal.pthread_kill,
+            (threading.main_thread().ident, signal.SIGINT),
+        )
+        t0 = time.monotonic()
         timer.start()
         try:
             with pytest.raises(KeyboardInterrupt):
@@ -398,6 +408,9 @@ class TestKeyboardInterrupt:
         finally:
             timer.cancel()
             ctx.close()
+        # interrupt -> teardown is bounded no matter how long the worker
+        # would have hung
+        assert time.monotonic() - t0 < min(2.0, hang)
         # pools were abandoned, segments released, nothing left behind
         assert ctx._thread_pool is None and ctx._process_pool is None
         assert live_segment_names() == ()

@@ -45,9 +45,10 @@ BATCH_STATE_BUDGET = 1 << 21
 MAX_BATCH_LANES = 32
 
 #: Lanes per ``msbfs`` word; the narrowest unsigned dtype that holds a
-#: word's lane count carries its per-vertex bits.
+#: word's lane count carries its per-vertex bits.  Little-endian on any
+#: host, so byte j of a word's uint8 view holds lanes 8j .. 8j+7.
 _WORD_LANES = 64
-_WORD_DTYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+_WORD_DTYPES = tuple(np.dtype(dt) for dt in ("u1", "<u2", "<u4", "<u8"))
 _BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 #: ``msbfs`` pulls once the frontier owns more than 1/_PULL_ARC_RATIO of
@@ -220,6 +221,55 @@ def msbfs(
     return MSBFSResult(srcs, dist, n_levels)
 
 
+def _seed_lane_words(srcs: np.ndarray, dist_flat: np.ndarray, n: int):
+    """Start one word of lanes: distance 0 and lane bit ``k`` at
+    ``srcs[k]``.  Returns ``(seen, verts, words)`` — the per-vertex lane
+    words and the level-0 frontier."""
+    kw = srcs.shape[0]
+    word = next(dt for dt in _WORD_DTYPES if kw <= 8 * dt.itemsize)
+    lane_ids = np.arange(kw, dtype=np.int64)
+    dist_flat[lane_ids * n + srcs] = 0
+    seen = np.zeros(n, dtype=word)
+    np.bitwise_or.at(seen, srcs, (1 << lane_ids.astype(np.uint64)).astype(word))
+    verts = np.unique(srcs)
+    return seen, verts, seen.take(verts)
+
+
+def _or_by_target(tgt: np.ndarray, got: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OR the lane words landing on each target: ``(target, word)`` arc
+    pairs in, ``(distinct targets ascending, OR-ed words)`` out."""
+    # Method-form calls and inline run heads (not the np.* wrappers /
+    # segments.group_offsets): wrapper overhead is ~a third of a
+    # two-vertex level, and a long path is nothing but such levels.
+    order = tgt.argsort()
+    tgt, got = tgt.take(order), got.take(order)
+    head = np.empty(tgt.shape[0], dtype=bool)
+    head[:1] = True
+    np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    return tgt.take(heads), np.bitwise_or.reduceat(got, heads)
+
+
+def _claim_new(seen, tgt, got) -> tuple[np.ndarray, np.ndarray]:
+    """Mask ``(target, word)`` pairs with ``~seen``, OR what is left per
+    target and mark it seen: the next frontier ``(verts, words)``."""
+    got &= ~seen.take(tgt)
+    hit = got.nonzero()[0]
+    verts, words = _or_by_target(tgt.take(hit), got.take(hit))
+    seen[verts] = seen.take(verts) | words
+    return verts, words
+
+
+def _scatter_new_lanes(dist_flat, n: int, verts, words, depth: int) -> int:
+    """Write ``depth`` into the flat ``(lanes, n)`` distance plane at
+    every ``(lane, verts[i])`` whose bit is set in ``words[i]``; returns
+    how many entries that was."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    pos, lanes = np.divmod(bits.view(np.bool_).nonzero()[0], 8 * words.itemsize)
+    dist_flat[lanes * n + verts.take(pos)] = depth
+    return int(pos.shape[0])
+
+
 def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
     """Traverse one word of lanes into ``dist`` (its rows of the output).
 
@@ -237,16 +287,9 @@ def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
     """
     n, n_arcs = graph.n_vertices, graph.n_arcs
     kw = srcs.shape[0]
-    word = np.dtype(next(dt for bits, dt in _WORD_DTYPES if kw <= bits))
-    # Byte j of a little-endian word holds lanes 8j .. 8j+7.
-    le_word, n_bytes = word.newbyteorder("<"), word.itemsize
-    lane_ids = np.arange(kw, dtype=np.int64)
     dist_flat = dist.reshape(-1)
-    dist_flat[lane_ids * n + srcs] = 0
-    seen = np.zeros(n, dtype=word)
-    np.bitwise_or.at(seen, srcs, (1 << lane_ids.astype(np.uint64)).astype(word))
-    verts = np.unique(srcs)
-    words = seen.take(verts)
+    seen, verts, words = _seed_lane_words(srcs, dist_flat, n)
+    word = seen.dtype
     offsets, targets = graph.offsets, graph.targets
     degs_all = graph.degrees()
     pull_ok = not graph.directed
@@ -293,18 +336,12 @@ def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
             words = fresh.take(verts)
             # (lanes, n) 0/1 planes of the new bits; unreached entries
             # are -1, so adding plane * (nxt + 1) writes nxt.
-            lane_bytes = fresh.astype(le_word, copy=False).view(np.uint8)
-            planes = (
-                lane_bytes.reshape(n, n_bytes).T[:, None, :] >> _BIT_SHIFTS
-            ) & 1
+            lane_bytes = fresh.view(np.uint8).reshape(n, word.itemsize)
+            planes = (lane_bytes.T[:, None, :] >> _BIT_SHIFTS) & 1
             planes = planes.reshape(-1, n)[:kw]
             dist += np.multiply(planes, nxt + 1, dtype=np.int32)
             discovered = int(planes.sum()) if sp is not None else 0
         else:
-            # Method-form calls and inline run heads (not the np.*
-            # wrappers / segments.group_offsets): wrapper overhead is
-            # ~a third of a two-vertex level, and a long path is
-            # nothing but such levels.
             arc_idx, degs = frontier_arc_indices(graph, verts)
             ctx.record_phase_from_work(degs)
             tgt = targets.take(arc_idx)
@@ -315,22 +352,8 @@ def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
                 ).nonzero()[0]
                 tgt, got = tgt.take(live), got.take(live)
             arcs = int(tgt.shape[0])
-            got &= ~seen.take(tgt)
-            hit = got.nonzero()[0]
-            order = hit.take(tgt.take(hit).argsort())
-            tgt, got = tgt.take(order), got.take(order)
-            head = np.empty(tgt.shape[0], dtype=bool)
-            head[:1] = True
-            np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
-            heads = head.nonzero()[0]
-            verts = tgt.take(heads)
-            words = np.bitwise_or.reduceat(got, heads)
-            seen[verts] = seen.take(verts) | words
-            lane_bytes = words.astype(le_word, copy=False).view(np.uint8)
-            bits = np.unpackbits(lane_bytes, bitorder="little")
-            pos, lanes = np.divmod(bits.view(np.bool_).nonzero()[0], 8 * n_bytes)
-            dist_flat[lanes * n + verts.take(pos)] = nxt
-            discovered = int(pos.shape[0])
+            verts, words = _claim_new(seen, tgt, got)
+            discovered = _scatter_new_lanes(dist_flat, n, verts, words, nxt)
         if sp is not None:
             tr.end(sp, arcs=arcs, discovered=discovered)
         if verts.shape[0] == 0:

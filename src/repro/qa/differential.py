@@ -398,6 +398,10 @@ def _msbfs_sources(n: int) -> list[int]:
     return [(7 * i) % n for i in range(70)]
 
 
+def _oracle_msbfs(ref) -> list:
+    return [oracles.bfs_levels(ref, s) for s in _msbfs_sources(ref.n)]
+
+
 def _run_msbfs(graph: Graph, ctx) -> np.ndarray:
     from repro.kernels.bfs import msbfs
 
@@ -563,13 +567,14 @@ def _run_sharded(kind: str):
             if kind == "msbfs":
                 from repro.kernels.bfs import msbfs
 
-                res = sharded_msbfs(ss, [0], ctx=ctx)
-                ref = msbfs(graph, [0], ctx=ctx)
+                sources = _msbfs_sources(graph.n_vertices)
+                res = sharded_msbfs(ss, sources, ctx=ctx)
+                ref = msbfs(graph, sources, ctx=ctx)
                 if not np.array_equal(res.distances, ref.distances):
                     raise invariants.InvariantViolation(
                         "sharded msbfs differs from in-core msbfs"
                     )
-                return res.distances[0]
+                return res.distances
             if kind == "components":
                 from repro.kernels.connected import connected_components
 
@@ -598,9 +603,7 @@ def _run_sharded(kind: str):
 CHECKS: tuple[Check, ...] = (
     Check("bfs", _run_bfs, lambda ref: oracles.bfs_levels(ref, 0),
           _cmp_int_arrays, directed_ok=True, min_vertices=1),
-    Check("msbfs", _run_msbfs,
-          lambda ref: [oracles.bfs_levels(ref, s)
-                       for s in _msbfs_sources(ref.n)],
+    Check("msbfs", _run_msbfs, _oracle_msbfs,
           _cmp_int_arrays, directed_ok=True, min_vertices=1),
     Check("connected_sv", _run_cc("sv"), oracles.connected_components,
           _cmp_int_arrays, directed_ok=True),
@@ -634,9 +637,8 @@ CHECKS: tuple[Check, ...] = (
           _cmp_reported_modularity, min_vertices=1),
     # Out-of-core twins (repro.sharded): bit-identical to the in-core
     # kernels by construction, and answerable to the same oracles.
-    Check("sharded_msbfs", _run_sharded("msbfs"),
-          lambda ref: oracles.bfs_levels(ref, 0), _cmp_int_arrays,
-          min_vertices=1),
+    Check("sharded_msbfs", _run_sharded("msbfs"), _oracle_msbfs,
+          _cmp_int_arrays, min_vertices=1),
     Check("sharded_components", _run_sharded("components"),
           oracles.connected_components, _cmp_int_arrays),
     Check("sharded_pla", _run_sharded("pla"), lambda ref: ref,

@@ -5,11 +5,12 @@ Every public function here reproduces its in-core counterpart's output
 touching only one shard's CSR per worker task plus ``O(n)`` vertex
 state at the coordinator:
 
-* :func:`sharded_msbfs` — per superstep, each shard computes the level's
-  candidate set from its local adjacency against a shipped distance
-  snapshot; the union of candidates is exactly the in-core engine's
-  claim set, so the distance plane and level count match bit for bit
-  (the claimed value is level-independent of arc order).
+* :func:`sharded_msbfs` — the in-core word formulation with each
+  level's arc pass as one superstep: shards return ``(vertex, lane
+  word)`` pairs for the frontier they were shipped, the coordinator ORs
+  them per vertex and masks with its ``seen`` words; the new bits are
+  exactly the in-core level's, so the distance plane and level count
+  match bit for bit.
 * :func:`sharded_connected_components` — min-label hook supersteps plus
   coordinator pointer compression; converges to the min-vertex-id
   labels the in-core Shiloach–Vishkin kernel is specified to return.
@@ -47,7 +48,17 @@ from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, CorruptCheckpoint, GraphStructureError
 from repro.graph.builder import contract, from_edge_array
 from repro.graph.csr import VERTEX_DTYPE, Graph
-from repro.kernels.bfs import MSBFSResult, UNREACHED, source_batches
+from repro.kernels.bfs import (
+    MSBFSResult,
+    UNREACHED,
+    _PULL_ARC_RATIO,
+    _WORD_LANES,
+    _claim_new,
+    _or_by_target,
+    _scatter_new_lanes,
+    _seed_lane_words,
+    source_batches,
+)
 from repro.sharded.bsp import BSPDriver, MemoryBudget
 from repro.sharded.shards import ShardSet, _cached_shard, concat_ranges
 
@@ -66,27 +77,9 @@ DEFAULT_CHUNK_EDGES = 1 << 20
 #: Arcs per block for worker-side neighbor expansions.  Workers never
 #: materialize a full-shard arc expansion — they walk the CSR in blocks
 #: of ~this many arcs, keeping transients O(ARC_CHUNK) instead of
-#: O(shard arcs).  Results are exact: candidate sets are deduped by the
-#: final ``np.unique`` and per-row minima are row-independent.
+#: O(shard arcs).  Results are exact: blocks are row-aligned, per-row
+#: reductions are row-independent and per-target ORs re-reduce exactly.
 ARC_CHUNK = 1 << 21
-
-
-def _unique_sorted(values: np.ndarray) -> np.ndarray:
-    """Sorted-unique for integer arrays via in-place sort + run mask.
-
-    Identical output to ``np.unique`` on ints, but avoids numpy 2.x's
-    hash-table path, whose working set (~16 B/element) dwarfs the
-    candidate arrays themselves on the big frontier levels.  Takes
-    ownership of ``values`` (sorts it in place) — callers pass freshly
-    materialized arrays.
-    """
-    if values.shape[0] <= 1:
-        return values
-    values.sort()
-    keep = np.empty(values.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _arc_chunk_bounds(deg: np.ndarray) -> np.ndarray:
@@ -105,6 +98,21 @@ def _arc_chunk_bounds(deg: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate((
         np.zeros(1, dtype=np.int64), cuts, np.array([nv], dtype=np.int64)
     )))
+
+
+def _reduce_over_rows(ufunc, local_vals, sh, out: np.ndarray) -> np.ndarray:
+    """Fold ``ufunc`` over each owned row's neighbor values into ``out``
+    (``local_vals`` is indexed by local id; rows without arcs keep
+    ``out[r]``), walking the CSR in ``ARC_CHUNK`` blocks."""
+    offs, tg = sh.offsets, sh.targets
+    deg = offs[1:] - offs[:-1]
+    bounds = _arc_chunk_bounds(deg)
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        rows = b0 + np.flatnonzero(deg[b0:b1])
+        if rows.shape[0]:
+            nbr = local_vals.take(tg[offs[b0]:offs[b1]])
+            out[rows] = ufunc(out[rows], ufunc.reduceat(nbr, offs[rows] - offs[b0]))
+    return out
 
 
 # Worker-side shard cache lives in repro.sharded.shards so the BSP
@@ -149,66 +157,45 @@ def _check_resume_match(drv: BSPDriver, tag: str, st: dict, expected: dict) -> N
 # ---------------------------------------------------------------------------
 # msbfs
 # ---------------------------------------------------------------------------
-def _msbfs_level_worker(task):
-    """One (shard, level) step: return this shard's candidate flat ids.
+#: Shape of the msbfs checkpoint state; a checkpoint written by another
+#: formulation (the pre-word one had ``lanes``/``todo_arcs``, no
+#: ``seen``/``words``) is refused like any other parameter mismatch.
+_MSBFS_STATE = "lane-words/1"
 
-    Top-down: neighbors of the shipped frontier vertices that the
-    pre-level distance snapshot shows unreached.  Bottom-up: owned
-    unreached vertices with any neighbor at the current level.  On an
-    undirected graph both describe the same global candidate set, so
-    the per-level direction choice never changes results.
+
+def _msbfs_level_worker(task):
+    """One (shard, level) step of one lane word, as in
+    ``kernels.bfs._msbfs_word``: returns ``(global vertices, words)``,
+    at most one pair per vertex.
+
+    Push (``rows`` = owned frontier rows, ``words`` their new-lane
+    words): each word travels along its row's arcs and is OR-ed per
+    target.  Pull (``rows is None``, ``words`` = the dense global
+    frontier): every owned row ORs the frontier words of its neighbors.
+    Neither side sees ``seen`` — the coordinator masks the merged words —
+    so on an undirected graph both name the same newly reached set.
     """
-    path, index, n, level, bottom_up, dist_global, lanes, vloc = task
+    path, index, rows, words = task
     sh = _cached_shard(path, index)
-    offs = np.asarray(sh.offsets)
-    tg = np.asarray(sh.targets)
-    l2g = sh.local_to_global
-    # Payloads carry the *global* distance snapshot (one array shared by
-    # every payload of the superstep); each worker derives its own local
-    # (owned ++ halo) columns, so the coordinator never materializes
-    # per-shard snapshots.
-    dist_local = dist_global[:, l2g]
-    parts = []
-    if bottom_up:
-        n_owned = sh.n_owned
-        for lane in range(dist_local.shape[0]):
-            dl = dist_local[lane]
-            uverts = np.flatnonzero(dl[:n_owned] == UNREACHED)
-            if uverts.shape[0] == 0:
-                continue
-            deg = offs[uverts + 1] - offs[uverts]
-            bounds = _arc_chunk_bounds(deg)
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                uv = uverts[b0:b1]
-                dg = deg[b0:b1]
-                arc_idx = concat_ranges(offs[uv], dg)
-                if arc_idx.shape[0] == 0:
-                    continue
-                hits = dl[tg[arc_idx]] == level
-                if not hits.any():
-                    continue
-                src_pos = np.repeat(
-                    np.arange(uv.shape[0], dtype=np.int64), dg
-                )
-                hit_src = _unique_sorted(src_pos[hits])
-                parts.append(lane * n + l2g[uv[hit_src]])
-    else:
-        deg = offs[vloc + 1] - offs[vloc]
-        bounds = _arc_chunk_bounds(deg)
-        for b0, b1 in zip(bounds[:-1], bounds[1:]):
-            vl = vloc[b0:b1]
-            dg = deg[b0:b1]
-            arc_idx = concat_ranges(offs[vl], dg)
-            if arc_idx.shape[0] == 0:
-                continue
-            rep_lanes = np.repeat(lanes[b0:b1], dg)
-            tloc = tg[arc_idx]
-            unseen = dist_local[rep_lanes, tloc] == UNREACHED
-            if unseen.any():
-                parts.append(rep_lanes[unseen] * n + l2g[tloc[unseen]])
-    cand = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    del parts
-    return _unique_sorted(cand)
+    offs, tg, l2g = sh.offsets, sh.targets, sh.local_to_global
+    if rows is None:
+        got = _reduce_over_rows(
+            np.bitwise_or, words.take(l2g), sh,
+            np.zeros(sh.n_owned, dtype=words.dtype),
+        )
+        tgt = got.nonzero()[0]  # owned rows lead the local ids
+        return l2g.take(tgt), got.take(tgt)
+    deg = offs[rows + 1] - offs[rows]
+    bounds = _arc_chunk_bounds(deg)
+    blocks = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        dg = deg[b0:b1]
+        arc_idx = concat_ranges(offs[rows[b0:b1]], dg)
+        blocks.append(_or_by_target(tg[arc_idx], words[b0:b1].repeat(dg)))
+    tgt, got = (np.concatenate(col) for col in zip(*blocks))
+    if len(blocks) > 1:
+        tgt, got = _or_by_target(tgt, got)
+    return l2g.take(tgt), got
 
 
 def sharded_msbfs(
@@ -223,16 +210,17 @@ def sharded_msbfs(
 ) -> MSBFSResult:
     """Level-synchronous multi-source BFS over a shard set.
 
-    One superstep per level; the frontier/distance boundary exchange
-    ships each shard a snapshot of its local (owned + halo) distance
-    columns.  ``result.distances`` is bit-identical to
-    ``kernels.bfs.msbfs`` on the stitched graph.
+    ``kernels.bfs.msbfs``'s word formulation with each level's arc pass
+    as one superstep: the coordinator keeps the ``seen`` lane words and
+    the sparse frontier ``(verts, words)``, picks push or pull by the
+    in-core rule and claims the shards' merged ``(vertex, word)`` pairs
+    with the in-core step.  ``result.distances`` and ``n_levels`` are
+    bit-identical to ``kernels.bfs.msbfs`` on the stitched graph.
 
     With a resume-armed driver checkpointer, restarts from the last
-    durable level: per-level state (distance plane, frontier, lane map,
-    arc budget) is saved at the superstep boundary, and re-running the
-    level the crash interrupted is exact because payloads are a pure
-    function of that state.
+    durable level: the state saved at the superstep boundary (distance
+    plane, word index, ``seen``, frontier, level) determines every later
+    payload, so re-running the level the crash interrupted is exact.
     """
     ss = shard_set
     drv = _resolve_driver(ss, driver, ctx, mem_budget)
@@ -246,75 +234,66 @@ def sharded_msbfs(
     if k == 0:
         return MSBFSResult(srcs, dist, 0)
     degs_all = drv.degrees()
+    owner, local_index = ss.owner, ss.local_index
+    active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
+    paths = {s: str(ss.shard_path(s)) for s in active}
     tag = checkpoint_tag
+    params = {
+        "formulation": _MSBFS_STATE, "n": n, "srcs": srcs,
+        "max_depth": max_depth,
+    }
+    first_lo = n_levels = 0
     st = drv.load_resume(tag)
     if st is not None:
-        _check_resume_match(
-            drv, tag, st, {"n": n, "srcs": srcs, "max_depth": max_depth}
-        )
-        dist = st["dist"]
-        lanes = st["lanes"]
-        verts = st["verts"]
-        level = int(st["level"])
-        todo_arcs = int(st["todo_arcs"])
-    else:
-        lanes = np.arange(k, dtype=np.int64)
-        dist[lanes, srcs] = 0
-        verts = srcs.copy()
-        level = 0
-        todo_arcs = int(k * ss.n_arcs - degs_all[srcs].sum())
-    dist_flat = dist.reshape(-1)
-    owner = ss.owner
-    local_index = ss.local_index
-    occupied = [
-        s for s in range(ss.k)
-        if ss.shard_meta(s)["n_owned"] + ss.shard_meta(s)["n_halo"]
-    ]
-    while verts.shape[0]:
-        if max_depth is not None and level >= max_depth:
-            break
-        bottom_up = todo_arcs < int(degs_all.take(verts).sum())
-        # Every payload shares ONE reference to the global distance
-        # snapshot — safe because `dist` only advances *between*
-        # supersteps, and O(n) instead of O(n + total halo) resident.
-        payloads = []
-        if bottom_up:
-            for s in occupied:
-                payloads.append((
-                    str(ss.shard_path(s)), s, n, level, True,
-                    dist, None, None,
-                ))
+        _check_resume_match(drv, tag, st, params)
+        dist, first_lo, n_levels = st["dist"], int(st["lo"]), int(st["n_levels"])
+    for lo in range(first_lo, k, _WORD_LANES):
+        dist_flat = dist[lo : lo + _WORD_LANES].reshape(-1)
+        if st is not None:
+            seen, verts, words = st["seen"], st["verts"], st["words"]
+            level = int(st["level"])
+            st = None
         else:
-            ow = owner[verts]
-            for s in occupied:
-                mask = ow == s
-                if not mask.any():
-                    continue
-                payloads.append((
-                    str(ss.shard_path(s)), s, n, level, False,
-                    dist, lanes[mask], local_index[verts[mask]],
-                ))
-        results = drv.superstep(
-            f"msbfs:level{level}", _msbfs_level_worker, payloads
-        )
-        parts = [r for r in results if r is not None and r.shape[0]]
-        if not parts:
-            break
-        cand = np.concatenate(parts)
-        del results, parts  # free per-shard copies before the merge sort
-        cand = _unique_sorted(cand)
-        dist_flat[cand] = level + 1
-        lanes = cand // n
-        verts = cand - lanes * n
-        todo_arcs -= int(degs_all.take(verts).sum())
-        level += 1
-        drv.maybe_checkpoint(tag, {
-            "n": n, "srcs": srcs, "max_depth": max_depth,
-            "dist": dist, "verts": verts, "lanes": lanes,
-            "level": level, "todo_arcs": todo_arcs,
-        })
+            seen, verts, words = _seed_lane_words(
+                srcs[lo : lo + _WORD_LANES], dist_flat, n
+            )
+            level = 0
+        while verts.shape[0] and (max_depth is None or level < max_depth):
+            f_arcs = int(degs_all.take(verts).sum())
+            if f_arcs * _PULL_ARC_RATIO > ss.n_arcs:
+                # Every payload shares ONE reference to the dense
+                # frontier — O(n) words resident, not O(n + total halo).
+                frontier = np.zeros(n, dtype=words.dtype)
+                frontier[verts] = words
+                payloads = [(paths[s], s, None, frontier) for s in active]
+            else:
+                ow = owner.take(verts)
+                payloads = []
+                for s in active:
+                    mine = (ow == s).nonzero()[0]
+                    if mine.shape[0]:
+                        payloads.append((
+                            paths[s], s,
+                            local_index.take(verts.take(mine)),
+                            words.take(mine),
+                        ))
+            results = drv.superstep(
+                f"msbfs:level{level}", _msbfs_level_worker, payloads
+            )
+            tgt, got = (np.concatenate(col) for col in zip(*results))
+            del results, payloads  # free per-shard copies before the merge sort
+            verts, words = _claim_new(seen, tgt, got)
+            if verts.shape[0] == 0:
+                break
+            level += 1
+            _scatter_new_lanes(dist_flat, n, verts, words, level)
+            drv.maybe_checkpoint(tag, {
+                **params, "dist": dist, "lo": lo, "n_levels": n_levels,
+                "seen": seen, "verts": verts, "words": words, "level": level,
+            })
+        n_levels = max(n_levels, level)
     drv.clear_checkpoint(tag)
-    return MSBFSResult(srcs, dist, level)
+    return MSBFSResult(srcs, dist, n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +376,10 @@ def _cc_round_worker(task):
     """Per-owned-vertex min over {own label} ∪ {neighbor labels}."""
     path, index, labels_global = task
     sh = _cached_shard(path, index)
-    n_owned = sh.n_owned
     labels_local = labels_global[sh.local_to_global]
-    own = labels_local[:n_owned].copy()
-    offs = np.asarray(sh.offsets)
-    tg = np.asarray(sh.targets)
-    deg = offs[1:] - offs[:-1]
-    bounds = _arc_chunk_bounds(deg)
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        nz = np.flatnonzero(deg[b0:b1])
-        if nz.shape[0] == 0:
-            continue
-        rows = b0 + nz
-        nbr_lab = labels_local[tg[offs[b0]:offs[b1]]]
-        row_min = np.minimum.reduceat(nbr_lab, offs[rows] - offs[b0])
-        own[rows] = np.minimum(own[rows], row_min)
-    return own
+    return _reduce_over_rows(
+        np.minimum, labels_local, sh, labels_local[: sh.n_owned].copy()
+    )
 
 
 def sharded_connected_components(
@@ -601,7 +568,7 @@ def _pla_strength_worker(task):
     """Vertex strengths of this shard's owned rows (self-loops count)."""
     path, index = task
     sh = _cached_shard(path, index)
-    offs = np.asarray(sh.offsets)
+    offs = sh.offsets
     deg = offs[1:] - offs[:-1]
     src_l = np.repeat(np.arange(sh.n_owned, dtype=np.int64), deg)
     w_l = (
@@ -629,8 +596,8 @@ def _pla_sweep_worker(task):
     present, lab_dense = np.unique(lab_l, return_inverse=True)
     lab_dense = lab_dense.astype(np.int64)
     s_present = s_global[present]
-    strength_own = strength_global[np.asarray(sh.owned)]
-    offs = np.asarray(sh.offsets)
+    strength_own = strength_global[sh.owned]
+    offs = sh.offsets
     deg = offs[1:] - offs[:-1]
     src_l = np.repeat(np.arange(sh.n_owned, dtype=np.int64), deg)
     tgt_l = np.asarray(sh.targets, dtype=np.int64)

@@ -58,14 +58,21 @@ CHECKPOINT_KIND = "bsp-checkpoint"
 
 
 def payload_nbytes(obj) -> int:
-    """Approximate wire size of a superstep payload / result."""
+    """Approximate wire size of a superstep payload / result.
+
+    Strings count 0: the only ones in a payload are shard paths —
+    addressing, not boundary data — and counting them made the ledger
+    depend on the name of the directory the shard set lives in.
+    """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (tuple, list)):
         return sum(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
         return sum(payload_nbytes(v) for v in obj.values())
-    if isinstance(obj, (bytes, str)):
+    if isinstance(obj, str):
+        return 0
+    if isinstance(obj, bytes):
         return len(obj)
     return 8
 

@@ -20,16 +20,23 @@ with working memory ``O(largest shard + halo)`` instead of ``O(graph)``:
   and CRC-32 checksums of every ``.npz`` member.
 
 Members of the uncompressed ``.npz`` archives are *memory-mapped* (the
-zip directory gives each member's data offset; ``np.memmap`` attaches
-to it in place), so opening a shard costs pages, not copies —
-``np.load`` alone would read ``.npz`` members eagerly.
+zip directory gives each member's data offset; one ``mmap`` of the file
+carries an ``np.frombuffer`` view per member), so opening a shard costs
+pages, not copies — ``np.load`` alone would read ``.npz`` members
+eagerly.  The member layout is parsed once per file version per
+process, so re-opening a shard every superstep is one ``mmap`` call.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
+import math
+import mmap
+import os
 import struct
+import types
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -115,10 +122,21 @@ def _read_npy_descr(raw, offset: int):
     return np.dtype(header["descr"]), tuple(header["shape"]), header_size
 
 
-def npz_member_layout(path: Path) -> dict[str, tuple[np.dtype, tuple, int]]:
-    """Data layout of an *uncompressed* ``.npz``: name → (dtype, shape,
-    absolute byte offset of the raw array data)."""
-    path = Path(path)
+def npz_member_layout(path: Path | str):
+    """Data layout of an *uncompressed* ``.npz``: read-only mapping
+    name → (dtype, shape, absolute byte offset of the raw array data).
+
+    Parsed once per ``(path, st_mtime_ns, st_size)`` per process: BSP
+    workers re-open their shard every superstep, and the zip directory
+    plus ``.npy`` header parse was most of that open.
+    """
+    st = os.stat(path)
+    return _parse_member_layout(str(path), st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_member_layout(path_str: str, mtime_ns: int, size: int):
+    path = Path(path_str)
     out: dict[str, tuple[np.dtype, tuple, int]] = {}
     with zipfile.ZipFile(path) as zf, open(path, "rb") as raw:
         for info in zf.infolist():
@@ -138,25 +156,24 @@ def npz_member_layout(path: Path) -> dict[str, tuple[np.dtype, tuple, int]]:
             if name.endswith(".npy"):
                 name = name[:-4]
             out[name] = (dtype, shape, data_offset + header_size)
-    return out
+    return types.MappingProxyType(out)
 
 
-def mmap_npz(path: Path) -> dict[str, np.ndarray]:
+def mmap_npz(path: Path | str) -> dict[str, np.ndarray]:
     """Memory-map every member of an *uncompressed* ``.npz`` archive.
 
-    Returns ``{member_name: array}``; non-empty members are read-only
-    ``np.memmap`` views into the file, empty members plain arrays.
+    Returns ``{member_name: array}``: read-only views into ONE shared
+    mapping of the file, unmapped when the last view dies.
     """
-    path = Path(path)
-    out: dict[str, np.ndarray] = {}
-    for name, (dtype, shape, data_start) in npz_member_layout(path).items():
-        if int(np.prod(shape)) == 0:
-            out[name] = np.empty(shape, dtype=dtype)
-        else:
-            out[name] = np.memmap(
-                path, dtype=dtype, mode="r", offset=data_start, shape=shape
-            )
-    return out
+    layout = npz_member_layout(path)
+    with open(path, "rb") as f:
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return {
+        name: np.frombuffer(
+            mapped, dtype=dtype, count=math.prod(shape), offset=data_start
+        ).reshape(shape)
+        for name, (dtype, shape, data_start) in layout.items()
+    }
 
 
 class MemberReader:
@@ -169,7 +186,7 @@ class MemberReader:
     """
 
     def __init__(self, path: Path, member: str) -> None:
-        layout = npz_member_layout(Path(path))
+        layout = npz_member_layout(path)
         if member not in layout:
             raise GraphFormatError(f"{path}: no member {member!r}")
         self.path = Path(path)
@@ -242,10 +259,6 @@ class Shard:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def boundary_arc_mask(self) -> np.ndarray:
-        """Boolean mask over local arcs whose target is a ghost vertex."""
-        return np.asarray(self.targets) >= self.n_owned
-
 
 def load_shard(path: Path | str, *, index: int = -1) -> Shard:
     """Memory-map one ``shard_NNNN.npz`` payload."""
@@ -256,11 +269,6 @@ def load_shard(path: Path | str, *, index: int = -1) -> Shard:
             raise GraphFormatError(f"{path.name}: missing member {required!r}")
     owned = members["owned"]
     halo = members["halo"]
-    l2g = (
-        np.concatenate([np.asarray(owned), np.asarray(halo)])
-        if owned.shape[0] or halo.shape[0]
-        else np.empty(0, dtype=VERTEX_DTYPE)
-    )
     return Shard(
         index=index,
         path=path,
@@ -270,7 +278,7 @@ def load_shard(path: Path | str, *, index: int = -1) -> Shard:
         targets=members["targets"],
         weights=members.get("weights"),
         arc_edge_ids=members.get("arc_edge_ids"),
-        local_to_global=l2g,
+        local_to_global=np.concatenate([owned, halo]),
     )
 
 
@@ -409,14 +417,6 @@ class ShardSet:
         reader = MemberReader(self.shard_path(index), member)
         return reader.read(0, reader.length)
 
-    def local_to_global_array(self, index: int) -> np.ndarray:
-        """Transient local→global id map (``owned ++ halo``) of a shard."""
-        owned = self.member_array(index, "owned")
-        halo = self.member_array(index, "halo")
-        if not (owned.shape[0] or halo.shape[0]):
-            return np.empty(0, dtype=owned.dtype)
-        return np.concatenate([owned, halo])
-
     @property
     def owner(self) -> np.ndarray:
         """Owning shard per global vertex (int32, length n)."""
@@ -467,7 +467,7 @@ class ShardSet:
         for s in range(self.k):
             sh = self.shard(s)
             if sh.n_owned:
-                deg[np.asarray(sh.owned)] = sh.degrees()
+                deg[sh.owned] = sh.degrees()
         offsets = np.zeros(n + 1, dtype=EDGE_DTYPE)
         np.cumsum(deg, out=offsets[1:])
         n_arcs = int(offsets[-1])
@@ -479,8 +479,8 @@ class ShardSet:
             sh = self.shard(s)
             if not sh.n_owned:
                 continue
-            pos = concat_ranges(offsets[np.asarray(sh.owned)], sh.degrees())
-            targets[pos] = sh.local_to_global[np.asarray(sh.targets)]
+            pos = concat_ranges(offsets[sh.owned], sh.degrees())
+            targets[pos] = sh.local_to_global[sh.targets]
             if weights is not None:
                 weights[pos] = sh.weights
             if eids is not None:

@@ -324,6 +324,47 @@ class TestBSPResume:
         with pytest.raises(CorruptCheckpoint, match="mismatch"):
             sharded_msbfs(ss, [0, 33], driver=_resume_driver(ss, cpdir))
 
+    def test_pair_formulation_checkpoint_refused(self, karate, shards):
+        """A checkpoint with the pre-word state shape (same run
+        parameters) is refused by name, not with a ``KeyError``."""
+        ss, cpdir = shards
+        srcs = np.array([0, 16], dtype=np.int64)
+        n = ss.n_vertices
+        drv = BSPDriver(ss, checkpointer=BSPCheckpointer(cpdir, every=1))
+        drv.last_completed = 0
+        assert drv.maybe_checkpoint("msbfs", {
+            "n": n, "srcs": srcs, "max_depth": None,
+            "dist": np.full((2, n), -1, dtype=np.int32),
+            "verts": srcs.copy(), "lanes": np.arange(2, dtype=np.int64),
+            "level": 0, "todo_arcs": 2 * ss.n_arcs,
+        })
+        with pytest.raises(CorruptCheckpoint, match="'formulation' mismatch"):
+            sharded_msbfs(ss, srcs, driver=_resume_driver(ss, cpdir))
+
+    def test_msbfs_resume_inside_second_word(self, karate, shards):
+        ss, cpdir = shards
+        sources = [(7 * i) % karate.n_vertices for i in range(70)]
+        drv_ref = BSPDriver(ss)
+        ref = sharded_msbfs(ss, sources, driver=drv_ref)
+        phases = [s.phase for s in drv_ref.stats]
+        second_word = phases.index("msbfs:level0", 1)
+        assert 0 < second_word < len(phases) - 2
+        with pytest.raises(_Boom):
+            sharded_msbfs(ss, sources, driver=_crashing_driver(
+                ss, cpdir, crash_after=second_word + 2))
+        [ckpt] = cpdir.glob("*.ckpt")
+        saved = load_state(ckpt, kind="bsp-checkpoint")["state"]
+        assert (saved["lo"], saved["level"]) == (64, 2)
+        drv = _resume_driver(ss, cpdir)
+        got = sharded_msbfs(ss, sources, driver=drv)
+        assert got.distances.tobytes() == ref.distances.tobytes()
+        assert got.distances.tobytes() == msbfs(karate, sources).distances.tobytes()
+        assert got.n_levels == ref.n_levels
+        assert [(s.index, s.phase) for s in drv.stats] == [
+            (s.index, s.phase) for s in drv_ref.stats
+        ]
+        assert not list(cpdir.glob("*.ckpt"))
+
     def test_corrupt_checkpoint_refused_on_resume(self, karate, shards):
         ss, cpdir = shards
         with pytest.raises(_Boom):

@@ -10,6 +10,7 @@ in-core path cannot meet.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 
 import numpy as np
@@ -55,6 +56,13 @@ def rmat10():
     return rmat(10, 8.0, rng=np.random.default_rng(7))
 
 
+def _backing(arr):
+    """The object whose memory ``arr`` ultimately views."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
 def _weighted_messy():
     """Weighted graph with self-loops, duplicates and isolated vertices."""
     rng = np.random.default_rng(3)
@@ -82,9 +90,12 @@ class TestRoundTrip:
     def test_shards_are_memory_mapped(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=3)
         sh = ss.shard(0)
-        # The CSR payload must come off disk as a mapping, not a copy.
-        assert isinstance(sh.offsets, np.memmap)
-        assert isinstance(sh.targets, np.memmap)
+        # The CSR payload must come off disk as a mapping, not a copy:
+        # read-only views over ONE mmap of the shard file.
+        backing = {id(_backing(a)) for a in (sh.offsets, sh.targets, sh.owned)}
+        assert len(backing) == 1
+        assert isinstance(_backing(sh.offsets), mmap.mmap)
+        assert not sh.targets.flags.writeable
         assert sh.n_owned + ss.shard(1).n_owned + ss.shard(2).n_owned == 34
 
     def test_weighted_self_loops_isolated(self, tmp_path):
@@ -255,6 +266,99 @@ class TestParity:
                 == modularity(g, labels))
 
 
+LANE_COUNTS = [1, 8, 9, 16, 17, 33, 64, 65, 130]
+
+
+def _lane_sources(g, k):
+    """``k`` sources; from 3 lanes up one is a duplicate and one isolated."""
+    srcs = np.random.default_rng(k).integers(0, g.n_vertices, size=k)
+    isolated = np.flatnonzero(g.degrees() == 0)
+    if k >= 3:
+        srcs[1] = srcs[0]
+        srcs[2] = isolated[0]
+    return srcs.tolist()
+
+
+def _recording_driver(ss, **kw):
+    """A driver that notes, per msbfs superstep, whether it pulled
+    (pull payloads carry no frontier rows)."""
+    drv = BSPDriver(ss, **kw)
+    orig, drv.pulled = drv.superstep, []
+
+    def superstep(phase, worker, payloads, **kws):
+        drv.pulled.append(all(p[2] is None for p in payloads))
+        return orig(phase, worker, payloads, **kws)
+
+    drv.superstep = superstep
+    return drv
+
+
+@pytest.mark.parametrize("arc_chunk", [None, 64])
+class TestMsbfsWordParity:
+    """The word-formulation body against in-core ``msbfs``: every word
+    dtype edge and multi-word lane count, on shard layouts with one
+    shard and with an empty shard, unblocked and with the push/pull
+    expansions cut into 64-arc blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _blocked(self, arc_chunk, monkeypatch):
+        if arc_chunk is not None:
+            from repro.sharded import algorithms
+
+            monkeypatch.setattr(algorithms, "ARC_CHUNK", arc_chunk)
+
+    @pytest.fixture(scope="class")
+    def layouts(self, rmat10, tmp_path_factory):
+        root = tmp_path_factory.mktemp("words")
+        holes = np.arange(rmat10.n_vertices) % 2 * 2  # shard 1 of 3 owns nothing
+        return {
+            "k1": build_shard_set(rmat10, root / "k1", k=1),
+            "k3": build_shard_set(rmat10, root / "k3", k=3),
+            "holes": build_shard_set(rmat10, root / "holes", labels=holes),
+        }
+
+    @staticmethod
+    def _check(g, ss, sources, **kw):
+        ref = msbfs(g, sources, max_depth=kw.get("max_depth"))
+        got = sharded_msbfs(ss, sources, **kw)
+        assert np.array_equal(got.distances, ref.distances)
+        assert got.n_levels == ref.n_levels
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_lane_counts(self, rmat10, layouts, lanes):
+        assert layouts["holes"].k == 3
+        assert layouts["holes"].shard_meta(1)["n_owned"] == 0
+        for ss in layouts.values():
+            self._check(rmat10, ss, _lane_sources(rmat10, lanes))
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 2])
+    def test_max_depth(self, rmat10, layouts, max_depth):
+        self._check(rmat10, layouts["k3"], _lane_sources(rmat10, 70),
+                    max_depth=max_depth)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_backends(self, rmat10, layouts, backend):
+        with ParallelContext(2, backend=backend) as ctx:
+            self._check(rmat10, layouts["holes"], _lane_sources(rmat10, 70),
+                        ctx=ctx)
+
+    def test_pulls_at_the_widest_level_only(self, rmat10, layouts):
+        drv = _recording_driver(layouts["k3"])
+        self._check(rmat10, layouts["k3"], _lane_sources(rmat10, 16),
+                    driver=drv)
+        assert any(drv.pulled) and not drv.pulled[0]
+
+    def test_long_path_never_pulls(self, tmp_path):
+        n = 1200
+        g = from_edge_array(n, np.arange(n - 1), np.arange(1, n),
+                            directed=False)
+        ss = build_shard_set(g, tmp_path / "path", k=3, method="block")
+        drv = _recording_driver(ss)
+        self._check(g, ss, [0, 400, 400, n - 1], driver=drv)
+        # n - 1 productive levels from vertex 0, plus the empty last one
+        assert len(drv.pulled) == n and not any(drv.pulled)
+
+
 class TestBackendParity:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_all_backends_bit_identical(self, karate, tmp_path, backend):
@@ -347,6 +451,20 @@ class TestBudget:
         before = cm.span
         cm.page_in(0)
         assert cm.span == before
+
+    def test_ledger_independent_of_directory_name(self, karate, tmp_path):
+        """Boundary bytes are a property of the graph and the algorithm,
+        not of where the shard set happens to live."""
+        ledgers = []
+        for name in ("s", "a-much-longer-shard-set-directory-name"):
+            ss = build_shard_set(karate, tmp_path / name, k=3)
+            drv = BSPDriver(ss)
+            sharded_msbfs(ss, [0, 16, 33], driver=drv)
+            sharded_connected_components(ss, driver=drv)
+            sharded_pla(ss, driver=drv)
+            ledgers.append([(s.phase, s.bytes_out, s.bytes_in)
+                            for s in drv.stats])
+        assert ledgers[0] == ledgers[1]
 
     def test_superstep_metrics_ledger(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=2)

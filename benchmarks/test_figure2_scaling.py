@@ -53,13 +53,13 @@ def test_figure2_scaling(benchmark):
             pbd, pbd_graph, patience=20, max_iterations=600,
             rng=np.random.default_rng(0), ctx=ctx,
         )
-        out["pBD"] = (pbd_graph, t1, _curve(ctx))
+        out["pBD"] = (pbd_graph, t1, _curve(ctx), ctx.cost.modeled_time(1))
         ctx = ParallelContext(32)
         _, t1 = timed(pma, agg_graph, ctx=ctx)
-        out["pMA"] = (agg_graph, t1, _curve(ctx))
+        out["pMA"] = (agg_graph, t1, _curve(ctx), ctx.cost.modeled_time(1))
         ctx = ParallelContext(32)
         _, t1 = timed(pla, agg_graph, rng=np.random.default_rng(0), ctx=ctx)
-        out["pLA"] = (agg_graph, t1, _curve(ctx))
+        out["pLA"] = (agg_graph, t1, _curve(ctx), ctx.cost.modeled_time(1))
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -70,7 +70,7 @@ def test_figure2_scaling(benchmark):
         "on RMAT-SF instances (paper speedups at 32 threads: pBD 13, pMA 9, pLA 12)",
         "",
     ]
-    for name, (g, t1, curve) in results.items():
+    for name, (g, t1, curve, _) in results.items():
         lines.append(
             f"({'abc'[list(results).index(name)]}) {name} on "
             f"n={g.n_vertices:,} m={g.n_edges:,}: "
@@ -89,7 +89,7 @@ def test_figure2_scaling(benchmark):
     write_result("figure2_scaling", lines)
 
     # --- shape assertions ---
-    curves = {name: c for name, (_, _, c) in results.items()}
+    curves = {name: c for name, (_, _, c, _) in results.items()}
     for name, curve in curves.items():
         s = list(curve.values())
         ps = list(curve.keys())
@@ -105,7 +105,15 @@ def test_figure2_scaling(benchmark):
     # pMA saturates lowest (the paper's ordering)
     assert s32["pMA"] <= s32["pBD"] + 0.5
     assert s32["pMA"] <= s32["pLA"] + 0.5
-    # pBD is the expensive algorithm in absolute time (per edge)
-    t_pbd = results["pBD"][1] / results["pBD"][0].n_edges
-    t_pma = results["pMA"][1] / results["pMA"][0].n_edges
-    assert t_pbd > 3 * t_pma
+    # pBD is the expensive algorithm in absolute time (per edge) — in the
+    # machine model's T(1), the quantity the curves above are ratios of.
+    # (Measured wall time is recorded but not asserted: the batched
+    # traversal engine sped pBD's wall clock up ~4x while pMA's
+    # heap-bound merges stayed put, so a wall-clock ratio tests the host
+    # and the engine, not the figure.)
+    per_edge = {
+        name: modeled_t1 / g.n_edges
+        for name, (g, _, _, modeled_t1) in results.items()
+    }
+    assert per_edge["pBD"] > 3 * per_edge["pMA"], per_edge
+    assert per_edge["pBD"] > 3 * per_edge["pLA"], per_edge

@@ -112,17 +112,15 @@ def test_segments_smoke(graph):
     ``benchmarks/results/segments_smoke.json``.
     """
     from _common import timed, write_result_json
-    from repro.metrics.clustering import (
-        _triangle_counts_arcloop,
-        local_clustering_coefficients,
-    )
+    from repro.metrics.clustering import local_clustering_coefficients
+    from repro.qa.oracles import triangle_counts_arcloop
 
     # warm caches (arc_sources / edge_endpoints are lazily built)
     graph.arc_sources()
     graph.edge_endpoints()
 
     lcc, t_vec = timed(local_clustering_coefficients, graph)
-    tri_ref, t_loop = timed(_triangle_counts_arcloop, graph)
+    tri_ref, t_loop = timed(triangle_counts_arcloop, graph)
     lcc_speedup = t_loop / t_vec
     np.testing.assert_array_equal(
         np.asarray(lcc > 0), np.asarray(tri_ref > 0)
@@ -185,6 +183,7 @@ def test_compiled_tier_speedup():
     from "no numba".
     """
     from _common import timed, write_result_json
+    from repro.community.modularity import modularity_evaluator
     from repro.community.pla import (
         _loopless_arcs,
         _sweep_once,
@@ -221,9 +220,11 @@ def test_compiled_tier_speedup():
     labels0 = np.arange(g.n_vertices, dtype=np.int64)
     q0 = 0.0
 
+    q_of = modularity_evaluator(g)
+
     def one_sweep(tier):
         return _sweep_once(
-            g, labels0.copy(), strength_v, W, q0, src, tgt, w, tier=tier
+            labels0.copy(), strength_v, W, q0, src, tgt, w, q_of, tier=tier
         )
 
     (lab_np, q_np, moved_np), t_sweep_np = timed(one_sweep, "numpy")

@@ -61,11 +61,7 @@ def cnm(
     # in the same (a, b)-sorted order the scalar build produced.
     src = graph.arc_sources()
     tgt = graph.targets
-    w_all = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w_all = graph.arc_weights()
     strength = np.bincount(src, weights=w_all, minlength=n)
     offs = group_offsets(src, tgt)
     firsts = offs[:-1]

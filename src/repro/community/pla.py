@@ -27,7 +27,7 @@ Fast paths (DESIGN §1.2c)
 -------------------------
 The final refinement pass and the ``multilevel=True`` mode run as
 *synchronized* vectorized sweeps over the edge-centric segment
-primitives (:mod:`repro.kernels.segments`): one lexsort pass groups
+primitives (:mod:`repro.kernels.segments`): one composite-key sort groups
 every arc by ``(vertex, neighbor-cluster)``, a segmented argmax picks
 each vertex's best move by exact ΔQ, and moves are accepted under a
 modularity-monotone guard (apply the highest-gain prefix that provably
@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import heapq
 from contextlib import nullcontext as _noop
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.community.modularity import modularity
+from repro.community.modularity import modularity, modularity_evaluator
 from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.builder import contract
@@ -54,7 +54,11 @@ from repro.graph.csr import Graph
 from repro.kernels import _compiled, dispatch
 from repro.kernels.biconnected import biconnected_components
 from repro.kernels.connected import connected_components
-from repro.kernels.segments import group_offsets, segment_argmax, segment_sums
+from repro.kernels.segments import (
+    group_offsets,
+    grouped_label_weights,
+    segment_argmax,
+)
 from repro.metrics.clustering import local_clustering_coefficients
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
@@ -262,7 +266,7 @@ def pla(
 
     labels = np.asarray([find(v) for v in range(n)], dtype=np.int64)
     if refine:
-        labels = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+        labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     q = modularity(graph, labels)
     return ClusteringResult(
         labels,
@@ -288,11 +292,7 @@ def _loopless_arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     src = graph.arc_sources()
     tgt = graph.targets
-    w = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w = graph.arc_weights()
     keep = src != tgt
     if keep.all():
         return src, tgt, w
@@ -301,11 +301,7 @@ def _loopless_arcs(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _vertex_strengths(graph: Graph) -> np.ndarray:
     """Per-vertex strength over *all* arcs (self-loops count twice)."""
-    w = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w = graph.arc_weights()
     return np.bincount(graph.arc_sources(), weights=w, minlength=graph.n_vertices)
 
 
@@ -318,26 +314,22 @@ def _best_moves_numpy(
     tgt: np.ndarray,
     w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference best-move scan: one lexsort + segmented sums/argmax.
+    """Reference best-move scan: one grouping sort + segmented sums/argmax.
 
     Returns ``(vid, best_lab, best_gain)`` — one row per distinct source
     vertex, ``best_lab = -1`` (gain ``-inf``) when the vertex has no
     cross-label candidate.
     """
     n = strength_v.shape[0]
-    nl = labels[tgt]
-    order = np.lexsort((nl, src))
-    s_o, l_o, w_o = src[order], nl[order], w[order]
-    goffs = group_offsets(s_o, l_o)
-    firsts = goffs[:-1]
-    gsrc, glab = s_o[firsts], l_o[firsts]
-    gsum = segment_sums(w_o, goffs, tier="numpy")
+    gsrc, glab, gsum = grouped_label_weights(src, labels[tgt], w, tier="numpy")
 
-    own = labels[gsrc] == glab
+    own_lab = labels[gsrc]
+    own = own_lab == glab
+    own_rows = np.flatnonzero(own)
     w_own = np.zeros(n, dtype=np.float64)
-    w_own[gsrc[own]] = gsum[own]
+    w_own[gsrc[own_rows]] = gsum[own_rows]
     kv = strength_v[gsrc]
-    own_s = S[labels[gsrc]]
+    own_s = S[own_lab]
     gain = (gsum - w_own[gsrc]) / W - kv * (S[glab] - (own_s - kv)) / (2.0 * W * W)
     score = np.where(own, -np.inf, gain)
 
@@ -390,8 +382,41 @@ def _best_moves_compiled(
     return vid[:cnt], best_lab[:cnt], best_gain[:cnt]
 
 
+def _apply_guarded_moves(
+    labels: np.ndarray,
+    q: float,
+    vid: np.ndarray,
+    best_lab: np.ndarray,
+    best_gain: np.ndarray,
+    q_of: Callable[[np.ndarray], float],
+) -> tuple[np.ndarray, float, int]:
+    """Apply a sweep's best moves under the monotone modularity guard.
+
+    Movers are ranked by gain (vertex id breaks ties) and the longest
+    halved prefix whose *joint* application gives ``q_of(cand) > q`` is
+    kept; the single best mover has exactly its computed gain, so
+    progress is guaranteed while any positive-gain move exists.
+    ``q_of`` must be the full modularity: the comparison is exact and
+    symmetric swaps sit on its edge, so an incremental ΔQ (different
+    rounding) would change which prefixes survive.
+    """
+    movers = np.nonzero(best_gain > 1e-12)[0]
+    mv_v = vid[movers]
+    mv_lab = best_lab[movers]
+    rank = np.lexsort((mv_v, -best_gain[movers]))
+    take = int(movers.shape[0])
+    while take > 0:
+        sel = rank[:take]
+        cand = labels.copy()
+        cand[mv_v[sel]] = mv_lab[sel]
+        q_new = q_of(cand)
+        if q_new > q:
+            return cand, q_new, take
+        take //= 2
+    return labels, q, 0
+
+
 def _sweep_once(
-    graph: Graph,
     labels: np.ndarray,
     strength_v: np.ndarray,
     W: float,
@@ -399,48 +424,26 @@ def _sweep_once(
     src: np.ndarray,
     tgt: np.ndarray,
     w: np.ndarray,
+    q_of: Callable[[np.ndarray], float],
     tier: Optional[str] = None,
 ) -> tuple[np.ndarray, float, int]:
     """One synchronized local-moving sweep; returns (labels, q, n_moved).
 
     Every vertex's best adjacent cluster by exact ΔQ is found in one
-    grouped pass (lexsort + segmented sums/argmax on the numpy tier, a
-    single run-walking njit pass on the compiled tier — same arc
-    order, same ΔQ parenthesization, same tie-breaks, so the chosen
-    moves are identical); moves are applied under a monotone guard —
-    the highest-gain prefix whose *joint* application increases Q
-    (binary back-off; the single best mover has exactly its computed
-    gain, so progress is guaranteed while any positive-gain move
-    exists).
+    grouped pass (composite-key sort + segmented sums/argmax on the
+    numpy tier, a single run-walking njit pass on the compiled tier —
+    same arc order, same ΔQ parenthesization, same tie-breaks, so the
+    chosen moves are identical) and applied under the guard of
+    :func:`_apply_guarded_moves`.
     """
-    n = graph.n_vertices
     if src.shape[0] == 0:
         return labels, q, 0
-    S = np.bincount(labels, weights=strength_v, minlength=n)
-
+    S = np.bincount(labels, weights=strength_v, minlength=strength_v.shape[0])
     vid, best_lab, best_gain = dispatch.call(
         "pla_sweep", labels, strength_v, S, W, src, tgt, w,
         tier=tier, size=src.shape[0],
     )
-
-    movers = np.nonzero(best_gain > 1e-12)[0]
-    if movers.shape[0] == 0:
-        return labels, q, 0
-    mv_v = vid[movers]
-    mv_lab = best_lab[movers]
-    mv_gain = best_gain[movers]
-    # Highest gain first, vertex id as deterministic tie-break.
-    rank = np.lexsort((mv_v, -mv_gain))
-    take = int(mv_v.shape[0])
-    while take > 0:
-        sel = rank[:take]
-        cand = labels.copy()
-        cand[mv_v[sel]] = mv_lab[sel]
-        q_new = modularity(graph, cand)
-        if q_new > q:
-            return cand, q_new, take
-        take //= 2
-    return labels, q, 0
+    return _apply_guarded_moves(labels, q, vid, best_lab, best_gain, q_of)
 
 
 def _local_moving_refinement(
@@ -449,7 +452,8 @@ def _local_moving_refinement(
     W: float,
     max_passes: int,
     ctx: ParallelContext,
-) -> np.ndarray:
+    **span_attrs,
+) -> tuple[np.ndarray, int]:
     """Move single vertices to the adjacent cluster of highest ΔQ.
 
     The gain of moving v from cluster c to cluster d is
@@ -458,32 +462,36 @@ def _local_moving_refinement(
              − k_v · (s_d − s_c + k_v) / (2W²)
 
     Sweeps repeat until one moves nothing or ``max_passes`` is hit;
-    each synchronized sweep is one parallel phase.
+    each synchronized sweep is one parallel phase.  The level's
+    invariants (strengths, loopless arcs, the Q evaluator) are built
+    here, once.  Returns ``(labels, n_sweeps)``.
     """
     n = graph.n_vertices
     labels = np.asarray(labels, dtype=np.int64).copy()
     strength_v = _vertex_strengths(graph)
     src, tgt, w = _loopless_arcs(graph)
-    degs = graph.degrees()
-    max_deg = float(degs.max()) if n else 1.0
+    max_deg = float(graph.degrees().max()) if n else 1.0
     tr = ctx.tracer
     tier = ctx.tier_for(graph.n_arcs)
-    q = modularity(graph, labels)
+    q_of = modularity_evaluator(graph)
+    q = q_of(labels)
+    n_sweeps = 0
     for _ in range(max_passes):
         ctx.cost.region()
         ctx.phase(float(max(1, graph.n_arcs)), max(1.0, max_deg))
         with (
-            tr.span("sweep", n_vertices=n, kernel_tier=tier)
+            tr.span("sweep", **span_attrs, n_vertices=n, kernel_tier=tier)
             if tr
             else _noop()
         ):
             labels, q, moved = _sweep_once(
-                graph, labels, strength_v, W, q, src, tgt, w, tier=tier
+                labels, strength_v, W, q, src, tgt, w, q_of, tier=tier
             )
+        n_sweeps += 1
         ctx.cas(moved)
         if moved == 0:
             break
-    return labels
+    return labels, n_sweeps
 
 
 def _multilevel_pla(
@@ -507,32 +515,10 @@ def _multilevel_pla(
     n_sweeps = 0
     with (tr.span("coarsen") if tr else _noop()):
         while True:
-            strength_v = _vertex_strengths(g)
-            src, tgt, w = _loopless_arcs(g)
-            q = modularity(g, labels_g)
-            degs = g.degrees()
-            max_deg = float(degs.max()) if g.n_vertices else 1.0
-            tier = ctx.tier_for(g.n_arcs)
-            for _ in range(max_passes):
-                ctx.cost.region()
-                ctx.phase(float(max(1, g.n_arcs)), max(1.0, max_deg))
-                with (
-                    tr.span(
-                        "sweep",
-                        level=len(level_maps),
-                        n_vertices=g.n_vertices,
-                        kernel_tier=tier,
-                    )
-                    if tr
-                    else _noop()
-                ):
-                    labels_g, q, moved = _sweep_once(
-                        g, labels_g, strength_v, W, q, src, tgt, w, tier=tier
-                    )
-                n_sweeps += 1
-                ctx.cas(moved)
-                if moved == 0:
-                    break
+            labels_g, swept = _local_moving_refinement(
+                g, labels_g, W, max_passes, ctx, level=len(level_maps)
+            )
+            n_sweeps += swept
             n_clusters = int(np.unique(labels_g).shape[0])
             if n_clusters == g.n_vertices:
                 break  # no merge at this level: hierarchy converged
@@ -557,7 +543,7 @@ def _multilevel_pla(
         labels = labels[vmap]
     # Uncoarsening refinement: a final round of sweeps on the fine graph
     # recovers the quality lost to coarse-level move granularity.
-    labels = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+    labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
     q = modularity(graph, labels)
     return ClusteringResult(

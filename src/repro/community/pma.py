@@ -108,11 +108,7 @@ def pma(
         return ClusteringResult(labels, 0.0, "pMA")
 
     arc_src = graph.arc_sources()
-    w_all = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w_all = graph.arc_weights()
     strength = np.bincount(arc_src, weights=w_all, minlength=n)
 
     # Build per-community sorted rows straight off the CSR arrays, and

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.community.modularity import modularity
+from repro.community.modularity import modularity_evaluator
 from repro.community.pla import (
     _local_moving_refinement,
     _loopless_arcs,
@@ -120,7 +120,8 @@ def local_resweep(
 
     tr = ctx.tracer
     tier = ctx.tier_for(graph.n_arcs)
-    q = q_start = modularity(graph, labels)
+    q_of = modularity_evaluator(graph)
+    q = q_start = q_of(labels)
     n_local = 0
     degs = graph.degrees()
     max_deg = float(degs.max()) if n else 1.0
@@ -137,16 +138,16 @@ def local_resweep(
             else _noop()
         ):
             labels, q, moved = _sweep_once(
-                graph, labels, strength_v, W, q, src_f, tgt_f, w_f, tier=tier
+                labels, strength_v, W, q, src_f, tgt_f, w_f, q_of, tier=tier
             )
         ctx.cas(moved)
         n_local += moved
         if moved == 0:
             break
     if settle:
-        labels = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+        labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    q = modularity(graph, labels)
+    q = q_of(labels)
     return ClusteringResult(
         labels,
         q,

@@ -34,11 +34,7 @@ from repro.parallel.runtime import ParallelContext, ensure_context
 
 
 def _adjacency(graph: Graph) -> sp.csr_matrix:
-    w = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w = graph.arc_weights()
     return sp.csr_matrix(
         (w, (graph.arc_sources(), graph.targets)),
         shape=(graph.n_vertices, graph.n_vertices),

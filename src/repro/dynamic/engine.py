@@ -130,7 +130,7 @@ class StreamEngine:
 
         # Unsorted adjacency: O(1) amortized append per arc.  Snapshots
         # stay bit-identical to sorted mode because the CSR builder
-        # lexsorts arcs by (src, dst) regardless of insertion order.
+        # sorts arcs by (src, dst) regardless of insertion order.
         self._graph = DynamicGraph(n, sorted_adjacency=False)
         self._cc = IncrementalComponents(n)
         self._stats = (

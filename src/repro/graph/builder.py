@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.graph.csr import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, Graph
+from repro.kernels.segments import grouped_label_weights, pair_order
 
 
 def from_edge_array(
@@ -91,7 +92,7 @@ def _build_directed(
         src, dst = src[first], dst[first]
         if weights is not None:
             weights = weights[first]
-    order = np.lexsort((dst, src))
+    order = pair_order(src, dst, n)
     src, dst = src[order], dst[order]
     if weights is not None:
         weights = weights[order]
@@ -124,7 +125,7 @@ def _build_undirected(
     arc_dst = np.concatenate([v, u])
     arc_eid = np.concatenate([edge_ids, edge_ids])
     arc_w = None if weights is None else np.concatenate([weights, weights])
-    order = np.lexsort((arc_dst, arc_src))
+    order = pair_order(arc_src, arc_dst, n)
     arc_src, arc_dst, arc_eid = arc_src[order], arc_dst[order], arc_eid[order]
     if arc_w is not None:
         arc_w = arc_w[order]
@@ -217,9 +218,7 @@ def compress_vertices(graph: Graph, labels: np.ndarray) -> Graph:
     k = uniq.shape[0]
     src = dense[graph.arc_sources()]
     dst = dense[graph.targets]
-    w = graph.weights
-    if w is None:
-        w = np.ones(graph.n_arcs, dtype=WEIGHT_DTYPE)
+    w = graph.arc_weights()
     if not graph.directed:
         keep = src <= dst
         src, dst, w = src[keep], dst[keep], w[keep]
@@ -227,22 +226,10 @@ def compress_vertices(graph: Graph, labels: np.ndarray) -> Graph:
     src, dst, w = src[~loop], dst[~loop], w[~loop]
     if src.shape[0] == 0:
         return from_edge_array(k, src, dst, directed=graph.directed)
-    # Merge parallel edges, summing weights.
-    key = src * k + dst
-    order = np.argsort(key, kind="stable")
-    key, src, dst, w = key[order], src[order], dst[order], w[order]
-    boundary = np.empty(key.shape[0], dtype=bool)
-    boundary[0] = True
-    np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    group = np.cumsum(boundary) - 1
-    merged_w = np.bincount(group, weights=w)
+    # Merge parallel edges, summing weights in stable (src, dst) order.
+    src, dst, merged_w = grouped_label_weights(src, dst, w, tier="numpy")
     return from_edge_array(
-        k,
-        src[boundary],
-        dst[boundary],
-        weights=merged_w,
-        directed=graph.directed,
-        dedupe=False,
+        k, src, dst, weights=merged_w, directed=graph.directed, dedupe=False
     )
 
 
@@ -262,7 +249,7 @@ def contract(graph: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     one edge id, so the super-vertex strength comes out as ``2w`` —
     the Louvain convention the modularity kernel already implements.
 
-    Runs in one lexsort pass over the canonical edge array.  Returns
+    Runs in one sort pass over the canonical edge array.  Returns
     ``(coarse, vertex_map)`` where ``vertex_map[v]`` is the coarse
     vertex id (densified label) of fine vertex ``v``.
     """
@@ -284,23 +271,12 @@ def contract(graph: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
             from_edge_array(k, lo, hi, directed=False, dedupe=False),
             vertex_map,
         )
-    # One lexsort pass: merge parallel coarse edges (self-loops kept).
-    key = lo * k + hi
-    order = np.argsort(key, kind="stable")
-    key, lo, hi, w = key[order], lo[order], hi[order], w[order]
-    first = np.empty(key.shape[0], dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    merged_w = np.bincount(group, weights=w)
+    # One sort pass: merge parallel coarse edges (self-loops kept),
+    # summing weights in stable (lo, hi) order.
+    lo, hi, merged_w = grouped_label_weights(lo, hi, w, tier="numpy")
     coarse = from_edge_array(
-        k,
-        lo[first],
-        hi[first],
-        weights=merged_w,
-        directed=False,
-        dedupe=False,
-        drop_self_loops=False,
+        k, lo, hi, weights=merged_w,
+        directed=False, dedupe=False, drop_self_loops=False,
     )
     return coarse, vertex_map
 

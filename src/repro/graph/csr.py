@@ -226,6 +226,12 @@ class Graph:
                 self._edge_endpoints = (u, v)
         return self._edge_endpoints
 
+    def arc_weights(self) -> np.ndarray:
+        """Per-arc weights: the stored array, or ones if unweighted."""
+        if self.weights is None:
+            return np.ones(self.n_arcs, dtype=WEIGHT_DTYPE)
+        return self.weights
+
     def edge_weights(self) -> np.ndarray:
         """Per-edge weights indexed by edge id (ones if unweighted)."""
         if self.weights is None:

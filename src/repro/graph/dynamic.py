@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.graph.csr import VERTEX_DTYPE, WEIGHT_DTYPE, Graph
 from repro.graph import builder
+from repro.kernels.segments import pair_order
 
 _INITIAL_CAPACITY = 4
 
@@ -153,7 +154,7 @@ class DynamicGraph:
         # indexed by them, e.g. edge_weights() — are independent of the
         # adjacency mode and insertion history.  A stable no-op
         # permutation when sorted_adjacency=True.
-        order = np.lexsort((dst, src))
+        order = pair_order(src, dst, self._n)
         return builder.from_edge_array(
             self._n,
             src[order],

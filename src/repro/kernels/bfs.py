@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, expand, frontier_arc_indices, unwrap
+from repro.kernels.segments import pair_order
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -142,7 +143,7 @@ def bfs(
             if tgts.shape[0]:
                 # Deterministic benign-race resolution: the smallest parent
                 # claims each duplicate target (first occurrence after sort).
-                order = np.lexsort((srcs, tgts))
+                order = pair_order(tgts, srcs, n)
                 tgts, srcs = tgts[order], srcs[order]
                 first = np.empty(tgts.shape[0], dtype=bool)
                 first[0] = True

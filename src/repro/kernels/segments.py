@@ -8,9 +8,10 @@ instead of per-vertex Python loops, the hot paths express themselves as
 * **segmented reductions** — per-segment sum / max / argmax over a flat
   value array split at offsets (``np.add.reduceat`` with exact
   empty-segment handling);
-* **lexsort grouping** — collapse an (key₁, key₂, value) arc stream
-  into per-group sums in one sort pass (the label-weight accumulation
-  at the heart of synchronized local moving and coarsening);
+* **composite-key grouping** — :func:`pair_order` sorts an integer pair
+  stream with one stable argsort; on top, collapse an (key₁, key₂,
+  value) arc stream into per-group sums in one sort pass (the
+  label-weight accumulation of synchronized local moving and coarsening);
 * **vectorized sorted-adjacency intersection** — a merge-path /
   batched-binary-search intersection of many adjacency-segment pairs at
   once (triangle counting without a Python loop over edges);
@@ -45,6 +46,7 @@ __all__ = [
     "segment_sums",
     "segment_maxes",
     "segment_argmax",
+    "pair_order",
     "group_offsets",
     "grouped_label_weights",
     "boundary_vertices",
@@ -195,11 +197,33 @@ def _segment_argmax_compiled(values: np.ndarray, offsets: np.ndarray):
     return out
 
 
+def pair_order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
+    """Stable permutation sorting integer pairs by ``(major, minor)``.
+
+    Exactly ``np.lexsort((minor, major))`` for ``minor`` in
+    ``[0, n_minor)``, as ONE stable argsort of the int64 key
+    ``major * n_minor + minor``: on a CSR-ordered arc stream the key is
+    short unsorted runs inside a sorted frame, which the stable sort
+    merges in near-linear time where lexsort always pays two full
+    passes (DESIGN §1.2c).  The result depends only on the order of the
+    pairs, not on ``n_minor``.  Raises ``ValueError`` when the key
+    would overflow int64.
+    """
+    major = np.asarray(major, dtype=np.int64)
+    if major.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    n_minor = max(int(n_minor), 1)
+    bound = np.iinfo(np.int64).max // n_minor
+    if int(major.max()) >= bound or int(major.min()) <= -bound:
+        raise ValueError(f"pair_order: major * {n_minor} overflows int64")
+    return np.argsort(major * n_minor + minor, kind="stable")
+
+
 def group_offsets(*keys: np.ndarray) -> np.ndarray:
     """Run boundaries of equal composite keys in pre-sorted arrays.
 
     ``keys`` are parallel arrays already sorted so that equal composite
-    keys are contiguous (e.g. the output order of ``np.lexsort``).
+    keys are contiguous (e.g. gathered through :func:`pair_order`).
     Returns the offsets array (length ``n_groups + 1``) delimiting each
     run; slicing any parallel array with consecutive offsets yields one
     group.
@@ -216,21 +240,27 @@ def group_offsets(*keys: np.ndarray) -> np.ndarray:
 
 
 def grouped_label_weights(
-    src: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    src: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    *,
+    tier: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate ``weights`` over equal ``(src, label)`` pairs.
 
-    The arc stream need not be sorted.  Returns ``(gsrc, glab, gsum)``
-    sorted by ``(src, label)`` — one row per distinct pair.  This is the
-    label-weight accumulation underneath synchronized local moving: for
-    every vertex, its total edge weight into each adjacent cluster, in
-    one lexsort pass instead of a per-vertex dict.
+    The arc stream need not be sorted; ``labels`` are non-negative.
+    Returns ``(gsrc, glab, gsum)`` sorted by ``(src, label)`` — one row
+    per distinct pair, each sum accumulated in the stream's original
+    order within the pair.  This is the label-weight accumulation
+    underneath synchronized local moving: for every vertex, its total
+    edge weight into each adjacent cluster, in one :func:`pair_order`
+    pass instead of a per-vertex dict.
     """
-    order = np.lexsort((labels, src))
+    order = pair_order(src, labels, int(labels.max(initial=0)) + 1)
     s, l, w = src[order], labels[order], weights[order]
     offs = group_offsets(s, l)
     firsts = offs[:-1]
-    return s[firsts], l[firsts], segment_sums(w, offs)
+    return s[firsts], l[firsts], segment_sums(w, offs, tier=tier)
 
 
 def boundary_vertices(

@@ -73,11 +73,7 @@ def delta_stepping(
 
     if graph.n_arcs == 0:
         return SSSPResult(dist, parent)
-    arc_w = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    arc_w = graph.arc_weights()
     if delta is None:
         avg_deg = max(1.0, graph.n_arcs / max(1, n))
         delta = max(float(arc_w.max()) / avg_deg, float(arc_w[arc_w > 0].min()) if np.any(arc_w > 0) else 1.0)

@@ -8,9 +8,9 @@ lets *all* edges intersect at once through
 branch-free binary search probing each edge's smaller endpoint
 adjacency into the larger, ``O(Σ min(dᵤ, dᵥ) · log maxdeg)`` flat NumPy
 work with no Python loop over edges (DESIGN §1.2c).  The per-edge
-``np.intersect1d`` loop survives as :func:`_triangle_counts_arcloop`,
-the reference implementation the microbenchmarks and equivalence tests
-compare against.
+``np.intersect1d`` loop it replaced survives as
+:func:`repro.qa.oracles.triangle_counts_arcloop`, the reference the
+microbenchmarks and equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -60,46 +60,6 @@ def triangle_counts(
     tri += np.bincount(u_arr, weights=counts, minlength=n).astype(np.int64)
     tri += np.bincount(v_arr, weights=counts, minlength=n).astype(np.int64)
     tri += np.bincount(common, minlength=n).astype(np.int64)
-    return tri // 3
-
-
-def _triangle_counts_arcloop(
-    g: GraphLike, *, ctx: Optional[ParallelContext] = None
-) -> np.ndarray:
-    """Reference per-edge ``np.intersect1d`` loop (pre-§1.2c hot path).
-
-    Kept for the equivalence tests and the microbenchmark baseline.
-    """
-    graph, edge_active = unwrap(g)
-    if graph.directed:
-        raise GraphStructureError("triangle counting requires an undirected graph")
-    ctx = ensure_context(ctx)
-    n = graph.n_vertices
-    tri = np.zeros(n, dtype=np.int64)
-    if graph.n_edges == 0:
-        return tri
-
-    def neigh(v: int) -> np.ndarray:
-        if edge_active is None:
-            return graph.neighbors(v)
-        lo, hi = graph.arc_range(v)
-        mask = edge_active[graph.arc_edge_ids[lo:hi]]
-        return graph.targets[lo:hi][mask]
-
-    u_arr, v_arr = graph.edge_endpoints()
-    if edge_active is not None:
-        u_arr, v_arr = u_arr[edge_active], v_arr[edge_active]
-    degs = graph.degrees()
-    work = degs[u_arr] + degs[v_arr]
-    ctx.record_phase_from_work(work)
-    for i in range(u_arr.shape[0]):
-        u, v = int(u_arr[i]), int(v_arr[i])
-        common = np.intersect1d(neigh(u), neigh(v), assume_unique=True)
-        c = common.shape[0]
-        if c:
-            tri[u] += c
-            tri[v] += c
-            np.add.at(tri, common, 1)
     return tri // 3
 
 

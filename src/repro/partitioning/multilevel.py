@@ -42,43 +42,35 @@ class _Level:
     fine_to_coarse: Optional[np.ndarray]  # None at the finest level
 
 
-def _heavy_edge_matching(
-    graph: Graph, vertex_weights: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
     """Fine→coarse mapping from one round of heavy-edge matching."""
     n = graph.n_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
-        v = int(v)
+    # call-local plain lists: the loop reads every arc one scalar at a
+    # time, several times cheaper than numpy scalar indexing
+    offs = graph.offsets.tolist()
+    tgts = graph.targets.tolist()
+    wts = None if graph.weights is None else graph.weights.tolist()
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
-        nbrs = graph.neighbors(v)
-        wts = graph.neighbor_weights(v)
         best, best_w = -1, -1.0
-        for i in range(nbrs.shape[0]):
-            u = int(nbrs[i])
+        for i in range(offs[v], offs[v + 1]):
+            u = tgts[i]
             if match[u] >= 0 or u == v:
                 continue
-            if wts[i] > best_w:
-                best, best_w = u, float(wts[i])
+            w = 1.0 if wts is None else wts[i]
+            if w > best_w:
+                best, best_w = u, w
         if best >= 0:
             match[v] = best
             match[best] = v
         else:
             match[v] = v
-    # assign coarse ids: one per matched pair / singleton
-    coarse = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for v in range(n):
-        if coarse[v] >= 0:
-            continue
-        coarse[v] = nxt
-        m = int(match[v])
-        if m != v:
-            coarse[m] = nxt
-        nxt += 1
-    return coarse
+    # Coarse ids: one per matched pair / singleton, numbered in order of
+    # the smaller endpoint.
+    lower = np.minimum(np.arange(n, dtype=np.int64), np.asarray(match, dtype=np.int64))
+    return np.unique(lower, return_inverse=True)[1].astype(np.int64)
 
 
 def _coarsen(
@@ -107,7 +99,7 @@ def _coarsen(
             if tr
             else None
         )
-        mapping = _heavy_edge_matching(cur.graph, cur.vertex_weights, rng)
+        mapping = _heavy_edge_matching(cur.graph, rng)
         n_coarse = int(mapping.max()) + 1
         if n_coarse >= cur.graph.n_vertices:  # no contraction possible
             if sp is not None:
@@ -133,7 +125,8 @@ def _greedy_grow_bisection(
     n = graph.n_vertices
     if n == 0:
         return np.zeros(0, dtype=bool)
-    total = float(vertex_weights.sum())
+    half = float(vertex_weights.sum()) / 2.0
+    vw = vertex_weights.tolist()
     best_side: Optional[np.ndarray] = None
     best_cut = np.inf
     for t in range(n_tries):
@@ -146,11 +139,11 @@ def _greedy_grow_bisection(
             kind="stable",
         )
         acc = 0.0
-        for v in order:
-            if acc >= total / 2.0:
+        for v in order.tolist():
+            if acc >= half:
                 break
             side[v] = True
-            acc += float(vertex_weights[v])
+            acc += vw[v]
         side = fm_refine_bisection(
             graph, side, vertex_weights=vertex_weights
         )
@@ -159,17 +152,6 @@ def _greedy_grow_bisection(
             best_cut, best_side = cut, side
     assert best_side is not None
     return best_side
-
-
-def _project(levels: list[_Level], coarse_labels: np.ndarray, upto: int) -> np.ndarray:
-    """Project labels from level ``upto`` down to the finest level,
-    refining is the caller's job."""
-    labels = coarse_labels
-    for lvl in range(upto, 0, -1):
-        mapping = levels[lvl].fine_to_coarse
-        assert mapping is not None
-        labels = labels[mapping]
-    return labels
 
 
 @algorithm("multilevel_bisection")

@@ -45,11 +45,7 @@ _DEGENERATE_FRACTION = 0.01
 def _laplacian(graph: Graph) -> sp.csr_matrix:
     n = graph.n_vertices
     src = graph.arc_sources()
-    w = (
-        np.ones(graph.n_arcs, dtype=np.float64)
-        if graph.weights is None
-        else graph.weights
-    )
+    w = graph.arc_weights()
     a = sp.csr_matrix((w, (src, graph.targets)), shape=(n, n))
     deg = np.asarray(a.sum(axis=1)).ravel()
     return sp.diags(deg) - a

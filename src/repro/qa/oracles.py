@@ -17,13 +17,23 @@ Conventions match the optimized entrypoints they check:
 * betweenness counts each unordered pair once on undirected graphs
   (the networkx unnormalized convention);
 * closeness is Wasserman–Faust improved, 0.0 for isolated vertices.
+
+The last section holds *retired hot paths* (:func:`kway_refine_rescan`,
+:func:`triangle_counts_arcloop`): the per-vertex / per-edge code a fast
+path replaced, kept over :class:`repro.graph.csr.Graph` as its pin.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from repro.errors import GraphStructureError
+from repro.graph.csr import Graph
+from repro.kernels._frontier import GraphLike, unwrap
 
 __all__ = [
     "RefGraph",
@@ -35,6 +45,8 @@ __all__ = [
     "modularity",
     "edge_cut",
     "closeness",
+    "kway_refine_rescan",
+    "triangle_counts_arcloop",
 ]
 
 
@@ -288,3 +300,126 @@ def closeness(ref: RefGraph) -> list[float]:
             cc *= (r - 1) / (ref.n - 1)
         out[v] = cc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Retired hot paths (regression references over repro Graphs)
+# ---------------------------------------------------------------------------
+def _vertex_part_weights(graph: Graph, v: int, parts: np.ndarray, k: int) -> np.ndarray:
+    """Weight of v's edges into each part."""
+    out = np.zeros(k, dtype=np.float64)
+    np.add.at(out, parts[graph.neighbors(v)], graph.neighbor_weights(v))
+    return out
+
+
+def kway_refine_rescan(
+    graph: Graph,
+    parts: np.ndarray,
+    k: int,
+    *,
+    vertex_weights: Optional[np.ndarray] = None,
+    max_imbalance: float = 1.05,
+    max_passes: int = 8,
+) -> np.ndarray:
+    """Original exhaustive-rescan k-way refinement (regression oracle).
+
+    Recomputes every boundary vertex's connection weights each pass.
+    Kept verbatim so tests can pin ``partitioning.refine.kway_refine``'s
+    dirty-set fast path to the identical partition.
+    """
+    n = graph.n_vertices
+    parts = np.asarray(parts, dtype=np.int64).copy()
+    vw = (
+        np.ones(n, dtype=np.float64)
+        if vertex_weights is None
+        else np.asarray(vertex_weights, dtype=np.float64)
+    )
+    limit = max_imbalance * float(vw.sum()) / k
+    weight = np.bincount(parts, weights=vw, minlength=k)
+
+    for _ in range(max_passes):
+        moved = 0
+        src = graph.arc_sources()
+        boundary = np.unique(src[parts[src] != parts[graph.targets]])
+        for v in boundary:
+            v = int(v)
+            pw = _vertex_part_weights(graph, v, parts, k)
+            own = int(parts[v])
+            pw_own = pw[own]
+            pw[own] = -np.inf
+            tgt = int(np.argmax(pw))
+            gain = pw[tgt] - pw_own
+            if gain > 1e-12 and weight[tgt] + vw[v] <= limit:
+                weight[own] -= vw[v]
+                weight[tgt] += vw[v]
+                parts[v] = tgt
+                moved += 1
+        if moved == 0:
+            break
+
+    for _ in range(max_passes):
+        over_mask = weight > limit + 1e-9
+        if not over_mask.any():
+            break
+        moved = 0
+        src = graph.arc_sources()
+        is_boundary = np.zeros(n, dtype=bool)
+        cross = parts[src] != parts[graph.targets]
+        is_boundary[np.unique(src[cross])] = True
+        cand = np.nonzero(over_mask[parts])[0]
+        order = cand[np.lexsort((vw[cand], ~is_boundary[cand]))]
+        for v in order:
+            v = int(v)
+            own = int(parts[v])
+            if weight[own] <= limit + 1e-9:
+                continue
+            pw = _vertex_part_weights(graph, v, parts, k)
+            pw[own] = -np.inf
+            headroom = weight + vw[v] <= limit
+            headroom[own] = False
+            if not headroom.any():
+                continue
+            pw[~headroom] = -np.inf
+            tgt = int(np.argmax(pw))
+            weight[own] -= vw[v]
+            weight[tgt] += vw[v]
+            parts[v] = tgt
+            moved += 1
+        if moved == 0:
+            break
+    return parts
+
+
+def triangle_counts_arcloop(g: GraphLike) -> np.ndarray:
+    """Triangles through each vertex by a per-edge ``np.intersect1d`` loop.
+
+    The pre-§1.2c hot path of ``metrics.clustering.triangle_counts``,
+    kept for the equivalence tests and the microbenchmark baseline.
+    """
+    graph, edge_active = unwrap(g)
+    if graph.directed:
+        raise GraphStructureError("triangle counting requires an undirected graph")
+    n = graph.n_vertices
+    tri = np.zeros(n, dtype=np.int64)
+    if graph.n_edges == 0:
+        return tri
+
+    def neigh(v: int) -> np.ndarray:
+        if edge_active is None:
+            return graph.neighbors(v)
+        lo, hi = graph.arc_range(v)
+        mask = edge_active[graph.arc_edge_ids[lo:hi]]
+        return graph.targets[lo:hi][mask]
+
+    u_arr, v_arr = graph.edge_endpoints()
+    if edge_active is not None:
+        u_arr, v_arr = u_arr[edge_active], v_arr[edge_active]
+    for i in range(u_arr.shape[0]):
+        u, v = int(u_arr[i]), int(v_arr[i])
+        common = np.intersect1d(neigh(u), neigh(v), assume_unique=True)
+        c = common.shape[0]
+        if c:
+            tri[u] += c
+            tri[v] += c
+            np.add.at(tri, common, 1)
+    return tri // 3

@@ -23,12 +23,13 @@ state at the coordinator:
   out of core.  Exactness hinges on three facts: per-vertex best-move
   gains are a pure function of that vertex's own arc list (present in
   full on its owning shard, in global CSR arc order); the dense local
-  label remap is monotone, so every lexsort permutation matches the
-  global one; and the chunked edge-stream modularity preserves
-  ``np.add.at``'s element-order accumulation exactly.  Weighted-graph
-  contraction materializes the coarse edge list in core (float merge
-  order cannot be chunked without changing the sums) — documented
-  fallback; the unweighted path streams integer counts.
+  label remap is monotone, so the ``pair_order`` grouping permutation
+  matches the global one; and the chunked edge-stream modularity
+  preserves the in-core ``bincount`` element-order accumulation
+  exactly.  Weighted-graph contraction materializes the coarse edge
+  list in core (float merge order cannot be chunked without changing
+  the sums) — documented fallback; the unweighted path streams integer
+  counts.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.community.modularity import modularity
+from repro.community.modularity import modularity_evaluator
 from repro.community.pla import (
+    _apply_guarded_moves,
     _best_moves_numpy,
     _loopless_arcs,
     _sweep_once,
@@ -59,6 +61,7 @@ from repro.kernels.bfs import (
     _seed_lane_words,
     source_batches,
 )
+from repro.kernels.segments import grouped_label_weights
 from repro.sharded.bsp import BSPDriver, MemoryBudget
 from repro.sharded.shards import ShardSet, _cached_shard, concat_ranges
 
@@ -451,10 +454,13 @@ def sharded_modularity(
 ) -> float:
     """Modularity of a partition, streamed over the edge stream.
 
-    ``np.add.at`` accumulates element-by-element, so carrying the
-    accumulator across edge-id-ordered chunks reproduces the in-core
-    single-pass accumulation order — and therefore its float results —
-    exactly.  ``total_w`` comes from the manifest's hex-exact total.
+    ``np.bincount`` adds one element at a time in index order, so
+    seeding each chunk's count with the running per-cluster sums (one
+    leading element per cluster) carries the accumulator across
+    edge-id-ordered chunks and reproduces the in-core single-pass
+    accumulation of :func:`repro.community.modularity.modularity` —
+    and therefore its float results — exactly.  ``total_w`` comes from
+    the manifest's hex-exact total.
     """
     ss = shard_set
     labels = np.asarray(labels)
@@ -467,6 +473,7 @@ def sharded_modularity(
     _, dense = np.unique(labels, return_inverse=True)
     k = int(dense.max()) + 1 if dense.shape[0] else 0
     total_w = ss.total_weight
+    clusters = np.arange(k, dtype=dense.dtype)
     intra = np.zeros(k, dtype=np.float64)
     strength = np.zeros(k, dtype=np.float64)
     u_r, v_r, w_r = ss.edge_readers()
@@ -481,9 +488,14 @@ def sharded_modularity(
             else w_r.read(start, stop)
         )
         same = du == dv
-        np.add.at(intra, du[same], w[same])
-        np.add.at(strength, du, w)
-        np.add.at(strength, dv, w)
+        intra = np.bincount(
+            np.concatenate([clusters, du[same]]),
+            weights=np.concatenate([intra, w[same]]),
+        )
+        strength = np.bincount(
+            np.concatenate([clusters, du, dv]),
+            weights=np.concatenate([strength, w, w]),
+        )
     q = intra.sum() / total_w - float(((strength / (2.0 * total_w)) ** 2).sum())
     return float(q)
 
@@ -517,19 +529,11 @@ def sharded_contract(
     if ss.is_weighted:
         u, v, w = ss.edge_stream()
         cu, cv = vertex_map[np.asarray(u)], vertex_map[np.asarray(v)]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        key = lo * k + hi
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        lo, hi, w2 = lo[order], hi[order], np.asarray(w)[order]
-        first = np.empty(key.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        group = np.cumsum(first) - 1
-        merged_w = np.bincount(group, weights=w2)
+        lo, hi, merged_w = grouped_label_weights(
+            np.minimum(cu, cv), np.maximum(cu, cv), np.asarray(w), tier="numpy"
+        )
         coarse = from_edge_array(
-            k, lo[first], hi[first], weights=merged_w,
+            k, lo, hi, weights=merged_w,
             directed=False, dedupe=False, drop_self_loops=False,
         )
         return coarse, vertex_map
@@ -584,8 +588,9 @@ def _pla_sweep_worker(task):
 
     Runs the reference ``_best_moves_numpy`` on the shard's loopless
     arcs with a dense local label remap.  The remap is monotone
-    (sorted-unique), so the lexsort/grouping permutations — and hence
-    every float accumulation order — match the global in-core scan.
+    (sorted-unique), so the ``pair_order`` grouping permutation — which
+    depends only on the order of the (vertex, label) pairs — and hence
+    every float accumulation order match the global in-core scan.
     """
     path, index, labels_global, strength_global, s_global, big_w = task
     sh = _cached_shard(path, index)
@@ -649,8 +654,9 @@ def _sharded_sweep_once(
     """One synchronized local-moving sweep over the shards.
 
     Mirrors ``community.pla._sweep_once``: same per-vertex best-move
-    rows (merged in ascending vertex order), same mover filter, same
-    gain-ranked prefix-halving modularity guard.
+    rows (merged in ascending vertex order) into the same
+    ``_apply_guarded_moves`` guard, with the streamed modularity as its
+    Q evaluator.
     """
     ss = drv.shard_set
     n = ss.n_vertices
@@ -675,23 +681,10 @@ def _sharded_sweep_once(
     order = np.argsort(vid, kind="stable")
     vid, best_lab, best_gain = vid[order], best_lab[order], best_gain[order]
 
-    movers = np.nonzero(best_gain > 1e-12)[0]
-    if movers.shape[0] == 0:
-        return labels, q, 0
-    mv_v = vid[movers]
-    mv_lab = best_lab[movers]
-    mv_gain = best_gain[movers]
-    rank = np.lexsort((mv_v, -mv_gain))
-    take = int(mv_v.shape[0])
-    while take > 0:
-        sel = rank[:take]
-        cand = labels.copy()
-        cand[mv_v[sel]] = mv_lab[sel]
-        q_new = sharded_modularity(ss, cand)
-        if q_new > q:
-            return cand, q_new, take
-        take //= 2
-    return labels, q, 0
+    return _apply_guarded_moves(
+        labels, q, vid, best_lab, best_gain,
+        lambda cand: sharded_modularity(ss, cand),
+    )
 
 
 def sharded_pla(
@@ -787,10 +780,11 @@ def sharded_pla(
                 while True:
                     strength_v = _vertex_strengths(g)
                     src, tgt, w = _loopless_arcs(g)
-                    q = modularity(g, labels_g)
+                    q_of = modularity_evaluator(g)
+                    q = q_of(labels_g)
                     for _ in range(max_passes):
                         labels_g, q, moved = _sweep_once(
-                            g, labels_g, strength_v, big_w, q, src, tgt, w
+                            labels_g, strength_v, big_w, q, src, tgt, w, q_of
                         )
                         n_sweeps += 1
                         if moved == 0:

@@ -210,28 +210,24 @@ class TestSpectral:
 class TestKwayDirtySetRegression:
     """The dirty-set fast path must produce *identical* partitions to
     the original exhaustive boundary re-scan (kept as
-    ``_kway_refine_reference``)."""
+    ``repro.qa.oracles.kway_refine_rescan``)."""
 
     @pytest.mark.parametrize("seed,k", [(0, 2), (1, 3), (2, 4), (3, 7)])
     def test_identical_to_reference_rmat(self, seed, k):
-        from repro.partitioning.refine import (
-            _kway_refine_reference,
-            kway_refine,
-        )
+        from repro.partitioning.refine import kway_refine
+        from repro.qa.oracles import kway_refine_rescan
 
         g = rmat(9, 6.0, rng=np.random.default_rng(seed))
         parts0 = np.random.default_rng(seed + 100).integers(
             0, k, g.n_vertices
         ).astype(np.int64)
         fast = kway_refine(g, parts0, k)
-        ref = _kway_refine_reference(g, parts0, k)
+        ref = kway_refine_rescan(g, parts0, k)
         np.testing.assert_array_equal(fast, ref)
 
     def test_identical_to_reference_weighted(self):
-        from repro.partitioning.refine import (
-            _kway_refine_reference,
-            kway_refine,
-        )
+        from repro.partitioning.refine import kway_refine
+        from repro.qa.oracles import kway_refine_rescan
 
         from repro.graph import from_edge_array
 
@@ -244,5 +240,28 @@ class TestKwayDirtySetRegression:
         vw = rng.random(g.n_vertices) + 0.5
         parts0 = rng.integers(0, 4, g.n_vertices).astype(np.int64)
         fast = kway_refine(g, parts0, 4, vertex_weights=vw)
-        ref = _kway_refine_reference(g, parts0, 4, vertex_weights=vw)
+        ref = kway_refine_rescan(g, parts0, 4, vertex_weights=vw)
         np.testing.assert_array_equal(fast, ref)
+
+
+def test_fm_long_improving_run_is_linear_in_moves():
+    """One FM pass over an alternating-sides path makes 30 000
+    *successive improving* moves (every odd vertex, each cutting two
+    edges).  Remembering the best prefix by copying the move list on
+    every improvement made that pass quadratic (4+ s here); it is a
+    length now."""
+    import time
+
+    from repro.graph import from_edge_array
+    from repro.partitioning.refine import fm_refine_bisection
+
+    n = 60_001
+    g = from_edge_array(n, np.arange(n - 1), np.arange(1, n))
+    side = (np.arange(n) % 2).astype(bool)
+    t0 = time.perf_counter()
+    out = fm_refine_bisection(g, side, max_imbalance=2.0)
+    elapsed = time.perf_counter() - t0
+    # identical to the result before the rewrite: the whole path on the
+    # even vertices' side, cut 0
+    assert not out.any()
+    assert elapsed < 3.0, f"fm_refine_bisection took {elapsed:.2f}s"

@@ -1,0 +1,220 @@
+"""Pinned bit-identity of the clustering / partitioning results.
+
+The digests below were recorded at the commit *before* the pLA grouping
+sort, the modularity accumulation and the partitioner inner loops were
+rewritten (ISSUE 16).  Those rewrites promise the same permutations,
+the same float operations in the same order and the same tie-breaks, so
+every label / part array — and pLA's modularity, bit for bit — must
+still hash to the recorded value.  A digest that moves means a result
+changed, not that the pin is stale: regenerate only for a change that
+is *meant* to alter results (``python tests/test_pinned_identity.py``
+prints the table).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.community import modularity, pla
+from repro.datasets.karate import karate_club
+from repro.generators import rmat
+from repro.graph import contract, from_edge_array, from_edge_list
+from repro.partitioning import multilevel_kway, multilevel_recursive_bisection
+from repro.sharded import build_shard_set, sharded_pla
+
+
+def _rmat10():
+    return rmat(10, 8.0, rng=np.random.default_rng(7))
+
+
+def _float_weighted():
+    """Non-integer weights: every accumulation order is observable."""
+    rng = np.random.default_rng(23)
+    base = rmat(8, 6.0, rng=rng)
+    u, v = base.edge_endpoints()
+    w = rng.random(u.shape[0]) * 3.0 + 0.05
+    return from_edge_array(base.n_vertices, u, v, weights=w, dedupe=False)
+
+
+def _ring_of_cliques(n_cliques: int = 12, size: int = 6):
+    edges = []
+    for c in range(n_cliques):
+        base = c * size
+        edges += [
+            (base + i, base + j) for i in range(size) for j in range(i + 1, size)
+        ]
+        edges.append((base + size - 1, ((c + 1) % n_cliques) * size))
+    return from_edge_list(edges)
+
+
+def _contracted_with_loops():
+    """Coarse graph from ``contract``: float weights and self-loops."""
+    g = _float_weighted()
+    coarse, _ = contract(g, np.arange(g.n_vertices, dtype=np.int64) // 3)
+    assert (coarse.arc_sources() == coarse.targets).any()
+    return coarse
+
+
+def _disconnected():
+    """Two R-MAT blobs, a separate triangle and four isolated vertices."""
+    a = rmat(7, 5.0, rng=np.random.default_rng(3))
+    b = rmat(6, 4.0, rng=np.random.default_rng(4))
+    ua, va = a.edge_endpoints()
+    ub, vb = b.edge_endpoints()
+    off = a.n_vertices
+    t = off + b.n_vertices
+    u = np.concatenate([ua, ub + off, [t, t + 1, t + 2]])
+    v = np.concatenate([va, vb + off, [t + 1, t + 2, t]])
+    return from_edge_array(t + 7, u, v)
+
+
+CORPUS = {
+    "rmat10": _rmat10,
+    "float_weighted": _float_weighted,
+    "karate": karate_club,
+    "ring_of_cliques": _ring_of_cliques,
+    "contracted_loops": _contracted_with_loops,
+    "disconnected": _disconnected,
+}
+
+
+def _sha1(*chunks: bytes) -> str:
+    h = hashlib.sha1()
+    for c in chunks:
+        h.update(c)
+    return h.hexdigest()
+
+
+def _clustering_digest(res) -> str:
+    extras = {k: res.extras[k] for k in ("n_levels", "n_sweeps") if k in res.extras}
+    return _sha1(
+        np.ascontiguousarray(res.labels, dtype=np.int64).tobytes(),
+        float(res.modularity).hex().encode(),
+        repr(sorted(extras.items())).encode(),
+    )
+
+
+def _parts_digest(parts) -> str:
+    return _sha1(np.ascontiguousarray(parts, dtype=np.int64).tobytes())
+
+
+def compute_digests(name: str, tmp_dir) -> dict[str, str]:
+    g = CORPUS[name]()
+    k = min(8, g.n_vertices)
+    ss = build_shard_set(g, tmp_dir / name, k=3, method="block")
+    out = {
+        "pla_ml": _clustering_digest(pla(g, multilevel=True)),
+        "kway8": _parts_digest(multilevel_kway(g, k)),
+        "rb8": _parts_digest(multilevel_recursive_bisection(g, k)),
+        "sharded_pla": _clustering_digest(sharded_pla(ss)),
+    }
+    if name != "contracted_loops":
+        # the per-vertex aggregation passes of non-multilevel pLA do not
+        # accept self-loops (KeyError in its cluster rows, before and
+        # after this change); its refine=True sweeps are what is pinned
+        out["pla"] = _clustering_digest(pla(g))
+    return out
+
+
+PINNED: dict[str, dict[str, str]] = {
+    "contracted_loops": {
+        "kway8": "63ff37f5a16bbd44e177524fb5dfee0fdf319158",
+        "pla_ml": "6efd13b9708f217b60054194822bd44dad78e5dd",
+        "rb8": "cb5602dcae48de1cdec4f8f2f8671c12bfb1ef60",
+        "sharded_pla": "6efd13b9708f217b60054194822bd44dad78e5dd",
+    },
+    "disconnected": {
+        "kway8": "2a9a78eb652d42a140f29082be74199e3a8b9714",
+        "pla": "b11a806f68ec19f4479669793065497da6480085",
+        "pla_ml": "dc34fbd5dd34ea0f84033c664d6c71ad8ac703cd",
+        "rb8": "dbf52f537101b968fe938778a45e6f4a8e029808",
+        "sharded_pla": "dc34fbd5dd34ea0f84033c664d6c71ad8ac703cd",
+    },
+    "float_weighted": {
+        "kway8": "d6faadc62f794b26df5745703884227c872984e8",
+        "pla": "89987a2df93c34219eb878ada93dc7e96d3e003a",
+        "pla_ml": "94f6f9e27eb2807739ffbd247059b5c0682b3e0c",
+        "rb8": "3d9813ab0217314df5ae68e30c8aa3bb65fb716c",
+        "sharded_pla": "94f6f9e27eb2807739ffbd247059b5c0682b3e0c",
+    },
+    "karate": {
+        "kway8": "74bc89673a7d3dbcd9a3604bd9d53855993e9328",
+        "pla": "d66f86079ced26162c886dc662afab3abb3e181a",
+        "pla_ml": "eb69922569b5d14af77d5ad49279062d80ddaea1",
+        "rb8": "74bc89673a7d3dbcd9a3604bd9d53855993e9328",
+        "sharded_pla": "eb69922569b5d14af77d5ad49279062d80ddaea1",
+    },
+    "ring_of_cliques": {
+        "kway8": "5a5b60fcf97d8bde657d06f2cabb0368e7b0d3e0",
+        "pla": "f4bea37140e5d1e48e06999c34ef50e4428adfbb",
+        "pla_ml": "335068eb14775da022c4be34807432474046c72b",
+        "rb8": "5a5b60fcf97d8bde657d06f2cabb0368e7b0d3e0",
+        "sharded_pla": "335068eb14775da022c4be34807432474046c72b",
+    },
+    "rmat10": {
+        "kway8": "71b645e04c62eb730b7ac22fe2d78dff3ddae69b",
+        "pla": "86941e21c34dba679304ef4a8b1a5a01cd4c6d94",
+        "pla_ml": "42ad33913f9e7789ac3188c147d5026d6ed84d33",
+        "rb8": "1f630f6979694ea6fe5b34566183796c9639a326",
+        "sharded_pla": "42ad33913f9e7789ac3188c147d5026d6ed84d33",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_results_match_pinned_digests(name, tmp_path):
+    got = compute_digests(name, tmp_path)
+    assert got == PINNED[name]
+    # sharded pLA is specified as bit-identical to the in-core mode
+    assert got["sharded_pla"] == got["pla_ml"]
+
+
+def _modularity_add_at(graph, labels) -> float:
+    """``modularity()`` as it accumulated before ISSUE 16: three
+    ``np.add.at`` scatters (kept here as the loop-order reference)."""
+    _, dense = np.unique(labels, return_inverse=True)
+    k = int(dense.max()) + 1
+    u, v = graph.edge_endpoints()
+    w = graph.edge_weights()
+    total_w = float(w.sum())
+    intra = np.zeros(k, dtype=np.float64)
+    same = dense[u] == dense[v]
+    np.add.at(intra, dense[u[same]], w[same])
+    strength = np.zeros(k, dtype=np.float64)
+    np.add.at(strength, dense[u], w)
+    np.add.at(strength, dense[v], w)
+    return float(
+        intra.sum() / total_w - float(((strength / (2.0 * total_w)) ** 2).sum())
+    )
+
+
+@pytest.mark.parametrize("name", ["float_weighted", "contracted_loops", "rmat10"])
+def test_modularity_bincount_equals_add_at_bit_for_bit(name):
+    g = CORPUS[name]()
+    n = g.n_vertices
+    rng = np.random.default_rng(5)
+    candidates = [
+        np.arange(n),
+        np.zeros(n, dtype=np.int64),
+        np.arange(n) // 7,
+        rng.integers(0, 5, n),
+        rng.integers(-3, 40, n) * 1000,  # arbitrary, non-dense ids
+        pla(g, multilevel=True).labels,
+    ]
+    for labels in candidates:
+        assert modularity(g, labels) == _modularity_add_at(g, labels)  # not approx
+
+
+if __name__ == "__main__":  # regenerate the table
+    import pathlib
+    import pprint
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(
+            {n: compute_digests(n, pathlib.Path(tmp)) for n in sorted(CORPUS)},
+            width=100,
+        )

@@ -22,15 +22,16 @@ from repro.kernels.segments import (
     group_offsets,
     grouped_label_weights,
     intersect_sorted_segments,
+    pair_order,
     segment_argmax,
     segment_maxes,
     segment_sums,
 )
 from repro.metrics.clustering import (
-    _triangle_counts_arcloop,
     local_clustering_coefficients,
     triangle_counts,
 )
+from repro.qa.oracles import triangle_counts_arcloop
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,36 @@ def test_grouped_label_weights_matches_dict():
         assert got[k] == pytest.approx(expect[k])
     # sorted by (src, label)
     assert np.array_equal(np.lexsort((glab, gsrc)), np.arange(gsrc.shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(0, 9)), max_size=60
+    ),
+    st.integers(1, 10),
+    st.sampled_from([np.int64, np.int32]),
+)
+def test_pair_order_is_the_lexsort_permutation(pairs, n_minor, dtype):
+    """Unsorted majors, duplicate pairs, empty input, ``n_minor = 1``
+    and int32 inputs all yield exactly ``np.lexsort((minor, major))``."""
+    major = np.asarray([p[0] for p in pairs], dtype=dtype)
+    minor = np.asarray([p[1] % n_minor for p in pairs], dtype=dtype)
+    got = pair_order(major, minor, n_minor)
+    assert np.array_equal(got, np.lexsort((minor, major)))
+    # the permutation depends only on the pairs' order, not on n_minor
+    assert np.array_equal(got, pair_order(major, minor, n_minor + 7))
+
+
+def test_pair_order_refuses_an_overflowing_key():
+    big = np.asarray([1 << 40, 5], dtype=np.int64)
+    minor = np.asarray([0, 1], dtype=np.int64)
+    assert pair_order(big, minor, 1 << 20).tolist() == [1, 0]
+    for major in (big, -big):
+        with pytest.raises(ValueError, match="overflows int64"):
+            pair_order(major, minor, 1 << 23)
+    # nothing to sort, nothing to overflow
+    assert pair_order(np.empty(0, dtype=np.int64), minor[:0], 1 << 62).shape == (0,)
 
 
 def test_boundary_vertices_mask():
@@ -268,7 +299,7 @@ def test_triangle_counts_match_arcloop(edges):
     dst = np.asarray([e[1] for e in edges], dtype=np.int64)
     g = from_edge_array(12, src, dst, directed=False)
     np.testing.assert_array_equal(
-        triangle_counts(g), _triangle_counts_arcloop(g)
+        triangle_counts(g), triangle_counts_arcloop(g)
     )
 
 
@@ -279,7 +310,7 @@ def test_triangle_counts_match_arcloop_on_view():
     for e in rng.choice(g.n_edges, g.n_edges // 3, replace=False):
         view.deactivate(int(e))
     np.testing.assert_array_equal(
-        triangle_counts(view), _triangle_counts_arcloop(view)
+        triangle_counts(view), triangle_counts_arcloop(view)
     )
     # the lcc wrapper goes through the vectorized path too
     lcc = local_clustering_coefficients(view)

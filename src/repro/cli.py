@@ -1046,8 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="byte budget for resident graphs (LRU eviction)")
     p.add_argument("--max-batch-delay", type=float, default=0.005,
                    metavar="SEC",
-                   help="how long a request may wait for coalescing "
-                        "partners before dispatch")
+                   help="longest a request waits for coalescing partners while "
+                        "every batch runner is busy (an idle one takes it at once)")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max requests folded into one dispatch")
     p.add_argument("--batch-runners", type=int, default=2,

@@ -140,16 +140,16 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def to_csr(self) -> Graph:
         """Snapshot into an immutable CSR :class:`Graph`."""
-        srcs, dsts, ws = [], [], []
-        for u in range(self._n):
-            adj = self.neighbors(u)
-            keep = adj > u  # one direction per edge
-            srcs.append(np.full(int(keep.sum()), u, dtype=VERTEX_DTYPE))
-            dsts.append(adj[keep].copy())
-            ws.append(self.neighbor_weights(u)[keep].copy())
-        src = np.concatenate(srcs) if srcs else np.empty(0, dtype=VERTEX_DTYPE)
-        dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=VERTEX_DTYPE)
-        w = np.concatenate(ws) if ws else np.empty(0, dtype=WEIGHT_DTYPE)
+        # Every adjacency array at full capacity in one concatenate (the
+        # leading empty array keeps n = 0 legal); the mask keeps each
+        # live prefix and one direction per edge.
+        caps = np.fromiter(map(len, self._adj), dtype=np.int64, count=self._n)
+        src = np.repeat(np.arange(self._n, dtype=VERTEX_DTYPE), caps)
+        dst = np.concatenate([np.empty(0, dtype=VERTEX_DTYPE), *self._adj])
+        w = np.concatenate([np.empty(0, dtype=WEIGHT_DTYPE), *self._wgt])
+        live_end = np.repeat(np.cumsum(caps) - caps + self._deg, caps)
+        keep = (np.arange(dst.shape[0]) < live_end) & (dst > src)
+        src, dst, w = src[keep], dst[keep], w[keep]
         # Canonical (u, v) edge order so edge ids — and everything
         # indexed by them, e.g. edge_weights() — are independent of the
         # adjacency mode and insertion history.  A stable no-op

@@ -19,8 +19,8 @@ Conventions match the optimized entrypoints they check:
 * closeness is Wasserman–Faust improved, 0.0 for isolated vertices.
 
 The last section holds *retired hot paths* (:func:`kway_refine_rescan`,
-:func:`triangle_counts_arcloop`): the per-vertex / per-edge code a fast
-path replaced, kept over :class:`repro.graph.csr.Graph` as its pin.
+:func:`triangle_counts_arcloop`, :func:`dynamic_to_csr_loop`): the per-vertex
+/ per-edge code a fast path replaced, kept over ``Graph`` as its pin.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "closeness",
     "kway_refine_rescan",
     "triangle_counts_arcloop",
+    "dynamic_to_csr_loop",
 ]
 
 
@@ -423,3 +424,24 @@ def triangle_counts_arcloop(g: GraphLike) -> np.ndarray:
             tri[v] += c
             np.add.at(tri, common, 1)
     return tri // 3
+
+
+def dynamic_to_csr_loop(dyn) -> Graph:
+    """``DynamicGraph.to_csr`` as the per-vertex loop its one-``concatenate``
+    snapshot replaced; the arrays of the two must be bit-identical."""
+    from repro.graph import builder
+    from repro.kernels.segments import pair_order
+
+    n = dyn.n_vertices
+    src, dst, w = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for u in range(n):
+        adj = dyn.neighbors(u)
+        keep = adj > u  # one direction per edge
+        src.append(np.full(int(keep.sum()), u, dtype=adj.dtype))
+        dst.append(adj[keep])
+        w.append(dyn.neighbor_weights(u)[keep])
+    src, dst, w = (np.concatenate(a) for a in (src, dst, w))
+    order = pair_order(src, dst, n)
+    return builder.from_edge_array(
+        n, src[order], dst[order], weights=w[order], directed=False, dedupe=False
+    )

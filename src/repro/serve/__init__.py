@@ -18,7 +18,7 @@ Layers:
 * :mod:`repro.serve.protocol`  — registry-generated request schema,
   JSON envelopes.
 * :mod:`repro.serve.server`    — stdlib ThreadingHTTPServer daemon.
-* :mod:`repro.serve.client`    — stdlib urllib client.
+* :mod:`repro.serve.client`    — stdlib http.client, kept-alive client.
 """
 
 from repro.serve.coalescer import Coalescer, ServeRequest

@@ -1,8 +1,8 @@
 """Stdlib-only client for the ``repro serve`` daemon.
 
-A thin, dependency-free wrapper over :mod:`urllib.request` that speaks
-the JSON protocol in :mod:`repro.serve.protocol`.  The five-line
-session::
+A thin, dependency-free wrapper over :mod:`http.client` that speaks
+the JSON protocol in :mod:`repro.serve.protocol` over one kept-alive
+connection.  The five-line session::
 
     from repro.serve.client import ServeClient
     c = ServeClient("127.0.0.1", 8265)
@@ -13,14 +13,20 @@ session::
 Structured server errors are re-raised client-side as the matching
 :class:`~repro.errors.ServeError` subclass, so ``except
 DeadlineExpired:`` works the same over the wire as in-process.
+
+A request is sent at most once: a reused connection found closed
+*before* anything is written is reopened, any later failure propagates
+(``OSError`` / ``http.client.HTTPException``) — the server may already
+have applied it, and a replayed ``/v1/ingest`` would double-apply.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Optional
 
 from repro.errors import (
@@ -52,38 +58,67 @@ def _raise_structured(doc: Any) -> None:
         raise cls(err.get("message", "server error"))
 
 
+def _expand_sparse(doc: dict) -> Any:
+    """``json.loads`` object hook: a ``sparse`` vector back to its list."""
+    if doc.get("type") != "sparse":
+        return doc
+    dense = [0.0] * doc["n"]
+    for i, v in zip(doc["index"], doc["value"]):
+        dense[i] = v
+    return dense
+
+
 class ServeClient:
-    """HTTP client bound to one ``repro serve`` endpoint."""
+    """HTTP client bound to one ``repro serve`` endpoint: one connection,
+    one request at a time.  Sharing it between threads is safe but
+    serializes them; callers that want the daemon to coalesce their
+    concurrent requests take a client each."""
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8265, *,
         timeout: float = 300.0,
     ) -> None:
-        self.base = f"http://{host}:{port}"
-        self.timeout = timeout
+        self._conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Drop the connection (a later request reopens it)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------
     def _request(
         self, method: str, path: str, body: Optional[dict] = None,
     ) -> tuple[int, Any]:
         data = None if body is None else json.dumps(body).encode()
-        req = urllib.request.Request(
-            self.base + path, data=data, method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            payload = exc.read()
+        with self._lock:
+            conn = self._conn
+            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()  # idle yet readable: the server hung up; nothing sent yet
             try:
-                doc = json.loads(payload or b"{}")
-            except json.JSONDecodeError:
-                raise ServeError(
-                    f"HTTP {exc.code}: {payload[:200]!r}"
-                ) from None
+                conn.request(
+                    method, path, body=data,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                status, payload = resp.status, resp.read()
+            except BaseException:
+                conn.close()  # never re-sent: the server may have applied it
+                raise
+        try:
+            doc = json.loads(payload or b"{}", object_hook=_expand_sparse)
+        except json.JSONDecodeError:
+            raise ServeError(f"HTTP {status}: {payload[:200]!r}") from None
+        if status >= 400:
             _raise_structured(doc)
-            raise ServeError(f"HTTP {exc.code}: {doc}") from None
+            raise ServeError(f"HTTP {status}: {doc}")
+        return status, doc
 
     # -- operations ----------------------------------------------------
     def health(self) -> dict:

@@ -19,12 +19,14 @@ sources, or literally the same run.  The coalescer exploits both:
 
 Mechanics: :meth:`Coalescer.submit` enqueues a request under its batch
 key and returns a ``concurrent.futures.Future``.  A dispatcher thread
-flushes a key when its oldest request has waited ``max_batch_delay``
-seconds or ``max_batch`` requests accumulated — the knob trades a tiny
-admission latency for batching opportunity.  Flushed batches execute
-on a small pool of batch-runner threads (so a long pLA cannot starve
-closeness traffic), pinning their graph in the registry for the
-duration.
+flushes a key as soon as a batch runner is idle, so a lone request
+never waits.  Only while *every* runner is busy does a key build up —
+until one frees up, ``max_batch`` requests accumulated, a deadline
+turned urgent or its oldest request has waited ``max_batch_delay``
+seconds: the knob is the longest a request waits *while every runner
+is busy*, and a burst coalesces behind the batch already running.
+Batches execute on a small pool of batch-runner threads (so a long pLA
+cannot starve closeness traffic), pinning their graph for the duration.
 
 Deadlines ride the existing resilience ladder: a request whose
 deadline lapses while queued gets a structured
@@ -98,14 +100,6 @@ class ServeRequest:
         return self.deadline - (time.monotonic() if now is None else now)
 
 
-class _PendingBatch:
-    __slots__ = ("requests", "created")
-
-    def __init__(self) -> None:
-        self.requests: list[ServeRequest] = []
-        self.created = time.monotonic()
-
-
 class Coalescer:
     """Batching scheduler between the request surface and the kernels."""
 
@@ -134,9 +128,11 @@ class Coalescer:
         self.on_batch = on_batch
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._pending: dict[tuple, _PendingBatch] = {}
+        self._pending: dict[tuple, list[ServeRequest]] = {}
         self._ids = itertools.count(1)
         self._closed = False
+        self._runners = max(1, batch_runners)
+        self._in_flight = 0  # batches handed to the pool, unfinished (under _wake)
         # Observable coalescing counters (served by /v1/stats).
         self.n_requests = 0
         self.n_batches = 0
@@ -145,7 +141,7 @@ class Coalescer:
         self.n_expired = 0
         self.queue_wait_total = 0.0
         self._runner_pool = ThreadPoolExecutor(
-            max_workers=max(1, batch_runners),
+            max_workers=self._runners,
             thread_name_prefix="repro-serve-batch",
         )
         self._dispatcher = threading.Thread(
@@ -204,11 +200,9 @@ class Coalescer:
             if self._closed:
                 raise ServeError("coalescer is closed")
             self.n_requests += 1
-            batch = self._pending.setdefault(
-                self._batch_key(req.graph, req.algo, req.params),
-                _PendingBatch(),
-            )
-            batch.requests.append(req)
+            self._pending.setdefault(
+                self._batch_key(req.graph, req.algo, req.params), []
+            ).append(req)
             self._wake.notify()
         return req.future
 
@@ -223,36 +217,37 @@ class Coalescer:
                 if self._closed and not self._pending:
                     return
                 now = time.monotonic()
-                due: list[tuple[tuple, _PendingBatch]] = []
+                due: list[tuple[tuple, list[ServeRequest]]] = []
                 soonest = None
-                for key, batch in list(self._pending.items()):
-                    age = now - batch.created
-                    full = len(batch.requests) >= self.max_batch
+                for key, reqs in list(self._pending.items()):
+                    age = now - reqs[0].enqueued
+                    idle = self._in_flight < self._runners
+                    full = len(reqs) >= self.max_batch
                     urgent = any(
                         r.deadline is not None and r.deadline - now
                         <= self.max_batch_delay
-                        for r in batch.requests
+                        for r in reqs
                     )
-                    if self._closed or full or urgent or age >= self.max_batch_delay:
-                        due.append((key, self._pending.pop(key)))
+                    if (self._closed or idle or full or urgent
+                            or age >= self.max_batch_delay):
+                        # max_batch is a hard cap, not just a flush
+                        # trigger: a key can pile up more than max_batch
+                        # requests while the runners are busy, and one
+                        # runner taking them all would coalesce past the
+                        # limit (max_batch=1 means one run per request).
+                        del self._pending[key]
+                        for i in range(0, len(reqs), self.max_batch):
+                            due.append((key, reqs[i:i + self.max_batch]))
+                            self._in_flight += 1
                     else:
                         wait = self.max_batch_delay - age
                         soonest = wait if soonest is None else min(soonest, wait)
                 if not due:
+                    # every runner busy: a finishing batch notifies
                     self._wake.wait(timeout=soonest)
                     continue
-            for key, batch in due:
-                # max_batch is a hard cap, not just a flush trigger: a
-                # burst can pile more than max_batch requests onto one
-                # key between dispatcher wake-ups, and handing them all
-                # to one runner would coalesce past the configured
-                # limit (max_batch=1 must mean one run per request).
-                reqs = batch.requests
-                for i in range(0, len(reqs), self.max_batch):
-                    chunk = _PendingBatch()
-                    chunk.created = batch.created
-                    chunk.requests = reqs[i:i + self.max_batch]
-                    self._runner_pool.submit(self._run_batch, key, chunk)
+            for key, requests in due:
+                self._runner_pool.submit(self._run_batch, key, requests)
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -280,11 +275,19 @@ class Coalescer:
             return FaultPolicy(phase_deadline=remaining)
         return dataclasses.replace(policy, phase_deadline=remaining)
 
-    def _run_batch(self, key: tuple, batch: _PendingBatch) -> None:
+    def _run_batch(self, key: tuple, requests: list[ServeRequest]) -> None:
+        try:
+            self._run_live(key, requests)
+        finally:
+            with self._wake:
+                self._in_flight -= 1
+                self._wake.notify()
+
+    def _run_live(self, key: tuple, requests: list[ServeRequest]) -> None:
         now = time.monotonic()
         live: list[ServeRequest] = []
         expired: list[ServeRequest] = []
-        for req in batch.requests:
+        for req in requests:
             (expired if req.deadline is not None and req.deadline <= now
              else live).append(req)
         for req in expired:
@@ -475,6 +478,7 @@ class Coalescer:
                 "merged_requests": self.n_merged,
                 "dedup_hits": self.n_dedup_hits,
                 "expired": self.n_expired,
+                "in_flight": self._in_flight,
                 "coalescing_hit_rate": (
                     coalesced / self.n_requests if self.n_requests else 0.0
                 ),

@@ -22,6 +22,12 @@ Response envelope::
      "elapsed_seconds": ..., "serve": {queue_wait_s, batch_size,
      coalesced}, "kernel_tiers": {...}}
 
+Since version 2 a 1-D float array, anywhere in ``value``, with under
+``SPARSE_MAX_FILL`` of its entries non-zero (by bit pattern: ``-0.0``
+and NaN count) travels zero-suppressed as ``{"type": "sparse", "n":
+<length>, "index": [...], "value": [...]}``; ``ServeClient`` expands it
+while decoding, so callers always see the dense list.
+
 Errors carry the structured ``code`` from the
 :class:`~repro.errors.ServeError` hierarchy plus a human message.
 """
@@ -48,14 +54,18 @@ __all__ = [
     "error_envelope",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: A 1-D float array goes zero-suppressed below this non-zero share.
+SPARSE_MAX_FILL = 0.25
 
 
 def to_jsonable(value: Any) -> Any:
     """Lossless-as-practical JSON projection of any result payload.
 
     NumPy arrays become nested lists (float64 round-trips exactly
-    through ``repr``-based JSON floats), result dataclasses become
+    through ``repr``-based JSON floats; mostly-zero float vectors take
+    the ``sparse`` form above), result dataclasses become
     ``{"type": <class>, <field>: ...}`` dicts, and containers recurse.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -67,6 +77,14 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f":
+            # non-zero *bits*: -0.0 and NaN must survive the round trip
+            index = np.flatnonzero((value != 0) | np.signbit(value))
+            if index.shape[0] < SPARSE_MAX_FILL * value.shape[0]:
+                return {
+                    "type": "sparse", "n": value.shape[0],
+                    "index": index.tolist(), "value": value[index].tolist(),
+                }
         return value.tolist()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         doc = {"type": type(value).__name__}
@@ -118,7 +136,9 @@ def request_schema() -> dict:
                 "merge-sources" if name in MERGEABLE else "dedup-identical"
             ),
         }
-    return {"version": PROTOCOL_VERSION, "algorithms": algorithms}
+    sparse = {"fields": ["type", "n", "index", "value"], "max_fill": SPARSE_MAX_FILL}
+    return {"version": PROTOCOL_VERSION, "algorithms": algorithms,
+            "value_encodings": {"sparse": sparse}}
 
 
 def parse_submit(doc: Any) -> dict:

@@ -226,6 +226,31 @@ def test_dynamic_to_csr_roundtrip(operations):
         assert g.neighbors(u).tolist() == sorted(dyn.neighbors(u).tolist())
 
 
+@given(ops, st.booleans(), st.integers(0, 14), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_dynamic_to_csr_matches_loop_oracle(operations, sorted_adj, n, weighted):
+    """The one-concatenate snapshot is bit-identical to the per-vertex
+    loop it replaced: n = 0, isolated vertices (n > 12 leaves some),
+    weighted edges, both adjacency modes, any add/delete history."""
+    from repro.qa.oracles import dynamic_to_csr_loop
+
+    dyn = DynamicGraph(n, sorted_adjacency=sorted_adj)
+    for i, (op, u, v) in enumerate(operations):
+        if u == v or u >= n or v >= n:
+            continue
+        if op == "add":
+            dyn.add_edge(u, v, 0.5 + i if weighted else 1.0)
+        else:
+            dyn.delete_edge(u, v)
+    got, want = dyn.to_csr(), dynamic_to_csr_loop(dyn)
+    assert got.n_edges == want.n_edges == dyn.n_edges
+    for name in ("offsets", "targets", "arc_edge_ids", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 @given(ops)
 @settings(max_examples=40, deadline=None)
 def test_dynamic_delete_then_reinsert_roundtrips(operations):

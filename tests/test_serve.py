@@ -7,6 +7,11 @@ Covers the service invariants end to end:
 * coalescing — concurrent threaded clients' merged batches are
   bit-identical to isolated per-request runs, identical requests
   deduplicate into one execution;
+* the dispatch rule — an idle runner flushes at once, busy runners let
+  a batch build until max_batch_delay / max_batch / an urgent deadline;
+* the wire formats — zero-suppressed vectors decode bit for bit, a
+  kept-alive connection survives error responses, a request is sent at
+  most once;
 * deadlines — an expired request gets a structured
   ``DeadlineExpired`` while its batch peers succeed;
 * the HTTP server with concurrent stdlib clients, async tickets and
@@ -16,11 +21,18 @@ Covers the service invariants end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import http.client
+import json
+import select
+import socket
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.api as api
@@ -35,7 +47,9 @@ from repro.graph import io as graph_io
 from repro.obs.api import algorithm_spec, split_operands, validate_params
 from repro.parallel.shm import live_segment_names
 from repro.serve import Coalescer, GraphRegistry, graph_nbytes
-from repro.serve.client import ServeClient
+from repro.serve import server as serve_server
+from repro.serve.client import ServeClient, _expand_sparse
+from repro.serve.protocol import SPARSE_MAX_FILL, to_jsonable
 from repro.serve.server import ReproServer, ServeConfig
 
 
@@ -121,18 +135,65 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Coalescer
 # ----------------------------------------------------------------------
+class Gate:
+    """Holds batch runners until the test opens it.
+
+    A request for graph ``gate<i>`` blocks inside ``registry.pin`` — on
+    a runner thread, in flight — and resolves ``GraphNotResident`` once
+    opened.  An idle runner dispatches at once, so coalescing is only
+    deterministic behind busy runners; this makes them busy.
+    """
+
+    def __init__(self, registry):
+        self.opened = threading.Event()
+        self.holding = threading.Semaphore(0)
+        pin = registry.pin
+
+        def gated_pin(name):
+            if name.startswith("gate"):
+                self.holding.release()
+                assert self.opened.wait(30)
+            return pin(name)
+
+        registry.pin = gated_pin
+
+    def hold(self, coalescer, n=2):
+        """Occupy ``n`` runners; returns once each one is blocked."""
+        futs = [
+            coalescer.submit(f"gate{i}", "bfs", {"source": 0})
+            for i in range(n)
+        ]
+        for _ in futs:
+            assert self.holding.acquire(timeout=10)
+        return futs
+
+    def open(self):
+        self.opened.set()
+
+
+def wait_until(cond, timeout=10.0):
+    t0 = time.monotonic()
+    while not cond():
+        assert time.monotonic() - t0 < timeout, "condition never held"
+        time.sleep(0.002)
+    return time.monotonic() - t0
+
+
 class TestCoalescer:
     def test_concurrent_bfs_merge_bit_identical(self, rmat):
         reg = GraphRegistry()
         reg.add("g", rmat)
-        with Coalescer(reg, max_batch_delay=0.02) as co:
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            gate.hold(co)
             sources = list(range(12))
             results = [None] * len(sources)
+            submitted = threading.Barrier(len(sources) + 1)
 
             def client(i):
-                results[i] = co.submit(
-                    "g", "bfs", {"source": sources[i]}
-                ).result()
+                fut = co.submit("g", "bfs", {"source": sources[i]})
+                submitted.wait(10)
+                results[i] = fut.result(timeout=30)
 
             threads = [
                 threading.Thread(target=client, args=(i,))
@@ -140,16 +201,21 @@ class TestCoalescer:
             ]
             for t in threads:
                 t.start()
+            submitted.wait(10)
+            gate.open()
             for t in threads:
                 t.join()
             for i, s in enumerate(sources):
                 iso = repro.bfs(rmat, s).distances
                 assert np.array_equal(results[i].value, iso)
-            # all twelve shared one graph residency and dispatched batched
+                # all twelve built up behind the busy runners and ran
+                # as ONE merged traversal
+                assert results[i].extras["serve"]["batch_size"] == 12
+                assert results[i].extras["serve"]["coalesced"]
             assert reg.loads == 1
             stats = co.stats()
-            assert stats["batches"] < stats["requests"]
-            assert stats["coalescing_hit_rate"] > 0
+            assert stats["merged_requests"] == 12
+            assert stats["batches"] == 3  # two gates + the merged batch
 
     def test_msbfs_merge_matches_isolated(self, rmat):
         reg = GraphRegistry()
@@ -186,15 +252,18 @@ class TestCoalescer:
     def test_identical_requests_deduplicate(self, rmat):
         reg = GraphRegistry()
         reg.add("g", rmat)
-        with Coalescer(reg, max_batch_delay=0.05) as co:
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            gate.hold(co)
             futs = [
                 co.submit("g", "connected_components", {}) for _ in range(6)
             ]
+            gate.open()
             vals = [f.result().value for f in futs]
         assert all(np.array_equal(v, vals[0]) for v in vals)
         stats = co.stats()
         assert stats["dedup_hits"] == 5
-        assert stats["batches"] == 1
+        assert stats["batches"] == 3  # two gates + the one shared run
 
     def test_deadline_expired_peers_succeed(self, rmat):
         reg = GraphRegistry()
@@ -248,6 +317,115 @@ class TestCoalescer:
                 fut.result(timeout=10)
 
 
+class TestDispatchRule:
+    """Idle runner -> flush now; every runner busy -> the batch builds
+    until max_batch_delay, max_batch or an urgent deadline."""
+
+    @pytest.fixture()
+    def reg(self, rmat):
+        reg = GraphRegistry()
+        reg.add("g", rmat)
+        return reg
+
+    def test_lone_request_does_not_pay_the_delay(self, reg, rmat):
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            t0 = time.monotonic()
+            res = co.submit("g", "bfs", {"source": 3}).result(timeout=30)
+            assert time.monotonic() - t0 < 1.0
+        assert np.array_equal(res.value, repro.bfs(rmat, 3).distances)
+        assert res.extras["serve"]["batch_size"] == 1
+
+    def test_busy_runners_flush_at_max_batch_delay(self, reg):
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=0.3) as co:
+            gate.hold(co)
+            first = co.submit("g", "bfs", {"source": 1})
+            waited = wait_until(lambda: co.stats()["in_flight"] == 3)
+            assert 0.25 <= waited < 5.0
+            # already handed to the pool: a later request cannot join it
+            second = co.submit("g", "bfs", {"source": 2})
+            gate.open()
+            for fut in (first, second):
+                assert fut.result(timeout=30).extras["serve"]["batch_size"] == 1
+
+    def test_busy_runners_flush_at_max_batch(self, reg):
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=60.0, max_batch=3) as co:
+            gate.hold(co)
+            futs = [co.submit("g", "bfs", {"source": s}) for s in range(3)]
+            wait_until(lambda: co.stats()["in_flight"] == 3)
+            gate.open()
+            for fut in futs:
+                assert fut.result(timeout=30).extras["serve"]["batch_size"] == 3
+
+    def test_busy_runners_flush_on_urgent_deadline(self, reg):
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=60.0) as co:
+            gate.hold(co)
+            fut = co.submit("g", "bfs", {"source": 1}, deadline_s=30.0)
+            wait_until(lambda: co.stats()["in_flight"] == 3)
+            gate.open()
+            assert fut.result(timeout=30).extras["serve"]["batch_size"] == 1
+
+    def test_in_flight_count_survives_contention(self, reg, rmat):
+        # more submitters than cores, a tiny switch interval: a lost
+        # update on the count would wedge the dispatcher or leave it != 0
+        want = {s: repro.bfs(rmat, s).distances for s in range(8)}
+        failures = []
+
+        def client(i):
+            try:
+                for j in range(15):
+                    s = (i + j) % 8
+                    algo, params = (
+                        ("bfs", {"source": s}) if j % 3 else
+                        ("connected_components", {})
+                    )
+                    res = co.submit("g", algo, params).result(timeout=60)
+                    if algo == "bfs" and not np.array_equal(res.value, want[s]):
+                        failures.append((i, j))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Coalescer(reg, max_batch_delay=0.001, max_batch=4) as co:
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(12)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+                wait_until(lambda: co.stats()["in_flight"] == 0)
+                assert co.stats()["requests"] == 12 * 15
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_in_flight_returns_to_zero(self, reg):
+        def boom(_span):
+            raise RuntimeError("profile sink failed")
+
+        # on_batch runs after the futures resolve, so its failure
+        # escapes the batch body: the count must come back regardless
+        co = Coalescer(reg, on_batch=boom)
+        co.submit("g", "bfs", {"source": 0}).result(timeout=30)
+        with pytest.raises(GraphNotResident):
+            co.submit("nope", "bfs", {"source": 0}).result(timeout=30)
+        wait_until(lambda: co.stats()["in_flight"] == 0)
+        gate = Gate(reg)
+        held = gate.hold(co)
+        assert co.stats()["in_flight"] == 2
+        pending = co.submit("g", "bfs", {"source": 1})
+        gate.open()
+        co.close()
+        assert co.stats()["in_flight"] == 0
+        assert pending.done() and all(f.done() for f in held)
+
+
 # ----------------------------------------------------------------------
 # HTTP server + client
 # ----------------------------------------------------------------------
@@ -268,13 +446,21 @@ class TestHTTP:
         srv, client, g = server
         host, port = srv.address
         out = [None] * 6
+        # the six must meet behind busy runners, however slowly they land
+        srv.coalescer.max_batch_delay = 60.0
+        gate = Gate(srv.registry)
+        gate.hold(srv.coalescer)
+        queued = client.stats()["coalescer"]["requests"] + 6
 
         def go(i):
-            out[i] = ServeClient(host, port).submit("g", "bfs", source=i)
+            with ServeClient(host, port) as c:
+                out[i] = c.submit("g", "bfs", source=i)
 
         threads = [threading.Thread(target=go, args=(i,)) for i in range(6)]
         for t in threads:
             t.start()
+        wait_until(lambda: client.stats()["coalescer"]["requests"] == queued)
+        gate.open()
         for t in threads:
             t.join()
         for i in range(6):
@@ -282,7 +468,8 @@ class TestHTTP:
             assert np.array_equal(
                 np.asarray(out[i]["value"], dtype=iso.dtype), iso
             )
-        assert any(doc["serve"]["coalesced"] for doc in out)
+            assert out[i]["serve"]["batch_size"] == 6
+            assert out[i]["serve"]["coalesced"]
 
     def test_ticket_roundtrip(self, server):
         _, client, g = server
@@ -303,7 +490,10 @@ class TestHTTP:
     def test_schema_published_from_registry(self, server):
         _, client, _ = server
         doc = client.algorithms()
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert doc["value_encodings"]["sparse"]["fields"] == [
+            "type", "n", "index", "value"
+        ]
         assert set(doc["algorithms"]) == set(repro.algorithm_names())
         bfs_spec = doc["algorithms"]["bfs"]
         assert bfs_spec["coalesce"] == "merge-sources"
@@ -324,6 +514,210 @@ class TestHTTP:
         assert client.evict("g") is False
         with pytest.raises(GraphNotResident):
             client.submit("g", "bfs", source=0)
+
+
+# ----------------------------------------------------------------------
+# Wire formats and the kept-alive transport
+# ----------------------------------------------------------------------
+def decode(payload):
+    """Exactly what ``ServeClient._request`` does with a response body."""
+    return json.loads(payload, object_hook=_expand_sparse)
+
+
+def over_the_wire(value):
+    return decode(json.dumps(to_jsonable(value)).encode())
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def mostly_zero(n, at):
+    x = np.zeros(n)
+    for i, v in at.items():
+        x[i] = v
+    return x
+
+
+@dataclasses.dataclass
+class _Scored:
+    name: str
+    scores: np.ndarray
+
+
+class TestSparseVectors:
+    @pytest.mark.parametrize("x", [
+        np.zeros(0),
+        np.zeros(64),
+        np.arange(1.0, 65.0),                       # fully dense
+        np.array([0.0, 1.5, 0.0]),                  # one non-zero is > fill
+        mostly_zero(64, {3: -0.0}),
+        mostly_zero(64, {0: np.nan, 63: 2.5}),
+        mostly_zero(64, {5: np.inf, 6: -np.inf}),
+        mostly_zero(64, {9: 5e-324, 10: -5e-324}),    # subnormals
+        mostly_zero(64, {1: 0.1, 2: 1 / 3}).astype(np.float32),
+    ], ids=lambda x: f"{x.dtype}-{x.shape[0]}-{np.count_nonzero(x)}")
+    def test_round_trip_is_bit_exact(self, x):
+        got = over_the_wire(x)
+        assert isinstance(got, list)
+        assert bits(got) == bits(x.tolist())
+
+    @given(st.lists(
+        st.one_of(
+            st.just(0.0), st.just(0.0), st.just(0.0), st.just(0.0),
+            st.sampled_from([-0.0, float("nan"), float("inf"), 5e-324]),
+            st.floats(allow_nan=False),
+        ),
+        max_size=60,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, values):
+        x = np.asarray(values, dtype=np.float64)
+        assert bits(over_the_wire(x)) == bits(x.tolist())
+        nested = over_the_wire(_Scored("s", x))
+        assert nested["type"] == "_Scored" and nested["name"] == "s"
+        assert bits(nested["scores"]) == bits(x.tolist())
+
+    def test_form_follows_the_fill_constant(self):
+        n = 100
+        cut = int(SPARSE_MAX_FILL * n)
+        below = mostly_zero(n, dict.fromkeys(range(cut - 1), 1.0))
+        at = mostly_zero(n, dict.fromkeys(range(cut), 1.0))
+        doc = to_jsonable(below)
+        assert doc["type"] == "sparse" and doc["n"] == n
+        assert doc["index"] == list(range(len(doc["value"])))
+        assert isinstance(to_jsonable(at), list)
+        # only 1-D float vectors: integer and 2-D payloads stay lists
+        assert to_jsonable(np.zeros(n, dtype=np.int64)) == [0] * n
+        assert to_jsonable(np.zeros((2, n))) == [[0.0] * n] * 2
+
+    def test_restricted_closeness_travels_sparse(self, server):
+        srv, client, g = server
+        host, port = srv.address
+        conn = http.client.HTTPConnection(host, port)
+        conn.request("POST", "/v1/submit", body=json.dumps({
+            "graph": "g", "algo": "closeness", "params": {"sources": [1, 2]},
+        }))
+        raw = conn.getresponse().read()
+        conn.close()
+        assert json.loads(raw)["value"]["type"] == "sparse"
+        want = repro.closeness_centrality(g, sources=[1, 2])
+        assert bits(decode(raw)["value"]) == bits(want)
+        assert bits(client.submit("g", "closeness", sources=[1, 2])["value"]) \
+            == bits(want)
+
+
+class TestKeepAlive:
+    def test_error_responses_leave_the_connection_in_sync(self, tmp_path):
+        # An early exit that left the POST body unread would have it
+        # parsed as the next request line on this same connection.
+        cfg = ServeConfig(port=0, state_dir=str(tmp_path / "state"))
+        with ReproServer(cfg) as srv:
+            srv.start_background()
+            conn = http.client.HTTPConnection(*srv.address)
+
+            def call(method, path, doc=None):
+                body = None if doc is None else json.dumps(doc).encode()
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                return resp.status, json.loads(resp.read())
+
+            submit = {"graph": "g", "algo": "bfs", "params": {"source": 0}}
+            status, doc = call("POST", "/v1/submit", submit)
+            assert (status, doc["error"]["code"]) == (503, "recovering")
+            sock = conn.sock
+            assert call("GET", "/v1/health")[0] == 200
+            srv.recover()
+            status, doc = call("POST", "/v1/submit", {"graph": 5, "pad": "x" * 999})
+            assert (status, doc["error"]["code"]) == (400, "bad_request")
+            assert call("GET", "/v1/graphs") == (200, srv.registry.stats())
+            status, doc = call("POST", "/v1/nope", submit)
+            assert (status, doc["error"]["code"]) == (404, "bad_request")
+            assert call("POST", "/v1/evict", {"name": "zz"}) == (
+                200, {"evicted": False, "name": "zz"}
+            )
+            assert conn.sock is sock  # one connection throughout
+            # a body of unknowable length cannot be skipped: 400 + close
+            conn.putrequest("POST", "/v1/evict")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400 and b"Content-Length" in resp.read()
+            wait_until(lambda: select.select([conn.sock], [], [], 0)[0])
+            assert conn.sock.recv(1) == b""  # the server hung up
+            conn.close()
+
+    def test_one_connection_reused_shared_and_closed(self, server):
+        srv, client, g = server
+        client.health()
+        sock = client._conn.sock
+        assert sock is not None
+        client.stats()
+        assert client._conn.sock is sock
+        # shared between threads: safe, every answer the right one
+        out = [None] * 8
+
+        def go(i):
+            out[i] = client.submit("g", "bfs", source=i)["value"]
+
+        threads = [threading.Thread(target=go, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        for i in range(8):
+            assert out[i] == repro.bfs(g, i).distances.tolist()
+        assert client._conn.sock is sock
+        client.close()
+        assert client._conn.sock is None
+        assert client.health()["ok"]  # reopens on demand
+        with ServeClient(*srv.address) as c:
+            c.health()
+        assert c._conn.sock is None
+
+    def test_reconnects_when_found_closed_before_sending(
+        self, server, monkeypatch
+    ):
+        _, client, _ = server
+        send = serve_server._Handler._send
+
+        def send_then_hang_up(handler, status, doc):
+            send(handler, status, doc)
+            handler.close_connection = True  # no "Connection: close" sent
+
+        monkeypatch.setattr(serve_server._Handler, "_send", send_then_hang_up)
+        assert client.health()["ok"]
+        stale = client._conn.sock
+        assert stale is not None
+        wait_until(lambda: select.select([stale], [], [], 0)[0])  # the FIN
+        assert client.ingest("g", [[1, "add", 0, 200]])["n_batches_applied"] == 1
+        assert client._conn.sock is not stale
+
+    def test_request_the_server_may_have_applied_is_never_resent(
+        self, server, monkeypatch
+    ):
+        srv, client, g = server
+        send = serve_server._Handler._send
+        applied = []
+
+        def drop_ingest_reply(handler, status, doc):
+            if handler.path != "/v1/ingest":
+                return send(handler, status, doc)
+            applied.append(doc)  # _send runs after the ingest applied
+            handler.connection.shutdown(socket.SHUT_RDWR)
+            handler.close_connection = True
+
+        monkeypatch.setattr(serve_server._Handler, "_send", drop_ingest_reply)
+        u, v = 0, 255
+        assert v not in g.neighbors(u)
+        client.health()  # the ingest goes out on a reused connection
+        with pytest.raises((OSError, http.client.HTTPException)):
+            client.ingest("g", [[1, "add", u, v]])
+        assert len(applied) == 1
+        assert srv.engines["g"].n_batches == 2  # the seed graph + ONE batch
+        # and the client is usable again, seeing exactly one application
+        resident = client.graphs()["resident"][0]
+        assert resident["n_edges"] == g.n_edges + 1
 
 
 # ----------------------------------------------------------------------

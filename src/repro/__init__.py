@@ -57,7 +57,11 @@ validation path with the CLI and the ``repro serve`` wire protocol::
     print(res.flame())
 """
 
-from repro import (
+from repro import _memory
+
+_memory.apply()  # the one call site; forked pool/BSP/daemon workers inherit it
+
+from repro import (  # noqa: E402
     centrality,
     community,
     datasets,

@@ -19,11 +19,9 @@ leading-eigenvector method of Newman (PNAS 2006, the paper's ref [36]):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.community.modularity import modularity
 from repro.community.result import ClusteringResult
@@ -32,8 +30,13 @@ from repro.graph.csr import Graph
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
+if TYPE_CHECKING:  # scipy loads on first use, in the functions below
+    import scipy.sparse as sp
+
 
 def _adjacency(graph: Graph) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     w = graph.arc_weights()
     return sp.csr_matrix(
         (w, (graph.arc_sources(), graph.targets)),

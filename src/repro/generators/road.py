@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graph import builder
 from repro.graph.csr import Graph, VERTEX_DTYPE
@@ -40,6 +39,8 @@ def road_network(
         raise ValueError("n must be >= 2")
     if k < 1 or k >= n:
         raise ValueError("k must be in [1, n)")
+    from scipy.spatial import cKDTree  # loads scipy on first use
+
     rng = rng or np.random.default_rng(0)
     pts = rng.random((n, 2))
     tree = cKDTree(pts)

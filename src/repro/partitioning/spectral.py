@@ -25,11 +25,9 @@ small-world row.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import ConvergenceError, PartitioningError
 from repro.graph.builder import induced_subgraph
@@ -39,10 +37,15 @@ from repro.partitioning.metrics import validate_partition
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
+if TYPE_CHECKING:  # scipy loads on first use, in the functions below
+    import scipy.sparse as sp
+
 _DEGENERATE_FRACTION = 0.01
 
 
 def _laplacian(graph: Graph) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     n = graph.n_vertices
     src = graph.arc_sources()
     w = graph.arc_weights()
@@ -72,6 +75,8 @@ def fiedler_vector(
     rng = rng or np.random.default_rng(0)
     lap = _laplacian(graph)
     if method == "lanczos":
+        import scipy.sparse.linalg as spla
+
         try:
             # Shift-invert Lanczos targeting the small end of the
             # spectrum.  A slightly negative shift keeps L - σI positive
@@ -159,6 +164,9 @@ def _rqi_refine(
     level refines further); the finest level (``final``) must reach the
     residual tolerance or raise :class:`ConvergenceError`.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = lap.shape[0]
     ones = np.ones(n) / np.sqrt(n)
 

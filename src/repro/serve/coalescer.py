@@ -138,6 +138,7 @@ class Coalescer:
         self.n_batches = 0
         self.n_merged = 0        # requests that shared a dispatch with others
         self.n_dedup_hits = 0    # identical-run waiters beyond the first
+        self.n_coalesced = 0     # Σ (batch size − 1): dispatches saved
         self.n_expired = 0
         self.queue_wait_total = 0.0
         self._runner_pool = ThreadPoolExecutor(
@@ -295,6 +296,7 @@ class Coalescer:
         if not live:
             return
         self.n_batches += 1
+        self.n_coalesced += len(live) - 1
         if len(live) > 1:
             self.n_merged += len(live)
         queue_waits = [now - r.enqueued for r in live]
@@ -470,8 +472,6 @@ class Coalescer:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
-            merged_extra = max(0, self.n_merged - self.n_batches)
-            coalesced = merged_extra + self.n_dedup_hits
             return {
                 "requests": self.n_requests,
                 "batches": self.n_batches,
@@ -480,7 +480,7 @@ class Coalescer:
                 "expired": self.n_expired,
                 "in_flight": self._in_flight,
                 "coalescing_hit_rate": (
-                    coalesced / self.n_requests if self.n_requests else 0.0
+                    self.n_coalesced / self.n_requests if self.n_requests else 0.0
                 ),
                 "mean_queue_wait_s": (
                     self.queue_wait_total / self.n_requests

@@ -265,6 +265,29 @@ class TestCoalescer:
         assert stats["dedup_hits"] == 5
         assert stats["batches"] == 3  # two gates + the one shared run
 
+    def test_hit_rate_is_dispatches_saved_over_requests(self, rmat):
+        # solo + merged + dedup traffic through one coalescer: the rate
+        # is Σ(batch size − 1) / requests — a singleton batch saves
+        # nothing and a dedup batch is not counted twice.
+        reg = GraphRegistry()
+        reg.add("g", rmat)
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            for s in range(3):  # idle runners: three batches of one
+                co.submit("g", "bfs", {"source": s}).result(timeout=30)
+            gate.hold(co)  # two more singleton batches
+            futs = [co.submit("g", "bfs", {"source": s}) for s in range(4)]
+            futs += [co.submit("g", "connected_components", {}) for _ in range(3)]
+            gate.open()
+            assert {f.result(timeout=30).extras["serve"]["batch_size"]
+                    for f in futs} == {4, 3}
+        stats = co.stats()
+        assert stats["requests"] == 12
+        assert stats["batches"] == 7
+        assert stats["merged_requests"] == 7  # meaning unchanged: 4 + 3
+        assert stats["dedup_hits"] == 2
+        assert stats["coalescing_hit_rate"] == (3 + 2) / 12
+
     def test_deadline_expired_peers_succeed(self, rmat):
         reg = GraphRegistry()
         reg.add("g", rmat)

@@ -168,97 +168,3 @@ def test_segments_smoke(graph):
         f"single-level {single.modularity:.4f}"
     )
 
-
-@pytest.mark.compiled_full
-def test_compiled_tier_speedup():
-    """Measured gate for the compiled (numba) kernel tier (DESIGN §9).
-
-    On an R-MAT scale-14 instance: triangle counting / clustering
-    coefficients and the single-level pLA sweep must hit >= 5x over
-    the numpy tier with bit-identical results (msbfs is word-parallel
-    numpy on every tier and is not part of this gate).  Always writes
-    ``benchmarks/results/compiled_tier.json`` — with
-    ``numba_available: false`` (and no timings) when the compiled tier
-    is unavailable, so downstream tooling can distinguish "not run"
-    from "no numba".
-    """
-    from _common import timed, write_result_json
-    from repro.community.modularity import modularity_evaluator
-    from repro.community.pla import (
-        _loopless_arcs,
-        _sweep_once,
-        _vertex_strengths,
-    )
-    from repro.kernels import dispatch
-    from repro.metrics.clustering import triangle_counts
-
-    if not dispatch.numba_available():
-        write_result_json("compiled_tier", {"numba_available": False})
-        pytest.skip("numba not installed; compiled tier unavailable")
-
-    dispatch.warmup()  # pay JIT cost outside the timed sections
-    g = rmat(14, 8.0, rng=np.random.default_rng(0)).as_undirected()
-    g.arc_sources()
-    g.edge_endpoints()
-
-    def run_tiered(fn, *args, **kwargs):
-        with dispatch.use_tier("numpy"):
-            ref, t_numpy = timed(fn, *args, **kwargs)
-        with dispatch.use_tier("compiled"):
-            got, t_compiled = timed(fn, *args, **kwargs)
-        return ref, got, t_numpy, t_compiled
-
-    tri_ref, tri_got, t_tri_np, t_tri_c = run_tiered(triangle_counts, g)
-    np.testing.assert_array_equal(tri_ref, tri_got)
-    lcc_speedup = t_tri_np / t_tri_c
-
-    # One synchronized single-level pLA sweep from singleton labels —
-    # the hot inner iteration of refine/multilevel.
-    W = float(g.edge_weights().sum())
-    strength_v = _vertex_strengths(g)
-    src, tgt, w = _loopless_arcs(g)
-    labels0 = np.arange(g.n_vertices, dtype=np.int64)
-    q0 = 0.0
-
-    q_of = modularity_evaluator(g)
-
-    def one_sweep(tier):
-        return _sweep_once(
-            labels0.copy(), strength_v, W, q0, src, tgt, w, q_of, tier=tier
-        )
-
-    (lab_np, q_np, moved_np), t_sweep_np = timed(one_sweep, "numpy")
-    (lab_c, q_c, moved_c), t_sweep_c = timed(one_sweep, "compiled")
-    np.testing.assert_array_equal(lab_np, lab_c)
-    assert q_np == q_c and moved_np == moved_c
-    sweep_speedup = t_sweep_np / t_sweep_c
-
-    write_result_json(
-        "compiled_tier",
-        {
-            "numba_available": True,
-            "graph": {
-                "family": "rmat",
-                "scale": 14,
-                "n_vertices": g.n_vertices,
-                "n_edges": g.n_edges,
-            },
-            "clustering_coefficients": {
-                "numpy_seconds": t_tri_np,
-                "compiled_seconds": t_tri_c,
-                "speedup": lcc_speedup,
-            },
-            "pla_sweep": {
-                "numpy_seconds": t_sweep_np,
-                "compiled_seconds": t_sweep_c,
-                "speedup": sweep_speedup,
-            },
-            "threshold": 5.0,
-        },
-    )
-    assert lcc_speedup >= 5.0, (
-        f"compiled triangle counting only {lcc_speedup:.2f}x over numpy"
-    )
-    assert sweep_speedup >= 5.0, (
-        f"compiled pLA sweep only {sweep_speedup:.2f}x over numpy"
-    )

@@ -18,10 +18,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={
-        # Opt-in compiled kernel tier (DESIGN §9): pip install .[compiled]
-        "compiled": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": ["snap-repro=repro.cli:main"],
     },

@@ -45,16 +45,10 @@ and is importable from the top level.  The **stable facade** is
     fut = api.submit(web, "closeness")     # coalescing Future[RunResult]
     res = api.run("bfs", web, source=0)    # sync shim
 
-:func:`repro.run` (the pre-facade entrypoint) still executes any
-registered algorithm under full observability and remains supported,
-but new code should prefer ``repro.api.run`` — it shares one
-validation path with the CLI and the ``repro serve`` wire protocol::
-
-    import repro
-
-    g = repro.generators.rmat(scale=10, edge_factor=8).as_undirected()
-    res = repro.run("betweenness", g, backend="thread", n_workers=4)
-    print(res.flame())
+``repro.api.run`` shares one validation path with the CLI and the
+``repro serve`` wire protocol; :func:`repro.obs.run` underneath it
+executes any registered algorithm (or callable) on a bare graph under
+full observability.
 """
 
 from repro import _memory
@@ -131,27 +125,6 @@ from repro.obs import (
     get_algorithm,
     use_tracer,
 )
-from repro.obs import run as _obs_run
-
-
-def run(*args, **kwargs):
-    """Pre-facade entrypoint; superseded by :func:`repro.api.run`.
-
-    Delegates unchanged to :func:`repro.obs.run` so existing call
-    sites keep working, but warns once per site: the facade adds
-    registry-driven validation shared with the CLI and wire protocol.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.run() is superseded by the stable facade repro.api.run(); "
-        "see repro.api (load/submit/run)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _obs_run(*args, **kwargs)
-
-
 from repro import api  # noqa: E402  (needs the symbols above)
 from repro.parallel import ChaosMonkey, ChaosPlan, Fault, FaultPolicy, ParallelContext
 from repro.partitioning import (
@@ -184,7 +157,6 @@ __all__ = [
     "from_edge_list",
     "from_edge_array",
     # observability / dispatch
-    "run",
     "RunResult",
     "Tracer",
     "Span",

@@ -17,7 +17,7 @@ users, the CLI and the serve daemon.  Three verbs::
   handle merge into one multi-source traversal, identical submissions
   deduplicate.  Returns a :class:`concurrent.futures.Future` resolving
   to the same :class:`~repro.obs.runner.RunResult` envelope
-  ``repro.run`` produces.
+  :func:`repro.obs.run` produces.
 * :func:`run` is the synchronous shim: handle in → ``submit().result()``;
   raw :class:`~repro.graph.csr.Graph` in → a direct validated
   :func:`repro.obs.run` call (no daemon machinery touched).

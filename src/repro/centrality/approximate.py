@@ -46,7 +46,7 @@ class AdaptiveSampleResult:
     stopped_early: bool
 
 
-@algorithm("approximate_vertex_betweenness", operands=1, legacy=("c",))
+@algorithm("approximate_vertex_betweenness", operands=1)
 def approximate_vertex_betweenness(
     g: GraphLike,
     v: int,
@@ -105,7 +105,7 @@ def approximate_vertex_betweenness(
     return AdaptiveSampleResult(estimate, k, stopped)
 
 
-@algorithm("sampled_betweenness", legacy=("sample_fraction", "min_samples"))
+@algorithm("sampled_betweenness")
 def sampled_betweenness(
     g: GraphLike,
     *,

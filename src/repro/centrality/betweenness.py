@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels import _compiled, dispatch
 from repro.kernels._frontier import GraphLike, expand, expand_batch, unwrap
 from repro.kernels.bfs import default_batch_size, source_batches
 from repro.obs.api import algorithm
@@ -235,7 +234,6 @@ def _brandes_batch(
     batch: np.ndarray,
     ctx: Optional[ParallelContext] = None,
     record_phases: bool = False,
-    tier: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``K`` Brandes traversals simultaneously (one batch of lanes).
 
@@ -243,13 +241,6 @@ def _brandes_batch(
     and ``δ`` — and each level is one :func:`expand_batch` gather plus
     bincount scatter-adds shared by every lane, so the per-source
     Python-loop overhead collapses into one NumPy dispatch per level.
-
-    ``tier="compiled"`` routes the backward δ-accumulation — the
-    gather/multiply/double-scatter that dominates the sweep — through
-    the njit kernel; its two-phase contribution order replays numpy's
-    gather-then-``np.add.at`` sequence exactly, so δ and edge scores
-    are bit-identical (works with edge masks too: the cached σ-arcs
-    are already post-filter).
 
     Returns ``(delta, edge_partial)``: the per-lane dependency plane
     (``delta[k]`` is source ``batch[k]``'s δ vector, source entry
@@ -374,25 +365,13 @@ def _brandes_batch(
             ctx.record_phase_from_work(degs[levels[i + 1][1]])
         u_flat, v_flat, eids_c, w = sigma_arcs[i]
         sp = (
-            tr.begin(
-                "backward_level",
-                depth=i,
-                sigma_arcs=int(v_flat.shape[0]),
-                kernel_tier=tier or "numpy",
-            )
+            tr.begin("backward_level", depth=i, sigma_arcs=int(v_flat.shape[0]))
             if tr
             else None
         )
-        if tier == "compiled":
-            contrib = np.empty(v_flat.shape[0], dtype=np.float64)
-            _compiled.brandes_accumulate(
-                u_flat, v_flat, eids_c, w, inv_sigma, delta_flat,
-                edge_partial, contrib,
-            )
-        else:
-            contrib = w * inv_sigma.take(v_flat) * (1.0 + delta_flat.take(v_flat))
-            _scatter_add(delta_flat, u_flat, contrib)
-            _scatter_add(edge_partial, eids_c, contrib)
+        contrib = w * inv_sigma.take(v_flat) * (1.0 + delta_flat.take(v_flat))
+        _scatter_add(delta_flat, u_flat, contrib)
+        _scatter_add(edge_partial, eids_c, contrib)
         if sp is not None:
             tr.end(sp)
     delta[lanes0, batch] = 0.0
@@ -407,16 +386,13 @@ def _brandes_batch_worker(
     Module-level (picklable by reference) so
     :meth:`ParallelContext.map_batches` can ship it to process-pool
     workers, which attach the CSR arrays via shared memory.  ``payload``
-    is the optional edge-activity mask, or a ``(mask, kernel_tier)``
-    tuple — the caller resolves the tier once so parity across
-    backends does not depend on worker-side environment.
+    is the optional edge-activity mask.
     """
-    mask, tier = payload if isinstance(payload, tuple) else (payload, None)
-    delta, edge_partial = _brandes_batch(graph, mask, batch, tier=tier)
+    delta, edge_partial = _brandes_batch(graph, payload, batch)
     return delta.sum(axis=0), edge_partial
 
 
-@algorithm("brandes", legacy=("sources", "granularity"))
+@algorithm("brandes")
 def brandes(
     g: GraphLike,
     *,
@@ -496,7 +472,6 @@ def brandes(
     elif src_list:
         batches = source_batches(src_list, _brandes_batch_size(graph, batch_size), n)
         per_traversal = float(max(1, graph.n_arcs))
-        tier = ctx.tier_for(graph.n_arcs)
         if ctx.backend == "serial":
             # In-process batched sweeps; fine granularity still records
             # per-level phases (now shared by the whole batch).  When
@@ -521,8 +496,7 @@ def brandes(
                         for b in batches:
                             with tr.span("batch", lanes=int(len(b))):
                                 delta, edge_partial = _brandes_batch(
-                                    graph, edge_active, b, ctx,
-                                    granularity == "fine", tier=tier,
+                                    graph, edge_active, b, ctx, granularity == "fine"
                                 )
                             vertex_acc += delta.sum(axis=0)
                             edge_acc += edge_partial
@@ -532,8 +506,7 @@ def brandes(
                 else:
                     for b in batches:
                         delta, edge_partial = _brandes_batch(
-                            graph, edge_active, b, ctx, granularity == "fine",
-                            tier=tier,
+                            graph, edge_active, b, ctx, granularity == "fine"
                         )
                         vertex_acc += delta.sum(axis=0)
                         edge_acc += edge_partial
@@ -544,7 +517,7 @@ def brandes(
                 _brandes_batch_worker,
                 graph,
                 batches,
-                payload=(edge_active, tier),
+                payload=edge_active,
                 costs=[per_traversal * len(b) for b in batches],
             )
             for vertex_partial, edge_partial in results:
@@ -565,7 +538,7 @@ def brandes(
     return BrandesResult(vertex_acc, edge_acc, len(src_list))
 
 
-@algorithm("betweenness", legacy=("normalized", "granularity"))
+@algorithm("betweenness")
 def betweenness_centrality(
     g: GraphLike,
     *,
@@ -579,7 +552,7 @@ def betweenness_centrality(
     ).vertex
 
 
-@algorithm("edge_betweenness", legacy=("normalized", "granularity"))
+@algorithm("edge_betweenness")
 def edge_betweenness_centrality(
     g: GraphLike,
     *,
@@ -596,20 +569,3 @@ def edge_betweenness_centrality(
 def _unit_weights(graph) -> bool:
     """True if every stored arc weight equals 1 (hop metric suffices)."""
     return graph.weights is None or bool(np.all(graph.weights == 1.0))
-
-
-def _warm_brandes_accumulate() -> None:
-    """Compile the δ-accumulation on a single 1-arc backward level."""
-    idx = np.zeros(1, dtype=np.int64)
-    f8 = np.ones(1, dtype=np.float64)
-    _compiled.brandes_accumulate(
-        idx, idx, idx, f8.copy(), f8.copy(), np.zeros(1, dtype=np.float64),
-        np.zeros(1, dtype=np.float64), np.empty(1, dtype=np.float64),
-    )
-
-
-dispatch.register(
-    "brandes_accumulate",
-    compiled_fn=_compiled.brandes_accumulate,
-    warmup=_warm_brandes_accumulate,
-)

@@ -40,7 +40,7 @@ def _closeness_batch_worker(graph, batch, mask):
     return r.astype(np.int64), total
 
 
-@algorithm("closeness", legacy=("sources", "wf_improved"))
+@algorithm("closeness")
 def closeness_centrality(
     g: GraphLike,
     *,

@@ -13,7 +13,7 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 
-@algorithm("degree", legacy=("normalized",))
+@algorithm("degree")
 def degree_centrality(
     g: GraphLike,
     *,

@@ -240,18 +240,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         return 2
     print(f"graph: {g}  ({source})")
-    if args.kernel_tier != "numpy":
-        # Pay the JIT cost up front so the profiled runs measure only
-        # steady-state kernel time (no-op without numba).
-        from repro.kernels import dispatch as _kdispatch
-
-        _kdispatch.warmup()
     doc: dict = {
         "graph": {"source": source, "n_vertices": g.n_vertices,
                   "n_edges": g.n_edges},
         "backend": args.backend or "serial",
         "n_workers": args.workers,
-        "kernel_tier": args.kernel_tier or "auto",
         "runs": {},
     }
     for name in names:
@@ -259,8 +252,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         operands = (args.k,) if name == "multilevel_kway" else ()
         res = obs_run(
             name, g, *operands,
-            backend=args.backend, n_workers=args.workers,
-            kernel_tier=args.kernel_tier, **kwargs,
+            backend=args.backend, n_workers=args.workers, **kwargs,
         )
         doc["runs"][name] = res.to_dict()
         util = res.pool.utilization(res.n_workers)
@@ -510,7 +502,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         chaos=args.chaos,
         artifact_dir=artifact_dir,
         shrink_failures=not args.no_shrink,
-        kernel_tier=args.kernel_tier,
     )
     print(report.summary())
     for f in report.failures:
@@ -906,10 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["serial", "thread", "process"],
                    default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--kernel-tier", default=None,
-                   choices=["auto", "numpy", "compiled"],
-                   help="kernel tier: numpy reference, numba-compiled, "
-                        "or size-based auto (default)")
     p.add_argument("--max-depth", type=int, default=6,
                    help="flame summary depth")
     p.add_argument("-o", "--output", default="profile.json")
@@ -946,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not write reproducer files")
     p.add_argument("--no-shrink", action="store_true",
                    help="report failures without minimizing them")
-    p.add_argument("--kernel-tier", default=None,
-                   choices=["auto", "numpy", "compiled"],
-                   help="kernel tier to pin the checked contexts to "
-                        "(compiled kernels vs pure-Python oracles)")
     p.add_argument("--stream", action="store_true",
                    help="run the streaming prefix-differential harness "
                         "instead: replay every batch prefix of crawler "

@@ -2,8 +2,8 @@
 
 The CLI subcommands (``analyze``/``cluster``/``partition``/…), the
 ``repro serve`` daemon config and programmatic embedders all describe
-the same seven knobs — backend, worker count, kernel tier, the three
-resilience settings and an optional profile output.  Historically each
+the same six knobs — backend, worker count, the three resilience
+settings and an optional profile output.  Historically each
 subcommand wired its own copy of the argparse flags and its own
 ``args``-to-``ParallelContext`` translation; this module is the single
 definition:
@@ -28,7 +28,6 @@ from typing import Optional
 __all__ = ["ExecutionOptions", "add_execution_flags"]
 
 BACKENDS = ("serial", "thread", "process")
-KERNEL_TIERS = ("auto", "numpy", "compiled")
 CRASH_RESPONSES = ("rebuild", "degrade", "raise")
 
 
@@ -38,7 +37,6 @@ class ExecutionOptions:
 
     backend: Optional[str] = None
     workers: int = 1
-    kernel_tier: Optional[str] = None
     timeout: Optional[float] = None
     retries: Optional[int] = None
     on_worker_crash: Optional[str] = None
@@ -48,11 +46,6 @@ class ExecutionOptions:
         if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.kernel_tier is not None and self.kernel_tier not in KERNEL_TIERS:
-            raise ValueError(
-                f"kernel_tier must be one of {KERNEL_TIERS}, "
-                f"got {self.kernel_tier!r}"
             )
         if (
             self.on_worker_crash is not None
@@ -69,7 +62,6 @@ class ExecutionOptions:
         return cls(
             backend=getattr(args, "backend", None),
             workers=getattr(args, "workers", 1),
-            kernel_tier=getattr(args, "kernel_tier", None),
             timeout=getattr(args, "timeout", None),
             retries=getattr(args, "retries", None),
             on_worker_crash=getattr(args, "on_worker_crash", None),
@@ -101,7 +93,6 @@ class ExecutionOptions:
             backend=self.backend or "serial",
             trace=tracer,
             fault_policy=self.fault_policy(),
-            kernel_tier=self.kernel_tier,
         )
 
     def run_kwargs(self) -> dict:
@@ -109,7 +100,6 @@ class ExecutionOptions:
         return {
             "backend": self.backend,
             "n_workers": self.workers,
-            "kernel_tier": self.kernel_tier,
             "fault_policy": self.fault_policy(),
         }
 
@@ -135,7 +125,3 @@ def add_execution_flags(
                         choices=list(CRASH_RESPONSES),
                         help="crash response: rebuild the pool, degrade "
                              "process->thread->serial, or raise")
-    parser.add_argument("--kernel-tier", default=None,
-                        choices=list(KERNEL_TIERS),
-                        help="kernel tier: numpy reference, numba-"
-                             "compiled, or size-based auto (default)")

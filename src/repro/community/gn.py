@@ -23,7 +23,7 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext
 
 
-@algorithm("girvan_newman", legacy=("max_iterations",))
+@algorithm("girvan_newman")
 def girvan_newman(
     graph: Graph,
     *,

@@ -35,7 +35,7 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext
 
 
-@algorithm("pbd", legacy=("sample_fraction", "min_samples", "exact_threshold"))
+@algorithm("pbd")
 def pbd(
     graph: Graph,
     *,

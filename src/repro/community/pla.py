@@ -51,7 +51,6 @@ from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.builder import contract
 from repro.graph.csr import Graph
-from repro.kernels import _compiled, dispatch
 from repro.kernels.biconnected import biconnected_components
 from repro.kernels.connected import connected_components
 from repro.kernels.segments import (
@@ -75,7 +74,7 @@ _METRIC_TABLES = {
 }
 
 
-@algorithm("pla", legacy=("local_metric", "max_passes"))
+@algorithm("pla")
 def pla(
     graph: Graph,
     *,
@@ -305,7 +304,7 @@ def _vertex_strengths(graph: Graph) -> np.ndarray:
     return np.bincount(graph.arc_sources(), weights=w, minlength=graph.n_vertices)
 
 
-def _best_moves_numpy(
+def _best_moves(
     labels: np.ndarray,
     strength_v: np.ndarray,
     S: np.ndarray,
@@ -314,14 +313,14 @@ def _best_moves_numpy(
     tgt: np.ndarray,
     w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference best-move scan: one grouping sort + segmented sums/argmax.
+    """Best-move scan: one grouping sort + segmented sums/argmax.
 
     Returns ``(vid, best_lab, best_gain)`` — one row per distinct source
     vertex, ``best_lab = -1`` (gain ``-inf``) when the vertex has no
     cross-label candidate.
     """
     n = strength_v.shape[0]
-    gsrc, glab, gsum = grouped_label_weights(src, labels[tgt], w, tier="numpy")
+    gsrc, glab, gsum = grouped_label_weights(src, labels[tgt], w)
 
     own_lab = labels[gsrc]
     own = own_lab == glab
@@ -336,50 +335,15 @@ def _best_moves_numpy(
     # Per-vertex best group: groups are (vertex, label)-sorted, so the
     # first-index tie-break lands on the smallest candidate label.
     voffs = group_offsets(gsrc)
-    arg = segment_argmax(score, voffs, tier="numpy")
+    arg = segment_argmax(score, voffs)
     best_gain = score[arg]
     best_lab = glab[arg]
     vid = gsrc[voffs[:-1]]
     # A vertex whose neighbors all share its label argmaxes onto an
-    # own-label (-inf) group; normalize to the compiled tier's -1
-    # sentinel (such rows never pass the movers filter either way).
+    # own-label (-inf) group; normalize to the -1 sentinel (such rows
+    # never pass the movers filter either way).
     best_lab = np.where(best_gain == -np.inf, -1, best_lab)
     return vid, best_lab, best_gain
-
-
-def _best_moves_compiled(
-    labels: np.ndarray,
-    strength_v: np.ndarray,
-    S: np.ndarray,
-    W: float,
-    src: np.ndarray,
-    tgt: np.ndarray,
-    w: np.ndarray,
-):
-    """Compiled best-move scan: one run-walking pass over the CSR arcs.
-
-    Requires ``src`` nondecreasing (CSR arc order — what
-    :func:`_loopless_arcs` yields); declines otherwise and the dispatch
-    layer falls through to the numpy reference.
-    """
-    m = src.shape[0]
-    if m and bool(np.any(src[1:] < src[:-1])):
-        return NotImplemented
-    n = strength_v.shape[0]
-    nlab = S.shape[0]
-    vid = np.empty(n, dtype=np.int64)
-    best_lab = np.empty(n, dtype=np.int64)
-    best_gain = np.empty(n, dtype=np.float64)
-    acc = np.zeros(nlab, dtype=np.float64)
-    mark = np.full(nlab, -1, dtype=np.int64)
-    touched = np.empty(nlab, dtype=np.int64)
-    cnt = _compiled.sweep_best_moves(
-        src, tgt, np.asarray(w, dtype=np.float64), labels,
-        np.asarray(strength_v, dtype=np.float64),
-        np.asarray(S, dtype=np.float64), W,
-        acc, mark, touched, vid, best_lab, best_gain,
-    )
-    return vid[:cnt], best_lab[:cnt], best_gain[:cnt]
 
 
 def _apply_guarded_moves(
@@ -425,24 +389,17 @@ def _sweep_once(
     tgt: np.ndarray,
     w: np.ndarray,
     q_of: Callable[[np.ndarray], float],
-    tier: Optional[str] = None,
 ) -> tuple[np.ndarray, float, int]:
     """One synchronized local-moving sweep; returns (labels, q, n_moved).
 
     Every vertex's best adjacent cluster by exact ΔQ is found in one
-    grouped pass (composite-key sort + segmented sums/argmax on the
-    numpy tier, a single run-walking njit pass on the compiled tier —
-    same arc order, same ΔQ parenthesization, same tie-breaks, so the
-    chosen moves are identical) and applied under the guard of
-    :func:`_apply_guarded_moves`.
+    grouped pass (composite-key sort + segmented sums/argmax) and
+    applied under the guard of :func:`_apply_guarded_moves`.
     """
     if src.shape[0] == 0:
         return labels, q, 0
     S = np.bincount(labels, weights=strength_v, minlength=strength_v.shape[0])
-    vid, best_lab, best_gain = dispatch.call(
-        "pla_sweep", labels, strength_v, S, W, src, tgt, w,
-        tier=tier, size=src.shape[0],
-    )
+    vid, best_lab, best_gain = _best_moves(labels, strength_v, S, W, src, tgt, w)
     return _apply_guarded_moves(labels, q, vid, best_lab, best_gain, q_of)
 
 
@@ -472,21 +429,14 @@ def _local_moving_refinement(
     src, tgt, w = _loopless_arcs(graph)
     max_deg = float(graph.degrees().max()) if n else 1.0
     tr = ctx.tracer
-    tier = ctx.tier_for(graph.n_arcs)
     q_of = modularity_evaluator(graph)
     q = q_of(labels)
     n_sweeps = 0
     for _ in range(max_passes):
         ctx.cost.region()
         ctx.phase(float(max(1, graph.n_arcs)), max(1.0, max_deg))
-        with (
-            tr.span("sweep", **span_attrs, n_vertices=n, kernel_tier=tier)
-            if tr
-            else _noop()
-        ):
-            labels, q, moved = _sweep_once(
-                labels, strength_v, W, q, src, tgt, w, q_of, tier=tier
-            )
+        with tr.span("sweep", **span_attrs, n_vertices=n) if tr else _noop():
+            labels, q, moved = _sweep_once(labels, strength_v, W, q, src, tgt, w, q_of)
         n_sweeps += 1
         ctx.cas(moved)
         if moved == 0:
@@ -556,25 +506,3 @@ def _multilevel_pla(
             "n_sweeps": n_sweeps,
         },
     )
-
-
-def _warm_sweep_best_moves() -> None:
-    """Compile the sweep scan on a 2-vertex, 2-arc toy instance."""
-    src = np.asarray([0, 1], dtype=np.int64)
-    tgt = np.asarray([1, 0], dtype=np.int64)
-    i2 = np.asarray([0, 1], dtype=np.int64)
-    f2 = np.ones(2, dtype=np.float64)
-    _compiled.sweep_best_moves(
-        src, tgt, f2.copy(), i2, f2.copy(), f2.copy(), 1.0,
-        np.zeros(2, dtype=np.float64), np.full(2, -1, dtype=np.int64),
-        np.empty(2, dtype=np.int64), np.empty(2, dtype=np.int64),
-        np.empty(2, dtype=np.int64), np.empty(2, dtype=np.float64),
-    )
-
-
-dispatch.register(
-    "pla_sweep",
-    numpy_fn=_best_moves_numpy,
-    compiled_fn=_best_moves_compiled,
-    warmup=_warm_sweep_best_moves,
-)

@@ -119,7 +119,6 @@ def local_resweep(
     src_f, tgt_f, w_f = src[keep], tgt[keep], w[keep]
 
     tr = ctx.tracer
-    tier = ctx.tier_for(graph.n_arcs)
     q_of = modularity_evaluator(graph)
     q = q_start = q_of(labels)
     n_local = 0
@@ -129,16 +128,10 @@ def local_resweep(
         ctx.cost.region()
         ctx.phase(float(max(1, src_f.shape[0])), max(1.0, max_deg))
         with (
-            tr.span(
-                "resweep",
-                n_allowed=int(allowed.sum()),
-                kernel_tier=tier,
-            )
-            if tr
-            else _noop()
+            tr.span("resweep", n_allowed=int(allowed.sum())) if tr else _noop()
         ):
             labels, q, moved = _sweep_once(
-                labels, strength_v, W, q, src_f, tgt_f, w_f, q_of, tier=tier
+                labels, strength_v, W, q, src_f, tgt_f, w_f, q_of
             )
         ctx.cas(moved)
         n_local += moved

@@ -155,7 +155,7 @@ def _fine_tune(
     return s
 
 
-@algorithm("spectral_modularity", legacy=("fine_tune",))
+@algorithm("spectral_modularity")
 def spectral_modularity(
     graph: Graph,
     *,

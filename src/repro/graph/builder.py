@@ -227,7 +227,7 @@ def compress_vertices(graph: Graph, labels: np.ndarray) -> Graph:
     if src.shape[0] == 0:
         return from_edge_array(k, src, dst, directed=graph.directed)
     # Merge parallel edges, summing weights in stable (src, dst) order.
-    src, dst, merged_w = grouped_label_weights(src, dst, w, tier="numpy")
+    src, dst, merged_w = grouped_label_weights(src, dst, w)
     return from_edge_array(
         k, src, dst, weights=merged_w, directed=graph.directed, dedupe=False
     )
@@ -273,7 +273,7 @@ def contract(graph: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
         )
     # One sort pass: merge parallel coarse edges (self-loops kept),
     # summing weights in stable (lo, hi) order.
-    lo, hi, merged_w = grouped_label_weights(lo, hi, w, tier="numpy")
+    lo, hi, merged_w = grouped_label_weights(lo, hi, w)
     coarse = from_edge_array(
         k, lo, hi, weights=merged_w,
         directed=False, dedupe=False, drop_self_loops=False,

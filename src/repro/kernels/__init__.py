@@ -42,13 +42,6 @@ from repro.kernels.sssp import (
     shortest_path_distances,
 )
 from repro.kernels.spanning import spanning_forest
-from repro.kernels.dispatch import (
-    numba_available,
-    resolve_tier,
-    set_crossover,
-    use_tier,
-    warmup,
-)
 from repro.kernels.segments import (
     segment_sums,
     segment_maxes,
@@ -93,9 +86,4 @@ __all__ = [
     "boundary_vertices",
     "intersect_sorted_segments",
     "compact_adjacency",
-    "numba_available",
-    "resolve_tier",
-    "set_crossover",
-    "use_tier",
-    "warmup",
 ]

@@ -97,7 +97,7 @@ class BFSResult:
         return int(np.count_nonzero(self.reached))
 
 
-@algorithm("bfs", operands=1, legacy=("max_depth",))
+@algorithm("bfs", operands=1)
 def bfs(
     g: GraphLike,
     source: int,
@@ -183,7 +183,7 @@ class MSBFSResult:
         return self.distances >= 0
 
 
-@algorithm("msbfs", operands=1, legacy=("max_depth",))
+@algorithm("msbfs", operands=1)
 def msbfs(
     g: GraphLike,
     sources,

@@ -29,7 +29,7 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 
-@algorithm("connected_components", legacy=("method",))
+@algorithm("connected_components")
 def connected_components(
     g: GraphLike,
     *,

@@ -170,7 +170,7 @@ def prim_mst(
     return np.asarray(sorted(out), dtype=np.int64)
 
 
-@algorithm("minimum_spanning_forest", legacy=("method",))
+@algorithm("minimum_spanning_forest")
 def minimum_spanning_forest(
     g: GraphLike,
     *,

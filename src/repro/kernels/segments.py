@@ -23,15 +23,8 @@ bit-identical outputs on every execution backend, which is what lets
 the rewritten community kernels keep backend parity and differential
 equivalence (DESIGN §7).
 
-The segmented reductions and the batched intersection are two-tier
-kernels (DESIGN §9): each public function takes a ``tier`` keyword and
-routes through :mod:`repro.kernels.dispatch` — ``"numpy"`` runs the
-reference bodies below, ``"compiled"`` the njit loops in
-:mod:`repro.kernels._compiled`, bit-identical by construction.  The
-compiled variants decline dtypes outside their specialization set
-(float64/int64 values) by falling back to the reference, so dtype
-semantics — int inputs widening to int64 sums, float dtypes preserved
-— never fork between tiers.
+Each primitive has one implementation (DESIGN §9).  Integer inputs
+widen to int64 sums; float dtypes are preserved.
 """
 
 from __future__ import annotations
@@ -39,8 +32,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from repro.kernels import _compiled, dispatch
 
 __all__ = [
     "segment_sums",
@@ -55,28 +46,20 @@ __all__ = [
 ]
 
 
-def segment_sums(
-    values: np.ndarray, offsets: np.ndarray, *, tier: Optional[str] = None
-) -> np.ndarray:
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment sums: ``out[i] = values[offsets[i]:offsets[i+1]].sum()``.
 
     Empty segments sum to 0.  float64 segments accumulate strictly
     left-to-right (a ``bincount`` scalar loop — NOT ``add.reduceat``,
-    whose SIMD partial sums reorder additions by slice alignment), the
-    order the compiled tier replays, so both tiers are bit-identical
-    by construction.  Integer sums are exact, so they use ``reduceat``
+    whose SIMD partial sums reorder additions by slice alignment); the
+    pinned digests of ``tests/test_pinned_identity.py`` depend on that
+    order.  Integer sums are exact, so they use ``reduceat``
     restricted to non-empty starts — between one non-empty segment's
     end and the next non-empty start there are no elements, so the
     reduceat groups are exactly the requested segments.
     """
     values = np.asarray(values)
     offsets = np.asarray(offsets, dtype=np.int64)
-    return dispatch.call(
-        "segment_sums", values, offsets, tier=tier, size=values.shape[0]
-    )
-
-
-def _segment_sums_numpy(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     n_seg = offsets.shape[0] - 1
     out = np.zeros(n_seg, dtype=values.dtype if values.dtype.kind == "f" else np.int64)
     if n_seg == 0 or values.shape[0] == 0:
@@ -84,9 +67,9 @@ def _segment_sums_numpy(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if values.dtype == np.float64:
         # Sequential left-to-right accumulation per segment (bincount's
         # C loop adds in index order, one scalar add per element) — the
-        # well-defined order the compiled tier's fill loop matches ulp
-        # for ulp.  reduceat would be wrong here: its vectorized inner
-        # reduction forms alignment-dependent partial sums.
+        # order the pinned clustering/partition digests were taken in.
+        # reduceat would be wrong here: its vectorized inner reduction
+        # forms alignment-dependent partial sums.
         seg_of = np.repeat(np.arange(n_seg, dtype=np.int64), np.diff(offsets))
         return np.bincount(seg_of, weights=values, minlength=n_seg)
     nonempty = offsets[1:] > offsets[:-1]
@@ -95,41 +78,15 @@ def _segment_sums_numpy(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_sums_compiled(values: np.ndarray, offsets: np.ndarray):
-    # Specializations: float64 sums (dtype preserved) and int64 sums
-    # (the widened dtype the reference reports for every int input).
-    # reduceat accumulates left-to-right per slice, exactly the fill
-    # loop's order, so float sums are bit-identical.
-    if values.dtype == np.float64:
-        out = np.zeros(offsets.shape[0] - 1, dtype=np.float64)
-    elif values.dtype == np.int64:
-        out = np.zeros(offsets.shape[0] - 1, dtype=np.int64)
-    else:
-        return NotImplemented
-    if out.shape[0] and values.shape[0]:
-        _compiled.segment_sums_fill(values, offsets, out)
-    return out
-
-
 def segment_maxes(
     values: np.ndarray,
     offsets: np.ndarray,
     *,
     fill: float = -np.inf,
-    tier: Optional[str] = None,
 ) -> np.ndarray:
     """Per-segment maxima; empty segments report ``fill``."""
     values = np.asarray(values)
     offsets = np.asarray(offsets, dtype=np.int64)
-    return dispatch.call(
-        "segment_maxes", values, offsets, fill,
-        tier=tier, size=values.shape[0],
-    )
-
-
-def _segment_maxes_numpy(
-    values: np.ndarray, offsets: np.ndarray, fill: float = -np.inf
-) -> np.ndarray:
     n_seg = offsets.shape[0] - 1
     out = np.full(n_seg, fill, dtype=np.float64)
     if n_seg == 0 or values.shape[0] == 0:
@@ -140,23 +97,7 @@ def _segment_maxes_numpy(
     return out
 
 
-def _segment_maxes_compiled(
-    values: np.ndarray, offsets: np.ndarray, fill: float = -np.inf
-):
-    # Native-dtype max then a single float64 store-cast equals the
-    # reference's reduceat-then-cast (casting is monotone).  NaN-free
-    # input assumed, as everywhere on the compiled tier.
-    if values.dtype not in (np.float64, np.int64):
-        return NotImplemented
-    out = np.full(offsets.shape[0] - 1, fill, dtype=np.float64)
-    if out.shape[0] and values.shape[0]:
-        _compiled.segment_maxes_fill(values, offsets, out)
-    return out
-
-
-def segment_argmax(
-    values: np.ndarray, offsets: np.ndarray, *, tier: Optional[str] = None
-) -> np.ndarray:
+def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment argmax as *global* indices into ``values``.
 
     Ties break toward the smallest index (NumPy's ``argmax`` rule);
@@ -164,17 +105,11 @@ def segment_argmax(
     """
     values = np.asarray(values)
     offsets = np.asarray(offsets, dtype=np.int64)
-    return dispatch.call(
-        "segment_argmax", values, offsets, tier=tier, size=values.shape[0]
-    )
-
-
-def _segment_argmax_numpy(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     n_seg = offsets.shape[0] - 1
     out = np.full(n_seg, -1, dtype=np.int64)
     if n_seg == 0 or values.shape[0] == 0:
         return out
-    maxes = _segment_maxes_numpy(values, offsets)
+    maxes = segment_maxes(values, offsets)
     lengths = np.diff(offsets)
     seg_of = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
     n = values.shape[0]
@@ -182,18 +117,6 @@ def _segment_argmax_numpy(values: np.ndarray, offsets: np.ndarray) -> np.ndarray
     nonempty = lengths > 0
     if nonempty.any():
         out[nonempty] = np.minimum.reduceat(idx, offsets[:-1][nonempty])
-    return out
-
-
-def _segment_argmax_compiled(values: np.ndarray, offsets: np.ndarray):
-    # float64 only: the reference compares values against float64-cast
-    # maxima, which the strict-> first-index scan reproduces exactly
-    # for float64 input; other dtypes keep the reference semantics.
-    if values.dtype != np.float64:
-        return NotImplemented
-    out = np.full(offsets.shape[0] - 1, -1, dtype=np.int64)
-    if out.shape[0] and values.shape[0]:
-        _compiled.segment_argmax_fill(values, offsets, out)
     return out
 
 
@@ -243,8 +166,6 @@ def grouped_label_weights(
     src: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    *,
-    tier: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate ``weights`` over equal ``(src, label)`` pairs.
 
@@ -260,7 +181,7 @@ def grouped_label_weights(
     s, l, w = src[order], labels[order], weights[order]
     offs = group_offsets(s, l)
     firsts = offs[:-1]
-    return s[firsts], l[firsts], segment_sums(w, offs, tier=tier)
+    return s[firsts], l[firsts], segment_sums(w, offs)
 
 
 def boundary_vertices(
@@ -282,21 +203,18 @@ def intersect_sorted_segments(
     targets: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
-    *,
-    tier: Optional[str] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intersect many sorted adjacency-segment pairs at once.
 
     For each pair ``i``, intersects the sorted segments
     ``targets[offsets[left[i]]:offsets[left[i]+1]]`` and
     ``targets[offsets[right[i]]:offsets[right[i]+1]]``.  The smaller
-    segment of each pair is probed into the larger; on the numpy tier
-    through a *single* ``np.searchsorted`` over the composite keys
+    segment of each pair is probed into the larger through a *single*
+    ``np.searchsorted`` over the composite keys
     ``segment_id · stride + target`` — CSR segments are individually
     sorted, so the composite array is globally sorted and every probe
     of every pair is one C-level binary search, ``O(Σ min(dᵤ, dᵥ) ·
-    log Σd)`` with no per-pair Python dispatch.  The compiled tier
-    runs the same probes as per-pair ``log dᵥ`` binary searches.
+    log Σd)`` with no per-pair Python dispatch.
 
     Returns ``(counts, common, pair_ids)``: per-pair intersection
     sizes, the concatenated common elements, and for each common
@@ -306,18 +224,6 @@ def intersect_sorted_segments(
     targets = np.asarray(targets, dtype=np.int64)
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    return dispatch.call(
-        "intersect_sorted_segments", offsets, targets, left, right,
-        tier=tier, size=targets.shape[0],
-    )
-
-
-def _intersect_sorted_segments_numpy(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_pairs = left.shape[0]
     n_seg = offsets.shape[0] - 1
     empty = np.empty(0, dtype=np.int64)
@@ -354,34 +260,6 @@ def _intersect_sorted_segments_numpy(
     return counts, queries[found], pair_of_q[found]
 
 
-def _intersect_sorted_segments_compiled(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Same orientation rule and emission order as the reference: pairs
-    # ascending, matches within a pair in the probed (sorted, smaller)
-    # segment's order — ascending target value.
-    n_pairs = left.shape[0]
-    counts = np.zeros(n_pairs, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    if n_pairs == 0:
-        return counts, empty, empty
-    _compiled.intersect_count(offsets, targets, left, right, counts)
-    total = int(counts.sum())
-    if total == 0:
-        return counts, empty, empty
-    starts = np.zeros(n_pairs, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    common = np.empty(total, dtype=np.int64)
-    pair_ids = np.empty(total, dtype=np.int64)
-    _compiled.intersect_fill(
-        offsets, targets, left, right, starts, common, pair_ids
-    )
-    return counts, common, pair_ids
-
-
 def compact_adjacency(
     offsets: np.ndarray,
     targets: np.ndarray,
@@ -403,38 +281,3 @@ def compact_adjacency(
     new_weights = None if weights is None else weights[arc_keep]
     return new_offsets, new_targets, new_weights
 
-
-# ---------------------------------------------------------------------------
-# Tier registration (DESIGN §9)
-# ---------------------------------------------------------------------------
-def _warm_segment_reductions() -> None:
-    """Compile every segmented-reduction specialization on 4 elements."""
-    offs = np.asarray([0, 2, 2, 4], dtype=np.int64)
-    vals_f = np.asarray([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
-    vals_i = np.asarray([1, 2, 3, 4], dtype=np.int64)
-    _segment_sums_compiled(vals_f, offs)
-    _segment_sums_compiled(vals_i, offs)
-    _segment_maxes_compiled(vals_f, offs)
-    _segment_maxes_compiled(vals_i, offs)
-    _segment_argmax_compiled(vals_f, offs)
-
-
-def _warm_intersect() -> None:
-    offs = np.asarray([0, 2, 4], dtype=np.int64)
-    tgts = np.asarray([0, 1, 0, 1], dtype=np.int64)
-    pair = np.asarray([0], dtype=np.int64)
-    _intersect_sorted_segments_compiled(offs, tgts, pair, pair + 1)
-
-
-dispatch.register(
-    "segment_sums", _segment_sums_numpy, _segment_sums_compiled,
-    warmup=_warm_segment_reductions,
-)
-dispatch.register("segment_maxes", _segment_maxes_numpy, _segment_maxes_compiled)
-dispatch.register("segment_argmax", _segment_argmax_numpy, _segment_argmax_compiled)
-dispatch.register(
-    "intersect_sorted_segments",
-    _intersect_sorted_segments_numpy,
-    _intersect_sorted_segments_compiled,
-    warmup=_warm_intersect,
-)

@@ -48,7 +48,7 @@ def _check(graph, source: int) -> None:
         raise GraphStructureError("shortest paths require non-negative weights")
 
 
-@algorithm("delta_stepping", operands=1, legacy=("delta",))
+@algorithm("delta_stepping", operands=1)
 def delta_stepping(
     g: GraphLike,
     source: int,

@@ -50,10 +50,7 @@ def triangle_counts(
     degs = np.diff(offsets)
     work = degs[u_arr] + degs[v_arr]
     ctx.record_phase_from_work(work)
-    tier = ctx.tier_for(int(targets.shape[0]))
-    counts, common, pair_ids = intersect_sorted_segments(
-        offsets, targets, u_arr, v_arr, tier=tier
-    )
+    counts, common, pair_ids = intersect_sorted_segments(offsets, targets, u_arr, v_arr)
     # Each triangle is seen once per edge (3 edges), contributing 1 to
     # each of its 3 vertices each time → every vertex accumulates its
     # triangle count 3 times.

@@ -21,19 +21,15 @@ count ``k``) and everything else is keyword-only.  The
   for algorithms that take a ``ctx=`` execution context: installed on
   the caller's context for the duration of the call (then restored),
   or onto a fresh private context when none was passed.
-* **Legacy positional shims** — options that were once accepted
-  positionally keep working but emit :class:`DeprecationWarning`; the
-  decorator maps them onto their keyword names (the ``legacy`` tuple).
 * **Registry** — each entrypoint self-registers under a stable name so
-  :func:`repro.run` can dispatch by string (``repro.run("pbd", g)``)
-  and the CLI's ``profile`` subcommand can enumerate what's runnable.
+  :func:`repro.obs.run` can dispatch by string (``run("pbd", g)``) and
+  the CLI's ``profile`` subcommand can enumerate what's runnable.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,15 +64,13 @@ def algorithm(
     name: str,
     *,
     operands: int = 0,
-    legacy: tuple = (),
     register: bool = True,
 ):
     """Wrap an entrypoint with the canonical observability surface.
 
     ``operands`` is how many positional arguments after ``graph`` are
     legitimate data operands (e.g. 1 for ``bfs(g, source)``); positional
-    arguments beyond that are mapped onto the ``legacy`` keyword names
-    with a :class:`DeprecationWarning`.
+    arguments beyond that raise :class:`TypeError`.
     """
 
     def deco(fn: Callable) -> Callable:
@@ -90,25 +84,10 @@ def algorithm(
             seed = kwargs.pop("seed", None)
             fault_policy = kwargs.pop("fault_policy", None)
             if len(args) > operands:
-                extras, args = args[operands:], args[:operands]
-                if len(extras) > len(legacy):
-                    raise TypeError(
-                        f"{name}() takes {operands} positional operand(s) "
-                        f"after the graph; pass options as keywords"
-                    )
-                mapped = legacy[: len(extras)]
-                warnings.warn(
-                    f"{name}(): passing {', '.join(mapped)} positionally is "
-                    f"deprecated; use keyword arguments",
-                    DeprecationWarning,
-                    stacklevel=2,
+                raise TypeError(
+                    f"{name}() takes {operands} positional operand(s) "
+                    f"after the graph; pass options as keywords"
                 )
-                for pname, val in zip(mapped, extras):
-                    if pname in kwargs:
-                        raise TypeError(
-                            f"{name}() got multiple values for {pname!r}"
-                        )
-                    kwargs[pname] = val
             if seed is not None:
                 if not accepts_rng:
                     raise TypeError(f"{name}() does not accept seed=")
@@ -148,7 +127,6 @@ def algorithm(
         wrapper.__algorithm__ = name
         wrapper.__wrapped__ = fn
         wrapper.__operands__ = operands
-        wrapper.__legacy__ = tuple(legacy)
         if register:
             ALGORITHMS[name] = wrapper
         return wrapper

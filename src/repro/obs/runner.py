@@ -1,9 +1,9 @@
-"""``repro.run`` — one dispatcher, one result envelope.
+"""``repro.obs.run`` — one dispatcher, one result envelope.
 
 The paper's evaluation needs every algorithm measured the same way;
 ``run()`` is that single front door::
 
-    res = repro.run("betweenness", g, backend="thread", n_workers=4)
+    res = repro.obs.run("betweenness", g, backend="thread", n_workers=4)
     res.value               # the algorithm's payload (scores, labels, ...)
     res.trace               # root Span of the recorded span tree
     res.cost_model          # the PRAM work/span profile (Figure 2/3 input)
@@ -44,7 +44,6 @@ class RunResult:
     backend: str
     n_workers: int
     elapsed_seconds: float
-    kernel_tiers: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -70,7 +69,6 @@ class RunResult:
             "cost_model": self.cost_model.summary(),
             "sync": self.sync.as_dict(),
             "pool": self.pool.as_dict(),
-            "kernel_tiers": dict(self.kernel_tiers),
         }
 
     def save(self, path: Union[str, Path]) -> Path:
@@ -92,7 +90,6 @@ def run(
     trace: Union[bool, Tracer, None] = True,
     fault_policy=None,
     chaos=None,
-    kernel_tier: Optional[str] = None,
     **kwargs,
 ) -> RunResult:
     """Execute an algorithm under full observability.
@@ -108,10 +105,6 @@ def run(
     and ``chaos`` (a planner from :mod:`repro.parallel.chaos`) arm the
     fault-tolerant dispatch path; on an explicit ``ctx`` they are
     installed for the duration of the run and restored afterwards.
-
-    ``kernel_tier`` pins the context's kernel tier (``"auto"``,
-    ``"numpy"`` or ``"compiled"``, DESIGN §9) the same way; the tiers
-    that actually dispatched land in ``RunResult.kernel_tiers``.
     """
     from repro.parallel.runtime import ParallelContext
 
@@ -132,16 +125,13 @@ def run(
             trace=tracer,
             fault_policy=fault_policy,
             chaos=chaos,
-            kernel_tier=kernel_tier,
         )
-    elif fault_policy is not None or chaos is not None or kernel_tier is not None:
-        restore = (ctx.fault_policy, ctx.chaos, ctx.kernel_tier)
+    elif fault_policy is not None or chaos is not None:
+        restore = (ctx.fault_policy, ctx.chaos)
         if fault_policy is not None:
             ctx.fault_policy = fault_policy
         if chaos is not None:
             ctx.chaos = chaos
-        if kernel_tier is not None:
-            ctx.kernel_tier = kernel_tier
     try:
         t0 = time.perf_counter()
         value = fn(graph, *operands, ctx=ctx, trace=tracer, **kwargs)
@@ -157,10 +147,9 @@ def run(
             backend=ctx.backend,
             n_workers=ctx.n_workers,
             elapsed_seconds=elapsed,
-            kernel_tiers=dict(ctx.tier_dispatches),
         )
     finally:
         if own_ctx:
             ctx.close()
         elif restore is not None:
-            ctx.fault_policy, ctx.chaos, ctx.kernel_tier = restore
+            ctx.fault_policy, ctx.chaos = restore

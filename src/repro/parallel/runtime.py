@@ -302,39 +302,24 @@ class ParallelContext:
         n_workers: int = 1,
         *,
         degree_aware: bool = True,
-        use_threads: bool = False,
         backend: Optional[str] = None,
         machine: Optional[MachineModel] = None,
         trace=None,
         fault_policy: Optional[FaultPolicy] = None,
         chaos=None,
-        kernel_tier: Optional[str] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if backend is None:
-            backend = "thread" if use_threads else "serial"
+            backend = "serial"
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if kernel_tier is not None and kernel_tier not in (
-            "auto", "numpy", "compiled"
-        ):
-            raise ValueError(
-                "kernel_tier must be None, 'auto', 'numpy' or 'compiled'"
-            )
         self.n_workers = int(n_workers)
         self.degree_aware = bool(degree_aware)
         self.backend = backend
-        # Back-compat alias: "does this context run on real workers?".
-        self.use_threads = backend != "serial"
         self.cost = CostModel(machine)
         self.sync = SyncCounters()
         self.pool = PoolStats()
-        # Kernel-tier policy (DESIGN §9): None defers to the ambient
-        # tier / REPRO_KERNEL_TIER / auto chain at each resolution.
-        self.kernel_tier = kernel_tier
-        #: resolved tier -> dispatch count; surfaces in RunResult.
-        self.tier_dispatches: dict[str, int] = {}
         # Resilience: with both unset, map/map_batches take the original
         # fast paths and none of repro.parallel.resilience runs.
         self.fault_policy = fault_policy
@@ -386,24 +371,6 @@ class ParallelContext:
 
     def make_lock(self) -> CountedLock:
         return CountedLock(self.sync)
-
-    def tier_for(
-        self, size: Optional[int] = None, override: Optional[str] = None
-    ) -> str:
-        """Resolve the kernel tier for one algorithm-level dispatch.
-
-        ``size`` is the workload's element/arc count (auto crossover);
-        ``override`` is a per-call tier taking precedence over the
-        context's ``kernel_tier``.  The resolved tier is counted in
-        :attr:`tier_dispatches` so profiles report what actually ran.
-        """
-        from repro.kernels import dispatch as _kdispatch
-
-        tier = _kdispatch.resolve_tier(
-            override if override is not None else self.kernel_tier, size
-        )
-        self.tier_dispatches[tier] = self.tier_dispatches.get(tier, 0) + 1
-        return tier
 
     @contextmanager
     def region(self):
@@ -876,7 +843,6 @@ class ParallelContext:
         self.cost.reset()
         self.sync = SyncCounters()
         self.pool.reset()
-        self.tier_dispatches = {}
         self.close()
 
 

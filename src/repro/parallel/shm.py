@@ -18,7 +18,6 @@ Attached graphs alias shared mutable memory; treat them as read-only
 from __future__ import annotations
 
 import atexit
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -153,7 +152,7 @@ _ATTACHED: "OrderedDict[str, tuple[shared_memory.SharedMemory, Graph]]" = (
 _KEEPALIVE: list[shared_memory.SharedMemory] = []
 
 #: Max worker-side cached attachments; oldest are unmapped past this.
-ATTACH_CACHE_CAP = int(os.environ.get("REPRO_SHM_ATTACH_CAP", "16"))
+ATTACH_CACHE_CAP = 16
 
 
 def detach_graph(shm_name: str) -> bool:

@@ -861,7 +861,6 @@ def run_differential(
     artifact_dir: Optional[Path] = DEFAULT_ARTIFACT_DIR,
     shrink_failures: bool = True,
     max_failures: int = 10,
-    kernel_tier: Optional[str] = None,
 ) -> Report:
     """Run the differential corpus.  See module docstring.
 
@@ -877,11 +876,6 @@ def run_differential(
     ``max_failures`` failures are collected (then the run
     short-circuits); each failure is shrunk and dumped under
     ``artifact_dir`` unless disabled.
-
-    ``kernel_tier`` pins every checked context's kernel tier
-    (``"compiled"`` fuzzes the njit kernels against the same
-    pure-Python oracles the numpy tier answers to — DESIGN §9's
-    external referee).
     """
     t0 = time.perf_counter()
     fault_check, fault_fn = FAULTS[fault] if fault is not None else (None, None)
@@ -900,9 +894,7 @@ def run_differential(
 
     def _make_ctx(backend: str) -> ParallelContext:
         if not chaos:
-            return ParallelContext(
-                n_workers, backend=backend, kernel_tier=kernel_tier
-            )
+            return ParallelContext(n_workers, backend=backend)
         from repro.parallel.chaos import ChaosMonkey
         from repro.parallel.resilience import FaultPolicy
 
@@ -914,7 +906,6 @@ def run_differential(
             backend=backend,
             fault_policy=FaultPolicy(max_retries=3),
             chaos=ChaosMonkey(seed=seed, rate=rate, kinds=("raise", "exit")),
-            kernel_tier=kernel_tier,
         )
 
     ctxs = {b: _make_ctx(b) for b in backends}

@@ -19,8 +19,9 @@ Conventions match the optimized entrypoints they check:
 * closeness is Wasserman–Faust improved, 0.0 for isolated vertices.
 
 The last section holds *retired hot paths* (:func:`kway_refine_rescan`,
-:func:`triangle_counts_arcloop`, :func:`dynamic_to_csr_loop`): the per-vertex
-/ per-edge code a fast path replaced, kept over ``Graph`` as its pin.
+:func:`triangle_counts_arcloop`, :func:`dynamic_to_csr_loop`,
+:func:`pla_best_moves_runwalk`): the per-vertex / per-edge code a fast
+path replaced, kept over ``Graph`` / CSR arrays as its pin.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "kway_refine_rescan",
     "triangle_counts_arcloop",
     "dynamic_to_csr_loop",
+    "pla_best_moves_runwalk",
 ]
 
 
@@ -444,4 +446,58 @@ def dynamic_to_csr_loop(dyn) -> Graph:
     order = pair_order(src, dst, n)
     return builder.from_edge_array(
         n, src[order], dst[order], weights=w[order], directed=False, dedupe=False
+    )
+
+
+def pla_best_moves_runwalk(
+    labels: np.ndarray,
+    strength_v: np.ndarray,
+    S: np.ndarray,
+    W: float,
+    src: np.ndarray,
+    tgt: np.ndarray,
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pLA's best-move scan as a scalar walk over CSR source runs.
+
+    The twin of ``community.pla._best_moves`` that shares nothing with
+    it (no ``pair_order``, no segmented reductions): each vertex's
+    weight into every adjacent label accumulates in arc order, ΔQ uses
+    the same parenthesization, and ties break max-gain-then-smallest-
+    label, so ``(vid, best_lab, best_gain)`` must match element for
+    element.  ``src`` must be nondecreasing (CSR arc order, self-loops
+    removed); ``best_lab = -1`` / ``best_gain = -inf`` marks a vertex
+    with no cross-label candidate.
+    """
+    m = src.shape[0]
+    if m and bool(np.any(src[1:] < src[:-1])):
+        raise ValueError("pla_best_moves_runwalk: src must be nondecreasing")
+    denom = 2.0 * W * W
+    vid, best_lab, best_gain = [], [], []
+    i = 0
+    while i < m:
+        v = src[i]
+        acc: dict[int, float] = {}
+        while i < m and src[i] == v:
+            lab = int(labels[tgt[i]])
+            acc[lab] = acc.get(lab, 0.0) + w[i]
+            i += 1
+        own = int(labels[v])
+        kv = strength_v[v]
+        own_s = S[own]
+        w_own = acc.get(own, 0.0)
+        bg, bl = -np.inf, -1
+        for lab, w_lab in acc.items():
+            if lab == own:
+                continue
+            gain = (w_lab - w_own) / W - kv * (S[lab] - (own_s - kv)) / denom
+            if gain > bg or (gain == bg and lab < bl):
+                bg, bl = gain, lab
+        vid.append(v)
+        best_lab.append(bl)
+        best_gain.append(bg)
+    return (
+        np.asarray(vid, dtype=np.int64),
+        np.asarray(best_lab, dtype=np.int64),
+        np.asarray(best_gain, dtype=np.float64),
     )

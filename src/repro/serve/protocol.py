@@ -19,8 +19,8 @@ Request document (``POST /v1/submit``)::
 Response envelope::
 
     {"id": ..., "algo": ..., "graph": ..., "value": <jsonable payload>,
-     "elapsed_seconds": ..., "serve": {queue_wait_s, batch_size,
-     coalesced}, "kernel_tiers": {...}}
+     "elapsed_seconds": ..., "backend": ..., "serve": {queue_wait_s,
+     batch_size, coalesced}}
 
 Since version 2 a 1-D float array, anywhere in ``value``, with under
 ``SPARSE_MAX_FILL`` of its entries non-zero (by bit pattern: ``-0.0``
@@ -255,7 +255,6 @@ def result_envelope(result: RunResult) -> dict:
         "value": to_jsonable(result.value),
         "elapsed_seconds": round(result.elapsed_seconds, 6),
         "backend": result.backend,
-        "kernel_tiers": dict(result.kernel_tiers),
         "serve": serve,
     }
 

@@ -82,7 +82,7 @@ class ServeConfig:
 
     ``options`` is a shared :class:`~repro.cli_options.ExecutionOptions`
     (the same object the other subcommands build from their flags), so
-    the daemon's backend / workers / kernel-tier / resilience knobs are
+    the daemon's backend / workers / resilience knobs are
     one surface with the rest of the CLI.
     """
 

@@ -41,7 +41,7 @@ import numpy as np
 from repro.community.modularity import modularity_evaluator
 from repro.community.pla import (
     _apply_guarded_moves,
-    _best_moves_numpy,
+    _best_moves,
     _loopless_arcs,
     _sweep_once,
     _vertex_strengths,
@@ -530,7 +530,7 @@ def sharded_contract(
         u, v, w = ss.edge_stream()
         cu, cv = vertex_map[np.asarray(u)], vertex_map[np.asarray(v)]
         lo, hi, merged_w = grouped_label_weights(
-            np.minimum(cu, cv), np.maximum(cu, cv), np.asarray(w), tier="numpy"
+            np.minimum(cu, cv), np.maximum(cu, cv), np.asarray(w)
         )
         coarse = from_edge_array(
             k, lo, hi, weights=merged_w,
@@ -586,11 +586,11 @@ def _pla_strength_worker(task):
 def _pla_sweep_worker(task):
     """Best-move rows for this shard's owned vertices.
 
-    Runs the reference ``_best_moves_numpy`` on the shard's loopless
-    arcs with a dense local label remap.  The remap is monotone
-    (sorted-unique), so the ``pair_order`` grouping permutation — which
-    depends only on the order of the (vertex, label) pairs — and hence
-    every float accumulation order match the global in-core scan.
+    Runs ``_best_moves`` on the shard's loopless arcs with a dense
+    local label remap.  The remap is monotone (sorted-unique), so the
+    ``pair_order`` grouping permutation — which depends only on the
+    order of the (vertex, label) pairs — and hence every float
+    accumulation order match the global in-core scan.
     """
     path, index, labels_global, strength_global, s_global, big_w = task
     sh = _cached_shard(path, index)
@@ -620,7 +620,7 @@ def _pla_sweep_worker(task):
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),
         )
-    vid, best_lab_d, best_gain = _best_moves_numpy(
+    vid, best_lab_d, best_gain = _best_moves(
         lab_dense, strength_own, s_present, big_w, src_l, tgt_l, w_l
     )
     best_lab = np.where(

@@ -1,7 +1,7 @@
 """Backend parity: every registered algorithm, identical on all backends.
 
 Each entry of :data:`SPEC` runs a registered algorithm on the karate
-club graph through ``repro.run`` under serial, thread and process
+club graph through ``repro.obs.run`` under serial, thread and process
 execution, asserting bit-identical (1e-9 for floats) result payloads
 and identical span-tree structure.  ``test_spec_covers_registry`` fails
 the moment a new ``@algorithm`` is registered without a parity entry —
@@ -131,7 +131,7 @@ def test_backend_parity(name, karate):
     operands, kwargs = SPEC[name]
     algo = name.partition("@")[0]
     results = {
-        b: repro.run(algo, karate, *operands, backend=b, n_workers=2, **kwargs)
+        b: repro.obs.run(algo, karate, *operands, backend=b, n_workers=2, **kwargs)
         for b in BACKENDS
     }
     ref = _project(results["serial"].value)
@@ -157,40 +157,6 @@ def _assert_identical(name: str, label: str, got: dict, ref: dict) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(SPEC))
-def test_kernel_tier_parity(name, karate):
-    """Compiled tier == numpy tier, bit for bit, on every algorithm.
-
-    Runs the numpy-tier serial result as reference, then the compiled
-    tier under serial and process execution (compiled kernels must work
-    inside process-backend workers).  Skips cleanly when numba is not
-    installed — the compiled tier is then unreachable by construction.
-    """
-    from repro.kernels import dispatch
-
-    if not dispatch.numba_available():
-        pytest.skip("numba not installed; compiled tier unavailable")
-    operands, kwargs = SPEC[name]
-    algo = name.partition("@")[0]
-    ref_run = repro.run(
-        algo, karate, *operands, backend="serial", n_workers=2,
-        kernel_tier="numpy", **kwargs,
-    )
-    ref = _project(ref_run.value)
-    ref_structure = ref_run.trace.structure()
-    for backend in ("serial", "process"):
-        res = repro.run(
-            algo, karate, *operands, backend=backend, n_workers=2,
-            kernel_tier="compiled", **kwargs,
-        )
-        _assert_identical(
-            name, f"compiled/{backend}", _project(res.value), ref
-        )
-        assert res.trace.structure() == ref_structure, (
-            f"{name} [compiled/{backend}]: span-tree structure diverges"
-        )
-
-
-@pytest.mark.parametrize("name", sorted(SPEC))
 def test_api_facade_parity(name, karate):
     """The ``repro.api`` served path returns what the engine returns.
 
@@ -204,7 +170,7 @@ def test_api_facade_parity(name, karate):
 
     operands, kwargs = SPEC[name]
     algo = name.partition("@")[0]
-    direct = repro.run(
+    direct = repro.obs.run(
         algo, karate, *operands, backend="serial", trace=False, **kwargs
     )
     with api.Session(max_batch_delay=0.001) as session:

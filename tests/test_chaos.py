@@ -266,11 +266,11 @@ class TestObservability:
         g = repro.generators.rmat(
             6, 8, rng=np.random.default_rng(0)
         ).as_undirected()
-        baseline = repro.run(
+        baseline = repro.obs.run(
             "betweenness", g, backend="thread", n_workers=2, trace=False
         ).value
         plan = ChaosPlan([Fault("raise", task_index=0)])
-        res = repro.run(
+        res = repro.obs.run(
             "betweenness", g, backend="thread", n_workers=2,
             fault_policy=FaultPolicy(), chaos=plan,
         )
@@ -478,7 +478,7 @@ class TestChaosFullMatrix:
         g = repro.generators.rmat(
             7, 8, rng=np.random.default_rng(1)
         ).as_undirected()
-        baseline = repro.run(
+        baseline = repro.obs.run(
             "betweenness", g, backend=backend, n_workers=2, trace=False
         ).value
         plan = ChaosPlan([Fault(kind, task_index=0, hang_seconds=1.0)])
@@ -486,7 +486,7 @@ class TestChaosFullMatrix:
             task_timeout=0.25 if kind == "hang" else None,
             on_worker_crash=crash_mode,
         )
-        res = repro.run(
+        res = repro.obs.run(
             "betweenness", g, backend=backend, n_workers=2, trace=False,
             fault_policy=policy, chaos=plan,
         )

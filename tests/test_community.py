@@ -370,6 +370,41 @@ class TestPLA:
         assert np.array_equal(a.labels, b.labels)
 
 
+def test_sweep_best_moves_body_parity():
+    """``_best_moves`` against the scalar run-walking twin, element for element."""
+    from repro.community.pla import _best_moves, _loopless_arcs, _vertex_strengths
+    from repro.generators import rmat
+    from repro.qa.oracles import pla_best_moves_runwalk
+
+    for seed in (0, 7):
+        g = rmat(8, 8.0, rng=np.random.default_rng(seed)).as_undirected()
+        rng = np.random.default_rng(seed + 100)
+        # random labels (not just singletons) exercise own-label runs
+        # and merged groups; one shared label, the no-candidate -1 sentinel
+        labels = rng.integers(0, g.n_vertices, size=g.n_vertices)
+        labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+        sv = _vertex_strengths(g)
+        src, tgt, w = _loopless_arcs(g)
+        W = float(g.edge_weights().sum())
+        for labs in (labels, np.zeros_like(labels)):
+            S = np.bincount(labs, weights=sv, minlength=g.n_vertices)
+            got = _best_moves(labs, sv, S, W, src, tgt, w)
+            ref = pla_best_moves_runwalk(labs, sv, S, W, src, tgt, w)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
+
+def test_sweep_best_moves_oracle_rejects_unsorted_src():
+    from repro.qa.oracles import pla_best_moves_runwalk
+
+    src = np.asarray([1, 0], dtype=np.int64)
+    tgt = np.asarray([0, 1], dtype=np.int64)
+    one = np.ones(2, dtype=np.float64)
+    labels = np.asarray([0, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        pla_best_moves_runwalk(labels, one, one, 1.0, src, tgt, one)
+
+
 class TestTable2Constants:
     def test_best_known_present_for_all(self):
         assert set(BEST_KNOWN_MODULARITY) == set(PAPER_TABLE2)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro.centrality.betweenness import betweenness_centrality, brandes
+from repro.centrality.betweenness import brandes
 from repro.centrality.closeness import closeness_centrality
 from repro.community.pbd import pbd
 from repro.community.pla import pla
@@ -139,7 +138,7 @@ class TestNullTracer:
 
 
 # ---------------------------------------------------------------------------
-# Canonical API: trace=/seed=/legacy shims
+# Canonical API: trace=/seed=
 # ---------------------------------------------------------------------------
 
 
@@ -168,27 +167,9 @@ class TestAlgorithmSurface:
         for sp in root.find("brandes"):
             assert sp is not pbd_span
 
-    def test_legacy_positionals_warn_and_map(self, small_rmat):
-        with pytest.warns(DeprecationWarning, match="sources"):
-            legacy = closeness_centrality(small_rmat, np.arange(5))
-        modern = closeness_centrality(small_rmat, sources=np.arange(5))
-        np.testing.assert_allclose(legacy, modern)
-
-    def test_legacy_second_positional(self, small_rmat):
-        with pytest.warns(DeprecationWarning, match="normalized"):
-            legacy = betweenness_centrality(small_rmat, False)
-        modern = betweenness_centrality(small_rmat, normalized=False)
-        np.testing.assert_allclose(legacy, modern)
-
     def test_too_many_positionals_raise(self, small_rmat):
         with pytest.raises(TypeError, match="positional operand"):
             closeness_centrality(small_rmat, None, True, "extra")
-
-    def test_duplicate_keyword_raises(self, small_rmat):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                closeness_centrality(small_rmat, None, True, wf_improved=True)
 
     def test_seed_matches_rng(self, two_triangles_bridge):
         a = pla(two_triangles_bridge, seed=3)
@@ -214,7 +195,7 @@ class TestAlgorithmSurface:
     def test_top_level_imports(self):
         from repro import closeness_centrality as cc, pbd as p  # noqa: F401
 
-        for name in ("pbd", "closeness_centrality", "run", "Tracer"):
+        for name in ("pbd", "closeness_centrality", "Tracer"):
             assert name in repro.__all__
 
 

@@ -243,8 +243,8 @@ class TestWorkStealing:
 class TestParallelContext:
     def test_map_sequential_matches_threads(self):
         f = lambda x: x + 1
-        seq = ParallelContext(4, use_threads=False).map(f, range(20))
-        thr = ParallelContext(4, use_threads=True).map(f, range(20))
+        seq = ParallelContext(4, backend="serial").map(f, range(20))
+        thr = ParallelContext(4, backend="thread").map(f, range(20))
         assert seq == thr == [x + 1 for x in range(20)]
 
     def test_map_records_phase(self):

@@ -501,6 +501,14 @@ class TestHTTP:
         iso = repro.closeness_centrality(g)
         assert np.allclose(np.asarray(doc["value"]), iso)
 
+    def test_result_envelope_keys(self, server):
+        # exactly the keys protocol.py documents: a field cannot reappear
+        _, client, _ = server
+        assert set(client.submit("g", "bfs", source=0)) == {
+            "id", "algo", "graph", "value", "elapsed_seconds", "backend",
+            "serve",
+        }
+
     def test_structured_errors_over_wire(self, server):
         _, client, _ = server
         with pytest.raises(GraphNotResident):
@@ -776,11 +784,6 @@ class TestFacade:
             h = s.add("g", rmat)
             with pytest.raises(TypeError, match="bogus"):
                 s.submit(h, "bfs", source=0, bogus=1)
-
-    def test_legacy_repro_run_warns_but_works(self, rmat):
-        with pytest.warns(DeprecationWarning):
-            res = repro.run("connected_components", rmat, trace=False)
-        assert res.value.shape == (rmat.n_vertices,)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.generators import rmat
 from repro.obs import NULL_TRACER, Tracer, current_tracer
 
 MAX_DISABLED_OVERHEAD = 0.05
-MAX_FAULT_LAYER_OVERHEAD = 0.02
 REPEATS = 5
 
 
@@ -97,62 +96,3 @@ def test_disabled_tracer_overhead():
         f"untraced {t_untraced:.4f}s)"
     )
 
-
-@pytest.mark.benchmark_smoke
-def test_disabled_fault_policy_overhead():
-    """The resilience layer must be pay-for-what-you-use.
-
-    With no :class:`FaultPolicy` and no chaos planter armed, dispatch
-    takes the original fast path — the only added cost is one attribute
-    check per ``map``/``map_batches`` call — so the no-policy run may
-    move the betweenness gate by at most :data:`MAX_FAULT_LAYER_OVERHEAD`
-    beyond the disabled-tracer allowance.  An armed-but-inert policy
-    (resilient driver engaged, zero faults) is measured for context.
-    """
-    from repro.parallel import FaultPolicy, ParallelContext
-
-    scale = max(8, int(round(10 * bench_scale())))
-    g = rmat(
-        scale=scale, edge_factor=8, rng=np.random.default_rng(7)
-    ).as_undirected()
-    sources = np.arange(min(g.n_vertices, 256))
-    assert current_tracer() is NULL_TRACER
-
-    bare = brandes.__wrapped__
-    t_bare = _min_of_k(lambda: bare(g, sources=sources, engine="batched"))
-    t_nopolicy = _min_of_k(
-        lambda: brandes(g, sources=sources, engine="batched")
-    )
-
-    def armed_once():
-        with ParallelContext(1, fault_policy=FaultPolicy()) as ctx:
-            brandes(g, sources=sources, engine="batched", ctx=ctx)
-
-    t_armed = _min_of_k(armed_once)
-
-    nopolicy_overhead = t_nopolicy / t_bare - 1.0
-    armed_overhead = t_armed / t_bare - 1.0
-    gate = MAX_DISABLED_OVERHEAD + MAX_FAULT_LAYER_OVERHEAD
-    write_result_json(
-        "fault_policy_overhead",
-        {
-            "graph": {
-                "rmat_scale": scale,
-                "n_vertices": g.n_vertices,
-                "n_edges": g.n_edges,
-                "n_sources": int(sources.shape[0]),
-            },
-            "repeats": REPEATS,
-            "seconds_bare": round(t_bare, 6),
-            "seconds_no_policy": round(t_nopolicy, 6),
-            "seconds_armed_inert": round(t_armed, 6),
-            "no_policy_overhead_fraction": round(nopolicy_overhead, 6),
-            "armed_inert_overhead_fraction": round(armed_overhead, 6),
-            "gate_max_no_policy_overhead": gate,
-        },
-    )
-    assert nopolicy_overhead <= gate, (
-        f"no-policy dispatch overhead {nopolicy_overhead:.1%} exceeds "
-        f"{gate:.0%} (bare {t_bare:.4f}s vs no-policy {t_nopolicy:.4f}s); "
-        f"the disabled-FaultPolicy fast path must stay unwrapped"
-    )

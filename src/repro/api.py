@@ -141,7 +141,6 @@ class Session:
             max_batch_delay=max_batch_delay,
             max_batch=max_batch,
             batch_runners=batch_runners,
-            fault_policy=self.options.fault_policy(),
             trace=trace,
         )
         self._closed = False

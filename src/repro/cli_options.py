@@ -95,14 +95,6 @@ class ExecutionOptions:
             fault_policy=self.fault_policy(),
         )
 
-    def run_kwargs(self) -> dict:
-        """The knobs as :func:`repro.obs.run` keyword arguments."""
-        return {
-            "backend": self.backend,
-            "n_workers": self.workers,
-            "fault_policy": self.fault_policy(),
-        }
-
 
 def add_execution_flags(
     parser: argparse.ArgumentParser, *, profile: bool = True,

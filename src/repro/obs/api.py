@@ -17,10 +17,6 @@ count ``k``) and everything else is keyword-only.  The
 * ``seed=`` — an integer convenience for algorithms that take an
   ``rng=`` generator; ``seed=7`` is exactly ``rng=default_rng(7)``.
   Passing both is an error.
-* ``fault_policy=`` — a :class:`~repro.parallel.resilience.FaultPolicy`
-  for algorithms that take a ``ctx=`` execution context: installed on
-  the caller's context for the duration of the call (then restored),
-  or onto a fresh private context when none was passed.
 * **Registry** — each entrypoint self-registers under a stable name so
   :func:`repro.obs.run` can dispatch by string (``run("pbd", g)``) and
   the CLI's ``profile`` subcommand can enumerate what's runnable.
@@ -76,13 +72,11 @@ def algorithm(
     def deco(fn: Callable) -> Callable:
         code_vars = fn.__code__.co_varnames[: fn.__code__.co_argcount + fn.__code__.co_kwonlyargcount]
         accepts_rng = "rng" in code_vars
-        accepts_ctx = "ctx" in code_vars
 
         @functools.wraps(fn)
         def wrapper(graph, *args, **kwargs):
             trace = kwargs.pop("trace", None)
             seed = kwargs.pop("seed", None)
-            fault_policy = kwargs.pop("fault_policy", None)
             if len(args) > operands:
                 raise TypeError(
                     f"{name}() takes {operands} positional operand(s) "
@@ -94,35 +88,15 @@ def algorithm(
                 if kwargs.get("rng") is not None:
                     raise TypeError(f"{name}(): pass seed= or rng=, not both")
                 kwargs["rng"] = np.random.default_rng(seed)
-            own_ctx = None
-            restore_ctx = None
-            if fault_policy is not None:
-                if not accepts_ctx:
-                    raise TypeError(f"{name}() does not accept fault_policy=")
-                ctx = kwargs.get("ctx")
-                if ctx is None:
-                    from repro.parallel.runtime import ParallelContext
-
-                    own_ctx = ParallelContext(1, fault_policy=fault_policy)
-                    kwargs["ctx"] = own_ctx
-                else:
-                    restore_ctx = (ctx, ctx.fault_policy)
-                    ctx.fault_policy = fault_policy
-            try:
-                tracer = trace if trace is not None else current_tracer()
-                if not tracer:
+            tracer = trace if trace is not None else current_tracer()
+            if not tracer:
+                return fn(graph, *args, **kwargs)
+            with use_tracer(tracer):
+                sp = tracer.begin(name, **_graph_attrs(graph))
+                try:
                     return fn(graph, *args, **kwargs)
-                with use_tracer(tracer):
-                    sp = tracer.begin(name, **_graph_attrs(graph))
-                    try:
-                        return fn(graph, *args, **kwargs)
-                    finally:
-                        tracer.end(sp)
-            finally:
-                if restore_ctx is not None:
-                    restore_ctx[0].fault_policy = restore_ctx[1]
-                if own_ctx is not None:
-                    own_ctx.close()
+                finally:
+                    tracer.end(sp)
 
         wrapper.__algorithm__ = name
         wrapper.__wrapped__ = fn
@@ -132,12 +106,6 @@ def algorithm(
         return wrapper
 
     return deco
-
-
-#: Uniform keywords every wrapped entrypoint accepts; they belong to the
-#: execution surface, not to any one algorithm, so specs list them once
-#: under ``"uniform"`` instead of per algorithm.
-_UNIFORM_PARAMS = ("ctx", "trace", "seed", "fault_policy")
 
 
 def _param_type(p: inspect.Parameter) -> Optional[str]:
@@ -178,7 +146,7 @@ def algorithm_spec(name: str) -> dict:
         {"name": ...,
          "operands": [{"name": ..., "type": ...}, ...],   # required
          "params":   {pname: {"default": ..., "type": ...}, ...},
-         "uniform":  ["ctx", "trace", "seed", "fault_policy"]}
+         "uniform":  ["ctx", "trace", "seed"]}
 
     ``operands`` are the positional data arguments after the graph
     (a BFS source, a part count ``k``); ``params`` are the keyword
@@ -205,9 +173,9 @@ def algorithm_spec(name: str) -> dict:
         if p.default is not inspect.Parameter.empty:
             entry["default"] = p.default
         params[pname] = entry
-    uniform = ["ctx", "trace", "fault_policy"]
+    uniform = ["ctx", "trace"]
     if "rng" in names:
-        uniform.insert(2, "seed")
+        uniform.append("seed")
     return {
         "name": name,
         "operands": operands,

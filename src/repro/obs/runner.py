@@ -102,10 +102,11 @@ def run(
     a fresh tracer records the run and its root lands in the result.
 
     ``fault_policy`` (a :class:`~repro.parallel.resilience.FaultPolicy`)
-    and ``chaos`` (a planner from :mod:`repro.parallel.chaos`) arm the
-    fault-tolerant dispatch path; on an explicit ``ctx`` they are
-    installed for the duration of the run and restored afterwards.
+    and ``chaos`` (a planner from :mod:`repro.parallel.chaos`) override
+    the context's own for this run's dispatches only, and are never
+    written into ``ctx`` (concurrent runs on one context stay apart).
     """
+    from repro.parallel.resilience import run_policy
     from repro.parallel.runtime import ParallelContext
 
     if isinstance(algorithm, str):
@@ -117,25 +118,13 @@ def run(
 
     tracer = resolve_tracer(trace)
     own_ctx = ctx is None
-    restore = None
     if own_ctx:
-        ctx = ParallelContext(
-            n_workers,
-            backend=backend,
-            trace=tracer,
-            fault_policy=fault_policy,
-            chaos=chaos,
-        )
-    elif fault_policy is not None or chaos is not None:
-        restore = (ctx.fault_policy, ctx.chaos)
-        if fault_policy is not None:
-            ctx.fault_policy = fault_policy
-        if chaos is not None:
-            ctx.chaos = chaos
+        ctx = ParallelContext(n_workers, backend=backend, trace=tracer)
     try:
-        t0 = time.perf_counter()
-        value = fn(graph, *operands, ctx=ctx, trace=tracer, **kwargs)
-        elapsed = time.perf_counter() - t0
+        with run_policy(ctx, fault_policy, chaos):
+            t0 = time.perf_counter()
+            value = fn(graph, *operands, ctx=ctx, trace=tracer, **kwargs)
+            elapsed = time.perf_counter() - t0
         root = tracer.finish() if tracer is not NULL_TRACER and tracer else None
         return RunResult(
             algorithm=name,
@@ -151,5 +140,3 @@ def run(
     finally:
         if own_ctx:
             ctx.close()
-        elif restore is not None:
-            ctx.fault_policy, ctx.chaos = restore

@@ -27,9 +27,11 @@ identically on every backend.  Two planners are provided:
   (``repro check --chaos``), which only ever faults a task's *first*
   attempt, keeping every run completable.
 
-Install either on a context via ``ParallelContext(chaos=...)``; the
-contract under test is that results with chaos enabled are
-**bit-identical** to the fault-free run.
+Install either on a context via ``ParallelContext(chaos=...)`` or for
+one run via ``repro.obs.run(chaos=...)``, beside a
+:class:`~repro.parallel.resilience.FaultPolicy` (without one, the first
+planted fault propagates); the contract under test is that results with
+chaos enabled are **bit-identical** to the fault-free run.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ShmAttachError, TransientWorkerError, WorkerCrashError
+from repro.obs.tracer import Tracer, use_tracer
 
 __all__ = [
     "FAULT_KINDS",
@@ -271,13 +274,30 @@ def _apply(kind: Optional[str], hang_seconds: float) -> None:
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
+def _traced(name: str, attrs: dict, fn, *args):
+    """Run ``fn(*args)`` under a fresh sub-tracer.
+
+    In-process, in a pool thread or in a pool worker process alike, the
+    call's spans land in a private tracer whose serialized tree travels
+    back with the result as ``(result, span_dict)``, so the coordinator
+    grafts it in submission order and the span structure is
+    backend-independent.
+    """
+    sub = Tracer()
+    with use_tracer(sub):
+        sp = sub.begin(name, **attrs)
+        try:
+            out = fn(*args)
+        finally:
+            sub.end(sp)
+    return out, sp.to_dict()
+
+
 def run_task(kind, hang_seconds, traced, fn, item):
     """Map-task trampoline: apply any planted fault, then run ``fn``."""
     _apply(kind, hang_seconds)
     if traced:
-        from repro.parallel.runtime import _traced_task
-
-        return _traced_task(fn, item)
+        return _traced("task", {}, fn, item)
     return fn(item)
 
 
@@ -285,9 +305,9 @@ def run_local_batch(kind, hang_seconds, traced, worker, graph, batch, payload):
     """Batch trampoline for serial/thread backends (graph in-process)."""
     _apply(kind, hang_seconds)
     if traced:
-        from repro.parallel.runtime import _traced_batch_call
-
-        return _traced_batch_call(worker, graph, batch, payload)
+        return _traced(
+            "batch", {"lanes": int(len(batch))}, worker, graph, batch, payload
+        )
     return worker(graph, batch, payload)
 
 
@@ -300,9 +320,6 @@ def run_shm_batch(kind, hang_seconds, traced, spec, worker, batch, payload):
     from repro.parallel import shm as _shm
 
     _apply(kind, hang_seconds)
-    graph = _shm.attach_graph(spec)
-    if traced:
-        from repro.parallel.runtime import _traced_batch_call
-
-        return _traced_batch_call(worker, graph, batch, payload)
-    return worker(graph, batch, payload)
+    return run_local_batch(
+        None, 0.0, traced, worker, _shm.attach_graph(spec), batch, payload
+    )

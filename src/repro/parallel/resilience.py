@@ -1,10 +1,12 @@
 """Fault-tolerant dispatch for the parallel runtime.
 
-:class:`~repro.parallel.runtime.ParallelContext` normally assumes every
-worker succeeds; this module is the opt-in layer that doesn't.  When a
-context carries a :class:`FaultPolicy` (or a chaos planter), its
-``map``/``map_batches`` calls route through :func:`drive`, which wraps
-the backend pools with:
+Every :class:`~repro.parallel.runtime.ParallelContext` ``map`` /
+``map_batches`` call runs through :func:`drive`, under the policy
+:func:`policy_for` resolves.  With none, the first failure propagates:
+nothing is retried, rebuilt or degraded, a dead worker raises
+:class:`~repro.errors.WorkerCrashError` and its pool is abandoned (the
+next dispatch builds a fresh one), and an interrupt cancels the
+outstanding futures.  A :class:`FaultPolicy` wraps the pools with:
 
 * **per-task timeouts** and a **per-phase deadline** — a hung worker is
   detected at ``task_timeout``, its pool rebuilt, the task retried;
@@ -30,12 +32,12 @@ output tells the user exactly what the runtime survived.
 The driver is deliberately backend-agnostic: the runtime hands it a
 ``make_runner(mode)`` factory producing small runner objects (submit /
 run_inline / rebuild / abandon / disable_shm) per degradation rung.
-With no policy and no chaos on the context, none of this code runs —
-the runtime's fast paths are untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import random
 import time
 from concurrent.futures import BrokenExecutor, CancelledError
@@ -53,7 +55,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 
-__all__ = ["FaultPolicy", "drive"]
+__all__ = ["FaultPolicy", "drive", "policy_for", "run_policy"]
 
 _CRASH_MODES = ("rebuild", "degrade", "raise")
 
@@ -117,6 +119,57 @@ class FaultPolicy:
         return max(0.0, base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0)))
 
 
+# What a context without a policy runs under: the first failure
+# propagates.  Private, so "no policy" has exactly one meaning.
+_NO_POLICY = FaultPolicy(
+    max_retries=0,
+    max_pool_rebuilds=0,
+    degradation=False,
+    on_worker_crash="raise",
+)
+
+# (ctx, fault_policy, chaos) of the run in progress on this thread: a
+# ContextVar, so concurrent runs on one shared context never see each
+# other's policy and the context itself is never written.
+_RUN: contextvars.ContextVar = contextvars.ContextVar("repro_run", default=None)
+
+
+@contextlib.contextmanager
+def run_policy(ctx, fault_policy: Optional[FaultPolicy] = None, chaos=None):
+    """Dispatches on ``ctx`` from this thread run under ``fault_policy``
+    / ``chaos`` for the dynamic extent (``None`` keeps the context's).
+
+    This is how :func:`repro.obs.run` arms one run on a caller-owned,
+    possibly shared, context without assigning to it.
+    """
+    if fault_policy is None and chaos is None:
+        yield
+        return
+    token = _RUN.set((ctx, fault_policy, chaos))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _resolve(ctx) -> tuple[FaultPolicy, object]:
+    """The ``(policy, chaos)`` a dispatch on ``ctx`` runs under."""
+    policy = getattr(ctx, "fault_policy", None)
+    chaos = getattr(ctx, "chaos", None)
+    run = _RUN.get()
+    if run is not None and run[0] is ctx:
+        policy = run[1] if run[1] is not None else policy
+        chaos = run[2] if run[2] is not None else chaos
+    return (_NO_POLICY if policy is None else policy), chaos
+
+
+def policy_for(ctx) -> FaultPolicy:
+    """The :class:`FaultPolicy` a dispatch on ``ctx`` (or None) runs
+    under: this thread's :func:`run_policy`, else the context's own,
+    else the no-policy constant."""
+    return _resolve(ctx)[0]
+
+
 def drive(
     ctx,
     n_tasks: int,
@@ -129,9 +182,10 @@ def drive(
 
     ``make_runner(mode)`` builds one degradation rung (see the runner
     classes in :mod:`repro.parallel.runtime`); ``ladder`` orders the
-    rungs to try.  The context supplies the :class:`FaultPolicy`, the
-    optional chaos planter, the tracer for ``fault.*`` event spans and
-    the :class:`~repro.parallel.runtime.PoolStats` counters.
+    rungs to try.  The context supplies the tracer for ``fault.*``
+    event spans and the :class:`~repro.parallel.runtime.PoolStats`
+    counters; the :class:`FaultPolicy` and optional chaos planter are
+    resolved as :func:`policy_for` describes.
 
     On *any* exception — terminal fault, programming error in a task,
     ``KeyboardInterrupt`` — outstanding futures are cancelled and, if
@@ -140,11 +194,10 @@ def drive(
     wedged worker.  No future, pool or segment outlives the call
     untracked.
     """
-    policy = ctx.fault_policy if ctx.fault_policy is not None else FaultPolicy()
-    chaos = ctx.chaos
+    policy, chaos = _resolve(ctx)
     stats = ctx.pool
     tracer = ctx.tracer
-    rng = random.Random((int(policy.seed) << 16) ^ (call_index & 0xFFFF))
+    rng = None  # backoff jitter source, seeded at its first use
     t0 = time.monotonic()
     deadline = (
         t0 + policy.phase_deadline if policy.phase_deadline is not None else None
@@ -227,6 +280,8 @@ def drive(
     def note_retry(i: int, exc: BaseException, *, kind: str) -> None:
         """Book one transient failure; raises when the budget is spent."""
         if attempts[i] >= policy.max_retries:
+            if policy.max_retries == 0:
+                raise exc  # nothing was retried: the failure itself
             raise RetryExhausted(
                 f"task {i} still failing after {attempts[i] + 1} "
                 f"attempt(s) on backend {ladder[rung]!r}: {exc!r}"
@@ -264,11 +319,20 @@ def drive(
                     fault = planted_fault(i)
                     try:
                         outstanding[i] = runner.submit(i, fault)
-                    except (BrokenExecutor, RuntimeError):
-                        # Pool died at submit time; collect what was
-                        # submitted, then rebuild below.
+                    except RuntimeError as exc:
+                        # Pool died (or was shut down) at submit time;
+                        # collect what was submitted, then rebuild below.
                         crashed = True
                         pool_suspect = True
+                        if isinstance(exc, BrokenExecutor) and (
+                            policy.on_worker_crash == "raise"
+                        ):
+                            stats.worker_crashes += 1
+                            event("fault.crash", backend=ladder[rung])
+                            raise WorkerCrashError(
+                                f"worker pool broken at submit on backend "
+                                f"{ladder[rung]!r}: {exc!r}"
+                            ) from exc
                         break
                 for i in list(outstanding):
                     fut = outstanding.pop(i)
@@ -373,6 +437,10 @@ def drive(
                     pool_suspect = False
 
             if any(not d for d in done):
+                if rng is None:
+                    rng = random.Random(
+                        (int(policy.seed) << 16) ^ (call_index & 0xFFFF)
+                    )
                 delay = policy.backoff_seconds(retry_round, rng)
                 retry_round += 1
                 if delay > 0.0:

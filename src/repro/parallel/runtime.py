@@ -23,6 +23,11 @@ thread count.  It bundles
   Whatever the backend, the cost model keeps recording the *modeled*
   phase structure, so Figure 2/3 style profiles stay comparable.
 
+Every :meth:`~ParallelContext.map` / :meth:`~ParallelContext.map_batches`
+call runs through one path, :func:`repro.parallel.resilience.drive`,
+whether or not a :class:`~repro.parallel.resilience.FaultPolicy` is
+set; without one the first failure propagates (see that module).
+
 Kernels that take ``ctx=None`` construct a throwaway single-worker
 context, so the instrumentation is always exercised.
 """
@@ -39,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.obs.tracer import Tracer, current_tracer, use_tracer
+from repro.obs.tracer import current_tracer
 from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
 from repro.parallel.costmodel import CostModel, MachineModel
@@ -88,8 +93,9 @@ class PoolStats:
     shm_bytes: int = 0
     busy_seconds: float = 0.0
     elapsed_seconds: float = 0.0
-    # Fault-tolerance counters (all zero unless a FaultPolicy or chaos
-    # planter is active on the context; see repro.parallel.resilience).
+    # Fault-tolerance counters (repro.parallel.resilience).  Without a
+    # FaultPolicy only worker_crashes (counted, then raised) and
+    # shm_fallbacks (segment allocation failed) can move.
     retries: int = 0
     task_timeouts: int = 0
     worker_crashes: int = 0
@@ -130,46 +136,15 @@ class PoolStats:
             setattr(self, f, type(getattr(self, f))(0))
 
 
-def _traced_task(fn: Callable, item):
-    """Run one map task under a fresh sub-tracer.
-
-    Executes in-process, in a pool thread, or in a pool worker process;
-    in every case the task's spans land in a private tracer whose
-    serialized tree travels back with the result, so the coordinator
-    can graft it deterministically (submission order) and the span
-    structure is backend-independent.
-    """
-    sub = Tracer()
-    with use_tracer(sub):
-        sp = sub.begin("task")
-        try:
-            out = fn(item)
-        finally:
-            sub.end(sp)
-    return out, sp.to_dict()
-
-
-def _traced_batch_call(worker: Callable, graph, batch, payload):
-    """Run one batch-worker call under a fresh sub-tracer (see above)."""
-    sub = Tracer()
-    with use_tracer(sub):
-        sp = sub.begin("batch", lanes=int(len(batch)))
-        try:
-            out = worker(graph, batch, payload)
-        finally:
-            sub.end(sp)
-    return out, sp.to_dict()
-
-
 class _RunnerBase:
     """One degradation rung of the fault-tolerant dispatcher.
 
     Duck type consumed by :func:`repro.parallel.resilience.drive`:
     ``submit``/``run_inline`` execute one task (optionally carrying a
     planted chaos fault), ``rebuild``/``abandon`` manage the backing
-    pool, ``disable_shm`` downgrades the graph handoff.  Runners reuse
-    the context's persistent pools so the warm-pool behaviour of the
-    fast path is preserved.
+    pool, ``disable_shm`` downgrades the graph handoff.  Subclasses
+    supply ``_task(i, fault)`` -> ``(trampoline, *args)``.  Runners reuse
+    the context's persistent pools, so pools stay warm across calls.
     """
 
     def __init__(self, ctx: "ParallelContext", mode: str, traced: bool) -> None:
@@ -182,6 +157,13 @@ class _RunnerBase:
         if self.mode == "process":
             return self.ctx._ensure_process_pool()
         return self.ctx._ensure_thread_pool()
+
+    def submit(self, i: int, fault):
+        return self._pool().submit(*self._task(i, fault))
+
+    def run_inline(self, i: int, fault):
+        entry, *args = self._task(i, fault)
+        return entry(*args)
 
     def disable_shm(self) -> bool:
         return False
@@ -217,6 +199,11 @@ class _RunnerBase:
                     pass
 
 
+def _fault_args(fault) -> tuple:
+    """A planted fault as the plain data a trampoline takes."""
+    return (None, 0.0) if fault is None else (fault.kind, fault.hang_seconds)
+
+
 class _MapRunner(_RunnerBase):
     """Rung executing ``fn(item)`` tasks (ParallelContext.map)."""
 
@@ -225,16 +212,11 @@ class _MapRunner(_RunnerBase):
         self.fn = fn
         self.items = items
 
-    def _args(self, i: int, fault):
-        kind = fault.kind if fault is not None else None
-        hang = fault.hang_seconds if fault is not None else 0.0
-        return kind, hang, self.traced, self.fn, self.items[i]
-
-    def submit(self, i: int, fault):
-        return self._pool().submit(_chaos.run_task, *self._args(i, fault))
-
-    def run_inline(self, i: int, fault):
-        return _chaos.run_task(*self._args(i, fault))
+    def _task(self, i: int, fault) -> tuple:
+        return (
+            _chaos.run_task, *_fault_args(fault), self.traced,
+            self.fn, self.items[i],
+        )
 
 
 class _BatchRunner(_RunnerBase):
@@ -262,36 +244,21 @@ class _BatchRunner(_RunnerBase):
                 # Allocation failed: fall back to pickled graph handoff.
                 ctx.pool.shm_fallbacks += 1
 
-    def _fault_args(self, fault):
-        if fault is None:
-            return None, 0.0
-        return fault.kind, fault.hang_seconds
-
-    def submit(self, i: int, fault):
-        kind, hang = self._fault_args(fault)
-        batch = self.batches[i]
-        if self.mode == "process" and self.use_shm:
-            return self._pool().submit(
+    def _task(self, i: int, fault) -> tuple:
+        kind, hang = _fault_args(fault)
+        if self.use_shm:
+            return (
                 _chaos.run_shm_batch, kind, hang, self.traced,
-                self.spec, self.worker, batch, self.payload,
+                self.spec, self.worker, self.batches[i], self.payload,
             )
-        return self._pool().submit(
+        return (
             _chaos.run_local_batch, kind, hang, self.traced,
-            self.worker, self.graph, batch, self.payload,
-        )
-
-    def run_inline(self, i: int, fault):
-        kind, hang = self._fault_args(fault)
-        return _chaos.run_local_batch(
-            kind, hang, self.traced,
             self.worker, self.graph, self.batches[i], self.payload,
         )
 
     def disable_shm(self) -> bool:
-        if self.mode == "process" and self.use_shm:
-            self.use_shm = False
-            return True
-        return False
+        was, self.use_shm = self.use_shm, False
+        return was
 
 
 class ParallelContext:
@@ -320,8 +287,8 @@ class ParallelContext:
         self.cost = CostModel(machine)
         self.sync = SyncCounters()
         self.pool = PoolStats()
-        # Resilience: with both unset, map/map_batches take the original
-        # fast paths and none of repro.parallel.resilience runs.
+        # Read per dispatch by repro.parallel.resilience.policy_for;
+        # never reassigned (obs.run arms a run without writing here).
         self.fault_policy = fault_policy
         self.chaos = chaos
         self._dispatch_seq = 0
@@ -573,58 +540,12 @@ class ParallelContext:
             self.phase(float(cost_arr.sum()), float(cost_arr.max()))
         self.pool.map_calls += 1
         self.pool.tasks_dispatched += len(items)
-        if self.fault_policy is not None or self.chaos is not None:
-            return self._map_resilient(fn, items)
-        use_pool = (
-            self.backend != "serial" and self.n_workers > 1 and len(items) > 1
+        return self._drive(
+            "map",
+            len(items),
+            lambda mode, traced: _MapRunner(self, mode, traced, fn, items),
+            self._map_ladder(fn, len(items)),
         )
-        tr = self.tracer
-        if not tr:
-            if use_pool:
-                if self.backend == "process" and _picklable_by_reference(fn):
-                    pool: object = self._ensure_process_pool()
-                else:
-                    pool = self._ensure_thread_pool()
-                return list(pool.map(fn, items))
-            return [fn(item) for item in items]
-        # Traced dispatch: every task runs under its own sub-tracer so
-        # serial/thread/process runs graft identical span structures.
-        with tr.span(
-            "map", backend=self.backend, n_tasks=len(items),
-            n_workers=self.n_workers,
-        ) as sp:
-            t0 = time.perf_counter()
-            if use_pool:
-                if self.backend == "process" and _picklable_by_reference(fn):
-                    from functools import partial
-
-                    pairs = list(
-                        self._ensure_process_pool().map(
-                            partial(_traced_task, fn), items
-                        )
-                    )
-                else:
-                    pairs = list(
-                        self._ensure_thread_pool().map(
-                            lambda item: _traced_task(fn, item), items
-                        )
-                    )
-            else:
-                pairs = [_traced_task(fn, item) for item in items]
-            elapsed = time.perf_counter() - t0
-            busy = 0.0
-            for i, (_, span_dict) in enumerate(pairs):
-                tr.graft(span_dict, index=i)
-                busy += span_dict.get("duration_s", 0.0)
-            self.pool.busy_seconds += busy
-            self.pool.elapsed_seconds += elapsed
-            sp.set(
-                busy_seconds=round(busy, 6),
-                utilization=round(
-                    min(1.0, busy / max(1e-12, elapsed * self.n_workers)), 4
-                ),
-            )
-            return [out for out, _ in pairs]
 
     def map_batches(
         self,
@@ -666,97 +587,23 @@ class ParallelContext:
         self.pool.batch_calls += 1
         self.pool.batches_dispatched += len(batches)
         self.pool.lanes_dispatched += int(sum(len(b) for b in batches))
-        if self.fault_policy is not None or self.chaos is not None:
-            return self._batches_resilient(worker, graph, batches, payload)
-        tr = self.tracer
-        if not tr:
-            if self.backend == "process":
-                from repro.parallel import shm as _shm
-
-                if not _picklable_by_reference(worker):
-                    raise ValueError(
-                        "process backend requires a module-level worker function"
-                    )
-                pool = self._ensure_process_pool()
-                spec = self._shared_graph(graph).spec
-                futures = [
-                    pool.submit(_shm._run_on_shared, spec, worker, b, payload)
-                    for b in batches
-                ]
-                return [f.result() for f in futures]
-            if self.backend == "thread" and self.n_workers > 1 and len(batches) > 1:
-                pool_t = self._ensure_thread_pool()
-                return list(
-                    pool_t.map(lambda b: worker(graph, b, payload), batches)
-                )
-            return [worker(graph, b, payload) for b in batches]
-        # Traced dispatch mirrors the untraced routing above; each batch
-        # records into a private sub-tracer whose tree is grafted back in
-        # submission order, so serial/thread/process emit identical span
-        # structures (only timings differ).
-        with tr.span(
-            "map_batches", backend=self.backend, n_batches=len(batches),
-            n_workers=self.n_workers,
-        ) as sp:
-            t0 = time.perf_counter()
-            if self.backend == "process":
-                from repro.parallel import shm as _shm
-
-                if not _picklable_by_reference(worker):
-                    raise ValueError(
-                        "process backend requires a module-level worker function"
-                    )
-                pool = self._ensure_process_pool()
-                spec = self._shared_graph(graph).spec
-                futures = [
-                    pool.submit(
-                        _shm._run_on_shared_traced, spec, worker, b, payload
-                    )
-                    for b in batches
-                ]
-                pairs = [f.result() for f in futures]
-            elif (
-                self.backend == "thread"
-                and self.n_workers > 1
-                and len(batches) > 1
-            ):
-                pool_t = self._ensure_thread_pool()
-                pairs = list(
-                    pool_t.map(
-                        lambda b: _traced_batch_call(worker, graph, b, payload),
-                        batches,
-                    )
-                )
-            else:
-                pairs = [
-                    _traced_batch_call(worker, graph, b, payload)
-                    for b in batches
-                ]
-            elapsed = time.perf_counter() - t0
-            busy = 0.0
-            for i, (_, span_dict) in enumerate(pairs):
-                tr.graft(span_dict, batch_index=i)
-                busy += span_dict.get("duration_s", 0.0)
-            self.pool.busy_seconds += busy
-            self.pool.elapsed_seconds += elapsed
-            sp.set(
-                busy_seconds=round(busy, 6),
-                utilization=round(
-                    min(1.0, busy / max(1e-12, elapsed * self.n_workers)), 4
-                ),
-            )
-            return [out for out, _ in pairs]
+        return self._drive(
+            "map_batches",
+            len(batches),
+            lambda mode, traced: _BatchRunner(
+                self, mode, traced, worker, graph, batches, payload
+            ),
+            self._batch_ladder(worker, len(batches)),
+        )
 
     # ------------------------------------------------------------------
-    # Fault-tolerant dispatch (active when fault_policy or chaos is set;
-    # see repro.parallel.resilience for the driver itself)
+    # Dispatch through the fault-tolerant driver (repro.parallel.resilience)
     # ------------------------------------------------------------------
     def _map_ladder(self, fn: Callable, n_items: int) -> tuple[str, ...]:
         """Degradation rungs for a ``map`` call, best first.
 
-        Mirrors the fast path's routing: serial when pooling would not
-        help, thread instead of process for closures that do not pickle
-        by reference.
+        Serial when pooling would not help, thread instead of process
+        for closures that do not pickle by reference.
         """
         if self.backend == "serial" or self.n_workers <= 1 or n_items <= 1:
             return ("serial",)
@@ -776,16 +623,26 @@ class ParallelContext:
             return ("thread", "serial")
         return ("serial",)
 
-    def _drive_resilient(self, span_name, n_tasks, make_runner, ladder):
-        """Run the resilient driver, traced or not, grafting sub-trees."""
+    def _drive(self, span_name, n_tasks, make_runner, ladder):
+        """Run the driver, traced or not, grafting task sub-trees.
+
+        Traced, every task records into a private sub-tracer whose tree
+        is grafted back in submission order, so serial/thread/process
+        emit identical span structures (only timings differ).
+        """
         call_index = self._dispatch_seq
         self._dispatch_seq += 1
         tr = self.tracer
-        if not tr:
+        traced = bool(tr)
+
+        def run() -> list:
             return _resilience.drive(
-                self, n_tasks, lambda mode: make_runner(mode, False),
+                self, n_tasks, lambda mode: make_runner(mode, traced),
                 ladder, call_index=call_index,
             )
+
+        if not traced:
+            return run()
         key = "index" if span_name == "map" else "batch_index"
         with tr.span(
             span_name, backend=self.backend,
@@ -793,10 +650,7 @@ class ParallelContext:
             n_workers=self.n_workers,
         ) as sp:
             t0 = time.perf_counter()
-            pairs = _resilience.drive(
-                self, n_tasks, lambda mode: make_runner(mode, True),
-                ladder, call_index=call_index,
-            )
+            pairs = run()
             elapsed = time.perf_counter() - t0
             busy = 0.0
             for i, (_, span_dict) in enumerate(pairs):
@@ -811,24 +665,6 @@ class ParallelContext:
                 ),
             )
             return [out for out, _ in pairs]
-
-    def _map_resilient(self, fn: Callable, items: list) -> list:
-        return self._drive_resilient(
-            "map",
-            len(items),
-            lambda mode, traced: _MapRunner(self, mode, traced, fn, items),
-            self._map_ladder(fn, len(items)),
-        )
-
-    def _batches_resilient(self, worker, graph, batches, payload) -> list:
-        return self._drive_resilient(
-            "map_batches",
-            len(batches),
-            lambda mode, traced: _BatchRunner(
-                self, mode, traced, worker, graph, batches, payload
-            ),
-            self._batch_ladder(worker, len(batches)),
-        )
 
     # ------------------------------------------------------------------
     def modeled_time(self, p: Optional[int] = None) -> float:

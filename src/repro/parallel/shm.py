@@ -224,19 +224,3 @@ def attach_graph(spec: GraphSpec, *, cache: bool = True) -> Graph:
         _KEEPALIVE.append(shm)
     return graph
 
-
-def _run_on_shared(spec: GraphSpec, worker, batch, payload):
-    """Process-pool trampoline: attach the shared graph, run the worker.
-
-    ``worker`` must be a module-level function (it is pickled by
-    reference); its signature is ``worker(graph, batch, payload)``.
-    """
-    return worker(attach_graph(spec), batch, payload)
-
-
-def _run_on_shared_traced(spec: GraphSpec, worker, batch, payload):
-    """Like :func:`_run_on_shared`, but records the call under a fresh
-    sub-tracer and returns ``(result, span_dict)`` for grafting."""
-    from repro.parallel.runtime import _traced_batch_call
-
-    return _traced_batch_call(worker, attach_graph(spec), batch, payload)

@@ -31,9 +31,10 @@ cannot starve closeness traffic), pinning their graph for the duration.
 Deadlines ride the existing resilience ladder: a request whose
 deadline lapses while queued gets a structured
 :class:`~repro.errors.DeadlineExpired` *without* disturbing the rest
-of its batch, and in-flight batches run under the service
-:class:`~repro.parallel.resilience.FaultPolicy` with the batch's
-latest deadline installed as the phase deadline.
+of its batch, and an in-flight batch runs under the context's policy
+(or the no-policy default) with the batch's latest deadline as its
+phase deadline — a deadline bounds the batch, it does not switch on
+retries.
 
 Each request resolves to a full :class:`~repro.obs.runner.RunResult`
 whose ``extras["serve"]`` records queue wait, batch size and whether
@@ -59,6 +60,7 @@ from repro.errors import DeadlineExpired, ProtocolError, ServeError
 from repro.kernels.bfs import MSBFSResult
 from repro.obs.api import split_operands, validate_params
 from repro.obs.runner import RunResult, run as obs_run
+from repro.parallel.resilience import policy_for
 
 __all__ = ["ServeRequest", "Coalescer", "MERGEABLE"]
 
@@ -111,7 +113,6 @@ class Coalescer:
         max_batch_delay: float = 0.005,
         max_batch: int = 64,
         batch_runners: int = 2,
-        fault_policy=None,
         trace: bool = False,
         on_batch: Optional[Callable[[dict], None]] = None,
     ) -> None:
@@ -123,7 +124,6 @@ class Coalescer:
         self.ctx = ctx
         self.max_batch_delay = float(max_batch_delay)
         self.max_batch = int(max_batch)
-        self.fault_policy = fault_policy
         self.trace = bool(trace)
         self.on_batch = on_batch
         self._lock = threading.Lock()
@@ -264,17 +264,15 @@ class Coalescer:
         )
 
     def _batch_policy(self, requests: list[ServeRequest]):
-        """Service FaultPolicy with the batch's latest deadline installed."""
-        policy = self.fault_policy
+        """The context's policy bounded by the batch's latest deadline;
+        None (the context's own policy) when a request is unbounded."""
         deadlines = [r.deadline for r in requests if r.deadline is not None]
         if not deadlines or len(deadlines) < len(requests):
-            return policy  # an unbounded request: the batch runs unbounded
+            return None  # an unbounded request: the batch runs unbounded
         remaining = max(0.001, max(deadlines) - time.monotonic())
-        if policy is None:
-            from repro.parallel.resilience import FaultPolicy
-
-            return FaultPolicy(phase_deadline=remaining)
-        return dataclasses.replace(policy, phase_deadline=remaining)
+        return dataclasses.replace(
+            policy_for(self.ctx), phase_deadline=remaining
+        )
 
     def _run_batch(self, key: tuple, requests: list[ServeRequest]) -> None:
         try:

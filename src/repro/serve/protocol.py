@@ -162,7 +162,7 @@ def parse_submit(doc: Any) -> dict:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")
-    disallowed = {"ctx", "trace", "rng", "fault_policy"} & set(params)
+    disallowed = {"ctx", "trace", "rng"} & set(params)
     if disallowed:
         raise ProtocolError(
             f"parameter(s) not accepted over the wire: "

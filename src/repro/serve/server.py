@@ -305,7 +305,6 @@ class ReproServer:
             max_batch_delay=config.max_batch_delay,
             max_batch=config.max_batch,
             batch_runners=config.batch_runners,
-            fault_policy=config.options.fault_policy(),
             trace=config.profile_path is not None,
             on_batch=(
                 self._collect_batch if config.profile_path is not None

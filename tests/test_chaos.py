@@ -5,7 +5,9 @@ and deterministic faults injected (transient raises, hung tasks, hard
 worker exits, shm attach failures), every dispatch completes with
 results **bit-identical** to the fault-free run, every recovery action
 is counted on ``PoolStats``, and no pool, future or ``/dev/shm``
-segment outlives the context.
+segment outlives the context.  Without a policy the same driver runs
+and the first failure propagates, bounded in time, leaving the context
+usable.
 
 The tier-1 subset here exercises one representative of each recovery
 path; the exhaustive fault x backend x crash-mode matrix is marked
@@ -48,6 +50,27 @@ def _double(x):
 
 def _degrees(graph, batch, payload):
     return np.asarray([graph.degree(int(v)) for v in batch])
+
+
+def _exit_on_three(x):
+    """Kill the hosting pool worker on item 3 (never the test process)."""
+    import multiprocessing
+
+    if x == 3 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return 2 * x
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _sleepy_degrees(graph, batch, payload):
+    """``_degrees`` that first sleeps ``payload`` seconds on vertex 0."""
+    if 0 in batch:
+        time.sleep(payload)
+    return _degrees(graph, batch, None)
 
 
 def _small_graph():
@@ -249,16 +272,97 @@ class TestRecovery:
                 ctx.map(boom, [1, 2])
             assert ctx.pool.retries == 0
 
-    def test_fast_path_untouched_without_policy(self, monkeypatch):
-        # The no-policy, no-chaos path must never enter the resilient
-        # driver — this is the structural form of the overhead gate.
-        monkeypatch.setattr(
-            ParallelContext,
-            "_map_resilient",
-            lambda *a, **k: pytest.fail("resilient path entered"),
-        )
-        with ParallelContext(2, backend="thread") as ctx:
-            assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
+
+class TestNoPolicy:
+    """A context without a FaultPolicy runs the same driver: the first
+    failure propagates, and a dead pool never outlives the call."""
+
+    def test_dead_worker_raises_and_next_dispatch_recovers(self):
+        with ParallelContext(2, backend="process") as ctx:
+            with pytest.raises(WorkerCrashError):
+                ctx.map(_exit_on_three, [1, 2, 3, 4])
+            assert ctx.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+            # A worker killed while the pool idles is the same crash.
+            for proc in list(ctx._process_pool._processes.values()):
+                proc.kill()
+                proc.join(10)
+            with pytest.raises(WorkerCrashError):
+                ctx.map(_double, [1, 2, 3, 4])
+            assert ctx.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+            assert ctx.pool.worker_crashes == 2
+        assert live_segment_names() == ()
+
+    def test_share_graph_failure_falls_back_to_pickle(self, monkeypatch):
+        from repro.errors import ShmAttachError
+        from repro.parallel import shm
+
+        def refuse(graph):
+            raise ShmAttachError("chaos: /dev/shm refused")
+
+        monkeypatch.setattr(shm, "share_graph", refuse)
+        g = _small_graph()
+        with ParallelContext(2, backend="process") as ctx:
+            out = ctx.map_batches(_degrees, g, _batches())
+            for got, exp in zip(out, _expected_degrees(g, _batches())):
+                assert np.array_equal(got, exp)
+            assert ctx.pool.shm_fallbacks == 1
+        assert live_segment_names() == ()
+
+    def test_overlapping_runs_leave_shared_context_untouched(self):
+        # Two runs on one context, each with its own phase deadline, held
+        # open at once; a third run with no policy overlaps both.
+        g = _small_graph()
+        ctx = ParallelContext(2, backend="thread")
+        entered = {"a": threading.Event(), "b": threading.Event()}
+        release = {"a": threading.Event(), "b": threading.Event()}
+        outcome = {}
+
+        def held(name):
+            def probe(graph, *, ctx=None, trace=None):
+                entered[name].set()
+                release[name].wait(10)
+                try:
+                    ctx.map(_nap, [0.2, 0.2])
+                except PhaseDeadlineExceeded:
+                    return "deadline"
+                return "done"
+
+            return probe
+
+        def run(name, deadline):
+            outcome[name] = repro.obs.run(
+                held(name), g, ctx=ctx, trace=False,
+                fault_policy=FaultPolicy(phase_deadline=deadline),
+            ).value
+
+        def free(graph, *, ctx=None, trace=None):
+            return ctx.map(_nap, [0.05, 0.05])
+
+        threads = {
+            name: threading.Thread(target=run, args=(name, deadline))
+            for name, deadline in (("a", 0.01), ("b", 0.02))
+        }
+        try:
+            for name in ("a", "b"):
+                threads[name].start()
+                assert entered[name].wait(10)
+            # Neither held run's deadline reaches this one.
+            assert repro.obs.run(free, g, ctx=ctx, trace=False).value == [
+                0.05, 0.05,
+            ]
+            for name in ("a", "b"):  # a finishes first, b last
+                release[name].set()
+                threads[name].join(10)
+                assert not threads[name].is_alive()
+        finally:
+            for ev in release.values():
+                ev.set()
+            ctx.close()
+        # Each run's own deadline reached its dispatch ...
+        assert outcome == {"a": "deadline", "b": "deadline"}
+        # ... and none was left behind on the shared context.
+        assert ctx.fault_policy is None
+        assert ctx.chaos is None
 
 
 class TestObservability:
@@ -289,30 +393,6 @@ class TestObservability:
         doc = res.to_dict()
         assert doc["pool"]["faults_injected"] == 1
         assert doc["pool"]["retries"] >= 1
-
-    def test_algorithm_surface_accepts_fault_policy(self):
-        g = _small_graph()
-        base = repro.betweenness_centrality(g)
-        out = repro.betweenness_centrality(
-            g, fault_policy=FaultPolicy(max_retries=1)
-        )
-        assert np.array_equal(base, out)
-        ctx = ParallelContext(2, backend="thread")
-        try:
-            repro.betweenness_centrality(g, ctx=ctx, fault_policy=FaultPolicy())
-            assert ctx.fault_policy is None  # restored after the call
-        finally:
-            ctx.close()
-
-    def test_fault_policy_rejected_without_ctx_arg(self):
-        from repro.obs.api import algorithm
-
-        @algorithm("_chaos_test_noctx", register=False)
-        def noctx(graph):
-            return 0
-
-        with pytest.raises(TypeError, match="fault_policy"):
-            noctx(_small_graph(), fault_policy=FaultPolicy())
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +458,34 @@ class TestLifecycleWarnings:
 # Satellite 3: KeyboardInterrupt mid-dispatch leaves nothing dangling
 # ---------------------------------------------------------------------------
 class TestKeyboardInterrupt:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_interrupt_during_map_batches(self, backend):
+    @pytest.mark.parametrize(
+        "backend, armed",
+        [
+            pytest.param("thread", True, id="thread"),
+            pytest.param("process", True, id="process"),
+            pytest.param("thread", False, id="thread-no_policy"),
+            pytest.param("process", False, id="process-no_policy"),
+        ],
+    )
+    def test_interrupt_during_map_batches(self, backend, armed):
         before = _shm_entries()
         g = _small_graph()
         # The hang outlasts the time bound below on both backends (an
         # abandoned thread cannot be killed and is joined at interpreter
         # exit, so the thread hang stays short).
         hang = 1.5 if backend == "thread" else 30.0
-        ctx = ParallelContext(
-            2, backend=backend,
-            fault_policy=FaultPolicy(),
-            chaos=ChaosPlan(
-                [Fault("hang", task_index=0, hang_seconds=hang)]
-            ),
-        )
+        if armed:  # a planted hang under the default FaultPolicy
+            ctx = ParallelContext(
+                2, backend=backend,
+                fault_policy=FaultPolicy(),
+                chaos=ChaosPlan(
+                    [Fault("hang", task_index=0, hang_seconds=hang)]
+                ),
+            )
+            worker, payload = _degrees, None
+        else:  # no policy: a plain task that sleeps
+            ctx = ParallelContext(2, backend=backend)
+            worker, payload = _sleepy_degrees, hang
         # A real SIGINT, as Ctrl-C delivers it: _thread.interrupt_main
         # only sets a flag and never wakes a main thread blocked in the
         # futures wait, so it sat out the whole planted hang.
@@ -404,7 +497,7 @@ class TestKeyboardInterrupt:
         timer.start()
         try:
             with pytest.raises(KeyboardInterrupt):
-                ctx.map_batches(_degrees, g, _batches())
+                ctx.map_batches(worker, g, _batches(), payload=payload)
         finally:
             timer.cancel()
             ctx.close()

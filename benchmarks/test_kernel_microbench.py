@@ -101,70 +101,3 @@ def test_bench_pla(benchmark, graph):
     )
     assert result.modularity > 0
 
-
-@pytest.mark.benchmark_smoke
-def test_segments_smoke(graph):
-    """Measured gates for the §1.2c segment-primitive fast paths.
-
-    Asserts the vectorized clustering-coefficient kernel beats the
-    per-edge arc loop ≥3x, and multilevel pLA beats single-level pLA
-    ≥2x at equal-or-better modularity, both on R-MAT scale 12.  Writes
-    ``benchmarks/results/segments_smoke.json``.
-    """
-    from _common import timed, write_result_json
-    from repro.metrics.clustering import local_clustering_coefficients
-    from repro.qa.oracles import triangle_counts_arcloop
-
-    # warm caches (arc_sources / edge_endpoints are lazily built)
-    graph.arc_sources()
-    graph.edge_endpoints()
-
-    lcc, t_vec = timed(local_clustering_coefficients, graph)
-    tri_ref, t_loop = timed(triangle_counts_arcloop, graph)
-    lcc_speedup = t_loop / t_vec
-    np.testing.assert_array_equal(
-        np.asarray(lcc > 0), np.asarray(tri_ref > 0)
-    )
-
-    single, t_single = timed(
-        pla, graph, rng=np.random.default_rng(0)
-    )
-    multi, t_multi = timed(
-        pla, graph, multilevel=True, rng=np.random.default_rng(0)
-    )
-    pla_speedup = t_single / t_multi
-
-    write_result_json(
-        "segments_smoke",
-        {
-            "graph": {
-                "family": "rmat",
-                "scale": 12,
-                "n_vertices": graph.n_vertices,
-                "n_edges": graph.n_edges,
-            },
-            "clustering_coefficients": {
-                "vectorized_seconds": t_vec,
-                "arcloop_seconds": t_loop,
-                "speedup": lcc_speedup,
-            },
-            "pla": {
-                "single_level_seconds": t_single,
-                "single_level_modularity": single.modularity,
-                "multilevel_seconds": t_multi,
-                "multilevel_modularity": multi.modularity,
-                "speedup": pla_speedup,
-            },
-        },
-    )
-    assert lcc_speedup >= 3.0, (
-        f"vectorized lcc only {lcc_speedup:.2f}x over the arc loop"
-    )
-    assert pla_speedup >= 2.0, (
-        f"multilevel pLA only {pla_speedup:.2f}x over single-level"
-    )
-    assert multi.modularity + 1e-9 >= single.modularity, (
-        f"multilevel modularity {multi.modularity:.4f} regressed below "
-        f"single-level {single.modularity:.4f}"
-    )
-

@@ -44,13 +44,13 @@ from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
 from repro.parallel.runtime import ParallelContext, ensure_context
 
-#: Soft cap on cached arc entries per batch (the forward sweep caches
-#: its ~K·m expanded σ-arc rows for replay in the backward sweep, so
-#: Brandes' default lane count is also bounded by arc count, not just
-#: vertex count).  Measured sweet spot on ~100k-edge R-MAT graphs is
-#: K ≈ 4–5: beyond that the (K, n) planes fall out of cache and the
-#: random gathers dominate.
-BATCH_ARC_BUDGET = 1 << 20
+#: Soft cap on lane-arcs per batch: the σ-arc replay cache plus the
+#: bottom-up expansion hold ~20 B per lane-arc, so the default K keeps
+#: that transient to a few MB (K = 2 on R-MAT 13, 4 on R-MAT 12, 32
+#: below 8 192 arcs).  Time is flat in K up to 8 and rises past it
+#: (R-MAT 13, 32 sources: K = 1/2/4/8 61–64 ms, K = 16/32 72/81 ms;
+#: DESIGN §1.2b).
+BATCH_ARC_BUDGET = 1 << 18
 
 
 def _brandes_batch_size(graph, batch_size: Optional[int]) -> int:

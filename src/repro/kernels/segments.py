@@ -16,7 +16,9 @@ instead of per-vertex Python loops, the hot paths express themselves as
   batched-binary-search intersection of many adjacency-segment pairs at
   once (triangle counting without a Python loop over edges);
 * **boundary-vertex detection** — the cross-label frontier used by the
-  k-way refinement sweeps.
+  k-way refinement sweeps;
+* **work blocking** — :func:`chunk_bounds`, so a kernel's transients
+  stay a fixed size instead of growing with m (DESIGN §1.2).
 
 All functions are pure and deterministic: identical inputs produce
 bit-identical outputs on every execution backend, which is what lets
@@ -41,6 +43,7 @@ __all__ = [
     "group_offsets",
     "grouped_label_weights",
     "boundary_vertices",
+    "chunk_bounds",
     "intersect_sorted_segments",
     "compact_adjacency",
 ]
@@ -198,6 +201,25 @@ def boundary_vertices(
     return mask
 
 
+def chunk_bounds(work: np.ndarray, limit: int) -> np.ndarray:
+    """Cut points so each block ``[b[i], b[i+1])`` sums ≲ ``limit`` work
+    (it overshoots by less than its last item: a heavier item is a block
+    of its own)."""
+    nv = work.shape[0]
+    if nv == 0:
+        return np.zeros(1, dtype=np.int64)
+    cum = np.cumsum(work, dtype=np.int64)
+    total = int(cum[-1])
+    if total <= limit:
+        return np.array([0, nv], dtype=np.int64)
+    cuts = np.searchsorted(
+        cum, np.arange(limit, total, limit, dtype=np.int64), side="left",
+    ) + 1
+    return np.unique(np.concatenate((
+        np.zeros(1, dtype=np.int64), cuts, np.array([nv], dtype=np.int64)
+    )))
+
+
 def intersect_sorted_segments(
     offsets: np.ndarray,
     targets: np.ndarray,
@@ -222,10 +244,25 @@ def intersect_sorted_segments(
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
+    return _probe_segments(
+        offsets, targets, *_segment_keys(offsets, targets), left, right
+    )
+
+
+def _segment_keys(offsets: np.ndarray, targets: np.ndarray) -> tuple:
+    """``(keys, stride)``: every arc as ``segment · stride + target``,
+    globally sorted because each CSR segment is; built once per graph."""
+    n_seg = offsets.shape[0] - 1
+    stride = np.int64(max(int(targets.max(initial=0)) + 1, n_seg, 1))
+    seg_of_arc = np.repeat(np.arange(n_seg, dtype=np.int64), np.diff(offsets))
+    return seg_of_arc * stride + targets, stride
+
+
+def _probe_segments(offsets, targets, keys, stride, left, right) -> tuple:
+    """:func:`intersect_sorted_segments` over prebuilt int64 ``keys``."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     n_pairs = left.shape[0]
-    n_seg = offsets.shape[0] - 1
     empty = np.empty(0, dtype=np.int64)
     if n_pairs == 0:
         return np.zeros(0, dtype=np.int64), empty, empty
@@ -245,12 +282,8 @@ def intersect_sorted_segments(
     q_rank = np.arange(total, dtype=np.int64) - np.repeat(ends - q_counts, q_counts)
     queries = targets[offsets[small][pair_of_q] + q_rank]
 
-    # (segment, value) composite keys are globally sorted because each
-    # CSR segment is; one vectorized lower-bound search answers every
-    # membership probe.
-    stride = np.int64(max(int(targets.max(initial=0)) + 1, n_seg, 1))
-    seg_of_arc = np.repeat(np.arange(n_seg, dtype=np.int64), deg)
-    keys = seg_of_arc * stride + targets
+    # One vectorized lower-bound search over the sorted composite keys
+    # answers every membership probe.
     probe = big[pair_of_q] * stride + queries
     pos = np.searchsorted(keys, probe)
     found = np.zeros(total, dtype=bool)

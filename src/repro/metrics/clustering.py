@@ -3,12 +3,14 @@
 Triangles are counted by sorted-adjacency intersection: for each edge
 ``(u, v)``, ``|N(u) ∩ N(v)|`` is accumulated onto both endpoints and
 every common neighbor.  The CSR invariant (adjacency slices sorted)
-lets *all* edges intersect at once through
+lets a whole block of edges intersect at once through the probe of
 :func:`repro.kernels.segments.intersect_sorted_segments` — a batched
 branch-free binary search probing each edge's smaller endpoint
 adjacency into the larger, ``O(Σ min(dᵤ, dᵥ) · log maxdeg)`` flat NumPy
-work with no Python loop over edges (DESIGN §1.2c).  The per-edge
-``np.intersect1d`` loop it replaced survives as
+work with no Python loop over edges (DESIGN §1.2c).  A block holds at
+most :data:`QUERY_BLOCK` probe queries, so the working set is fixed
+rather than ``O(Σ min(dᵤ, dᵥ))`` (DESIGN §1.2).
+The per-edge ``np.intersect1d`` loop it replaced survives as
 :func:`repro.qa.oracles.triangle_counts_arcloop`, the reference the
 microbenchmarks and equivalence tests compare against.
 """
@@ -21,8 +23,13 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, unwrap
-from repro.kernels.segments import compact_adjacency, intersect_sorted_segments
+from repro.kernels.segments import _probe_segments, _segment_keys
+from repro.kernels.segments import chunk_bounds, compact_adjacency
 from repro.parallel.runtime import ParallelContext, ensure_context
+
+#: Probe queries per intersection block: ~a dozen int64 temporaries of
+#: this length, 64 k → ~4 MB whatever the graph (R-MAT 12 has 554 k).
+QUERY_BLOCK = 1 << 16
 
 
 def triangle_counts(
@@ -48,15 +55,21 @@ def triangle_counts(
             graph.offsets, graph.targets, arc_keep, n
         )
     degs = np.diff(offsets)
-    work = degs[u_arr] + degs[v_arr]
-    ctx.record_phase_from_work(work)
-    counts, common, pair_ids = intersect_sorted_segments(offsets, targets, u_arr, v_arr)
+    du, dv = degs[u_arr], degs[v_arr]
+    ctx.record_phase_from_work(du + dv)
+    keys, stride = _segment_keys(offsets, targets)
+    bounds = chunk_bounds(np.minimum(du, dv), QUERY_BLOCK)
+    counts = np.empty(u_arr.shape[0], dtype=np.int64)
     # Each triangle is seen once per edge (3 edges), contributing 1 to
     # each of its 3 vertices each time → every vertex accumulates its
-    # triangle count 3 times.
+    # triangle count 3 times.  ``add.at`` costs O(block), not O(n).
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        counts[b0:b1], common, _ = _probe_segments(
+            offsets, targets, keys, stride, u_arr[b0:b1], v_arr[b0:b1]
+        )
+        np.add.at(tri, common, 1)
     tri += np.bincount(u_arr, weights=counts, minlength=n).astype(np.int64)
     tri += np.bincount(v_arr, weights=counts, minlength=n).astype(np.int64)
-    tri += np.bincount(common, minlength=n).astype(np.int64)
     return tri // 3
 
 

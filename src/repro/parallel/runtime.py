@@ -40,10 +40,12 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from repro import _memory
 from repro.obs.tracer import current_tracer
 from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
@@ -398,6 +400,11 @@ class ParallelContext:
 
     def _ensure_process_pool(self) -> ProcessPoolExecutor:
         if self._process_pool is None:
+            # Workers fork from this process: give them its resource
+            # tracker, so a dead worker's private tracker never unlinks a
+            # shared graph (bpo-38119), and none of its freed heap.
+            resource_tracker.ensure_running()
+            _memory.release()
             self._process_pool = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._process_pool
 

@@ -199,10 +199,11 @@ def attach_graph(spec: GraphSpec, *, cache: bool = True) -> Graph:
             f"could not attach shared segment {spec.shm_name!r}: {exc}"
         ) from exc
     # Note on cleanup: CPython's resource tracker also registers
-    # *attachments* (bpo-38119), but pool workers are forked children
-    # sharing the parent's tracker process, whose name cache is a set —
-    # so the extra registrations are no-ops and the parent's unlink in
-    # :meth:`SharedGraph.close` settles the bookkeeping.
+    # *attachments* (bpo-38119).  ``ParallelContext`` starts the parent's
+    # tracker before its pool forks, so workers share it and its name
+    # cache is a set: the extra registrations are no-ops, a dead worker
+    # unlinks nothing, and the parent's unlink in :meth:`SharedGraph.close`
+    # settles the bookkeeping.
     fields = {}
     for name, off, length, dt in spec.layout:
         fields[name] = np.ndarray(

@@ -61,7 +61,7 @@ from repro.kernels.bfs import (
     _seed_lane_words,
     source_batches,
 )
-from repro.kernels.segments import grouped_label_weights
+from repro.kernels.segments import chunk_bounds, grouped_label_weights
 from repro.sharded.bsp import BSPDriver, MemoryBudget
 from repro.sharded.shards import ShardSet, _cached_shard, concat_ranges
 
@@ -85,31 +85,13 @@ DEFAULT_CHUNK_EDGES = 1 << 20
 ARC_CHUNK = 1 << 21
 
 
-def _arc_chunk_bounds(deg: np.ndarray) -> np.ndarray:
-    """Vertex-list cut points so each block expands ≲ ``ARC_CHUNK`` arcs."""
-    nv = deg.shape[0]
-    if nv == 0:
-        return np.zeros(1, dtype=np.int64)
-    cum = np.cumsum(deg, dtype=np.int64)
-    total = int(cum[-1])
-    if total <= ARC_CHUNK:
-        return np.array([0, nv], dtype=np.int64)
-    cuts = np.searchsorted(
-        cum, np.arange(ARC_CHUNK, total, ARC_CHUNK, dtype=np.int64),
-        side="left",
-    ) + 1
-    return np.unique(np.concatenate((
-        np.zeros(1, dtype=np.int64), cuts, np.array([nv], dtype=np.int64)
-    )))
-
-
 def _reduce_over_rows(ufunc, local_vals, sh, out: np.ndarray) -> np.ndarray:
     """Fold ``ufunc`` over each owned row's neighbor values into ``out``
     (``local_vals`` is indexed by local id; rows without arcs keep
     ``out[r]``), walking the CSR in ``ARC_CHUNK`` blocks."""
     offs, tg = sh.offsets, sh.targets
     deg = offs[1:] - offs[:-1]
-    bounds = _arc_chunk_bounds(deg)
+    bounds = chunk_bounds(deg, ARC_CHUNK)
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         rows = b0 + np.flatnonzero(deg[b0:b1])
         if rows.shape[0]:
@@ -189,7 +171,7 @@ def _msbfs_level_worker(task):
         tgt = got.nonzero()[0]  # owned rows lead the local ids
         return l2g.take(tgt), got.take(tgt)
     deg = offs[rows + 1] - offs[rows]
-    bounds = _arc_chunk_bounds(deg)
+    bounds = chunk_bounds(deg, ARC_CHUNK)
     blocks = []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         dg = deg[b0:b1]

@@ -16,8 +16,12 @@ path; the exhaustive fault x backend x crash-mode matrix is marked
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -291,6 +295,55 @@ class TestNoPolicy:
             assert ctx.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
             assert ctx.pool.worker_crashes == 2
         assert live_segment_names() == ()
+
+    def test_dead_worker_of_a_fork_first_pool_keeps_the_shared_graph(self):
+        # A fresh interpreter: this one already runs a resource tracker.
+        # The pool forks before any segment is shared (traverse_rmat13's
+        # setup order); workers that started a private tracker on their
+        # first attach used to unlink the segment when they died.
+        script = textwrap.dedent("""
+            import json, multiprocessing, os, time
+            import numpy as np
+            import repro
+            from repro.centrality import closeness_centrality
+            from repro.errors import WorkerCrashError
+            from repro.parallel import ParallelContext, live_segment_names
+
+            def echo(x):
+                return x
+
+            def exit_on_three(x):
+                if x == 3 and multiprocessing.parent_process() is not None:
+                    os._exit(3)
+                return x
+
+            g = repro.generators.rmat(
+                8, 8.0, rng=np.random.default_rng(0)).as_undirected()
+            src = list(range(64))  # two batches: both workers attach
+            want = closeness_centrality(g, sources=src)
+            with ParallelContext(2, backend="process") as ctx:
+                ctx.map(echo, [0, 1])
+                first = closeness_centrality(g, sources=src, ctx=ctx)
+                try:
+                    ctx.map(exit_on_three, [1, 2, 3, 4])
+                except WorkerCrashError:
+                    pass
+                time.sleep(0.5)  # a dead worker's tracker acts by now
+                again = closeness_centrality(g, sources=src, ctx=ctx)
+                fallbacks = ctx.pool.shm_fallbacks
+            print(json.dumps({
+                "first": bool(np.array_equal(first, want)),
+                "again": bool(np.array_equal(again, want)),
+                "fallbacks": fallbacks, "live": list(live_segment_names()),
+            }))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got == {"first": True, "again": True, "fallbacks": 0, "live": []}
 
     def test_share_graph_failure_falls_back_to_pickle(self, monkeypatch):
         from repro.errors import ShmAttachError

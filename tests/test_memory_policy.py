@@ -153,6 +153,45 @@ def test_policy_moves_mb_blocks_onto_the_heap():
 
 
 # ---------------------------------------------------------------------
+# pool workers fork from a released heap
+# ---------------------------------------------------------------------
+FORK_AFTER_FREE = """
+    import json
+    import numpy as np
+    import repro
+    from repro import _memory
+    from repro.parallel import ParallelContext
+
+    def rss_anon_mb(_item=None):
+        for line in open("/proc/self/status"):
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) / 1024
+
+    # 3 x 16 MB: each block is under the 32 MB mmap threshold, so it is
+    # heap, and 48 MB freed stays under the 64 MB trim threshold.
+    blocks = [np.ones(2 << 20) for _ in range(3)]
+    before_free = rss_anon_mb()
+    del blocks
+    after_free = rss_anon_mb()
+    with ParallelContext(backend="process", n_workers=2) as ctx:
+        workers = ctx.map(rss_anon_mb, [0, 1])
+    print(json.dumps({"applied": _memory.apply(), "before_free": before_free,
+                      "after_free": after_free, "workers": workers}))
+"""
+
+
+@needs_proc_maps
+def test_pool_workers_fork_from_a_released_heap():
+    got = fresh(FORK_AFTER_FREE)
+    if not got["applied"]:
+        pytest.skip("mallopt unavailable: the policy is a no-op here")
+    # the parent kept its freed heap: that is the policy ...
+    assert got["after_free"] > got["before_free"] - 24
+    # ... but no worker starts as a copy of it
+    assert max(got["workers"]) < got["before_free"] - 24
+
+
+# ---------------------------------------------------------------------
 # page-fault guards, in this process and in forked pool workers
 # ---------------------------------------------------------------------
 FAULTS = """

@@ -57,12 +57,12 @@ def test_disabled_tracer_overhead():
     assert current_tracer() is NULL_TRACER
 
     bare = brandes.__wrapped__
-    t_bare = _min_of_k(lambda: bare(g, sources=sources, engine="batched"))
-    t_untraced = _min_of_k(lambda: brandes(g, sources=sources, engine="batched"))
+    t_bare = _min_of_k(lambda: bare(g, sources=sources))
+    t_untraced = _min_of_k(lambda: brandes(g, sources=sources))
 
     def traced_once():
         tr = Tracer()
-        brandes(g, sources=sources, engine="batched", trace=tr)
+        brandes(g, sources=sources, trace=tr)
         return tr.finish()
 
     t_traced = _min_of_k(traced_once)

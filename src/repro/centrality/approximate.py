@@ -87,7 +87,7 @@ def approximate_vertex_betweenness(
         # which preserves the adaptive estimator's semantics.
         for start in range(0, budget, lanes):
             batch = order[start : start + lanes]
-            delta, _ = _brandes_batch(graph, edge_active, batch, ctx, False)
+            delta, _, _ = _brandes_batch(graph, edge_active, batch)
             dep_v = delta[:, v]
             for j in range(batch.shape[0]):
                 ctx.phase(per, per)  # one traversal = one sequential sample

@@ -5,21 +5,21 @@ a reverse sweep.  Both sweeps are vectorized level-by-level: shortest
 -path counts ``σ`` accumulate along the level-(L → L+1) arcs in one
 scatter-add per level, and dependencies ``δ`` flow back the same way.
 
-Two traversal engines:
+``K`` sources traverse simultaneously as lanes of flat ``(K, n)``
+distance/σ/δ planes, so one NumPy pass per level replaces ``K``
+Python-level sweeps (:func:`_brandes_batch`).  Source batches are the
+unit of real execution: :meth:`ParallelContext.map_batches` runs them
+on the configured serial/thread/process backend, in rounds whose
+partial accumulators fit ``BATCH_ARC_BUDGET`` entries, and each round
+is reduced before the next is dispatched.
 
-* ``engine="batched"`` (default) — ``K`` sources traverse
-  simultaneously as lanes of flat ``(K, n)`` distance/σ/δ planes, so
-  one NumPy pass per level replaces ``K`` Python-level sweeps
-  (:func:`_brandes_batch`).  Source batches are the unit of real
-  execution: :meth:`ParallelContext.map_batches` runs them on the
-  configured serial/thread/process backend.
-* ``engine="looped"`` — the original one-source-at-a-time path, kept as
-  the parity/benchmark baseline.
-
-Two parallelization strategies, as §3 describes:
+Two parallelization strategies, as §3 describes; the kernel records
+its strategy's modeled phases itself, so the profile is the same on
+every backend:
 
 * ``granularity="fine"`` — each traversal's levels are the parallel
-  phases (space O(m + n));
+  phases (space O(m + n)); every batch reports its per-level
+  ``(work, max_item)`` and the coordinator records them in batch order;
 * ``granularity="coarse"`` — the n traversals are distributed over the
   p workers, each conceptually holding private accumulators (space
   O(p(m + n)), fewer barriers).  The cost model sees one big phase of
@@ -31,25 +31,26 @@ no shortest paths — this is what Girvan–Newman iterates on.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, expand, expand_batch, unwrap
+from repro.kernels._frontier import GraphLike, expand_batch, unwrap
 from repro.kernels.bfs import default_batch_size, source_batches
 from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
-from repro.parallel.runtime import ParallelContext, ensure_context
+from repro.parallel.runtime import ParallelContext, ensure_context, phase_of_work
 
 #: Soft cap on lane-arcs per batch: the σ-arc replay cache plus the
 #: bottom-up expansion hold ~20 B per lane-arc, so the default K keeps
 #: that transient to a few MB (K = 2 on R-MAT 13, 4 on R-MAT 12, 32
 #: below 8 192 arcs).  Time is flat in K up to 8 and rises past it
 #: (R-MAT 13, 32 sources: K = 1/2/4/8 61–64 ms, K = 16/32 72/81 ms;
-#: DESIGN §1.2b).
+#: DESIGN §1.2b).  It also caps a dispatch round: a round holds as
+#: many batches as keep their (n + m)-float partial accumulators within
+#: this many entries (2 MB), and never fewer than the worker count.
 BATCH_ARC_BUDGET = 1 << 18
 
 
@@ -68,72 +69,6 @@ class BrandesResult:
     vertex: np.ndarray
     edge: np.ndarray
     n_sources: int
-
-
-def _single_source_accumulate(
-    graph,
-    edge_active: Optional[np.ndarray],
-    s: int,
-    vertex_acc: np.ndarray,
-    edge_acc: np.ndarray,
-    ctx: ParallelContext,
-    record_phases: bool,
-) -> float:
-    """Run one Brandes traversal from ``s``, adding into the accumulators.
-
-    Returns the total dependency mass (used by adaptive sampling).
-    """
-    n = graph.n_vertices
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[s] = 0
-    sigma[s] = 1.0
-    frontier = np.asarray([s], dtype=np.int64)
-    levels: list[np.ndarray] = [frontier]
-    degs = graph.degrees()
-
-    # Forward sweep: level-synchronous σ accumulation.
-    while frontier.shape[0]:
-        if record_phases:
-            ctx.record_phase_from_work(degs[frontier])
-        srcs, tgts, _ = expand(graph, frontier, edge_active)
-        if tgts.shape[0] == 0:
-            break
-        unseen = dist[tgts] == -1
-        nxt = np.unique(tgts[unseen])
-        if nxt.shape[0]:
-            dist[nxt] = dist[frontier[0]] + 1
-        # σ flows along every arc into the next level (including arcs
-        # from this frontier to vertices just discovered).
-        level_arcs = dist[tgts] == dist[srcs] + 1
-        np.add.at(sigma, tgts[level_arcs], sigma[srcs[level_arcs]])
-        if nxt.shape[0] == 0:
-            break
-        frontier = nxt
-        levels.append(frontier)
-
-    # Backward sweep: δ accumulation per level.
-    delta = np.zeros(n, dtype=np.float64)
-    for frontier in reversed(levels[1:]):
-        if record_phases:
-            ctx.record_phase_from_work(degs[frontier])
-        # Arcs out of `frontier` back toward the source are the reverse
-        # of tree arcs; expanding `frontier` finds predecessors because
-        # the graph is symmetric (undirected) or we expand the reverse
-        # graph (handled by caller for directed inputs).
-        srcs, tgts, arc_idx = expand(graph, frontier, edge_active)
-        pred = dist[tgts] == dist[srcs] - 1
-        if not np.any(pred):
-            continue
-        v, w, arcs = tgts[pred], srcs[pred], arc_idx[pred]
-        contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
-        np.add.at(delta, v, contrib)
-        np.add.at(edge_acc, graph.arc_edge_ids[arcs], contrib)
-    # ``delta[s]`` is zeroed *before* the accumulator update: the source
-    # itself earns no dependency from its own traversal.
-    delta[s] = 0.0
-    vertex_acc += delta
-    return float(delta.sum())
 
 
 def _single_source_accumulate_weighted(
@@ -229,12 +164,8 @@ def _claimed_frontier(
 
 
 def _brandes_batch(
-    graph,
-    edge_active: Optional[np.ndarray],
-    batch: np.ndarray,
-    ctx: Optional[ParallelContext] = None,
-    record_phases: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+    graph, edge_active: Optional[np.ndarray], batch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Run ``K`` Brandes traversals simultaneously (one batch of lanes).
 
     Traversal state lives in flat ``(K, n)`` planes — ``dist``, ``σ``
@@ -242,9 +173,12 @@ def _brandes_batch(
     bincount scatter-adds shared by every lane, so the per-source
     Python-loop overhead collapses into one NumPy dispatch per level.
 
-    Returns ``(delta, edge_partial)``: the per-lane dependency plane
-    (``delta[k]`` is source ``batch[k]``'s δ vector, source entry
-    zeroed) and the batch's summed per-edge dependency contributions.
+    Returns ``(delta, edge_partial, levels)``: the per-lane dependency
+    plane (``delta[k]`` is source ``batch[k]``'s δ vector, source entry
+    zeroed), the batch's summed per-edge dependency contributions, and
+    each level's frontier vertices (``levels[0]`` is ``batch``) — the
+    forward sweep visits every level, the backward sweep all but the
+    first in reverse.
     """
     n = graph.n_vertices
     batch = np.asarray(batch, dtype=np.int64)
@@ -259,7 +193,7 @@ def _brandes_batch(
     lanes0 = np.arange(k, dtype=np.int64)
     dist[lanes0, batch] = 0
     sigma[lanes0, batch] = 1.0
-    levels: list[tuple[np.ndarray, np.ndarray]] = [(lanes0, batch)]
+    levels: list[np.ndarray] = [batch]
     # Forward σ-arcs (the arcs shortest paths actually use) are cached
     # per level as (source flat index, target flat index, edge id, σ_src)
     # rows.  The backward sweep's predecessor arcs are *exactly* these
@@ -282,12 +216,10 @@ def _brandes_batch(
     # out-arcs are not its in-arcs).
     bottom_up_ok = not graph.directed
     todo_arcs = int(k * graph.n_arcs - degs[batch].sum())
-    tr = ctx.tracer if ctx is not None else current_tracer()
+    tr = current_tracer()
 
     # Forward sweep: batched level-synchronous σ accumulation.
     while verts.shape[0]:
-        if record_phases and ctx is not None:
-            ctx.record_phase_from_work(degs[verts])
         front_arcs = int(degs.take(verts).sum())
         bottom_up = bottom_up_ok and todo_arcs < front_arcs
         sp = (
@@ -340,7 +272,7 @@ def _brandes_batch(
         lanes = nxt // n
         verts = nxt - lanes * n
         todo_arcs -= int(degs.take(verts).sum())
-        levels.append((lanes, verts))
+        levels.append(verts)
         level += 1
         if sp is not None:
             tr.end(
@@ -361,8 +293,6 @@ def _brandes_batch(
     with np.errstate(divide="ignore"):
         inv_sigma = 1.0 / sigma_flat
     for i in range(len(sigma_arcs) - 1, -1, -1):
-        if record_phases and ctx is not None:
-            ctx.record_phase_from_work(degs[levels[i + 1][1]])
         u_flat, v_flat, eids_c, w = sigma_arcs[i]
         sp = (
             tr.begin("backward_level", depth=i, sigma_arcs=int(v_flat.shape[0]))
@@ -375,21 +305,33 @@ def _brandes_batch(
         if sp is not None:
             tr.end(sp)
     delta[lanes0, batch] = 0.0
-    return delta, edge_partial
+    return delta, edge_partial, levels
 
 
 def _brandes_batch_worker(
     graph, batch: np.ndarray, payload
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
     """Backend-executable unit: one source batch → partial accumulators.
 
     Module-level (picklable by reference) so
     :meth:`ParallelContext.map_batches` can ship it to process-pool
     workers, which attach the CSR arrays via shared memory.  ``payload``
-    is the optional edge-activity mask.
+    is ``(edge_active, phase_model)``: the optional edge-activity mask,
+    and ``(n_workers, degree_aware)`` under fine granularity (else
+    ``None``).  Returns the vertex and edge partials plus the batch's
+    fine-grained ``(work, max_item)`` phases — forward levels, then
+    backward — for the coordinator to record.
     """
-    delta, edge_partial = _brandes_batch(graph, payload, batch)
-    return delta.sum(axis=0), edge_partial
+    edge_active, phase_model = payload
+    delta, edge_partial, levels = _brandes_batch(graph, edge_active, batch)
+    phases = []
+    if phase_model is not None:
+        degs = graph.degrees()
+        for verts in levels + levels[:0:-1]:
+            ph = phase_of_work(degs[verts], *phase_model)
+            if ph is not None:
+                phases.append(ph)
+    return delta.sum(axis=0), edge_partial, phases
 
 
 @algorithm("brandes")
@@ -400,7 +342,6 @@ def brandes(
     granularity: str = "fine",
     normalized: bool = False,
     weights: Optional[str] = None,
-    engine: str = "batched",
     batch_size: Optional[int] = None,
     ctx: Optional[ParallelContext] = None,
 ) -> BrandesResult:
@@ -415,16 +356,14 @@ def brandes(
     accumulation, anything else the hop-count BFS engine; pass
     ``"weight"`` or ``"hops"`` to force.
 
-    ``engine="batched"`` (default) traverses ``batch_size`` sources per
-    vectorized sweep and executes the batches on ``ctx``'s configured
-    backend (serial/thread/process); ``engine="looped"`` is the
-    per-source baseline.  The weighted path is always looped (Dijkstra
-    ordering is inherently sequential per source).
+    The hop-count engine traverses ``batch_size`` sources per
+    vectorized sweep and executes the batches through
+    :meth:`ParallelContext.map_batches` on ``ctx``'s configured backend
+    (serial/thread/process).  The weighted path runs one source at a
+    time (Dijkstra ordering is inherently sequential per source).
     """
     if weights not in (None, "weight", "hops"):
         raise ValueError("weights must be None, 'weight' or 'hops'")
-    if engine not in ("batched", "looped"):
-        raise ValueError("engine must be 'batched' or 'looped'")
     graph, edge_active = unwrap(g)
     if graph.directed:
         raise GraphStructureError(
@@ -445,84 +384,37 @@ def brandes(
     weighted = weights == "weight" or (
         weights is None and graph.is_weighted and not _unit_weights(graph)
     )
+    # Coarse granularity: one phase of |S| traversals of ~O(m) work
+    # each, p-way distributed.  Fine: the levels are the phases.
+    per_traversal = float(max(1, graph.n_arcs))
     if weighted:
         with ctx.region():
-            per_traversal = float(max(1, graph.n_arcs))
             ctx.phase(per_traversal * len(src_list), per_traversal)
             for s in src_list:
                 _single_source_accumulate_weighted(
                     graph, edge_active, s, vertex_acc, edge_acc, ctx
                 )
-    elif engine == "looped":
-        if granularity == "coarse":
-            # One phase: n traversals of ~O(m) work each, p-way distributed.
-            with ctx.region():
-                per_traversal = float(max(1, graph.n_arcs))
-                ctx.phase(per_traversal * len(src_list), per_traversal)
-                for s in src_list:
-                    _single_source_accumulate(
-                        graph, edge_active, s, vertex_acc, edge_acc, ctx, False
-                    )
-        else:
-            with ctx.region():
-                for s in src_list:
-                    _single_source_accumulate(
-                        graph, edge_active, s, vertex_acc, edge_acc, ctx, True
-                    )
     elif src_list:
         batches = source_batches(src_list, _brandes_batch_size(graph, batch_size), n)
-        per_traversal = float(max(1, graph.n_arcs))
-        if ctx.backend == "serial":
-            # In-process batched sweeps; fine granularity still records
-            # per-level phases (now shared by the whole batch).  When
-            # traced, the dispatch emits the same map_batches/batch span
-            # shape as the pooled path so trace structure is
-            # backend-independent.
-            tr = ctx.tracer
-            ctx.pool.batch_calls += 1
-            ctx.pool.batches_dispatched += len(batches)
-            ctx.pool.lanes_dispatched += int(sum(len(b) for b in batches))
-            with ctx.region():
-                if granularity == "coarse":
-                    ctx.phase(per_traversal * len(src_list), per_traversal)
-                if tr:
-                    t0 = _time.perf_counter()
-                    with tr.span(
-                        "map_batches",
-                        backend="serial",
-                        n_batches=len(batches),
-                        n_workers=ctx.n_workers,
-                    ):
-                        for b in batches:
-                            with tr.span("batch", lanes=int(len(b))):
-                                delta, edge_partial = _brandes_batch(
-                                    graph, edge_active, b, ctx, granularity == "fine"
-                                )
-                            vertex_acc += delta.sum(axis=0)
-                            edge_acc += edge_partial
-                    elapsed = _time.perf_counter() - t0
-                    ctx.pool.busy_seconds += elapsed
-                    ctx.pool.elapsed_seconds += elapsed
-                else:
-                    for b in batches:
-                        delta, edge_partial = _brandes_batch(
-                            graph, edge_active, b, ctx, granularity == "fine"
-                        )
-                        vertex_acc += delta.sum(axis=0)
-                        edge_acc += edge_partial
-        else:
-            # Real workers: one task per source batch, reduced in batch
-            # order so results are independent of the backend.
-            results = ctx.map_batches(
-                _brandes_batch_worker,
-                graph,
-                batches,
-                payload=edge_active,
-                costs=[per_traversal * len(b) for b in batches],
-            )
-            for vertex_partial, edge_partial in results:
-                vertex_acc += vertex_partial
-                edge_acc += edge_partial
+        fine = granularity == "fine"
+        payload = (edge_active, (ctx.n_workers, ctx.degree_aware) if fine else None)
+        # Rounds bound the live partials (n + m floats per batch); each
+        # is reduced, in batch order, before the next is dispatched.
+        per_round = max(ctx.n_workers, BATCH_ARC_BUDGET // (n + graph.n_edges))
+        with ctx.region():
+            if not fine:
+                ctx.phase(per_traversal * len(src_list), per_traversal)
+            for start in range(0, len(batches), per_round):
+                for vertex_partial, edge_partial, phases in ctx.map_batches(
+                    _brandes_batch_worker,
+                    graph,
+                    batches[start : start + per_round],
+                    payload=payload,
+                ):
+                    vertex_acc += vertex_partial
+                    edge_acc += edge_partial
+                    for ph in phases:
+                        ctx.phase(*ph)
 
     # Undirected double-counting: each unordered pair contributes from
     # both endpoints as sources.

@@ -83,7 +83,11 @@ def closeness_centrality(
                 cc *= (r - 1) / (n - 1)
             out[v] = cc
 
-        ctx.map(one, src_list, costs=[per_traversal for _ in src_list])
+        if src_list:
+            # One phase of per-source traversals (coarse-grained).
+            with ctx.region():
+                ctx.phase(per_traversal * len(src_list), per_traversal)
+        ctx.map(one, src_list)
         return out
 
     if graph.directed:
@@ -94,13 +98,14 @@ def closeness_centrality(
     else:
         base, mask = graph, edge_active
     batches = source_batches(src_list, batch_size, n)
-    results = ctx.map_batches(
-        _closeness_batch_worker,
-        base,
-        batches,
-        payload=mask,
-        costs=[per_traversal * len(b) for b in batches],
-    )
+    if batches:
+        # One phase whose tasks are the source batches.
+        with ctx.region():
+            ctx.phase(
+                per_traversal * len(src_list),
+                per_traversal * max(len(b) for b in batches),
+            )
+    results = ctx.map_batches(_closeness_batch_worker, base, batches, payload=mask)
     for batch, (r, total) in zip(batches, results):
         valid = (r > 1) & (total > 0)
         cc = np.zeros(batch.shape[0], dtype=np.float64)

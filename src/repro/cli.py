@@ -93,7 +93,6 @@ def _finish_profile(args, tracer: Optional[Tracer], ctx: ParallelContext,
             "n_workers": ctx.n_workers,
             "elapsed_seconds": round(elapsed, 6),
             "cost_model": ctx.cost.summary(),
-            "sync": ctx.sync.as_dict(),
             "pool": ctx.pool.as_dict(),
         },
     )

@@ -30,7 +30,6 @@ def girvan_newman(
     max_iterations: Optional[int] = None,
     patience: Optional[int] = None,
     max_stall: Optional[int] = None,
-    engine: str = "batched",
     batch_size: Optional[int] = None,
     ctx: Optional[ParallelContext] = None,
 ) -> ClusteringResult:
@@ -41,19 +40,15 @@ def girvan_newman(
     the best partition seen is returned either way.
 
     Each iteration's exact edge-betweenness recomputation is a
-    per-source traversal workload, so it runs on the batched
-    multi-source engine by default (``engine``/``batch_size`` are
-    forwarded to :func:`~repro.centrality.betweenness.brandes`, and the
-    batches execute on ``ctx``'s configured backend).
+    fine-grained run of the batched Brandes engine (``batch_size`` is
+    forwarded to :func:`~repro.centrality.betweenness.brandes`); the
+    batches execute on ``ctx``'s configured backend, and the modeled
+    profile is the same on each.
     """
 
     def score(view: EdgeSubsetView, members: np.ndarray, c: ParallelContext):
         return brandes(
-            view,
-            sources=members.tolist(),
-            engine=engine,
-            batch_size=batch_size,
-            ctx=c,
+            view, sources=members.tolist(), batch_size=batch_size, ctx=c
         ).edge
 
     trace, labels, _, ctx = divisive_clustering(

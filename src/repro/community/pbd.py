@@ -46,7 +46,6 @@ def pbd(
     max_iterations: Optional[int] = None,
     patience: Optional[int] = None,
     max_stall: Optional[int] = None,
-    engine: str = "batched",
     batch_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     ctx: Optional[ParallelContext] = None,
@@ -66,10 +65,11 @@ def pbd(
     sources on its 400k-vertex instances — must not degenerate to a
     handful of sources on small components.
 
-    Both the sampled and the exact rescoring paths are per-source
-    traversal workloads; ``engine``/``batch_size`` select the batched
-    multi-source engine (default) or the looped baseline, and batches
-    execute on ``ctx``'s configured serial/thread/process backend.
+    Both the sampled and the exact rescoring paths are coarse-grained
+    runs of the batched Brandes engine (``batch_size`` lanes per
+    sweep); the batches execute on ``ctx``'s configured
+    serial/thread/process backend, and the modeled profile is the same
+    on each.
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -86,7 +86,6 @@ def pbd(
                 view,
                 sources=members.tolist(),
                 granularity="coarse",
-                engine=engine,
                 batch_size=batch_size,
                 ctx=c,
             ).edge
@@ -100,7 +99,6 @@ def pbd(
             view,
             sources=srcs.tolist(),
             granularity="coarse",
-            engine=engine,
             batch_size=batch_size,
             ctx=c,
         )

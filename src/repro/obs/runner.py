@@ -6,7 +6,8 @@ The paper's evaluation needs every algorithm measured the same way;
     res = repro.obs.run("betweenness", g, backend="thread", n_workers=4)
     res.value               # the algorithm's payload (scores, labels, ...)
     res.trace               # root Span of the recorded span tree
-    res.cost_model          # the PRAM work/span profile (Figure 2/3 input)
+    res.cost_model          # the PRAM work/span/sync profile the kernels
+                            # recorded (Figure 2/3 input; backend-independent)
     res.pool                # backend pool gauges (tasks, batches, shm bytes)
     res.elapsed_seconds     # wall clock
     res.save("out.json")    # the JSON document `repro profile` emits
@@ -39,7 +40,6 @@ class RunResult:
     value: Any
     trace: Optional[Span]
     cost_model: Any  # repro.parallel.costmodel.CostModel
-    sync: Any  # repro.parallel.sync.SyncCounters
     pool: Any  # repro.parallel.runtime.PoolStats
     backend: str
     n_workers: int
@@ -59,7 +59,7 @@ class RunResult:
         return flame_summary(self.trace, **kw)
 
     def to_dict(self) -> dict:
-        """JSON-ready record: trace tree + cost/sync/pool profiles."""
+        """JSON-ready record: trace tree + cost-model and pool profiles."""
         return {
             "algorithm": self.algorithm,
             "backend": self.backend,
@@ -67,7 +67,6 @@ class RunResult:
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "trace": None if self.trace is None else self.trace.to_dict(),
             "cost_model": self.cost_model.summary(),
-            "sync": self.sync.as_dict(),
             "pool": self.pool.as_dict(),
         }
 
@@ -131,7 +130,6 @@ def run(
             value=value,
             trace=root,
             cost_model=ctx.cost,
-            sync=ctx.sync,
             pool=ctx.pool,
             backend=ctx.backend,
             n_workers=ctx.n_workers,

@@ -16,6 +16,10 @@ for Python-level work, so this package does two things at once:
   zero-copy CSR handoff over POSIX shared memory — see
   :mod:`repro.parallel.shm`), so per-source traversal batches run on
   real cores when the hardware has them.
+
+The two are independent: dispatch charges nothing to the profile, and
+each kernel records its own phases, so the profile does not depend on
+the backend.
 """
 
 from repro.parallel.chaos import ChaosMonkey, ChaosPlan, Fault
@@ -35,7 +39,6 @@ from repro.parallel.partitioner import (
     imbalance_factor,
 )
 from repro.parallel.scheduler import WorkStealingScheduler, simulate_work_stealing
-from repro.parallel.sync import CountedLock, SyncCounters
 
 __all__ = [
     "ChaosMonkey",
@@ -55,6 +58,4 @@ __all__ = [
     "imbalance_factor",
     "WorkStealingScheduler",
     "simulate_work_stealing",
-    "CountedLock",
-    "SyncCounters",
 ]

@@ -5,8 +5,7 @@ thread count.  It bundles
 
 * the configured worker count ``p`` (the paper sweeps 1..32 threads),
 * a :class:`~repro.parallel.costmodel.CostModel` accumulating the run's
-  work/span/sync profile,
-* :class:`~repro.parallel.sync.SyncCounters` for lock/CAS accounting,
+  work/span/sync profile (phases, barriers, lock and CAS events),
 * chunking policy (degree-aware or oblivious — paper §3), and
 * a real execution **backend** for coarse-grained task maps
   (per-component clustering, per-source traversal batches):
@@ -20,13 +19,14 @@ thread count.  It bundles
 
   Pools are created lazily, reused across calls, and released by
   :meth:`close` / :meth:`reset` or the context-manager protocol.
-  Whatever the backend, the cost model keeps recording the *modeled*
-  phase structure, so Figure 2/3 style profiles stay comparable.
 
 Every :meth:`~ParallelContext.map` / :meth:`~ParallelContext.map_batches`
 call runs through one path, :func:`repro.parallel.resilience.drive`,
 whether or not a :class:`~repro.parallel.resilience.FaultPolicy` is
 set; without one the first failure propagates (see that module).
+Dispatch charges nothing to the cost model: the calling kernel records
+its own decomposition's *modeled* phases, so Figure 2/3 style profiles
+are the same whatever backend ran the tasks.
 
 Kernels that take ``ctx=None`` construct a throwaway single-worker
 context, so the instrumentation is always exercised.
@@ -56,7 +56,6 @@ from repro.parallel.partitioner import (
     imbalance_factor,
 )
 from repro.parallel.resilience import FaultPolicy
-from repro.parallel.sync import CountedLock, SyncCounters
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -73,6 +72,36 @@ def _picklable_by_reference(fn: Callable) -> bool:
         return pickle.loads(pickle.dumps(fn)) is fn
     except Exception:
         return False
+
+
+def phase_of_work(
+    work: Optional[np.ndarray], n_workers: int, degree_aware: bool
+) -> Optional[tuple[float, float]]:
+    """``(work, max_item)`` of a phase whose items cost ``work`` each.
+
+    ``None`` for a phase with no work (nothing is recorded).  The
+    phase's ``max_item`` is the largest chunk's *excess* work
+    granularity: with degree-aware chunking this is the largest single
+    item; without it, the whole largest chunk may be the bottleneck,
+    which the model captures via the imbalance factor.  Pure, so a
+    worker can compute its phases and the coordinator record them.
+    """
+    if work is None or len(work) == 0:
+        return None
+    work = np.asarray(work, dtype=np.float64)
+    total = float(work.sum())
+    if total == 0.0:
+        return None
+    if degree_aware:
+        # Degree-aware assignment also visits the adjacencies of
+        # high-degree vertices in parallel (paper §3), so no single
+        # vertex is an indivisible work item.
+        return total, 1.0
+    imb = imbalance_factor(work, chunk_ranges(work.shape[0], n_workers))
+    # An oblivious schedule behaves as if its largest indivisible item
+    # were the whole overloaded chunk's excess.
+    top = float(work.max())
+    return total, max(top, (imb - 1.0) * total / n_workers + top)
 
 
 @dataclass
@@ -287,7 +316,6 @@ class ParallelContext:
         self.degree_aware = bool(degree_aware)
         self.backend = backend
         self.cost = CostModel(machine)
-        self.sync = SyncCounters()
         self.pool = PoolStats()
         # Read per dispatch by repro.parallel.resilience.policy_for;
         # never reassigned (obs.run arms a run without writing here).
@@ -325,21 +353,15 @@ class ParallelContext:
     ) -> None:
         """Record one barrier- (or flag-) separated parallel phase."""
         self.cost.phase(work, max_item, flag_sync=flag_sync)
-        self.sync.barriers += 1
 
     def serial(self, work: float) -> None:
         self.cost.serial(work)
 
     def lock(self, count: int = 1) -> None:
         self.cost.lock(count)
-        self.sync.lock_acquisitions += count
 
     def cas(self, count: int = 1) -> None:
         self.cost.cas(count)
-        self.sync.cas_operations += count
-
-    def make_lock(self) -> CountedLock:
-        return CountedLock(self.sync)
 
     @contextmanager
     def region(self):
@@ -364,31 +386,11 @@ class ParallelContext:
         return chunk_ranges(n_items, self.n_workers)
 
     def record_phase_from_work(self, work: Optional[np.ndarray]) -> None:
-        """Record a phase whose items have per-item ``work`` costs.
-
-        The phase's ``max_item`` is the largest chunk's *excess* work
-        granularity: with degree-aware chunking this is the largest
-        single item; without it, the whole largest chunk may be the
-        bottleneck, which the model captures via the imbalance factor.
-        """
-        if work is None or len(work) == 0:
-            return
-        work = np.asarray(work, dtype=np.float64)
-        total = float(work.sum())
-        if total == 0.0:
-            return
-        if self.degree_aware:
-            # Degree-aware assignment also visits the adjacencies of
-            # high-degree vertices in parallel (paper §3), so no single
-            # vertex is an indivisible work item.
-            max_item = 1.0
-        else:
-            chunks = chunk_ranges(work.shape[0], self.n_workers)
-            imb = imbalance_factor(work, chunks)
-            # An oblivious schedule behaves as if its largest indivisible
-            # item were the whole overloaded chunk's excess.
-            max_item = max(float(work.max()), (imb - 1.0) * total / self.n_workers + float(work.max()))
-        self.phase(total, max_item)
+        """Record a phase whose items have per-item ``work`` costs
+        (see :func:`phase_of_work`)."""
+        ph = phase_of_work(work, self.n_workers, self.degree_aware)
+        if ph is not None:
+            self.phase(*ph)
 
     # ------------------------------------------------------------------
     # Execution backend plumbing
@@ -518,33 +520,17 @@ class ParallelContext:
     # ------------------------------------------------------------------
     # Coarse-grained task execution
     # ------------------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        *,
-        costs: Optional[Sequence[float]] = None,
-    ) -> list[R]:
-        """Apply ``fn`` to every item, recording one parallel phase.
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+        """Apply ``fn`` to every item; results in item order.
 
         With a non-serial backend and more than one worker, items run on
         the context's persistent pool — threads by default; real
         processes when ``backend="process"`` *and* ``fn`` pickles by
         reference (closures fall back to the thread pool).  Otherwise
-        execution is sequential and deterministic.  Either way the phase
-        is charged ``sum(costs)`` work with ``max(costs)`` granularity
-        (costs default to 1 per item).
+        execution is sequential and deterministic.  Nothing is charged
+        to the cost model; the caller records its modeled phases.
         """
         items = list(items)
-        if costs is None:
-            cost_arr = np.ones(len(items), dtype=np.float64)
-        else:
-            cost_arr = np.asarray(list(costs), dtype=np.float64)
-            if cost_arr.shape[0] != len(items):
-                raise ValueError("costs must align with items")
-        if items:
-            self.cost.region()
-            self.phase(float(cost_arr.sum()), float(cost_arr.max()))
         self.pool.map_calls += 1
         self.pool.tasks_dispatched += len(items)
         return self._drive(
@@ -561,7 +547,6 @@ class ParallelContext:
         batches: Sequence[np.ndarray],
         *,
         payload=None,
-        costs: Optional[Sequence[float]] = None,
     ) -> list:
         """Run ``worker(graph, batch, payload)`` per batch, in batch order.
 
@@ -577,20 +562,11 @@ class ParallelContext:
           ``worker`` must be a module-level function.  ``payload``
           (e.g. an edge-activity mask) is pickled per task.
 
-        The modeled cost is one region + one phase of ``sum(costs)``
-        work at ``max(costs)`` granularity, mirroring :meth:`map`.
+        Like :meth:`map`, it charges nothing to the cost model.
         """
         batches = [np.asarray(b, dtype=np.int64) for b in batches]
         if not batches:
             return []
-        if costs is None:
-            cost_arr = np.asarray([len(b) for b in batches], dtype=np.float64)
-        else:
-            cost_arr = np.asarray(list(costs), dtype=np.float64)
-            if cost_arr.shape[0] != len(batches):
-                raise ValueError("costs must align with batches")
-        self.cost.region()
-        self.phase(float(cost_arr.sum()), float(cost_arr.max()))
         self.pool.batch_calls += 1
         self.pool.batches_dispatched += len(batches)
         self.pool.lanes_dispatched += int(sum(len(b) for b in batches))
@@ -684,7 +660,6 @@ class ParallelContext:
     def reset(self) -> None:
         """Clear instrumentation and release pools/shared segments."""
         self.cost.reset()
-        self.sync = SyncCounters()
         self.pool.reset()
         self.close()
 

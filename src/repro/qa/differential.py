@@ -433,6 +433,28 @@ def _run_betweenness(graph: Graph, ctx) -> np.ndarray:
     return scores
 
 
+def _run_edge_betweenness(graph: Graph, ctx) -> np.ndarray:
+    from repro.centrality.betweenness import edge_betweenness_centrality
+
+    return edge_betweenness_centrality(graph, ctx=ctx)
+
+
+def _oracle_brandes(ref: oracles.RefGraph):
+    """Oracle ``(vertex, edge)`` scores, mirroring the kernel's auto-
+    detect: non-unit weights switch both to Dijkstra order."""
+    weighted = any(w != 1.0 for _, _, w in ref.edges)
+    return oracles.brandes_betweenness(ref, weighted=weighted)
+
+
+def _cmp_edge_scores(value, expected, graph) -> Optional[str]:
+    """Edge scores by edge id against the oracle's by endpoint pair."""
+    u, v = graph.edge_endpoints()
+    keys = list(zip(u.tolist(), v.tolist()))
+    if sorted(keys) != sorted(expected):
+        return "edge set differs from the oracle's"
+    return _cmp_float_arrays(value, [expected[e] for e in keys], graph)
+
+
 def _run_closeness(graph: Graph, ctx) -> np.ndarray:
     from repro.centrality.closeness import closeness_centrality
 
@@ -609,12 +631,10 @@ CHECKS: tuple[Check, ...] = (
           _cmp_int_arrays, directed_ok=True),
     Check("connected_bfs", _run_cc("bfs"), oracles.connected_components,
           _cmp_int_arrays),
-    # The oracle mirrors the kernel's auto-detect: non-unit weights
-    # switch both sides to Dijkstra-ordered accumulation.
     Check("betweenness", _run_betweenness,
-          lambda ref: oracles.brandes_betweenness(
-              ref, weighted=any(w != 1.0 for _, _, w in ref.edges)),
-          _cmp_float_arrays),
+          lambda ref: _oracle_brandes(ref)[0], _cmp_float_arrays),
+    Check("edge_betweenness", _run_edge_betweenness,
+          lambda ref: _oracle_brandes(ref)[1], _cmp_edge_scores),
     Check("closeness", _run_closeness, oracles.closeness, _cmp_float_arrays),
     Check("sssp_dijkstra", _run_sssp("dijkstra"),
           lambda ref: oracles.dijkstra_distances(ref, 0),

@@ -123,15 +123,24 @@ def dijkstra_distances(ref: RefGraph, source: int) -> list[float]:
     return dist
 
 
-def brandes_betweenness(ref: RefGraph, *, weighted: bool = False) -> list[float]:
-    """Exact unnormalized vertex betweenness (textbook Brandes).
+def brandes_betweenness(
+    ref: RefGraph,
+    *,
+    weighted: bool = False,
+    sources: Optional[Iterable[int]] = None,
+) -> tuple[list[float], dict[tuple[int, int], float]]:
+    """Exact unnormalized vertex and edge betweenness (textbook Brandes).
 
-    Undirected graphs count each unordered pair once (accumulated both
-    directions, halved at the end).  ``weighted=True`` orders the
-    forward sweep by Dijkstra settlement instead of BFS levels.
+    Returns ``(vertex_scores, edge_scores)``; edge scores are keyed by
+    the edge's ``ref.edges`` endpoint pair.  Dependencies accumulate
+    from ``sources`` only (default: every vertex).  Undirected graphs
+    count each unordered pair once (accumulated both directions, halved
+    at the end).  ``weighted=True`` orders the forward sweep by Dijkstra
+    settlement instead of BFS levels.
     """
     bc = [0.0] * ref.n
-    for s in range(ref.n):
+    ebc = {(u, v): 0.0 for u, v, _ in ref.edges}
+    for s in range(ref.n) if sources is None else sources:
         stack: list[int] = []
         preds: list[list[int]] = [[] for _ in range(ref.n)]
         sigma = [0.0] * ref.n
@@ -176,12 +185,15 @@ def brandes_betweenness(ref: RefGraph, *, weighted: bool = False) -> list[float]
         while stack:
             v = stack.pop()
             for u in preds[v]:
-                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
+                c = sigma[u] / sigma[v] * (1.0 + delta[v])
+                delta[u] += c
+                ebc[(u, v) if ref.directed or u < v else (v, u)] += c
             if v != s:
                 bc[v] += delta[v]
     if not ref.directed:
         bc = [x / 2.0 for x in bc]
-    return bc
+        ebc = {e: x / 2.0 for e, x in ebc.items()}
+    return bc, ebc
 
 
 def connected_components(ref: RefGraph) -> list[int]:

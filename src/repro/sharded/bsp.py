@@ -215,17 +215,12 @@ class BSPDriver:
             )
 
     # ------------------------------------------------------------------
-    def superstep(
-        self,
-        phase: str,
-        worker: Callable,
-        payloads: Sequence,
-        *,
-        costs: Optional[Sequence[float]] = None,
-    ) -> list:
+    def superstep(self, phase: str, worker: Callable, payloads: Sequence) -> list:
         """Fan one superstep out over the backend and ledger it.
 
-        ``worker`` must be module-level (process-backend picklable) and
+        The cost model sees one region and one phase of one unit of
+        work per shard task.  ``worker`` must be module-level
+        (process-backend picklable) and
         pure in its payload; the active FaultPolicy re-runs crashed
         tasks with the same payload, which is exactly "resume from the
         last completed superstep" because payloads are built from
@@ -243,8 +238,11 @@ class BSPDriver:
                     self.ctx.cost.page_in(
                         int(self.shard_set.shard_meta(s)["bytes"])
                     )
+        if payloads:
+            with self.ctx.region():
+                self.ctx.phase(float(len(payloads)), 1.0)
         t0 = time.perf_counter()
-        results = self.ctx.map(worker, list(payloads), costs=costs)
+        results = self.ctx.map(worker, list(payloads))
         seconds = time.perf_counter() - t0
         # In-process backends leave the last shard mapped in this
         # process; drop it so coordinator merge transients between

@@ -2,8 +2,10 @@
 
 Each entry of :data:`SPEC` runs a registered algorithm on the karate
 club graph through ``repro.obs.run`` under serial, thread and process
-execution, asserting bit-identical (1e-9 for floats) result payloads
-and identical span-tree structure.  ``test_spec_covers_registry`` fails
+execution, asserting bit-identical (1e-9 for floats) result payloads,
+identical span-tree structure and an identical modeled cost profile
+(kernels record their phases; dispatch charges nothing, so the Figure
+2/3 inputs cannot depend on the backend).  ``test_spec_covers_registry`` fails
 the moment a new ``@algorithm`` is registered without a parity entry —
 closing the gap where new algorithms silently skip parity coverage.
 """
@@ -136,10 +138,14 @@ def test_backend_parity(name, karate):
     }
     ref = _project(results["serial"].value)
     ref_structure = results["serial"].trace.structure()
+    ref_cost = results["serial"].cost_model.summary()
     for backend in BACKENDS[1:]:
         _assert_same(name, backend, _project(results[backend].value), ref)
         assert results[backend].trace.structure() == ref_structure, (
             f"{name} [{backend}]: span-tree structure diverges from serial"
+        )
+        assert results[backend].cost_model.summary() == ref_cost, (
+            f"{name} [{backend}]: modeled cost profile diverges from serial"
         )
 
 

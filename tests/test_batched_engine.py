@@ -7,13 +7,16 @@ suite exercises and through every execution backend:
 * ``msbfs`` lane ``k`` reproduces ``bfs(g, sources[k])`` distances
   exactly, including under :class:`EdgeSubsetView` edge masks and
   ``max_depth`` truncation (direction-optimized levels included);
-* batched Brandes matches the looped per-source path to 1e-9 on vertex
-  and edge scores (karate + R-MAT + planted-partition, masked and not);
+* batched Brandes matches the textbook oracle
+  (:func:`repro.qa.oracles.brandes_betweenness`) to 1e-9 on vertex and
+  edge scores (karate + R-MAT + planted-partition, masked and not);
 * ``backend="process"`` is bitwise-identical to ``backend="serial"``
   and hands the CSR arrays to workers zero-copy via shared memory.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,10 +28,12 @@ from repro.generators.planted import planted_partition
 from repro.generators.rmat import rmat
 from repro.graph import from_edge_array
 from repro.graph.csr import EdgeSubsetView
+from repro.kernels._frontier import unwrap
 from repro.kernels.bfs import bfs, default_batch_size, msbfs, source_batches
 from repro.obs import run
 from repro.parallel.runtime import ParallelContext
 from repro.parallel.shm import attach_graph, share_graph
+from repro.qa import oracles
 
 
 def _graphs():
@@ -139,24 +144,51 @@ def test_msbfs_empty_and_bad_sources():
         msbfs(graph, [graph.n_vertices])
 
 
+def _oracle_brandes(gv, sources=None):
+    """Oracle ``(vertex, edge)`` scores of a graph or masked view; the
+    view is a ``RefGraph`` over its active edges, and edge scores come
+    back indexed by the base graph's edge ids (masked edges score 0)."""
+    graph, active = unwrap(gv)
+    u, v = graph.edge_endpoints()
+    ids = np.arange(graph.n_edges) if active is None else np.flatnonzero(active)
+    ref = oracles.RefGraph(
+        graph.n_vertices, zip(u[ids].tolist(), v[ids].tolist())
+    )
+    vertex, by_pair = oracles.brandes_betweenness(ref, sources=sources)
+    edge = np.zeros(graph.n_edges)
+    edge[ids] = [by_pair[(int(u[e]), int(v[e]))] for e in ids]
+    return np.asarray(vertex), edge
+
+
+@lru_cache(maxsize=None)
+def _oracle_views(name):
+    """One oracle per (graph, view), shared across batch sizes."""
+    return [_oracle_brandes(gv) for gv in _views(GRAPHS[name])]
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 @pytest.mark.parametrize("batch_size", [None, 2, 7])
 def test_batched_brandes_matches_looped(name, batch_size):
-    graph = GRAPHS[name]
-    for gv in _views(graph):
-        batched = brandes(gv, engine="batched", batch_size=batch_size)
-        looped = brandes(gv, engine="looped")
-        np.testing.assert_allclose(batched.vertex, looped.vertex, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(batched.edge, looped.edge, rtol=1e-9, atol=1e-9)
+    """The looped reference is the oracle's one-source-at-a-time loop."""
+    views = _views(GRAPHS[name])
+    for gv, (vertex, edge) in zip(views, _oracle_views(name)):
+        batched = brandes(gv, batch_size=batch_size)
+        np.testing.assert_allclose(batched.vertex, vertex, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(batched.edge, edge, rtol=1e-9, atol=1e-9)
 
 
 def test_batched_brandes_source_subset_and_normalized():
     graph = GRAPHS["rmat"]
-    srcs = list(range(0, graph.n_vertices, 3))
-    batched = brandes(graph, sources=srcs, engine="batched", normalized=True)
-    looped = brandes(graph, sources=srcs, engine="looped", normalized=True)
-    np.testing.assert_allclose(batched.vertex, looped.vertex, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(batched.edge, looped.edge, rtol=1e-9, atol=1e-9)
+    n = graph.n_vertices
+    srcs = list(range(0, n, 3))
+    batched = brandes(graph, sources=srcs, normalized=True)
+    vertex, edge = _oracle_brandes(graph, sources=srcs)
+    np.testing.assert_allclose(
+        batched.vertex, vertex / ((n - 1) * (n - 2) / 2), rtol=1e-9, atol=1e-9
+    )
+    np.testing.assert_allclose(
+        batched.edge, edge / (n * (n - 1) / 2), rtol=1e-9, atol=1e-9
+    )
 
 
 def test_source_batches_shapes():
@@ -168,9 +200,9 @@ def test_source_batches_shapes():
 
 def test_process_backend_bitwise_identical_to_serial():
     graph = GRAPHS["rmat"]
-    serial = brandes(graph, engine="batched")
+    serial = brandes(graph)
     with ParallelContext(2, backend="process") as ctx:
-        via_process = brandes(graph, engine="batched", ctx=ctx)
+        via_process = brandes(graph, ctx=ctx)
     assert np.array_equal(serial.vertex, via_process.vertex)
     assert np.array_equal(serial.edge, via_process.edge)
 
@@ -185,9 +217,9 @@ def test_process_backend_closeness_bitwise_identical():
 
 def test_thread_backend_identical_to_serial():
     graph = GRAPHS["rmat"]
-    serial = brandes(graph, engine="batched")
+    serial = brandes(graph)
     with ParallelContext(2, backend="thread") as ctx:
-        via_threads = brandes(graph, engine="batched", ctx=ctx)
+        via_threads = brandes(graph, ctx=ctx)
     assert np.array_equal(serial.vertex, via_threads.vertex)
     assert np.array_equal(serial.edge, via_threads.edge)
 

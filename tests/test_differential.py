@@ -170,7 +170,7 @@ def test_oracles_match_known_karate_facts():
     assert ref.m == 78
     cc = oracles.connected_components(ref)
     assert set(cc) == {0}
-    bc = oracles.brandes_betweenness(ref)
+    bc, _ = oracles.brandes_betweenness(ref)
     # Vertex 0 (the instructor) has the famous top betweenness 231.07...
     assert max(range(34), key=lambda i: bc[i]) == 0
     assert bc[0] == pytest.approx(231.0714285714286)

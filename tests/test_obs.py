@@ -229,9 +229,7 @@ class TestBackendParity:
 
     def test_batched_betweenness_structure_identical(self, small_rmat):
         structures = {
-            b: _traced_structure(
-                brandes, small_rmat, b, sources=np.arange(24), engine="batched"
-            )
+            b: _traced_structure(brandes, small_rmat, b, sources=np.arange(24))
             for b in BACKENDS
         }
         assert structures["thread"] == structures["serial"]

@@ -1,5 +1,5 @@
 """Tests for the parallel runtime substrate: cost model, partitioner,
-work-stealing simulation, sync counters, and context plumbing."""
+work-stealing simulation, and context plumbing."""
 
 from __future__ import annotations
 
@@ -18,7 +18,10 @@ from repro.parallel import (
     WorkStealingScheduler,
 )
 from repro.parallel.partitioner import chunk_work, split_heavy_items
-from repro.parallel.sync import AtomicCounter, SyncCounters, CountedLock
+
+
+def _lanes(graph, batch, payload) -> int:
+    return len(batch)
 
 
 class TestCostModel:
@@ -247,10 +250,17 @@ class TestParallelContext:
         thr = ParallelContext(4, backend="thread").map(f, range(20))
         assert seq == thr == [x + 1 for x in range(20)]
 
-    def test_map_records_phase(self):
-        ctx = ParallelContext(4)
-        ctx.map(lambda x: x, [1, 2, 3], costs=[5.0, 1.0, 1.0])
-        assert ctx.cost.parallel_work == 7.0
+    def test_map_charges_nothing(self):
+        """Dispatch leaves the cost model to the calling kernel."""
+        from repro.datasets.karate import karate_club
+
+        for backend in ("serial", "thread"):
+            with ParallelContext(2, backend=backend) as ctx:
+                assert ctx.map(abs, [-1, 2, -3]) == [1, 2, 3]
+                lanes = ctx.map_batches(_lanes, karate_club(), [[0, 1], [2]])
+                assert lanes == [2, 1]
+                assert ctx.cost.summary() == CostModel().summary()
+                assert ctx.pool.map_calls == ctx.pool.batch_calls == 1
 
     def test_degree_aware_beats_oblivious_in_model(self):
         work = np.zeros(64)
@@ -263,17 +273,6 @@ class TestParallelContext:
         # same total work, worse granularity for the oblivious schedule
         assert aware.cost.parallel_work == obliv.cost.parallel_work
         assert aware.modeled_time(8) <= obliv.modeled_time(8)
-
-    def test_counted_lock_and_atomic(self):
-        counters = SyncCounters()
-        lock = CountedLock(counters)
-        with lock:
-            pass
-        ctr = AtomicCounter(counters)
-        assert ctr.fetch_add(2) == 0
-        assert ctr.value == 2
-        assert counters.lock_acquisitions == 1
-        assert counters.cas_operations == 1
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,11 @@ still hash to the recorded value.  A digest that moves means a result
 changed, not that the pin is stale: regenerate only for a change that
 is *meant* to alter results (``python tests/test_pinned_identity.py``
 prints the table).
+
+``PINNED_COSTS`` does the same for the modeled cost profiles the
+Figure 2/3 harnesses read (serial karate runs, recorded before Brandes
+lost its per-backend dispatch paths): a moved digest means a figure
+curve moved.
 """
 
 from __future__ import annotations
@@ -164,6 +169,53 @@ PINNED: dict[str, dict[str, str]] = {
 }
 
 
+#: The Figure 2/3 inputs: algorithm -> keyword arguments of a serial,
+#: 32-worker run on karate whose ``cost_model.summary()`` is pinned,
+#: with degree-aware chunking on and (``@oblivious``) off.
+COST_RUNS: dict[str, dict] = {
+    "betweenness": {},
+    "girvan_newman": {"patience": 5},
+    "pbd": {"seed": 0, "patience": 5},
+    "pla": {"seed": 0},
+    "pma": {},
+}
+
+
+def cost_digests() -> dict[str, str]:
+    import repro
+    from repro.parallel import ParallelContext
+
+    g = karate_club()
+    out = {}
+    for name, kwargs in COST_RUNS.items():
+        for key, aware in ((name, True), (f"{name}@oblivious", False)):
+            ctx = ParallelContext(32, degree_aware=aware)
+            repro.obs.run(name, g, ctx=ctx, trace=False, **kwargs)
+            summary = sorted(ctx.cost.summary().items())
+            out[key] = _sha1(
+                repr([(k, float(v).hex()) for k, v in summary]).encode()
+            )
+    return out
+
+
+PINNED_COSTS: dict[str, str] = {
+    "betweenness": "a6d3e2fe395cdf3023cfcadb18cbeca25efe8731",
+    "betweenness@oblivious": "13e16c62b934b4297ee7483b3492ed44adb53598",
+    "girvan_newman": "91fb49f164da8f4d4ff3d1fe19b9073aae027350",
+    "girvan_newman@oblivious": "23ff32745b65956b3449595dc8aa2b0a2f61a230",
+    "pbd": "6e5beb8a286f53f20581b05fa7741f2f4098fc7c",
+    "pbd@oblivious": "fea23d8d3fcc91ff6abc1feb98ef7a2c9b80083a",
+    "pla": "f93148315842d29a1f5fa619749b47b99433e972",
+    "pla@oblivious": "f93148315842d29a1f5fa619749b47b99433e972",
+    "pma": "a571d75335eb33e0a32a77679ddd0dceb2e7bb49",
+    "pma@oblivious": "a571d75335eb33e0a32a77679ddd0dceb2e7bb49",
+}
+
+
+def test_cost_summaries_match_pinned_digests():
+    assert cost_digests() == PINNED_COSTS
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_results_match_pinned_digests(name, tmp_path):
     got = compute_digests(name, tmp_path)
@@ -218,3 +270,4 @@ if __name__ == "__main__":  # regenerate the table
             {n: compute_digests(n, pathlib.Path(tmp)) for n in sorted(CORPUS)},
             width=100,
         )
+    pprint.pprint(cost_digests(), width=100)

@@ -17,6 +17,7 @@ import repro
 from repro.centrality import brandes
 from repro.datasets.karate import karate_club
 from repro.metrics import clustering, triangle_counts
+from repro.parallel import ParallelContext
 from repro.qa.oracles import triangle_counts_arcloop
 
 
@@ -81,3 +82,17 @@ def test_default_k_brandes_working_set(rmat13):
     ref = brandes(rmat13, sources=sources, batch_size=8)
     np.testing.assert_allclose(got.vertex, ref.vertex, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got.edge, ref.edge, rtol=1e-12, atol=0)
+
+
+# before batches were dispatched in rounds: 45 MB, every batch's
+# (n + m) partials alive at once (serial peak 7–9 MB)
+POOLED_BRANDES_PEAK_MB = 20.0
+
+
+def test_pooled_all_source_brandes_working_set():
+    g = _rmat(11)
+    with ParallelContext(2, backend="thread") as ctx:
+        pooled = peak_mb(lambda: brandes(g, ctx=ctx))
+        assert ctx.pool.batch_calls > 2  # more than one round per call
+    assert pooled < POOLED_BRANDES_PEAK_MB
+    assert pooled < 2.0 * peak_mb(lambda: brandes(g))

@@ -26,6 +26,27 @@ from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 
+def _lane_totals(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's ``(K, n)`` BFS distances → per-lane ``(reached_count,
+    distance_total)``."""
+    reached = dist >= 0
+    r = reached.sum(axis=1)
+    total = np.where(reached, dist, 0).sum(axis=1).astype(np.float64)
+    return r.astype(np.int64), total
+
+
+def _lane_scores(
+    r: np.ndarray, total: np.ndarray, n: int, wf_improved: bool
+) -> np.ndarray:
+    """Per-lane closeness from :func:`_lane_totals` (0 where undefined)."""
+    valid = (r > 1) & (total > 0)
+    cc = np.zeros(r.shape[0], dtype=np.float64)
+    cc[valid] = (r[valid] - 1) / total[valid]
+    if wf_improved and n > 1:
+        cc[valid] *= (r[valid] - 1) / (n - 1)
+    return cc
+
+
 def _closeness_batch_worker(graph, batch, mask):
     """One source batch → per-lane ``(reached_count, distance_total)``.
 
@@ -33,11 +54,7 @@ def _closeness_batch_worker(graph, batch, mask):
     payload is the optional edge-activity mask.
     """
     g: GraphLike = graph if mask is None else EdgeSubsetView(graph, mask)
-    dist = msbfs(g, batch).distances
-    reached = dist >= 0
-    r = reached.sum(axis=1)
-    total = np.where(reached, dist, 0).sum(axis=1).astype(np.float64)
-    return r.astype(np.int64), total
+    return _lane_totals(msbfs(g, batch).distances)
 
 
 @algorithm("closeness")
@@ -107,10 +124,5 @@ def closeness_centrality(
             )
     results = ctx.map_batches(_closeness_batch_worker, base, batches, payload=mask)
     for batch, (r, total) in zip(batches, results):
-        valid = (r > 1) & (total > 0)
-        cc = np.zeros(batch.shape[0], dtype=np.float64)
-        cc[valid] = (r[valid] - 1) / total[valid]
-        if wf_improved and n > 1:
-            cc[valid] *= (r[valid] - 1) / (n - 1)
-        out[batch] = cc
+        out[batch] = _lane_scores(r, total, n, wf_improved)
     return out

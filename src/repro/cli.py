@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import community, generators, metrics
 from repro.cli_options import ExecutionOptions, add_execution_flags
-from repro.durable import load_state, save_state, write_json_atomic
+from repro.durable import write_json_atomic
 from repro.errors import (
     ConvergenceError,
     CorruptCheckpoint,
@@ -310,20 +310,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         use_tracer(tracer) if tracer else _nullcm()
     ):
         batches = list(group_batches(events))
+        engine = StreamEngine(n, analytics=analytics, k=args.k, ctx=ctx)
         start = 0
         if ckpt_path is not None and ckpt_path.is_file():
             # Crash resume: the checkpoint holds every *completed*
             # batch (it is rewritten after each apply), so replaying it
             # and continuing at the next input batch applies the
             # interrupted batch exactly once.
-            engine = StreamEngine.load(ckpt_path, ctx=ctx)
-            _check_stream_resume(
-                engine, ckpt_path, n, analytics, args.k, batches
-            )
+            engine.resume(ckpt_path)
+            _check_stream_resume(engine, ckpt_path, batches)
             start = engine.n_batches
             print(f"resumed {ckpt_path}: {start} batches replayed")
-        else:
-            engine = StreamEngine(n, analytics=analytics, k=args.k, ctx=ctx)
         print(f"stream: {origin} -> {n} vertices, analytics={analytics}")
         for batch in batches[start:]:
             r = engine.apply_batch(batch)
@@ -379,25 +376,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_stream_resume(engine, ckpt_path, n, analytics, k, batches) -> None:
+def _check_stream_resume(engine, ckpt_path, batches) -> None:
     """Refuse a stream checkpoint that does not match this run's input.
 
     The applied-batch log must be an exact prefix of the input batches
-    (same events, same order) and the engine config must match the
-    flags — otherwise "resume" would silently splice two different
-    streams together.
+    (same events, same order) — otherwise "resume" would silently splice
+    two different streams together.  (The engine config is checked by
+    :meth:`StreamEngine.resume` itself.)
     """
-    if (
-        engine.n_vertices != n
-        or tuple(engine.analytics) != tuple(analytics)
-        or engine.k != k
-    ):
-        raise CorruptCheckpoint(
-            f"corrupt checkpoint {ckpt_path}: engine config mismatch "
-            f"(checkpoint n={engine.n_vertices} "
-            f"analytics={engine.analytics} k={engine.k}; run n={n} "
-            f"analytics={tuple(analytics)} k={k})"
-        )
     logged = engine.applied_batches
     if len(logged) > len(batches):
         raise CorruptCheckpoint(
@@ -691,51 +677,35 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         budget = MemoryBudget(args.mem_budget, enforce_rss=args.enforce_rss)
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     ckpt = None
-    run_path = None
-    completed: dict = {}
     if args.checkpoint_every or args.resume or args.checkpoint_dir:
         from repro.sharded.bsp import CHECKPOINT_DIRNAME, BSPCheckpointer
 
-        ckpt_dir = (
+        ckpt = BSPCheckpointer(
             Path(args.checkpoint_dir)
             if args.checkpoint_dir
-            else ss.root / CHECKPOINT_DIRNAME
-        )
-        ckpt = BSPCheckpointer(
-            ckpt_dir,
+            else ss.root / CHECKPOINT_DIRNAME,
             every=max(1, args.checkpoint_every),
             resume=args.resume,
         )
-        run_path = ckpt_dir / "run.ckpt"
-
-    # The run-level checkpoint records which algorithms already
-    # finished (with their result rows), so a resumed multi-algorithm
-    # run skips them and the in-progress one restarts from its last
-    # durable superstep.  The fingerprint refuses checkpoints from a
-    # different invocation (other algos, seed or source selection).
-    fingerprint = {
+    ctx = _make_ctx(args)
+    driver = BSPDriver(ss, ctx=ctx, mem_budget=budget, checkpointer=ckpt)
+    # The run-level checkpoint (tag "run") records which algorithms
+    # already finished (with their result rows), so a resumed
+    # multi-algorithm run skips them and the in-progress one restarts
+    # from its last durable superstep.  Its parameters refuse a
+    # checkpoint from a different invocation (other algos, seed or
+    # source selection).
+    completed = driver.resume("run", {
         "algos": algos,
         "seed": int(args.seed),
         "sources": args.sources or "",
         "n_sources": int(args.n_sources),
         "n_vertices": ss.n_vertices,
         "n_edges": ss.n_edges,
-    }
-    if ckpt is not None and args.resume and run_path.is_file():
-        run_state = load_state(run_path, kind="shard-run")
-        if run_state.get("fingerprint") != fingerprint:
-            raise CorruptCheckpoint(
-                f"corrupt checkpoint {run_path}: it records a different "
-                f"run ({run_state.get('fingerprint')!r} vs "
-                f"{fingerprint!r}); delete it or rerun the original "
-                "command line"
-            )
-        completed = run_state["completed"]
-        if completed:
-            print(f"resumed {run_path}: "
-                  f"{', '.join(completed)} already complete")
-    ctx = _make_ctx(args)
-    driver = BSPDriver(ss, ctx=ctx, mem_budget=budget, checkpointer=ckpt)
+    }) or {}
+    if completed:
+        print(f"resumed {ckpt.path_for('run')}: "
+              f"{', '.join(completed)} already complete")
     out: dict = {"path": str(ss.root), "algos": {}}
     rng = np.random.default_rng(args.seed)
     t_all = time.perf_counter()
@@ -773,14 +743,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             print(f"error: unknown algo {algo!r}", file=sys.stderr)
             return 1
         info["seconds"] = time.perf_counter() - t0
-        out["algos"][algo] = info
-        if ckpt is not None:
-            completed[algo] = info
-            save_state(
-                run_path,
-                {"fingerprint": fingerprint, "completed": completed},
-                kind="shard-run",
-            )
+        out["algos"][algo] = completed[algo] = info
+        driver.maybe_checkpoint("run", completed, force=True)
     out["seconds_total"] = time.perf_counter() - t_all
     out["metrics"] = driver.metrics()
     if args.metrics:
@@ -790,8 +754,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         print(json.dumps(out, indent=2))
     # Every algorithm finished and the results are out the door; a
     # stale run.ckpt would make a later --resume skip real work.
-    if run_path is not None and run_path.is_file():
-        run_path.unlink()
+    driver.clear_checkpoint("run")
     return 0
 
 

@@ -458,6 +458,35 @@ def _multilevel_pla(
     the *fine-graph* objective; the sweep guard makes Q monotone end to
     end.
     """
+    labels, n_levels, n_sweeps = _coarsen(graph, W, max_passes, ctx)
+    # Uncoarsening refinement: a final round of sweeps on the fine graph
+    # recovers the quality lost to coarse-level move granularity.
+    labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    q = modularity(graph, labels)
+    return ClusteringResult(
+        labels,
+        q,
+        "pLA",
+        extras={
+            "multilevel": True,
+            "n_levels": n_levels,
+            "n_sweeps": n_sweeps,
+        },
+    )
+
+
+def _coarsen(
+    graph: Graph, W: float, max_passes: int, ctx: ParallelContext
+) -> tuple[np.ndarray, int, int]:
+    """The multilevel level loop: sweep ``graph`` from singletons, then
+    contract and repeat until a level merges nothing or one vertex is
+    left.
+
+    Returns ``(labels, n_contractions, n_sweeps)`` with the coarsest
+    level's labels projected back onto ``graph``'s vertices.  Also the
+    in-core tail of ``sharded_pla``, which enters it at level 1.
+    """
     tr = ctx.tracer
     g = graph
     labels_g = np.arange(g.n_vertices, dtype=np.int64)
@@ -491,18 +520,4 @@ def _multilevel_pla(
     labels = labels_g
     for vmap in reversed(level_maps):
         labels = labels[vmap]
-    # Uncoarsening refinement: a final round of sweeps on the fine graph
-    # recovers the quality lost to coarse-level move granularity.
-    labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
-    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    q = modularity(graph, labels)
-    return ClusteringResult(
-        labels,
-        q,
-        "pLA",
-        extras={
-            "multilevel": True,
-            "n_levels": len(level_maps),
-            "n_sweeps": n_sweeps,
-        },
-    )
+    return labels, len(level_maps), n_sweeps

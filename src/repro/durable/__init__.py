@@ -13,6 +13,9 @@ either the old bytes or the new bytes on disk, never a torn mixture:
   checkpoint state.  Truncation, bit flips and wrong-kind files all
   surface as a structured :class:`~repro.errors.CorruptCheckpoint`
   naming the offending path, never as a silent wrong answer.
+  :func:`save_checkpoint` / :func:`load_checkpoint` add the run's
+  parameters to that state and refuse to resume a different run — the
+  one resume rule every checkpointing surface shares.
 * :class:`~repro.durable.journal.Journal` — an append-only JSONL log
   with a per-line CRC stamp; replay tolerates exactly one torn final
   line (a crash mid-append) and rejects corruption anywhere else.
@@ -23,8 +26,10 @@ from repro.durable.atomic import (
     atomic_write_bytes,
     atomic_write_text,
     check_envelope,
+    load_checkpoint,
     load_state,
     pack_envelope,
+    save_checkpoint,
     save_state,
     unpack_envelope,
     verify_envelope,
@@ -37,8 +42,10 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "check_envelope",
+    "load_checkpoint",
     "load_state",
     "pack_envelope",
+    "save_checkpoint",
     "save_state",
     "unpack_envelope",
     "verify_envelope",

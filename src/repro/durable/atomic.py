@@ -22,6 +22,10 @@ Checkpoint *state* (numpy arrays, nested dicts) is pickled inside the
 envelope — these files are internal coordinator state written and read
 by the same codebase, and the payload CRC is verified before any byte
 reaches the unpickler.
+
+A resumable *checkpoint* (:func:`save_checkpoint`) additionally carries
+the parameters of the run it belongs to; :func:`load_checkpoint` is the
+one place a resume is refused because those differ from the live run's.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import zlib
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from repro.errors import CorruptCheckpoint
 
 __all__ = [
@@ -46,6 +52,8 @@ __all__ = [
     "unpack_envelope",
     "save_state",
     "load_state",
+    "save_checkpoint",
+    "load_checkpoint",
     "verify_envelope",
     "check_envelope",
 ]
@@ -53,6 +61,10 @@ __all__ = [
 #: 8-byte file magic for envelope files (version suffix bumps on layout
 #: change).
 ENVELOPE_MAGIC = b"RDURCK1\n"
+
+#: Layout tag of a :func:`save_checkpoint` payload (bumps on change); a
+#: file without it predates the run-parameter header.
+CHECKPOINT_FORMAT = "params/1"
 
 _HEADER_PREFIX = struct.Struct("<II")  # header_len, header_crc
 
@@ -216,6 +228,52 @@ def load_state(path: Union[str, Path], *, kind: Optional[str] = None):
         raise CorruptCheckpoint(
             f"corrupt checkpoint {path}: payload does not unpickle ({exc})"
         ) from exc
+
+
+def save_checkpoint(
+    path: Union[str, Path], state, *, kind: str, params: dict
+) -> None:
+    """Atomically persist ``state`` with the ``params`` of its run.
+
+    ``params`` are whatever a resume must match for ``state`` to be this
+    run's (inputs, sizes, configuration); :func:`load_checkpoint` checks
+    every one of them.
+    """
+    doc = {"format": CHECKPOINT_FORMAT, "params": dict(params), "state": state}
+    save_state(path, doc, kind=kind)
+
+
+def load_checkpoint(path: Union[str, Path], *, kind: str, params: dict):
+    """Load a :func:`save_checkpoint` file written for a run with ``params``.
+
+    Every key in either dict must be present in both and equal
+    (``np.array_equal`` for arrays); otherwise the checkpoint belongs to
+    another run and resuming from it would silently produce a wrong
+    answer, so :class:`CorruptCheckpoint` names the first differing key.
+    A file without the parameter header (an older format) is refused the
+    same way.  Integrity failures raise as in :func:`load_state`.
+    """
+    doc = load_state(path, kind=kind)
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise CorruptCheckpoint(
+            f"corrupt checkpoint {path}: older checkpoint format (no "
+            "run-parameter header); delete it and rerun"
+        )
+    saved = doc["params"]
+    missing = "<missing>"
+    for key in sorted(set(saved) | set(params)):
+        got, want = saved.get(key, missing), params.get(key, missing)
+        if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
+            same = np.array_equal(got, want)
+        else:
+            same = got == want
+        if not same:
+            raise CorruptCheckpoint(
+                f"corrupt checkpoint {path}: parameter {key!r} mismatch "
+                f"(checkpoint {got!r} vs run {want!r}) — it was written "
+                "for a different run; delete it or rerun the original command"
+            )
+    return doc["state"]
 
 
 def verify_envelope(

@@ -28,7 +28,7 @@ the chaos-recovery tests, and backend-parity tests compare bit-for-bit.
 Checkpoints store the applied batches themselves (a list of batches,
 not a flat event log — adjacent batches may share a timestamp after
 truncation, and community repair is cadence-sensitive), so
-:meth:`StreamEngine.restore` replays batch-by-batch and lands on the
+:meth:`StreamEngine.resume` replays batch-by-batch and lands on the
 exact same state, checksums included.
 """
 
@@ -45,6 +45,7 @@ from repro.dynamic.components import IncrementalComponents
 from repro.dynamic.events import EdgeEvent, group_batches
 from repro.dynamic.sources import crawl_events
 from repro.dynamic.stream import StreamingStats
+from repro.durable import load_checkpoint, save_checkpoint
 from repro.errors import GraphStructureError
 from repro.graph.csr import Graph
 from repro.graph.dynamic import DynamicGraph
@@ -349,10 +350,9 @@ class StreamEngine:
         self._modularity = q
 
     # ------------------------------------------------------------------
-    def checkpoint(self) -> dict[str, Any]:
-        """Serializable state: config plus the applied batch log."""
+    def _config(self) -> dict[str, Any]:
+        """Every setting that shapes the per-batch results."""
         return {
-            "version": 1,
             "n_vertices": self.n_vertices,
             "analytics": list(self.analytics),
             "k": self.k,
@@ -360,66 +360,43 @@ class StreamEngine:
             "resweep_passes": self.resweep_passes,
             "resweep_radius": self.resweep_radius,
             "community_escalate": self.community_escalate,
-            "batches": [
-                [(ev.kind, ev.u, ev.v, ev.t, ev.weight) for ev in batch]
-                for batch in self._applied_batches
-            ],
         }
 
-    @classmethod
-    def restore(
-        cls, state: dict[str, Any], *, ctx: Optional[ParallelContext] = None
-    ) -> "StreamEngine":
-        """Rebuild an engine by replaying the checkpointed batch log.
-
-        Replay is batch-by-batch (community repair and burst windows
-        are cadence-sensitive), so the restored engine's per-batch
-        checksums match the original's bit-for-bit.
-        """
-        engine = cls(
-            state["n_vertices"],
-            analytics=tuple(state["analytics"]),
-            k=state["k"],
-            window=state["window"],
-            resweep_passes=state["resweep_passes"],
-            resweep_radius=state["resweep_radius"],
-            community_escalate=state.get("community_escalate", True),
-            ctx=ctx,
-        )
-        for batch in state["batches"]:
-            engine.apply_batch(
-                [
-                    EdgeEvent(kind, u, v, t=t, weight=w)
-                    for kind, u, v, t, w in batch
-                ]
-            )
-        return engine
-
     def save(self, path) -> None:
-        """Durably persist :meth:`checkpoint` (atomic, CRC envelope).
+        """Durably persist the applied batch log with the engine config.
 
         Written after every applied batch by ``repro stream
         --checkpoint-dir``: a crash *during* a batch leaves the previous
         envelope intact, so resume re-applies exactly that batch —
         exactly-once application without a write-ahead log.
         """
-        from repro.durable import save_state
+        batches = [
+            [(ev.kind, ev.u, ev.v, ev.t, ev.weight) for ev in batch]
+            for batch in self._applied_batches
+        ]
+        save_checkpoint(
+            path, batches, kind=STREAM_CHECKPOINT_KIND, params=self._config()
+        )
 
-        save_state(path, self.checkpoint(), kind=STREAM_CHECKPOINT_KIND)
+    def resume(self, path) -> None:
+        """Replay a :meth:`save` file into this fresh engine.
 
-    @classmethod
-    def load(
-        cls, path, *, ctx: Optional[ParallelContext] = None
-    ) -> "StreamEngine":
-        """Load a :meth:`save` file and replay it into a live engine.
-
-        Integrity failures (torn write, bit flip, truncation) raise
-        :class:`~repro.errors.CorruptCheckpoint` before any replay.
+        The file must have been saved by an engine with this one's
+        config (:class:`~repro.errors.CorruptCheckpoint` names the first
+        differing setting); integrity failures raise the same way before
+        any replay.  Replay is batch-by-batch (community repair and
+        burst windows are cadence-sensitive), so the per-batch checksums
+        match the saving engine's bit-for-bit.
         """
-        from repro.durable import load_state
-
-        state = load_state(path, kind=STREAM_CHECKPOINT_KIND)
-        return cls.restore(state, ctx=ctx)
+        if self._applied_batches:
+            raise ValueError("resume() needs an engine with no applied batches")
+        batches = load_checkpoint(
+            path, kind=STREAM_CHECKPOINT_KIND, params=self._config()
+        )
+        for batch in batches:
+            self.apply_batch(
+                [EdgeEvent(kind, u, v, t=t, weight=w) for kind, u, v, t, w in batch]
+            )
 
     @classmethod
     def from_graph(cls, graph: Graph, **kwargs: Any) -> "StreamEngine":

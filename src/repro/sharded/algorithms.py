@@ -38,17 +38,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.community.modularity import modularity_evaluator
-from repro.community.pla import (
-    _apply_guarded_moves,
-    _best_moves,
-    _loopless_arcs,
-    _sweep_once,
-    _vertex_strengths,
-)
+from repro.centrality.closeness import _lane_scores, _lane_totals
+from repro.community.pla import _apply_guarded_moves, _best_moves, _coarsen
 from repro.community.result import ClusteringResult
-from repro.errors import ClusteringError, CorruptCheckpoint, GraphStructureError
-from repro.graph.builder import contract, from_edge_array
+from repro.errors import ClusteringError, GraphStructureError
+from repro.graph.builder import from_edge_array
 from repro.graph.csr import VERTEX_DTYPE, Graph
 from repro.kernels.bfs import (
     MSBFSResult,
@@ -115,39 +109,9 @@ def _resolve_driver(
     return BSPDriver(shard_set, ctx=ctx, mem_budget=mem_budget)
 
 
-def _check_resume_match(drv: BSPDriver, tag: str, st: dict, expected: dict) -> None:
-    """Refuse to resume from a checkpoint written for different inputs.
-
-    Every resumable algorithm stores its identifying parameters in the
-    checkpoint state; a mismatch (different sources, graph size,
-    ``max_passes``, …) means the checkpoint belongs to another run and
-    resuming from it would silently produce wrong-for-this-run output.
-    """
-    path = drv.checkpointer.path_for(tag)
-    for key, want in expected.items():
-        got = st.get(key)
-        same = (
-            np.array_equal(got, want)
-            if isinstance(want, np.ndarray)
-            else got == want
-        )
-        if not same:
-            raise CorruptCheckpoint(
-                f"corrupt checkpoint {path}: parameter {key!r} mismatch "
-                f"(checkpoint {got!r} vs run {want!r}) — it was written "
-                "for a different run; delete it or rerun without --resume"
-            )
-
-
 # ---------------------------------------------------------------------------
 # msbfs
 # ---------------------------------------------------------------------------
-#: Shape of the msbfs checkpoint state; a checkpoint written by another
-#: formulation (the pre-word one had ``lanes``/``todo_arcs``, no
-#: ``seen``/``words``) is refused like any other parameter mismatch.
-_MSBFS_STATE = "lane-words/1"
-
-
 def _msbfs_level_worker(task):
     """One (shard, level) step of one lane word, as in
     ``kernels.bfs._msbfs_word``: returns ``(global vertices, words)``,
@@ -223,14 +187,9 @@ def sharded_msbfs(
     active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
     paths = {s: str(ss.shard_path(s)) for s in active}
     tag = checkpoint_tag
-    params = {
-        "formulation": _MSBFS_STATE, "n": n, "srcs": srcs,
-        "max_depth": max_depth,
-    }
     first_lo = n_levels = 0
-    st = drv.load_resume(tag)
+    st = drv.resume(tag, {"n": n, "srcs": srcs, "max_depth": max_depth})
     if st is not None:
-        _check_resume_match(drv, tag, st, params)
         dist, first_lo, n_levels = st["dist"], int(st["lo"]), int(st["n_levels"])
     for lo in range(first_lo, k, _WORD_LANES):
         dist_flat = dist[lo : lo + _WORD_LANES].reshape(-1)
@@ -273,7 +232,7 @@ def sharded_msbfs(
             level += 1
             _scatter_new_lanes(dist_flat, n, verts, words, level)
             drv.maybe_checkpoint(tag, {
-                **params, "dist": dist, "lo": lo, "n_levels": n_levels,
+                "dist": dist, "lo": lo, "n_levels": n_levels,
                 "seen": seen, "verts": verts, "words": words, "level": level,
             })
         n_levels = max(n_levels, level)
@@ -316,16 +275,17 @@ def sharded_closeness(
     batches = source_batches(src_list, batch_size, n)
     # Resume at batch granularity: the accumulated scores plus the next
     # batch index are the whole between-batch state.  The in-flight
-    # batch's traversal checkpoints under its own per-batch tag.
+    # batch's traversal checkpoints under its own per-batch tag.  The
+    # batches are contiguous cuts of the sources, so the sources plus
+    # the lanes per batch pin down which batch an index names.
     tag = "closeness"
-    srcs_arr = np.asarray(src_list, dtype=np.int64)
     start_batch = 0
-    st = drv.load_resume(tag)
+    st = drv.resume(tag, {
+        "n": n, "srcs": np.asarray(src_list, dtype=np.int64),
+        "wf_improved": wf_improved,
+        "batch_lanes": batches[0].shape[0] if batches else 0,
+    })
     if st is not None:
-        _check_resume_match(drv, tag, st, {
-            "n": n, "srcs": srcs_arr, "wf_improved": wf_improved,
-            "n_batches": len(batches),
-        })
         out = st["out"]
         start_batch = int(st["next_batch"])
     for i, batch in enumerate(batches):
@@ -334,22 +294,13 @@ def sharded_closeness(
         dist = sharded_msbfs(
             ss, batch, driver=drv, checkpoint_tag=f"{tag}.msbfs{i}"
         ).distances
-        reached = dist >= 0
-        r = reached.sum(axis=1).astype(np.int64)
-        total = np.where(reached, dist, 0).sum(axis=1).astype(np.float64)
-        valid = (r > 1) & (total > 0)
-        cc = np.zeros(batch.shape[0], dtype=np.float64)
-        cc[valid] = (r[valid] - 1) / total[valid]
-        if wf_improved and n > 1:
-            cc[valid] *= (r[valid] - 1) / (n - 1)
-        out[batch] = cc
+        out[batch] = _lane_scores(*_lane_totals(dist), n, wf_improved)
         # Forced: the inner traversal's own checkpoints leave the
         # cadence counter freshly satisfied, but a completed batch is
         # the boundary that lets a resume skip it entirely.
-        drv.maybe_checkpoint(tag, {
-            "n": n, "srcs": srcs_arr, "wf_improved": wf_improved,
-            "n_batches": len(batches), "out": out, "next_batch": i + 1,
-        }, force=True)
+        drv.maybe_checkpoint(
+            tag, {"out": out, "next_batch": i + 1}, force=True
+        )
     drv.clear_checkpoint(tag)
     return out
 
@@ -389,9 +340,8 @@ def sharded_connected_components(
     active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
     round_no = 0
     tag = "components"
-    st = drv.load_resume(tag)
+    st = drv.resume(tag, {"n": n})
     if st is not None:
-        _check_resume_match(drv, tag, st, {"n": n})
         label = st["label"]
         round_no = int(st["round_no"])
     while True:
@@ -418,9 +368,7 @@ def sharded_connected_components(
         if not changed:
             break
         round_no += 1
-        drv.maybe_checkpoint(tag, {
-            "n": n, "label": label, "round_no": round_no,
-        })
+        drv.maybe_checkpoint(tag, {"label": label, "round_no": round_no})
     drv.clear_checkpoint(tag)
     return label
 
@@ -682,9 +630,9 @@ def sharded_pla(
 
     Level 0 (the fine graph — the only level that is ``O(m)``) runs
     sharded: strengths, best-move sweeps and the modularity guard all
-    stream shard-at-a-time.  Contraction levels ≥ 1 operate on the
-    already-coarsened in-core graph via the same helpers the in-core
-    path uses; the final refinement sweeps run sharded again.
+    stream shard-at-a-time.  Contraction levels ≥ 1 run the in-core
+    level loop (``community.pla._coarsen``) on the already-coarsened
+    in-core graph; the final refinement sweeps run sharded again.
     """
     ss = shard_set
     if ss.directed:
@@ -702,109 +650,58 @@ def sharded_pla(
     drv = _resolve_driver(ss, driver, ctx, mem_budget)
 
     # Checkpoints cover the two sharded (fine-graph) phases — the only
-    # O(m) ones.  State is a phase machine: ``level0`` sweeps, then the
+    # O(m) ones.  ``st`` is a phase machine: ``level0`` sweeps, then the
     # in-core contraction pyramid (cheap, re-done deterministically on
     # resume), then ``refine`` sweeps on the uncoarsened labels.  A
     # checkpoint is taken *after* the moved-count break check so a
     # resumed run repeats exactly the sweeps the uninterrupted run
     # would have executed (same ``n_sweeps``, same superstep names).
     tag = "pla"
-    level_maps: list[np.ndarray] = []
-    n_sweeps = 0  # coarsening-phase sweeps, as in-core counts them
-    sweep_label = 0  # superstep naming only (refinement sweeps included)
-    phase = "level0"
-    pass_start = 0
-    n_levels = 0
-
-    st = drv.load_resume(tag)
-    if st is not None:
-        _check_resume_match(drv, tag, st, {"n": n, "max_passes": max_passes})
-        strength_fine = st["strength_fine"]
-        q = float(st["q"])
-        sweep_label = int(st["sweep_label"])
-        n_sweeps = int(st["n_sweeps"])
-        phase = st["phase"]
-        pass_start = int(st["pass_no"])
-        if phase == "level0":
-            labels_g = st["labels"]
-        else:
-            labels = st["labels"]
-            n_levels = int(st["n_levels"])
-    else:
-        labels_g = np.arange(n, dtype=np.int64)
-        strength_fine = _gather_strengths(drv)
-        q = sharded_modularity(ss, labels_g)
-
-    if phase == "level0":
-        # Level 0: sharded sweeps + streamed guard on the fine graph.
-        for p in range(pass_start, max_passes):
-            labels_g, q, moved = _sharded_sweep_once(
-                drv, labels_g, strength_fine, big_w, q, sweep_label
+    st = drv.resume(tag, {"n": n, "max_passes": max_passes})
+    if st is None:
+        labels = np.arange(n, dtype=np.int64)
+        st = {
+            "phase": "level0", "pass_no": 0, "labels": labels,
+            "strength_fine": _gather_strengths(drv),
+            "q": sharded_modularity(ss, labels),
+            "sweep_label": 0,  # superstep naming only (refinement included)
+            "n_sweeps": 0,  # coarsening-phase sweeps, as in-core counts them
+            "n_levels": 0,
+        }
+    while True:
+        for p in range(st["pass_no"], max_passes):
+            labels, q, moved = _sharded_sweep_once(
+                drv, st["labels"], st["strength_fine"], big_w, st["q"],
+                st["sweep_label"],
             )
-            n_sweeps += 1
-            sweep_label += 1
+            st = {
+                **st, "pass_no": p + 1, "labels": labels, "q": q,
+                "sweep_label": st["sweep_label"] + 1,
+                "n_sweeps": st["n_sweeps"] + int(st["phase"] == "level0"),
+            }
             if moved == 0:
                 break
-            drv.maybe_checkpoint(tag, {
-                "n": n, "max_passes": max_passes, "phase": "level0",
-                "pass_no": p + 1, "labels": labels_g, "q": q,
-                "sweep_label": sweep_label, "n_sweeps": n_sweeps,
-                "strength_fine": strength_fine,
-            })
-        n_clusters = int(np.unique(labels_g).shape[0])
-        if n_clusters != n:
-            g, vmap = sharded_contract(ss, labels_g)
-            level_maps.append(vmap)
-            labels_g = np.arange(g.n_vertices, dtype=np.int64)
-            # Levels >= 1: the coarse graph fits in core; continue with
-            # the exact in-core loop of _multilevel_pla.
-            if g.n_vertices > 1:
-                while True:
-                    strength_v = _vertex_strengths(g)
-                    src, tgt, w = _loopless_arcs(g)
-                    q_of = modularity_evaluator(g)
-                    q = q_of(labels_g)
-                    for _ in range(max_passes):
-                        labels_g, q, moved = _sweep_once(
-                            labels_g, strength_v, big_w, q, src, tgt, w, q_of
-                        )
-                        n_sweeps += 1
-                        if moved == 0:
-                            break
-                    n_clusters = int(np.unique(labels_g).shape[0])
-                    if n_clusters == g.n_vertices:
-                        break
-                    g, vmap = contract(g, labels_g)
-                    level_maps.append(vmap)
-                    labels_g = np.arange(g.n_vertices, dtype=np.int64)
-                    if g.n_vertices <= 1:
-                        break
-
-        labels = labels_g
-        for vmap in reversed(level_maps):
-            labels = labels[vmap]
-        # Uncoarsening refinement on the fine graph — sharded sweeps
-        # again (in-core counts only coarsening sweeps in extras,
-        # mirrored here).
-        labels = np.asarray(labels, dtype=np.int64).copy()
-        q = sharded_modularity(ss, labels)
-        n_levels = len(level_maps)
-        pass_start = 0
-
-    for p in range(pass_start, max_passes):
-        labels, q, moved = _sharded_sweep_once(
-            drv, labels, strength_fine, big_w, q, sweep_label
-        )
-        sweep_label += 1
-        if moved == 0:
+            drv.maybe_checkpoint(tag, st)
+        if st["phase"] == "refine":
             break
-        drv.maybe_checkpoint(tag, {
-            "n": n, "max_passes": max_passes, "phase": "refine",
-            "pass_no": p + 1, "labels": labels, "q": q,
-            "sweep_label": sweep_label, "n_sweeps": n_sweeps,
-            "strength_fine": strength_fine, "n_levels": n_levels,
-        })
-    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+        # Level 0 converged: contract it out of core, run levels >= 1
+        # through the in-core level loop (the coarse graph fits in
+        # core), then refine the projected labels with sharded sweeps.
+        labels, n_levels, n_sweeps = st["labels"], 0, st["n_sweeps"]
+        if int(np.unique(labels).shape[0]) != n:
+            g, vmap = sharded_contract(ss, labels)
+            coarse, n_levels = np.arange(g.n_vertices, dtype=np.int64), 1
+            if g.n_vertices > 1:
+                coarse, levels, swept = _coarsen(g, big_w, max_passes, drv.ctx)
+                n_levels += levels
+                n_sweeps += swept
+            labels = coarse[vmap]
+        st = {
+            **st, "phase": "refine", "pass_no": 0, "labels": labels,
+            "q": sharded_modularity(ss, labels),
+            "n_levels": n_levels, "n_sweeps": n_sweeps,
+        }
+    labels = np.unique(st["labels"], return_inverse=True)[1].astype(np.int64)
     q = sharded_modularity(ss, labels)
     drv.clear_checkpoint(tag)
     return ClusteringResult(
@@ -813,7 +710,7 @@ def sharded_pla(
         "pLA",
         extras={
             "multilevel": True,
-            "n_levels": n_levels,
-            "n_sweeps": n_sweeps,
+            "n_levels": st["n_levels"],
+            "n_sweeps": st["n_sweeps"],
         },
     )

@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.durable import load_state, save_state
-from repro.errors import CorruptCheckpoint, MemoryBudgetExceeded
+from repro.durable import load_checkpoint, save_checkpoint
+from repro.errors import MemoryBudgetExceeded
 from repro.parallel.runtime import ParallelContext, ensure_context
 from repro.sharded.shards import ShardSet, clear_shard_cache
 
@@ -170,7 +170,7 @@ class BSPCheckpointer:
     """Checkpoint policy for a :class:`BSPDriver` (DESIGN §13).
 
     ``every`` is the cadence in *supersteps* between durable saves;
-    ``resume`` arms :meth:`BSPDriver.load_resume` so algorithms restart
+    ``resume`` arms :meth:`BSPDriver.resume` so algorithms restart
     from the last durable superstep instead of from scratch.  The
     disabled path (``checkpointer=None`` on the driver) costs one
     attribute check per superstep.
@@ -203,6 +203,7 @@ class BSPDriver:
     _degrees: Optional[np.ndarray] = None
     _paged_in: set = field(default_factory=set)
     _last_saved: int = -1
+    _params: dict = field(default_factory=dict)  # tag -> run parameters
 
     def __post_init__(self) -> None:
         self.ctx = ensure_context(self.ctx)
@@ -278,10 +279,11 @@ class BSPDriver:
         """Persist ``state`` under ``tag`` if the cadence is due.
 
         ``state`` is the algorithm's complete between-superstep
-        coordinator state; the driver adds its own ledger
-        (``last_completed``, :class:`SuperstepStats`, paged-in set) so
-        a resumed run's metrics cover the pre-crash supersteps too.
-        Returns whether a checkpoint was written.
+        coordinator state; the driver adds the parameters registered by
+        :meth:`resume` and its own ledger (``last_completed``,
+        :class:`SuperstepStats`, paged-in set) so a resumed run's
+        metrics cover the pre-crash supersteps too.  Returns whether a
+        checkpoint was written.
         """
         cp = self.checkpointer
         if cp is None:
@@ -289,7 +291,6 @@ class BSPDriver:
         if not force and self.last_completed - self._last_saved < cp.every:
             return False
         doc = {
-            "tag": tag,
             "state": state,
             "driver": {
                 "last_completed": self.last_completed,
@@ -297,31 +298,33 @@ class BSPDriver:
                 "stats": [s.as_dict() for s in self.stats],
             },
         }
-        save_state(cp.path_for(tag), doc, kind=CHECKPOINT_KIND)
+        save_checkpoint(
+            cp.path_for(tag), doc, kind=CHECKPOINT_KIND, params=self._params[tag]
+        )
         self._last_saved = self.last_completed
         return True
 
-    def load_resume(self, tag: str) -> Optional[dict]:
-        """Return the saved algorithm state for ``tag``, or ``None``.
+    def resume(self, tag: str, params: dict) -> Optional[dict]:
+        """Register ``tag``'s run ``params``; return its saved state or ``None``.
 
-        Only active when the checkpointer was armed with
-        ``resume=True`` and a checkpoint file exists.  Restores the
+        Every algorithm calls this before its first superstep: the
+        parameters (plus the tag) go into each of ``tag``'s checkpoints,
+        and a saved state is returned only when the checkpointer was
+        armed with ``resume=True``, a checkpoint file exists and its
+        parameters equal these (otherwise
+        :func:`~repro.durable.load_checkpoint` refuses it as
+        :class:`~repro.errors.CorruptCheckpoint`).  Restores the
         driver's ledger to the saved snapshot (when it is ahead of the
-        current one) so resumed metrics are cumulative.  Corrupt files
-        raise :class:`~repro.errors.CorruptCheckpoint`.
+        current one) so resumed metrics are cumulative.
         """
+        self._params[tag] = {"tag": tag, **params}
         cp = self.checkpointer
         if cp is None or not cp.resume:
             return None
         path = cp.path_for(tag)
         if not path.exists():
             return None
-        doc = load_state(path, kind=CHECKPOINT_KIND)
-        if not isinstance(doc, dict) or doc.get("tag") != tag:
-            raise CorruptCheckpoint(
-                f"corrupt checkpoint {path}: tag mismatch "
-                f"(expected {tag!r}, found {doc.get('tag')!r})"
-            )
+        doc = load_checkpoint(path, kind=CHECKPOINT_KIND, params=self._params[tag])
         drv = doc["driver"]
         if int(drv["last_completed"]) > self.last_completed:
             self.last_completed = int(drv["last_completed"])
@@ -332,6 +335,7 @@ class BSPDriver:
 
     def clear_checkpoint(self, tag: str) -> None:
         """Drop ``tag``'s checkpoint (called when the algorithm ends)."""
+        self._params.pop(tag, None)
         cp = self.checkpointer
         if cp is not None:
             try:

@@ -733,18 +733,16 @@ class TestStreamChaos:
         assert np.array_equal(chaotic._clo, clean._clo)
         assert live_segment_names() == ()
 
-    def test_resume_from_last_applied_batch(self):
+    def test_resume_from_last_applied_batch(self, tmp_path):
         # Crash-and-restart shape: the engine dies after batch j-1, a
-        # replacement restores from its checkpoint and replays the
+        # replacement resumes from its checkpoint and replays the
         # remaining batches; the stitched run is bit-identical to an
         # uninterrupted one, including under chaos on the replay side.
-        from repro.dynamic import StreamEngine
-
         n, batches = self._batches()
         clean = self._run(n, batches)
         j = len(batches) // 2
         first = self._run(n, batches[:j])
-        state = first.checkpoint()
+        first.save(tmp_path / "stream.ckpt")
         del first  # the "dead" process
 
         plan = ChaosPlan([Fault("raise", task_index=0)])
@@ -753,7 +751,8 @@ class TestStreamChaos:
             fault_policy=FaultPolicy(),
             chaos=plan,
         ) as ctx:
-            resumed = StreamEngine.restore(state, ctx=ctx)
+            resumed = self._run(n, [], ctx=ctx)
+            resumed.resume(tmp_path / "stream.ckpt")
             for b in batches[j:]:
                 resumed.apply_batch(b)
         assert (

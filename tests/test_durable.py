@@ -226,6 +226,26 @@ def test_no_raw_json_writes_in_src():
     )
 
 
+def test_no_raw_state_io_in_src():
+    """Every checkpoint in ``src/`` goes through
+    ``repro.durable.save_checkpoint``/``load_checkpoint``, so the one
+    run-parameter check refuses every foreign resume — no surface
+    hand-rolls its own."""
+    offenders = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        rel = path.relative_to(REPO)
+        if "repro/durable" in str(rel).replace(os.sep, "/"):
+            continue
+        text = path.read_text()
+        for needle in ("save_state(", "load_state("):
+            if needle in text:
+                offenders.append(f"{rel}: {needle}")
+    assert not offenders, (
+        "raw checkpoint state I/O found — use repro.durable."
+        f"save_checkpoint/load_checkpoint instead: {offenders}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # BSP coordinator resume (tier-1, in-process simulated crash)
 # ---------------------------------------------------------------------------
@@ -301,6 +321,24 @@ class TestBSPResume:
         assert got.tobytes() == closeness_centrality(karate).tobytes()
         assert not list(cpdir.glob("*.ckpt"))
 
+    def test_closeness_resume_other_batch_cut_refused(self, karate, shards):
+        """Same sources and batch count, another cut: batch 1 of 5 lanes
+        is not batch 1 of 6, so resuming would leave scores unwritten."""
+        ss, cpdir = shards
+        sources = list(range(10))
+        drv_ref = BSPDriver(ss)
+        sharded_closeness(ss, sources=sources, batch_size=5, driver=drv_ref)
+        batch1 = [s.phase for s in drv_ref.stats].index("msbfs:level0", 1)
+        with pytest.raises(_Boom):
+            sharded_closeness(ss, sources=sources, batch_size=5,
+                              driver=_crashing_driver(ss, cpdir,
+                                                      crash_after=batch1))
+        assert [p.name for p in cpdir.glob("*.ckpt")] == ["closeness.ckpt"]
+        with pytest.raises(CorruptCheckpoint,
+                           match="parameter 'batch_lanes' mismatch"):
+            sharded_closeness(ss, sources=sources, batch_size=6,
+                              driver=_resume_driver(ss, cpdir))
+
     def test_resumed_metrics_cover_precrash_supersteps(self, karate, shards):
         ss, cpdir = shards
         drv1 = _crashing_driver(ss, cpdir, crash_after=3)
@@ -325,20 +363,23 @@ class TestBSPResume:
             sharded_msbfs(ss, [0, 33], driver=_resume_driver(ss, cpdir))
 
     def test_pair_formulation_checkpoint_refused(self, karate, shards):
-        """A checkpoint with the pre-word state shape (same run
-        parameters) is refused by name, not with a ``KeyError``."""
+        """A checkpoint in the layout that predates the run-parameter
+        header (here with the pre-word msbfs state, same run parameters)
+        is refused by name as an older format, not with a ``KeyError``."""
         ss, cpdir = shards
         srcs = np.array([0, 16], dtype=np.int64)
         n = ss.n_vertices
-        drv = BSPDriver(ss, checkpointer=BSPCheckpointer(cpdir, every=1))
-        drv.last_completed = 0
-        assert drv.maybe_checkpoint("msbfs", {
-            "n": n, "srcs": srcs, "max_depth": None,
-            "dist": np.full((2, n), -1, dtype=np.int32),
-            "verts": srcs.copy(), "lanes": np.arange(2, dtype=np.int64),
-            "level": 0, "todo_arcs": 2 * ss.n_arcs,
-        })
-        with pytest.raises(CorruptCheckpoint, match="'formulation' mismatch"):
+        save_state(cpdir / "msbfs.ckpt", {
+            "tag": "msbfs",
+            "state": {
+                "n": n, "srcs": srcs, "max_depth": None,
+                "dist": np.full((2, n), -1, dtype=np.int32),
+                "verts": srcs.copy(), "lanes": np.arange(2, dtype=np.int64),
+                "level": 0, "todo_arcs": 2 * ss.n_arcs,
+            },
+            "driver": {"last_completed": 0, "paged_in": [], "stats": []},
+        }, kind="bsp-checkpoint")
+        with pytest.raises(CorruptCheckpoint, match="older checkpoint format"):
             sharded_msbfs(ss, srcs, driver=_resume_driver(ss, cpdir))
 
     def test_msbfs_resume_inside_second_word(self, karate, shards):
@@ -353,7 +394,7 @@ class TestBSPResume:
             sharded_msbfs(ss, sources, driver=_crashing_driver(
                 ss, cpdir, crash_after=second_word + 2))
         [ckpt] = cpdir.glob("*.ckpt")
-        saved = load_state(ckpt, kind="bsp-checkpoint")["state"]
+        saved = load_state(ckpt, kind="bsp-checkpoint")["state"]["state"]
         assert (saved["lo"], saved["level"]) == (64, 2)
         drv = _resume_driver(ss, cpdir)
         got = sharded_msbfs(ss, sources, driver=drv)
@@ -391,6 +432,56 @@ class TestBSPResume:
         assert got.distances.tobytes() == ref.distances.tobytes()
 
 
+class TestShardRunResume:
+    """``repro shard run``'s run-level checkpoint is the driver tag
+    ``run``: completed algorithms are skipped on ``--resume``."""
+
+    def test_resume_skips_completed_algorithm(self, karate, tmp_path,
+                                              monkeypatch, capsys):
+        import repro.sharded
+
+        root = tmp_path / "ss"
+        build_shard_set(karate, root, k=3)
+        cpdir = tmp_path / "cp"
+
+        def run(algos, *extra):
+            return cli_main(["shard", "run", str(root), "--algo", algos,
+                             "--sources", "0,5,33", *extra])
+
+        def metrics(path):
+            doc = json.loads(path.read_text())
+            del doc["metrics"]["peak_rss_bytes"]
+            return _strip_seconds(doc)
+
+        ckpt = ("--checkpoint-every", "1", "--checkpoint-dir", str(cpdir))
+        assert run("msbfs,components", "--metrics", str(tmp_path / "ref.json")) == 0
+
+        def boom(*a, **kw):
+            raise _Boom("simulated coordinator death in components")
+
+        monkeypatch.setattr(repro.sharded, "sharded_connected_components", boom)
+        with pytest.raises(_Boom):
+            run("msbfs,components", *ckpt)
+        monkeypatch.undo()
+        assert [p.name for p in cpdir.iterdir()] == ["run.ckpt"]
+
+        capsys.readouterr()
+        assert run("msbfs,closeness", *ckpt, "--resume") == 1
+        assert "parameter 'algos' mismatch" in capsys.readouterr().err
+
+        got = tmp_path / "got.json"
+        assert run("msbfs,components", *ckpt, "--resume", "--metrics", str(got)) == 0
+        assert "msbfs already complete" in capsys.readouterr().out
+        assert metrics(got) == metrics(tmp_path / "ref.json")
+        assert list(cpdir.iterdir()) == []
+
+        # The pre-header run-level checkpoint layout is refused by name.
+        save_state(cpdir / "run.ckpt", {"fingerprint": {}, "completed": {}},
+                   kind="shard-run")
+        assert run("msbfs,components", *ckpt, "--resume") == 1
+        assert "kind mismatch" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Stream engine durability (tier-1)
 # ---------------------------------------------------------------------------
@@ -411,7 +502,8 @@ class TestStreamDurability:
             part.apply_batch(b)
         ckpt = tmp_path / "stream.ckpt"
         part.save(ckpt)
-        resumed = StreamEngine.load(ckpt)
+        resumed = StreamEngine(karate.n_vertices, k=5)
+        resumed.resume(ckpt)
         for b in batches[cut:]:
             resumed.apply_batch(b)
         assert [r.checksum for r in full.results] == [
@@ -426,7 +518,7 @@ class TestStreamDurability:
         blob[len(blob) // 2] ^= 0xFF
         ckpt.write_bytes(bytes(blob))
         with pytest.raises(CorruptCheckpoint):
-            StreamEngine.load(ckpt)
+            StreamEngine(karate.n_vertices).resume(ckpt)
 
     @pytest.fixture()
     def events_file(self, karate, tmp_path):
@@ -459,15 +551,45 @@ class TestStreamDurability:
                          "-o", str(out_resumed)]) == 0
         assert out_resumed.read_bytes() == out_full.read_bytes()
 
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=name) for name, value in (
+            ("k", 5), ("window", 2), ("resweep_passes", 1),
+            ("community_escalate", False),
+        )
+    ])
     def test_cli_resume_config_mismatch_refused(self, events_file, tmp_path,
-                                                capsys):
+                                                capsys, name, value):
+        """Every engine setting is checked — the last two change the
+        community output but are not CLI flags."""
+        path, batches, n = events_file
+        ckpt_dir = tmp_path / "ck"
+        ckpt_dir.mkdir()
+        analytics = ("components", "community")
+        part = StreamEngine(n, **{"analytics": analytics, "k": 10,
+                                  name: value})  # the CLI's but one
+        for b in batches[:2]:
+            part.apply_batch(b)
+        part.save(ckpt_dir / "stream.ckpt")
+        assert cli_main(["stream", str(path), "--analytics", ",".join(analytics),
+                         "--checkpoint-dir", str(ckpt_dir)]) == 1
+        assert f"parameter '{name}' mismatch" in capsys.readouterr().err
+
+    def test_cli_resume_older_format_refused(self, events_file, tmp_path,
+                                             capsys):
+        """A checkpoint in the layout that predates the run-parameter
+        header is refused by name, not replayed or hit as a KeyError."""
         path, _, n = events_file
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
-        StreamEngine(n, k=5).save(ckpt_dir / "stream.ckpt")  # k != CLI's 10
+        save_state(ckpt_dir / "stream.ckpt", {
+            "version": 1, "n_vertices": n,
+            "analytics": ["components", "stats", "degree"], "k": 10,
+            "window": 1024, "resweep_passes": 16, "resweep_radius": 1,
+            "community_escalate": True, "batches": [],
+        }, kind="stream-checkpoint")
         assert cli_main(["stream", str(path),
                          "--checkpoint-dir", str(ckpt_dir)]) == 1
-        assert "config mismatch" in capsys.readouterr().err
+        assert "older checkpoint format" in capsys.readouterr().err
 
     def test_cli_resume_foreign_stream_refused(self, events_file, tmp_path,
                                                capsys):

@@ -182,8 +182,9 @@ class TestVerify:
         """Park one valid BSP checkpoint under the shard-set root."""
         drv = BSPDriver(ss, checkpointer=BSPCheckpointer(
             ss.root / ".checkpoints", every=1))
+        drv.resume("msbfs", {"n": ss.n_vertices})
         drv.last_completed = 0
-        assert drv.maybe_checkpoint("msbfs", {"n": ss.n_vertices})
+        assert drv.maybe_checkpoint("msbfs", {})
         [path] = (ss.root / ".checkpoints").glob("*.ckpt")
         return path
 

@@ -308,7 +308,7 @@ class TestStreamEngine:
         with pytest.raises(GraphStructureError):
             eng.apply_batch([])
 
-    def test_checkpoint_restore_bit_identical(self):
+    def test_checkpoint_restore_bit_identical(self, tmp_path):
         g = karate_club()
         evs = crawl_events(
             g, policy="mod", batch_size=6, rng=np.random.default_rng(1)
@@ -327,7 +327,11 @@ class TestStreamEngine:
         )
         for b in batches[:cut]:
             part.apply_batch(b)
-        resumed = StreamEngine.restore(part.checkpoint())
+        part.save(tmp_path / "stream.ckpt")
+        resumed = StreamEngine(
+            g.n_vertices, analytics=("components", "stats", "degree"), k=5
+        )
+        resumed.resume(tmp_path / "stream.ckpt")
         for b in batches[cut:]:
             resumed.apply_batch(b)
 

@@ -39,6 +39,7 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Optional, Union
 
+from repro.errors import ProtocolError
 from repro.graph.csr import Graph
 from repro.obs.api import split_operands, validate_params
 from repro.obs.runner import RunResult
@@ -144,9 +145,10 @@ class Session:
             trace=trace,
         )
         self._closed = False
-        # Streaming ingestion state: one StreamEngine per resident name,
-        # surviving across ingest() calls so analytics stay incremental.
-        self.engines: dict = {}
+        # Streaming ingestion state: name -> (StreamEngine, the snapshot
+        # it last published), surviving across ingest() calls so
+        # analytics stay incremental.
+        self._engines: dict = {}
         self._ingest_lock = threading.Lock()
 
     # -- residency -----------------------------------------------------
@@ -223,40 +225,66 @@ class Session:
         analytics across calls, and on return the resident snapshot is
         atomically replaced so subsequent queries see the new graph.
         Returns the same per-batch JSON summary as ``POST /v1/ingest``.
-        """
-        from repro.dynamic.events import EdgeEvent
-        from repro.serve.ingest import ingest_events
 
-        rows = []
+        An engine continues only the snapshot it last published: a name
+        evicted and re-admitted, or re-admitted by anyone else, seeds a
+        fresh engine from what is resident.  The engine leaves the table
+        while it applies and returns only once ``registry.replace``
+        succeeds, so a refused or failed ingest leaves nothing behind.
+        """
+        from repro.dynamic.engine import StreamEngine
+        from repro.dynamic.events import EdgeEvent, group_batches
+
+        evs = []
         for e in events:
-            if isinstance(e, EdgeEvent):
-                rows.append({
-                    "t": e.t, "kind": e.kind, "u": e.u, "v": e.v,
-                    "weight": e.weight,
-                })
-            elif isinstance(e, dict):
-                rows.append({
-                    "t": int(e["t"]), "kind": str(e["kind"]),
-                    "u": int(e["u"]), "v": int(e["v"]),
-                    "weight": float(e.get("weight", 1.0)),
-                })
-            else:
-                kind, u, v, t = e[0], e[1], e[2], e[3]
-                weight = e[4] if len(e) > 4 else 1.0
-                rows.append({
-                    "t": int(t), "kind": str(kind), "u": int(u),
-                    "v": int(v), "weight": float(weight),
-                })
+            if isinstance(e, dict):
+                e = EdgeEvent(
+                    str(e["kind"]), int(e["u"]), int(e["v"]), t=int(e["t"]),
+                    weight=float(e.get("weight", 1.0)),
+                )
+            elif not isinstance(e, EdgeEvent):
+                kind, u, v, t, *w = e
+                e = EdgeEvent(
+                    str(kind), int(u), int(v), t=int(t),
+                    weight=float(w[0]) if w else 1.0,
+                )
+            evs.append(e)
+        name = self._resolve(graph)
         with self._ingest_lock:
-            return ingest_events(
-                self.registry,
-                self.engines,
-                self._resolve(graph),
-                rows,
-                ctx=self.ctx,
-                analytics=list(analytics) if analytics is not None else None,
-                k=k,
-            )
+            entry = self.registry.get(name)  # raises GraphNotResident
+            n = entry.graph.n_vertices
+            for e in evs:
+                if not (0 <= e.u < n and 0 <= e.v < n):
+                    raise ProtocolError(
+                        f"event vertex out of range [0, {n}): ({e.u}, {e.v})"
+                    )
+            engine, published = self._engines.pop(name, (None, None))
+            if published is not entry.graph:
+                engine = StreamEngine.from_graph(
+                    entry.graph,
+                    analytics=tuple(analytics or ("components", "stats", "degree")),
+                    k=k,
+                    ctx=self.ctx,
+                )
+            base = engine.n_batches
+            try:
+                results = [engine.apply_batch(b) for b in group_batches(evs)]
+            except Exception as exc:
+                # Timestamp regressions etc. surface as protocol errors;
+                # the engine is dropped, the resident graph untouched.
+                raise ProtocolError(
+                    f"ingest failed at batch {engine.n_batches - base}: {exc}"
+                ) from exc
+            published = self.registry.replace(name, engine.snapshot()).graph
+            self._engines[name] = (engine, published)
+        return {
+            "graph": name,
+            "n_vertices": n,
+            "n_edges": engine.n_edges,
+            "n_batches_applied": len(results),
+            "n_batches_total": engine.n_batches,
+            "batches": [r.summary() for r in results],
+        }
 
     # -- lifecycle -----------------------------------------------------
     def stats(self) -> dict:

@@ -353,23 +353,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "n_vertices": n,
             "analytics": list(analytics),
             "k": args.k,
-            "batches": [
-                {
-                    "t": r.t,
-                    "n_events": r.n_events,
-                    "n_applied": r.n_applied,
-                    "n_edges": r.n_edges,
-                    "n_components": r.n_components,
-                    "n_triangles": r.n_triangles,
-                    "n_wedges": r.n_wedges,
-                    "global_clustering": r.global_clustering,
-                    "degree_topk": r.degree_topk,
-                    "closeness_topk": r.closeness_topk,
-                    "modularity": r.modularity,
-                    "checksum": r.checksum,
-                }
-                for r in rows
-            ],
+            "batches": [r.summary() for r in rows],
         }
         write_json_atomic(Path(args.output), doc, indent=2, sort_keys=True)
         print(f"results written to {args.output}")
@@ -791,11 +775,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{summary['ingests']} ingests, {summary['skipped']} skipped"
             )
         for name, path in preload:
-            entry = server.registry.load(path, name=name)
+            entry = server.session.registry.load(path, name=name)
             print(f"resident: {name} = {entry.graph} ({entry.nbytes:,d} bytes)")
         host, port = server.address
+        ctx = server.session.ctx
         print(f"repro serve listening on http://{host}:{port} "
-              f"(backend={server.ctx.backend}, workers={server.ctx.n_workers})")
+              f"(backend={ctx.backend}, workers={ctx.n_workers})")
         try:
             http_thread.join()
         except KeyboardInterrupt:

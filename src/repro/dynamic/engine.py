@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import zlib
 from contextlib import nullcontext as _noop
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -97,6 +97,14 @@ class BatchResult:
     community_labels: Optional[np.ndarray] = None
     modularity: Optional[float] = None
     checksum: int = 0
+
+    def summary(self) -> dict[str, Any]:
+        """The JSON fields: everything but the two label arrays."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("labels", "community_labels")
+        }
 
 
 class StreamEngine:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ class CostModel:
     clustering algorithm merges the profiles of its inner BFS calls).
     """
 
-    def __init__(self, machine: Optional[MachineModel] = None) -> None:
-        self.machine = machine or MachineModel()
+    def __init__(self) -> None:
+        self.machine = MachineModel()
         self._phases: list[_Phase] = []
         self.serial_work: float = 0.0
         self.lock_events: int = 0

@@ -49,7 +49,7 @@ from repro import _memory
 from repro.obs.tracer import current_tracer
 from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
-from repro.parallel.costmodel import CostModel, MachineModel
+from repro.parallel.costmodel import CostModel
 from repro.parallel.partitioner import (
     balanced_chunks,
     chunk_ranges,
@@ -301,7 +301,6 @@ class ParallelContext:
         *,
         degree_aware: bool = True,
         backend: Optional[str] = None,
-        machine: Optional[MachineModel] = None,
         trace=None,
         fault_policy: Optional[FaultPolicy] = None,
         chaos=None,
@@ -315,7 +314,7 @@ class ParallelContext:
         self.n_workers = int(n_workers)
         self.degree_aware = bool(degree_aware)
         self.backend = backend
-        self.cost = CostModel(machine)
+        self.cost = CostModel()
         self.pool = PoolStats()
         # Read per dispatch by repro.parallel.resilience.policy_for;
         # never reassigned (obs.run arms a run without writing here).

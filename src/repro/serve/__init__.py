@@ -17,7 +17,10 @@ Layers:
   merging, dedup, deadlines via the FaultPolicy ladder.
 * :mod:`repro.serve.protocol`  — registry-generated request schema,
   JSON envelopes.
-* :mod:`repro.serve.server`    — stdlib ThreadingHTTPServer daemon.
+* :mod:`repro.serve.server`    — stdlib ThreadingHTTPServer daemon: one
+  :class:`repro.api.Session` (which composes the registry, the
+  coalescer and the stream engines, and owns ingestion) plus HTTP
+  handlers, async tickets, the state journal and the profile.
 * :mod:`repro.serve.client`    — stdlib http.client, kept-alive client.
 """
 

@@ -1,9 +1,8 @@
 """``repro serve`` — the long-lived graph-service daemon.
 
-Stdlib-only HTTP/JSON front-end gluing the resident
-:class:`~repro.serve.registry.GraphRegistry` and the
-:class:`~repro.serve.coalescer.Coalescer` behind a threaded
-``http.server``.  Each (kept-alive) connection gets a handler thread;
+Stdlib-only HTTP/JSON front-end: one :class:`~repro.api.Session`
+(resident registry, request coalescer, stream engines) behind a
+threaded ``http.server``.  Each (kept-alive) connection gets a handler thread;
 handler threads *submit* into the coalescer and block on their future,
 so concurrency across clients is exactly what creates batching
 opportunity.
@@ -49,6 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
+from repro.api import Session
 from repro.errors import (
     GraphNotResident,
     ProtocolError,
@@ -56,8 +56,6 @@ from repro.errors import (
     SnapError,
 )
 from repro.serve import protocol
-from repro.serve.coalescer import Coalescer
-from repro.serve.registry import GraphRegistry
 
 __all__ = ["ServeConfig", "ReproServer"]
 
@@ -165,7 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, {
                     "ok": True,
                     "recovering": self.app.recovering,
-                    "resident_graphs": len(self.app.registry.names()),
+                    "resident_graphs": len(self.app.session.registry.names()),
                     "uptime_s": round(time.monotonic() - self.app.t0, 3),
                 })
                 return
@@ -173,7 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/v1/algorithms":
                 self._send(200, protocol.request_schema())
             elif self.path == "/v1/graphs":
-                self._send(200, self.app.registry.stats())
+                self._send(200, self.app.session.registry.stats())
             elif self.path == "/v1/stats":
                 self._send(200, self.app.stats())
             elif self.path.startswith("/v1/result/"):
@@ -206,7 +204,7 @@ class _Handler(BaseHTTPRequestHandler):
                 name = doc.get("name")
                 if not isinstance(name, str):
                     raise ProtocolError("evict requires a string 'name'")
-                evicted = self.app.registry.evict(name)
+                evicted = self.app.session.registry.evict(name)
                 self._send(200, {"evicted": evicted, "name": name})
             else:
                 self._send(404, protocol.error_envelope(
@@ -219,7 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = doc.get("path")
         if not isinstance(path, str):
             raise ProtocolError("load requires a string 'path'")
-        entry = self.app.registry.load(
+        entry = self.app.session.registry.load(
             path,
             name=doc.get("name"),
             directed=bool(doc.get("directed", False)),
@@ -227,37 +225,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, entry.describe())
 
     def _ingest(self, doc: dict) -> None:
-        from repro.serve.ingest import ingest_events
-
         req = protocol.parse_ingest(doc)
-        # One batch-application at a time: the engines dict and the
-        # registry swap form one logical transaction per graph.
+        # One lock around apply + append, so the journal order is the
+        # apply order.
         with self.app.ingest_lock:
-            summary = ingest_events(
-                self.app.registry,
-                self.app.engines,
-                req["graph"],
-                req["events"],
-                ctx=self.app.ctx,
-                analytics=req["analytics"],
-                k=req["k"],
+            summary = self.app.session.ingest(
+                req["graph"], req["events"],
+                analytics=req["analytics"], k=req["k"],
             )
             # Journaled only after the whole transaction applied: a
             # crash mid-ingest never acknowledges, never journals, and
             # the client's retry applies exactly once.
             if self.app.journal is not None:
-                self.app.journal.append({
-                    "op": "ingest",
-                    "graph": req["graph"],
-                    "events": req["events"],
-                    "analytics": req["analytics"],
-                    "k": req["k"],
-                })
+                self.app.journal.append({"op": "ingest", **req})
         self._send(200, summary)
 
     def _submit(self, doc: dict) -> None:
         req = protocol.parse_submit(doc)
-        fut = self.app.coalescer.submit(
+        fut = self.app.session.coalescer.submit(
             req["graph"], req["algo"], req["params"],
             deadline_s=req["deadline_s"],
         )
@@ -290,32 +275,30 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ReproServer:
-    """The composed daemon: context + registry + coalescer + HTTP."""
+    """The daemon: a :class:`~repro.api.Session` behind HTTP.
+
+    The session owns the execution context, the registry, the
+    coalescer and the stream engines; the server adds only the
+    handlers, async tickets, the state journal and the profile.
+    """
 
     def __init__(self, config: ServeConfig, *, verbose: bool = False) -> None:
         self.config = config
         self.t0 = time.monotonic()
-        self.ctx = config.options.make_context()
-        self.registry = GraphRegistry(max_bytes=config.max_bytes, ctx=self.ctx)
-        self._profile_lock = threading.Lock()
-        self._batch_spans: list[dict] = []
-        self.coalescer = Coalescer(
-            self.registry,
-            ctx=self.ctx,
+        self.session = Session(
+            options=config.options,
+            max_bytes=config.max_bytes,
             max_batch_delay=config.max_batch_delay,
             max_batch=config.max_batch,
             batch_runners=config.batch_runners,
             trace=config.profile_path is not None,
-            on_batch=(
-                self._collect_batch if config.profile_path is not None
-                else None
-            ),
         )
+        self._profile_lock = threading.Lock()
+        self._batch_spans: list[dict] = []
+        if config.profile_path is not None:
+            self.session.coalescer.on_batch = self._collect_batch
         self._tickets: "OrderedDict[str, Future]" = OrderedDict()
         self._tickets_lock = threading.Lock()
-        # Streaming ingestion state: per-resident-graph engines, one
-        # ingest transaction at a time (POST /v1/ingest).
-        self.engines: dict = {}
         self.ingest_lock = threading.Lock()
         self._ticket_seq = 0
         # Durable daemon state (DESIGN §13): with a state_dir the
@@ -365,40 +348,36 @@ class ReproServer:
             self.recovering = False
             return summary
         from repro.durable.journal import Journal, replay_journal
-        from repro.serve.ingest import ingest_events
 
+        registry = self.session.registry
         try:
             for rec in replay_journal(self._journal_path):
                 op = rec.get("op")
                 try:
                     if op == "load":
-                        self.registry.load(
+                        registry.load(
                             rec["path"],
                             name=rec.get("name"),
                             directed=bool(rec.get("directed", False)),
                         )
                         summary["loads"] += 1
                     elif op == "evict":
-                        self.registry.evict(rec["name"])
+                        registry.evict(rec["name"])
                         summary["evicts"] += 1
                     elif op == "ingest":
-                        with self.ingest_lock:
-                            ingest_events(
-                                self.registry,
-                                self.engines,
-                                rec["graph"],
-                                rec["events"],
-                                ctx=self.ctx,
-                                analytics=rec.get("analytics"),
-                                k=rec.get("k", 10),
-                            )
+                        self.session.ingest(
+                            rec["graph"],
+                            rec["events"],
+                            analytics=rec.get("analytics"),
+                            k=rec.get("k", 10),
+                        )
                         summary["ingests"] += 1
                     else:
                         summary["skipped"] += 1
                 except (SnapError, OSError):
                     summary["skipped"] += 1
             self.journal = Journal(self._journal_path)
-            self.registry.journal = self.journal
+            registry.journal = self.journal
         finally:
             self.recovering = False
         return summary
@@ -448,12 +427,12 @@ class ReproServer:
         return t
 
     def stats(self) -> dict:
+        ctx = self.session.ctx
         return {
-            "coalescer": self.coalescer.stats(),
-            "registry": self.registry.stats(),
-            "pool": self.ctx.pool.as_dict(),
-            "backend": self.ctx.backend,
-            "n_workers": self.ctx.n_workers,
+            **self.session.stats(),
+            "pool": ctx.pool.as_dict(),
+            "backend": ctx.backend,
+            "n_workers": ctx.n_workers,
             "uptime_s": round(time.monotonic() - self.t0, 3),
         }
 
@@ -482,17 +461,17 @@ class ReproServer:
         if self._serving:
             self.httpd.shutdown()
         self.httpd.server_close()
-        self.coalescer.close()
+        # Closing the coalescer flushes it, so the profile sees every batch.
+        self.session.coalescer.close()
         self.write_profile()
         # Detach the journal before the registry teardown evicts every
         # resident graph: shutdown evictions are not state changes the
         # next boot should replay.
-        self.registry.journal = None
+        self.session.registry.journal = None
         if self.journal is not None:
             self.journal.close()
             self.journal = None
-        self.registry.close()
-        self.ctx.close()
+        self.session.close()
 
     def __enter__(self) -> "ReproServer":
         return self

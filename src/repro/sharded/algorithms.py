@@ -56,7 +56,7 @@ from repro.kernels.bfs import (
     source_batches,
 )
 from repro.kernels.segments import chunk_bounds, grouped_label_weights
-from repro.sharded.bsp import BSPDriver, MemoryBudget
+from repro.sharded.bsp import BSPDriver
 from repro.sharded.shards import ShardSet, _cached_shard, concat_ranges
 
 __all__ = [
@@ -99,14 +99,11 @@ def _reduce_over_rows(ufunc, local_vals, sh, out: np.ndarray) -> np.ndarray:
 
 
 def _resolve_driver(
-    shard_set: ShardSet,
-    driver: Optional[BSPDriver],
-    ctx,
-    mem_budget: Optional[MemoryBudget],
+    shard_set: ShardSet, driver: Optional[BSPDriver], ctx
 ) -> BSPDriver:
     if driver is not None:
         return driver
-    return BSPDriver(shard_set, ctx=ctx, mem_budget=mem_budget)
+    return BSPDriver(shard_set, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,6 @@ def sharded_msbfs(
     max_depth: Optional[int] = None,
     driver: Optional[BSPDriver] = None,
     ctx=None,
-    mem_budget: Optional[MemoryBudget] = None,
     checkpoint_tag: str = "msbfs",
 ) -> MSBFSResult:
     """Level-synchronous multi-source BFS over a shard set.
@@ -172,7 +168,7 @@ def sharded_msbfs(
     payload, so re-running the level the crash interrupted is exact.
     """
     ss = shard_set
-    drv = _resolve_driver(ss, driver, ctx, mem_budget)
+    drv = _resolve_driver(ss, driver, ctx)
     n = ss.n_vertices
     srcs = np.asarray(list(sources), dtype=np.int64)
     k = srcs.shape[0]
@@ -251,7 +247,6 @@ def sharded_closeness(
     batch_size: Optional[int] = None,
     driver: Optional[BSPDriver] = None,
     ctx=None,
-    mem_budget: Optional[MemoryBudget] = None,
 ) -> np.ndarray:
     """Closeness centrality over a shard set (unweighted graphs).
 
@@ -266,7 +261,7 @@ def sharded_closeness(
             "sharded closeness supports unweighted graphs only "
             "(in-core weighted closeness is per-source Dijkstra)"
         )
-    drv = _resolve_driver(ss, driver, ctx, mem_budget)
+    drv = _resolve_driver(ss, driver, ctx)
     n = ss.n_vertices
     if sources is None:
         sources = range(n)
@@ -323,7 +318,6 @@ def sharded_connected_components(
     *,
     driver: Optional[BSPDriver] = None,
     ctx=None,
-    mem_budget: Optional[MemoryBudget] = None,
 ) -> np.ndarray:
     """Component labels (min vertex id per component) over a shard set.
 
@@ -332,7 +326,7 @@ def sharded_connected_components(
     labels are bit-identical.
     """
     ss = shard_set
-    drv = _resolve_driver(ss, driver, ctx, mem_budget)
+    drv = _resolve_driver(ss, driver, ctx)
     n = ss.n_vertices
     label = np.arange(n, dtype=np.int64)
     if ss.n_arcs == 0:
@@ -623,7 +617,6 @@ def sharded_pla(
     max_passes: int = 16,
     driver: Optional[BSPDriver] = None,
     ctx=None,
-    mem_budget: Optional[MemoryBudget] = None,
 ) -> ClusteringResult:
     """Multilevel pLA over a shard set; bit-identical to
     ``pla(graph, multilevel=True)`` on the stitched graph.
@@ -647,7 +640,7 @@ def sharded_pla(
     big_w = ss.total_weight
     if big_w == 0.0:
         return ClusteringResult(np.arange(n, dtype=np.int64), 0.0, "pLA")
-    drv = _resolve_driver(ss, driver, ctx, mem_budget)
+    drv = _resolve_driver(ss, driver, ctx)
 
     # Checkpoints cover the two sharded (fine-graph) phases — the only
     # O(m) ones.  ``st`` is a phase machine: ``level0`` sweeps, then the

@@ -43,7 +43,8 @@ from repro.durable import (
     write_json_atomic,
 )
 from repro.dynamic import StreamEngine, crawl_events, group_batches, write_events
-from repro.errors import CorruptCheckpoint, ServiceRecovering
+from repro.errors import AdmissionDenied, CorruptCheckpoint, ServiceRecovering
+from repro.graph import from_edge_list
 from repro.graph import io as graph_io
 from repro.kernels.bfs import msbfs
 from repro.kernels.connected import connected_components
@@ -243,6 +244,26 @@ def test_no_raw_state_io_in_src():
     assert not offenders, (
         "raw checkpoint state I/O found — use repro.durable."
         f"save_checkpoint/load_checkpoint instead: {offenders}"
+    )
+
+
+def test_one_serving_composition_in_src():
+    """A serving stack (registry, coalescer, stream engines) is composed
+    in one place, ``repro.api.Session``; the daemon is a session behind
+    HTTP and builds no context, registry, coalescer or engine of its
+    own."""
+    offenders = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        rel = path.relative_to(REPO).as_posix()
+        if rel == "src/repro/api.py":
+            continue
+        needles = ["GraphRegistry(", "Coalescer(", "StreamEngine.from_graph("]
+        if rel == "src/repro/serve/server.py":
+            needles += ["make_context(", "ParallelContext(", "self.engines"]
+        text = path.read_text()
+        offenders += [f"{rel}: {n}" for n in needles if n in text]
+    assert not offenders, (
+        f"a second serving composition outside repro.api.Session: {offenders}"
     )
 
 
@@ -609,6 +630,11 @@ class TestStreamDurability:
 # ---------------------------------------------------------------------------
 # Restart-safe daemon (tier-1)
 # ---------------------------------------------------------------------------
+def _edges(graph):
+    u, v = graph.edge_endpoints()
+    return sorted(zip(u.tolist(), v.tolist()))
+
+
 class TestServeDurability:
     def _mk(self, state_dir):
         from repro.serve.server import ReproServer, ServeConfig
@@ -682,6 +708,27 @@ class TestServeDurability:
                 "loads": 2, "evicts": 1, "ingests": 0, "skipped": 0
             }
             assert self._client(srv2).graphs()["resident"][0]["name"] == "b"
+
+    def test_refused_ingest_is_neither_served_nor_replayed(self, tmp_path):
+        state = tmp_path / "state"
+        gpath = tmp_path / "g.npz"
+        graph_io.save_npz(from_edge_list([(0, 1), (1, 2)], n_vertices=6), gpath)
+        with self._mk(state) as srv:
+            srv.start_background()
+            srv.recover()
+            client = self._client(srv)
+            client.load(str(gpath), name="g")
+            client.ingest("g", [[1, "add", 3, 4]])
+            srv.session.registry.pin("g")  # as an in-flight query batch does
+            with pytest.raises(AdmissionDenied):
+                client.ingest("g", [[2, "add", 2, 3]])
+            srv.session.registry.unpin("g")
+            client.ingest("g", [[3, "add", 4, 5]])
+            served = _edges(srv.session.registry.get("g").graph)
+        assert served == [(0, 1), (1, 2), (3, 4), (4, 5)]
+        with self._mk(state) as srv2:
+            assert srv2.recover()["ingests"] == 2
+            assert _edges(srv2.session.registry.get("g").graph) == served
 
     def test_vanished_source_skipped_not_fatal(self, karate, tmp_path):
         state = tmp_path / "state"
@@ -836,5 +883,5 @@ class TestCrashMatrix:
         )) as srv:
             summary = srv.recover()
             assert summary["loads"] == 1 and summary["ingests"] == 1
-            entry = srv.registry.get("k")
+            entry = srv.session.registry.get("k")
             assert entry.graph.n_edges == n_edges

@@ -43,6 +43,7 @@ from repro.errors import (
     GraphNotResident,
     ProtocolError,
 )
+from repro.graph import from_edge_list
 from repro.graph import io as graph_io
 from repro.obs.api import algorithm_spec, split_operands, validate_params
 from repro.parallel.shm import live_segment_names
@@ -470,9 +471,9 @@ class TestHTTP:
         host, port = srv.address
         out = [None] * 6
         # the six must meet behind busy runners, however slowly they land
-        srv.coalescer.max_batch_delay = 60.0
-        gate = Gate(srv.registry)
-        gate.hold(srv.coalescer)
+        srv.session.coalescer.max_batch_delay = 60.0
+        gate = Gate(srv.session.registry)
+        gate.hold(srv.session.coalescer)
         queued = client.stats()["coalescer"]["requests"] + 6
 
         def go(i):
@@ -661,7 +662,7 @@ class TestKeepAlive:
             srv.recover()
             status, doc = call("POST", "/v1/submit", {"graph": 5, "pad": "x" * 999})
             assert (status, doc["error"]["code"]) == (400, "bad_request")
-            assert call("GET", "/v1/graphs") == (200, srv.registry.stats())
+            assert call("GET", "/v1/graphs") == (200, srv.session.registry.stats())
             status, doc = call("POST", "/v1/nope", submit)
             assert (status, doc["error"]["code"]) == (404, "bad_request")
             assert call("POST", "/v1/evict", {"name": "zz"}) == (
@@ -727,7 +728,7 @@ class TestKeepAlive:
     def test_request_the_server_may_have_applied_is_never_resent(
         self, server, monkeypatch
     ):
-        srv, client, g = server
+        _, client, g = server
         send = serve_server._Handler._send
         applied = []
 
@@ -745,7 +746,7 @@ class TestKeepAlive:
         with pytest.raises((OSError, http.client.HTTPException)):
             client.ingest("g", [[1, "add", u, v]])
         assert len(applied) == 1
-        assert srv.engines["g"].n_batches == 2  # the seed graph + ONE batch
+        assert applied[0]["n_batches_total"] == 2  # the seed graph + ONE batch
         # and the client is usable again, seeing exactly one application
         resident = client.graphs()["resident"][0]
         assert resident["n_edges"] == g.n_edges + 1
@@ -873,3 +874,50 @@ class TestIngest:
             r.checksum for r in ref_results
         ]
         assert got.n_edges == ref.n_edges
+
+    def test_session_reloaded_name_starts_from_what_is_resident(self):
+        with api.Session() as s:
+            s.add("g", from_edge_list(PATH, n_vertices=6))
+            s.ingest("g", [("add", 0, 5, 1)])
+            s.registry.evict("g")
+            s.add("g", from_edge_list([(4, 5)], n_vertices=6))
+            s.ingest("g", [("add", 1, 4, 2)])
+            assert edge_list(s.registry.get("g").graph) == [(1, 4), (4, 5)]
+
+    def test_http_reloaded_name_starts_from_what_is_resident(self, tmp_path):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        graph_io.save_npz(from_edge_list(PATH, n_vertices=6), first)
+        graph_io.save_npz(from_edge_list([(4, 5)], n_vertices=6), second)
+        with ReproServer(ServeConfig(port=0)) as srv:
+            srv.start_background()
+            with ServeClient(*srv.address) as client:
+                client.load(str(first), name="g")
+                client.ingest("g", [[1, "add", 0, 5]])
+                assert client.evict("g") is True
+                client.load(str(second), name="g")
+                client.ingest("g", [[2, "add", 1, 4]])
+            got = edge_list(srv.session.registry.get("g").graph)
+        assert got == [(1, 4), (4, 5)]
+
+    def test_session_refused_ingest_leaves_nothing_behind(self):
+        with api.Session() as s:
+            s.add("g", from_edge_list(PATH, n_vertices=6))
+            s.ingest("g", [("add", 3, 4, 1)])
+            s.registry.pin("g")  # as an in-flight query batch does
+            with pytest.raises(AdmissionDenied):
+                s.ingest("g", [("add", 0, 5, 2)])
+            s.registry.unpin("g")
+            doc = s.ingest("g", [("add", 4, 5, 3)])
+            got = edge_list(s.registry.get("g").graph)
+        assert got == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert doc["n_edges"] == len(got)
+
+
+#: A path on six vertices; 4 and 5 start isolated.
+PATH = [(0, 1), (1, 2), (2, 3)]
+
+
+def edge_list(graph):
+    """A graph's canonical ``(u, v)`` edges, sorted."""
+    u, v = graph.edge_endpoints()
+    return sorted(zip(u.tolist(), v.tolist()))

@@ -8,9 +8,10 @@ scale-10 graph split 4 ways:
 * **disabled** — ``checkpointer=None`` (what every ordinary run pays);
 * **inert** — a checkpointer armed with a cadence far beyond the
   superstep count, so the cadence check runs but no file is written;
-* **every-1** — a durable envelope write after every superstep,
-  reported for context (this is the cost ``--checkpoint-every 1``
-  buys crash recovery with).
+* **every-1** — one fsynced append to the checkpoint log after every
+  superstep, holding what that superstep wrote, reported for context
+  (this is the cost ``--checkpoint-every 1`` buys crash recovery
+  with).
 
 The gate holds ``inert / disabled - 1 <= 2 %`` on min-of-k timings.
 Results land in ``benchmarks/results/durable_overhead.json``.

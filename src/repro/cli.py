@@ -673,20 +673,19 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         )
     ctx = _make_ctx(args)
     driver = BSPDriver(ss, ctx=ctx, mem_budget=budget, checkpointer=ckpt)
-    # The run-level checkpoint (tag "run") records which algorithms
-    # already finished (with their result rows), so a resumed
-    # multi-algorithm run skips them and the in-progress one restarts
-    # from its last durable superstep.  Its parameters refuse a
-    # checkpoint from a different invocation (other algos, seed or
-    # source selection).
-    completed = driver.resume("run", {
+    # The run-level checkpoint (tag "run") records each finished
+    # algorithm as ``(algo, result row)``, so a resumed multi-algorithm
+    # run skips them and the in-progress one restarts from its last
+    # durable superstep.  Its parameters refuse a checkpoint from a
+    # different invocation (other algos, seed or source selection).
+    completed = dict(driver.resume("run", {
         "algos": algos,
         "seed": int(args.seed),
         "sources": args.sources or "",
         "n_sources": int(args.n_sources),
         "n_vertices": ss.n_vertices,
         "n_edges": ss.n_edges,
-    }) or {}
+    }) or [])
     if completed:
         print(f"resumed {ckpt.path_for('run')}: "
               f"{', '.join(completed)} already complete")
@@ -728,7 +727,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             return 1
         info["seconds"] = time.perf_counter() - t0
         out["algos"][algo] = completed[algo] = info
-        driver.maybe_checkpoint("run", completed, force=True)
+        driver.maybe_checkpoint("run", (algo, info), force=True)
     out["seconds_total"] = time.perf_counter() - t_all
     out["metrics"] = driver.metrics()
     if args.metrics:

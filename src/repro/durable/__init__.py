@@ -1,8 +1,8 @@
-"""Durability layer: atomic writes, CRC-stamped envelopes, journals.
+"""Durability layer: atomic writes, CRC-stamped envelopes, logs, journals.
 
 Every durable artifact this codebase produces — shard manifests,
 checkpoint state, profile/metrics JSON, the serve registry journal —
-goes through one of three primitives so a crash at any instant leaves
+goes through one of four primitives so a crash at any instant leaves
 either the old bytes or the new bytes on disk, never a torn mixture:
 
 * :func:`atomic_write_bytes` / :func:`write_json_atomic` — write-temp →
@@ -16,6 +16,11 @@ either the old bytes or the new bytes on disk, never a torn mixture:
   :func:`save_checkpoint` / :func:`load_checkpoint` add the run's
   parameters to that state and refuse to resume a different run — the
   one resume rule every checkpointing surface shares.
+* :class:`RecordLog` — the append-only checkpoint of the BSP driver: a
+  header envelope with the run's parameters (checked by the same rule),
+  then one envelope per durable step holding what that step wrote.
+  Reading drops a torn final record and refuses damage anywhere else;
+  :func:`check_log` walks every record for ``repro shard verify``.
 * :class:`~repro.durable.journal.Journal` — an append-only JSONL log
   with a per-line CRC stamp; replay tolerates exactly one torn final
   line (a crash mid-append) and rejects corruption anywhere else.
@@ -23,9 +28,11 @@ either the old bytes or the new bytes on disk, never a torn mixture:
 
 from repro.durable.atomic import (
     ENVELOPE_MAGIC,
+    RecordLog,
     atomic_write_bytes,
     atomic_write_text,
     check_envelope,
+    check_log,
     load_checkpoint,
     load_state,
     pack_envelope,
@@ -39,9 +46,11 @@ from repro.durable.journal import Journal, replay_journal
 
 __all__ = [
     "ENVELOPE_MAGIC",
+    "RecordLog",
     "atomic_write_bytes",
     "atomic_write_text",
     "check_envelope",
+    "check_log",
     "load_checkpoint",
     "load_state",
     "pack_envelope",

@@ -26,6 +26,12 @@ reaches the unpickler.
 A resumable *checkpoint* (:func:`save_checkpoint`) additionally carries
 the parameters of the run it belongs to; :func:`load_checkpoint` is the
 one place a resume is refused because those differ from the live run's.
+
+A :class:`RecordLog` is the append-only form of a checkpoint, for runs
+whose steps each add a little state: a header envelope with the run's
+parameters, then one envelope per :meth:`RecordLog.append`.  Reading it
+drops a torn *final* record (a crash mid-append) and refuses corruption
+anywhere else, as :mod:`repro.durable.journal` does for its lines.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ __all__ = [
     "load_checkpoint",
     "verify_envelope",
     "check_envelope",
+    "RecordLog",
+    "check_log",
 ]
 
 #: 8-byte file magic for envelope files (version suffix bumps on layout
@@ -66,7 +74,15 @@ ENVELOPE_MAGIC = b"RDURCK1\n"
 #: file without it predates the run-parameter header.
 CHECKPOINT_FORMAT = "params/1"
 
+#: Layout tag of a :class:`RecordLog` header (bumps on change); a
+#: single-envelope checkpoint of the same kind lacks it.
+LOG_FORMAT = "record-log/1"
+
 _HEADER_PREFIX = struct.Struct("<II")  # header_len, header_crc
+
+#: Envelope headers are a few hundred bytes of JSON; a length beyond
+#: this is a damaged prefix, not a record cut short by a crash.
+_MAX_HEADER_LEN = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +174,35 @@ def pack_envelope(kind: str, payload: bytes) -> bytes:
     return ENVELOPE_MAGIC + prefix + header + payload
 
 
-def unpack_envelope(
-    blob: bytes, *, kind: Optional[str] = None, path: str = "<bytes>"
-) -> tuple[str, bytes]:
-    """Validate an envelope and return ``(kind, payload)``.
+class _TornEnvelope(CorruptCheckpoint):
+    """The bytes end inside an envelope: a write cut short by a crash."""
 
-    Raises :class:`CorruptCheckpoint` on any integrity failure —
-    truncation, bit flip (header or payload), bad magic, or a ``kind``
-    mismatch when one is expected.
+
+def _parse_envelope(blob: bytes, off: int, path: str) -> tuple[str, bytes, int]:
+    """Validate the envelope starting at ``blob[off]``; return ``(kind,
+    payload, offset just past it)``.
+
+    Raises :class:`_TornEnvelope` when ``blob`` ends inside an envelope
+    whose bytes so far are intact, and :class:`CorruptCheckpoint` on
+    every other integrity failure.
     """
 
-    def bad(reason: str) -> CorruptCheckpoint:
-        return CorruptCheckpoint(f"corrupt checkpoint {path}: {reason}")
+    def bad(reason: str, cls=CorruptCheckpoint) -> CorruptCheckpoint:
+        return cls(f"corrupt checkpoint {path}: {reason}")
 
     m = len(ENVELOPE_MAGIC)
-    if len(blob) < m + _HEADER_PREFIX.size:
-        raise bad(f"truncated ({len(blob)} bytes; no complete header)")
-    if blob[:m] != ENVELOPE_MAGIC:
+    avail = len(blob) - off
+    magic = blob[off : off + m]
+    if magic != ENVELOPE_MAGIC[: len(magic)]:
         raise bad("bad magic (not a repro-durable envelope)")
-    header_len, header_crc = _HEADER_PREFIX.unpack_from(blob, m)
-    h0 = m + _HEADER_PREFIX.size
+    if avail < m + _HEADER_PREFIX.size:
+        raise bad(f"truncated ({avail} bytes; no complete header)", _TornEnvelope)
+    header_len, header_crc = _HEADER_PREFIX.unpack_from(blob, off + m)
+    if header_len > _MAX_HEADER_LEN:
+        raise bad(f"implausible header length {header_len}")
+    h0 = off + m + _HEADER_PREFIX.size
     if len(blob) < h0 + header_len:
-        raise bad("truncated inside header")
+        raise bad("truncated inside header", _TornEnvelope)
     header_bytes = blob[h0 : h0 + header_len]
     if (zlib.crc32(header_bytes) & 0xFFFFFFFF) != header_crc:
         raise bad("header CRC mismatch (bit flip in header)")
@@ -189,21 +212,37 @@ def unpack_envelope(
         raise bad(f"unparseable header ({exc})") from exc
     if header.get("format") != "repro-durable" or header.get("version") != 1:
         raise bad(f"unknown format/version {header.get('format')!r}")
-    payload = blob[h0 + header_len :]
-    length = header.get("length")
+    p0, length = h0 + header_len, header.get("length")
+    payload = blob[p0 : p0 + length]
     if len(payload) < length:
         raise bad(
-            f"truncated payload ({len(payload)} of {length} bytes)"
-        )
-    if len(payload) > length:
-        raise bad(
-            f"trailing garbage ({len(payload)} bytes; header says {length})"
+            f"truncated payload ({len(payload)} of {length} bytes)", _TornEnvelope
         )
     if (zlib.crc32(payload) & 0xFFFFFFFF) != header.get("crc32"):
         raise bad("payload CRC mismatch (bit flip or torn write)")
-    found = header.get("kind")
+    return header.get("kind"), payload, p0 + length
+
+
+def unpack_envelope(
+    blob: bytes, *, kind: Optional[str] = None, path: str = "<bytes>"
+) -> tuple[str, bytes]:
+    """Validate an envelope and return ``(kind, payload)``.
+
+    Raises :class:`CorruptCheckpoint` on any integrity failure —
+    truncation, bit flip (header or payload), bad magic, trailing bytes,
+    or a ``kind`` mismatch when one is expected.
+    """
+    found, payload, end = _parse_envelope(blob, 0, path)
+    if end < len(blob):
+        raise CorruptCheckpoint(
+            f"corrupt checkpoint {path}: trailing garbage "
+            f"({len(blob) - end} bytes after the payload)"
+        )
     if kind is not None and found != kind:
-        raise bad(f"kind mismatch (expected {kind!r}, found {found!r})")
+        raise CorruptCheckpoint(
+            f"corrupt checkpoint {path}: kind mismatch "
+            f"(expected {kind!r}, found {found!r})"
+        )
     return found, payload
 
 
@@ -222,6 +261,10 @@ def load_state(path: Union[str, Path], *, kind: Optional[str] = None):
     path = Path(path)
     blob = path.read_bytes()
     _, payload = unpack_envelope(blob, kind=kind, path=str(path))
+    return _unpickle(payload, path)
+
+
+def _unpickle(payload: bytes, path):
     try:
         return pickle.loads(payload)
     except Exception as exc:  # CRC passed but unpickle failed: corrupt
@@ -259,7 +302,13 @@ def load_checkpoint(path: Union[str, Path], *, kind: str, params: dict):
             f"corrupt checkpoint {path}: older checkpoint format (no "
             "run-parameter header); delete it and rerun"
         )
-    saved = doc["params"]
+    _check_params(path, doc["params"], params)
+    return doc["state"]
+
+
+def _check_params(path, saved: dict, params: dict) -> None:
+    """Refuse a checkpoint whose run ``saved`` parameters differ from
+    the live run's ``params``, naming the first differing key."""
     missing = "<missing>"
     for key in sorted(set(saved) | set(params)):
         got, want = saved.get(key, missing), params.get(key, missing)
@@ -273,7 +322,6 @@ def load_checkpoint(path: Union[str, Path], *, kind: str, params: dict):
                 f"(checkpoint {got!r} vs run {want!r}) — it was written "
                 "for a different run; delete it or rerun the original command"
             )
-    return doc["state"]
 
 
 def verify_envelope(
@@ -299,4 +347,132 @@ def check_envelope(path: Union[str, Path]) -> list[str]:
         return [str(exc)]
     except OSError as exc:
         return [f"{path}: unreadable ({exc})"]
+    return []
+
+
+# ---------------------------------------------------------------------------
+# Record log
+# ---------------------------------------------------------------------------
+def _scan_log(blob: bytes, path, kind: Optional[str]) -> tuple[dict, list, int]:
+    """Walk a record log: ``(header, record payloads, offset just past
+    the last complete record)``.
+
+    The header envelope must be whole, of ``kind`` (any kind when
+    ``None``) and carry :data:`LOG_FORMAT`; a single-envelope checkpoint
+    is refused by name.  Every record must share the header's kind and
+    pass its CRCs, except that a record the file ends inside is a torn
+    append and ends the walk.
+    """
+    found, head, end = _parse_envelope(blob, 0, str(path))
+    if kind is not None and found != kind:
+        raise CorruptCheckpoint(
+            f"corrupt checkpoint {path}: kind mismatch "
+            f"(expected {kind!r}, found {found!r})"
+        )
+    header = _unpickle(head, path)
+    if not isinstance(header, dict) or header.get("format") != LOG_FORMAT:
+        raise CorruptCheckpoint(
+            f"corrupt checkpoint {path}: older checkpoint format (one "
+            "envelope of the whole state, not a record log); delete it "
+            "and rerun"
+        )
+    records = []
+    while end < len(blob):
+        try:
+            rec_kind, payload, nxt = _parse_envelope(blob, end, str(path))
+        except _TornEnvelope:
+            break
+        if rec_kind != found:
+            raise CorruptCheckpoint(
+                f"corrupt checkpoint {path}: record {len(records)} has kind "
+                f"{rec_kind!r} in a {found!r} log"
+            )
+        records.append(payload)
+        end = nxt
+    return header, records, end
+
+
+class RecordLog:
+    """An append-only checkpoint: a header envelope holding the run's
+    parameters, then one CRC envelope per :meth:`append`.
+
+    A run that adds a little state per step appends that step's record
+    instead of rewriting its whole state.  Appends are flushed and
+    fsynced; the file (header plus first record) is created with one
+    atomic write, so it never exists without a header.  :meth:`load`
+    checks the parameters as :func:`load_checkpoint` does, drops a torn
+    final record and raises :class:`CorruptCheckpoint` naming the path
+    on damage anywhere else.
+    """
+
+    def __init__(self, path: Union[str, Path], *, kind: str, params: dict) -> None:
+        self.path = Path(path)
+        self.kind = str(kind)
+        self.params = dict(params)
+        self._owned = False  # this run created or loaded the file
+
+    def load(self) -> Optional[list]:
+        """The log's records, or ``None`` when there is no log file.
+
+        A torn final record is cut off the file, so later appends extend
+        a well-formed log; the step that wrote it is simply re-run.
+        """
+        try:
+            blob = self.path.read_bytes()
+        except FileNotFoundError:
+            return None
+        header, records, end = _scan_log(blob, self.path, self.kind)
+        _check_params(self.path, header["params"], self.params)
+        if end < len(blob):
+            with open(self.path, "r+b") as f:
+                f.truncate(end)
+                os.fsync(f.fileno())
+        self._owned = True
+        return [_unpickle(p, self.path) for p in records]
+
+    def append(self, record) -> None:
+        """Durably append ``record``.
+
+        The first append of a log this run has not loaded replaces any
+        file at the path with a fresh header.
+        """
+        env = pack_envelope(
+            self.kind, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        if not self._owned:
+            head = {"format": LOG_FORMAT, "params": self.params}
+            atomic_write_bytes(self.path, pack_envelope(
+                self.kind, pickle.dumps(head, protocol=pickle.HIGHEST_PROTOCOL)
+            ) + env)
+            self._owned = True
+            return
+        with open(self.path, "ab") as f:
+            f.write(env)
+            f.flush()
+            os.fsync(f.fileno())
+
+    def remove(self) -> None:
+        """Delete the log (a finished run leaves none behind)."""
+        self.path.unlink(missing_ok=True)
+        self._owned = False
+
+
+def check_log(path: Union[str, Path]) -> list[str]:
+    """Problem list for a :class:`RecordLog` file, for verify surfaces:
+    walks every record and names damage, an older single-envelope
+    checkpoint, and a torn final record (which a resume would drop)."""
+    try:
+        blob = Path(path).read_bytes()
+        _, _, end = _scan_log(blob, path, None)
+    except FileNotFoundError:
+        return [f"{path}: missing"]
+    except CorruptCheckpoint as exc:
+        return [str(exc)]
+    except OSError as exc:
+        return [f"{path}: unreadable ({exc})"]
+    if end < len(blob):
+        return [
+            f"corrupt checkpoint {path}: truncated final record "
+            f"({len(blob) - end} bytes); a resume drops it and re-runs its step"
+        ]
     return []

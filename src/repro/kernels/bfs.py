@@ -261,6 +261,32 @@ def _claim_new(seen, tgt, got) -> tuple[np.ndarray, np.ndarray]:
     return verts, words
 
 
+def _claim_dense(seen, fresh, dist, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pull-level claim: keep the lanes of the dense per-vertex
+    words ``fresh`` that ``seen`` lacks, mark them seen and write
+    ``depth`` into the ``(lanes, n)`` distance rows ``dist`` at each of
+    them.  Returns the next frontier ``(verts, words)``.
+
+    The rows are written one lane byte at a time as 0/1 bit planes
+    (unreached entries are -1, so adding ``plane * (depth + 1)`` writes
+    ``depth``): the transient is an ``(8, n)`` plane per lane byte,
+    never a ``(lanes, n)`` one.
+    """
+    fresh &= ~seen
+    seen |= fresh
+    verts = np.flatnonzero(fresh)
+    words = fresh.take(verts)
+    n = fresh.shape[0]
+    lane_bytes = np.ascontiguousarray(
+        fresh.view(np.uint8).reshape(n, fresh.itemsize).T
+    )
+    for lo in range(0, dist.shape[0], 8):
+        rows = dist[lo : lo + 8]
+        planes = (lane_bytes[lo >> 3] >> _BIT_SHIFTS[: rows.shape[0]]) & 1
+        rows += np.multiply(planes, depth + 1, dtype=np.int32)
+    return verts, words
+
+
 def _scatter_new_lanes(dist_flat, n: int, verts, words, depth: int) -> int:
     """Write ``depth`` into the flat ``(lanes, n)`` distance plane at
     every ``(lane, verts[i])`` whose bit is set in ``words[i]``; returns
@@ -287,7 +313,6 @@ def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
     distance rows.  Returns the deepest level reached.
     """
     n, n_arcs = graph.n_vertices, graph.n_arcs
-    kw = srcs.shape[0]
     dist_flat = dist.reshape(-1)
     seen, verts, words = _seed_lane_words(srcs, dist_flat, n)
     word = seen.dtype
@@ -331,17 +356,12 @@ def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
             arcs = n_arcs
             fresh = np.zeros(n, dtype=word)
             fresh[seg_verts] = np.bitwise_or.reduceat(got, seg_starts)
-            fresh &= ~seen
-            seen |= fresh
-            verts = np.flatnonzero(fresh)
-            words = fresh.take(verts)
-            # (lanes, n) 0/1 planes of the new bits; unreached entries
-            # are -1, so adding plane * (nxt + 1) writes nxt.
-            lane_bytes = fresh.view(np.uint8).reshape(n, word.itemsize)
-            planes = (lane_bytes.T[:, None, :] >> _BIT_SHIFTS) & 1
-            planes = planes.reshape(-1, n)[:kw]
-            dist += np.multiply(planes, nxt + 1, dtype=np.int32)
-            discovered = int(planes.sum()) if sp is not None else 0
+            verts, words = _claim_dense(seen, fresh, dist, nxt)
+            discovered = (
+                int(np.unpackbits(words.view(np.uint8)).sum())
+                if sp is not None
+                else 0
+            )
         else:
             arc_idx, degs = frontier_arc_indices(graph, verts)
             ctx.record_phase_from_work(degs)

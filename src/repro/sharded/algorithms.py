@@ -7,8 +7,10 @@ state at the coordinator:
 
 * :func:`sharded_msbfs` — the in-core word formulation with each
   level's arc pass as one superstep: shards return ``(vertex, lane
-  word)`` pairs for the frontier they were shipped, the coordinator ORs
-  them per vertex and masks with its ``seen`` words; the new bits are
+  word)`` pairs for the frontier they were shipped, the coordinator
+  claims them with the in-core push step (OR per vertex, mask with its
+  ``seen`` words) or, on a pull level, where the pairs are disjoint
+  owned rows, with the in-core dense pull step; the new bits are
   exactly the in-core level's, so the distance plane and level count
   match bit for bit.
 * :func:`sharded_connected_components` — min-label hook supersteps plus
@@ -30,6 +32,15 @@ state at the coordinator:
   list in core (float merge order cannot be chunked without changing
   the sums) — documented fallback; the unweighted path streams integer
   counts.
+
+Every algorithm checkpoints through the driver's per-tag record log
+(DESIGN §13): after a superstep it hands
+:meth:`~repro.sharded.bsp.BSPDriver.maybe_checkpoint` only what that
+superstep wrote — msbfs the frontier a level claimed, components the
+labels a round lowered, closeness a finished batch's scores, pLA a
+sweep's movers and phase scalars — and on resume folds the records
+:meth:`~repro.sharded.bsp.BSPDriver.resume` returns back into its
+state, in order.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from repro.kernels.bfs import (
     UNREACHED,
     _PULL_ARC_RATIO,
     _WORD_LANES,
+    _claim_dense,
     _claim_new,
     _or_by_target,
     _scatter_new_lanes,
@@ -157,15 +169,19 @@ def sharded_msbfs(
 
     ``kernels.bfs.msbfs``'s word formulation with each level's arc pass
     as one superstep: the coordinator keeps the ``seen`` lane words and
-    the sparse frontier ``(verts, words)``, picks push or pull by the
-    in-core rule and claims the shards' merged ``(vertex, word)`` pairs
-    with the in-core step.  ``result.distances`` and ``n_levels`` are
-    bit-identical to ``kernels.bfs.msbfs`` on the stitched graph.
+    the sparse frontier ``(verts, words)`` and picks push or pull by the
+    in-core rule.  A push level claims the shards' merged ``(vertex,
+    word)`` pairs with the in-core push step; a pull level's results are
+    disjoint owned rows, scattered into one dense word array and claimed
+    with the in-core pull step.  ``result.distances`` and ``n_levels``
+    are bit-identical to ``kernels.bfs.msbfs`` on the stitched graph.
 
-    With a resume-armed driver checkpointer, restarts from the last
-    durable level: the state saved at the superstep boundary (distance
-    plane, word index, ``seen``, frontier, level) determines every later
-    payload, so re-running the level the crash interrupted is exact.
+    A level's checkpoint record is what it claimed: ``(lo, level,
+    verts, words)``.  With a resume-armed driver checkpointer the
+    records are replayed onto the seeded words — ``seen`` and the
+    distance plane are exactly the claims so far — and the traversal
+    continues from the last record's frontier, so re-running the level
+    the crash interrupted is exact.
     """
     ss = shard_set
     drv = _resolve_driver(ss, driver, ctx)
@@ -178,29 +194,31 @@ def sharded_msbfs(
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
     if k == 0:
         return MSBFSResult(srcs, dist, 0)
-    degs_all = drv.degrees()
+    degs_all = ss.degrees()
     owner, local_index = ss.owner, ss.local_index
     active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
     paths = {s: str(ss.shard_path(s)) for s in active}
     tag = checkpoint_tag
-    first_lo = n_levels = 0
-    st = drv.resume(tag, {"n": n, "srcs": srcs, "max_depth": max_depth})
-    if st is not None:
-        dist, first_lo, n_levels = st["dist"], int(st["lo"]), int(st["n_levels"])
-    for lo in range(first_lo, k, _WORD_LANES):
-        dist_flat = dist[lo : lo + _WORD_LANES].reshape(-1)
-        if st is not None:
-            seen, verts, words = st["seen"], st["verts"], st["words"]
-            level = int(st["level"])
-            st = None
-        else:
-            seen, verts, words = _seed_lane_words(
-                srcs[lo : lo + _WORD_LANES], dist_flat, n
-            )
-            level = 0
+    records = drv.resume(tag, {"n": n, "srcs": srcs, "max_depth": max_depth}) or []
+    resume_lo = records[-1][0] if records else 0
+    n_levels = 0
+    for lo in range(0, k, _WORD_LANES):
+        rows = dist[lo : lo + _WORD_LANES]
+        dist_flat = rows.reshape(-1)
+        seen, verts, words = _seed_lane_words(
+            srcs[lo : lo + _WORD_LANES], dist_flat, n
+        )
+        level = 0
+        for _, level, verts, words in (r for r in records if r[0] == lo):
+            seen[verts] |= words
+            _scatter_new_lanes(dist_flat, n, verts, words, level)
+        if lo < resume_lo:  # finished before the crash: replayed, not re-run
+            n_levels = max(n_levels, level)
+            continue
         while verts.shape[0] and (max_depth is None or level < max_depth):
             f_arcs = int(degs_all.take(verts).sum())
-            if f_arcs * _PULL_ARC_RATIO > ss.n_arcs:
+            pull = f_arcs * _PULL_ARC_RATIO > ss.n_arcs
+            if pull:
                 # Every payload shares ONE reference to the dense
                 # frontier — O(n) words resident, not O(n + total halo).
                 frontier = np.zeros(n, dtype=words.dtype)
@@ -220,17 +238,22 @@ def sharded_msbfs(
             results = drv.superstep(
                 f"msbfs:level{level}", _msbfs_level_worker, payloads
             )
-            tgt, got = (np.concatenate(col) for col in zip(*results))
-            del results, payloads  # free per-shard copies before the merge sort
-            verts, words = _claim_new(seen, tgt, got)
+            del payloads
+            if pull:
+                fresh = np.zeros(n, dtype=words.dtype)
+                for tgt, got in results:
+                    fresh[tgt] = got  # owned rows: disjoint across shards
+                del results
+                verts, words = _claim_dense(seen, fresh, rows, level + 1)
+            else:
+                tgt, got = (np.concatenate(col) for col in zip(*results))
+                del results  # free per-shard copies before the merge sort
+                verts, words = _claim_new(seen, tgt, got)
+                _scatter_new_lanes(dist_flat, n, verts, words, level + 1)
             if verts.shape[0] == 0:
                 break
             level += 1
-            _scatter_new_lanes(dist_flat, n, verts, words, level)
-            drv.maybe_checkpoint(tag, {
-                "dist": dist, "lo": lo, "n_levels": n_levels,
-                "seen": seen, "verts": verts, "words": words, "level": level,
-            })
+            drv.maybe_checkpoint(tag, (lo, level, verts, words))
         n_levels = max(n_levels, level)
     drv.clear_checkpoint(tag)
     return MSBFSResult(srcs, dist, n_levels)
@@ -268,34 +291,30 @@ def sharded_closeness(
     src_list = list(sources)
     out = np.zeros(n, dtype=np.float64)
     batches = source_batches(src_list, batch_size, n)
-    # Resume at batch granularity: the accumulated scores plus the next
-    # batch index are the whole between-batch state.  The in-flight
-    # batch's traversal checkpoints under its own per-batch tag.  The
-    # batches are contiguous cuts of the sources, so the sources plus
-    # the lanes per batch pin down which batch an index names.
+    # Resume at batch granularity: a record is one finished batch's
+    # index and scores.  The in-flight batch's traversal checkpoints
+    # under its own per-batch tag.  The batches are contiguous cuts of
+    # the sources, so the sources plus the lanes per batch pin down
+    # which batch an index names.
     tag = "closeness"
-    start_batch = 0
-    st = drv.resume(tag, {
+    records = drv.resume(tag, {
         "n": n, "srcs": np.asarray(src_list, dtype=np.int64),
         "wf_improved": wf_improved,
         "batch_lanes": batches[0].shape[0] if batches else 0,
-    })
-    if st is not None:
-        out = st["out"]
-        start_batch = int(st["next_batch"])
-    for i, batch in enumerate(batches):
-        if i < start_batch:
-            continue
+    }) or []
+    for i, scores in records:
+        out[batches[i]] = scores
+    for i in range(len(records), len(batches)):
+        batch = batches[i]
         dist = sharded_msbfs(
             ss, batch, driver=drv, checkpoint_tag=f"{tag}.msbfs{i}"
         ).distances
-        out[batch] = _lane_scores(*_lane_totals(dist), n, wf_improved)
+        scores = _lane_scores(*_lane_totals(dist), n, wf_improved)
+        out[batch] = scores
         # Forced: the inner traversal's own checkpoints leave the
         # cadence counter freshly satisfied, but a completed batch is
         # the boundary that lets a resume skip it entirely.
-        drv.maybe_checkpoint(
-            tag, {"out": out, "next_batch": i + 1}, force=True
-        )
+        drv.maybe_checkpoint(tag, (i, scores), force=True)
     drv.clear_checkpoint(tag)
     return out
 
@@ -323,7 +342,9 @@ def sharded_connected_components(
 
     Min-label hook supersteps with coordinator pointer compression —
     the same fixpoint the in-core Shiloach–Vishkin kernel returns, so
-    labels are bit-identical.
+    labels are bit-identical.  A round's checkpoint record is the
+    labels its hook lowered, ``(vertices, new labels)``; replaying one
+    re-runs the (deterministic) pointer compression after it.
     """
     ss = shard_set
     drv = _resolve_driver(ss, driver, ctx)
@@ -332,12 +353,12 @@ def sharded_connected_components(
     if ss.n_arcs == 0:
         return label
     active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
-    round_no = 0
     tag = "components"
-    st = drv.resume(tag, {"n": n})
-    if st is not None:
-        label = st["label"]
-        round_no = int(st["round_no"])
+    records = drv.resume(tag, {"n": n}) or []
+    for verts, vals in records:
+        label[verts] = vals
+        label = _compress_labels(label)
+    round_no = len(records)
     while True:
         # The label snapshot is shared by reference across payloads —
         # it only advances between supersteps (see msbfs note).
@@ -345,26 +366,30 @@ def sharded_connected_components(
         results = drv.superstep(
             f"cc:round{round_no}", _cc_round_worker, payloads
         )
-        changed = False
+        verts, vals = [], []
         for s, res in zip(active, results):
             owned = ss.member_array(s, "owned")
-            if not changed and bool((res < label[owned]).any()):
-                changed = True
-            np.minimum(label[owned], res, out=res)
-            label[owned] = res
-        # Pointer compression: labels are vertex ids, so label[label]
-        # jumps every vertex to its current representative's label.
-        while True:
-            nxt = label[label]
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
-        if not changed:
+            lower = (res < label[owned]).nonzero()[0]
+            verts.append(owned.take(lower))
+            vals.append(res.take(lower))
+            label[verts[-1]] = vals[-1]
+        label = _compress_labels(label)
+        if not any(v.shape[0] for v in verts):
             break
         round_no += 1
-        drv.maybe_checkpoint(tag, {"label": label, "round_no": round_no})
+        drv.maybe_checkpoint(tag, (np.concatenate(verts), np.concatenate(vals)))
     drv.clear_checkpoint(tag)
     return label
+
+
+def _compress_labels(label: np.ndarray) -> np.ndarray:
+    """Pointer compression: labels are vertex ids, so ``label[label]``
+    jumps every vertex to its current representative's label."""
+    while True:
+        nxt = label[label]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +671,24 @@ def sharded_pla(
     # O(m) ones.  ``st`` is a phase machine: ``level0`` sweeps, then the
     # in-core contraction pyramid (cheap, re-done deterministically on
     # resume), then ``refine`` sweeps on the uncoarsened labels.  A
-    # checkpoint is taken *after* the moved-count break check so a
-    # resumed run repeats exactly the sweeps the uninterrupted run
-    # would have executed (same ``n_sweeps``, same superstep names).
+    # checkpoint record is taken *after* the moved-count break check so
+    # a resumed run repeats exactly the sweeps the uninterrupted run
+    # would have executed (same ``n_sweeps``, same superstep names).  A
+    # record holds the phase scalars and the vertices whose label
+    # differs from the previous record's, with their labels; the first
+    # also holds ``strength_fine``.  Label arrays are never written in
+    # place, so the previous record's labels are kept by reference.
     tag = "pla"
-    st = drv.resume(tag, {"n": n, "max_passes": max_passes})
-    if st is None:
-        labels = np.arange(n, dtype=np.int64)
+    records = drv.resume(tag, {"n": n, "max_passes": max_passes}) or []
+    labels = np.arange(n, dtype=np.int64)
+    for _, movers, moved_to in records:
+        labels[movers] = moved_to
+    if records:
+        st = {
+            **records[-1][0], "labels": labels,
+            "strength_fine": records[0][0]["strength_fine"],
+        }
+    else:
         st = {
             "phase": "level0", "pass_no": 0, "labels": labels,
             "strength_fine": _gather_strengths(drv),
@@ -661,6 +697,7 @@ def sharded_pla(
             "n_sweeps": 0,  # coarsening-phase sweeps, as in-core counts them
             "n_levels": 0,
         }
+    logged, first_record = labels, not records
     while True:
         for p in range(st["pass_no"], max_passes):
             labels, q, moved = _sharded_sweep_once(
@@ -674,7 +711,17 @@ def sharded_pla(
             }
             if moved == 0:
                 break
-            drv.maybe_checkpoint(tag, st)
+            scalars = {
+                key: st[key] for key in (
+                    "phase", "pass_no", "q", "sweep_label", "n_sweeps",
+                    "n_levels",
+                )
+            }
+            if first_record:
+                scalars["strength_fine"] = st["strength_fine"]
+            movers = np.flatnonzero(labels != logged)
+            drv.maybe_checkpoint(tag, (scalars, movers, labels.take(movers)))
+            logged, first_record = labels, False
         if st["phase"] == "refine":
             break
         # Level 0 converged: contract it out of core, run levels >= 1

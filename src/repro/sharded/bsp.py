@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.durable import load_checkpoint, save_checkpoint
+from repro.durable import RecordLog
 from repro.errors import MemoryBudgetExceeded
 from repro.parallel.runtime import ParallelContext, ensure_context
 from repro.sharded.shards import ShardSet, clear_shard_cache
@@ -50,10 +50,10 @@ __all__ = [
 #: Default checkpoint directory name under the shard-set root.
 CHECKPOINT_DIRNAME = ".checkpoints"
 
-#: File suffix for envelope-framed checkpoint files.
+#: File suffix of a tag's checkpoint (a :class:`~repro.durable.RecordLog`).
 CHECKPOINT_SUFFIX = ".ckpt"
 
-#: Envelope ``kind`` for BSP coordinator checkpoints.
+#: Envelope ``kind`` of BSP coordinator checkpoint logs.
 CHECKPOINT_KIND = "bsp-checkpoint"
 
 
@@ -169,7 +169,7 @@ class SuperstepStats:
 class BSPCheckpointer:
     """Checkpoint policy for a :class:`BSPDriver` (DESIGN §13).
 
-    ``every`` is the cadence in *supersteps* between durable saves;
+    ``every`` is the cadence in *supersteps* between durable appends;
     ``resume`` arms :meth:`BSPDriver.resume` so algorithms restart
     from the last durable superstep instead of from scratch.  The
     disabled path (``checkpointer=None`` on the driver) costs one
@@ -191,6 +191,15 @@ class BSPCheckpointer:
 
 
 @dataclass
+class _TagLog:
+    """One tag's checkpoint log and what the driver has yet to append."""
+
+    log: RecordLog
+    pending: list = field(default_factory=list)  # records since the last append
+    n_stats: int = 0  # ledger entries the log already holds
+
+
+@dataclass
 class BSPDriver:
     """Runs supersteps over a shard set and keeps the metrics ledger."""
 
@@ -200,10 +209,9 @@ class BSPDriver:
     stats: list = field(default_factory=list)
     last_completed: int = -1
     checkpointer: Optional[BSPCheckpointer] = None
-    _degrees: Optional[np.ndarray] = None
     _paged_in: set = field(default_factory=set)
     _last_saved: int = -1
-    _params: dict = field(default_factory=dict)  # tag -> run parameters
+    _logs: dict = field(default_factory=dict)  # tag -> _TagLog
 
     def __post_init__(self) -> None:
         self.ctx = ensure_context(self.ctx)
@@ -269,93 +277,83 @@ class BSPDriver:
     # ------------------------------------------------------------------
     # Durable coordinator checkpoints (DESIGN §13).
     #
-    # Coordinator state only advances *between* supersteps, so a
-    # checkpoint taken at a superstep boundary plus the deterministic
-    # algorithm loop is sufficient to resume with bit-identical results
-    # after the coordinator process itself is SIGKILLed — the same
-    # argument that makes worker re-runs exact, lifted one level up.
+    # Coordinator state only advances *between* supersteps, and a
+    # superstep's output is what it wrote — so a log of per-superstep
+    # records, folded back in order by the deterministic algorithm
+    # loop, resumes with bit-identical results after the coordinator
+    # process itself is SIGKILLed: the argument that makes worker
+    # re-runs exact, lifted one level up.
     # ------------------------------------------------------------------
-    def maybe_checkpoint(self, tag: str, state: dict, *, force: bool = False) -> bool:
-        """Persist ``state`` under ``tag`` if the cadence is due.
+    def maybe_checkpoint(self, tag: str, record, *, force: bool = False) -> bool:
+        """Buffer ``record`` for ``tag``; append the buffer if the
+        cadence is due (or ``force``).
 
-        ``state`` is the algorithm's complete between-superstep
-        coordinator state; the driver adds the parameters registered by
-        :meth:`resume` and its own ledger (``last_completed``,
-        :class:`SuperstepStats`, paged-in set) so a resumed run's
-        metrics cover the pre-crash supersteps too.  Returns whether a
-        checkpoint was written.
+        ``record`` is what the algorithm's last step wrote; the records
+        :meth:`resume` returns, folded in order, must rebuild the state.
+        Each append carries the pending records plus the ledger entries
+        the log does not hold yet, ``last_completed`` and the paged-in
+        set, so a resumed run's metrics cover the pre-crash supersteps
+        too.  Returns whether an append was made.
         """
         cp = self.checkpointer
         if cp is None:
             return False
+        tl = self._logs[tag]
+        tl.pending.append(record)
         if not force and self.last_completed - self._last_saved < cp.every:
             return False
-        doc = {
-            "state": state,
-            "driver": {
-                "last_completed": self.last_completed,
-                "paged_in": sorted(self._paged_in),
-                "stats": [s.as_dict() for s in self.stats],
-            },
-        }
-        save_checkpoint(
-            cp.path_for(tag), doc, kind=CHECKPOINT_KIND, params=self._params[tag]
-        )
+        tl.log.append({
+            "records": tl.pending,
+            "last_completed": self.last_completed,
+            "paged_in": sorted(self._paged_in),
+            "stats": [s.as_dict() for s in self.stats[tl.n_stats:]],
+        })
+        tl.pending, tl.n_stats = [], len(self.stats)
         self._last_saved = self.last_completed
         return True
 
-    def resume(self, tag: str, params: dict) -> Optional[dict]:
-        """Register ``tag``'s run ``params``; return its saved state or ``None``.
+    def resume(self, tag: str, params: dict) -> Optional[list]:
+        """Open ``tag``'s log for a run with ``params``; return its
+        records or ``None``.
 
         Every algorithm calls this before its first superstep: the
-        parameters (plus the tag) go into each of ``tag``'s checkpoints,
-        and a saved state is returned only when the checkpointer was
-        armed with ``resume=True``, a checkpoint file exists and its
-        parameters equal these (otherwise
-        :func:`~repro.durable.load_checkpoint` refuses it as
+        parameters (plus the tag) head ``tag``'s log, and records are
+        returned only when the checkpointer was armed with
+        ``resume=True``, a log exists and its parameters equal these
+        (otherwise :class:`~repro.durable.RecordLog` refuses it as
         :class:`~repro.errors.CorruptCheckpoint`).  Restores the
-        driver's ledger to the saved snapshot (when it is ahead of the
-        current one) so resumed metrics are cumulative.
+        driver's ledger to the log's (when it is ahead of the current
+        one) so resumed metrics are cumulative.  Without ``resume`` the
+        first append starts a fresh log over any old one.
         """
-        self._params[tag] = {"tag": tag, **params}
         cp = self.checkpointer
-        if cp is None or not cp.resume:
+        if cp is None:
             return None
-        path = cp.path_for(tag)
-        if not path.exists():
+        log = RecordLog(
+            cp.path_for(tag), kind=CHECKPOINT_KIND, params={"tag": tag, **params}
+        )
+        self._logs[tag] = tl = _TagLog(log)
+        appends = log.load() if cp.resume else None
+        if not appends:
             return None
-        doc = load_checkpoint(path, kind=CHECKPOINT_KIND, params=self._params[tag])
-        drv = doc["driver"]
-        if int(drv["last_completed"]) > self.last_completed:
-            self.last_completed = int(drv["last_completed"])
-            self.stats = [SuperstepStats(**d) for d in drv["stats"]]
-            self._paged_in = set(drv["paged_in"])
+        stats = [SuperstepStats(**d) for a in appends for d in a["stats"]]
+        tl.n_stats = len(stats)
+        last = appends[-1]
+        if int(last["last_completed"]) > self.last_completed:
+            self.last_completed = int(last["last_completed"])
+            self.stats = stats
+            self._paged_in = set(last["paged_in"])
         self._last_saved = self.last_completed
-        return doc["state"]
+        return [r for a in appends for r in a["records"]]
 
     def clear_checkpoint(self, tag: str) -> None:
-        """Drop ``tag``'s checkpoint (called when the algorithm ends)."""
-        self._params.pop(tag, None)
-        cp = self.checkpointer
-        if cp is not None:
-            try:
-                cp.path_for(tag).unlink()
-            except FileNotFoundError:
-                pass
+        """Delete ``tag``'s log and drop its pending records (called
+        when the algorithm ends)."""
+        tl = self._logs.pop(tag, None)
+        if tl is not None:
+            tl.log.remove()
 
     # ------------------------------------------------------------------
-    def degrees(self) -> np.ndarray:
-        """Global degree array, gathered once from the shard CSRs."""
-        if self._degrees is None:
-            ss = self.shard_set
-            deg = np.zeros(ss.n_vertices, dtype=np.int64)
-            for s in range(ss.k):
-                owned = ss.member_array(s, "owned")
-                if owned.shape[0]:
-                    deg[owned] = np.diff(ss.member_array(s, "offsets"))
-            self._degrees = deg
-        return self._degrees
-
     def metrics(self) -> dict:
         """Ledger summary for ``benchmarks/results/shard_scale.json``."""
         return {

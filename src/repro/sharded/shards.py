@@ -344,6 +344,7 @@ class ShardSet:
         self._shards: dict[int, Shard] = {}
         self._owner: Optional[np.ndarray] = None
         self._local_index: Optional[np.ndarray] = None
+        self._degrees: Optional[np.ndarray] = None
         self._edge_stream: Optional[tuple] = None
 
     # -- manifest accessors -------------------------------------------------
@@ -444,6 +445,18 @@ class ShardSet:
             )
         self._owner, self._local_index = owner, local
 
+    def degrees(self) -> np.ndarray:
+        """Degree per global vertex (int64, length n), gathered once
+        from the shard CSRs."""
+        if self._degrees is None:
+            deg = np.zeros(self.n_vertices, dtype=np.int64)
+            for s in range(self.k):
+                owned = self.member_array(s, "owned")
+                if owned.shape[0]:
+                    deg[owned] = np.diff(self.member_array(s, "offsets"))
+            self._degrees = deg
+        return self._degrees
+
     def edge_stream(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Memory-mapped ``(u, v, w-or-None)`` global edge stream."""
         if self._edge_stream is None:
@@ -524,16 +537,16 @@ class ShardSet:
                         f"{fname}:{member}: crc {got[member]:08x} != "
                         f"manifest {int(crc):08x}"
                     )
-        # Checkpoint envelopes under the shard-set root (DESIGN §13):
-        # each must pass magic + header CRC + length + payload CRC, so
-        # torn writes, truncation and bit flips are named before a
-        # --resume run would trip over them.
+        # Checkpoint logs under the shard-set root (DESIGN §13): every
+        # record must pass magic + header CRC + length + payload CRC, so
+        # a torn final record, truncation and bit flips are named before
+        # a --resume run would trip over them.
         ckpt_dir = self.root / ".checkpoints"
         if ckpt_dir.is_dir():
-            from repro.durable import check_envelope
+            from repro.durable import check_log
 
             for path in sorted(ckpt_dir.glob("*.ckpt")):
-                problems.extend(check_envelope(path))
+                problems.extend(check_log(path))
         if deep and not problems:
             try:
                 g = self.stitch()

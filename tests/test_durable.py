@@ -15,6 +15,7 @@ between supersteps / a checkpoint file left mid-stream); the
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -33,10 +34,13 @@ from repro.datasets.karate import karate_club
 from repro.durable import (
     ENVELOPE_MAGIC,
     Journal,
+    RecordLog,
     check_envelope,
+    check_log,
     load_state,
     pack_envelope,
     replay_journal,
+    save_checkpoint,
     save_state,
     unpack_envelope,
     verify_envelope,
@@ -58,6 +62,7 @@ from repro.sharded import (
     sharded_msbfs,
     sharded_pla,
 )
+from repro.sharded.bsp import CHECKPOINT_KIND
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -207,6 +212,105 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
+# The append-only checkpoint record log
+# ---------------------------------------------------------------------------
+class TestRecordLog:
+    PARAMS = {"n": 5, "srcs": np.arange(3)}
+
+    def _log(self, path, **params):
+        return RecordLog(path, kind="unit-log", params={**self.PARAMS, **params})
+
+    def _write(self, path, records) -> list[int]:
+        """Append ``records``; returns the file size after each append."""
+        log, sizes = self._log(path), []
+        for r in records:
+            log.append(r)
+            sizes.append(path.stat().st_size)
+        return sizes
+
+    def test_roundtrip_numpy_bit_identical(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        recs = [(i, np.arange(i, dtype=np.int32)) for i in range(4)]
+        self._write(path, recs)
+        got = self._log(path).load()
+        assert [g[0] for g in got] == [0, 1, 2, 3]
+        for (_, a), (_, b) in zip(got, recs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert check_log(path) == []
+
+    def test_missing_log_is_none(self, tmp_path):
+        assert self._log(tmp_path / "absent.ckpt").load() is None
+
+    @pytest.mark.parametrize("into", [3, 12, 40, -1])
+    def test_torn_final_record_dropped_then_continued(self, tmp_path, into):
+        """A crash mid-append (cut inside the magic, the length prefix,
+        the header or the payload) loses only that record; the log is
+        cut back to its last whole record and appends continue it."""
+        path = tmp_path / "a.ckpt"
+        sizes = self._write(path, ["a", "b", "c" * 100])
+        cut = sizes[1] + into if into > 0 else sizes[2] + into
+        path.write_bytes(path.read_bytes()[:cut])
+        problems = check_log(path)
+        assert len(problems) == 1 and "truncated final record" in problems[0]
+        log = self._log(path)
+        assert log.load() == ["a", "b"]
+        assert path.stat().st_size == sizes[1]
+        log.append("d")
+        assert self._log(path).load() == ["a", "b", "d"]
+        assert check_log(path) == []
+
+    @pytest.mark.parametrize("record", [0, 1])
+    def test_non_final_record_bit_flip_raises(self, tmp_path, record):
+        path = tmp_path / "a.ckpt"
+        sizes = self._write(path, ["a" * 50, "b" * 50, "c" * 50])
+        blob = bytearray(path.read_bytes())
+        blob[sizes[record] - 3] ^= 0xFF  # inside that record's payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint, match="payload CRC") as exc:
+            self._log(path).load()
+        assert str(path) in str(exc.value)
+        assert str(path) in check_log(path)[0]
+
+    def test_final_record_bit_flip_is_not_torn(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._write(path, ["a", "b" * 50])
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint, match="payload CRC"):
+            self._log(path).load()
+
+    def test_single_envelope_checkpoint_refused_by_name(self, tmp_path):
+        """A whole-state checkpoint of the same kind and parameters is
+        not a log with no records: it is refused, and left in place."""
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, {"dist": np.zeros(5)}, kind="unit-log",
+                        params=self.PARAMS)
+        with pytest.raises(CorruptCheckpoint, match="older checkpoint format"):
+            self._log(path).load()
+        assert "older checkpoint format" in check_log(path)[0]
+        assert path.exists()
+
+    def test_parameter_mismatch_refused(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._write(path, ["a"])
+        with pytest.raises(CorruptCheckpoint, match="parameter 'n' mismatch"):
+            self._log(path, n=6).load()
+
+    def test_kind_mismatch_refused(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._write(path, ["a"])
+        with pytest.raises(CorruptCheckpoint, match="kind mismatch"):
+            RecordLog(path, kind="other", params=self.PARAMS).load()
+
+    def test_unloaded_log_starts_fresh(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._write(path, ["old", "older"])
+        self._write(path, ["new"])
+        assert self._log(path).load() == ["new"]
+
+
+# ---------------------------------------------------------------------------
 # Tier-1 guard: no raw JSON writes outside the durability layer
 # ---------------------------------------------------------------------------
 def test_no_raw_json_writes_in_src():
@@ -228,22 +332,24 @@ def test_no_raw_json_writes_in_src():
 
 
 def test_no_raw_state_io_in_src():
-    """Every checkpoint in ``src/`` goes through
-    ``repro.durable.save_checkpoint``/``load_checkpoint``, so the one
-    run-parameter check refuses every foreign resume — no surface
-    hand-rolls its own."""
+    """Every checkpoint in ``src/`` goes through the durability layer's
+    parameter-checked forms, so the one run-parameter check refuses
+    every foreign resume — no surface hand-rolls its own.  The BSP
+    driver writes a ``RecordLog`` of per-step records; a whole-state
+    ``save_checkpoint`` is the stream engine's alone."""
     offenders = []
     for path in sorted((REPO / "src").rglob("*.py")):
-        rel = path.relative_to(REPO)
-        if "repro/durable" in str(rel).replace(os.sep, "/"):
+        rel = path.relative_to(REPO).as_posix()
+        if rel.startswith("src/repro/durable/"):
             continue
+        needles = ["save_state(", "load_state("]
+        if rel != "src/repro/dynamic/engine.py":
+            needles.append("save_checkpoint(")
         text = path.read_text()
-        for needle in ("save_state(", "load_state("):
-            if needle in text:
-                offenders.append(f"{rel}: {needle}")
+        offenders += [f"{rel}: {n}" for n in needles if n in text]
     assert not offenders, (
-        "raw checkpoint state I/O found — use repro.durable."
-        f"save_checkpoint/load_checkpoint instead: {offenders}"
+        "raw or whole-state checkpoint I/O found — use repro.durable."
+        f"RecordLog (or, for the stream engine, save_checkpoint): {offenders}"
     )
 
 
@@ -274,15 +380,24 @@ class _Boom(RuntimeError):
     """Stand-in for coordinator death between supersteps."""
 
 
-def _resume_driver(ss, cpdir) -> BSPDriver:
+def _resume_driver(ss, cpdir, every: int = 1) -> BSPDriver:
     return BSPDriver(
-        ss, checkpointer=BSPCheckpointer(cpdir, every=1, resume=True)
+        ss, checkpointer=BSPCheckpointer(cpdir, every=every, resume=True)
     )
 
 
-def _crashing_driver(ss, cpdir, *, crash_after: int) -> BSPDriver:
+def _msbfs_log(path, ss, sources, max_depth=None) -> RecordLog:
+    """The ``sharded_msbfs`` checkpoint log at ``path``, opened for the
+    run parameters the driver writes into its header."""
+    return RecordLog(path, kind=CHECKPOINT_KIND, params={
+        "tag": "msbfs", "n": ss.n_vertices,
+        "srcs": np.asarray(sources, dtype=np.int64), "max_depth": max_depth,
+    })
+
+
+def _crashing_driver(ss, cpdir, *, crash_after: int, every: int = 1) -> BSPDriver:
     """A resume-armed driver whose superstep raises after N calls."""
-    drv = _resume_driver(ss, cpdir)
+    drv = _resume_driver(ss, cpdir, every)
     orig = drv.superstep
     calls = {"n": 0}
 
@@ -294,6 +409,40 @@ def _crashing_driver(ss, cpdir, *, crash_after: int) -> BSPDriver:
 
     drv.superstep = wrapped  # instance attr shadows the method
     return drv
+
+
+def _recording_driver(drv: BSPDriver) -> tuple[BSPDriver, list]:
+    """``drv`` noting, for every superstep it actually runs, the phase
+    and a digest of the payloads' arrays — the coordinator state the
+    superstep was built from, so a resume that folds its records back
+    into anything else shows."""
+    orig, ran = drv.superstep, []
+
+    def wrapped(phase, worker, payloads):
+        digest = hashlib.sha1()
+        for p in payloads:
+            for x in p:
+                if isinstance(x, np.ndarray):
+                    digest.update(x.tobytes())
+        ran.append((phase, digest.hexdigest()))
+        return orig(phase, worker, payloads)
+
+    drv.superstep = wrapped
+    return drv, ran
+
+
+def _envelope_starts(blob: bytes) -> list[int]:
+    """Offsets of the envelopes in a checkpoint log: its header, then
+    one per append."""
+    return [i for i in range(len(blob)) if blob.startswith(ENVELOPE_MAGIC, i)]
+
+
+def _slow_components_graph():
+    """The path 0 - 39 - 38 - ... - 1: vertex 1 represents the rest
+    until 0's label has walked to it, one hop per round, so components
+    takes a round per hop (and msbfs from 0 a level per hop)."""
+    order = [0, *range(39, 0, -1)]
+    return from_edge_list(list(zip(order[:-1], order[1:])), n_vertices=40)
 
 
 class TestBSPResume:
@@ -328,6 +477,26 @@ class TestBSPResume:
         with pytest.raises(_Boom):
             sharded_pla(ss, driver=_crashing_driver(ss, cpdir, crash_after=4))
         got = sharded_pla(ss, driver=_resume_driver(ss, cpdir))
+        ref = pla(karate, multilevel=True)
+        assert got.modularity == ref.modularity
+        assert np.array_equal(got.labels, ref.labels)
+        assert got.extras == ref.extras
+
+    def test_pla_resume_in_refine_bit_identical(self, karate, shards):
+        """The last record is a refinement sweep's: its movers are
+        relative to the last level-0 record, across the contraction."""
+        ss, cpdir = shards
+        with pytest.raises(_Boom):
+            sharded_pla(ss, driver=_crashing_driver(ss, cpdir, crash_after=16))
+        appends = RecordLog(cpdir / "pla.ckpt", kind=CHECKPOINT_KIND, params={
+            "tag": "pla", "n": ss.n_vertices, "max_passes": 16,
+        }).load()
+        assert appends[-1]["records"][-1][0]["phase"] == "refine"
+        drv_ref, ran_ref = _recording_driver(BSPDriver(ss))
+        sharded_pla(ss, driver=drv_ref)
+        drv, ran = _recording_driver(_resume_driver(ss, cpdir))
+        got = sharded_pla(ss, driver=drv)
+        assert ran == ran_ref[16:]
         ref = pla(karate, multilevel=True)
         assert got.modularity == ref.modularity
         assert np.array_equal(got.labels, ref.labels)
@@ -403,6 +572,101 @@ class TestBSPResume:
         with pytest.raises(CorruptCheckpoint, match="older checkpoint format"):
             sharded_msbfs(ss, srcs, driver=_resume_driver(ss, cpdir))
 
+    def test_whole_state_checkpoint_refused_by_name(self, karate, shards):
+        """A ``params/1`` checkpoint — one envelope of the whole msbfs
+        state, written for these very run parameters — is refused as an
+        older format, never read as a log with no records and silently
+        restarted."""
+        ss, cpdir = shards
+        srcs = np.array([0, 16], dtype=np.int64)
+        n = ss.n_vertices
+        path = cpdir / "msbfs.ckpt"
+        save_checkpoint(path, {
+            "state": {
+                "dist": np.full((2, n), -1, dtype=np.int32), "lo": 0,
+                "n_levels": 0, "seen": np.zeros(n, dtype=np.uint8),
+                "verts": srcs.copy(), "words": np.array([1, 2], np.uint8),
+                "level": 0,
+            },
+            "driver": {"last_completed": 0, "paged_in": [], "stats": []},
+        }, kind=CHECKPOINT_KIND,
+           params={"tag": "msbfs", "n": n, "srcs": srcs, "max_depth": None})
+        with pytest.raises(CorruptCheckpoint,
+                           match="older checkpoint format") as exc:
+            sharded_msbfs(ss, srcs, driver=_resume_driver(ss, cpdir))
+        assert str(path) in str(exc.value)
+        assert path.exists()
+
+    def test_torn_final_record_is_rerun(self, karate, shards):
+        """A crash mid-append loses that append only: the resume drops
+        the torn record, re-runs its superstep and is bit-identical."""
+        ss, cpdir = shards
+        sources = [0, 16, 33]
+        drv_ref, ran_ref = _recording_driver(BSPDriver(ss))
+        ref = sharded_msbfs(ss, sources, driver=drv_ref)
+        with pytest.raises(_Boom):
+            sharded_msbfs(ss, sources,
+                          driver=_crashing_driver(ss, cpdir, crash_after=3))
+        [ckpt] = cpdir.glob("*.ckpt")
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        assert "truncated final record" in check_log(ckpt)[0]
+        drv, ran = _recording_driver(_resume_driver(ss, cpdir))
+        got = sharded_msbfs(ss, sources, driver=drv)
+        assert got.distances.tobytes() == ref.distances.tobytes()
+        assert got.n_levels == ref.n_levels
+        # two of the three pre-crash supersteps are durable; the third,
+        # whose record was torn, runs again from the same state
+        assert ran == ran_ref[2:]
+        assert [(s.index, s.phase) for s in drv.stats] == [
+            (s.index, s.phase) for s in drv_ref.stats
+        ]
+        assert not list(cpdir.glob("*.ckpt"))
+
+    def test_non_final_record_bit_flip_refused(self, karate, shards):
+        ss, cpdir = shards
+        with pytest.raises(_Boom):
+            sharded_msbfs(ss, [0, 16, 33],
+                          driver=_crashing_driver(ss, cpdir, crash_after=3))
+        [ckpt] = cpdir.glob("*.ckpt")
+        blob = bytearray(ckpt.read_bytes())
+        starts = _envelope_starts(blob)
+        assert len(starts) == 4
+        blob[starts[2] - 1] ^= 0xFF  # last byte of the first append
+        ckpt.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint, match="payload CRC") as exc:
+            sharded_msbfs(ss, [0, 16, 33], driver=_resume_driver(ss, cpdir))
+        assert str(ckpt) in str(exc.value)
+
+    @pytest.mark.parametrize("algo", ["msbfs", "components"])
+    def test_cadence_three_crash_between_appends(self, tmp_path, algo):
+        """``every=3``: a crash two supersteps after an append resumes
+        from that append, bit-identically, with a contiguous ledger."""
+        g = _slow_components_graph()
+        ss = build_shard_set(g, tmp_path / "ss", k=3, method="block")
+        cpdir = tmp_path / "cp"
+        run = {
+            "msbfs": lambda drv: sharded_msbfs(
+                ss, [0, 7, 20], driver=drv).distances,
+            "components": lambda drv: sharded_connected_components(
+                ss, driver=drv),
+        }[algo]
+        drv_ref, ran_ref = _recording_driver(BSPDriver(ss))
+        ref = run(drv_ref)
+        assert len(drv_ref.stats) > 6
+        with pytest.raises(_Boom):
+            run(_crashing_driver(ss, cpdir, crash_after=5, every=3))
+        [ckpt] = cpdir.glob("*.ckpt")
+        # header + one append (supersteps 0-2); 3-4 were lost
+        assert len(_envelope_starts(ckpt.read_bytes())) == 2
+        drv, ran = _recording_driver(_resume_driver(ss, cpdir, every=3))
+        got = run(drv)
+        assert got.tobytes() == ref.tobytes()
+        # the folded records rebuild exactly the state superstep 3 ran on
+        assert ran == ran_ref[3:]
+        assert [s.index for s in drv.stats] == list(range(len(drv_ref.stats)))
+        assert [s.phase for s in drv.stats] == [s.phase for s in drv_ref.stats]
+        assert not list(cpdir.glob("*.ckpt"))
+
     def test_msbfs_resume_inside_second_word(self, karate, shards):
         ss, cpdir = shards
         sources = [(7 * i) % karate.n_vertices for i in range(70)]
@@ -415,8 +679,10 @@ class TestBSPResume:
             sharded_msbfs(ss, sources, driver=_crashing_driver(
                 ss, cpdir, crash_after=second_word + 2))
         [ckpt] = cpdir.glob("*.ckpt")
-        saved = load_state(ckpt, kind="bsp-checkpoint")["state"]["state"]
-        assert (saved["lo"], saved["level"]) == (64, 2)
+        appends = _msbfs_log(ckpt, ss, sources).load()
+        lo, level, _, _ = appends[-1]["records"][-1]
+        assert (lo, level) == (64, 2)
+        assert ckpt.exists()  # reading the log leaves it in place
         drv = _resume_driver(ss, cpdir)
         got = sharded_msbfs(ss, sources, driver=drv)
         assert got.distances.tobytes() == ref.distances.tobytes()
@@ -451,6 +717,32 @@ class TestBSPResume:
         got = sharded_msbfs(ss, [0, 16], driver=drv)
         ref = msbfs(karate, [0, 16])
         assert got.distances.tobytes() == ref.distances.tobytes()
+
+
+def test_msbfs_log_never_outgrows_one_distance_plane(tmp_path):
+    """Every-1 checkpointing appends what each level claimed, not the
+    state: over a 16-source traversal of R-MAT scale 11 the log never
+    holds more bytes than one ``(K, n)`` int32 distance plane."""
+    from repro.generators.rmat import rmat
+
+    g = rmat(11, 8.0, rng=np.random.default_rng(11))
+    ss = build_shard_set(g, tmp_path / "ss", k=4)
+    sources = np.random.default_rng(3).choice(g.n_vertices, 16, replace=False)
+    drv = BSPDriver(ss, checkpointer=BSPCheckpointer(tmp_path / "cp", every=1))
+    path = drv.checkpointer.path_for("msbfs")
+    orig, sizes = drv.maybe_checkpoint, []
+
+    def spy(tag, record, **kw):
+        wrote = orig(tag, record, **kw)
+        sizes.append(path.stat().st_size)
+        return wrote
+
+    drv.maybe_checkpoint = spy
+    got = sharded_msbfs(ss, sources, driver=drv)
+    assert np.array_equal(got.distances, msbfs(g, sources).distances)
+    assert len(sizes) >= 3
+    assert max(sizes) <= got.distances.nbytes
+    assert not path.exists()
 
 
 class TestShardRunResume:

@@ -178,15 +178,19 @@ class TestVerify:
         assert open_shard_set(ss.root).verify() != []
 
     @staticmethod
-    def _leave_checkpoint(ss):
-        """Park one valid BSP checkpoint under the shard-set root."""
+    def _leave_checkpoint(ss, appends: int = 1):
+        """Park one valid BSP checkpoint log of ``appends`` appends
+        under the shard-set root; returns its path and the file size
+        after each append."""
         drv = BSPDriver(ss, checkpointer=BSPCheckpointer(
             ss.root / ".checkpoints", every=1))
         drv.resume("msbfs", {"n": ss.n_vertices})
-        drv.last_completed = 0
-        assert drv.maybe_checkpoint("msbfs", {})
-        [path] = (ss.root / ".checkpoints").glob("*.ckpt")
-        return path
+        path, sizes = drv.checkpointer.path_for("msbfs"), []
+        for i in range(appends):
+            drv.last_completed = i
+            assert drv.maybe_checkpoint("msbfs", {"level": i, "pad": "x" * 64})
+            sizes.append(path.stat().st_size)
+        return path, sizes
 
     def test_valid_checkpoint_passes_verify(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=2)
@@ -195,7 +199,7 @@ class TestVerify:
 
     def test_checkpoint_bit_flip_detected(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=2)
-        path = self._leave_checkpoint(ss)
+        path, _ = self._leave_checkpoint(ss)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -204,10 +208,26 @@ class TestVerify:
 
     def test_checkpoint_truncation_detected(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=2)
-        path = self._leave_checkpoint(ss)
+        path, _ = self._leave_checkpoint(ss)
         path.write_bytes(path.read_bytes()[:11])
         problems = open_shard_set(ss.root).verify()
         assert problems and "truncated" in problems[0]
+
+    def test_verify_walks_every_record(self, karate, tmp_path):
+        """A flip in a middle record and a torn final record are both
+        named: verify reads past the first record."""
+        ss = build_shard_set(karate, tmp_path / "s", k=2)
+        path, sizes = self._leave_checkpoint(ss, appends=3)
+        assert open_shard_set(ss.root).verify() == []
+        blob = path.read_bytes()
+        path.write_bytes(blob[: sizes[2] - 4])
+        [problem] = open_shard_set(ss.root).verify()
+        assert str(path) in problem and "truncated final record" in problem
+        flipped = bytearray(blob)
+        flipped[sizes[1] - 4] ^= 0xFF  # the second append's payload
+        path.write_bytes(bytes(flipped))
+        [problem] = open_shard_set(ss.root).verify()
+        assert str(path) in problem and "payload CRC" in problem
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +301,14 @@ def _lane_sources(g, k):
 
 
 def _recording_driver(ss, **kw):
-    """A driver that notes, per msbfs superstep, whether it pulled
-    (pull payloads carry no frontier rows)."""
+    """A driver that notes, per msbfs superstep, the lane-word width in
+    bytes if it pulled (pull payloads carry no frontier rows), else 0."""
     drv = BSPDriver(ss, **kw)
     orig, drv.pulled = drv.superstep, []
 
     def superstep(phase, worker, payloads, **kws):
-        drv.pulled.append(all(p[2] is None for p in payloads))
+        pull = all(p[2] is None for p in payloads)
+        drv.pulled.append(payloads[0][3].itemsize if pull else 0)
         return orig(phase, worker, payloads, **kws)
 
     drv.superstep = superstep
@@ -329,8 +350,16 @@ class TestMsbfsWordParity:
     def test_lane_counts(self, rmat10, layouts, lanes):
         assert layouts["holes"].k == 3
         assert layouts["holes"].shard_meta(1)["n_owned"] == 0
+        # every word of lanes, at its own width, claims a pull level
+        # with the dense in-core step
+        widths = {
+            next(b for b in (1, 2, 4, 8) if min(64, lanes - lo) <= 8 * b)
+            for lo in range(0, lanes, 64)
+        }
         for ss in layouts.values():
-            self._check(rmat10, ss, _lane_sources(rmat10, lanes))
+            drv = _recording_driver(ss)
+            self._check(rmat10, ss, _lane_sources(rmat10, lanes), driver=drv)
+            assert set(drv.pulled) - {0} == widths
 
     @pytest.mark.parametrize("max_depth", [0, 1, 2])
     def test_max_depth(self, rmat10, layouts, max_depth):
@@ -524,7 +553,7 @@ class TestCli:
     def test_cli_verify_names_corrupt_checkpoint(self, karate, tmp_path,
                                                  capsys):
         ss = build_shard_set(karate, tmp_path / "s", k=2)
-        path = TestVerify._leave_checkpoint(ss)
+        path, _ = TestVerify._leave_checkpoint(ss)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))

@@ -286,6 +286,45 @@ class Session:
             "batches": [r.summary() for r in results],
         }
 
+    # -- durable state -------------------------------------------------
+    def state(self) -> dict:
+        """The resident graphs and their stream engines as one picklable
+        snapshot: what the daemon compacts its state log into.
+
+        Each graph carries its CSR, so restoring it reads no source
+        file; an engine is kept only while it still continues the
+        resident graph (see :meth:`ingest`).
+        """
+        with self._ingest_lock:
+            graphs = []
+            for e in self.registry.entries():
+                engine, published = self._engines.get(e.name, (None, None))
+                graphs.append({
+                    "name": e.name, "graph": e.graph, "source": e.source,
+                    "shards": e.shards,
+                    "engine": engine.state() if published is e.graph else None,
+                })
+            return {"graphs": graphs}
+
+    def restore(self, state: dict) -> int:
+        """Admit a :meth:`state` snapshot; returns the graphs admitted.
+
+        A restored engine's next batches carry the checksums the saved
+        engine's would have.
+        """
+        from repro.dynamic.engine import StreamEngine
+
+        with self._ingest_lock:
+            for doc in state["graphs"]:
+                entry = self.registry.add(
+                    doc["name"], doc["graph"], source=doc["source"],
+                    shards=doc["shards"],
+                )
+                if doc["engine"] is not None:
+                    engine = StreamEngine.from_state(doc["engine"], ctx=self.ctx)
+                    self._engines[entry.name] = (engine, entry.graph)
+        return len(state["graphs"])
+
     # -- lifecycle -----------------------------------------------------
     def stats(self) -> dict:
         return {

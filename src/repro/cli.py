@@ -313,9 +313,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         engine = StreamEngine(n, analytics=analytics, k=args.k, ctx=ctx)
         start = 0
         if ckpt_path is not None and ckpt_path.is_file():
-            # Crash resume: the checkpoint holds every *completed*
-            # batch (it is rewritten after each apply), so replaying it
-            # and continuing at the next input batch applies the
+            # Crash resume: the log holds one record per *completed*
+            # batch (appended after each apply), so replaying it and
+            # continuing at the next input batch applies the
             # interrupted batch exactly once.
             engine.resume(ckpt_path)
             _check_stream_resume(engine, ckpt_path, batches)
@@ -763,18 +763,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
     )
     with ReproServer(config, verbose=args.verbose) as server:
-        # Accept connections immediately: during journal replay the
+        # Accept connections immediately: during state-log replay the
         # data plane answers 503/recovering, /v1/health stays live.
         http_thread = server.start_background()
         summary = server.recover()
         if any(summary.values()):
             print(
-                "recovered state journal: "
+                "recovered state log: "
                 f"{summary['loads']} loads, {summary['evicts']} evicts, "
                 f"{summary['ingests']} ingests, {summary['skipped']} skipped"
             )
         for name, path in preload:
-            entry = server.session.registry.load(path, name=name)
+            entry = server.load(path, name=name)
             print(f"resident: {name} = {entry.graph} ({entry.nbytes:,d} bytes)")
         host, port = server.address
         ctx = server.session.ctx
@@ -982,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-runners", type=int, default=2,
                    help="concurrent batch executor threads")
     p.add_argument("--state-dir", default=None, metavar="DIR",
-                   help="journal load/evict/ingest operations under DIR "
+                   help="log load/evict/ingest operations under DIR "
                         "and re-admit resident graphs after a restart "
                         "(data-plane requests get 503 RECOVERING during "
                         "replay)")

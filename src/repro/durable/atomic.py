@@ -1,4 +1,4 @@
-"""Atomic file writes and the CRC-stamped checkpoint envelope.
+"""Atomic file writes, the CRC-stamped envelope and the record log.
 
 The atomic primitive is the classic write-temp → fsync → ``os.replace``
 sequence (plus a directory fsync so the rename itself is durable).  A
@@ -6,8 +6,8 @@ crash at any point leaves either the previous file or the complete new
 file — POSIX rename atomicity guarantees readers never observe a torn
 write.
 
-The *envelope* wraps binary checkpoint payloads with enough integrity
-metadata to detect every non-atomic failure mode after the fact:
+The *envelope* wraps binary payloads with enough integrity metadata to
+detect every non-atomic failure mode after the fact:
 
 ``[magic 8B] [header_len u32] [header_crc u32] [header JSON] [payload]``
 
@@ -18,20 +18,17 @@ payload) and wrong-kind / wrong-format files all raise
 failure, so a resume path can fail loudly instead of silently
 continuing from garbage.
 
-Checkpoint *state* (numpy arrays, nested dicts) is pickled inside the
-envelope — these files are internal coordinator state written and read
-by the same codebase, and the payload CRC is verified before any byte
-reaches the unpickler.
+State (numpy arrays, nested dicts) is pickled inside the envelope —
+these files are internal state written and read by the same codebase,
+and the payload CRC is verified before any byte reaches the unpickler.
 
-A resumable *checkpoint* (:func:`save_checkpoint`) additionally carries
-the parameters of the run it belongs to; :func:`load_checkpoint` is the
-one place a resume is refused because those differ from the live run's.
-
-A :class:`RecordLog` is the append-only form of a checkpoint, for runs
-whose steps each add a little state: a header envelope with the run's
-parameters, then one envelope per :meth:`RecordLog.append`.  Reading it
-drops a torn *final* record (a crash mid-append) and refuses corruption
-anywhere else, as :mod:`repro.durable.journal` does for its lines.
+A :class:`RecordLog` is the one durable log: a header envelope with the
+parameters of the run it belongs to, then one envelope per
+:meth:`RecordLog.append`.  Reading it drops a torn *final* record (a
+crash mid-append) and refuses corruption anywhere else;
+:meth:`RecordLog.compact` replaces the whole log with one snapshot
+record.  Its :meth:`~RecordLog.load` is the one place a resume is
+refused because the saved parameters differ from the live run's.
 """
 
 from __future__ import annotations
@@ -58,8 +55,6 @@ __all__ = [
     "unpack_envelope",
     "save_state",
     "load_state",
-    "save_checkpoint",
-    "load_checkpoint",
     "verify_envelope",
     "check_envelope",
     "RecordLog",
@@ -69,10 +64,6 @@ __all__ = [
 #: 8-byte file magic for envelope files (version suffix bumps on layout
 #: change).
 ENVELOPE_MAGIC = b"RDURCK1\n"
-
-#: Layout tag of a :func:`save_checkpoint` payload (bumps on change); a
-#: file without it predates the run-parameter header.
-CHECKPOINT_FORMAT = "params/1"
 
 #: Layout tag of a :class:`RecordLog` header (bumps on change); a
 #: single-envelope checkpoint of the same kind lacks it.
@@ -273,42 +264,15 @@ def _unpickle(payload: bytes, path):
         ) from exc
 
 
-def save_checkpoint(
-    path: Union[str, Path], state, *, kind: str, params: dict
-) -> None:
-    """Atomically persist ``state`` with the ``params`` of its run.
-
-    ``params`` are whatever a resume must match for ``state`` to be this
-    run's (inputs, sizes, configuration); :func:`load_checkpoint` checks
-    every one of them.
-    """
-    doc = {"format": CHECKPOINT_FORMAT, "params": dict(params), "state": state}
-    save_state(path, doc, kind=kind)
-
-
-def load_checkpoint(path: Union[str, Path], *, kind: str, params: dict):
-    """Load a :func:`save_checkpoint` file written for a run with ``params``.
+def _check_params(path, saved: dict, params: dict) -> None:
+    """Refuse a log whose run ``saved`` parameters differ from the live
+    run's ``params``, naming the first differing key.
 
     Every key in either dict must be present in both and equal
-    (``np.array_equal`` for arrays); otherwise the checkpoint belongs to
+    (``np.array_equal`` for arrays); otherwise the log belongs to
     another run and resuming from it would silently produce a wrong
-    answer, so :class:`CorruptCheckpoint` names the first differing key.
-    A file without the parameter header (an older format) is refused the
-    same way.  Integrity failures raise as in :func:`load_state`.
+    answer.
     """
-    doc = load_state(path, kind=kind)
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CorruptCheckpoint(
-            f"corrupt checkpoint {path}: older checkpoint format (no "
-            "run-parameter header); delete it and rerun"
-        )
-    _check_params(path, doc["params"], params)
-    return doc["state"]
-
-
-def _check_params(path, saved: dict, params: dict) -> None:
-    """Refuse a checkpoint whose run ``saved`` parameters differ from
-    the live run's ``params``, naming the first differing key."""
     missing = "<missing>"
     for key in sorted(set(saved) | set(params)):
         got, want = saved.get(key, missing), params.get(key, missing)
@@ -353,9 +317,10 @@ def check_envelope(path: Union[str, Path]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Record log
 # ---------------------------------------------------------------------------
-def _scan_log(blob: bytes, path, kind: Optional[str]) -> tuple[dict, list, int]:
-    """Walk a record log: ``(header, record payloads, offset just past
-    the last complete record)``.
+def _scan_log(blob: bytes, path, kind: Optional[str]) -> tuple[dict, list, list]:
+    """Walk a record log: ``(header, record payloads, ends)``, where
+    ``ends`` holds the offset just past the header and then just past
+    each complete record.
 
     The header envelope must be whole, of ``kind`` (any kind when
     ``None``) and carry :data:`LOG_FORMAT`; a single-envelope checkpoint
@@ -376,7 +341,7 @@ def _scan_log(blob: bytes, path, kind: Optional[str]) -> tuple[dict, list, int]:
             "envelope of the whole state, not a record log); delete it "
             "and rerun"
         )
-    records = []
+    records, ends = [], [end]
     while end < len(blob):
         try:
             rec_kind, payload, nxt = _parse_envelope(blob, end, str(path))
@@ -389,20 +354,22 @@ def _scan_log(blob: bytes, path, kind: Optional[str]) -> tuple[dict, list, int]:
             )
         records.append(payload)
         end = nxt
-    return header, records, end
+        ends.append(end)
+    return header, records, ends
 
 
 class RecordLog:
-    """An append-only checkpoint: a header envelope holding the run's
+    """An append-only log: a header envelope holding the run's
     parameters, then one CRC envelope per :meth:`append`.
 
     A run that adds a little state per step appends that step's record
     instead of rewriting its whole state.  Appends are flushed and
     fsynced; the file (header plus first record) is created with one
     atomic write, so it never exists without a header.  :meth:`load`
-    checks the parameters as :func:`load_checkpoint` does, drops a torn
-    final record and raises :class:`CorruptCheckpoint` naming the path
-    on damage anywhere else.
+    refuses a log written for other parameters, drops a torn final
+    record and raises :class:`CorruptCheckpoint` naming the path on
+    damage anywhere else.  :meth:`compact` folds a long log into one
+    snapshot record.
     """
 
     def __init__(self, path: Union[str, Path], *, kind: str, params: dict) -> None:
@@ -410,6 +377,15 @@ class RecordLog:
         self.kind = str(kind)
         self.params = dict(params)
         self._owned = False  # this run created or loaded the file
+        #: Bytes appended since the file was last written whole (by
+        #: :meth:`compact` or a first :meth:`append`): what a
+        #: compaction would fold away.
+        self.appended = 0
+
+    def _pack(self, record) -> bytes:
+        return pack_envelope(
+            self.kind, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def load(self) -> Optional[list]:
         """The log's records, or ``None`` when there is no log file.
@@ -421,40 +397,51 @@ class RecordLog:
             blob = self.path.read_bytes()
         except FileNotFoundError:
             return None
-        header, records, end = _scan_log(blob, self.path, self.kind)
+        header, records, ends = _scan_log(blob, self.path, self.kind)
         _check_params(self.path, header["params"], self.params)
+        end = ends[-1]
         if end < len(blob):
             with open(self.path, "r+b") as f:
                 f.truncate(end)
                 os.fsync(f.fileno())
         self._owned = True
+        self.appended = end - ends[min(1, len(ends) - 1)]
         return [_unpickle(p, self.path) for p in records]
 
     def append(self, record) -> None:
         """Durably append ``record``.
 
         The first append of a log this run has not loaded replaces any
-        file at the path with a fresh header.
+        file at the path with a fresh header (see :meth:`compact`).
         """
-        env = pack_envelope(
-            self.kind, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        )
         if not self._owned:
-            head = {"format": LOG_FORMAT, "params": self.params}
-            atomic_write_bytes(self.path, pack_envelope(
-                self.kind, pickle.dumps(head, protocol=pickle.HIGHEST_PROTOCOL)
-            ) + env)
-            self._owned = True
+            self.compact(record)
             return
+        env = self._pack(record)
         with open(self.path, "ab") as f:
             f.write(env)
             f.flush()
             os.fsync(f.fileno())
+        self.appended += len(env)
+
+    def compact(self, snapshot) -> None:
+        """Atomically replace the log with its header and the one record
+        ``snapshot``.
+
+        ``snapshot`` must fold to the same state as every record it
+        replaces.  A crash leaves either the old log or the new one.
+        """
+        env = self._pack(snapshot)
+        head = {"format": LOG_FORMAT, "params": self.params}
+        atomic_write_bytes(self.path, self._pack(head) + env)
+        self._owned = True
+        self.appended = 0
 
     def remove(self) -> None:
         """Delete the log (a finished run leaves none behind)."""
         self.path.unlink(missing_ok=True)
         self._owned = False
+        self.appended = 0
 
 
 def check_log(path: Union[str, Path]) -> list[str]:
@@ -463,7 +450,7 @@ def check_log(path: Union[str, Path]) -> list[str]:
     checkpoint, and a torn final record (which a resume would drop)."""
     try:
         blob = Path(path).read_bytes()
-        _, _, end = _scan_log(blob, path, None)
+        end = _scan_log(blob, path, None)[2][-1]
     except FileNotFoundError:
         return [f"{path}: missing"]
     except CorruptCheckpoint as exc:

@@ -25,11 +25,13 @@ Every :class:`BatchResult` carries a CRC-32 checksum over its result
 arrays, which the prefix-differential harness (:mod:`repro.qa.prefix`),
 the chaos-recovery tests, and backend-parity tests compare bit-for-bit.
 
-Checkpoints store the applied batches themselves (a list of batches,
-not a flat event log — adjacent batches may share a timestamp after
-truncation, and community repair is cadence-sensitive), so
-:meth:`StreamEngine.resume` replays batch-by-batch and lands on the
-exact same state, checksums included.
+A checkpoint is a :class:`~repro.durable.RecordLog` with one record
+per applied batch (batches, not a flat event log — adjacent batches may
+share a timestamp after truncation, and community repair is
+cadence-sensitive), so :meth:`StreamEngine.resume` replays
+batch-by-batch and lands on the exact same state, checksums included.
+:meth:`StreamEngine.state` is the same state in one piece, for the
+daemon's compacted log.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import zlib
 from contextlib import nullcontext as _noop
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.dynamic.components import IncrementalComponents
 from repro.dynamic.events import EdgeEvent, group_batches
 from repro.dynamic.sources import crawl_events
 from repro.dynamic.stream import StreamingStats
-from repro.durable import load_checkpoint, save_checkpoint
+from repro.durable import RecordLog
 from repro.errors import GraphStructureError
 from repro.graph.csr import Graph
 from repro.graph.dynamic import DynamicGraph
@@ -62,7 +65,7 @@ __all__ = [
 
 ANALYTICS = ("components", "stats", "degree", "closeness", "community")
 
-#: Envelope ``kind`` for durable stream checkpoints (DESIGN §13).
+#: ``RecordLog`` kind of durable stream checkpoints (DESIGN §13).
 STREAM_CHECKPOINT_KIND = "stream-checkpoint"
 
 
@@ -155,11 +158,14 @@ class StreamEngine:
         self._modularity = 0.0
         self._applied_batches: list[list[EdgeEvent]] = []
         self._results: list[BatchResult] = []
+        self._n_restored = 0  # batches folded into the state() rebuilt from
+        self._log: Optional[RecordLog] = None  # set by save() / resume()
+        self._n_logged = 0  # applied batches the log already holds
 
     # ------------------------------------------------------------------
     @property
     def n_batches(self) -> int:
-        return len(self._applied_batches)
+        return self._n_restored + len(self._applied_batches)
 
     @property
     def n_edges(self) -> int:
@@ -171,7 +177,8 @@ class StreamEngine:
 
     @property
     def applied_batches(self) -> list[list[EdgeEvent]]:
-        """The applied-batch log (read-only copy of the outer list)."""
+        """The batches applied since the engine was built or rebuilt
+        from :meth:`state` (read-only copy of the outer list)."""
         return list(self._applied_batches)
 
     def snapshot(self) -> Graph:
@@ -192,7 +199,7 @@ class StreamEngine:
         with (
             tr.span(
                 "stream.batch",
-                batch_index=len(self._applied_batches),
+                batch_index=self.n_batches,
                 n_events=len(events),
             )
             if tr
@@ -371,40 +378,81 @@ class StreamEngine:
         }
 
     def save(self, path) -> None:
-        """Durably persist the applied batch log with the engine config.
+        """Durably log the batches applied since the last save: one
+        :class:`~repro.durable.RecordLog` record each, under the engine
+        config as the log's parameters.
 
-        Written after every applied batch by ``repro stream
-        --checkpoint-dir``: a crash *during* a batch leaves the previous
-        envelope intact, so resume re-applies exactly that batch —
-        exactly-once application without a write-ahead log.
+        Called after every applied batch by ``repro stream
+        --checkpoint-dir``, so a save costs O(batch), not O(history).  A
+        crash *during* a batch leaves the log without it and a crash
+        mid-append leaves a torn final record, which :meth:`resume`
+        drops; either way resume re-applies exactly that batch —
+        exactly-once application without a write-ahead log.  The first
+        save to a path this engine did not resume from starts a fresh
+        log there.
         """
-        batches = [
-            [(ev.kind, ev.u, ev.v, ev.t, ev.weight) for ev in batch]
-            for batch in self._applied_batches
-        ]
-        save_checkpoint(
-            path, batches, kind=STREAM_CHECKPOINT_KIND, params=self._config()
-        )
+        if self._n_restored:
+            raise ValueError("an engine rebuilt from state() has no batch "
+                             "history to log")
+        path = Path(path)
+        if self._log is None or self._log.path != path:
+            self._log = RecordLog(
+                path, kind=STREAM_CHECKPOINT_KIND, params=self._config()
+            )
+            self._n_logged = 0
+        for batch in self._applied_batches[self._n_logged:]:
+            self._log.append([(e.kind, e.u, e.v, e.t, e.weight) for e in batch])
+            self._n_logged += 1
 
     def resume(self, path) -> None:
-        """Replay a :meth:`save` file into this fresh engine.
+        """Replay a :meth:`save` log into this fresh engine; later saves
+        to ``path`` extend it.
 
-        The file must have been saved by an engine with this one's
-        config (:class:`~repro.errors.CorruptCheckpoint` names the first
+        The log must have been saved by an engine with this one's config
+        (:class:`~repro.errors.CorruptCheckpoint` names the first
         differing setting); integrity failures raise the same way before
-        any replay.  Replay is batch-by-batch (community repair and
-        burst windows are cadence-sensitive), so the per-batch checksums
-        match the saving engine's bit-for-bit.
+        any replay, and a missing log raises ``FileNotFoundError``.
+        Replay is batch-by-batch (community repair and burst windows are
+        cadence-sensitive), so the per-batch checksums match the saving
+        engine's bit-for-bit.
         """
-        if self._applied_batches:
+        if self.n_batches:
             raise ValueError("resume() needs an engine with no applied batches")
-        batches = load_checkpoint(
-            path, kind=STREAM_CHECKPOINT_KIND, params=self._config()
-        )
+        log = RecordLog(path, kind=STREAM_CHECKPOINT_KIND, params=self._config())
+        batches = log.load()
+        if batches is None:
+            raise FileNotFoundError(f"no stream checkpoint at {path}")
         for batch in batches:
             self.apply_batch(
                 [EdgeEvent(kind, u, v, t=t, weight=w) for kind, u, v, t, w in batch]
             )
+        self._log, self._n_logged = log, len(batches)
+
+    def state(self) -> dict:
+        """Everything that shapes later batches, as one picklable dict.
+
+        :meth:`from_state` rebuilds an engine whose next batches carry
+        the same checksums as this one's would (a tier-1 test holds
+        this with every analytic on).  Its size is the graph's, not the
+        history's: left out are the execution context, any open
+        checkpoint log, and the applied batches and their results
+        (only their count is kept).  The dict shares the engine's
+        objects: pickle it before the engine applies another batch.
+        """
+        state = {k: v for k, v in vars(self).items() if k != "ctx"}
+        state.update(_log=None, _n_logged=0, _results=[], _applied_batches=[],
+                     _n_restored=self.n_batches)
+        return state
+
+    @classmethod
+    def from_state(
+        cls, state: dict, *, ctx: Optional[ParallelContext] = None
+    ) -> "StreamEngine":
+        """The engine :meth:`state` described, running on ``ctx``."""
+        engine = cls.__new__(cls)
+        vars(engine).update(state)
+        engine.ctx = ensure_context(ctx)
+        return engine
 
     @classmethod
     def from_graph(cls, graph: Graph, **kwargs: Any) -> "StreamEngine":

@@ -123,7 +123,7 @@ class MemoryBudgetExceeded(SnapError):
 class CorruptCheckpoint(SnapError):
     """A durable artifact failed integrity validation on read.
 
-    Raised by :mod:`repro.durable` when an envelope or journal shows a
+    Raised by :mod:`repro.durable` when an envelope or record log shows a
     torn write, truncation, CRC mismatch or bad magic — and by resume
     paths when a structurally valid checkpoint does not match the run
     it is asked to resume (different inputs, parameters or shard set).
@@ -167,7 +167,7 @@ class AdmissionDenied(ServeError):
 
 
 class ServiceRecovering(ServeError):
-    """The daemon is replaying its state journal after a restart.
+    """The daemon is replaying its state log after a restart.
 
     Data-plane requests receive this (HTTP 503) until replay finishes;
     clients should retry.  ``/v1/health`` stays available and reports

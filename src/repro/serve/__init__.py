@@ -20,7 +20,7 @@ Layers:
 * :mod:`repro.serve.server`    — stdlib ThreadingHTTPServer daemon: one
   :class:`repro.api.Session` (which composes the registry, the
   coalescer and the stream engines, and owns ingestion) plus HTTP
-  handlers, async tickets, the state journal and the profile.
+  handlers, async tickets, the state log and the profile.
 * :mod:`repro.serve.client`    — stdlib http.client, kept-alive client.
 """
 

@@ -110,13 +110,6 @@ class GraphRegistry:
         self.loads = 0
         self.load_hits = 0
         self.evictions = 0
-        # Optional durability journal (repro.durable.journal.Journal):
-        # when attached, cold path-loads and explicit evictions are
-        # recorded so a restarted daemon can re-admit its residents.
-        # LRU evictions and ingest-driven `replace` swaps are NOT
-        # journaled — replaying the explicit operations reproduces them
-        # deterministically.
-        self.journal = None
 
     # ------------------------------------------------------------------
     # Admission
@@ -235,16 +228,9 @@ class GraphRegistry:
         from repro.sharded import is_shard_set_path
 
         if is_shard_set_path(path):
-            entry = self._load_shard_set(path, name=name)
-        else:
-            graph = read_auto(path, directed=directed)  # off-lock: slow
-            entry = self.add(name, graph, source=str(path))
-        if self.journal is not None:
-            self.journal.append({
-                "op": "load", "path": str(path), "name": name,
-                "directed": bool(directed),
-            })
-        return entry
+            return self._load_shard_set(path, name=name)
+        graph = read_auto(path, directed=directed)  # off-lock: slow
+        return self.add(name, graph, source=str(path))
 
     def _load_shard_set(self, path: str, *, name: str) -> ResidentGraph:
         """Stitch a shard set into residency (manifest-first admission)."""
@@ -319,9 +305,12 @@ class GraphRegistry:
                     f"graph {name!r} is pinned by an in-flight batch"
                 )
             self._evict_entry(entry)
-            if self.journal is not None:
-                self.journal.append({"op": "evict", "name": name})
             return True
+
+    def entries(self) -> list[ResidentGraph]:
+        """The resident entries, least recently used first."""
+        with self._lock:
+            return sorted(self._graphs.values(), key=lambda e: e.last_used)
 
     def names(self) -> list[str]:
         with self._lock:

@@ -44,12 +44,15 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
 from repro.api import Session
+from repro.durable import RecordLog
 from repro.errors import (
+    CorruptCheckpoint,
     GraphNotResident,
     ProtocolError,
     ServiceRecovering,
@@ -68,8 +71,20 @@ _STATUS = {
     "serve_error": 500,
 }
 
-#: Journal filename under ``--state-dir``.
-STATE_JOURNAL_NAME = "registry.journal"
+#: The daemon's state log under ``--state-dir`` (a ``RecordLog``).
+STATE_LOG_NAME = "state.log"
+
+#: ``RecordLog`` kind of the state log.
+STATE_LOG_KIND = "serve-state"
+
+#: ``RecordLog`` params of the state log: the layout of its snapshot
+#: record.  Bump it whenever ``Session.state()`` or
+#: ``StreamEngine.state()`` changes shape, so an older log is refused by
+#: name rather than restored into the wrong attributes.
+STATE_LOG_PARAMS = {"snapshot": "session-state/1"}
+
+#: The JSON-lines journal the state log replaced; refused by name.
+OLD_JOURNAL_NAME = "registry.journal"
 
 #: Cap on unfetched async tickets; oldest resolved ones are dropped.
 MAX_TICKETS = 1024
@@ -158,7 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:
             if self.path == "/v1/health":
-                # Health stays answerable during journal replay so
+                # Health stays answerable during state replay so
                 # orchestrators can watch the daemon come back.
                 self._send(200, {
                     "ok": True,
@@ -199,13 +214,12 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/v1/submit":
                 self._submit(doc)
             elif self.path == "/v1/ingest":
-                self._ingest(doc)
+                self._send(200, self.app.ingest(protocol.parse_ingest(doc)))
             elif self.path == "/v1/evict":
                 name = doc.get("name")
                 if not isinstance(name, str):
                     raise ProtocolError("evict requires a string 'name'")
-                evicted = self.app.session.registry.evict(name)
-                self._send(200, {"evicted": evicted, "name": name})
+                self._send(200, {"evicted": self.app.evict(name), "name": name})
             else:
                 self._send(404, protocol.error_envelope(
                     ProtocolError(f"unknown path {self.path!r}")
@@ -217,28 +231,12 @@ class _Handler(BaseHTTPRequestHandler):
         path = doc.get("path")
         if not isinstance(path, str):
             raise ProtocolError("load requires a string 'path'")
-        entry = self.app.session.registry.load(
+        entry = self.app.load(
             path,
             name=doc.get("name"),
             directed=bool(doc.get("directed", False)),
         )
         self._send(200, entry.describe())
-
-    def _ingest(self, doc: dict) -> None:
-        req = protocol.parse_ingest(doc)
-        # One lock around apply + append, so the journal order is the
-        # apply order.
-        with self.app.ingest_lock:
-            summary = self.app.session.ingest(
-                req["graph"], req["events"],
-                analytics=req["analytics"], k=req["k"],
-            )
-            # Journaled only after the whole transaction applied: a
-            # crash mid-ingest never acknowledges, never journals, and
-            # the client's retry applies exactly once.
-            if self.app.journal is not None:
-                self.app.journal.append({"op": "ingest", **req})
-        self._send(200, summary)
 
     def _submit(self, doc: dict) -> None:
         req = protocol.parse_submit(doc)
@@ -279,7 +277,7 @@ class ReproServer:
 
     The session owns the execution context, the registry, the
     coalescer and the stream engines; the server adds only the
-    handlers, async tickets, the state journal and the profile.
+    handlers, async tickets, the state log and the profile.
     """
 
     def __init__(self, config: ServeConfig, *, verbose: bool = False) -> None:
@@ -299,19 +297,23 @@ class ReproServer:
             self.session.coalescer.on_batch = self._collect_batch
         self._tickets: "OrderedDict[str, Future]" = OrderedDict()
         self._tickets_lock = threading.Lock()
-        self.ingest_lock = threading.Lock()
         self._ticket_seq = 0
-        # Durable daemon state (DESIGN §13): with a state_dir the
-        # registry journals loads/evicts and _ingest journals ingests.
-        # Until recover() replays the journal, data-plane requests get
-        # 503 RECOVERING (check_ready); /v1/health keeps answering.
-        self.journal = None
-        self._journal_path: Optional[Path] = None
+        # Durable daemon state (DESIGN §13): with a state_dir, load /
+        # evict / ingest log each applied change, under one lock so the
+        # log order is the apply order.  Until recover() replays the
+        # log, data-plane requests get 503 RECOVERING (check_ready);
+        # /v1/health keeps answering.
+        self._state_lock = threading.Lock()
+        self.state_log: Optional[RecordLog] = None
+        self._compactable = True  # recover() skipped no logged operation
         self.recovering = False
         if config.state_dir is not None:
             state_dir = Path(config.state_dir)
             state_dir.mkdir(parents=True, exist_ok=True)
-            self._journal_path = state_dir / STATE_JOURNAL_NAME
+            self.state_log = RecordLog(
+                state_dir / STATE_LOG_NAME, kind=STATE_LOG_KIND,
+                params=STATE_LOG_PARAMS,
+            )
             self.recovering = True
         self.httpd = ThreadingHTTPServer(
             (config.host, config.port), _Handler
@@ -324,62 +326,126 @@ class ReproServer:
 
     # -- durable state -------------------------------------------------
     def check_ready(self) -> None:
-        """Raise :class:`ServiceRecovering` while the journal replays."""
+        """Raise :class:`ServiceRecovering` while the state log replays."""
         if self.recovering:
             raise ServiceRecovering(
-                "daemon is replaying its state journal; retry shortly"
+                "daemon is replaying its state log; retry shortly"
             )
 
+    def load(self, path: str, *, name: Optional[str] = None,
+             directed: bool = False):
+        """Admit ``path`` into residency and log it."""
+        self.check_ready()
+        with self._logging():
+            entry = self.session.registry.load(path, name=name, directed=directed)
+            self._log({"op": "load", "path": str(path), "name": entry.name,
+                       "directed": bool(directed)})
+        return entry
+
+    def evict(self, name: str) -> bool:
+        """Evict ``name``; an eviction that happened is logged."""
+        self.check_ready()
+        with self._logging():
+            evicted = self.session.registry.evict(name)
+            if evicted:
+                self._log({"op": "evict", "name": name})
+        return evicted
+
+    def ingest(self, req: dict) -> dict:
+        """Apply a parsed ``/v1/ingest`` request and log it.
+
+        Logged only after the whole transaction applied: a crash
+        mid-ingest never acknowledges and never logs, and the client's
+        retry applies exactly once.
+        """
+        self.check_ready()
+        with self._logging():
+            summary = self.session.ingest(
+                req["graph"], req["events"],
+                analytics=req["analytics"], k=req["k"],
+            )
+            self._log({"op": "ingest", **req})
+        return summary
+
+    def _logging(self):
+        """The lock that makes the log order the apply order; without a
+        state log there is nothing to order, so none."""
+        return self._state_lock if self.state_log is not None else nullcontext()
+
+    def _log(self, record: dict) -> None:
+        """Durably append an applied state change (with a state dir).
+
+        Once the bytes appended since the last snapshot exceed the
+        resident graphs' CSR bytes, the log is compacted into one
+        snapshot of the session, so replay time is bounded by the
+        resident state rather than by history, and compaction costs
+        O(1) amortized per appended byte.
+        """
+        if self.state_log is None:
+            return
+        self.state_log.append(record)
+        if (self._compactable and self.state_log.appended
+                > self.session.registry.resident_bytes):
+            self.state_log.compact({"op": "snapshot", **self.session.state()})
+
     def recover(self) -> dict:
-        """Replay the state journal and attach it for live journaling.
+        """Replay the state log; then serve and log state changes.
 
         Must be called once (before or concurrently with serving) when
         the config has a ``state_dir``; without one it is a no-op.
-        Re-admits journaled graph loads, re-applies explicit evictions
-        and replays ingest transactions in order — the registry ends in
-        the same resident state the crashed daemon acknowledged.
-        Operations whose inputs disappeared (a source file deleted
-        since) are skipped and counted, not fatal.  Replayed operations
-        are not re-journaled: they are already in the journal, which
-        is appended to — not rewritten — afterwards.
+        Restores the last snapshot, then re-admits logged graph loads,
+        re-applies explicit evictions and replays ingest transactions in
+        order — the registry and its stream engines end in the state the
+        crashed daemon acknowledged.  Operations whose inputs
+        disappeared (a source file deleted since) are skipped and
+        counted, not fatal.  Recovery writes nothing: the replayed tail
+        counts toward the next compaction, so replay stays bounded
+        across restarts.  After a recovery that skipped an operation the
+        log is never compacted, because a snapshot would forget it; a
+        later boot re-applies it once its input is back.
+
+        A damaged log, or a journal in the older JSON-lines format,
+        raises :class:`~repro.errors.CorruptCheckpoint` naming the file,
+        and the daemon stays recovering rather than overwrite it.
         """
         summary = {"loads": 0, "evicts": 0, "ingests": 0, "skipped": 0}
-        if self._journal_path is None:
+        if self.state_log is None:
             self.recovering = False
             return summary
-        from repro.durable.journal import Journal, replay_journal
-
+        old = self.state_log.path.with_name(OLD_JOURNAL_NAME)
+        if old.exists():
+            raise CorruptCheckpoint(
+                f"corrupt checkpoint {old}: older format (a JSON-lines "
+                "journal, not a record log); delete it to start with no "
+                "resident graphs"
+            )
         registry = self.session.registry
-        try:
-            for rec in replay_journal(self._journal_path):
-                op = rec.get("op")
+        records = self.state_log.load() or []
+        with self._state_lock:
+            for rec in records:
+                op = rec["op"]
                 try:
-                    if op == "load":
-                        registry.load(
-                            rec["path"],
-                            name=rec.get("name"),
-                            directed=bool(rec.get("directed", False)),
-                        )
+                    if op == "snapshot":
+                        summary["loads"] += self.session.restore(rec)
+                    elif op == "load":
+                        registry.load(rec["path"], name=rec["name"],
+                                      directed=rec["directed"])
                         summary["loads"] += 1
                     elif op == "evict":
                         registry.evict(rec["name"])
                         summary["evicts"] += 1
                     elif op == "ingest":
                         self.session.ingest(
-                            rec["graph"],
-                            rec["events"],
-                            analytics=rec.get("analytics"),
-                            k=rec.get("k", 10),
+                            rec["graph"], rec["events"],
+                            analytics=rec["analytics"], k=rec["k"],
                         )
                         summary["ingests"] += 1
                     else:
                         summary["skipped"] += 1
                 except (SnapError, OSError):
                     summary["skipped"] += 1
-            self.journal = Journal(self._journal_path)
-            registry.journal = self.journal
-        finally:
-            self.recovering = False
+            self._compactable = not summary["skipped"]
+        self.recovering = False
         return summary
 
     # -- profile collection -------------------------------------------
@@ -464,13 +530,6 @@ class ReproServer:
         # Closing the coalescer flushes it, so the profile sees every batch.
         self.session.coalescer.close()
         self.write_profile()
-        # Detach the journal before the registry teardown evicts every
-        # resident graph: shutdown evictions are not state changes the
-        # next boot should replay.
-        self.session.registry.journal = None
-        if self.journal is not None:
-            self.journal.close()
-            self.journal = None
         self.session.close()
 
     def __enter__(self) -> "ReproServer":

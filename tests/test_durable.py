@@ -1,4 +1,4 @@
-"""Durability layer: atomic writes, envelopes, journals, crash resume.
+"""Durability layer: atomic writes, envelopes, record logs, crash resume.
 
 The contract under test (DESIGN §13): every durable artifact is written
 atomically (readers never observe a torn file), every checkpoint
@@ -33,21 +33,29 @@ from repro.community.pla import pla
 from repro.datasets.karate import karate_club
 from repro.durable import (
     ENVELOPE_MAGIC,
-    Journal,
     RecordLog,
     check_envelope,
     check_log,
     load_state,
     pack_envelope,
-    replay_journal,
-    save_checkpoint,
     save_state,
     unpack_envelope,
     verify_envelope,
     write_json_atomic,
 )
-from repro.dynamic import StreamEngine, crawl_events, group_batches, write_events
-from repro.errors import AdmissionDenied, CorruptCheckpoint, ServiceRecovering
+from repro.dynamic import (
+    EdgeEvent,
+    StreamEngine,
+    crawl_events,
+    group_batches,
+    write_events,
+)
+from repro.errors import (
+    AdmissionDenied,
+    CorruptCheckpoint,
+    ServiceRecovering,
+    SnapError,
+)
 from repro.graph import from_edge_list
 from repro.graph import io as graph_io
 from repro.kernels.bfs import msbfs
@@ -70,6 +78,14 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="module")
 def karate():
     return karate_club()
+
+
+def _whole_state_checkpoint(path, state, *, kind, params) -> None:
+    """Write ``state`` as the single-envelope ``params/1`` checkpoint
+    that record logs replaced: one envelope of the whole state with the
+    run's parameters beside it."""
+    save_state(path, {"format": "params/1", "params": params, "state": state},
+               kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -158,60 +174,6 @@ class TestAtomicWrites:
 
 
 # ---------------------------------------------------------------------------
-# The append-only journal
-# ---------------------------------------------------------------------------
-class TestJournal:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "ops.journal"
-        records = [{"op": "load", "i": i} for i in range(5)]
-        with Journal(path) as j:
-            for r in records:
-                j.append(r)
-        assert replay_journal(path) == records
-
-    def test_append_survives_reopen(self, tmp_path):
-        path = tmp_path / "ops.journal"
-        with Journal(path) as j:
-            j.append({"op": "a"})
-        with Journal(path) as j:
-            j.append({"op": "b"})
-        assert [r["op"] for r in replay_journal(path)] == ["a", "b"]
-
-    def test_torn_final_line_dropped(self, tmp_path):
-        path = tmp_path / "ops.journal"
-        with Journal(path) as j:
-            j.append({"op": "a"})
-            j.append({"op": "bbbbbbbbbbbbbbbb"})
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-7])  # crash mid-append: torn tail
-        assert [r["op"] for r in replay_journal(path)] == ["a"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "ops.journal"
-        with Journal(path) as j:
-            j.append({"op": "aaaa"})
-            j.append({"op": "b"})
-        lines = path.read_text().splitlines(keepends=True)
-        lines[0] = lines[0].replace("aaaa", "aaaX")
-        path.write_text("".join(lines))
-        with pytest.raises(CorruptCheckpoint, match="line 1"):
-            replay_journal(path)
-
-    def test_final_line_bit_flip_is_not_torn(self, tmp_path):
-        # A newline-terminated final line whose body still parses as
-        # JSON but fails its CRC is real corruption, not a torn append.
-        path = tmp_path / "ops.journal"
-        with Journal(path) as j:
-            j.append({"op": "aaaa"})
-        path.write_text(path.read_text().replace("aaaa", "aaaX"))
-        with pytest.raises(CorruptCheckpoint):
-            replay_journal(path)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert replay_journal(tmp_path / "absent.journal") == []
-
-
-# ---------------------------------------------------------------------------
 # The append-only checkpoint record log
 # ---------------------------------------------------------------------------
 class TestRecordLog:
@@ -284,8 +246,8 @@ class TestRecordLog:
         """A whole-state checkpoint of the same kind and parameters is
         not a log with no records: it is refused, and left in place."""
         path = tmp_path / "a.ckpt"
-        save_checkpoint(path, {"dist": np.zeros(5)}, kind="unit-log",
-                        params=self.PARAMS)
+        _whole_state_checkpoint(path, {"dist": np.zeros(5)}, kind="unit-log",
+                                params=self.PARAMS)
         with pytest.raises(CorruptCheckpoint, match="older checkpoint format"):
             self._log(path).load()
         assert "older checkpoint format" in check_log(path)[0]
@@ -309,6 +271,36 @@ class TestRecordLog:
         self._write(path, ["new"])
         assert self._log(path).load() == ["new"]
 
+    def test_compact_replaces_the_log_with_one_snapshot(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._write(path, ["a", "b", "c"])
+        log = self._log(path)
+        assert log.load() == ["a", "b", "c"]
+        log.compact("abc")
+        assert self._log(path).load() == ["abc"]
+        log.append("d")
+        assert self._log(path).load() == ["abc", "d"]
+        assert check_log(path) == []
+        assert list(tmp_path.glob(".a.ckpt.*")) == []  # no temp file left
+
+    def test_appended_counts_bytes_since_the_last_whole_write(self, tmp_path):
+        """``appended`` is what a compaction would fold away: zero after
+        the file is written whole, the appends' bytes after that, and
+        the same figure when another run loads the log."""
+        path = tmp_path / "a.ckpt"
+        log = self._log(path)
+        log.append("x" * 10)  # creates the file: header + first record
+        assert log.appended == 0
+        size = path.stat().st_size
+        log.append("y" * 10)
+        log.append("z" * 10)
+        assert log.appended == path.stat().st_size - size
+        again = self._log(path)
+        again.load()
+        assert again.appended == log.appended
+        log.compact("xyz")
+        assert log.appended == 0
+
 
 # ---------------------------------------------------------------------------
 # Tier-1 guard: no raw JSON writes outside the durability layer
@@ -331,25 +323,34 @@ def test_no_raw_json_writes_in_src():
     )
 
 
+#: The durable surfaces, each writing one ``RecordLog``: the BSP
+#: driver, the stream engine and the daemon's state log.
+_LOG_WRITERS = (
+    "src/repro/sharded/bsp.py",
+    "src/repro/dynamic/engine.py",
+    "src/repro/serve/server.py",
+)
+
+
 def test_no_raw_state_io_in_src():
-    """Every checkpoint in ``src/`` goes through the durability layer's
-    parameter-checked forms, so the one run-parameter check refuses
-    every foreign resume — no surface hand-rolls its own.  The BSP
-    driver writes a ``RecordLog`` of per-step records; a whole-state
-    ``save_checkpoint`` is the stream engine's alone."""
+    """Every checkpoint and journal in ``src/`` is a ``RecordLog``, so
+    the one run-parameter check refuses every foreign resume and one
+    torn-tail rule covers every crash mid-append — no surface
+    hand-rolls its own format, and only the three durable surfaces open
+    a log."""
     offenders = []
     for path in sorted((REPO / "src").rglob("*.py")):
         rel = path.relative_to(REPO).as_posix()
         if rel.startswith("src/repro/durable/"):
             continue
-        needles = ["save_state(", "load_state("]
-        if rel != "src/repro/dynamic/engine.py":
-            needles.append("save_checkpoint(")
+        needles = ["save_state(", "load_state(", "save_checkpoint(",
+                   "load_checkpoint(", "Journal(", "replay_journal("]
+        if rel not in _LOG_WRITERS:
+            needles.append("RecordLog(")
         text = path.read_text()
         offenders += [f"{rel}: {n}" for n in needles if n in text]
     assert not offenders, (
-        "raw or whole-state checkpoint I/O found — use repro.durable."
-        f"RecordLog (or, for the stream engine, save_checkpoint): {offenders}"
+        f"state I/O outside one repro.durable.RecordLog per surface: {offenders}"
     )
 
 
@@ -581,7 +582,7 @@ class TestBSPResume:
         srcs = np.array([0, 16], dtype=np.int64)
         n = ss.n_vertices
         path = cpdir / "msbfs.ckpt"
-        save_checkpoint(path, {
+        _whole_state_checkpoint(path, {
             "state": {
                 "dist": np.full((2, n), -1, dtype=np.int32), "lo": 0,
                 "n_levels": 0, "seen": np.zeros(n, dtype=np.uint8),
@@ -825,6 +826,8 @@ class TestStreamDurability:
 
     def test_corrupt_stream_checkpoint_refused(self, karate, tmp_path):
         eng = StreamEngine(karate.n_vertices)
+        for t, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)]):
+            eng.apply_batch([EdgeEvent("add", u, v, t=t)])
         ckpt = tmp_path / "stream.ckpt"
         eng.save(ckpt)
         blob = bytearray(ckpt.read_bytes())
@@ -910,13 +913,92 @@ class TestStreamDurability:
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
         other = StreamEngine(n)
-        from repro.dynamic import EdgeEvent
-
         other.apply_batch([EdgeEvent("add", 0, 1, t=0)])
         other.save(ckpt_dir / "stream.ckpt")
         assert cli_main(["stream", str(path),
                          "--checkpoint-dir", str(ckpt_dir)]) == 1
         assert "not a prefix" in capsys.readouterr().err
+
+    def test_cli_resume_whole_state_checkpoint_refused(self, events_file,
+                                                       tmp_path, capsys):
+        """A ``params/1`` stream checkpoint — the whole applied-batch
+        list in one envelope, for this very config — is refused by name,
+        never read as a log with no records and silently restarted."""
+        path, batches, n = events_file
+        ckpt = tmp_path / "ck" / "stream.ckpt"
+        ckpt.parent.mkdir()
+        _whole_state_checkpoint(ckpt, [
+            [(e.kind, e.u, e.v, e.t, e.weight) for e in batches[0]],
+        ], kind="stream-checkpoint", params=StreamEngine(n)._config())
+        assert cli_main(["stream", str(path),
+                         "--checkpoint-dir", str(ckpt.parent)]) == 1
+        err = capsys.readouterr().err
+        assert "older checkpoint format" in err and str(ckpt) in err
+
+    def test_cli_resume_after_torn_append(self, events_file, tmp_path):
+        """A crash mid-append leaves a torn final record: the resume
+        drops it, re-applies that batch and the output is unchanged."""
+        path, batches, n = events_file
+        out_full = tmp_path / "full.json"
+        assert cli_main(["stream", str(path), "-o", str(out_full)]) == 0
+        ckpt = tmp_path / "ck" / "stream.ckpt"
+        part = StreamEngine(n)
+        for b in batches[:3]:
+            part.apply_batch(b)
+            part.save(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-9])
+        assert "truncated final record" in check_log(ckpt)[0]
+        out = tmp_path / "resumed.json"
+        assert cli_main(["stream", str(path), "--checkpoint-dir",
+                         str(ckpt.parent), "-o", str(out)]) == 0
+        assert out.read_bytes() == out_full.read_bytes()
+
+    def test_save_appends_one_batch_at_a_time(self, tmp_path):
+        """Saving after every batch appends that batch alone: over 256
+        equal-shaped batches the i-th save adds the same bytes for
+        every i (up to the decimal width of the envelope's CRC), where
+        rewriting the history grew linearly."""
+        eng = StreamEngine(256)
+        ckpt = tmp_path / "stream.ckpt"
+        sizes = []
+        for t in range(256):
+            eng.apply_batch([EdgeEvent("add", t, (t + 1) % 256, t=t)])
+            eng.save(ckpt)
+            sizes.append(ckpt.stat().st_size)
+        added = np.diff(sizes)
+        assert added.max() - added.min() < 10
+        resumed = StreamEngine(256)
+        resumed.resume(ckpt)
+        assert [r.checksum for r in resumed.results] == [
+            r.checksum for r in eng.results
+        ]
+
+    def test_engine_state_resumes_bit_identical(self, karate):
+        """What the daemon snapshots: an engine rebuilt from a pickled
+        :meth:`StreamEngine.state` at any batch carries the uninterrupted
+        engine's checksums on every later batch, with every analytic on
+        and deletions in the stream."""
+        import pickle
+
+        batches = list(group_batches(crawl_events(
+            karate, policy="mod", batch_size=5, rng=np.random.default_rng(1))))
+        t = batches[-1][0].t
+        u, v = karate.edge_endpoints()
+        for i, j in enumerate(np.random.default_rng(3).integers(len(u), size=6)):
+            batches.append([EdgeEvent("delete", int(u[j]), int(v[j]), t=t + 1 + i),
+                            EdgeEvent("add", 0, int(v[j]), t=t + 1 + i)])
+        analytics = ("components", "stats", "degree", "closeness", "community")
+        full = StreamEngine(karate.n_vertices, analytics=analytics, k=5)
+        for b in batches:
+            full.apply_batch(b)
+        for cut in (1, len(batches) // 2, len(batches) - 3):
+            part = StreamEngine(karate.n_vertices, analytics=analytics, k=5)
+            for b in batches[:cut]:
+                part.apply_batch(b)
+            back = StreamEngine.from_state(pickle.loads(pickle.dumps(part.state())))
+            got = [back.apply_batch(b).checksum for b in batches[cut:]]
+            assert got == [r.checksum for r in full.results[cut:]]
+            assert back.n_batches == full.n_batches
 
 
 # ---------------------------------------------------------------------------
@@ -927,13 +1009,118 @@ def _edges(graph):
     return sorted(zip(u.tolist(), v.tolist()))
 
 
+def _daemon(state_dir):
+    from repro.serve.server import ReproServer, ServeConfig
+
+    return ReproServer(ServeConfig(
+        port=0, max_batch_delay=0.01, state_dir=str(state_dir)
+    ))
+
+
+def _state_log(state_dir) -> RecordLog:
+    from repro.serve.server import STATE_LOG_KIND, STATE_LOG_NAME, STATE_LOG_PARAMS
+
+    return RecordLog(state_dir / STATE_LOG_NAME, kind=STATE_LOG_KIND,
+                     params=STATE_LOG_PARAMS)
+
+
+def _ingest(srv, name, rows, analytics=None):
+    from repro.serve import protocol
+
+    doc = {"graph": name, "events": rows}
+    if analytics is not None:
+        doc["analytics"] = list(analytics)
+    return srv.ingest(protocol.parse_ingest(doc))
+
+
+class TestJournal:
+    """The daemon's state journal is a ``RecordLog`` (``state.log``):
+    one record per applied load / evict / ingest, after at most one
+    snapshot, under the log's one torn-tail rule."""
+
+    @pytest.fixture()
+    def gpath(self, karate, tmp_path):
+        path = tmp_path / "karate.txt"
+        graph_io.write_edge_list(karate, str(path))
+        return path
+
+    def _ops(self, state):
+        return [(r["op"], r.get("name")) for r in _state_log(state).load()]
+
+    def _write(self, state, gpath, ops):
+        with _daemon(state) as srv:
+            srv.recover()
+            for op, name in ops:
+                if op == "load":
+                    srv.load(str(gpath), name=name)
+                else:
+                    srv.evict(name)
+
+    def test_roundtrip(self, tmp_path, gpath):
+        state = tmp_path / "state"
+        ops = [("load", "a"), ("load", "b"), ("evict", "a")]
+        self._write(state, gpath, ops)
+        assert self._ops(state) == ops
+        assert check_log(state / "state.log") == []
+
+    def test_append_survives_reopen(self, tmp_path, gpath):
+        state = tmp_path / "state"
+        self._write(state, gpath, [("load", "a")])
+        self._write(state, gpath, [("load", "b")])
+        assert self._ops(state) == [("load", "a"), ("load", "b")]
+        with _daemon(state) as srv:
+            assert srv.recover()["loads"] == 2
+            assert srv.session.registry.names() == ["a", "b"]
+
+    def test_torn_final_line_dropped(self, tmp_path, gpath):
+        state = tmp_path / "state"
+        self._write(state, gpath, [("load", "a"), ("load", "b")])
+        log = state / "state.log"
+        log.write_bytes(log.read_bytes()[:-7])  # crash mid-append: torn tail
+        with _daemon(state) as srv:
+            assert srv.recover()["loads"] == 1
+            assert srv.session.registry.names() == ["a"]
+        assert check_log(log) == []
+
+    def test_mid_file_corruption_raises(self, tmp_path, gpath):
+        state = tmp_path / "state"
+        self._write(state, gpath, [("load", "a"), ("load", "b"), ("evict", "a")])
+        log = state / "state.log"
+        blob = bytearray(log.read_bytes())
+        blob[_envelope_starts(blob)[2] - 2] ^= 0xFF  # inside the first record
+        log.write_bytes(bytes(blob))
+        with _daemon(state) as srv:
+            with pytest.raises(CorruptCheckpoint, match="payload CRC") as exc:
+                srv.recover()
+            assert str(log) in str(exc.value)
+            # nothing may append over the damaged log
+            assert srv.recovering
+            with pytest.raises(ServiceRecovering):
+                srv.load(str(gpath), name="c")
+        assert log.read_bytes() == bytes(blob)
+
+    def test_final_line_bit_flip_is_not_torn(self, tmp_path, gpath):
+        state = tmp_path / "state"
+        self._write(state, gpath, [("load", "a")])
+        log = state / "state.log"
+        blob = bytearray(log.read_bytes())
+        blob[-3] ^= 0xFF
+        log.write_bytes(bytes(blob))
+        with _daemon(state) as srv, pytest.raises(CorruptCheckpoint):
+            srv.recover()
+
+    def test_missing_file_is_empty(self, tmp_path):
+        state = tmp_path / "state"
+        with _daemon(state) as srv:
+            assert srv.recover() == {
+                "loads": 0, "evicts": 0, "ingests": 0, "skipped": 0
+            }
+        assert list(state.iterdir()) == []
+
+
 class TestServeDurability:
     def _mk(self, state_dir):
-        from repro.serve.server import ReproServer, ServeConfig
-
-        return ReproServer(ServeConfig(
-            port=0, max_batch_delay=0.01, state_dir=str(state_dir)
-        ))
+        return _daemon(state_dir)
 
     def _client(self, srv):
         from repro.serve.client import ServeClient
@@ -1001,23 +1188,28 @@ class TestServeDurability:
             }
             assert self._client(srv2).graphs()["resident"][0]["name"] == "b"
 
-    def test_refused_ingest_is_neither_served_nor_replayed(self, tmp_path):
+    def test_refused_ingest_is_neither_served_nor_replayed(self, karate,
+                                                           tmp_path):
         state = tmp_path / "state"
         gpath = tmp_path / "g.npz"
-        graph_io.save_npz(from_edge_list([(0, 1), (1, 2)], n_vertices=6), gpath)
+        # karate's CSR outweighs three ingest records: no compaction, so
+        # the replay below reads the ingests themselves
+        graph_io.save_npz(karate, gpath)
+        added, refused = [(0, 33), (4, 33)], (2, 33)
+        assert not {*added, refused} & set(_edges(karate))
         with self._mk(state) as srv:
             srv.start_background()
             srv.recover()
             client = self._client(srv)
             client.load(str(gpath), name="g")
-            client.ingest("g", [[1, "add", 3, 4]])
+            client.ingest("g", [[1, "add", *added[0]]])
             srv.session.registry.pin("g")  # as an in-flight query batch does
             with pytest.raises(AdmissionDenied):
-                client.ingest("g", [[2, "add", 2, 3]])
+                client.ingest("g", [[2, "add", *refused]])
             srv.session.registry.unpin("g")
-            client.ingest("g", [[3, "add", 4, 5]])
+            client.ingest("g", [[3, "add", *added[1]]])
             served = _edges(srv.session.registry.get("g").graph)
-        assert served == [(0, 1), (1, 2), (3, 4), (4, 5)]
+        assert served == sorted(set(_edges(karate)) | set(added))
         with self._mk(state) as srv2:
             assert srv2.recover()["ingests"] == 2
             assert _edges(srv2.session.registry.get("g").graph) == served
@@ -1036,6 +1228,168 @@ class TestServeDurability:
             summary = srv2.recover()
             assert summary["skipped"] == 1 and summary["loads"] == 0
             assert self._client(srv2).graphs()["resident"] == []
+
+    def test_recovery_writes_nothing_and_its_tail_counts(self, karate,
+                                                         tmp_path):
+        """A restart leaves the log byte-identical, and the tail it
+        replayed still counts toward the next compaction, so replay
+        stays bounded across restarts."""
+        state = tmp_path / "state"
+        gpath = tmp_path / "karate.txt"
+        graph_io.write_edge_list(karate, str(gpath))
+        with self._mk(state) as srv:
+            srv.recover()
+            srv.load(str(gpath), name="k")
+            for t in range(3):
+                _ingest(srv, "k", [[t, "add" if t % 2 == 0 else "delete",
+                                    0, 33]])
+            appended = srv.state_log.appended
+        blob = (state / "state.log").read_bytes()
+        with self._mk(state) as srv2:
+            assert srv2.recover()["ingests"] == 3
+            assert srv2.state_log.appended == appended > 0
+        assert (state / "state.log").read_bytes() == blob
+
+    def test_skipped_operation_is_never_compacted_away(self, karate,
+                                                       tmp_path):
+        """A load skipped at recovery (its source is gone for now) stays
+        in the log however much is appended after it, so a later boot
+        re-admits the graph once the file is back."""
+        state = tmp_path / "state"
+        gone, kept = tmp_path / "gone.txt", tmp_path / "kept.txt"
+        graph_io.write_edge_list(karate, str(gone))
+        graph_io.write_edge_list(karate, str(kept))
+        with self._mk(state) as srv:
+            srv.recover()
+            srv.load(str(gone), name="a")
+            srv.load(str(kept), name="b")
+        moved = gone.rename(tmp_path / "away.txt")
+        with self._mk(state) as srv2:
+            assert srv2.recover()["skipped"] == 1
+            for t in range(40):  # far past b's CSR bytes
+                _ingest(srv2, "b", [[t, "add" if t % 2 == 0 else "delete",
+                                     0, 33]])
+        assert "snapshot" not in [r["op"] for r in _state_log(state).load()]
+        moved.rename(gone)
+        with self._mk(state) as srv3:
+            assert srv3.recover()["skipped"] == 0
+            assert srv3.session.registry.names() == ["a", "b"]
+
+    def test_state_log_of_another_snapshot_layout_refused(self, tmp_path):
+        """The state log's params name its snapshot layout, so a log
+        written for another one is refused by name, never restored."""
+        state = tmp_path / "state"
+        state.mkdir()
+        from repro.serve.server import STATE_LOG_KIND
+
+        RecordLog(state / "state.log", kind=STATE_LOG_KIND,
+                  params={"snapshot": "session-state/0"}).append(
+                      {"op": "snapshot", "graphs": []})
+        with self._mk(state) as srv:
+            with pytest.raises(CorruptCheckpoint,
+                               match="parameter 'snapshot' mismatch"):
+                srv.recover()
+            assert srv.recovering
+
+    def test_old_registry_journal_refused_by_name(self, tmp_path):
+        """The JSON-lines journal the state log replaced is refused by
+        name, never replayed as an empty state."""
+        state = tmp_path / "state"
+        state.mkdir()
+        old = state / "registry.journal"
+        old.write_text('0badc0de {"op":"load","path":"g.txt","name":"g"}\n')
+        with self._mk(state) as srv:
+            with pytest.raises(CorruptCheckpoint, match="older format") as exc:
+                srv.recover()
+            assert str(old) in str(exc.value)
+            assert srv.recovering
+        assert old.exists() and not (state / "state.log").exists()
+
+    def test_compaction_bounds_the_log_and_resumes_bit_identical(
+        self, karate, tmp_path
+    ):
+        """Steady ingest compacts the log whenever the bytes since the
+        last snapshot pass the resident CSR bytes, so it holds one
+        snapshot and a bounded tail.  A daemon restarted from it serves
+        the same graph, and its stream engine — restored from the
+        snapshot, with every analytic on — answers the next ingest with
+        the checksums a daemon that never stopped gives."""
+        state = tmp_path / "state"
+        gpath = tmp_path / "karate.txt"
+        graph_io.write_edge_list(karate, str(gpath))
+        analytics = ["components", "stats", "degree", "closeness", "community"]
+        rng = np.random.default_rng(5)
+        rows = [[t, "delete" if t % 3 == 2 else "add", int(u), int(v)]
+                for t, (u, v) in enumerate(rng.integers(34, size=(60, 2)))
+                if u != v]
+        with self._mk(state) as srv, self._mk(tmp_path / "ref") as ref:
+            for d in (srv, ref):
+                d.recover()
+                d.load(str(gpath), name="k")
+            for row in rows[:-1]:
+                _ingest(srv, "k", [row], analytics)
+                _ingest(ref, "k", [row], analytics)
+            resident = srv.session.registry.resident_bytes
+            want = _ingest(ref, "k", [rows[-1]], analytics)
+        ops = [r["op"] for r in _state_log(state).load()]
+        assert ops[0] == "snapshot" and "snapshot" not in ops[1:]
+        assert srv.state_log.appended <= resident
+        with self._mk(state) as srv2:
+            assert srv2.recover()["loads"] == 1
+            assert _ingest(srv2, "k", [rows[-1]], analytics) == want
+
+
+def test_concurrent_state_changes_log_in_apply_order(karate, tmp_path):
+    """Threads loading, evicting and ingesting at once, with compactions
+    in between: the log order is the apply order, so a restarted daemon
+    holds exactly the graphs the live one served."""
+    import threading
+
+    gpath = tmp_path / "karate.txt"
+    graph_io.write_edge_list(karate, str(gpath))
+    state = tmp_path / "state"
+    errors = []
+
+    def worker(i, srv):
+        try:
+            name = f"g{i % 3}"
+            for t in range(30):
+                if t % 10 == 0:
+                    srv.load(str(gpath), name=name)
+                u, v = (i + t) % 34, (i * 7 + 3 * t + 1) % 34
+                if u != v:
+                    try:
+                        _ingest(srv, name, [[t, "add" if t % 4 else "delete",
+                                             u, v]])
+                    except SnapError:
+                        pass  # a concurrent evict: the name is gone
+                if t % 13 == 5:
+                    srv.evict(name)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _daemon(state) as srv:
+            srv.recover()
+            threads = [threading.Thread(target=worker, args=(i, srv))
+                       for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            served = {n: _edges(srv.session.registry.get(n).graph)
+                      for n in srv.session.registry.names()}
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors
+    assert served
+    with _daemon(state) as srv2:
+        srv2.recover()
+        assert {n: _edges(srv2.session.registry.get(n).graph)
+                for n in srv2.session.registry.names()} == served
 
 
 # ---------------------------------------------------------------------------
@@ -1177,3 +1531,39 @@ class TestCrashMatrix:
             assert summary["loads"] == 1 and summary["ingests"] == 1
             entry = srv.session.registry.get("k")
             assert entry.graph.n_edges == n_edges
+
+    def test_daemon_replay_time_bounded_by_compaction(self, tmp_path):
+        """Replay reads the last snapshot plus a tail the compaction
+        threshold bounds, so restarts across a compaction cycle after
+        1 000 ingests take no more than twice as long as across one
+        after 100 (summed over the cycle: the tail length depends on
+        where in its cycle the daemon stopped)."""
+        import shutil
+
+        g = karate_club()
+        gpath = tmp_path / "k.txt"
+        graph_io.write_edge_list(g, str(gpath))
+        # each window spans more than one compaction cycle (~16 ingests)
+        windows = {100: range(100, 120), 1000: range(1000, 1020)}
+        with _daemon(tmp_path / "state") as srv:
+            srv.recover()
+            srv.load(str(gpath), name="k")
+            for t in range(1020):
+                if t in windows[100] or t in windows[1000]:
+                    shutil.copytree(tmp_path / "state", tmp_path / f"at{t}")
+                _ingest(srv, "k", [[t, "add" if t % 2 == 0 else "delete",
+                                    0, 9]])
+
+        def replay_seconds(t):
+            best = float("inf")
+            for i in range(3):
+                state = tmp_path / f"replay{t}.{i}"
+                shutil.copytree(tmp_path / f"at{t}", state)
+                with _daemon(state) as srv:
+                    t0 = time.perf_counter()
+                    assert srv.recover()["skipped"] == 0
+                    best = min(best, time.perf_counter() - t0)
+            return best
+
+        cycle = {n: sum(map(replay_seconds, w)) for n, w in windows.items()}
+        assert cycle[1000] <= 2.0 * cycle[100]

@@ -230,7 +230,9 @@ class Session:
         evicted and re-admitted, or re-admitted by anyone else, seeds a
         fresh engine from what is resident.  The engine leaves the table
         while it applies and returns only once ``registry.replace``
-        succeeds, so a refused or failed ingest leaves nothing behind.
+        succeeds, so a refused or failed ingest leaves nothing behind; it
+        returns without its batch history, so a resident graph's engine
+        holds O(graph), however long it ingests.
         """
         from repro.dynamic.engine import StreamEngine
         from repro.dynamic.events import EdgeEvent, group_batches
@@ -276,6 +278,7 @@ class Session:
                     f"ingest failed at batch {engine.n_batches - base}: {exc}"
                 ) from exc
             published = self.registry.replace(name, engine.snapshot()).graph
+            engine.forget_history()  # the session never reads it back
             self._engines[name] = (engine, published)
         return {
             "graph": name,

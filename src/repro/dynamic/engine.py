@@ -181,6 +181,16 @@ class StreamEngine:
         from :meth:`state` (read-only copy of the outer list)."""
         return list(self._applied_batches)
 
+    def forget_history(self) -> None:
+        """Drop the applied batches and their results, keeping their
+        count: the engine's analytics and later checksums are unchanged,
+        but it can no longer :meth:`save` (like a :meth:`from_state`
+        engine).  A long-lived engine calls this to hold O(graph), not
+        O(history)."""
+        self._n_restored = self.n_batches
+        self._applied_batches.clear()
+        self._results.clear()
+
     def snapshot(self) -> Graph:
         """Materialize the current edge set as a canonical CSR graph."""
         return self._graph.to_csr()
@@ -392,8 +402,8 @@ class StreamEngine:
         log there.
         """
         if self._n_restored:
-            raise ValueError("an engine rebuilt from state() has no batch "
-                             "history to log")
+            raise ValueError("an engine rebuilt from state() or past "
+                             "forget_history() has no batch history to log")
         path = Path(path)
         if self._log is None or self._log.path != path:
             self._log = RecordLog(

@@ -39,7 +39,6 @@ from repro.kernels.sssp import (
     SSSPResult,
     delta_stepping,
     dijkstra,
-    shortest_path_distances,
 )
 from repro.kernels.spanning import spanning_forest
 from repro.kernels.segments import (
@@ -76,7 +75,6 @@ __all__ = [
     "SSSPResult",
     "delta_stepping",
     "dijkstra",
-    "shortest_path_distances",
     "spanning_forest",
     "segment_sums",
     "segment_maxes",

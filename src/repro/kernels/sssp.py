@@ -185,17 +185,3 @@ def dijkstra(
     ctx.serial(float(ops))
     return SSSPResult(dist, parent)
 
-
-def shortest_path_distances(
-    g: GraphLike,
-    source: int,
-    *,
-    method: str = "delta",
-    ctx: Optional[ParallelContext] = None,
-) -> np.ndarray:
-    """Distance array via the chosen engine ('delta' or 'dijkstra')."""
-    if method == "delta":
-        return delta_stepping(g, source, ctx=ctx).distances
-    if method == "dijkstra":
-        return dijkstra(g, source, ctx=ctx).distances
-    raise ValueError(f"unknown method {method!r}")

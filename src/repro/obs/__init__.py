@@ -24,7 +24,6 @@ from repro.obs.sinks import (
     iter_jsonl,
     span_tree,
     write_json,
-    write_jsonl,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -50,7 +49,6 @@ __all__ = [
     "RunResult",
     "span_tree",
     "write_json",
-    "write_jsonl",
     "iter_jsonl",
     "flame_summary",
 ]

@@ -4,8 +4,8 @@ Three consumers of one :class:`~repro.obs.tracer.Span` tree:
 
 * :func:`span_tree` / :func:`write_json` — the nested dict the CLI's
   ``--profile``/``profile`` commands persist (and benchmarks diff);
-* :func:`iter_jsonl` / :func:`write_jsonl` — one flat JSON object per
-  span (``id``/``parent`` links), the streaming-friendly export;
+* :func:`iter_jsonl` — one flat JSON object per span (``id``/``parent``
+  links), the streaming-friendly export;
 * :func:`flame_summary` — per-path aggregation (calls, total/self
   seconds) rendered as an indented text "flame" for terminals.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "span_tree",
     "write_json",
     "iter_jsonl",
-    "write_jsonl",
     "flame_summary",
 ]
 
@@ -70,12 +69,6 @@ def iter_jsonl(root: Span) -> Iterator[str]:
         )
         for c in reversed(sp.children):
             stack.append((c, sid, depth + 1))
-
-
-def write_jsonl(root: Span, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.write_text("\n".join(iter_jsonl(root)) + "\n")
-    return path
 
 
 def flame_summary(root: Span, *, max_depth: int = 6, min_fraction: float = 0.002) -> str:

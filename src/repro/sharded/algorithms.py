@@ -91,23 +91,29 @@ DEFAULT_CHUNK_EDGES = 1 << 20
 ARC_CHUNK = 1 << 21
 
 
-def _reduce_over_rows(ufunc, local_vals, sh, out: np.ndarray) -> np.ndarray:
+def _reduce_over_rows(
+    ufunc, local_vals, sh, out: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Fold ``ufunc`` over each owned row's neighbor values into ``out``
     (``local_vals`` is indexed by local id; rows without arcs keep
-    ``out[r]``), walking the CSR in ``ARC_CHUNK`` blocks."""
+    ``out[r]``), walking the CSR in ``ARC_CHUNK`` blocks.  With ``rows``
+    (ascending owned row ids) only those rows are folded."""
     offs, tg = sh.offsets, sh.targets
-    deg = offs[1:] - offs[:-1]
+    starts = offs[:-1] if rows is None else offs.take(rows)
+    deg = (offs[1:] if rows is None else offs.take(rows + 1)) - starts
     bounds = chunk_bounds(deg, ARC_CHUNK)
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        rows = b0 + np.flatnonzero(deg[b0:b1])
-        if rows.shape[0]:
-            nbr = local_vals.take(tg[offs[b0]:offs[b1]])
-            out[rows] = ufunc(out[rows], ufunc.reduceat(nbr, offs[rows] - offs[b0]))
+        nz = b0 + np.flatnonzero(deg[b0:b1])
+        if not nz.shape[0]:
+            continue
+        if rows is None:  # whole rows are one contiguous arc range
+            arcs, heads, dest = tg[offs[b0]:offs[b1]], offs[nz] - offs[b0], nz
+        else:
+            lens = deg.take(nz)
+            arcs = tg.take(concat_ranges(starts.take(nz), lens))
+            heads, dest = np.cumsum(lens) - lens, rows.take(nz)
+        out[dest] = ufunc(out[dest], ufunc.reduceat(local_vals.take(arcs), heads))
     return out
-
-
-# Worker-side shard cache lives in repro.sharded.shards so the BSP
-# driver can drop it between supersteps without a circular import.
 
 
 def _resolve_driver(
@@ -129,17 +135,19 @@ def _msbfs_level_worker(task):
     Push (``rows`` = owned frontier rows, ``words`` their new-lane
     words): each word travels along its row's arcs and is OR-ed per
     target.  Pull (``rows is None``, ``words`` = the dense global
-    frontier): every owned row ORs the frontier words of its neighbors.
-    Neither side sees ``seen`` — the coordinator masks the merged words —
-    so on an undirected graph both name the same newly reached set.
+    frontier, then ``unfinished`` = the owned rows still missing a lane,
+    or ``None`` for all of them): those rows OR the frontier words of
+    their neighbors.  Neither side sees ``seen`` — the coordinator masks
+    the merged words — so on an undirected graph both name the same
+    newly reached set.
     """
-    path, index, rows, words = task
+    path, index, rows, words, *unfinished = task
     sh = _cached_shard(path, index)
     offs, tg, l2g = sh.offsets, sh.targets, sh.local_to_global
     if rows is None:
         got = _reduce_over_rows(
             np.bitwise_or, words.take(l2g), sh,
-            np.zeros(sh.n_owned, dtype=words.dtype),
+            np.zeros(sh.n_owned, dtype=words.dtype), unfinished[0],
         )
         tgt = got.nonzero()[0]  # owned rows lead the local ids
         return l2g.take(tgt), got.take(tgt)
@@ -154,6 +162,16 @@ def _msbfs_level_worker(task):
     if len(blocks) > 1:
         tgt, got = _or_by_target(tgt, got)
     return l2g.take(tgt), got
+
+
+def _unfinished_rows(seen, all_lanes, ids, rows, degs) -> Optional[np.ndarray]:
+    """The owned ``rows`` (global ``ids``, ``degs`` arcs each: a shard's
+    rows with arcs) whose ``seen`` word still lacks a lane, or ``None``
+    (pull every row) when they hold at least half of the shard's arcs."""
+    unfinished = seen.take(ids) != all_lanes
+    if 2 * int(degs[unfinished].sum()) >= int(degs.sum()):
+        return None
+    return rows[unfinished]
 
 
 def sharded_msbfs(
@@ -198,6 +216,11 @@ def sharded_msbfs(
     owner, local_index = ss.owner, ss.local_index
     active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
     paths = {s: str(ss.shard_path(s)) for s in active}
+    with_arcs = {}  # shard -> its owned rows with arcs: (ids, rows, degs)
+    for s in active:
+        degs = degs_all.take(ss.owned(s))
+        rows = np.flatnonzero(degs)
+        with_arcs[s] = (ss.owned(s).take(rows), rows, degs.take(rows))
     tag = checkpoint_tag
     records = drv.resume(tag, {"n": n, "srcs": srcs, "max_depth": max_depth}) or []
     resume_lo = records[-1][0] if records else 0
@@ -208,6 +231,7 @@ def sharded_msbfs(
         seen, verts, words = _seed_lane_words(
             srcs[lo : lo + _WORD_LANES], dist_flat, n
         )
+        all_lanes = seen.dtype.type((1 << rows.shape[0]) - 1)
         level = 0
         for _, level, verts, words in (r for r in records if r[0] == lo):
             seen[verts] |= words
@@ -221,9 +245,16 @@ def sharded_msbfs(
             if pull:
                 # Every payload shares ONE reference to the dense
                 # frontier — O(n) words resident, not O(n + total halo).
+                # A row with every lane seen cannot claim anything, so
+                # a shard whose unfinished rows hold under half its
+                # arcs pulls over those rows only.
                 frontier = np.zeros(n, dtype=words.dtype)
                 frontier[verts] = words
-                payloads = [(paths[s], s, None, frontier) for s in active]
+                payloads = [
+                    (paths[s], s, None, frontier,
+                     _unfinished_rows(seen, all_lanes, *with_arcs[s]))
+                    for s in active
+                ]
             else:
                 ow = owner.take(verts)
                 payloads = []
@@ -368,7 +399,7 @@ def sharded_connected_components(
         )
         verts, vals = [], []
         for s, res in zip(active, results):
-            owned = ss.member_array(s, "owned")
+            owned = ss.owned(s)
             lower = (res < label[owned]).nonzero()[0]
             verts.append(owned.take(lower))
             vals.append(res.take(lower))
@@ -588,7 +619,7 @@ def _gather_strengths(drv: BSPDriver) -> np.ndarray:
     results = drv.superstep("pla:strengths", _pla_strength_worker, payloads)
     strength = np.zeros(ss.n_vertices, dtype=np.float64)
     for s, res in zip(active, results):
-        strength[ss.member_array(s, "owned")] = res
+        strength[ss.owned(s)] = res
     return strength
 
 

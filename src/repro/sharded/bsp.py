@@ -13,8 +13,8 @@ plus the immutable on-disk shard, so:
   *same* payload — i.e. from the state of the last completed superstep —
   and produces bit-identical results.
 * **Working memory** stays ``O(largest shard + halo)`` per worker (each
-  worker memory-maps at most one shard at a time) plus ``O(n)`` vertex
-  state at the coordinator — never the ``O(n + m)`` in-core CSR.
+  worker has at most one shard's pages resident at a time) plus ``O(n)``
+  vertex state at the coordinator — never the ``O(n + m)`` in-core CSR.
 
 The driver records per-superstep wall time and boundary-exchange bytes
 (payload out / results in) for the ``shard_full`` benchmark gate, and
@@ -237,8 +237,8 @@ class BSPDriver:
         """
         index = self.last_completed + 1
         # Model the mmap page-in of each shard the first time a
-        # superstep touches it (the worker-side cache makes later
-        # touches warm); payloads lead with (path, shard_index, ...).
+        # superstep touches it (later touches re-fault from the page
+        # cache); payloads lead with (path, shard_index, ...).
         for p in payloads:
             if isinstance(p, tuple) and len(p) >= 2 and isinstance(p[1], int):
                 s = p[1]
@@ -253,11 +253,11 @@ class BSPDriver:
         t0 = time.perf_counter()
         results = self.ctx.map(worker, list(payloads))
         seconds = time.perf_counter() - t0
-        # In-process backends leave the last shard mapped in this
-        # process; drop it so coordinator merge transients between
-        # supersteps don't stack on top of mapped shard pages.  (With
-        # the process backend the caches live in the children — this
-        # clears the coordinator's empty cache, a no-op.)
+        # In-process backends leave the last shard resident in this
+        # process; release its pages (the mapping stays) so coordinator
+        # merge transients between supersteps don't stack on top of
+        # them.  (With the process backend the resident shards live in
+        # the children.)
         clear_shard_cache()
         self.stats.append(
             SuperstepStats(

@@ -23,8 +23,11 @@ Members of the uncompressed ``.npz`` archives are *memory-mapped* (the
 zip directory gives each member's data offset; one ``mmap`` of the file
 carries an ``np.frombuffer`` view per member), so opening a shard costs
 pages, not copies — ``np.load`` alone would read ``.npz`` members
-eagerly.  The member layout is parsed once per file version per
-process, so re-opening a shard every superstep is one ``mmap`` call.
+eagerly.  Each process maps a shard file once: the shard cache keeps
+one read-only mapping per shard file of the set in use, keyed by file
+identity, and bounds residency by releasing pages (``madvise``), not by
+unmapping — at most one shard's pages are resident per executing
+worker.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import math
 import mmap
 import os
 import struct
+import threading
 import types
 import zipfile
 import zlib
@@ -126,16 +130,23 @@ def npz_member_layout(path: Path | str):
     """Data layout of an *uncompressed* ``.npz``: read-only mapping
     name → (dtype, shape, absolute byte offset of the raw array data).
 
-    Parsed once per ``(path, st_mtime_ns, st_size)`` per process: BSP
-    workers re-open their shard every superstep, and the zip directory
-    plus ``.npy`` header parse was most of that open.
+    Parsed once per file identity ``(path, st_ino, st_mtime_ns,
+    st_size)`` per process: the coordinator's chunked edge-stream
+    readers re-open ``edges.npz`` on every modularity pass, and a file
+    rewritten at the same path is parsed afresh.
     """
+    return _parse_member_layout(str(path), _file_identity(path))
+
+
+def _file_identity(path) -> tuple[int, int, int]:
+    """``(st_ino, st_mtime_ns, st_size)``: changes when a file is
+    rewritten, in place or by rename."""
     st = os.stat(path)
-    return _parse_member_layout(str(path), st.st_mtime_ns, st.st_size)
+    return st.st_ino, st.st_mtime_ns, st.st_size
 
 
 @functools.lru_cache(maxsize=256)
-def _parse_member_layout(path_str: str, mtime_ns: int, size: int):
+def _parse_member_layout(path_str: str, identity: tuple):
     path = Path(path_str)
     out: dict[str, tuple[np.dtype, tuple, int]] = {}
     with zipfile.ZipFile(path) as zf, open(path, "rb") as raw:
@@ -262,8 +273,10 @@ class Shard:
 
 def load_shard(path: Path | str, *, index: int = -1) -> Shard:
     """Memory-map one ``shard_NNNN.npz`` payload."""
-    path = Path(path)
-    members = mmap_npz(path)
+    return _shard_view(Path(path), index, mmap_npz(path))
+
+
+def _shard_view(path: Path, index: int, members: dict) -> Shard:
     for required in ("owned", "halo", "offsets", "targets"):
         if required not in members:
             raise GraphFormatError(f"{path.name}: missing member {required!r}")
@@ -283,31 +296,101 @@ def load_shard(path: Path | str, *, index: int = -1) -> Shard:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side shard cache: at most ONE mapped shard per worker process,
-# so a worker's resident set stays O(largest shard) no matter how many
-# shards it serves over the run.  Workers are otherwise stateless —
-# recovery re-runs a payload on any worker and gets identical bits.
+# Process-wide shard cache.  One read-only mapping per shard file of the
+# shard set in use, kept across supersteps and runs, so a shard is mapped
+# once per process however often workers touch it.  Residency is bounded
+# by releasing pages, not by unmapping: activating a shard releases the
+# calling thread's previous one with madvise(MADV_DONTNEED), so each
+# executing worker has at most one shard's pages resident.  Pages of a
+# MAP_SHARED file mapping re-fault from the page cache, so a release
+# never changes what a view reads, and an entry is re-opened only when
+# its file identity changes (a shard set rebuilt at the same path).
+# Workers stay stateless: recovery re-runs a payload on any worker and
+# gets identical bits.
 # ---------------------------------------------------------------------------
-_SHARD_CACHE: dict = {}
+@dataclass
+class _Mapped:
+    path: Path
+    identity: tuple
+    members: dict           # member views over one mmap
+    mapped: mmap.mmap
+    shard: Optional[Shard] = None  # built on activation, dropped on release
+
+    def release(self) -> None:
+        self.shard = None  # callers' references stay valid
+        self.mapped.madvise(mmap.MADV_DONTNEED)
+
+
+def _backing_mmap(arr: np.ndarray) -> mmap.mmap:
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj
+
+
+class _ShardCache:
+    """The process's shard mappings, guarded by ``lock``."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.root: Optional[str] = None  # directory of the set in use
+        self.entries: dict[str, _Mapped] = {}
+        self.active = threading.local()  # .path: this thread's resident shard
+
+    def activate(self, path: str, index: int) -> Shard:
+        identity = _file_identity(path)
+        with self.lock:
+            root = os.path.dirname(path)
+            if root != self.root:  # another shard set: drop this one's
+                self.release_all()
+                self.entries.clear()
+                self.root = root
+            previous = self.entries.get(getattr(self.active, "path", None))
+            self.active.path = path
+            entry = self.entries.get(path)
+            if previous is not None and previous is not entry:
+                previous.release()
+            if entry is None or entry.identity != identity:
+                if entry is not None:
+                    entry.release()
+                members = mmap_npz(path)
+                sh = _shard_view(Path(path), index, members)
+                entry = self.entries[path] = _Mapped(
+                    sh.path, identity, members, _backing_mmap(sh.owned), sh
+                )
+            if entry.shard is None:
+                entry.shard = _shard_view(entry.path, index, entry.members)
+            return entry.shard
+
+    def release_all(self) -> None:
+        for entry in self.entries.values():
+            entry.release()
+
+    def after_fork(self) -> None:
+        # A pool worker forked while another thread held the lock must
+        # not inherit it held.
+        self.lock = threading.Lock()
+
+
+_SHARD_CACHE = _ShardCache()
+os.register_at_fork(after_in_child=_SHARD_CACHE.after_fork)
 
 
 def _cached_shard(path: str, index: int) -> Shard:
-    sh = _SHARD_CACHE.get(path)
-    if sh is None:
-        _SHARD_CACHE.clear()
-        sh = load_shard(path, index=index)
-        _SHARD_CACHE[path] = sh
-    return sh
+    """The shard at ``path`` through the process-wide cache, resident
+    for the calling thread until it activates another shard or the
+    cache is cleared."""
+    return _SHARD_CACHE.activate(path, index)
 
 
 def clear_shard_cache() -> None:
-    """Drop the worker-side shard cache (releases its mapped pages).
+    """Release every cached shard's pages, keeping the mappings.
 
     The BSP driver calls this after each superstep so that, with the
     in-process backends, coordinator merge transients never stack on
-    top of the last worker's still-mapped shard.
+    top of the last worker's resident shard.
     """
-    _SHARD_CACHE.clear()
+    with _SHARD_CACHE.lock:
+        _SHARD_CACHE.release_all()
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +424,7 @@ class ShardSet:
             )
         self.root = Path(root)
         self.manifest = manifest
-        self._shards: dict[int, Shard] = {}
+        self._owned: Optional[list[np.ndarray]] = None
         self._owner: Optional[np.ndarray] = None
         self._local_index: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
@@ -402,11 +485,9 @@ class ShardSet:
 
     # -- shard access -------------------------------------------------------
     def shard(self, index: int) -> Shard:
-        sh = self._shards.get(index)
-        if sh is None:
-            sh = load_shard(self.shard_path(index), index=index)
-            self._shards[index] = sh
-        return sh
+        """Shard ``index`` through the process-wide shard cache: resident
+        until this thread activates another shard."""
+        return _cached_shard(str(self.shard_path(index)), index)
 
     def member_array(self, index: int, member: str) -> np.ndarray:
         """One 1-D member of a shard, via ``read(2)`` — no mmap growth.
@@ -417,6 +498,12 @@ class ShardSet:
         """
         reader = MemberReader(self.shard_path(index), member)
         return reader.read(0, reader.length)
+
+    def owned(self, index: int) -> np.ndarray:
+        """Global ids owned by shard ``index``, read once per shard set."""
+        if self._owned is None:
+            self._owned = [self.member_array(s, "owned") for s in range(self.k)]
+        return self._owned[index]
 
     @property
     def owner(self) -> np.ndarray:
@@ -436,7 +523,7 @@ class ShardSet:
         owner = np.full(self.n_vertices, -1, dtype=np.int32)
         local = np.full(self.n_vertices, -1, dtype=np.int64)
         for s in range(self.k):
-            owned = self.member_array(s, "owned")
+            owned = self.owned(s)
             owner[owned] = s
             local[owned] = np.arange(owned.shape[0], dtype=np.int64)
         if self.n_vertices and (owner < 0).any():
@@ -451,7 +538,7 @@ class ShardSet:
         if self._degrees is None:
             deg = np.zeros(self.n_vertices, dtype=np.int64)
             for s in range(self.k):
-                owned = self.member_array(s, "owned")
+                owned = self.owned(s)
                 if owned.shape[0]:
                     deg[owned] = np.diff(self.member_array(s, "offsets"))
             self._degrees = deg

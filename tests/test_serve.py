@@ -875,6 +875,44 @@ class TestIngest:
         ]
         assert got.n_edges == ref.n_edges
 
+    def test_session_engine_keeps_no_history(self, rmat, tmp_path):
+        """After each ingest the resident graph's engine drops its
+        applied batches and results; its batch count and every checksum,
+        also across a state() restore, are those of an engine that kept
+        them."""
+        import pickle
+
+        from repro.dynamic import EdgeEvent, StreamEngine
+
+        n = rmat.n_vertices
+        pairs = np.random.default_rng(5).integers(0, n, size=(51, 3, 2))
+        batches = [
+            [EdgeEvent("add", int(u), int(v), t=t + 1) for u, v in row if u != v]
+            for t, row in enumerate(pairs)
+        ]
+        ref = StreamEngine.from_graph(
+            rmat, analytics=("components", "stats", "degree"), k=10
+        )
+        want = [ref.apply_batch(b).checksum for b in batches]
+        got = []
+        with api.Session() as s:
+            s.add("g", rmat)
+            for b in batches[:50]:
+                doc = s.ingest("g", b)
+                got += [x["checksum"] for x in doc["batches"]]
+            engine, _ = s._engines["g"]
+            assert engine.applied_batches == [] and engine.results == []
+            with pytest.raises(ValueError, match="no batch history"):
+                engine.save(tmp_path / "stream.ckpt")
+            assert doc["n_batches_total"] == 1 + 50
+            state = pickle.loads(pickle.dumps(s.state()))
+        with api.Session() as s:
+            s.restore(state)
+            doc = s.ingest("g", batches[50])
+            got += [x["checksum"] for x in doc["batches"]]
+        assert doc["n_batches_total"] == ref.n_batches
+        assert got == want
+
     def test_session_reloaded_name_starts_from_what_is_resident(self):
         with api.Session() as s:
             s.add("g", from_edge_list(PATH, n_vertices=6))

@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from repro.sharded import (
     sharded_modularity,
     sharded_msbfs,
     sharded_pla,
+    shards,
 )
 
 
@@ -378,6 +382,27 @@ class TestMsbfsWordParity:
                     driver=drv)
         assert any(drv.pulled) and not drv.pulled[0]
 
+    def test_late_pulls_scan_unfinished_rows_only(self, rmat10, layouts):
+        """Sources in one component let rows see every lane: a pull level
+        whose unfinished rows hold under half a shard's arcs ships just
+        those rows, and the claims stay exact."""
+        labels = connected_components(rmat10)
+        ids, counts = np.unique(labels, return_counts=True)
+        giant = np.flatnonzero(labels == ids[counts.argmax()])
+        drv = BSPDriver(layouts["k3"])
+        orig, shipped = drv.superstep, []
+
+        def superstep(phase, worker, payloads, **kws):
+            shipped.extend(p[4] for p in payloads if p[2] is None)
+            return orig(phase, worker, payloads, **kws)
+
+        drv.superstep = superstep
+        sources = giant[::max(1, giant.shape[0] // 16)][:16].tolist()
+        self._check(rmat10, layouts["k3"], sources, driver=drv)
+        assert any(rows is None for rows in shipped)
+        restricted = [rows for rows in shipped if rows is not None]
+        assert restricted and all(r.shape[0] for r in restricted)
+
     def test_long_path_never_pulls(self, tmp_path):
         n = 1200
         g = from_edge_array(n, np.arange(n - 1), np.arange(1, n),
@@ -403,6 +428,121 @@ class TestBackendParity:
         ref_pla = pla(karate, multilevel=True)
         assert res.modularity == ref_pla.modularity
         assert np.array_equal(res.labels, ref_pla.labels)
+
+
+# ---------------------------------------------------------------------------
+# Process-wide shard cache (DESIGN §12): one mapping per shard file of
+# the set in use, at most one shard's pages resident per worker
+# ---------------------------------------------------------------------------
+def _shard_file_usage(ss):
+    """``(resident bytes, open descriptors)`` of this process's mappings
+    of ``ss``'s shard files, from ``/proc/self/{smaps,fd}``."""
+    files = {os.path.realpath(ss.shard_path(s)) for s in range(ss.k)}
+    rss, mapped = 0, None
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = line.split()
+            if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", head[0]):
+                mapped = head[5] if len(head) > 5 else None
+            elif head[0] == "Rss:" and mapped in files:
+                rss += int(head[1]) * 1024
+    fds = sum(
+        os.path.realpath(f"/proc/self/fd/{fd}") in files
+        for fd in os.listdir("/proc/self/fd")
+    )
+    return rss, fds
+
+
+class TestShardCache:
+    @pytest.fixture
+    def rmat12(self, tmp_path):
+        g = rmat(12, 8.0, rng=np.random.default_rng(12))
+        return g, build_shard_set(g, tmp_path / "s", k=4)
+
+    def test_one_shard_resident(self, rmat12):
+        """After each activation the resident shard-file pages are at
+        most one shard's, one descriptor per file at most; a clear
+        leaves none resident and the released views still read."""
+        _, ss = rmat12
+        largest = max(ss.shard_path(s).stat().st_size for s in range(ss.k))
+        limit = -(-largest // mmap.PAGESIZE) * mmap.PAGESIZE
+        for s in (0, 1, 2, 3, 1, 0, 3):
+            sh = ss.shard(s)
+            for a in (sh.owned, sh.halo, sh.offsets, sh.targets, sh.arc_edge_ids):
+                if a is not None:
+                    a.sum()  # fault every page of the shard in
+            rss, fds = _shard_file_usage(ss)
+            assert 0 < rss <= limit
+            assert fds <= ss.k
+        total = int(sh.targets.sum())
+        shards.clear_shard_cache()
+        assert _shard_file_usage(ss)[0] == 0
+        assert int(sh.targets.sum()) == total
+
+    def test_each_shard_file_mapped_once(self, rmat12, monkeypatch):
+        """Supersteps reuse the mappings instead of re-opening shards:
+        one ``mmap_npz`` per shard file, none on a repeat run."""
+        g, ss = rmat12
+        opened = []
+        real = shards.mmap_npz
+        monkeypatch.setattr(
+            shards, "mmap_npz", lambda path: opened.append(str(path)) or real(path)
+        )
+        sources = [0, 1, 2, 3]
+        got = sharded_msbfs(ss, sources)
+        assert np.array_equal(got.distances, msbfs(g, sources).distances)
+        assert sorted(opened) == sorted(str(ss.shard_path(s)) for s in range(ss.k))
+        opened.clear()
+        sharded_msbfs(ss, sources)
+        sharded_connected_components(ss)
+        assert opened == []
+
+    def test_rebuilt_set_at_same_path_is_reread(self, tmp_path):
+        """A pool worker that served a shard set reads a set rebuilt at
+        the same path through the new files, never its old mapping."""
+        with ParallelContext(2, backend="process") as ctx:
+            for seed in range(8):
+                g = rmat(10 + seed % 2, 8.0, rng=np.random.default_rng(seed))
+                ss = build_shard_set(g, tmp_path / "s", k=4)
+                got = sharded_msbfs(ss, [0, 1, 2], ctx=ctx)
+                assert np.array_equal(
+                    got.distances, msbfs(g, [0, 1, 2]).distances
+                )
+
+    def test_threads_share_the_cache(self, rmat12):
+        """More threads than cores activating shards at random under a
+        short switch interval, each releasing shards others still read:
+        every read sees its own shard's data, one mapping per file."""
+        _, ss = rmat12
+        want = [int(ss.owned(s).sum()) for s in range(ss.k)]
+        errors = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            for s in rng.integers(0, ss.k, size=200).tolist():
+                sh = ss.shard(s)
+                if (sh.index, int(sh.local_to_global[:sh.n_owned].sum()),
+                        int(sh.owned.sum())) != (s, want[s], want[s]):
+                    errors.append(s)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(shards._SHARD_CACHE.entries) == sorted(
+            str(ss.shard_path(s)) for s in range(ss.k)
+        )
+        shards.clear_shard_cache()
+        rss, fds = _shard_file_usage(ss)
+        assert rss == 0 and fds <= ss.k
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ costs O(|cluster|) instead of O(m).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -37,38 +37,65 @@ def modularity_evaluator(graph: Graph) -> Callable[[np.ndarray], float]:
     """``labels -> modularity(graph, labels)`` for repeated evaluation:
     the graph-side invariants (edge endpoints, weights, total weight)
     are read once, so scoring many partitions of one graph — the pLA
-    sweep guard — pays only the label-dependent part per call.
+    sweep guard — pays only the label-dependent part per call.  It is
+    the one-chunk case of :func:`modularity_fold`.
     """
     n, m = graph.n_vertices, graph.n_edges
     u, v = graph.edge_endpoints()
     w = graph.edge_weights()
     total_w = float(w.sum())
-    uv = np.concatenate([u, v])
-    ww = np.concatenate([w, w])
+    one_chunk = ((u, v, w),)
+    return lambda labels: modularity_fold(labels, n, m, total_w, lambda: one_chunk)
 
-    def q_of(labels: np.ndarray) -> float:
-        labels = np.asarray(labels)
-        if labels.shape[0] != n:
-            raise ClusteringError(
-                f"labels length {labels.shape[0]} != n_vertices {n}"
-            )
-        if m == 0:
-            return 0.0
-        _, dense = np.unique(labels, return_inverse=True)
-        k = int(dense.max()) + 1
-        d_uv = dense[uv]
-        du = d_uv[:m]
-        same = np.flatnonzero(du == d_uv[m:])
-        # bincount adds one element at a time in index order (the
-        # floats of an ``np.add.at`` scatter).  The order is contract —
-        # the sharded stream replays it: intra over the same-cluster
-        # edges; strength over the ``u`` stream, then the ``v`` stream.
-        intra = np.bincount(du[same], weights=w[same], minlength=k)
-        strength = np.bincount(d_uv, weights=ww, minlength=k)
-        q = intra.sum() / total_w - float(((strength / (2.0 * total_w)) ** 2).sum())
-        return float(q)
 
-    return q_of
+def modularity_fold(
+    labels: np.ndarray,
+    n_vertices: int,
+    n_edges: int,
+    total_w: float,
+    chunks: Callable[[], Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> float:
+    """Modularity of ``labels`` over an edge stream read in chunks.
+
+    ``chunks()`` yields ``(u, v, w)`` edge chunks in edge-id order and
+    is called twice.  ``bincount`` adds one element at a time in index
+    order, and each later chunk is added onto the running per-cluster
+    sums the same way, so the floats are those of one ``bincount`` over
+    the whole stream, however it is chunked.  The order is contract:
+    intra over the same-cluster edges; strength over the ``u`` stream,
+    then the ``v`` stream.
+    """
+    labels = np.asarray(labels)
+    if labels.shape[0] != n_vertices:
+        raise ClusteringError(
+            f"labels length {labels.shape[0]} != n_vertices {n_vertices}"
+        )
+    if n_edges == 0:
+        return 0.0
+    _, dense = np.unique(labels, return_inverse=True)
+    k = int(dense.max()) + 1
+    intra = strength = None
+    for u, v, w in chunks():
+        du, dv = dense[u], dense[v]
+        same = np.flatnonzero(du == dv)
+        intra = _carry_sums(intra, du[same], w[same], k)
+        strength = _carry_sums(strength, du, w, k)
+    for _, v, w in chunks():
+        strength = _carry_sums(strength, dense[v], w, k)
+    q = intra.sum() / total_w - float(((strength / (2.0 * total_w)) ** 2).sum())
+    return float(q)
+
+
+def _carry_sums(
+    acc: Optional[np.ndarray], keys: np.ndarray, weights: np.ndarray, k: int
+) -> np.ndarray:
+    """Per-cluster sums of ``weights`` added onto the running ``acc``
+    (``None`` before the first part) one element at a time in index
+    order: bit for bit one ``bincount`` over every part so far."""
+    if acc is None:
+        return np.bincount(keys, weights=weights, minlength=k)
+    np.add.at(acc, keys, weights)
+    return acc
 
 
 def labels_to_communities(labels: np.ndarray) -> list[np.ndarray]:

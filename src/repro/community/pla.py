@@ -398,9 +398,26 @@ def _sweep_once(
     """
     if src.shape[0] == 0:
         return labels, q, 0
+    return _guarded_sweep(
+        labels, strength_v, q, q_of,
+        lambda S: _best_moves(labels, strength_v, S, W, src, tgt, w),
+    )
+
+
+def _guarded_sweep(
+    labels: np.ndarray,
+    strength_v: np.ndarray,
+    q: float,
+    q_of: Callable[[np.ndarray], float],
+    best_moves: Callable[[np.ndarray], tuple],
+) -> tuple[np.ndarray, float, int]:
+    """The sweep step both drivers share: the cluster strengths ``S`` of
+    ``labels``, every vertex's best move from ``best_moves(S)`` (one
+    :func:`_best_moves` call in core, one superstep over the shards in
+    ``sharded_pla``) in ascending vertex order, and the guard of
+    :func:`_apply_guarded_moves`."""
     S = np.bincount(labels, weights=strength_v, minlength=strength_v.shape[0])
-    vid, best_lab, best_gain = _best_moves(labels, strength_v, S, W, src, tgt, w)
-    return _apply_guarded_moves(labels, q, vid, best_lab, best_gain, q_of)
+    return _apply_guarded_moves(labels, q, *best_moves(S), q_of)
 
 
 def _local_moving_refinement(
@@ -462,11 +479,23 @@ def _multilevel_pla(
     # Uncoarsening refinement: a final round of sweeps on the fine graph
     # recovers the quality lost to coarse-level move granularity.
     labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+    return _multilevel_result(
+        labels, modularity_evaluator(graph), n_levels, n_sweeps
+    )
+
+
+def _multilevel_result(
+    labels: np.ndarray,
+    q_of: Callable[[np.ndarray], float],
+    n_levels: int,
+    n_sweeps: int,
+) -> ClusteringResult:
+    """The multilevel result, in core or sharded: ``labels`` renumbered
+    densely and scored by ``q_of``."""
     labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    q = modularity(graph, labels)
     return ClusteringResult(
         labels,
-        q,
+        q_of(labels),
         "pLA",
         extras={
             "multilevel": True,

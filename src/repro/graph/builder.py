@@ -249,33 +249,50 @@ def contract(graph: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     one edge id, so the super-vertex strength comes out as ``2w`` —
     the Louvain convention the modularity kernel already implements.
 
-    Runs in one sort pass over the canonical edge array.  Returns
-    ``(coarse, vertex_map)`` where ``vertex_map[v]`` is the coarse
-    vertex id (densified label) of fine vertex ``v``.
+    Runs in one sort pass over the canonical edge array — the one-chunk
+    case of :func:`contract_chunks`.  Returns ``(coarse, vertex_map)``
+    where ``vertex_map[v]`` is the coarse vertex id (densified label)
+    of fine vertex ``v``.
     """
     if graph.directed:
         raise GraphStructureError("contract requires an undirected graph")
+    u, v = graph.edge_endpoints()
+    return contract_chunks(
+        labels, graph.n_vertices, [(u, v, graph.edge_weights())]
+    )
+
+
+def contract_chunks(
+    labels: np.ndarray,
+    n_vertices: int,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[Graph, np.ndarray]:
+    """:func:`contract` over an edge stream read in ``(u, v, w)``
+    chunks, in edge-id order.
+
+    Each chunk's coarse edges are merged together with the ones carried
+    from the chunks before, each carried edge leading its group, so
+    every merged weight is summed in the one-pass stable (lo, hi) order
+    and the coarse graph is bit-identical however the stream is cut.
+    """
     labels = np.asarray(labels, dtype=VERTEX_DTYPE)
-    if labels.shape[0] != graph.n_vertices:
+    if labels.shape[0] != n_vertices:
         raise GraphStructureError("labels must have one entry per vertex")
     _, vertex_map = np.unique(labels, return_inverse=True)
     vertex_map = vertex_map.astype(VERTEX_DTYPE)
     k = int(vertex_map.max()) + 1 if vertex_map.shape[0] else 0
-    u, v = graph.edge_endpoints()
-    w = graph.edge_weights()
-    cu, cv = vertex_map[u], vertex_map[v]
-    lo = np.minimum(cu, cv)
-    hi = np.maximum(cu, cv)
-    if lo.shape[0] == 0:
-        return (
-            from_edge_array(k, lo, hi, directed=False, dedupe=False),
-            vertex_map,
-        )
-    # One sort pass: merge parallel coarse edges (self-loops kept),
-    # summing weights in stable (lo, hi) order.
-    lo, hi, merged_w = grouped_label_weights(lo, hi, w)
+    lo = hi = np.empty(0, dtype=VERTEX_DTYPE)
+    merged_w = np.empty(0, dtype=WEIGHT_DTYPE)
+    for i, (u, v, w) in enumerate(chunks):
+        cu, cv = vertex_map[u], vertex_map[v]
+        part = [np.minimum(cu, cv), np.maximum(cu, cv), w]
+        if i:
+            part = [np.concatenate(p) for p in zip((lo, hi, merged_w), part)]
+        # One sort pass: merge parallel coarse edges (self-loops kept),
+        # summing weights in stable (lo, hi) order.
+        lo, hi, merged_w = grouped_label_weights(*part)
     coarse = from_edge_array(
-        k, lo, hi, weights=merged_w,
+        k, lo, hi, weights=merged_w if lo.shape[0] else None,
         directed=False, dedupe=False, drop_self_loops=False,
     )
     return coarse, vertex_map

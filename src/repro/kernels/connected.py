@@ -76,15 +76,34 @@ def _sv_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
                 break
             hi = np.maximum(ls[cross], ld[cross])
             lo = np.minimum(ls[cross], ld[cross])
-            np.minimum.at(label, hi, lo)
-            # Pointer jumping to full compression.
-            while True:
-                nxt = label[label]
-                ctx.phase(float(n), 1.0)
-                if np.array_equal(nxt, label):
-                    break
-                label = nxt
+            label = _hook_round(label, hi, lo, ctx)
     return label
+
+
+def _hook_round(
+    label: np.ndarray,
+    roots: np.ndarray,
+    lows: np.ndarray,
+    ctx: Optional[ParallelContext] = None,
+) -> np.ndarray:
+    """One Shiloach–Vishkin round after its reads: hook each root in
+    ``roots`` onto the smallest label ``lows`` offers it (a scatter-min,
+    in place), then pointer-jump to full compression.
+
+    ``label`` must be fully compressed (every label a root), so the
+    hooks join whole trees and ``label[label]`` jumps each vertex to its
+    representative's label.  The sharded coordinator calls it with each
+    round's per-row minima, the in-core kernel with its cross arcs;
+    ``ctx`` charges each jump as one phase.  Returns the new labels.
+    """
+    np.minimum.at(label, roots, lows)
+    while True:
+        nxt = label[label]
+        if ctx is not None:
+            ctx.phase(float(label.shape[0]), 1.0)
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 def _bfs_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:

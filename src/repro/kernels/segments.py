@@ -18,7 +18,9 @@ instead of per-vertex Python loops, the hot paths express themselves as
 * **boundary-vertex detection** — the cross-label frontier used by the
   k-way refinement sweeps;
 * **work blocking** — :func:`chunk_bounds`, so a kernel's transients
-  stay a fixed size instead of growing with m (DESIGN §1.2).
+  stay a fixed size instead of growing with m (DESIGN §1.2), and
+  :func:`reduce_over_rows`, a per-row fold over CSR arcs in blocks of
+  ``ARC_CHUNK`` arcs.
 
 All functions are pure and deterministic: identical inputs produce
 bit-identical outputs on every execution backend, which is what lets
@@ -44,6 +46,8 @@ __all__ = [
     "grouped_label_weights",
     "boundary_vertices",
     "chunk_bounds",
+    "concat_ranges",
+    "reduce_over_rows",
     "intersect_sorted_segments",
     "compact_adjacency",
 ]
@@ -218,6 +222,56 @@ def chunk_bounds(work: np.ndarray, limit: int) -> np.ndarray:
     return np.unique(np.concatenate((
         np.zeros(1, dtype=np.int64), cuts, np.array([nv], dtype=np.int64)
     )))
+
+
+#: Arcs per block of :func:`reduce_over_rows` and the sharded push
+#: expansion: a row fold holds O(ARC_CHUNK) transients, never O(arcs).
+#: Blocks are row-aligned, so blocking never changes a result.  Read at
+#: call time, so a test can shrink it.
+ARC_CHUNK = 1 << 21
+
+
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lens)])``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    out = np.repeat(starts, lens)
+    csum = np.cumsum(lens)
+    within = np.arange(total, dtype=np.int64) - np.repeat(csum - lens, lens)
+    return out + within
+
+
+def reduce_over_rows(
+    ufunc,
+    vals: np.ndarray,
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    out: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Fold ``ufunc`` over each CSR row's target values into ``out``
+    (``vals`` is indexed by target id; rows without arcs keep
+    ``out[r]``), walking the arcs in ``ARC_CHUNK`` blocks.  With
+    ``rows`` (ascending row ids) only those rows are folded."""
+    offs, tg = offsets, targets
+    starts = offs[:-1] if rows is None else offs.take(rows)
+    deg = (offs[1:] if rows is None else offs.take(rows + 1)) - starts
+    bounds = chunk_bounds(deg, ARC_CHUNK)
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        nz = b0 + np.flatnonzero(deg[b0:b1])
+        if not nz.shape[0]:
+            continue
+        if rows is None:  # whole rows are one contiguous arc range
+            arcs, heads, dest = tg[offs[b0]:offs[b1]], offs[nz] - offs[b0], nz
+        else:
+            lens = deg.take(nz)
+            arcs = tg.take(concat_ranges(starts.take(nz), lens))
+            heads, dest = np.cumsum(lens) - lens, rows.take(nz)
+        out[dest] = ufunc(out[dest], ufunc.reduceat(vals.take(arcs), heads))
+    return out
 
 
 def intersect_sorted_segments(

@@ -13,31 +13,31 @@ state at the coordinator:
   owned rows, with the in-core dense pull step; the new bits are
   exactly the in-core level's, so the distance plane and level count
   match bit for bit.
-* :func:`sharded_connected_components` — min-label hook supersteps plus
-  coordinator pointer compression; converges to the min-vertex-id
-  labels the in-core Shiloach–Vishkin kernel is specified to return.
+* :func:`sharded_connected_components` — one superstep per round of
+  the in-core Shiloach–Vishkin kernel: shards return each owned row's
+  smallest neighbor label and the coordinator runs the in-core hook
+  round on them, so the rounds and labels are the in-core ones.
 * :func:`sharded_closeness` — sharded traversals + the in-core
   reduction/assembly arithmetic verbatim (unweighted graphs only, as
   in-core weighted closeness switches to per-source Dijkstra).
 * :func:`sharded_pla` — the multilevel Louvain loop of
   ``community.pla._multilevel_pla`` with the level-0 (fine-graph)
   sweeps, modularity guard, contraction and final refinement running
-  out of core.  Exactness hinges on three facts: per-vertex best-move
-  gains are a pure function of that vertex's own arc list (present in
-  full on its owning shard, in global CSR arc order); the dense local
-  label remap is monotone, so the ``pair_order`` grouping permutation
-  matches the global one; and the chunked edge-stream modularity
-  preserves the in-core ``bincount`` element-order accumulation
-  exactly.  Weighted-graph contraction materializes the coarse edge
-  list in core (float merge order cannot be chunked without changing
-  the sums) — documented fallback; the unweighted path streams integer
-  counts.
+  out of core, each through its in-core step: the sweep step, the
+  strength and loopless-arc helpers on each shard's rows, and the
+  modularity and contraction folds over the chunked edge stream (each
+  chunk starts from the carried sums, so the floats are the one-pass
+  ones, strength over ``u`` then ``v``).  Best moves are exact because
+  a vertex's gains are a pure function of its own arc list (present
+  in full on its owning shard, in global CSR arc order) and the dense
+  local label remap is monotone, so the ``pair_order`` grouping
+  permutation matches the global one.
 
 Every algorithm checkpoints through the driver's per-tag record log
 (DESIGN §13): after a superstep it hands
 :meth:`~repro.sharded.bsp.BSPDriver.maybe_checkpoint` only what that
 superstep wrote — msbfs the frontier a level claimed, components the
-labels a round lowered, closeness a finished batch's scores, pLA a
+hooks of a round, closeness a finished batch's scores, pLA a
 sweep's movers and phase scalars — and on resume folds the records
 :meth:`~repro.sharded.bsp.BSPDriver.resume` returns back into its
 state, in order.
@@ -45,16 +45,26 @@ state, in order.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.centrality.closeness import _lane_scores, _lane_totals
-from repro.community.pla import _apply_guarded_moves, _best_moves, _coarsen
+from repro.community.modularity import modularity_fold
+from repro.community.pla import (
+    _best_moves,
+    _coarsen,
+    _guarded_sweep,
+    _loopless_arcs,
+    _multilevel_result,
+    _vertex_strengths,
+)
 from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, GraphStructureError
-from repro.graph.builder import from_edge_array
-from repro.graph.csr import VERTEX_DTYPE, Graph
+from repro.graph.builder import contract_chunks
+from repro.graph.csr import Graph
+from repro.kernels import segments
 from repro.kernels.bfs import (
     MSBFSResult,
     UNREACHED,
@@ -67,9 +77,10 @@ from repro.kernels.bfs import (
     _seed_lane_words,
     source_batches,
 )
-from repro.kernels.segments import chunk_bounds, grouped_label_weights
+from repro.kernels.connected import _hook_round
+from repro.kernels.segments import concat_ranges, reduce_over_rows
 from repro.sharded.bsp import BSPDriver
-from repro.sharded.shards import ShardSet, _cached_shard, concat_ranges
+from repro.sharded.shards import ShardSet, _cached_shard
 
 __all__ = [
     "sharded_msbfs",
@@ -80,48 +91,10 @@ __all__ = [
     "sharded_pla",
 ]
 
-#: Edges per chunk for the streamed modularity / contraction passes.
-DEFAULT_CHUNK_EDGES = 1 << 20
-
-#: Arcs per block for worker-side neighbor expansions.  Workers never
-#: materialize a full-shard arc expansion — they walk the CSR in blocks
-#: of ~this many arcs, keeping transients O(ARC_CHUNK) instead of
-#: O(shard arcs).  Results are exact: blocks are row-aligned, per-row
-#: reductions are row-independent and per-target ORs re-reduce exactly.
-ARC_CHUNK = 1 << 21
-
-
-def _reduce_over_rows(
-    ufunc, local_vals, sh, out: np.ndarray, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Fold ``ufunc`` over each owned row's neighbor values into ``out``
-    (``local_vals`` is indexed by local id; rows without arcs keep
-    ``out[r]``), walking the CSR in ``ARC_CHUNK`` blocks.  With ``rows``
-    (ascending owned row ids) only those rows are folded."""
-    offs, tg = sh.offsets, sh.targets
-    starts = offs[:-1] if rows is None else offs.take(rows)
-    deg = (offs[1:] if rows is None else offs.take(rows + 1)) - starts
-    bounds = chunk_bounds(deg, ARC_CHUNK)
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        nz = b0 + np.flatnonzero(deg[b0:b1])
-        if not nz.shape[0]:
-            continue
-        if rows is None:  # whole rows are one contiguous arc range
-            arcs, heads, dest = tg[offs[b0]:offs[b1]], offs[nz] - offs[b0], nz
-        else:
-            lens = deg.take(nz)
-            arcs = tg.take(concat_ranges(starts.take(nz), lens))
-            heads, dest = np.cumsum(lens) - lens, rows.take(nz)
-        out[dest] = ufunc(out[dest], ufunc.reduceat(local_vals.take(arcs), heads))
-    return out
-
-
-def _resolve_driver(
-    shard_set: ShardSet, driver: Optional[BSPDriver], ctx
-) -> BSPDriver:
-    if driver is not None:
-        return driver
-    return BSPDriver(shard_set, ctx=ctx)
+def _broadcast(ss: ShardSet, *shared) -> list:
+    """One payload per active shard: its path and index, then ``shared``
+    by reference (coordinator state only advances between supersteps)."""
+    return [(str(ss.shard_path(s)), s, *shared) for s in ss.active]
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +118,14 @@ def _msbfs_level_worker(task):
     sh = _cached_shard(path, index)
     offs, tg, l2g = sh.offsets, sh.targets, sh.local_to_global
     if rows is None:
-        got = _reduce_over_rows(
-            np.bitwise_or, words.take(l2g), sh,
+        got = reduce_over_rows(
+            np.bitwise_or, words.take(l2g), offs, tg,
             np.zeros(sh.n_owned, dtype=words.dtype), unfinished[0],
         )
         tgt = got.nonzero()[0]  # owned rows lead the local ids
         return l2g.take(tgt), got.take(tgt)
     deg = offs[rows + 1] - offs[rows]
-    bounds = chunk_bounds(deg, ARC_CHUNK)
+    bounds = segments.chunk_bounds(deg, segments.ARC_CHUNK)
     blocks = []
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         dg = deg[b0:b1]
@@ -202,7 +175,7 @@ def sharded_msbfs(
     the crash interrupted is exact.
     """
     ss = shard_set
-    drv = _resolve_driver(ss, driver, ctx)
+    drv = driver or BSPDriver(ss, ctx=ctx)
     n = ss.n_vertices
     srcs = np.asarray(list(sources), dtype=np.int64)
     k = srcs.shape[0]
@@ -214,7 +187,7 @@ def sharded_msbfs(
         return MSBFSResult(srcs, dist, 0)
     degs_all = ss.degrees()
     owner, local_index = ss.owner, ss.local_index
-    active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
+    active = ss.active
     paths = {s: str(ss.shard_path(s)) for s in active}
     with_arcs = {}  # shard -> its owned rows with arcs: (ids, rows, degs)
     for s in active:
@@ -315,7 +288,7 @@ def sharded_closeness(
             "sharded closeness supports unweighted graphs only "
             "(in-core weighted closeness is per-source Dijkstra)"
         )
-    drv = _resolve_driver(ss, driver, ctx)
+    drv = driver or BSPDriver(ss, ctx=ctx)
     n = ss.n_vertices
     if sources is None:
         sources = range(n)
@@ -358,8 +331,9 @@ def _cc_round_worker(task):
     path, index, labels_global = task
     sh = _cached_shard(path, index)
     labels_local = labels_global[sh.local_to_global]
-    return _reduce_over_rows(
-        np.minimum, labels_local, sh, labels_local[: sh.n_owned].copy()
+    return reduce_over_rows(
+        np.minimum, labels_local, sh.offsets, sh.targets,
+        labels_local[: sh.n_owned].copy(),
     )
 
 
@@ -371,56 +345,43 @@ def sharded_connected_components(
 ) -> np.ndarray:
     """Component labels (min vertex id per component) over a shard set.
 
-    Min-label hook supersteps with coordinator pointer compression —
-    the same fixpoint the in-core Shiloach–Vishkin kernel returns, so
-    labels are bit-identical.  A round's checkpoint record is the
-    labels its hook lowered, ``(vertices, new labels)``; replaying one
-    re-runs the (deterministic) pointer compression after it.
+    Each superstep is one round of the in-core Shiloach–Vishkin kernel:
+    the shards return every owned row's smallest neighbor label, and
+    the coordinator hooks the root of each row that found a smaller one
+    with the in-core hook round (``kernels.connected._hook_round``), so
+    the rounds, and the labels, are the in-core ones.  A round's
+    checkpoint record is its hooks, ``(roots, labels)``, folded on
+    resume by the same hook round.
     """
     ss = shard_set
-    drv = _resolve_driver(ss, driver, ctx)
+    drv = driver or BSPDriver(ss, ctx=ctx)
     n = ss.n_vertices
     label = np.arange(n, dtype=np.int64)
     if ss.n_arcs == 0:
         return label
-    active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
     tag = "components"
     records = drv.resume(tag, {"n": n}) or []
-    for verts, vals in records:
-        label[verts] = vals
-        label = _compress_labels(label)
+    for roots, lows in records:
+        label = _hook_round(label, roots, lows)
     round_no = len(records)
     while True:
-        # The label snapshot is shared by reference across payloads —
-        # it only advances between supersteps (see msbfs note).
-        payloads = [(str(ss.shard_path(s)), s, label) for s in active]
         results = drv.superstep(
-            f"cc:round{round_no}", _cc_round_worker, payloads
+            f"cc:round{round_no}", _cc_round_worker, _broadcast(ss, label)
         )
-        verts, vals = [], []
-        for s, res in zip(active, results):
-            owned = ss.owned(s)
-            lower = (res < label[owned]).nonzero()[0]
-            verts.append(owned.take(lower))
-            vals.append(res.take(lower))
-            label[verts[-1]] = vals[-1]
-        label = _compress_labels(label)
-        if not any(v.shape[0] for v in verts):
+        roots, lows = [], []
+        for s, res in zip(ss.active, results):
+            mine = label.take(ss.owned(s))
+            lower = (res < mine).nonzero()[0]
+            roots.append(mine.take(lower))
+            lows.append(res.take(lower))
+        roots, lows = np.concatenate(roots), np.concatenate(lows)
+        if not roots.shape[0]:
             break
+        label = _hook_round(label, roots, lows)
         round_no += 1
-        drv.maybe_checkpoint(tag, (np.concatenate(verts), np.concatenate(vals)))
+        drv.maybe_checkpoint(tag, (roots, lows))
     drv.clear_checkpoint(tag)
     return label
-
-
-def _compress_labels(label: np.ndarray) -> np.ndarray:
-    """Pointer compression: labels are vertex ids, so ``label[label]``
-    jumps every vertex to its current representative's label."""
-    while True:
-        nxt = label[label]
-        if np.array_equal(nxt, label):
-            return label
-        label = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -430,119 +391,34 @@ def sharded_modularity(
     shard_set: ShardSet,
     labels: np.ndarray,
     *,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
+    chunk_edges: Optional[int] = None,
 ) -> float:
-    """Modularity of a partition, streamed over the edge stream.
-
-    ``np.bincount`` adds one element at a time in index order, so
-    seeding each chunk's count with the running per-cluster sums (one
-    leading element per cluster) carries the accumulator across
-    edge-id-ordered chunks and reproduces the in-core single-pass
-    accumulation of :func:`repro.community.modularity.modularity` —
-    and therefore its float results — exactly.  ``total_w`` comes from
-    the manifest's hex-exact total.
+    """Modularity of a partition: the in-core fold
+    (:func:`repro.community.modularity.modularity_fold`) over the shard
+    set's edge stream (:meth:`ShardSet.edge_chunks`), so its floats
+    equal :func:`repro.community.modularity.modularity`'s exactly.
+    ``total_w`` comes from the manifest's hex-exact total.
     """
     ss = shard_set
-    labels = np.asarray(labels)
-    if labels.shape[0] != ss.n_vertices:
-        raise ClusteringError(
-            f"labels length {labels.shape[0]} != n_vertices {ss.n_vertices}"
-        )
-    if ss.n_edges == 0:
-        return 0.0
-    _, dense = np.unique(labels, return_inverse=True)
-    k = int(dense.max()) + 1 if dense.shape[0] else 0
-    total_w = ss.total_weight
-    clusters = np.arange(k, dtype=dense.dtype)
-    intra = np.zeros(k, dtype=np.float64)
-    strength = np.zeros(k, dtype=np.float64)
-    u_r, v_r, w_r = ss.edge_readers()
-    m = ss.n_edges
-    for start in range(0, m, chunk_edges):
-        stop = min(m, start + chunk_edges)
-        du = dense[u_r.read(start, stop)]
-        dv = dense[v_r.read(start, stop)]
-        w = (
-            np.ones(stop - start, dtype=np.float64)
-            if w_r is None
-            else w_r.read(start, stop)
-        )
-        same = du == dv
-        intra = np.bincount(
-            np.concatenate([clusters, du[same]]),
-            weights=np.concatenate([intra, w[same]]),
-        )
-        strength = np.bincount(
-            np.concatenate([clusters, du, dv]),
-            weights=np.concatenate([strength, w, w]),
-        )
-    q = intra.sum() / total_w - float(((strength / (2.0 * total_w)) ** 2).sum())
-    return float(q)
+    return modularity_fold(
+        labels, ss.n_vertices, ss.n_edges, ss.total_weight,
+        lambda: ss.edge_chunks(chunk_edges),
+    )
 
 
 def sharded_contract(
     shard_set: ShardSet,
     labels: np.ndarray,
     *,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
+    chunk_edges: Optional[int] = None,
 ) -> tuple[Graph, np.ndarray]:
     """Contract the sharded graph by ``labels`` into an in-core coarse
-    graph, exactly matching :func:`repro.graph.builder.contract`.
-
-    Unweighted graphs stream integer multi-edge counts chunk by chunk
-    (integer addition is association-free, so any chunking is exact).
-    Weighted graphs materialize the edge stream: the in-core merge sums
-    weights in stable-sorted order and float addition is not
-    reassociable, so this path trades the O(m) bound for exactness.
+    graph: the in-core fold (:func:`repro.graph.builder.contract_chunks`)
+    over the edge stream (:meth:`ShardSet.edge_chunks`), bit-identical to
+    :func:`repro.graph.builder.contract`.
     """
     ss = shard_set
-    _, vertex_map = np.unique(np.asarray(labels), return_inverse=True)
-    vertex_map = vertex_map.astype(VERTEX_DTYPE)
-    k = int(vertex_map.max()) + 1 if vertex_map.shape[0] else 0
-    m = ss.n_edges
-    if m == 0:
-        empty = np.empty(0, dtype=VERTEX_DTYPE)
-        return (
-            from_edge_array(k, empty, empty, directed=False, dedupe=False),
-            vertex_map,
-        )
-    if ss.is_weighted:
-        u, v, w = ss.edge_stream()
-        cu, cv = vertex_map[np.asarray(u)], vertex_map[np.asarray(v)]
-        lo, hi, merged_w = grouped_label_weights(
-            np.minimum(cu, cv), np.maximum(cu, cv), np.asarray(w)
-        )
-        coarse = from_edge_array(
-            k, lo, hi, weights=merged_w,
-            directed=False, dedupe=False, drop_self_loops=False,
-        )
-        return coarse, vertex_map
-    u_r, v_r, _ = ss.edge_readers()
-    keys_acc = np.empty(0, dtype=np.int64)
-    counts_acc = np.empty(0, dtype=np.int64)
-    for start in range(0, m, chunk_edges):
-        stop = min(m, start + chunk_edges)
-        cu = vertex_map[u_r.read(start, stop)]
-        cv = vertex_map[v_r.read(start, stop)]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        key = lo * k + hi
-        uk, cnt = np.unique(key, return_counts=True)
-        if keys_acc.shape[0] == 0:
-            keys_acc, counts_acc = uk, cnt.astype(np.int64)
-        else:
-            merged = np.union1d(keys_acc, uk)
-            mc = np.zeros(merged.shape[0], dtype=np.int64)
-            mc[np.searchsorted(merged, keys_acc)] += counts_acc
-            mc[np.searchsorted(merged, uk)] += cnt
-            keys_acc, counts_acc = merged, mc
-    lo_u = (keys_acc // k).astype(VERTEX_DTYPE)
-    hi_u = (keys_acc - (keys_acc // k) * k).astype(VERTEX_DTYPE)
-    coarse = from_edge_array(
-        k, lo_u, hi_u, weights=counts_acc.astype(np.float64),
-        directed=False, dedupe=False, drop_self_loops=False,
-    )
-    return coarse, vertex_map
+    return contract_chunks(labels, ss.n_vertices, ss.edge_chunks(chunk_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +427,7 @@ def sharded_contract(
 def _pla_strength_worker(task):
     """Vertex strengths of this shard's owned rows (self-loops count)."""
     path, index = task
-    sh = _cached_shard(path, index)
-    offs = sh.offsets
-    deg = offs[1:] - offs[:-1]
-    src_l = np.repeat(np.arange(sh.n_owned, dtype=np.int64), deg)
-    w_l = (
-        np.ones(sh.n_arcs, dtype=np.float64)
-        if sh.weights is None
-        else np.asarray(sh.weights, dtype=np.float64)
-    )
-    return np.bincount(src_l, weights=w_l, minlength=sh.n_owned)
+    return _vertex_strengths(_cached_shard(path, index).rows())
 
 
 def _pla_sweep_worker(task):
@@ -574,34 +441,12 @@ def _pla_sweep_worker(task):
     """
     path, index, labels_global, strength_global, s_global, big_w = task
     sh = _cached_shard(path, index)
-    # Derive the shard-local views from the shared global snapshots
-    # (labels / strengths / community strengths advance only between
-    # supersteps, so sharing them by reference is safe).
-    lab_l = labels_global[sh.local_to_global]
-    present, lab_dense = np.unique(lab_l, return_inverse=True)
-    lab_dense = lab_dense.astype(np.int64)
-    s_present = s_global[present]
-    strength_own = strength_global[sh.owned]
-    offs = sh.offsets
-    deg = offs[1:] - offs[:-1]
-    src_l = np.repeat(np.arange(sh.n_owned, dtype=np.int64), deg)
-    tgt_l = np.asarray(sh.targets, dtype=np.int64)
-    w_l = (
-        np.ones(tgt_l.shape[0], dtype=np.float64)
-        if sh.weights is None
-        else np.asarray(sh.weights, dtype=np.float64)
+    present, lab_dense = np.unique(
+        labels_global[sh.local_to_global], return_inverse=True
     )
-    keep = src_l != tgt_l
-    if not keep.all():
-        src_l, tgt_l, w_l = src_l[keep], tgt_l[keep], w_l[keep]
-    if src_l.shape[0] == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
     vid, best_lab_d, best_gain = _best_moves(
-        lab_dense, strength_own, s_present, big_w, src_l, tgt_l, w_l
+        lab_dense.astype(np.int64), strength_global[sh.owned],
+        s_global[present], big_w, *_loopless_arcs(sh.rows()),
     )
     best_lab = np.where(
         best_lab_d < 0, -1, present[np.maximum(best_lab_d, 0)]
@@ -612,59 +457,28 @@ def _pla_sweep_worker(task):
 def _gather_strengths(drv: BSPDriver) -> np.ndarray:
     """Global vertex-strength array via one superstep (exact floats:
     each vertex's strength is accumulated over its own CSR row in arc
-    order, same as the global bincount)."""
+    order, same as the in-core ``_vertex_strengths``)."""
     ss = drv.shard_set
-    active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
-    payloads = [(str(ss.shard_path(s)), s) for s in active]
-    results = drv.superstep("pla:strengths", _pla_strength_worker, payloads)
+    results = drv.superstep(
+        "pla:strengths", _pla_strength_worker, _broadcast(ss)
+    )
     strength = np.zeros(ss.n_vertices, dtype=np.float64)
-    for s, res in zip(active, results):
+    for s, res in zip(ss.active, results):
         strength[ss.owned(s)] = res
     return strength
 
 
-def _sharded_sweep_once(
-    drv: BSPDriver,
-    labels: np.ndarray,
-    strength_v: np.ndarray,
-    big_w: float,
-    q: float,
-    sweep_no: int,
-) -> tuple[np.ndarray, float, int]:
-    """One synchronized local-moving sweep over the shards.
-
-    Mirrors ``community.pla._sweep_once``: same per-vertex best-move
-    rows (merged in ascending vertex order) into the same
-    ``_apply_guarded_moves`` guard, with the streamed modularity as its
-    Q evaluator.
-    """
-    ss = drv.shard_set
-    n = ss.n_vertices
-    S = np.bincount(labels, weights=strength_v, minlength=n)
-    active = [s for s in range(ss.k) if ss.shard_meta(s)["n_owned"]]
-    # Workers derive their dense label remap locally from the shared
-    # global snapshots; the coordinator ships three O(n) arrays, not
-    # per-shard materialized slices.
-    payloads = [
-        (str(ss.shard_path(s)), s, labels, strength_v, S, big_w)
-        for s in active
-    ]
+def _sharded_best_moves(drv: BSPDriver, sweep_no: int, labels, strength_v,
+                        big_w: float, S: np.ndarray) -> tuple:
+    """Every vertex's best move, as in-core ``_best_moves``: one superstep
+    over the shards, merged in ascending vertex order."""
     results = drv.superstep(
-        f"pla:sweep{sweep_no}", _pla_sweep_worker, payloads
+        f"pla:sweep{sweep_no}", _pla_sweep_worker,
+        _broadcast(drv.shard_set, labels, strength_v, S, big_w),
     )
-    parts = [r for r in results if r is not None and r[0].shape[0]]
-    if not parts:
-        return labels, q, 0
-    vid = np.concatenate([p[0] for p in parts])
-    best_lab = np.concatenate([p[1] for p in parts])
-    best_gain = np.concatenate([p[2] for p in parts])
+    vid, best_lab, best_gain = (np.concatenate(c) for c in zip(*results))
     order = np.argsort(vid, kind="stable")
-    vid, best_lab, best_gain = vid[order], best_lab[order], best_gain[order]
-
-    return _apply_guarded_moves(
-        labels, q, vid, best_lab, best_gain,
-        lambda cand: sharded_modularity(ss, cand),
-    )
+    return vid[order], best_lab[order], best_gain[order]
 
 
 def sharded_pla(
@@ -684,10 +498,6 @@ def sharded_pla(
     in-core graph; the final refinement sweeps run sharded again.
     """
     ss = shard_set
-    if ss.directed:
-        raise GraphStructureError(
-            "community detection requires an undirected graph"
-        )
     if max_passes < 1:
         raise ValueError("max_passes must be >= 1")
     n = ss.n_vertices
@@ -696,7 +506,8 @@ def sharded_pla(
     big_w = ss.total_weight
     if big_w == 0.0:
         return ClusteringResult(np.arange(n, dtype=np.int64), 0.0, "pLA")
-    drv = _resolve_driver(ss, driver, ctx)
+    drv = driver or BSPDriver(ss, ctx=ctx)
+    q_of = functools.partial(sharded_modularity, ss)
 
     # Checkpoints cover the two sharded (fine-graph) phases — the only
     # O(m) ones.  ``st`` is a phase machine: ``level0`` sweeps, then the
@@ -723,7 +534,7 @@ def sharded_pla(
         st = {
             "phase": "level0", "pass_no": 0, "labels": labels,
             "strength_fine": _gather_strengths(drv),
-            "q": sharded_modularity(ss, labels),
+            "q": q_of(labels),
             "sweep_label": 0,  # superstep naming only (refinement included)
             "n_sweeps": 0,  # coarsening-phase sweeps, as in-core counts them
             "n_levels": 0,
@@ -731,9 +542,13 @@ def sharded_pla(
     logged, first_record = labels, not records
     while True:
         for p in range(st["pass_no"], max_passes):
-            labels, q, moved = _sharded_sweep_once(
-                drv, st["labels"], st["strength_fine"], big_w, st["q"],
-                st["sweep_label"],
+            # The in-core sweep step, its best moves found out of core.
+            labels, q, moved = _guarded_sweep(
+                st["labels"], st["strength_fine"], st["q"], q_of,
+                functools.partial(
+                    _sharded_best_moves, drv, st["sweep_label"],
+                    st["labels"], st["strength_fine"], big_w,
+                ),
             )
             st = {
                 **st, "pass_no": p + 1, "labels": labels, "q": q,
@@ -769,19 +584,11 @@ def sharded_pla(
             labels = coarse[vmap]
         st = {
             **st, "phase": "refine", "pass_no": 0, "labels": labels,
-            "q": sharded_modularity(ss, labels),
+            "q": q_of(labels),
             "n_levels": n_levels, "n_sweeps": n_sweeps,
         }
-    labels = np.unique(st["labels"], return_inverse=True)[1].astype(np.int64)
-    q = sharded_modularity(ss, labels)
-    drv.clear_checkpoint(tag)
-    return ClusteringResult(
-        labels,
-        q,
-        "pLA",
-        extras={
-            "multilevel": True,
-            "n_levels": st["n_levels"],
-            "n_sweeps": st["n_sweeps"],
-        },
+    res = _multilevel_result(
+        st["labels"], q_of, st["n_levels"], st["n_sweeps"]
     )
+    drv.clear_checkpoint(tag)
+    return res

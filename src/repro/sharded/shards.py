@@ -52,11 +52,16 @@ import numpy as np
 from repro.durable import write_json_atomic
 from repro.errors import GraphFormatError, GraphStructureError, PartitioningError, SnapError
 from repro.graph.csr import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, Graph
+from repro.kernels.segments import concat_ranges
 
 FORMAT_NAME = "repro-shard-set"
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 EDGE_STREAM_NAME = "edges.npz"
+
+#: Edges per :meth:`ShardSet.edge_chunks` chunk unless the caller picks
+#: one (read at call time).
+DEFAULT_CHUNK_EDGES = 1 << 20
 
 __all__ = [
     "ShardSet",
@@ -68,24 +73,7 @@ __all__ = [
     "in_core_nbytes",
     "MemberReader",
     "mmap_npz",
-    "concat_ranges",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Small vectorized helpers
-# ---------------------------------------------------------------------------
-def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + l) for s, l in zip(starts, lens)])``."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.repeat(starts, lens)
-    csum = np.cumsum(lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(csum - lens, lens)
-    return out + within
 
 
 def in_core_nbytes(graph: Graph) -> int:
@@ -270,6 +258,13 @@ class Shard:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def rows(self) -> Graph:
+        """The owned rows as a zero-copy CSR :class:`Graph` over local
+        ids (halo targets lie past its ``n_vertices``), for the in-core
+        per-arc helpers; ``directed`` so that it needs no edge ids."""
+        return Graph(self.offsets, self.targets, directed=True,
+                     weights=self.weights, validate=False)
+
 
 def load_shard(path: Path | str, *, index: int = -1) -> Shard:
     """Memory-map one ``shard_NNNN.npz`` payload."""
@@ -422,13 +417,16 @@ class ShardSet:
                 f"{root}: shard-set version {manifest.get('version')} is newer "
                 f"than supported version {FORMAT_VERSION}"
             )
+        if manifest.get("directed"):
+            # build_shard_set never writes one, and the kernels (the
+            # msbfs pull, components, pLA) all assume symmetric arcs.
+            raise GraphFormatError(f"{root}: directed shard sets are not supported")
         self.root = Path(root)
         self.manifest = manifest
         self._owned: Optional[list[np.ndarray]] = None
         self._owner: Optional[np.ndarray] = None
         self._local_index: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
-        self._edge_stream: Optional[tuple] = None
 
     # -- manifest accessors -------------------------------------------------
     @property
@@ -446,10 +444,6 @@ class ShardSet:
     @property
     def n_arcs(self) -> int:
         return int(self.manifest["n_arcs"])
-
-    @property
-    def directed(self) -> bool:
-        return bool(self.manifest["directed"])
 
     @property
     def is_weighted(self) -> bool:
@@ -482,6 +476,11 @@ class ShardSet:
 
     def shard_path(self, index: int) -> Path:
         return self.root / self.manifest["shards"][index]["file"]
+
+    @property
+    def active(self) -> list[int]:
+        """The shards that own vertices: the ones a superstep visits."""
+        return [s for s in range(self.k) if self.shard_meta(s)["n_owned"]]
 
     # -- shard access -------------------------------------------------------
     def shard(self, index: int) -> Shard:
@@ -544,20 +543,21 @@ class ShardSet:
             self._degrees = deg
         return self._degrees
 
-    def edge_stream(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Memory-mapped ``(u, v, w-or-None)`` global edge stream."""
-        if self._edge_stream is None:
-            members = mmap_npz(self.root / self.manifest["edge_stream"]["file"])
-            self._edge_stream = (members["u"], members["v"], members.get("w"))
-        return self._edge_stream
-
-    def edge_readers(
-        self,
-    ) -> tuple[MemberReader, MemberReader, Optional[MemberReader]]:
-        """Chunked (non-mmap) readers over the global edge stream."""
+    def edge_chunks(self, chunk_edges: Optional[int] = None):
+        """The global edge stream in edge-id order, as ``(u, v, w)``
+        chunks of ``chunk_edges`` (default :data:`DEFAULT_CHUNK_EDGES`)
+        edges read with ``read(2)`` (no mmap growth); ``w`` is ones on
+        an unweighted set."""
+        chunk_edges = chunk_edges or DEFAULT_CHUNK_EDGES
         path = self.root / self.manifest["edge_stream"]["file"]
-        w = MemberReader(path, "w") if self.is_weighted else None
-        return MemberReader(path, "u"), MemberReader(path, "v"), w
+        u_r, v_r = MemberReader(path, "u"), MemberReader(path, "v")
+        w_r = MemberReader(path, "w") if self.is_weighted else None
+        m = self.n_edges
+        for start in range(0, m, chunk_edges):
+            stop = min(m, start + chunk_edges)
+            w = (np.ones(stop - start, dtype=WEIGHT_DTYPE) if w_r is None
+                 else w_r.read(start, stop))
+            yield u_r.read(start, stop), v_r.read(start, stop), w
 
     # -- reconstruction -----------------------------------------------------
     def stitch(self) -> Graph:
@@ -588,7 +588,7 @@ class ShardSet:
         return Graph(
             offsets,
             targets,
-            directed=self.directed,
+            directed=False,
             weights=weights,
             arc_edge_ids=eids,
             n_edges=self.n_edges,
@@ -654,7 +654,7 @@ class ShardSet:
             "k": self.k,
             "n_vertices": self.n_vertices,
             "n_edges": self.n_edges,
-            "directed": self.directed,
+            "directed": False,
             "weighted": self.is_weighted,
             "edge_cut": self.edge_cut,
             "total_bytes": self.total_bytes,
@@ -768,8 +768,8 @@ def build_shard_set(
     deg = graph.degrees()
     weighted = graph.weights is not None
     # Graph built by hand without an arc→edge map: stitch() then returns
-    # the same shape (arc_edge_ids regenerate lazily for directed use).
-    has_eids = graph._arc_edge_ids is not None if not graph.directed else True
+    # the same shape.
+    has_eids = graph._arc_edge_ids is not None
 
     shard_entries = []
     total_bytes = 0
@@ -836,7 +836,7 @@ def build_shard_set(
         "n_vertices": int(n),
         "n_edges": int(graph.n_edges),
         "n_arcs": int(graph.n_arcs),
-        "directed": bool(graph.directed),
+        "directed": False,
         "weighted": bool(weighted),
         "has_arc_edge_ids": bool(has_eids),
         "k": int(k),

@@ -439,11 +439,17 @@ def _envelope_starts(blob: bytes) -> list[int]:
 
 
 def _slow_components_graph():
-    """The path 0 - 39 - 38 - ... - 1: vertex 1 represents the rest
-    until 0's label has walked to it, one hop per round, so components
-    takes a round per hop (and msbfs from 0 a level per hop)."""
+    """The path 0 - 39 - 38 - ... - 1: msbfs from 0 takes a level per
+    hop.  (Components hooks whole trees and needs only 3 rounds here.)"""
     order = [0, *range(39, 0, -1)]
     return from_edge_list(list(zip(order[:-1], order[1:])), n_vertices=40)
+
+
+def _permuted_path_graph():
+    """A 1 000-vertex path in random vertex order, on which components
+    still takes 8 hook rounds (supersteps)."""
+    order = np.random.default_rng(0).permutation(1000).tolist()
+    return from_edge_list(list(zip(order[:-1], order[1:])), n_vertices=1000)
 
 
 class TestBSPResume:
@@ -642,7 +648,8 @@ class TestBSPResume:
     def test_cadence_three_crash_between_appends(self, tmp_path, algo):
         """``every=3``: a crash two supersteps after an append resumes
         from that append, bit-identically, with a contiguous ledger."""
-        g = _slow_components_graph()
+        g = {"msbfs": _slow_components_graph,
+             "components": _permuted_path_graph}[algo]()
         ss = build_shard_set(g, tmp_path / "ss", k=3, method="block")
         cpdir = tmp_path / "cp"
         run = {

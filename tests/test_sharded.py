@@ -9,12 +9,14 @@ in-core path cannot meet.
 
 from __future__ import annotations
 
+import ast
 import json
 import mmap
 import os
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from repro.centrality.closeness import closeness_centrality
 from repro.community.modularity import modularity
 from repro.community.pla import pla
 from repro.datasets.karate import karate_club
-from repro.errors import GraphStructureError, MemoryBudgetExceeded
+from repro.errors import GraphFormatError, GraphStructureError, MemoryBudgetExceeded
 from repro.generators.rmat import rmat
 from repro.graph import from_edge_array
+from repro.graph.builder import contract
+from repro.kernels import connected
 from repro.kernels.bfs import msbfs
 from repro.kernels.connected import connected_components
 from repro.parallel import ChaosPlan, Fault, FaultPolicy, ParallelContext
@@ -43,6 +47,7 @@ from repro.sharded import (
     open_shard_set,
     sharded_closeness,
     sharded_connected_components,
+    sharded_contract,
     sharded_modularity,
     sharded_msbfs,
     sharded_pla,
@@ -74,6 +79,18 @@ def _weighted_messy():
     u = rng.integers(0, n, size=140)
     v = rng.integers(0, n, size=140)
     w = rng.integers(1, 6, size=140).astype(np.float64)
+    return from_edge_array(n + 5, u, v, weights=w, directed=False,
+                           dedupe=True, drop_self_loops=False)
+
+
+def _float_weighted():
+    """``_weighted_messy``'s shape with non-integer weights, whose sums
+    depend on the order they are added in."""
+    rng = np.random.default_rng(0)
+    n = 60
+    u = rng.integers(0, n, size=140)
+    v = rng.integers(0, n, size=140)
+    w = rng.random(140) * 5.0
     return from_edge_array(n + 5, u, v, weights=w, directed=False,
                            dedupe=True, drop_self_loops=False)
 
@@ -116,6 +133,16 @@ class TestRoundTrip:
                             directed=True)
         with pytest.raises(GraphStructureError):
             build_shard_set(g, tmp_path / "d", k=2)
+
+    def test_directed_manifest_refused(self, karate, tmp_path):
+        """Opening is the one place a directed manifest is refused: the
+        kernels all assume symmetric arcs."""
+        ss = build_shard_set(karate, tmp_path / "s", k=2)
+        manifest = ss.root / shards.MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "directed": True}))
+        with pytest.raises(GraphFormatError, match="directed"):
+            open_shard_set(ss.root)
 
     def test_load_single_shard(self, karate, tmp_path):
         ss = build_shard_set(karate, tmp_path / "s", k=2)
@@ -238,10 +265,12 @@ class TestVerify:
 # Parity with the in-core kernels (bit-identical)
 # ---------------------------------------------------------------------------
 class TestParity:
-    @pytest.fixture(scope="class", params=["karate", "rmat10", "weighted"])
+    @pytest.fixture(scope="class",
+                    params=["karate", "rmat10", "weighted", "float"])
     def pair(self, request, karate, rmat10, tmp_path_factory):
         g = {"karate": karate, "rmat10": rmat10,
-             "weighted": _weighted_messy()}[request.param]
+             "weighted": _weighted_messy(),
+             "float": _float_weighted()}[request.param]
         root = tmp_path_factory.mktemp("parity") / request.param
         return g, build_shard_set(g, root, k=3)
 
@@ -290,6 +319,90 @@ class TestParity:
         assert (sharded_modularity(ss, labels, chunk_edges=7)
                 == modularity(g, labels))
 
+    def test_chunked_contract_matches(self, pair):
+        g, ss = pair
+        labels = np.arange(g.n_vertices, dtype=np.int64) % 5
+        ref, ref_map = contract(g, labels)
+        got, got_map = sharded_contract(ss, labels, chunk_edges=7)
+        assert np.array_equal(got_map, ref_map)
+        assert got.offsets.tobytes() == ref.offsets.tobytes()
+        assert got.targets.tobytes() == ref.targets.tobytes()
+        assert got.weights.tobytes() == ref.weights.tobytes()
+
+    def test_pla_over_chunked_stream(self, pair, monkeypatch):
+        """The guard and the contraction read the edge stream in several
+        chunks (the default chunk size is read at call time)."""
+        g, ss = pair
+        monkeypatch.setattr(shards, "DEFAULT_CHUNK_EDGES", ss.n_edges // 3 + 1)
+        assert len(list(ss.edge_chunks())) == 3
+        ref = pla(g, multilevel=True)
+        got = sharded_pla(ss)
+        assert got.modularity == ref.modularity
+        assert np.array_equal(got.labels, ref.labels)
+        assert got.extras == ref.extras
+
+
+def _reversed_path(n):
+    """The path 0 - (n-1) - (n-2) - ... - 1."""
+    order = [0, *range(n - 1, 0, -1)]
+    return from_edge_array(n, np.array(order[:-1]), np.array(order[1:]))
+
+
+def _relabelled_grid(side):
+    """A side x side grid with its vertex ids randomly permuted."""
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    perm = np.random.default_rng(0).permutation(side * side)
+    return from_edge_array(side * side, perm[u], perm[v])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _reversed_path(1000), id="reversed-path"),
+    pytest.param(lambda: _relabelled_grid(64), id="relabelled-grid"),
+])
+def test_components_supersteps_are_in_core_rounds(make, tmp_path, monkeypatch):
+    """Sharded components runs one superstep per in-core hook round, plus
+    the one that finds nothing left to hook (the in-core loop's last
+    cross check) — not a superstep per hop of a label walk."""
+    g = make()
+    hooks, hook_round = [], connected._hook_round
+
+    def counting(*args):
+        hooks.append(None)
+        return hook_round(*args)
+
+    monkeypatch.setattr(connected, "_hook_round", counting)
+    ref = connected_components(g)
+    ss = build_shard_set(g, tmp_path / "ss", k=4)
+    drv = BSPDriver(ss)
+    assert np.array_equal(sharded_connected_components(ss, driver=drv), ref)
+    assert len(drv.stats) == len(hooks) + 1
+
+
+def test_sharded_kernels_call_the_in_core_steps():
+    """The sharded kernels call the in-core steps — the hook round, the
+    modularity fold, the contraction merge, the pLA arc helpers — and
+    keep no copy of them: no pointer jump (``x[x]``), scatter-min, pair
+    count, label-weight grouping or bincount of their own in
+    ``repro.sharded``.  Matched on AST call and subscript nodes, so
+    docstrings may name them."""
+    root = Path(shards.__file__).parent
+    banned = {"np.minimum.at", "np.union1d", "np.bincount",
+              "grouped_label_weights"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if (func in banned or func.endswith(".grouped_label_weights")
+                        or any(kw.arg == "return_counts" for kw in node.keywords)):
+                    offenders.append(f"{path.name}:{node.lineno}: {func}(")
+            elif (isinstance(node, ast.Subscript)
+                  and ast.unparse(node.value) == ast.unparse(node.slice)):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, f"in-core steps copied into repro.sharded: {offenders}"
+
 
 LANE_COUNTS = [1, 8, 9, 16, 17, 33, 64, 65, 130]
 
@@ -328,10 +441,21 @@ class TestMsbfsWordParity:
 
     @pytest.fixture(autouse=True)
     def _blocked(self, arc_chunk, monkeypatch):
-        if arc_chunk is not None:
-            from repro.sharded import algorithms
+        """Shrink the arc block; returns the block count of every
+        blocked arc walk the run makes."""
+        from repro.kernels import segments
 
-            monkeypatch.setattr(algorithms, "ARC_CHUNK", arc_chunk)
+        counts, chunk_bounds = [], segments.chunk_bounds
+
+        def counting(work, limit):
+            bounds = chunk_bounds(work, limit)
+            counts.append(bounds.shape[0] - 1)
+            return bounds
+
+        monkeypatch.setattr(segments, "chunk_bounds", counting)
+        if arc_chunk is not None:
+            monkeypatch.setattr(segments, "ARC_CHUNK", arc_chunk)
+        return counts
 
     @pytest.fixture(scope="class")
     def layouts(self, rmat10, tmp_path_factory):
@@ -375,6 +499,16 @@ class TestMsbfsWordParity:
         with ParallelContext(2, backend=backend) as ctx:
             self._check(rmat10, layouts["holes"], _lane_sources(rmat10, 70),
                         ctx=ctx)
+
+    def test_blocked_walks_split(self, rmat10, layouts, arc_chunk, _blocked):
+        """The 64-arc variant really cuts push and pull walks into
+        blocks; the default one walks each shard in one."""
+        self._check(rmat10, layouts["k3"], _lane_sources(rmat10, 16))
+        assert _blocked
+        if arc_chunk is None:
+            assert max(_blocked) == 1
+        else:
+            assert max(_blocked) >= 2
 
     def test_pulls_at_the_widest_level_only(self, rmat10, layouts):
         drv = _recording_driver(layouts["k3"])

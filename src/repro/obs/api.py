@@ -101,6 +101,7 @@ def algorithm(
         wrapper.__algorithm__ = name
         wrapper.__wrapped__ = fn
         wrapper.__operands__ = operands
+        wrapper.__spec__ = None  # filled by algorithm_spec() on first use
         if register:
             ALGORITHMS[name] = wrapper
         return wrapper
@@ -151,8 +152,13 @@ def algorithm_spec(name: str) -> dict:
     ``operands`` are the positional data arguments after the graph
     (a BFS source, a part count ``k``); ``params`` are the keyword
     options.  ``rng`` is folded into the uniform ``seed`` surface.
+
+    The signature is introspected once per registration: the returned
+    dict is shared by every caller and must be treated as read-only.
     """
     fn = get_algorithm(name)
+    if fn.__spec__ is not None:
+        return fn.__spec__
     raw = inspect.unwrap(fn)
     n_operands = getattr(fn, "__operands__", 0)
     sig = inspect.signature(raw)
@@ -176,12 +182,14 @@ def algorithm_spec(name: str) -> dict:
     uniform = ["ctx", "trace"]
     if "rng" in names:
         uniform.append("seed")
-    return {
+    spec = {
         "name": name,
         "operands": operands,
         "params": params,
         "uniform": uniform,
     }
+    fn.__spec__ = spec
+    return spec
 
 
 def validate_params(name: str, params: dict) -> dict:

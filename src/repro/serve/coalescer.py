@@ -18,13 +18,19 @@ sources, or literally the same run.  The coalescer exploits both:
   thundering herd of identical pLA queries cost one pLA.
 
 Mechanics: :meth:`Coalescer.submit` enqueues a request under its batch
-key and returns a ``concurrent.futures.Future``.  A dispatcher thread
-flushes a key as soon as a batch runner is idle, so a lone request
-never waits.  Only while *every* runner is busy does a key build up —
-until one frees up, ``max_batch`` requests accumulated, a deadline
-turned urgent or its oldest request has waited ``max_batch_delay``
-seconds: the knob is the longest a request waits *while every runner
-is busy*, and a burst coalesces behind the batch already running.
+key and returns a ``concurrent.futures.Future``.  A source-merged key
+(msbfs / closeness) whose batch is running is *held*: its new requests
+queue even while a runner is idle, and go out as one batch when the
+running one finishes — a burst coalesces behind its own in-flight
+batch, whose lane word costs about what a smaller one does.  A request
+with a deadline is never held.  Any other key flushes as soon as a
+runner is idle, so a lone request never waits; only while *every*
+runner is busy does it build up, until one frees up, its oldest
+request has waited ``max_batch_delay`` seconds or a deadline turned
+urgent.  Either way a key flushes once ``max_batch`` requests
+accumulated.  The knob is thus the longest a request waits while every
+runner is busy on *other* keys; a held key's wait is bounded by the
+remainder of its own batch.
 Batches execute on a small pool of batch-runner threads (so a long pLA
 cannot starve closeness traffic), pinning their graph for the duration.
 
@@ -48,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -68,6 +75,8 @@ __all__ = ["ServeRequest", "Coalescer", "MERGEABLE"]
 #: ``bfs`` is served as a one-lane ``msbfs`` (identical distances; no
 #: parent tree), which is what makes single-source requests mergeable.
 MERGEABLE = {"bfs": "source", "msbfs": "sources", "closeness": "sources"}
+#: batch-key algorithms whose batches are one lane-merged dispatch.
+_MERGED = ("msbfs", "closeness")
 
 
 def _canon_params(params: dict) -> str:
@@ -133,6 +142,7 @@ class Coalescer:
         self._closed = False
         self._runners = max(1, batch_runners)
         self._in_flight = 0  # batches handed to the pool, unfinished (under _wake)
+        self._key_flight: dict[tuple, int] = {}  # the same, per batch key
         # Observable coalescing counters (served by /v1/stats).
         self.n_requests = 0
         self.n_batches = 0
@@ -219,18 +229,24 @@ class Coalescer:
                     return
                 now = time.monotonic()
                 due: list[tuple[tuple, list[ServeRequest]]] = []
-                soonest = None
+                soonest = math.inf
                 for key, reqs in list(self._pending.items()):
-                    age = now - reqs[0].enqueued
-                    idle = self._in_flight < self._runners
-                    full = len(reqs) >= self.max_batch
-                    urgent = any(
-                        r.deadline is not None and r.deadline - now
-                        <= self.max_batch_delay
-                        for r in reqs
+                    first_deadline = min(
+                        (r.deadline for r in reqs if r.deadline is not None),
+                        default=math.inf,
                     )
-                    if (self._closed or idle or full or urgent
-                            or age >= self.max_batch_delay):
+                    # a merged key with a batch running is held: its
+                    # requests wait for that batch to finish and go out
+                    # as the next one, unless they fill max_batch; a
+                    # request with a deadline is never held
+                    held = (key in self._key_flight and key[1] in _MERGED
+                            and first_deadline == math.inf)
+                    idle = self._in_flight < self._runners
+                    urgent_in = first_deadline - now - self.max_batch_delay
+                    aged_in = self.max_batch_delay - (now - reqs[0].enqueued)
+                    if (self._closed or len(reqs) >= self.max_batch
+                            or not held and (idle or urgent_in <= 0
+                                             or aged_in <= 0)):
                         # max_batch is a hard cap, not just a flush
                         # trigger: a key can pile up more than max_batch
                         # requests while the runners are busy, and one
@@ -240,12 +256,16 @@ class Coalescer:
                         for i in range(0, len(reqs), self.max_batch):
                             due.append((key, reqs[i:i + self.max_batch]))
                             self._in_flight += 1
-                    else:
-                        wait = self.max_batch_delay - age
-                        soonest = wait if soonest is None else min(soonest, wait)
+                            self._key_flight[key] = (
+                                self._key_flight.get(key, 0) + 1
+                            )
+                    elif not held:
+                        soonest = min(soonest, urgent_in, aged_in)
                 if not due:
-                    # every runner busy: a finishing batch notifies
-                    self._wake.wait(timeout=soonest)
+                    # runners busy or keys held: a finishing batch notifies
+                    self._wake.wait(
+                        timeout=None if soonest == math.inf else soonest
+                    )
                     continue
             for key, requests in due:
                 self._runner_pool.submit(self._run_batch, key, requests)
@@ -254,7 +274,6 @@ class Coalescer:
     # Batch execution
     # ------------------------------------------------------------------
     def _expire(self, req: ServeRequest) -> None:
-        self.n_expired += 1
         req.future.set_exception(
             DeadlineExpired(
                 f"request {req.id} ({req.algo} on {req.graph!r}) missed "
@@ -280,6 +299,9 @@ class Coalescer:
         finally:
             with self._wake:
                 self._in_flight -= 1
+                self._key_flight[key] -= 1
+                if not self._key_flight[key]:
+                    del self._key_flight[key]
                 self._wake.notify()
 
     def _run_live(self, key: tuple, requests: list[ServeRequest]) -> None:
@@ -289,16 +311,18 @@ class Coalescer:
         for req in requests:
             (expired if req.deadline is not None and req.deadline <= now
              else live).append(req)
+        queue_waits = [now - r.enqueued for r in live]
+        with self._lock:  # two runners update the counters stats() reads
+            self.n_expired += len(expired)
+            if live:
+                self.n_batches += 1
+                self.n_coalesced += len(live) - 1
+                self.n_merged += len(live) if len(live) > 1 else 0
+                self.queue_wait_total += float(sum(queue_waits))
         for req in expired:
             self._expire(req)
         if not live:
             return
-        self.n_batches += 1
-        self.n_coalesced += len(live) - 1
-        if len(live) > 1:
-            self.n_merged += len(live)
-        queue_waits = [now - r.enqueued for r in live]
-        self.queue_wait_total += float(sum(queue_waits))
         try:
             entry = self.registry.pin(live[0].graph)
         except ServeError as exc:
@@ -307,11 +331,12 @@ class Coalescer:
             return
         try:
             algo = key[1]
-            if algo in ("msbfs", "closeness") and live[0].algo in MERGEABLE:
+            if algo in _MERGED and live[0].algo in MERGEABLE:
                 result, slicer = self._run_merged(algo, entry, live)
             else:
                 result, slicer = self._run_dedup(entry, live)
-                self.n_dedup_hits += len(live) - 1
+                with self._lock:
+                    self.n_dedup_hits += len(live) - 1
             for req, wait in zip(live, queue_waits):
                 if req.future.set_running_or_notify_cancel():
                     req.future.set_result(

@@ -7,8 +7,13 @@ Covers the service invariants end to end:
 * coalescing — concurrent threaded clients' merged batches are
   bit-identical to isolated per-request runs, identical requests
   deduplicate into one execution;
-* the dispatch rule — an idle runner flushes at once, busy runners let
-  a batch build until max_batch_delay / max_batch / an urgent deadline;
+* the dispatch rule — a merged key with a batch in flight queues
+  behind it unless a deadline is queued, otherwise an idle runner
+  flushes at once and busy runners let a batch build until
+  max_batch_delay / an urgent deadline; max_batch / close() flush any
+  key;
+* the counters stats() reads stay exact under runner contention;
+* registry specs are introspected once per registration;
 * the wire formats — zero-suppressed vectors decode bit for bit, a
   kept-alive connection survives error responses, a request is sent at
   most once;
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import http.client
+import inspect
+import itertools
 import json
 import select
 import socket
@@ -45,12 +52,18 @@ from repro.errors import (
 )
 from repro.graph import from_edge_list
 from repro.graph import io as graph_io
-from repro.obs.api import algorithm_spec, split_operands, validate_params
+from repro.obs.api import (
+    ALGORITHMS,
+    algorithm,
+    algorithm_spec,
+    split_operands,
+    validate_params,
+)
 from repro.parallel.shm import live_segment_names
 from repro.serve import Coalescer, GraphRegistry, graph_nbytes
 from repro.serve import server as serve_server
 from repro.serve.client import ServeClient, _expand_sparse
-from repro.serve.protocol import SPARSE_MAX_FILL, to_jsonable
+from repro.serve.protocol import SPARSE_MAX_FILL, request_schema, to_jsonable
 from repro.serve.server import ReproServer, ServeConfig
 
 
@@ -139,19 +152,24 @@ class TestRegistry:
 class Gate:
     """Holds batch runners until the test opens it.
 
-    A request for graph ``gate<i>`` blocks inside ``registry.pin`` — on
-    a runner thread, in flight — and resolves ``GraphNotResident`` once
-    opened.  An idle runner dispatches at once, so coalescing is only
+    A request for a graph named ``<prefix>...`` (default ``gate<i>``)
+    blocks inside ``registry.pin`` — on a runner thread, in flight —
+    and, once opened, resolves ``GraphNotResident`` (or runs, for a
+    resident name).  With ``limit`` only the first ``limit`` such pins
+    block.  An idle runner dispatches at once, so coalescing is only
     deterministic behind busy runners; this makes them busy.
     """
 
-    def __init__(self, registry):
+    def __init__(self, registry, prefix="gate", limit=None):
         self.opened = threading.Event()
         self.holding = threading.Semaphore(0)
         pin = registry.pin
+        gated = itertools.count()
 
         def gated_pin(name):
-            if name.startswith("gate"):
+            if name.startswith(prefix) and (
+                limit is None or next(gated) < limit
+            ):
                 self.holding.release()
                 assert self.opened.wait(30)
             return pin(name)
@@ -342,14 +360,111 @@ class TestCoalescer:
 
 
 class TestDispatchRule:
-    """Idle runner -> flush now; every runner busy -> the batch builds
-    until max_batch_delay, max_batch or an urgent deadline."""
+    """A merged key with a batch in flight is held until that batch
+    finishes, unless a queued request has a deadline; otherwise idle
+    runner -> flush now, every runner busy -> the batch builds until
+    max_batch_delay or an urgent deadline.  max_batch and close()
+    flush any key, held or not."""
 
     @pytest.fixture()
     def reg(self, rmat):
         reg = GraphRegistry()
         reg.add("g", rmat)
+        reg.add("h", rmat)
         return reg
+
+    def hold_g(self, reg, co, algo="bfs", params=None):
+        """Pin one ``g`` batch in flight on one runner; the other idles.
+        Later ``g`` batches run ungated."""
+        gate = Gate(reg, prefix="g", limit=1)
+        first = co.submit("g", algo, {"source": 0} if params is None else params)
+        assert gate.holding.acquire(timeout=10)
+        assert co.stats()["in_flight"] == 1
+        return gate, first
+
+    def test_held_key_queues_behind_its_batch(self, reg, rmat):
+        with Coalescer(reg, max_batch_delay=0.001) as co:
+            gate, first = self.hold_g(reg, co)
+            futs = [co.submit("g", "bfs", {"source": s}) for s in (1, 2, 3)]
+            # another key takes the idle runner at once
+            other = co.submit("h", "bfs", {"source": 4}).result(timeout=30)
+            assert other.extras["serve"]["batch_size"] == 1
+            assert np.array_equal(other.value, repro.bfs(rmat, 4).distances)
+            # long past max_batch_delay with a runner idle, still queued
+            time.sleep(0.1)
+            assert co.stats()["in_flight"] == 1
+            assert not any(f.done() for f in futs)
+            gate.open()
+            assert first.result(timeout=30).extras["serve"]["batch_size"] == 1
+            for s, fut in zip((1, 2, 3), futs):
+                res = fut.result(timeout=30)
+                assert res.extras["serve"]["batch_size"] == 3
+                assert np.array_equal(res.value, repro.bfs(rmat, s).distances)
+            wait_until(lambda: co.stats()["in_flight"] == 0)
+            assert co.stats()["batches"] == 3
+
+    def test_held_key_flushes_at_max_batch(self, reg):
+        with Coalescer(reg, max_batch_delay=60.0, max_batch=3) as co:
+            gate, first = self.hold_g(reg, co)
+            futs = [co.submit("g", "bfs", {"source": s}) for s in range(3)]
+            # out while the held batch still runs
+            for fut in futs:
+                assert fut.result(timeout=30).extras["serve"]["batch_size"] == 3
+            assert not first.done()
+            gate.open()
+            first.result(timeout=30)
+            wait_until(lambda: co.stats()["in_flight"] == 0)
+
+    def test_deadline_request_is_not_held(self, reg, rmat):
+        # default max_batch_delay: a deadline request behind a held batch
+        # that outlasts the deadline runs on the idle runner in time,
+        # taking the key's queued requests along
+        with Coalescer(reg) as co:
+            gate, first = self.hold_g(reg, co)
+            plain = co.submit("g", "bfs", {"source": 1})
+            time.sleep(0.1)
+            assert not plain.done()
+            t0 = time.monotonic()
+            fut = co.submit("g", "bfs", {"source": 2}, deadline_s=2.0)
+            res = fut.result(timeout=2.0)
+            # started at once, not with max_batch_delay left
+            assert time.monotonic() - t0 < 1.0
+            assert res.extras["serve"]["batch_size"] == 2
+            assert np.array_equal(res.value, repro.bfs(rmat, 2).distances)
+            assert plain.result(timeout=0).extras["serve"]["batch_size"] == 2
+            assert not first.done()
+            gate.open()
+            first.result(timeout=30)
+            wait_until(lambda: co.stats()["in_flight"] == 0)
+
+    def test_dedup_key_is_not_held(self, reg):
+        # a second identical run shares no work with the running one, so
+        # it takes the idle runner instead of waiting the whole first run
+        cc = "connected_components"
+        with Coalescer(reg, max_batch_delay=60.0) as co:
+            gate, first = self.hold_g(reg, co, cc, {})
+            second = co.submit("g", cc, {}).result(timeout=30)
+            assert second.extras["serve"]["batch_size"] == 1
+            assert not first.done()
+            gate.open()
+            res = first.result(timeout=30)
+            assert np.array_equal(res.value, second.value)
+            wait_until(lambda: co.stats()["in_flight"] == 0)
+
+    def test_close_flushes_held_key(self, reg):
+        co = Coalescer(reg, max_batch_delay=60.0)
+        gate, first = self.hold_g(reg, co)
+        pending = co.submit("g", "bfs", {"source": 1})
+        closer = threading.Thread(target=co.close)
+        closer.start()
+        # flushed while the held batch still runs
+        assert pending.result(timeout=30).extras["serve"]["batch_size"] == 1
+        assert not first.done() and closer.is_alive()
+        gate.open()
+        closer.join(30)
+        assert not closer.is_alive()
+        assert first.done()
+        assert co.stats()["in_flight"] == 0
 
     def test_lone_request_does_not_pay_the_delay(self, reg, rmat):
         with Coalescer(reg, max_batch_delay=5.0) as co:
@@ -428,6 +543,52 @@ class TestDispatchRule:
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
+
+    def test_counters_survive_contention(self, reg):
+        # two runners bump the counters that stats() reads: a lost
+        # update shows as batches != records or a short batch_size sum
+        records = []
+        n_clients, per_client = 12, 15
+
+        def client(i):
+            for j in range(per_client):
+                doomed = (i + j) % 5 == 0
+                algo, params = (
+                    ("bfs", {"source": j % 8}) if j % 3 else
+                    ("connected_components", {})
+                )
+                fut = co.submit(
+                    "g", algo, params, deadline_s=1e-9 if doomed else None
+                )
+                try:
+                    fut.result(timeout=60)
+                except DeadlineExpired:
+                    assert doomed
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Coalescer(reg, max_batch_delay=0.001, max_batch=4,
+                           on_batch=records.append) as co:
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(n_clients)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+                wait_until(lambda: co.stats()["in_flight"] == 0)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = co.stats()
+        assert stats["requests"] == n_clients * per_client
+        assert stats["expired"] > 0
+        assert stats["batches"] == len(records)
+        assert sum(r["attrs"]["batch_size"] for r in records) == (
+            stats["requests"] - stats["expired"]
+        )
 
     def test_in_flight_returns_to_zero(self, reg):
         def boom(_span):
@@ -809,6 +970,68 @@ class TestSpecs:
         with pytest.raises(TypeError, match="accepted"):
             validate_params("closeness", {"nope": 1})
         validate_params("closeness", {"sources": [1], "wf_improved": False})
+
+    def test_spec_introspected_once(self, monkeypatch):
+        validate_params("closeness", {"sources": [1]})
+        calls = []
+        signature = inspect.signature
+
+        def spy(fn, *a, **kw):
+            calls.append(fn)
+            return signature(fn, *a, **kw)
+
+        monkeypatch.setattr(inspect, "signature", spy)
+        for _ in range(3):
+            validate_params("closeness", {"sources": [1]})
+            split_operands("closeness", {"sources": [1]})
+            algorithm_spec("closeness")
+        assert calls == []
+
+    def test_reregistered_name_gets_its_new_spec(self):
+        name = "toy_spec_reregistered"
+        try:
+            @algorithm(name, operands=1)
+            def toy(graph, source, *, depth=1):
+                return source
+
+            assert list(algorithm_spec(name)["params"]) == ["depth"]
+
+            @algorithm(name)
+            def toy2(graph, *, width=2.0):
+                return width
+
+            spec = algorithm_spec(name)
+            assert spec["operands"] == []
+            assert spec["params"] == {
+                "width": {"type": "number", "default": 2.0}
+            }
+            with pytest.raises(TypeError):
+                validate_params(name, {"depth": 3})
+        finally:
+            ALGORITHMS.pop(name, None)
+
+    def test_wire_round_leaves_the_schema_unchanged(self, server, monkeypatch):
+        srv, client, _ = server
+        host, port = srv.address
+
+        def schema_bytes():
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("GET", "/v1/algorithms")
+                return conn.getresponse().read()
+            finally:
+                conn.close()
+
+        before = schema_bytes()
+        client.submit("g", "bfs", source=0)
+        client.submit("g", "closeness", sources=[1, 2])
+        client.submit("g", "msbfs", sources=[0, 3])
+        client.submit("g", "connected_components")
+        assert schema_bytes() == before
+        cached = json.dumps(request_schema())
+        for fn in ALGORITHMS.values():  # a cold introspection: the same
+            monkeypatch.setattr(fn, "__spec__", None)
+        assert json.dumps(request_schema()) == cached
 
 
 # ----------------------------------------------------------------------

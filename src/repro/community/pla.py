@@ -265,7 +265,7 @@ def pla(
 
     labels = np.asarray([find(v) for v in range(n)], dtype=np.int64)
     if refine:
-        labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+        labels, *_ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     q = modularity(graph, labels)
     return ClusteringResult(
         labels,
@@ -346,24 +346,30 @@ def _best_moves(
     return vid, best_lab, best_gain
 
 
-def _apply_guarded_moves(
+def _guarded_sweep(
     labels: np.ndarray,
+    strength_v: np.ndarray,
     q: float,
-    vid: np.ndarray,
-    best_lab: np.ndarray,
-    best_gain: np.ndarray,
     q_of: Callable[[np.ndarray], float],
+    best_moves: Callable[[np.ndarray], tuple],
 ) -> tuple[np.ndarray, float, int]:
-    """Apply a sweep's best moves under the monotone modularity guard.
+    """One synchronized sweep, the step every driver shares; returns
+    ``(labels, q, n_moved)``.
 
-    Movers are ranked by gain (vertex id breaks ties) and the longest
-    halved prefix whose *joint* application gives ``q_of(cand) > q`` is
-    kept; the single best mover has exactly its computed gain, so
-    progress is guaranteed while any positive-gain move exists.
-    ``q_of`` must be the full modularity: the comparison is exact and
-    symmetric swaps sit on its edge, so an incremental ΔQ (different
-    rounding) would change which prefixes survive.
+    ``best_moves(S)``, given the cluster strengths ``S`` of ``labels``,
+    returns every vertex's best move as ``(vid, best_lab, best_gain)``
+    in ascending vertex order: one :func:`_best_moves` call in core, one
+    superstep over the shards in ``sharded_pla``.  Movers are ranked by
+    gain (vertex id breaks ties) and the longest halved prefix whose
+    *joint* application gives ``q_of(cand) > q`` is kept; the single
+    best mover has exactly its computed gain, so progress is guaranteed
+    while any positive-gain move exists.  ``q_of`` must be the full
+    modularity: the comparison is exact and symmetric swaps sit on its
+    edge, so an incremental ΔQ (different rounding) would change which
+    prefixes survive.
     """
+    S = np.bincount(labels, weights=strength_v, minlength=strength_v.shape[0])
+    vid, best_lab, best_gain = best_moves(S)
     movers = np.nonzero(best_gain > 1e-12)[0]
     mv_v = vid[movers]
     mv_lab = best_lab[movers]
@@ -380,44 +386,33 @@ def _apply_guarded_moves(
     return labels, q, 0
 
 
-def _sweep_once(
+def _sweep_loop(
     labels: np.ndarray,
-    strength_v: np.ndarray,
-    W: float,
     q: float,
-    src: np.ndarray,
-    tgt: np.ndarray,
-    w: np.ndarray,
-    q_of: Callable[[np.ndarray], float],
-) -> tuple[np.ndarray, float, int]:
-    """One synchronized local-moving sweep; returns (labels, q, n_moved).
+    sweep: Callable[[np.ndarray, float], tuple[np.ndarray, float, int]],
+    max_passes: int,
+    start: int = 0,
+    on_sweep: Optional[Callable[[np.ndarray, float, int], None]] = None,
+) -> tuple[np.ndarray, float, int, int]:
+    """The local-moving loop of every pLA driver (Algorithm 3's
+    refinement): ``sweep(labels, q) -> (labels, q, n_moved)`` runs for
+    passes ``start .. max_passes - 1`` until one moves nothing.
 
-    Every vertex's best adjacent cluster by exact ΔQ is found in one
-    grouped pass (composite-key sort + segmented sums/argmax) and
-    applied under the guard of :func:`_apply_guarded_moves`.
+    ``on_sweep(labels, q, pass_no)`` sees the state after each sweep
+    that moved something (``sharded_pla`` logs it as a checkpoint
+    record; a resumed run passes the logged ``pass_no`` as ``start``).
+    Returns ``(labels, q, n_sweeps, n_moved)``.
     """
-    if src.shape[0] == 0:
-        return labels, q, 0
-    return _guarded_sweep(
-        labels, strength_v, q, q_of,
-        lambda S: _best_moves(labels, strength_v, S, W, src, tgt, w),
-    )
-
-
-def _guarded_sweep(
-    labels: np.ndarray,
-    strength_v: np.ndarray,
-    q: float,
-    q_of: Callable[[np.ndarray], float],
-    best_moves: Callable[[np.ndarray], tuple],
-) -> tuple[np.ndarray, float, int]:
-    """The sweep step both drivers share: the cluster strengths ``S`` of
-    ``labels``, every vertex's best move from ``best_moves(S)`` (one
-    :func:`_best_moves` call in core, one superstep over the shards in
-    ``sharded_pla``) in ascending vertex order, and the guard of
-    :func:`_apply_guarded_moves`."""
-    S = np.bincount(labels, weights=strength_v, minlength=strength_v.shape[0])
-    return _apply_guarded_moves(labels, q, *best_moves(S), q_of)
+    n_sweeps = n_moved = 0
+    for p in range(start, max_passes):
+        labels, q, moved = sweep(labels, q)
+        n_sweeps += 1
+        n_moved += moved
+        if moved == 0:
+            break
+        if on_sweep is not None:
+            on_sweep(labels, q, p + 1)
+    return labels, q, n_sweeps, n_moved
 
 
 def _local_moving_refinement(
@@ -426,8 +421,10 @@ def _local_moving_refinement(
     W: float,
     max_passes: int,
     ctx: ParallelContext,
+    movable: Optional[np.ndarray] = None,
+    span: str = "sweep",
     **span_attrs,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, float, int, int]:
     """Move single vertices to the adjacent cluster of highest ΔQ.
 
     The gain of moving v from cluster c to cluster d is
@@ -435,30 +432,39 @@ def _local_moving_refinement(
         ΔQ = (w(v→d) − w(v→c∖v)) / W
              − k_v · (s_d − s_c + k_v) / (2W²)
 
-    Sweeps repeat until one moves nothing or ``max_passes`` is hit;
-    each synchronized sweep is one parallel phase.  The level's
-    invariants (strengths, loopless arcs, the Q evaluator) are built
-    here, once.  Returns ``(labels, n_sweeps)``.
+    Runs :func:`_sweep_loop` with the in-core sweep: each synchronized
+    sweep is one charged parallel phase in a ``span`` span.  Only the
+    vertices of the boolean mask ``movable`` move (default: all).  The
+    level's invariants (strengths, loopless arcs, the Q evaluator) are
+    built here, once.  Returns ``_sweep_loop``'s tuple.
     """
     n = graph.n_vertices
     labels = np.asarray(labels, dtype=np.int64).copy()
     strength_v = _vertex_strengths(graph)
     src, tgt, w = _loopless_arcs(graph)
+    # charged work: every arc in a full sweep, the swept arcs in a
+    # localized one (as the pinned cost profiles record them)
+    work = graph.n_arcs
+    if movable is not None:
+        keep = movable[src]
+        src, tgt, w = src[keep], tgt[keep], w[keep]
+        work = src.shape[0]
     max_deg = float(graph.degrees().max()) if n else 1.0
     tr = ctx.tracer
     q_of = modularity_evaluator(graph)
-    q = q_of(labels)
-    n_sweeps = 0
-    for _ in range(max_passes):
+
+    def sweep(labels: np.ndarray, q: float) -> tuple[np.ndarray, float, int]:
         ctx.cost.region()
-        ctx.phase(float(max(1, graph.n_arcs)), max(1.0, max_deg))
-        with tr.span("sweep", **span_attrs, n_vertices=n) if tr else _noop():
-            labels, q, moved = _sweep_once(labels, strength_v, W, q, src, tgt, w, q_of)
-        n_sweeps += 1
+        ctx.phase(float(max(1, work)), max(1.0, max_deg))
+        with tr.span(span, **span_attrs, n_vertices=n) if tr else _noop():
+            labels, q, moved = _guarded_sweep(
+                labels, strength_v, q, q_of,
+                lambda S: _best_moves(labels, strength_v, S, W, src, tgt, w),
+            )
         ctx.cas(moved)
-        if moved == 0:
-            break
-    return labels, n_sweeps
+        return labels, q, moved
+
+    return _sweep_loop(labels, q_of(labels), sweep, max_passes)
 
 
 def _multilevel_pla(
@@ -478,7 +484,7 @@ def _multilevel_pla(
     labels, n_levels, n_sweeps = _coarsen(graph, W, max_passes, ctx)
     # Uncoarsening refinement: a final round of sweeps on the fine graph
     # recovers the quality lost to coarse-level move granularity.
-    labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+    labels, *_ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     return _multilevel_result(
         labels, modularity_evaluator(graph), n_levels, n_sweeps
     )
@@ -506,11 +512,11 @@ def _multilevel_result(
 
 
 def _coarsen(
-    graph: Graph, W: float, max_passes: int, ctx: ParallelContext
+    graph: Graph, W: float, max_passes: int, ctx: ParallelContext, level: int = 0
 ) -> tuple[np.ndarray, int, int]:
-    """The multilevel level loop: sweep ``graph`` from singletons, then
-    contract and repeat until a level merges nothing or one vertex is
-    left.
+    """The multilevel level loop: sweep ``graph`` (hierarchy level
+    ``level``) from singletons, then contract and repeat until a level
+    merges nothing or one vertex is left.
 
     Returns ``(labels, n_contractions, n_sweeps)`` with the coarsest
     level's labels projected back onto ``graph``'s vertices.  Also the
@@ -523,8 +529,8 @@ def _coarsen(
     n_sweeps = 0
     with (tr.span("coarsen") if tr else _noop()):
         while True:
-            labels_g, swept = _local_moving_refinement(
-                g, labels_g, W, max_passes, ctx, level=len(level_maps)
+            labels_g, _, swept, _ = _local_moving_refinement(
+                g, labels_g, W, max_passes, ctx, level=level + len(level_maps)
             )
             n_sweeps += swept
             n_clusters = int(np.unique(labels_g).shape[0])
@@ -533,7 +539,7 @@ def _coarsen(
             with (
                 tr.span(
                     "contract-level",
-                    level=len(level_maps),
+                    level=level + len(level_maps),
                     n_fine=g.n_vertices,
                     n_coarse=n_clusters,
                 )

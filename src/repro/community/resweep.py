@@ -7,28 +7,24 @@ set move (restricted synchronized sweeps over the arcs incident to the
 touched ball), then settle with the same global local-moving refinement
 single-level :func:`~repro.community.pla.pla` finishes with.
 
-Both phases reuse :func:`~repro.community.pla._sweep_once`, whose
-monotone guard only ever applies a move prefix that increases Q — so
-the repaired partition's modularity is non-decreasing from the warm
-start, and the settle phase leaves it at the same sweep-local optimum a
-fresh run converges to.  The prefix-differential harness asserts the
-resulting Q is no worse than a full single-level re-run per batch.
+Both phases are :func:`~repro.community.pla._local_moving_refinement`
+(the localized one restricted to the ball's vertices, in ``resweep``
+spans), so they run the one pLA sweep loop, whose monotone guard only
+ever applies a move prefix that increases Q — so the repaired
+partition's modularity is non-decreasing from the warm start, and the
+settle phase leaves it at the same sweep-local optimum a fresh run
+converges to.  The prefix-differential harness asserts the resulting Q
+is no worse than a full single-level re-run per batch.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _noop
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.community.modularity import modularity_evaluator
-from repro.community.pla import (
-    _local_moving_refinement,
-    _loopless_arcs,
-    _sweep_once,
-    _vertex_strengths,
-)
+from repro.community.pla import _local_moving_refinement
 from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.csr import Graph
@@ -75,7 +71,8 @@ def local_resweep(
 ) -> ClusteringResult:
     """Repair a partition around ``touched`` vertices; Q never regresses.
 
-    ``labels`` is the warm-start partition (default: all singletons);
+    ``labels`` is the warm-start partition (default: all singletons),
+    any non-negative integer ids;
     ``touched`` seeds the repair region (default: every vertex, which
     degenerates to plain refinement).  ``radius`` grows the region by
     that many hops.  ``settle`` runs the global refinement pass after
@@ -97,15 +94,16 @@ def local_resweep(
     if labels is None:
         labels = np.arange(n, dtype=np.int64)
     else:
-        labels = np.asarray(labels, dtype=np.int64).copy()
-        if labels.shape != (n,):
-            raise GraphStructureError(
-                f"labels shape {labels.shape} != ({n},)"
-            )
-
+        # any ids; renumbered densely, which is monotone, so it changes
+        # no move, gain or tie-break
+        raw = np.asarray(labels)
+        if raw.shape != (n,):
+            raise GraphStructureError(f"labels shape {raw.shape} != ({n},)")
+        if raw.dtype.kind not in "biuf" or not np.all((raw >= 0) & (raw % 1 == 0)):
+            raise GraphStructureError("labels must be non-negative integers")
+        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
     W = float(graph.edge_weights().sum())
     if W == 0.0:
-        labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
         return ClusteringResult(labels, 0.0, "pLA-resweep")
 
     allowed = (
@@ -113,41 +111,23 @@ def local_resweep(
         if touched is None
         else _touched_ball(graph, touched, radius)
     )
-    strength_v = _vertex_strengths(graph)
-    src, tgt, w = _loopless_arcs(graph)
-    keep = allowed[src]
-    src_f, tgt_f, w_f = src[keep], tgt[keep], w[keep]
-
-    tr = ctx.tracer
+    n_allowed = int(allowed.sum())
     q_of = modularity_evaluator(graph)
-    q = q_start = q_of(labels)
-    n_local = 0
-    degs = graph.degrees()
-    max_deg = float(degs.max()) if n else 1.0
-    for _ in range(max_passes):
-        ctx.cost.region()
-        ctx.phase(float(max(1, src_f.shape[0])), max(1.0, max_deg))
-        with (
-            tr.span("resweep", n_allowed=int(allowed.sum())) if tr else _noop()
-        ):
-            labels, q, moved = _sweep_once(
-                labels, strength_v, W, q, src_f, tgt_f, w_f, q_of
-            )
-        ctx.cas(moved)
-        n_local += moved
-        if moved == 0:
-            break
+    q_start = q_of(labels)
+    labels, _, _, n_local = _local_moving_refinement(
+        graph, labels, W, max_passes, ctx,
+        movable=allowed, span="resweep", n_allowed=n_allowed,
+    )
     if settle:
-        labels, _ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
+        labels, *_ = _local_moving_refinement(graph, labels, W, max_passes, ctx)
     labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    q = q_of(labels)
     return ClusteringResult(
         labels,
-        q,
+        q_of(labels),
         "pLA-resweep",
         extras={
             "q_start": q_start,
             "n_local_moves": n_local,
-            "n_allowed": int(allowed.sum()),
+            "n_allowed": n_allowed,
         },
     )

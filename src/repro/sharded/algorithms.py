@@ -23,7 +23,9 @@ state at the coordinator:
 * :func:`sharded_pla` — the multilevel Louvain loop of
   ``community.pla._multilevel_pla`` with the level-0 (fine-graph)
   sweeps, modularity guard, contraction and final refinement running
-  out of core, each through its in-core step: the sweep step, the
+  out of core, each through its in-core step: the one sweep loop
+  (``_sweep_loop``, run for level 0 and again for the refinement, with
+  a superstep sweep and a checkpoint hook), the sweep step, the
   strength and loopless-arc helpers on each shard's rows, and the
   modularity and contraction folds over the chunked edge stream (each
   chunk starts from the carried sums, so the floats are the one-pass
@@ -58,6 +60,7 @@ from repro.community.pla import (
     _guarded_sweep,
     _loopless_arcs,
     _multilevel_result,
+    _sweep_loop,
     _vertex_strengths,
 )
 from repro.community.result import ClusteringResult
@@ -481,6 +484,10 @@ def _sharded_best_moves(drv: BSPDriver, sweep_no: int, labels, strength_v,
     return vid[order], best_lab[order], best_gain[order]
 
 
+#: The scalars of a ``sharded_pla`` checkpoint record, in record order.
+_PLA_SCALARS = ("phase", "pass_no", "q", "sweep_label", "n_sweeps", "n_levels")
+
+
 def sharded_pla(
     shard_set: ShardSet,
     *,
@@ -509,12 +516,11 @@ def sharded_pla(
     drv = driver or BSPDriver(ss, ctx=ctx)
     q_of = functools.partial(sharded_modularity, ss)
 
-    # Checkpoints cover the two sharded (fine-graph) phases — the only
-    # O(m) ones.  ``st`` is a phase machine: ``level0`` sweeps, then the
-    # in-core contraction pyramid (cheap, re-done deterministically on
-    # resume), then ``refine`` sweeps on the uncoarsened labels.  A
-    # checkpoint record is taken *after* the moved-count break check so
-    # a resumed run repeats exactly the sweeps the uninterrupted run
+    # Checkpoints cover the two sharded (fine-graph) sweep loops — the
+    # only O(m) phases; the in-core contraction pyramid between them is
+    # cheap and re-done deterministically on resume.  The loop's hook
+    # logs a record after every sweep that moved something, so a
+    # resumed run repeats exactly the sweeps the uninterrupted run
     # would have executed (same ``n_sweeps``, same superstep names).  A
     # record holds the phase scalars and the vertices whose label
     # differs from the previous record's, with their labels; the first
@@ -526,69 +532,56 @@ def sharded_pla(
     for _, movers, moved_to in records:
         labels[movers] = moved_to
     if records:
-        st = {
-            **records[-1][0], "labels": labels,
-            "strength_fine": records[0][0]["strength_fine"],
-        }
+        strength = records[0][0]["strength_fine"]
+        phase, start, q, sweep_label, n_sweeps, n_levels = (
+            records[-1][0][key] for key in _PLA_SCALARS
+        )
     else:
-        st = {
-            "phase": "level0", "pass_no": 0, "labels": labels,
-            "strength_fine": _gather_strengths(drv),
-            "q": q_of(labels),
-            "sweep_label": 0,  # superstep naming only (refinement included)
-            "n_sweeps": 0,  # coarsening-phase sweeps, as in-core counts them
-            "n_levels": 0,
-        }
+        # ``sweep_label`` names supersteps (refinement included);
+        # ``n_sweeps`` counts coarsening sweeps, as in-core does.
+        strength = _gather_strengths(drv)
+        phase, start, q, sweep_label, n_sweeps, n_levels = (
+            "level0", 0, q_of(labels), 0, 0, 0
+        )
     logged, first_record = labels, not records
-    while True:
-        for p in range(st["pass_no"], max_passes):
-            # The in-core sweep step, its best moves found out of core.
-            labels, q, moved = _guarded_sweep(
-                st["labels"], st["strength_fine"], st["q"], q_of,
-                functools.partial(
-                    _sharded_best_moves, drv, st["sweep_label"],
-                    st["labels"], st["strength_fine"], big_w,
-                ),
-            )
-            st = {
-                **st, "pass_no": p + 1, "labels": labels, "q": q,
-                "sweep_label": st["sweep_label"] + 1,
-                "n_sweeps": st["n_sweeps"] + int(st["phase"] == "level0"),
-            }
-            if moved == 0:
-                break
-            scalars = {
-                key: st[key] for key in (
-                    "phase", "pass_no", "q", "sweep_label", "n_sweeps",
-                    "n_levels",
-                )
-            }
-            if first_record:
-                scalars["strength_fine"] = st["strength_fine"]
-            movers = np.flatnonzero(labels != logged)
-            drv.maybe_checkpoint(tag, (scalars, movers, labels.take(movers)))
-            logged, first_record = labels, False
-        if st["phase"] == "refine":
-            break
+
+    def sweep(labels, q):
+        # The in-core sweep step, its best moves found out of core.
+        nonlocal sweep_label, n_sweeps
+        best_moves = functools.partial(
+            _sharded_best_moves, drv, sweep_label, labels, strength, big_w
+        )
+        sweep_label, n_sweeps = sweep_label + 1, n_sweeps + (phase == "level0")
+        return _guarded_sweep(labels, strength, q, q_of, best_moves)
+
+    def checkpoint(labels, q, pass_no):
+        nonlocal logged, first_record
+        scalars = dict(zip(_PLA_SCALARS, (
+            phase, pass_no, q, sweep_label, n_sweeps, n_levels,
+        )))
+        if first_record:
+            scalars["strength_fine"] = strength
+        movers = np.flatnonzero(labels != logged)
+        drv.maybe_checkpoint(tag, (scalars, movers, labels.take(movers)))
+        logged, first_record = labels, False
+
+    if phase == "level0":
+        labels, *_ = _sweep_loop(labels, q, sweep, max_passes, start, checkpoint)
         # Level 0 converged: contract it out of core, run levels >= 1
         # through the in-core level loop (the coarse graph fits in
         # core), then refine the projected labels with sharded sweeps.
-        labels, n_levels, n_sweeps = st["labels"], 0, st["n_sweeps"]
         if int(np.unique(labels).shape[0]) != n:
             g, vmap = sharded_contract(ss, labels)
             coarse, n_levels = np.arange(g.n_vertices, dtype=np.int64), 1
             if g.n_vertices > 1:
-                coarse, levels, swept = _coarsen(g, big_w, max_passes, drv.ctx)
+                coarse, levels, swept = _coarsen(
+                    g, big_w, max_passes, drv.ctx, level=1
+                )
                 n_levels += levels
                 n_sweeps += swept
             labels = coarse[vmap]
-        st = {
-            **st, "phase": "refine", "pass_no": 0, "labels": labels,
-            "q": q_of(labels),
-            "n_levels": n_levels, "n_sweeps": n_sweeps,
-        }
-    res = _multilevel_result(
-        st["labels"], q_of, st["n_levels"], st["n_sweeps"]
-    )
+        phase, start, q = "refine", 0, q_of(labels)
+    labels, *_ = _sweep_loop(labels, q, sweep, max_passes, start, checkpoint)
+    res = _multilevel_result(labels, q_of, n_levels, n_sweeps)
     drv.clear_checkpoint(tag)
     return res

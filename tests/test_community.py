@@ -13,6 +13,7 @@ from repro.community import (
     labels_to_communities,
     Dendrogram,
     cnm,
+    local_resweep,
     pma,
     pla,
     girvan_newman,
@@ -368,6 +369,51 @@ class TestPLA:
         a = pla(karate, rng=np.random.default_rng(42))
         b = pla(karate, rng=np.random.default_rng(42))
         assert np.array_equal(a.labels, b.labels)
+
+
+class TestLocalResweepLabels:
+    """``labels`` is a wire parameter: checked, then renumbered densely."""
+
+    def test_negative_label_refused(self, karate):
+        labels = np.arange(34) // 5
+        labels[3] = -1
+        with pytest.raises(GraphStructureError, match="non-negative integers"):
+            local_resweep(karate, labels=labels)
+
+    def test_non_integral_labels_refused(self, karate):
+        with pytest.raises(GraphStructureError, match="non-negative integers"):
+            local_resweep(karate, labels=[0.7] * 34)
+
+    def test_integral_float_labels_accepted(self, karate):
+        labels = np.arange(34) // 5
+        got = local_resweep(karate, labels=labels.astype(float).tolist())
+        ref = local_resweep(karate, labels=labels)
+        assert np.array_equal(got.labels, ref.labels)
+
+    def test_huge_label_is_renumbered(self, karate):
+        """``bincount`` would size a 10**13 label at 72.8 TiB."""
+        labels = np.arange(34) // 5
+        huge = labels.copy()
+        huge[labels == 6] = 10**13
+        got = local_resweep(karate, labels=huge.tolist(), touched=[0, 33])
+        ref = local_resweep(karate, labels=labels, touched=[0, 33])
+        assert np.array_equal(got.labels, ref.labels)
+        assert got.modularity == ref.modularity
+
+    @pytest.mark.parametrize("name", ["karate", "rmat11"])
+    def test_sparse_ids_give_the_dense_result(self, karate, name):
+        from repro.generators import rmat
+
+        g = karate if name == "karate" else rmat(
+            11, 8.0, rng=np.random.default_rng(3))
+        n = g.n_vertices
+        labels = np.arange(n) // 5
+        touched = [0, 3, n - 1]
+        got = local_resweep(g, labels=labels * 1000 + 7, touched=touched)
+        ref = local_resweep(g, labels=labels, touched=touched)
+        assert np.array_equal(got.labels, ref.labels)
+        assert got.modularity == ref.modularity
+        assert got.extras == ref.extras
 
 
 def test_sweep_best_moves_body_parity():

@@ -509,6 +509,29 @@ class TestBSPResume:
         assert np.array_equal(got.labels, ref.labels)
         assert got.extras == ref.extras
 
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_pla_resume_at_every_crash_point(self, karate, tmp_path, every):
+        """Karate k=3 runs 17 supersteps (strengths, level-0 sweeps,
+        refinement sweeps): a crash after any of them resumes to the
+        in-core result, re-running a suffix of the uninterrupted run."""
+        ss = build_shard_set(karate, tmp_path / "ss", k=3)
+        drv_ref, ran_ref = _recording_driver(BSPDriver(ss))
+        sharded_pla(ss, driver=drv_ref)
+        assert len(ran_ref) == 17
+        ref = pla(karate, multilevel=True)
+        for crash_after in range(len(ran_ref)):
+            cpdir = tmp_path / f"cp{crash_after}"
+            with pytest.raises(_Boom):
+                sharded_pla(ss, driver=_crashing_driver(
+                    ss, cpdir, crash_after=crash_after, every=every))
+            drv, ran = _recording_driver(_resume_driver(ss, cpdir, every))
+            got = sharded_pla(ss, driver=drv)
+            assert ran == ran_ref[len(ran_ref) - len(ran):], crash_after
+            assert got.modularity == ref.modularity
+            assert np.array_equal(got.labels, ref.labels)
+            assert got.extras == ref.extras
+            assert not list(cpdir.glob("*.ckpt"))
+
     def test_closeness_resume_bit_identical(self, karate, shards):
         ss, cpdir = shards
         with pytest.raises(_Boom):

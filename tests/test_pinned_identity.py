@@ -13,7 +13,10 @@ prints the table).
 ``PINNED_COSTS`` does the same for the modeled cost profiles the
 Figure 2/3 harnesses read (serial karate runs, recorded before Brandes
 lost its per-backend dispatch paths): a moved digest means a figure
-curve moved.
+curve moved.  Its multilevel pLA and ``local_resweep`` entries, and
+``PINNED_SPANS`` (the traced span ``structure()`` of the pLA drivers),
+were recorded before the local-moving sweeps of every pLA driver went
+through one sweep loop.
 """
 
 from __future__ import annotations
@@ -169,15 +172,23 @@ PINNED: dict[str, dict[str, str]] = {
 }
 
 
-#: The Figure 2/3 inputs: algorithm -> keyword arguments of a serial,
-#: 32-worker run on karate whose ``cost_model.summary()`` is pinned,
-#: with degree-aware chunking on and (``@oblivious``) off.
-COST_RUNS: dict[str, dict] = {
-    "betweenness": {},
-    "girvan_newman": {"patience": 5},
-    "pbd": {"seed": 0, "patience": 5},
-    "pla": {"seed": 0},
-    "pma": {},
+def _warm_resweep(n: int) -> dict:
+    """``local_resweep`` from a warm start (blocks of five vertices)
+    repaired around three touched vertices."""
+    return {"labels": np.arange(n) // 5, "touched": [0, 3, n - 1]}
+
+
+#: The Figure 2/3 inputs: pin name -> (algorithm, keyword arguments) of
+#: a serial, 32-worker run on karate whose ``cost_model.summary()`` is
+#: pinned, with degree-aware chunking on and (``@oblivious``) off.
+COST_RUNS: dict[str, tuple[str, dict]] = {
+    "betweenness": ("betweenness", {}),
+    "girvan_newman": ("girvan_newman", {"patience": 5}),
+    "local_resweep": ("local_resweep", _warm_resweep(34)),
+    "pbd": ("pbd", {"seed": 0, "patience": 5}),
+    "pla": ("pla", {"seed": 0}),
+    "pla_ml": ("pla", {"multilevel": True}),
+    "pma": ("pma", {}),
 }
 
 
@@ -187,10 +198,10 @@ def cost_digests() -> dict[str, str]:
 
     g = karate_club()
     out = {}
-    for name, kwargs in COST_RUNS.items():
+    for name, (algo, kwargs) in COST_RUNS.items():
         for key, aware in ((name, True), (f"{name}@oblivious", False)):
             ctx = ParallelContext(32, degree_aware=aware)
-            repro.obs.run(name, g, ctx=ctx, trace=False, **kwargs)
+            repro.obs.run(algo, g, ctx=ctx, trace=False, **kwargs)
             summary = sorted(ctx.cost.summary().items())
             out[key] = _sha1(
                 repr([(k, float(v).hex()) for k, v in summary]).encode()
@@ -203,10 +214,14 @@ PINNED_COSTS: dict[str, str] = {
     "betweenness@oblivious": "13e16c62b934b4297ee7483b3492ed44adb53598",
     "girvan_newman": "91fb49f164da8f4d4ff3d1fe19b9073aae027350",
     "girvan_newman@oblivious": "23ff32745b65956b3449595dc8aa2b0a2f61a230",
+    "local_resweep": "e56fbcc76b797bf37e625e934790724fcfde18a6",
+    "local_resweep@oblivious": "e56fbcc76b797bf37e625e934790724fcfde18a6",
     "pbd": "6e5beb8a286f53f20581b05fa7741f2f4098fc7c",
     "pbd@oblivious": "fea23d8d3fcc91ff6abc1feb98ef7a2c9b80083a",
     "pla": "f93148315842d29a1f5fa619749b47b99433e972",
     "pla@oblivious": "f93148315842d29a1f5fa619749b47b99433e972",
+    "pla_ml": "3eb9405bb44df9b647bca473412bc6991a0d2b85",
+    "pla_ml@oblivious": "3eb9405bb44df9b647bca473412bc6991a0d2b85",
     "pma": "a571d75335eb33e0a32a77679ddd0dceb2e7bb49",
     "pma@oblivious": "a571d75335eb33e0a32a77679ddd0dceb2e7bb49",
 }
@@ -214,6 +229,39 @@ PINNED_COSTS: dict[str, str] = {
 
 def test_cost_summaries_match_pinned_digests():
     assert cost_digests() == PINNED_COSTS
+
+
+def span_digests() -> dict[str, str]:
+    """Digest of the traced span ``structure()`` of each pLA driver, as
+    ``<run>@<graph>`` on karate and R-MAT 10."""
+    import repro
+
+    out = {}
+    for gname in ("karate", "rmat10"):
+        g = CORPUS[gname]()
+        runs = {
+            "pla": ("pla", {}),
+            "pla_ml": ("pla", {"multilevel": True}),
+            "local_resweep": ("local_resweep", _warm_resweep(g.n_vertices)),
+        }
+        for name, (algo, kwargs) in runs.items():
+            root = repro.obs.run(algo, g, **kwargs).trace
+            out[f"{name}@{gname}"] = _sha1(repr(root.structure()).encode())
+    return out
+
+
+PINNED_SPANS: dict[str, str] = {
+    "local_resweep@karate": "fb5987d22e80adbc4296c1a18defb5126a7b7017",
+    "local_resweep@rmat10": "23a059610343ad0a086be3fe319a85fa8245c2ba",
+    "pla@karate": "038f734879355bb44fd2f35643bd980817b63632",
+    "pla@rmat10": "d56076dd253ec67f3bb790a3e4c8a0035471eb4e",
+    "pla_ml@karate": "ff67cf5e86cdbd1a1c0c8d427d87046557434177",
+    "pla_ml@rmat10": "38e17964bd4f2808ef98cfc770619306e0f419fd",
+}
+
+
+def test_span_structures_match_pinned_digests():
+    assert span_digests() == PINNED_SPANS
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -271,3 +319,4 @@ if __name__ == "__main__":  # regenerate the table
             width=100,
         )
     pprint.pprint(cost_digests(), width=100)
+    pprint.pprint(span_digests(), width=100)

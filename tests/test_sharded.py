@@ -342,6 +342,25 @@ class TestParity:
         assert got.extras == ref.extras
 
 
+def test_pla_span_levels_continue_the_in_core_numbering(rmat10, tmp_path):
+    """Sharded pLA contracts level 0 out of core, then runs the in-core
+    level loop from level 1: its ``contract-level`` spans are the
+    in-core ones without level 0."""
+    from repro.obs.tracer import Tracer
+
+    def levels(run):
+        tr = Tracer()
+        with ParallelContext(1, backend="serial", trace=tr) as ctx:
+            run(ctx)
+        return [sp.attrs["level"] for _, sp in tr.finish().walk()
+                if sp.name == "contract-level"]
+
+    ss = build_shard_set(rmat10, tmp_path / "ss", k=3, method="block")
+    in_core = levels(lambda ctx: pla(rmat10, multilevel=True, ctx=ctx))
+    assert in_core == [0, 1, 2, 3]
+    assert levels(lambda ctx: sharded_pla(ss, ctx=ctx)) == in_core[1:]
+
+
 def _reversed_path(n):
     """The path 0 - (n-1) - (n-2) - ... - 1."""
     order = [0, *range(n - 1, 0, -1)]

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, expand_batch, unwrap
+from repro.kernels._frontier import GraphLike, expand_batch, unwrap, vertex_ids
 from repro.kernels.bfs import default_batch_size, source_batches
 from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
@@ -376,10 +376,9 @@ def brandes(
     n = graph.n_vertices
     vertex_acc = np.zeros(n, dtype=np.float64)
     edge_acc = np.zeros(graph.n_edges, dtype=np.float64)
-    src_list = list(range(n)) if sources is None else list(sources)
-    for s in src_list:
-        if not 0 <= s < n:
-            raise GraphStructureError(f"source {s} out of range [0, {n})")
+    src_list = vertex_ids(
+        range(n) if sources is None else sources, n, "source"
+    ).tolist()
 
     weighted = weights == "weight" or (
         weights is None and graph.is_weighted and not _unit_weights(graph)

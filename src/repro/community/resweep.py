@@ -28,6 +28,7 @@ from repro.community.pla import _local_moving_refinement
 from repro.community.result import ClusteringResult
 from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.csr import Graph
+from repro.kernels._frontier import vertex_ids
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -38,15 +39,10 @@ def _touched_ball(
     graph: Graph, touched: Sequence[int], radius: int
 ) -> np.ndarray:
     """Boolean mask of vertices within ``radius`` hops of ``touched``."""
-    n = graph.n_vertices
-    allowed = np.zeros(n, dtype=bool)
-    idx = np.asarray(list(touched), dtype=np.int64)
+    allowed = np.zeros(graph.n_vertices, dtype=bool)
+    idx = vertex_ids(touched, graph.n_vertices, "touched vertex")
     if idx.shape[0] == 0:
         return allowed
-    if idx.min() < 0 or idx.max() >= n:
-        raise GraphStructureError(
-            f"touched vertex out of range [0, {n})"
-        )
     allowed[idx] = True
     src = graph.arc_sources()
     tgt = graph.targets

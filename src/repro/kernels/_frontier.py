@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.errors import GraphStructureError
 from repro.graph.csr import EdgeSubsetView, Graph
 
 
@@ -23,6 +24,32 @@ def unwrap(g: GraphLike) -> tuple[Graph, Optional[np.ndarray]]:
     if isinstance(g, EdgeSubsetView):
         return g.graph, g.active
     return g, None
+
+
+def vertex_ids(ids, n: Optional[int] = None, what: str = "vertex") -> np.ndarray:
+    """Caller vertex ids as an int64 array, each in ``[0, n)`` (any
+    non-negative int64 when ``n`` is ``None``).
+
+    Integral floats are accepted; strings, booleans, non-integral
+    numbers and NaN raise :class:`GraphStructureError` instead of being
+    truncated to another vertex.
+    """
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+        if not {bool, np.bool_}.isdisjoint(map(type, ids)):
+            raise GraphStructureError(f"{what} ids must be integers, not booleans")
+    raw = np.asarray(ids)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise GraphStructureError(f"{what} ids must be a list of integers")
+    if raw.dtype.kind == "f":
+        frac = ~np.isfinite(raw) | (np.floor(raw) != raw)
+        if frac.any():
+            raise GraphStructureError(f"{what} {raw[frac][0]} is not an integer")
+    bad = (raw < 0) | (raw >= (np.iinfo(np.int64).max if n is None else n))
+    if bad.any():
+        bound = "" if n is None else f" [0, {n})"
+        raise GraphStructureError(f"{what} {raw[bad][0]} out of range{bound}")
+    return raw.astype(np.int64)
 
 
 def frontier_arc_indices(graph: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

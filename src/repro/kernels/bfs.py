@@ -25,8 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, expand, frontier_arc_indices, unwrap
+from repro.kernels._frontier import (
+    GraphLike,
+    expand,
+    frontier_arc_indices,
+    unwrap,
+    vertex_ids,
+)
 from repro.kernels.segments import pair_order
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
@@ -72,7 +77,7 @@ def default_batch_size(n_vertices: int) -> int:
 
 def source_batches(sources, batch_size: Optional[int], n_vertices: int) -> list:
     """Split a source list into contiguous batches of ``batch_size`` lanes."""
-    srcs = np.asarray(list(sources), dtype=np.int64)
+    srcs = vertex_ids(sources, n_vertices, "source")
     k = batch_size if batch_size is not None else default_batch_size(n_vertices)
     if k < 1:
         raise ValueError("batch_size must be >= 1")
@@ -115,8 +120,7 @@ def bfs(
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
     n = graph.n_vertices
-    if not 0 <= source < n:
-        raise GraphStructureError(f"source {source} out of range [0, {n})")
+    [source] = vertex_ids([source], n, "source")
     dist = np.full(n, UNREACHED, dtype=np.int64)
     parent = np.full(n, UNREACHED, dtype=np.int64)
     dist[source] = 0
@@ -205,32 +209,32 @@ def msbfs(
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
     n = graph.n_vertices
-    srcs = np.asarray(list(sources), dtype=np.int64)
+    srcs = vertex_ids(sources, n, "source")
     k = srcs.shape[0]
-    if k and (srcs.min() < 0 or srcs.max() >= n):
-        bad = srcs[(srcs < 0) | (srcs >= n)][0]
-        raise GraphStructureError(f"source {int(bad)} out of range [0, {n})")
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
+    push, pull = _arc_steps(graph, edge_active, ctx)
     n_levels = 0
     with ctx.region():
         for lo in range(0, k, _WORD_LANES):
-            hi = lo + _WORD_LANES
+            rows = dist[lo : lo + _WORD_LANES]
+            start = _seed_lane_words(srcs[lo : lo + _WORD_LANES], rows)
             depth = _msbfs_word(
-                graph, edge_active, srcs[lo:hi], dist[lo:hi], max_depth, ctx
+                (*start, 0), rows, push, pull, graph.degrees(), graph.n_arcs,
+                max_depth, ctx.tracer,
             )
             n_levels = max(n_levels, depth)
     return MSBFSResult(srcs, dist, n_levels)
 
 
-def _seed_lane_words(srcs: np.ndarray, dist_flat: np.ndarray, n: int):
-    """Start one word of lanes: distance 0 and lane bit ``k`` at
-    ``srcs[k]``.  Returns ``(seen, verts, words)`` — the per-vertex lane
-    words and the level-0 frontier."""
+def _seed_lane_words(srcs: np.ndarray, dist: np.ndarray):
+    """Start one word of lanes: distance 0 in the ``(lanes, n)`` rows
+    ``dist`` and lane bit ``k`` at ``srcs[k]``.  Returns ``(seen, verts,
+    words)`` — the per-vertex lane words and the level-0 frontier."""
     kw = srcs.shape[0]
     word = next(dt for dt in _WORD_DTYPES if kw <= 8 * dt.itemsize)
     lane_ids = np.arange(kw, dtype=np.int64)
-    dist_flat[lane_ids * n + srcs] = 0
-    seen = np.zeros(n, dtype=word)
+    dist[lane_ids, srcs] = 0
+    seen = np.zeros(dist.shape[1], dtype=word)
     np.bitwise_or.at(seen, srcs, (1 << lane_ids.astype(np.uint64)).astype(word))
     verts = np.unique(srcs)
     return seen, verts, seen.take(verts)
@@ -297,89 +301,102 @@ def _scatter_new_lanes(dist_flat, n: int, verts, words, depth: int) -> int:
     return int(pos.shape[0])
 
 
-def _msbfs_word(graph, edge_active, srcs, dist, max_depth, ctx) -> int:
-    """Traverse one word of lanes into ``dist`` (its rows of the output).
-
-    ``seen[v]`` holds the lanes that have reached ``v``; the frontier is
-    the vertices ``verts`` newly reached on some lane plus their
-    new-lane words ``words``.  Each level picks a direction from the
-    frontier's arc count.  A *push* gathers only the frontier vertices'
-    arcs, ORs the words landing on each target (sort + segmented OR)
-    and scatters distances from the unpacked bits of the newly reached
-    vertices, so a sparse level costs O(frontier arcs) and never O(n).
-    A *pull* (undirected graphs only: ``v`` joins exactly when one of
-    its own arcs reaches the frontier) streams every arc once through
-    ``bitwise_or.reduceat`` and adds the new bit planes onto the
-    distance rows.  Returns the deepest level reached.
+def _arc_steps(graph, edge_active, ctx):
+    """In-core ``msbfs``'s level steps ``(push, pull)`` over the CSR
+    arcs.  Each charges its level to ``ctx`` as one barrier-separated
+    phase and drops the arcs of masked-out edges.  ``push`` gathers the
+    frontier's arcs, O(frontier arcs); ``pull`` streams every arc once
+    through ``bitwise_or.reduceat``, and is ``None`` on a directed graph
+    (``v`` joins on an arc into it, not one of its own).
     """
-    n, n_arcs = graph.n_vertices, graph.n_arcs
-    dist_flat = dist.reshape(-1)
-    seen, verts, words = _seed_lane_words(srcs, dist_flat, n)
-    word = seen.dtype
     offsets, targets = graph.offsets, graph.targets
     degs_all = graph.degrees()
-    pull_ok = not graph.directed
-    seg_verts = seg_starts = dead_arcs = None  # pull-only, built on first use
-    level = 0
-    tr = ctx.tracer
+
+    def push(verts, words):
+        arc_idx, degs = frontier_arc_indices(graph, verts)
+        ctx.record_phase_from_work(degs)
+        tgt = targets.take(arc_idx)
+        got = words.repeat(degs)
+        if edge_active is not None:
+            live = edge_active.take(graph.arc_edge_ids.take(arc_idx)).nonzero()[0]
+            tgt, got = tgt.take(live), got.take(live)
+        return tgt, got
+
+    if graph.directed:
+        return push, None
+    seg_verts = seg_starts = dead = None  # built on the first pull
+
+    def pull(frontier, seen):
+        nonlocal seg_verts, seg_starts, dead
+        ctx.record_phase_from_work(degs_all)
+        if seg_verts is None:
+            # reduceat misreads empty segments; reduce only the non-empty
+            # ones (their starts still delimit exactly).
+            seg_verts = np.flatnonzero(degs_all)
+            seg_starts = offsets.take(seg_verts)
+            if edge_active is not None:
+                dead = np.flatnonzero(~edge_active.take(graph.arc_edge_ids))
+        got = frontier.take(targets)
+        if dead is not None:
+            got[dead] = 0
+        fresh = np.zeros(frontier.shape[0], dtype=frontier.dtype)
+        fresh[seg_verts] = np.bitwise_or.reduceat(got, seg_starts)
+        return fresh
+
+    return push, pull
+
+
+def _msbfs_word(start, dist, push, pull, degs_all, n_arcs, max_depth,
+                tracer=None, on_level=None) -> int:
+    """The msbfs level loop: traverse one word of lanes from ``start``
+    = ``(seen, verts, words, level)`` into its ``(lanes, n)`` distance
+    rows ``dist``; returns the deepest level reached.
+
+    ``seen[v]`` holds the lanes that have reached ``v``; the frontier is
+    ``verts``, the vertices newly reached at ``level``, with their
+    new-lane ``words``.  Each level picks a direction from the
+    frontier's arc count.  A push claims the ``(target, word)`` pairs
+    ``push(verts, words)`` returns (OR per target, mask ``~seen``,
+    scatter the new bits' distances), so a sparse level costs
+    O(frontier arcs), never O(n).  A pull (``pull`` is ``None`` on
+    directed graphs) claims the dense words ``pull(frontier, seen)``
+    returns for the dense frontier.  The steps do the arc work (in core
+    :func:`_arc_steps`, sharded a superstep each); the loop owns the
+    direction rule, both claims, the ``level`` span on ``tracer`` and
+    the stops, and hands each claimed frontier to ``on_level(level,
+    verts, words)``.
+    """
+    seen, verts, words, level = start
+    n = seen.shape[0]
+    dist_flat = dist.reshape(-1)
     while verts.shape[0] and (max_depth is None or level < max_depth):
         f_arcs = int(degs_all.take(verts).sum())
-        pull = pull_ok and f_arcs * _PULL_ARC_RATIO > n_arcs
-        sp = (
-            tr.begin(
-                "level",
-                depth=level,
-                frontier=int(verts.shape[0]),
-                direction="pull" if pull else "push",
-            )
-            if tr
-            else None
-        )
+        dense = pull is not None and f_arcs * _PULL_ARC_RATIO > n_arcs
+        sp = tracer.begin(
+            "level", depth=level, frontier=int(verts.shape[0]),
+            direction="pull" if dense else "push",
+        ) if tracer else None
         nxt = level + 1
-        if pull:
-            # One barrier-separated phase covers the whole word's level.
-            ctx.record_phase_from_work(degs_all)
-            if seg_verts is None:
-                # reduceat misreads empty segments; reduce only the
-                # non-empty ones (their starts still delimit exactly).
-                seg_verts = np.flatnonzero(degs_all)
-                seg_starts = offsets.take(seg_verts)
-                if edge_active is not None:
-                    dead_arcs = np.flatnonzero(
-                        ~edge_active.take(graph.arc_edge_ids)
-                    )
-            frontier = np.zeros(n, dtype=word)
+        if dense:
+            frontier = np.zeros(n, dtype=seen.dtype)
             frontier[verts] = words
-            got = frontier.take(targets)
-            if dead_arcs is not None:
-                got[dead_arcs] = 0
+            verts, words = _claim_dense(seen, pull(frontier, seen), dist, nxt)
             arcs = n_arcs
-            fresh = np.zeros(n, dtype=word)
-            fresh[seg_verts] = np.bitwise_or.reduceat(got, seg_starts)
-            verts, words = _claim_dense(seen, fresh, dist, nxt)
-            discovered = (
-                int(np.unpackbits(words.view(np.uint8)).sum())
-                if sp is not None
-                else 0
-            )
+            discovered = 0 if sp is None else int(
+                np.unpackbits(words.view(np.uint8)).sum())
         else:
-            arc_idx, degs = frontier_arc_indices(graph, verts)
-            ctx.record_phase_from_work(degs)
-            tgt = targets.take(arc_idx)
-            got = words.repeat(degs)
-            if edge_active is not None:
-                live = edge_active.take(
-                    graph.arc_edge_ids.take(arc_idx)
-                ).nonzero()[0]
-                tgt, got = tgt.take(live), got.take(live)
+            tgt, got = push(verts, words)
             arcs = int(tgt.shape[0])
             verts, words = _claim_new(seen, tgt, got)
+            del tgt, got  # the level's arc pairs: not held into later levels
             discovered = _scatter_new_lanes(dist_flat, n, verts, words, nxt)
         if sp is not None:
-            tr.end(sp, arcs=arcs, discovered=discovered)
+            tracer.end(sp, arcs=arcs, discovered=discovered)
         if verts.shape[0] == 0:
             break
         level = nxt
+        if on_level is not None:
+            on_level(level, verts, words)
     return level
 
 
@@ -400,9 +417,7 @@ def st_connectivity(
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
     n = graph.n_vertices
-    for v in (s, t):
-        if not 0 <= v < n:
-            raise GraphStructureError(f"vertex {v} out of range [0, {n})")
+    s, t = vertex_ids([s, t], n)
     if s == t:
         return True
     if graph.directed and edge_active is not None:

@@ -63,7 +63,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.errors import DeadlineExpired, ProtocolError, ServeError
+from repro.errors import DeadlineExpired, GraphStructureError, ProtocolError, ServeError
+from repro.kernels._frontier import vertex_ids
 from repro.kernels.bfs import MSBFSResult
 from repro.obs.api import split_operands, validate_params
 from repro.obs.runner import RunResult, run as obs_run
@@ -91,6 +92,23 @@ def _canon_params(params: dict) -> str:
         return repr(o)
 
     return json.dumps(params, sort_keys=True, default=default)
+
+
+def _normalize_sources(algo: str, params: dict) -> None:
+    """Check a mergeable request's source ids and store them as plain
+    ints, so merging and slicing see int lists and a non-integer id is
+    refused here instead of truncated, or failing a merged batch."""
+    key = MERGEABLE[algo]
+    ids = params.get(key)
+    if ids is None:
+        if algo == "closeness":  # every vertex
+            return
+        raise ProtocolError(f"{algo} request requires {key!r}")
+    try:
+        got = vertex_ids([ids] if algo == "bfs" else ids, what=key).tolist()
+    except (GraphStructureError, TypeError) as exc:
+        raise ProtocolError(f"{algo} {key!r}: {exc}") from None
+    params[key] = got[0] if algo == "bfs" else got
 
 
 @dataclass
@@ -192,11 +210,8 @@ class Coalescer:
         """
         params = dict(params or {})
         validate_params(algo, params)
-        if algo in ("bfs", "msbfs"):
-            # Normalize now so merging and slicing see plain int lists.
-            key = MERGEABLE[algo]
-            if key not in params:
-                raise ProtocolError(f"{algo} request requires {key!r}")
+        if algo in MERGEABLE:
+            _normalize_sources(algo, params)
         req = ServeRequest(
             id=request_id or f"r{next(self._ids)}",
             graph=str(graph),
@@ -391,8 +406,8 @@ class Coalescer:
 
             def slicer(req: ServeRequest):
                 if req.algo == "bfs":
-                    return dist[index[int(req.params["source"])]]
-                srcs = [int(s) for s in req.params["sources"]]
+                    return dist[index[req.params["source"]]]
+                srcs = req.params["sources"]
                 rows = dist[[index[s] for s in srcs]]
                 # A lane set's level count is its deepest reached level,
                 # so the re-sliced result is bit-identical to an
@@ -413,13 +428,9 @@ class Coalescer:
 
     def _request_sources(self, req: ServeRequest, g):
         if req.algo == "bfs":
-            return [int(req.params["source"])]
-        if req.algo == "msbfs":
-            return [int(s) for s in req.params["sources"]]
+            return [req.params["source"]]
         srcs = req.params.get("sources")
-        if srcs is None:
-            return [None]
-        return [int(s) for s in srcs]
+        return [None] if srcs is None else srcs
 
     def _execute(self, algo, graph, operands, kwargs, requests) -> RunResult:
         kwargs = dict(kwargs)

@@ -1,48 +1,8 @@
 """Shard-at-a-time algorithms, bit-identical to the in-core kernels.
 
-Every public function here reproduces its in-core counterpart's output
-*exactly* (``np.array_equal`` on integers, equal bits on floats), while
-touching only one shard's CSR per worker task plus ``O(n)`` vertex
-state at the coordinator:
-
-* :func:`sharded_msbfs` — the in-core word formulation with each
-  level's arc pass as one superstep: shards return ``(vertex, lane
-  word)`` pairs for the frontier they were shipped, the coordinator
-  claims them with the in-core push step (OR per vertex, mask with its
-  ``seen`` words) or, on a pull level, where the pairs are disjoint
-  owned rows, with the in-core dense pull step; the new bits are
-  exactly the in-core level's, so the distance plane and level count
-  match bit for bit.
-* :func:`sharded_connected_components` — one superstep per round of
-  the in-core Shiloach–Vishkin kernel: shards return each owned row's
-  smallest neighbor label and the coordinator runs the in-core hook
-  round on them, so the rounds and labels are the in-core ones.
-* :func:`sharded_closeness` — sharded traversals + the in-core
-  reduction/assembly arithmetic verbatim (unweighted graphs only, as
-  in-core weighted closeness switches to per-source Dijkstra).
-* :func:`sharded_pla` — the multilevel Louvain loop of
-  ``community.pla._multilevel_pla`` with the level-0 (fine-graph)
-  sweeps, modularity guard, contraction and final refinement running
-  out of core, each through its in-core step: the one sweep loop
-  (``_sweep_loop``, run for level 0 and again for the refinement, with
-  a superstep sweep and a checkpoint hook), the sweep step, the
-  strength and loopless-arc helpers on each shard's rows, and the
-  modularity and contraction folds over the chunked edge stream (each
-  chunk starts from the carried sums, so the floats are the one-pass
-  ones, strength over ``u`` then ``v``).  Best moves are exact because
-  a vertex's gains are a pure function of its own arc list (present
-  in full on its owning shard, in global CSR arc order) and the dense
-  local label remap is monotone, so the ``pair_order`` grouping
-  permutation matches the global one.
-
-Every algorithm checkpoints through the driver's per-tag record log
-(DESIGN §13): after a superstep it hands
-:meth:`~repro.sharded.bsp.BSPDriver.maybe_checkpoint` only what that
-superstep wrote — msbfs the frontier a level claimed, components the
-hooks of a round, closeness a finished batch's scores, pLA a
-sweep's movers and phase scalars — and on resume folds the records
-:meth:`~repro.sharded.bsp.BSPDriver.resume` returns back into its
-state, in order.
+Each one runs its in-core counterpart's loop and steps with supersteps
+for the arc passes, and checkpoints what each superstep wrote through
+the driver's record log; DESIGN §12 (and §13) says how, per kernel.
 """
 
 from __future__ import annotations
@@ -68,13 +28,12 @@ from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.builder import contract_chunks
 from repro.graph.csr import Graph
 from repro.kernels import segments
+from repro.kernels._frontier import vertex_ids
 from repro.kernels.bfs import (
     MSBFSResult,
     UNREACHED,
-    _PULL_ARC_RATIO,
     _WORD_LANES,
-    _claim_dense,
-    _claim_new,
+    _msbfs_word,
     _or_by_target,
     _scatter_new_lanes,
     _seed_lane_words,
@@ -161,14 +120,14 @@ def sharded_msbfs(
 ) -> MSBFSResult:
     """Level-synchronous multi-source BFS over a shard set.
 
-    ``kernels.bfs.msbfs``'s word formulation with each level's arc pass
-    as one superstep: the coordinator keeps the ``seen`` lane words and
-    the sparse frontier ``(verts, words)`` and picks push or pull by the
-    in-core rule.  A push level claims the shards' merged ``(vertex,
-    word)`` pairs with the in-core push step; a pull level's results are
-    disjoint owned rows, scattered into one dense word array and claimed
-    with the in-core pull step.  ``result.distances`` and ``n_levels``
-    are bit-identical to ``kernels.bfs.msbfs`` on the stitched graph.
+    The in-core level loop (``kernels.bfs._msbfs_word``) with superstep
+    steps: a push ships each shard its owned frontier rows and claims
+    the merged ``(vertex, word)`` pairs the shards return; a pull ships
+    every shard the one dense frontier and scatters the disjoint owned
+    rows they return into the dense words the loop claims.  The
+    coordinator keeps the ``seen`` words, so ``result.distances`` and
+    ``n_levels`` are bit-identical to ``kernels.bfs.msbfs`` on the
+    stitched graph.
 
     A level's checkpoint record is what it claimed: ``(lo, level,
     verts, words)``.  With a resume-armed driver checkpointer the
@@ -180,11 +139,8 @@ def sharded_msbfs(
     ss = shard_set
     drv = driver or BSPDriver(ss, ctx=ctx)
     n = ss.n_vertices
-    srcs = np.asarray(list(sources), dtype=np.int64)
+    srcs = vertex_ids(sources, n, "source")
     k = srcs.shape[0]
-    if k and (srcs.min() < 0 or srcs.max() >= n):
-        bad = srcs[(srcs < 0) | (srcs >= n)][0]
-        raise GraphStructureError(f"source {int(bad)} out of range [0, {n})")
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
     if k == 0:
         return MSBFSResult(srcs, dist, 0)
@@ -200,67 +156,59 @@ def sharded_msbfs(
     tag = checkpoint_tag
     records = drv.resume(tag, {"n": n, "srcs": srcs, "max_depth": max_depth}) or []
     resume_lo = records[-1][0] if records else 0
+
+    def superstep(payloads):  # one per level, named after it
+        nonlocal step
+        step += 1
+        return drv.superstep(
+            f"msbfs:level{step - 1}", _msbfs_level_worker, payloads
+        )
+
+    def push(verts, words):
+        ow = owner.take(verts)
+        payloads = []
+        for s in active:
+            mine = (ow == s).nonzero()[0]
+            if mine.shape[0]:
+                payloads.append((paths[s], s, local_index.take(verts.take(mine)),
+                                 words.take(mine)))
+        results = superstep(payloads)
+        del payloads  # free the per-shard copies before the merge
+        return tuple(np.concatenate(col) for col in zip(*results))
+
+    def pull(frontier, seen):
+        # Every payload shares ONE reference to the dense frontier —
+        # O(n) words resident, not O(n + total halo).  A row with every
+        # lane seen cannot claim anything, so a shard whose unfinished
+        # rows hold under half its arcs pulls over those rows only.
+        results = superstep([
+            (paths[s], s, None, frontier,
+             _unfinished_rows(seen, all_lanes, *with_arcs[s]))
+            for s in active
+        ])
+        fresh = np.zeros(n, dtype=frontier.dtype)
+        for tgt, got in results:
+            fresh[tgt] = got  # owned rows: disjoint across shards
+        return fresh
+
+    def checkpoint(level, verts, words):
+        drv.maybe_checkpoint(tag, (lo, level, verts, words))
+
     n_levels = 0
     for lo in range(0, k, _WORD_LANES):
         rows = dist[lo : lo + _WORD_LANES]
-        dist_flat = rows.reshape(-1)
-        seen, verts, words = _seed_lane_words(
-            srcs[lo : lo + _WORD_LANES], dist_flat, n
-        )
+        seen, verts, words = _seed_lane_words(srcs[lo : lo + _WORD_LANES], rows)
         all_lanes = seen.dtype.type((1 << rows.shape[0]) - 1)
         level = 0
         for _, level, verts, words in (r for r in records if r[0] == lo):
             seen[verts] |= words
-            _scatter_new_lanes(dist_flat, n, verts, words, level)
-        if lo < resume_lo:  # finished before the crash: replayed, not re-run
-            n_levels = max(n_levels, level)
-            continue
-        while verts.shape[0] and (max_depth is None or level < max_depth):
-            f_arcs = int(degs_all.take(verts).sum())
-            pull = f_arcs * _PULL_ARC_RATIO > ss.n_arcs
-            if pull:
-                # Every payload shares ONE reference to the dense
-                # frontier — O(n) words resident, not O(n + total halo).
-                # A row with every lane seen cannot claim anything, so
-                # a shard whose unfinished rows hold under half its
-                # arcs pulls over those rows only.
-                frontier = np.zeros(n, dtype=words.dtype)
-                frontier[verts] = words
-                payloads = [
-                    (paths[s], s, None, frontier,
-                     _unfinished_rows(seen, all_lanes, *with_arcs[s]))
-                    for s in active
-                ]
-            else:
-                ow = owner.take(verts)
-                payloads = []
-                for s in active:
-                    mine = (ow == s).nonzero()[0]
-                    if mine.shape[0]:
-                        payloads.append((
-                            paths[s], s,
-                            local_index.take(verts.take(mine)),
-                            words.take(mine),
-                        ))
-            results = drv.superstep(
-                f"msbfs:level{level}", _msbfs_level_worker, payloads
+            _scatter_new_lanes(rows.reshape(-1), n, verts, words, level)
+        if lo >= resume_lo:  # else finished before the crash: replayed
+            step = level
+            level = _msbfs_word(
+                (seen, verts, words, level), rows, push, pull, degs_all,
+                ss.n_arcs, max_depth, on_level=checkpoint,
             )
-            del payloads
-            if pull:
-                fresh = np.zeros(n, dtype=words.dtype)
-                for tgt, got in results:
-                    fresh[tgt] = got  # owned rows: disjoint across shards
-                del results
-                verts, words = _claim_dense(seen, fresh, rows, level + 1)
-            else:
-                tgt, got = (np.concatenate(col) for col in zip(*results))
-                del results  # free per-shard copies before the merge sort
-                verts, words = _claim_new(seen, tgt, got)
-                _scatter_new_lanes(dist_flat, n, verts, words, level + 1)
-            if verts.shape[0] == 0:
-                break
-            level += 1
-            drv.maybe_checkpoint(tag, (lo, level, verts, words))
         n_levels = max(n_levels, level)
     drv.clear_checkpoint(tag)
     return MSBFSResult(srcs, dist, n_levels)

@@ -532,6 +532,48 @@ class TestBSPResume:
             assert got.extras == ref.extras
             assert not list(cpdir.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("gname", ["karate", "rmat10"])
+    @pytest.mark.parametrize("algo", ["msbfs", "closeness"])
+    def test_traversal_resume_at_every_crash_point(self, karate, tmp_path,
+                                                   algo, gname, every):
+        """``sharded_msbfs`` over two lane words and ``sharded_closeness``
+        over batches of 20 lanes: a crash after any superstep resumes to
+        the in-core result, re-running a suffix of the uninterrupted run
+        and clearing every checkpoint."""
+        from repro.generators.rmat import rmat
+
+        g = karate if gname == "karate" else rmat(
+            10, 8.0, rng=np.random.default_rng(7))
+        n = g.n_vertices
+        ss = build_shard_set(g, tmp_path / "ss", k=3)
+        if algo == "msbfs":
+            sources = [(7 * i) % n for i in range(70)]
+            ref = msbfs(g, sources).distances.tobytes()
+
+            def run(drv):
+                return sharded_msbfs(ss, sources, driver=drv).distances.tobytes()
+        else:
+            sources = list(range(0, n, max(1, n // 50)))[:50]
+            ref = closeness_centrality(g, sources=sources, batch_size=20)
+            ref = ref.tobytes()
+
+            def run(drv):
+                return sharded_closeness(ss, sources=sources, batch_size=20,
+                                         driver=drv).tobytes()
+
+        drv_ref, ran_ref = _recording_driver(BSPDriver(ss))
+        assert run(drv_ref) == ref
+        for crash_after in range(len(ran_ref)):
+            cpdir = tmp_path / f"cp{crash_after}"
+            with pytest.raises(_Boom):
+                run(_crashing_driver(ss, cpdir, crash_after=crash_after,
+                                     every=every))
+            drv, ran = _recording_driver(_resume_driver(ss, cpdir, every))
+            assert run(drv) == ref, crash_after
+            assert ran == ran_ref[len(ran_ref) - len(ran):], crash_after
+            assert not list(cpdir.glob("*.ckpt")), crash_after
+
     def test_closeness_resume_bit_identical(self, karate, shards):
         ss, cpdir = shards
         with pytest.raises(_Boom):

@@ -188,3 +188,50 @@ class TestStConnectivity:
         )
         view.deactivate(bridge)
         assert not st_connectivity(view, 0, 5)
+
+
+#: Caller ids that name no vertex: never truncated to one.
+NOT_VERTEX_IDS = [1.5, "3", True, float("nan")]
+
+
+class TestVertexIds:
+    """Every entry point that takes caller vertex ids refuses strings,
+    booleans, non-integral numbers and NaN the same way (the pLA label
+    rule), accepts integral floats, and range-checks them."""
+
+    @staticmethod
+    def _entry_points(g, tmp_path):
+        from repro.centrality import brandes, closeness_centrality
+        from repro.community.resweep import local_resweep
+        from repro.kernels import msbfs
+        from repro.sharded import build_shard_set, sharded_closeness, sharded_msbfs
+
+        ss = build_shard_set(g, tmp_path / "ss", k=2)
+        return {
+            "bfs": lambda v: bfs(g, v).distances,
+            "msbfs": lambda v: msbfs(g, [0, v]).distances,
+            "sharded_msbfs": lambda v: sharded_msbfs(ss, [0, v]).distances,
+            "closeness": lambda v: closeness_centrality(g, sources=[v]),
+            "sharded_closeness": lambda v: sharded_closeness(ss, sources=[v]),
+            "brandes": lambda v: brandes(g, sources=[v]).vertex,
+            "local_resweep": lambda v: local_resweep(g, touched=[v]).labels,
+            "st_connectivity": lambda v: st_connectivity(g, v, 0),
+        }
+
+    @pytest.mark.parametrize("bad", NOT_VERTEX_IDS, ids=repr)
+    def test_non_integer_ids_refused(self, two_triangles_bridge, tmp_path, bad):
+        for name, run in self._entry_points(two_triangles_bridge, tmp_path).items():
+            with pytest.raises(GraphStructureError):
+                run(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+
+    def test_out_of_range_refused(self, two_triangles_bridge, tmp_path):
+        for name, run in self._entry_points(two_triangles_bridge, tmp_path).items():
+            for bad in (-1, 6, 6.0):
+                with pytest.raises(GraphStructureError, match="out of range"):
+                    run(bad)
+                    pytest.fail(f"{name} accepted {bad!r}")
+
+    def test_integral_floats_accepted(self, two_triangles_bridge, tmp_path):
+        for name, run in self._entry_points(two_triangles_bridge, tmp_path).items():
+            assert np.array_equal(run(3.0), run(3)), name

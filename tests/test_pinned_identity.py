@@ -16,7 +16,11 @@ lost its per-backend dispatch paths): a moved digest means a figure
 curve moved.  Its multilevel pLA and ``local_resweep`` entries, and
 ``PINNED_SPANS`` (the traced span ``structure()`` of the pLA drivers),
 were recorded before the local-moving sweeps of every pLA driver went
-through one sweep loop.
+through one sweep loop.  The ``msbfs`` and ``closeness`` cost entries,
+``PINNED_LEVELS`` (every msbfs ``level`` span with its attributes) and
+``PINNED_SUPERSTEPS`` (the phases and payload arrays of sharded msbfs)
+were recorded before in-core and sharded msbfs went through one level
+loop.
 """
 
 from __future__ import annotations
@@ -172,6 +176,11 @@ PINNED: dict[str, dict[str, str]] = {
 }
 
 
+def _lane_sources(n: int, k: int) -> list:
+    """``k`` msbfs sources over ``n`` vertices, duplicates included."""
+    return np.random.default_rng(k).integers(0, n, size=k).tolist()
+
+
 def _warm_resweep(n: int) -> dict:
     """``local_resweep`` from a warm start (blocks of five vertices)
     repaired around three touched vertices."""
@@ -183,8 +192,10 @@ def _warm_resweep(n: int) -> dict:
 #: pinned, with degree-aware chunking on and (``@oblivious``) off.
 COST_RUNS: dict[str, tuple[str, dict]] = {
     "betweenness": ("betweenness", {}),
+    "closeness": ("closeness", {}),
     "girvan_newman": ("girvan_newman", {"patience": 5}),
     "local_resweep": ("local_resweep", _warm_resweep(34)),
+    "msbfs": ("msbfs", {"sources": _lane_sources(34, 70)}),
     "pbd": ("pbd", {"seed": 0, "patience": 5}),
     "pla": ("pla", {"seed": 0}),
     "pla_ml": ("pla", {"multilevel": True}),
@@ -212,10 +223,14 @@ def cost_digests() -> dict[str, str]:
 PINNED_COSTS: dict[str, str] = {
     "betweenness": "a6d3e2fe395cdf3023cfcadb18cbeca25efe8731",
     "betweenness@oblivious": "13e16c62b934b4297ee7483b3492ed44adb53598",
+    "closeness": "7354304f3784bd2a501baa3f15f6218d91c848e4",
+    "closeness@oblivious": "7354304f3784bd2a501baa3f15f6218d91c848e4",
     "girvan_newman": "91fb49f164da8f4d4ff3d1fe19b9073aae027350",
     "girvan_newman@oblivious": "23ff32745b65956b3449595dc8aa2b0a2f61a230",
     "local_resweep": "e56fbcc76b797bf37e625e934790724fcfde18a6",
     "local_resweep@oblivious": "e56fbcc76b797bf37e625e934790724fcfde18a6",
+    "msbfs": "494307444c9a8056f084ec2db8f1c43efc680857",
+    "msbfs@oblivious": "e3617c91e1c13c567df12ea3293553dd23582425",
     "pbd": "6e5beb8a286f53f20581b05fa7741f2f4098fc7c",
     "pbd@oblivious": "fea23d8d3fcc91ff6abc1feb98ef7a2c9b80083a",
     "pla": "f93148315842d29a1f5fa619749b47b99433e972",
@@ -262,6 +277,97 @@ PINNED_SPANS: dict[str, str] = {
 
 def test_span_structures_match_pinned_digests():
     assert span_digests() == PINNED_SPANS
+
+
+#: The ``level`` span attributes of a traversal, in span order.
+_LEVEL_ATTRS = ("depth", "frontier", "direction", "arcs", "discovered")
+
+
+def level_digests() -> dict[str, str]:
+    """Digest of each msbfs run's span ``structure()`` plus every
+    ``level`` span's attributes, as ``<run>@<graph>`` on karate and
+    R-MAT 10: one word of 16 lanes, two words (70 lanes) and closeness
+    (whose batches are msbfs runs)."""
+    import repro
+
+    out = {}
+    for gname in ("karate", "rmat10"):
+        g = CORPUS[gname]()
+        n = g.n_vertices
+        runs = {
+            "msbfs16": ("msbfs", {"sources": _lane_sources(n, 16)}),
+            "msbfs70": ("msbfs", {"sources": _lane_sources(n, 70)}),
+            "closeness": ("closeness", {"sources": _lane_sources(n, 40)}),
+        }
+        for name, (algo, kwargs) in runs.items():
+            root = repro.obs.run(algo, g, **kwargs).trace
+            levels = [
+                tuple(sp.attrs[key] for key in _LEVEL_ATTRS)
+                for _, sp in root.walk() if sp.name == "level"
+            ]
+            assert levels, name
+            out[f"{name}@{gname}"] = _sha1(
+                repr(root.structure()).encode(), repr(levels).encode()
+            )
+    return out
+
+
+PINNED_LEVELS: dict[str, str] = {
+    "closeness@karate": "bb9b73cb68179e28a6d2d7c77fe41c99a6d1762a",
+    "closeness@rmat10": "f89af164e8deeeefcd358e88315f4ce523b9c7eb",
+    "msbfs16@karate": "b452b43bf6af934ed07b4cdc04ff4bcbd0f5ae77",
+    "msbfs16@rmat10": "ee6e94a010686d8ba505560130b3b7b8d9fb7ea0",
+    "msbfs70@karate": "720843c0f2d3154f5c5891ff3b1f8eea60715c0f",
+    "msbfs70@rmat10": "2bb7a6ac353b7894ef58a1b8528e0c4db6e431a6",
+}
+
+
+def test_msbfs_level_spans_match_pinned_digests():
+    assert level_digests() == PINNED_LEVELS
+
+
+def superstep_digests(tmp_dir) -> dict[str, str]:
+    """Digest of every superstep ``sharded_msbfs`` runs — its phase name
+    and the arrays (bytes and dtype) and ``None`` slots of each payload
+    — plus the distance plane, as ``K<lanes>@<graph>`` on k = 3 shards
+    of karate and R-MAT 10."""
+    from repro.sharded import BSPDriver, sharded_msbfs
+
+    out = {}
+    for gname in ("karate", "rmat10"):
+        g = CORPUS[gname]()
+        ss = build_shard_set(g, tmp_dir / f"msbfs-{gname}", k=3)
+        for lanes in (3, 70):
+            drv = BSPDriver(ss)
+            orig, h = drv.superstep, hashlib.sha1()
+
+            def superstep(phase, worker, payloads, **kw):
+                h.update(phase.encode())
+                for p in payloads:
+                    for x in p[2:]:
+                        if isinstance(x, np.ndarray):
+                            h.update(x.dtype.str.encode() + x.tobytes())
+                        else:
+                            h.update(repr(x).encode())
+                return orig(phase, worker, payloads, **kw)
+
+            drv.superstep = superstep
+            res = sharded_msbfs(ss, _lane_sources(g.n_vertices, lanes), driver=drv)
+            h.update(res.distances.tobytes() + repr(res.n_levels).encode())
+            out[f"K{lanes}@{gname}"] = h.hexdigest()
+    return out
+
+
+PINNED_SUPERSTEPS: dict[str, str] = {
+    "K3@karate": "3c042151402e17b834f5f8457fc659e308da2e6e",
+    "K3@rmat10": "9cbf50422703d0034c1e4ecf0cb77ecb58d08937",
+    "K70@karate": "303688b36113851b87a4c408a1b63e4a8df98983",
+    "K70@rmat10": "7c0b0e25e6169619dc7b8343d1f87de5afc5d58a",
+}
+
+
+def test_sharded_msbfs_supersteps_match_pinned_digests(tmp_path):
+    assert superstep_digests(tmp_path) == PINNED_SUPERSTEPS
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -320,3 +426,6 @@ if __name__ == "__main__":  # regenerate the table
         )
     pprint.pprint(cost_digests(), width=100)
     pprint.pprint(span_digests(), width=100)
+    pprint.pprint(level_digests(), width=100)
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(superstep_digests(pathlib.Path(tmp)), width=100)

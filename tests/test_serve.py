@@ -254,6 +254,40 @@ class TestCoalescer:
         assert got[1].value.n_levels == iso2.n_levels
         assert np.array_equal(got[2].value, repro.bfs(rmat, 7).distances)
 
+    @pytest.mark.parametrize("algo,key,bad", [
+        ("bfs", "source", 1.5),
+        ("bfs", "source", "3"),
+        ("bfs", "source", True),
+        ("bfs", "source", None),
+        ("bfs", "source", [1]),
+        ("msbfs", "sources", [0, 2.5]),
+        ("msbfs", "sources", ["3"]),
+        ("msbfs", "sources", [1, True]),
+        ("msbfs", "sources", 3),
+        ("closeness", "sources", [float("nan")]),
+        ("closeness", "sources", [-1]),
+    ])
+    def test_non_integer_sources_refused_before_merging(self, rmat, algo,
+                                                        key, bad):
+        """A source that names no vertex is refused at submit, as the
+        library refuses it, instead of being truncated to another
+        vertex or failing the batch it would have merged into."""
+        reg = GraphRegistry()
+        reg.add("g", rmat)
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            gate.hold(co)
+            good = [co.submit("g", "bfs", {"source": s}) for s in (1, 3.0)]
+            try:
+                with pytest.raises(ProtocolError, match=repr(key)):
+                    co.submit("g", algo, {key: bad})
+            finally:
+                gate.open()
+            got = [f.result(timeout=30) for f in good]
+        for res, s in zip(got, (1, 3)):
+            assert np.array_equal(res.value, repro.bfs(rmat, s).distances)
+            assert res.extras["serve"]["batch_size"] == 2
+
     def test_closeness_merge_matches_isolated(self, rmat):
         reg = GraphRegistry()
         reg.add("g", rmat)
@@ -679,6 +713,19 @@ class TestHTTP:
             client.submit("g", "bfs", bogus=True)
         with pytest.raises(ProtocolError):
             client.submit("g", "no_such_algorithm")
+
+    def test_non_integer_sources_refused_over_wire(self, server):
+        _, client, g = server
+        for algo, params in [("bfs", {"source": 1.5}),
+                             ("bfs", {"source": "3"}),
+                             ("bfs", {"source": True}),
+                             ("msbfs", {"sources": [0, 2.5]}),
+                             ("closeness", {"sources": [1.5]})]:
+            with pytest.raises(ProtocolError, match="source"):
+                client.submit("g", algo, **params)
+        iso = repro.bfs(g, 3).distances
+        got = client.submit("g", "bfs", source=3.0)["value"]
+        assert np.array_equal(np.asarray(got, dtype=iso.dtype), iso)
 
     def test_schema_published_from_registry(self, server):
         _, client, _ = server

@@ -401,17 +401,33 @@ def test_components_supersteps_are_in_core_rounds(make, tmp_path, monkeypatch):
 
 def test_sharded_kernels_call_the_in_core_steps():
     """The sharded kernels call the in-core steps — the hook round, the
-    modularity fold, the contraction merge, the pLA arc helpers — and
-    keep no copy of them: no pointer jump (``x[x]``), scatter-min, pair
-    count, label-weight grouping or bincount of their own in
-    ``repro.sharded``.  Matched on AST call and subscript nodes, so
-    docstrings may name them."""
+    modularity fold, the contraction merge, the pLA arc helpers, the
+    msbfs level loop — and keep no copy of them: no pointer jump
+    (``x[x]``), scatter-min, pair count, label-weight grouping or
+    bincount of their own in ``repro.sharded``, no reference to the
+    msbfs direction rule or claims, and no ``while`` loop in
+    ``sharded_msbfs``.  Matched on AST nodes, so docstrings may name
+    them."""
     root = Path(shards.__file__).parent
     banned = {"np.minimum.at", "np.union1d", "np.bincount",
               "grouped_label_weights"}
+    msbfs_loop = {"_PULL_ARC_RATIO", "_claim_new", "_claim_dense"}
     offenders = []
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom)
+                else [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute) else []
+            )
+            offenders += [f"{path.name}:{node.lineno}: {name}"
+                          for name in names if name in msbfs_loop]
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "sharded_msbfs"):
+                offenders += [f"{path.name}:{n.lineno}: while"
+                              for n in ast.walk(node)
+                              if isinstance(n, ast.While)]
             if isinstance(node, ast.Call):
                 func = ast.unparse(node.func)
                 if (func in banned or func.endswith(".grouped_label_weights")

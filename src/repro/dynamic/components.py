@@ -77,6 +77,15 @@ class IncrementalComponents:
             self._union(u, v)
         self._stale = False
 
+    def assign_labels(self, labels: np.ndarray) -> None:
+        """Take the canonical ``labels`` of the current edge set (the
+        batch kernel's, say) in place of a pending rebuild: every
+        vertex then points straight at its component's minimum vertex."""
+        self._parent = np.array(labels, dtype=np.int64)
+        self._size = np.bincount(self._parent, minlength=self._n)
+        self._n_components = int(np.count_nonzero(self._size))
+        self._stale = False
+
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge (u, v); returns True if newly inserted."""

@@ -1,12 +1,16 @@
 """Streaming ingestion engine: batches in, incremental analytics out.
 
-The engine applies timestamped edge batches onto the dynamic
-representations and maintains per-batch analytics *incrementally*
-instead of recomputing from scratch:
+The engine applies timestamped edge batches and maintains per-batch
+analytics *incrementally* instead of recomputing from scratch.  It
+keeps no adjacency of its own: the components' canonical edge set
+decides whether an event applies, and :meth:`StreamEngine.snapshot`
+merges the net delta since the last snapshot into that CSR
+(:func:`~repro.graph.builder.merge_edges`: array passes, no sort).
 
 * **components** — :class:`~repro.dynamic.components.IncrementalComponents`
   (union–find; canonical min-vertex labels, bit-identical to the batch
-  kernel);
+  kernel; after a batch that deletes, reset from that kernel run on the
+  snapshot instead of a union over every surviving edge);
 * **stats** — :class:`~repro.dynamic.stream.StreamingStats` (exact
   triangle/wedge/clustering counters, O(deg) per update);
 * **degree** — an integer degree array updated per edge, top-k scored
@@ -50,8 +54,8 @@ from repro.dynamic.sources import crawl_events
 from repro.dynamic.stream import StreamingStats
 from repro.durable import RecordLog
 from repro.errors import GraphStructureError
+from repro.graph import builder
 from repro.graph.csr import Graph
-from repro.graph.dynamic import DynamicGraph
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -140,11 +144,14 @@ class StreamEngine:
         self.ctx = ensure_context(ctx)
         n = self.n_vertices
 
-        # Unsorted adjacency: O(1) amortized append per arc.  Snapshots
-        # stay bit-identical to sorted mode because the CSR builder
-        # sorts arcs by (src, dst) regardless of insertion order.
-        self._graph = DynamicGraph(n, sorted_adjacency=False)
+        # its edge set decides whether an event applies
         self._cc = IncrementalComponents(n)
+        empty = np.empty(0, dtype=np.int64)
+        self._snap = builder.from_edge_array(
+            n, empty, empty, weights=empty.astype(np.float64), dedupe=False
+        )
+        self._added: dict[tuple[int, int], float] = {}
+        self._deleted: set[tuple[int, int]] = set()
         self._stats = (
             StreamingStats(n, window=self.window)
             if "stats" in self.analytics
@@ -169,7 +176,7 @@ class StreamEngine:
 
     @property
     def n_edges(self) -> int:
-        return self._graph.n_edges
+        return self._cc.n_edges
 
     @property
     def results(self) -> list[BatchResult]:
@@ -192,8 +199,15 @@ class StreamEngine:
         self._results.clear()
 
     def snapshot(self) -> Graph:
-        """Materialize the current edge set as a canonical CSR graph."""
-        return self._graph.to_csr()
+        """The current edge set as a canonical CSR graph: the last one
+        with the net delta since merged in, cached until an event applies."""
+        if self._added or self._deleted:
+            add = np.array(list(self._added), dtype=np.int64).reshape(-1, 2)
+            gone = np.array(list(self._deleted), dtype=np.int64).reshape(-1, 2)
+            w = np.fromiter(self._added.values(), np.float64, len(self._added))
+            self._snap = builder.merge_edges(self._snap, (*add.T, w), gone.T)
+            self._added, self._deleted = {}, set()
+        return self._snap
 
     # ------------------------------------------------------------------
     def apply_events(self, events: Iterable[EdgeEvent]) -> list[BatchResult]:
@@ -224,6 +238,7 @@ class StreamEngine:
         n = self.n_vertices
         touched: set[int] = set()
         n_applied = 0
+        stale = False
         for ev in events:
             if ev.u == ev.v:
                 continue  # self-loops carry no structure here
@@ -232,39 +247,40 @@ class StreamEngine:
                     f"event vertex out of range [0, {n}): {ev}"
                 )
             if ev.kind == "add":
-                applied = self._graph.add_edge(ev.u, ev.v, weight=ev.weight)
+                applied = self._cc.add_edge(ev.u, ev.v)
             else:
-                applied = self._graph.delete_edge(ev.u, ev.v)
+                applied = self._cc.delete_edge(ev.u, ev.v)
             if not applied:
                 continue
             n_applied += 1
             touched.add(ev.u)
             touched.add(ev.v)
+            key = (min(ev.u, ev.v), max(ev.u, ev.v))
             if ev.kind == "add":
-                self._cc.add_edge(ev.u, ev.v)
+                self._added[key] = ev.weight
                 if self._stats is not None:
                     self._stats.add_edge(ev.u, ev.v)
                 self._deg[ev.u] += 1
                 self._deg[ev.v] += 1
             else:
-                self._cc.delete_edge(ev.u, ev.v)
+                if self._added.pop(key, None) is None:
+                    self._deleted.add(key)
+                stale = True
                 if self._stats is not None:
                     self._stats.delete_edge(ev.u, ev.v)
                 self._deg[ev.u] -= 1
                 self._deg[ev.v] -= 1
+        if stale:  # the kernel on the snapshot, not a union per edge
+            from repro.kernels.connected import connected_components
+
+            self._cc.assign_labels(
+                connected_components(self.snapshot(), ctx=self.ctx)
+            )
 
         tr = self.ctx.tracer
         kw: dict[str, Any] = {}
         crc = 0
         labels: Optional[np.ndarray] = None
-        snap: Optional[Graph] = None
-
-        def need_snapshot() -> Graph:
-            nonlocal snap
-            if snap is None:
-                snap = self.snapshot()
-            return snap
-
         if "components" in self.analytics:
             with tr.span("stream.components") if tr else _noop():
                 labels = self._cc.labels()
@@ -296,12 +312,12 @@ class StreamEngine:
             with (
                 tr.span("stream.closeness") if tr else _noop()
             ):
-                self._refresh_closeness(touched, need_snapshot)
+                self._refresh_closeness(touched)
                 kw["closeness_topk"] = top_k(self._clo, self.k)
             crc = _crc(crc, self._clo)
         if "community" in self.analytics and n > 0:
             with tr.span("stream.community") if tr else _noop():
-                self._refresh_community(touched, need_snapshot)
+                self._refresh_community(touched)
             kw["community_labels"] = self._community.copy()
             kw["modularity"] = self._modularity
             crc = _crc(crc, self._community)
@@ -312,13 +328,13 @@ class StreamEngine:
             t=t,
             n_events=len(events),
             n_applied=n_applied,
-            n_edges=self._graph.n_edges,
+            n_edges=self.n_edges,
             checksum=crc,
             **kw,
         )
 
     # ------------------------------------------------------------------
-    def _refresh_closeness(self, touched: set[int], need_snapshot) -> None:
+    def _refresh_closeness(self, touched: set[int]) -> None:
         """Re-solve only sources whose component a touched vertex joined.
 
         Invalidation rule: a vertex's closeness can change only if its
@@ -335,11 +351,11 @@ class StreamEngine:
         hot = np.unique(cc_labels[np.asarray(sorted(touched), dtype=np.int64)])
         invalid = np.nonzero(np.isin(cc_labels, hot))[0]
         fresh = closeness_centrality(
-            need_snapshot(), sources=invalid.tolist(), ctx=self.ctx
+            self.snapshot(), sources=invalid.tolist(), ctx=self.ctx
         )
         self._clo[invalid] = fresh[invalid]
 
-    def _refresh_community(self, touched: set[int], need_snapshot) -> None:
+    def _refresh_community(self, touched: set[int]) -> None:
         """Repair the partition locally; escalate if repair falls behind.
 
         The localized re-sweep is the fast path and usually wins (warm
@@ -356,7 +372,7 @@ class StreamEngine:
 
         if not touched:
             return
-        snap = need_snapshot()
+        snap = self.snapshot()
         res = local_resweep(
             snap,
             labels=self._community,

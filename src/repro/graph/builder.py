@@ -142,6 +142,54 @@ def _build_undirected(
     )
 
 
+def merge_edges(base: Graph, add: tuple, delete: tuple) -> Graph:
+    """``base`` with the ``delete`` edges ``(u, v)`` (all present)
+    removed and the ``add`` edges ``(u, v, w)`` (all absent) inserted,
+    every pair with ``u < v``.  ``base`` is an undirected CSR as
+    :func:`from_edge_array` builds it from edges in canonical order;
+    the result is, in every array, the one it would build from the
+    surviving edges, without a sort of ``base``.
+    """
+    n, m = base.n_vertices, base.n_edges
+    src, tgt, eid = base.arc_sources(), base.targets, base.arc_edge_ids
+    key = src * n + tgt  # ascending: arcs are in (source, target) order
+    du, dv = delete
+    ends = np.concatenate([du, dv]), np.concatenate([dv, du])
+    dead = np.sort(np.searchsorted(key, ends[0] * n + ends[1]))
+    gone = np.sort(eid[np.searchsorted(key, du * n + dv)])  # dead edge ids
+    order = np.argsort(add[0] * n + add[1])
+    au, av, aw = (x[order] for x in add)
+    # q: old edges ranked below each added one, i.e. (u, v) arcs before it
+    below = np.zeros(key.shape[0] + 1, dtype=EDGE_DTYPE)
+    np.cumsum(src < tgt, out=below[1:])
+    q = below[np.searchsorted(key, au * n + av)]
+    new_id = np.cumsum(np.bincount(q, minlength=m + 1)[:m]
+                       - np.bincount(gone, minlength=m) + 1) - 1
+    a_id = q - np.searchsorted(gone, q) + np.arange(q.shape[0])
+    # one gather lays the kept arcs and the added ones out in key order
+    a_src, a_tgt = np.concatenate([au, av]), np.concatenate([av, au])
+    a_order = np.argsort(a_src * n + a_tgt)
+    at = np.searchsorted(key, (a_src * n + a_tgt)[a_order])
+    at += np.arange(at.shape[0]) - np.searchsorted(dead, at)
+    take = np.empty(key.shape[0] - dead.shape[0] + at.shape[0], dtype=np.intp)
+    is_old = np.ones(take.shape[0], dtype=bool)
+    is_old[at] = False
+    take[at] = key.shape[0] + a_order
+    take[is_old] = np.delete(np.arange(key.shape[0]), dead)
+    offsets = np.zeros(n + 1, dtype=EDGE_DTYPE)
+    np.cumsum(np.diff(base.offsets) - np.bincount(ends[0], minlength=n)
+              + np.bincount(a_src, minlength=n), out=offsets[1:])
+    return Graph(
+        offsets,
+        np.concatenate([tgt, a_tgt])[take],
+        directed=False,
+        weights=np.concatenate([base.arc_weights(), aw, aw])[take],
+        arc_edge_ids=np.concatenate([new_id[eid], a_id, a_id])[take],
+        n_edges=m - gone.shape[0] + q.shape[0],
+        validate=False,
+    )
+
+
 def from_edge_list(
     edges: Iterable[tuple[int, int] | tuple[int, int, float]],
     *,

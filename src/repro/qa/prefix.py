@@ -121,9 +121,9 @@ def event_stream(
 def _ref_snapshot(n: int, prefix: Sequence[EdgeEvent]) -> Graph:
     """Independent materialization of the surviving edge set.
 
-    Mirrors :meth:`~repro.graph.dynamic.DynamicGraph.to_csr` exactly
-    (explicit weights array, no dedupe) so the engine snapshot and the
-    reference are the same canonical CSR — asserted per prefix.
+    The canonical CSR (explicit weights array, no dedupe) that the
+    engine's merged snapshot must equal array for array — asserted per
+    prefix.
     """
     edges = canonical_final_edges(prefix)
     src = np.asarray([u for u, _, _ in edges], dtype=np.int64)
@@ -157,6 +157,8 @@ def _check_prefix(
         np.array_equal(own.offsets, snap.offsets)
         and np.array_equal(own.targets, snap.targets)
         and np.array_equal(own.edge_weights(), snap.edge_weights())
+        and np.array_equal(own.arc_edge_ids, snap.arc_edge_ids)
+        and own.n_edges == snap.n_edges
     ):
         return ("snapshot", "engine snapshot diverges from event replay")
 

@@ -352,10 +352,12 @@ class Coalescer:
                 result, slicer = self._run_dedup(entry, live)
                 with self._lock:
                     self.n_dedup_hits += len(live) - 1
-            for req, wait in zip(live, queue_waits):
+            ran = [(r, w) for r, w in zip(live, queue_waits)
+                   if not r.future.done()]  # a merge refuses bad sources
+            for req, wait in ran:
                 if req.future.set_running_or_notify_cancel():
                     req.future.set_result(
-                        self._envelope(req, result, slicer(req), wait, len(live))
+                        self._envelope(req, result, slicer(req), wait, len(ran))
                     )
         except BaseException as exc:  # noqa: BLE001 - futures carry it
             for req in live:
@@ -366,13 +368,25 @@ class Coalescer:
             self._record_batch(key, live, queue_waits, expired)
 
     def _run_merged(self, algo: str, entry, requests: list[ServeRequest]):
-        """One msbfs/closeness dispatch covering every request's sources."""
+        """One msbfs/closeness dispatch covering every request's sources;
+        a request naming a source ``>= n`` fails alone (ProtocolError)."""
         g = entry.graph
+        n = g.n_vertices
+        for req in requests:
+            bad = [s for s in self._request_sources(req)
+                   if s is not None and s >= n]  # submit refused s < 0
+            if bad and req.future.set_running_or_notify_cancel():
+                req.future.set_exception(ProtocolError(
+                    f"{req.algo} source {bad[0]} out of range [0, {n})"
+                ))
+        requests = [r for r in requests if not r.future.done()]
+        if not requests:
+            return None, None
         merged: list[int] = []
         index: dict[int, int] = {}
         full_closeness = False
         for req in requests:
-            for s in self._request_sources(req, g):
+            for s in self._request_sources(req):
                 if s is None:  # closeness over all vertices
                     full_closeness = True
                 elif s not in index:
@@ -426,7 +440,7 @@ class Coalescer:
         result = self._execute(req.algo, entry.graph, operands, kwargs, requests)
         return result, lambda _req: result.value
 
-    def _request_sources(self, req: ServeRequest, g):
+    def _request_sources(self, req: ServeRequest):
         if req.algo == "bfs":
             return [req.params["source"]]
         srcs = req.params.get("sources")

@@ -1354,14 +1354,17 @@ class TestServeDurability:
         state.mkdir()
         from repro.serve.server import STATE_LOG_KIND
 
-        RecordLog(state / "state.log", kind=STATE_LOG_KIND,
-                  params={"snapshot": "session-state/0"}).append(
-                      {"op": "snapshot", "graphs": []})
-        with self._mk(state) as srv:
-            with pytest.raises(CorruptCheckpoint,
-                               match="parameter 'snapshot' mismatch"):
-                srv.recover()
-            assert srv.recovering
+        # /1 engines still carried a DynamicGraph beside their snapshot
+        for older in ("session-state/0", "session-state/1"):
+            (state / "state.log").unlink(missing_ok=True)
+            RecordLog(state / "state.log", kind=STATE_LOG_KIND,
+                      params={"snapshot": older}).append(
+                          {"op": "snapshot", "graphs": []})
+            with self._mk(state) as srv:
+                with pytest.raises(CorruptCheckpoint,
+                                   match="parameter 'snapshot' mismatch"):
+                    srv.recover()
+                assert srv.recovering
 
     def test_old_registry_journal_refused_by_name(self, tmp_path):
         """The JSON-lines journal the state log replaced is refused by
@@ -1398,17 +1401,19 @@ class TestServeDurability:
             for d in (srv, ref):
                 d.recover()
                 d.load(str(gpath), name="k")
-            for row in rows[:-1]:
+            for row in rows[:-4]:
                 _ingest(srv, "k", [row], analytics)
                 _ingest(ref, "k", [row], analytics)
             resident = srv.session.registry.resident_bytes
-            want = _ingest(ref, "k", [rows[-1]], analytics)
+            want = [_ingest(ref, "k", [row], analytics) for row in rows[-4:]]
+        assert any(row[1] == "delete" for row in rows[-4:])
         ops = [r["op"] for r in _state_log(state).load()]
         assert ops[0] == "snapshot" and "snapshot" not in ops[1:]
         assert srv.state_log.appended <= resident
         with self._mk(state) as srv2:
             assert srv2.recover()["loads"] == 1
-            assert _ingest(srv2, "k", [rows[-1]], analytics) == want
+            assert [_ingest(srv2, "k", [row], analytics)
+                    for row in rows[-4:]] == want
 
 
 def test_concurrent_state_changes_log_in_apply_order(karate, tmp_path):

@@ -49,6 +49,7 @@ from repro.errors import (
     DeadlineExpired,
     GraphNotResident,
     ProtocolError,
+    SnapError,
 )
 from repro.graph import from_edge_list
 from repro.graph import io as graph_io
@@ -287,6 +288,51 @@ class TestCoalescer:
         for res, s in zip(got, (1, 3)):
             assert np.array_equal(res.value, repro.bfs(rmat, s).distances)
             assert res.extras["serve"]["batch_size"] == 2
+
+    @pytest.mark.parametrize("algo,key", [("bfs", "source"),
+                                          ("msbfs", "sources"),
+                                          ("closeness", "sources")])
+    def test_out_of_range_source_fails_only_its_request(self, rmat, algo,
+                                                         key):
+        """A source id >= n passes submit (it is an integer) and lands
+        in a merged batch; only its own request fails, the rest still
+        run as one merged dispatch."""
+        n = rmat.n_vertices
+        bad = n if algo == "bfs" else [0, n + 5]
+        merge = "closeness" if algo == "closeness" else "bfs"
+        want = "sources" if merge == "closeness" else "source"
+        goods = ([1, 3], [3, 4]) if merge == "closeness" else (1, 3)
+        reg = GraphRegistry()
+        reg.add("g", rmat)
+        gate = Gate(reg)
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            gate.hold(co)
+            good = [co.submit("g", merge, {want: s}) for s in goods]
+            refused = co.submit("g", algo, {key: bad})
+            gate.open()
+            with pytest.raises(ProtocolError,
+                               match=f"source {n + (algo != 'bfs') * 5} out"):
+                refused.result(timeout=30)
+            got = [f.result(timeout=30) for f in good]
+        for res, s in zip(got, goods):
+            iso = (repro.closeness_centrality(rmat, sources=s)
+                   if merge == "closeness" else repro.bfs(rmat, s).distances)
+            assert np.array_equal(res.value, iso)
+            assert res.extras["serve"]["batch_size"] == 2
+
+    def test_all_sources_out_of_range_runs_nothing(self, rmat):
+        reg = GraphRegistry()
+        reg.add("g", rmat)
+        gate = Gate(reg)
+        n = rmat.n_vertices
+        with Coalescer(reg, max_batch_delay=5.0) as co:
+            gate.hold(co)
+            futs = [co.submit("g", "closeness", {"sources": [s]})
+                    for s in (n, n + 1)]
+            gate.open()
+            for f, s in zip(futs, (n, n + 1)):
+                with pytest.raises(ProtocolError, match=f"source {s} out"):
+                    f.result(timeout=30)
 
     def test_closeness_merge_matches_isolated(self, rmat):
         reg = GraphRegistry()
@@ -726,6 +772,38 @@ class TestHTTP:
         iso = repro.bfs(g, 3).distances
         got = client.submit("g", "bfs", source=3.0)["value"]
         assert np.array_equal(np.asarray(got, dtype=iso.dtype), iso)
+
+    def test_out_of_range_source_fails_one_request_over_wire(self, server):
+        srv, client, g = server
+        host, port = srv.address
+        n = g.n_vertices
+        srv.session.coalescer.max_batch_delay = 60.0
+        gate = Gate(srv.session.registry)
+        gate.hold(srv.session.coalescer)
+        queued = client.stats()["coalescer"]["requests"] + 3
+        out = {}
+
+        def go(s):
+            with ServeClient(host, port) as c:
+                try:
+                    out[s] = c.submit("g", "bfs", source=s)
+                except SnapError as exc:
+                    out[s] = exc
+
+        threads = [threading.Thread(target=go, args=(s,)) for s in (2, n, 5)]
+        for t in threads:
+            t.start()
+        wait_until(lambda: client.stats()["coalescer"]["requests"] == queued)
+        gate.open()
+        for t in threads:
+            t.join()
+        assert isinstance(out[n], ProtocolError)
+        assert f"source {n} out of range" in str(out[n])
+        for s in (2, 5):
+            iso = repro.bfs(g, s).distances
+            assert np.array_equal(np.asarray(out[s]["value"], dtype=iso.dtype),
+                                  iso)
+            assert out[s]["serve"]["batch_size"] == 2
 
     def test_schema_published_from_registry(self, server):
         _, client, _ = server

@@ -349,3 +349,136 @@ class TestStreamEngine:
         ref = connected_components(g)
         assert np.array_equal(res.labels, ref)
         assert res.batch_checksums.shape[0] == res.n_batches
+
+
+# ---------------------------------------------------------------------------
+# Snapshots: the last CSR with the net delta merged in
+# ---------------------------------------------------------------------------
+weighted_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "delete"]),
+        st.integers(0, N - 1),
+        st.integers(0, N - 1),
+        st.sampled_from([1.0, 0.5, 2.0, 3.25]),
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+def _assert_same_csr(got, want):
+    """Bit-identical in every array the CSR carries, dtypes included."""
+    for name in ("offsets", "targets", "weights", "arc_edge_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.n_edges == want.n_edges
+
+
+def _engine_and_mirror(n, batches):
+    """Apply ``batches`` to a components-only engine and a DynamicGraph
+    under the same add/delete semantics; yields after every batch."""
+    from repro.graph.dynamic import DynamicGraph
+
+    eng = StreamEngine(n, analytics=("components",))
+    dyn = DynamicGraph(n, sorted_adjacency=False)
+    for t, batch in enumerate(batches):
+        for kind, u, v, w in batch:
+            if u != v:
+                if kind == "add":
+                    dyn.add_edge(u, v, w)
+                else:
+                    dyn.delete_edge(u, v)
+        eng.apply_batch(
+            [EdgeEvent(kind, u, v, t=t, weight=w) for kind, u, v, w in batch]
+        )
+        yield eng, dyn
+
+
+class TestSnapshotMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_ops, st.integers(1, 6))
+    def test_snapshot_equals_to_csr(self, sequence, batch_len):
+        batches = [sequence[i:i + batch_len]
+                   for i in range(0, len(sequence), batch_len)] or [[]]
+        batches = [b for b in batches if b]
+        for eng, dyn in _engine_and_mirror(N, batches):
+            _assert_same_csr(eng.snapshot(), dyn.to_csr())
+
+    @pytest.mark.parametrize("name,batches", [
+        ("empty base", [[("delete", 0, 1, 1.0)]]),
+        ("adds only", [[("add", 0, 3, 2.0), ("add", 5, 1, 0.5),
+                        ("add", 2, 7, 1.0)]]),
+        ("deletes only", [[("add", 0, 3, 1.0), ("add", 3, 4, 1.0),
+                           ("add", 1, 2, 1.0)],
+                          [("delete", 4, 3, 1.0), ("delete", 0, 3, 1.0)]]),
+        ("delete and re-add with a new weight", [
+            [("add", 0, 3, 1.0), ("add", 2, 3, 1.0)],
+            [("delete", 3, 0, 1.0), ("add", 0, 3, 4.5)]]),
+        ("duplicate adds", [[("add", 1, 2, 1.0), ("add", 2, 1, 9.0)],
+                            [("add", 1, 2, 3.0), ("add", 6, 1, 2.0),
+                             ("add", 1, 6, 5.0)]]),
+        ("skipped self-loop", [[("add", 4, 4, 1.0), ("add", 4, 5, 1.0)]]),
+        ("add then delete in one batch", [[("add", 0, 1, 1.0)],
+                                          [("add", 2, 3, 1.0),
+                                           ("delete", 2, 3, 1.0)]]),
+    ])
+    def test_cases(self, name, batches):
+        for eng, dyn in _engine_and_mirror(8, batches):
+            _assert_same_csr(eng.snapshot(), dyn.to_csr())
+
+    def test_no_op_batch_keeps_the_cached_snapshot(self):
+        eng = StreamEngine(6, analytics=("components",))
+        eng.apply_batch([EdgeEvent("add", 0, 1, t=0),
+                         EdgeEvent("add", 1, 2, t=0)])
+        snap = eng.snapshot()
+        assert eng.snapshot() is snap
+        res = eng.apply_batch([EdgeEvent("add", 1, 0, t=1),
+                               EdgeEvent("delete", 3, 4, t=1),
+                               EdgeEvent("add", 5, 5, t=1)])
+        assert res.n_applied == 0
+        assert eng.snapshot() is snap
+
+    def test_from_state_engine_continues_identically(self):
+        import pickle
+
+        g = karate_club()
+        rng = np.random.default_rng(3)
+        rows = [(("delete" if i % 4 == 3 else "add"), int(u), int(v),
+                 float(1 + i % 3)) for i, (u, v)
+                in enumerate(rng.integers(34, size=(120, 2)))]
+        batches = [rows[i:i + 12] for i in range(0, 120, 12)]
+        analytics = ("components", "stats", "degree", "closeness")
+        a = StreamEngine.from_graph(g, analytics=analytics)
+        for t, batch in enumerate(batches[:4], start=1):
+            a.apply_batch([EdgeEvent(k, u, v, t=t, weight=w)
+                           for k, u, v, w in batch])
+        # a pending delta (no snapshot taken) travels with the state
+        b = StreamEngine.from_state(pickle.loads(pickle.dumps(a.state())))
+        for t, batch in enumerate(batches[4:], start=5):
+            evs = [EdgeEvent(k, u, v, t=t, weight=w) for k, u, v, w in batch]
+            ra, rb = a.apply_batch(evs), b.apply_batch(evs)
+            assert ra.checksum == rb.checksum and ra.n_edges == rb.n_edges
+            _assert_same_csr(b.snapshot(), a.snapshot())
+
+    def test_snapshot_builds_nothing_from_scratch(self, monkeypatch):
+        """After the engine's first snapshot, later ones merge the delta
+        into the last CSR: no ``pair_order`` sort, no ``from_edge_array``
+        rebuild."""
+        import repro.graph.builder as builder
+        import repro.kernels.segments as segments
+
+        eng = StreamEngine.from_graph(karate_club(), analytics=("degree",))
+        eng.snapshot()
+
+        def banned(*_a, **_k):
+            raise AssertionError("snapshot rebuilt the CSR from scratch")
+
+        for mod in (builder, segments):
+            monkeypatch.setattr(mod, "pair_order", banned)
+        monkeypatch.setattr(builder, "from_edge_array", banned)
+        for t, (kind, u, v) in enumerate([("add", 0, 9), ("delete", 0, 1),
+                                          ("add", 0, 1), ("delete", 5, 6)],
+                                         start=1):
+            eng.apply_batch([EdgeEvent(kind, u, v, t=t, weight=2.0)])
+            eng.snapshot()

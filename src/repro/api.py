@@ -127,7 +127,6 @@ class Session:
         max_batch_delay: float = 0.002,
         max_batch: int = 64,
         batch_runners: int = 2,
-        trace: bool = False,
     ) -> None:
         from repro.cli_options import ExecutionOptions
         from repro.serve.coalescer import Coalescer
@@ -142,7 +141,6 @@ class Session:
             max_batch_delay=max_batch_delay,
             max_batch=max_batch,
             batch_runners=batch_runners,
-            trace=trace,
         )
         self._closed = False
         # Streaming ingestion state: name -> (StreamEngine, the snapshot
@@ -214,7 +212,7 @@ class Session:
         events: Any,
         *,
         analytics: Optional[list] = None,
-        k: int = 10,
+        k: Optional[int] = None,
     ) -> dict:
         """Apply streamed edge events onto a resident graph.
 
@@ -225,6 +223,11 @@ class Session:
         analytics across calls, and on return the resident snapshot is
         atomically replaced so subsequent queries see the new graph.
         Returns the same per-batch JSON summary as ``POST /v1/ingest``.
+
+        ``analytics`` and ``k`` configure the engine a name's first
+        ingest creates; an omitted one continues with the engine's, and
+        one differing from it (``analytics`` compared as a set) is
+        refused with :class:`~repro.errors.ProtocolError`.
 
         An engine continues only the snapshot it last published: a name
         evicted and re-admitted, or re-admitted by anyone else, seeds a
@@ -260,14 +263,22 @@ class Session:
                     raise ProtocolError(
                         f"event vertex out of range [0, {n}): ({e.u}, {e.v})"
                     )
-            engine, published = self._engines.pop(name, (None, None))
+            engine, published = self._engines.get(name, (None, None))
             if published is not entry.graph:
                 engine = StreamEngine.from_graph(
                     entry.graph,
                     analytics=tuple(analytics or ("components", "stats", "degree")),
-                    k=k,
+                    k=10 if k is None else k,
                     ctx=self.ctx,
                 )
+            elif (analytics and set(analytics) != set(engine.analytics)
+                  or k is not None and k != engine.k):
+                raise ProtocolError(
+                    f"graph {name!r} is ingesting with analytics="
+                    f"{list(engine.analytics)}, k={engine.k}; omit "
+                    "'analytics'/'k' or pass those"
+                )
+            self._engines.pop(name, None)
             base = engine.n_batches
             try:
                 results = [engine.apply_batch(b) for b in group_batches(evs)]

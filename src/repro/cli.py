@@ -12,11 +12,13 @@ Mirrors the utility programs the original SNAP distribution shipped::
     python -m repro chaos    --backends thread,process
     python -m repro serve    --graph web=graph.txt --port 8265
 
-``analyze``, ``cluster``, ``partition`` and ``serve`` share one
-execution-options surface (:mod:`repro.cli_options`): ``--backend
+``analyze``, ``cluster``, ``partition``, ``stream`` and ``serve`` share
+one execution-options surface (:mod:`repro.cli_options`): ``--backend
 {serial,thread,process}`` / ``--workers P`` pick the execution
 backend and ``--profile out.json`` records the run's span tree, cost
-model and pool gauges; ``--timeout SEC`` / ``--retries N`` /
+model and pool gauges (the first four run through
+:func:`repro.obs.run` and write its :class:`~repro.obs.RunResult`
+document); ``--timeout SEC`` / ``--retries N`` /
 ``--on-worker-crash {rebuild,degrade,raise}`` arm the fault-tolerant
 dispatch layer (see DESIGN.md §8).  ``serve`` starts the long-lived
 graph-service daemon (DESIGN.md §10): resident shared graphs behind a
@@ -37,13 +39,12 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext as _nullcm
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from repro import community, generators, metrics
+from repro import generators, metrics
 from repro.cli_options import ExecutionOptions, add_execution_flags
 from repro.durable import write_json_atomic
 from repro.errors import (
@@ -53,17 +54,9 @@ from repro.errors import (
     SnapError,
 )
 from repro.graph import io as graph_io
-from repro.graph.csr import Graph
 from repro.graph.io import read_auto as _load
-from repro.obs import Tracer, flame_summary, run as obs_run, use_tracer, write_json
-from repro.parallel.runtime import ParallelContext
-from repro.partitioning import (
-    edge_cut,
-    multilevel_kway,
-    multilevel_recursive_bisection,
-    partition_balance,
-    spectral_kway,
-)
+from repro.obs import algorithm, run as obs_run
+from repro.partitioning import edge_cut, partition_balance
 
 _WRITERS = {
     "edgelist": graph_io.write_edge_list,
@@ -73,41 +66,38 @@ _WRITERS = {
 }
 
 
-def _make_ctx(args: argparse.Namespace, tracer=None) -> ParallelContext:
-    """Execution context from the shared execution flags."""
-    return ExecutionOptions.from_args(args).make_context(tracer)
-
-
-def _finish_profile(args, tracer: Optional[Tracer], ctx: ParallelContext,
-                    elapsed: float) -> None:
-    """Write the recorded trace document for --profile runs."""
-    if tracer is None:
-        return
-    root = tracer.finish()
-    write_json(
-        root,
-        args.profile,
-        extra={
-            "command": args.command,
-            "backend": ctx.backend,
-            "n_workers": ctx.n_workers,
-            "elapsed_seconds": round(elapsed, 6),
-            "cost_model": ctx.cost.summary(),
-            "pool": ctx.pool.as_dict(),
-        },
+def _run(args: argparse.Namespace, algo, graph, *operands, **kwargs):
+    """Run ``algo`` (a registry name or callable) through
+    :func:`repro.obs.run` under the shared execution flags; traced only
+    under ``--profile``."""
+    opts = ExecutionOptions.from_args(args)
+    return obs_run(
+        algo, graph, *operands,
+        backend=opts.backend, n_workers=opts.workers,
+        trace=opts.profile is not None, fault_policy=opts.fault_policy(),
+        **kwargs,
     )
-    print(f"profile written to {args.profile}")
+
+
+def _save_profile(args: argparse.Namespace, res) -> None:
+    """Under ``--profile``, write the run's document plus the command."""
+    if args.profile:
+        res.save(args.profile, command=args.command)
+        print(f"profile written to {args.profile}")
+
+
+#: ``analyze`` runs the preprocessing battery as one (unregistered)
+#: algorithm, so its kernels nest under one root span.
+_preprocess = algorithm("preprocess", register=False)(metrics.preprocess)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.graph, directed=args.directed)
     print(f"graph: {g}")
     gg = g.as_undirected() if g.directed else g
-    tracer = Tracer() if args.profile else None
-    t0 = time.perf_counter()
-    with _make_ctx(args, tracer) as ctx, use_tracer(tracer) if tracer else _nullcm():
-        report = metrics.preprocess(gg, ctx=ctx)
-    _finish_profile(args, tracer, ctx, time.perf_counter() - t0)
+    res = _run(args, _preprocess, gg)
+    _save_profile(args, res)
+    report = res.value
     print(f"components          : {report.n_components} "
           f"(largest {report.largest_component_fraction:.1%})")
     print(f"average degree      : {report.average_degree:.2f}")
@@ -132,16 +122,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_CLUSTERERS = {
-    "pla": lambda g, a, ctx: community.pla(g, seed=a.seed, ctx=ctx),
-    "pma": lambda g, a, ctx: community.pma(g, ctx=ctx),
-    "pbd": lambda g, a, ctx: community.pbd(
-        g, patience=a.patience, seed=a.seed, ctx=ctx
-    ),
-    "gn": lambda g, a, ctx: community.girvan_newman(
-        g, patience=a.patience, ctx=ctx
-    ),
-    "cnm": lambda g, a, ctx: community.cnm(g, ctx=ctx),
+#: ``cluster -a`` choice -> (registry name, the flags it takes).
+_CLUSTER_ALGORITHMS = {
+    "pla": ("pla", ("seed",)),
+    "pma": ("pma", ()),
+    "pbd": ("pbd", ("patience", "seed")),
+    "gn": ("girvan_newman", ("patience",)),
+    "cnm": ("cnm", ()),
+}
+
+#: ``partition -m`` choice -> (registry name, fixed params).
+_PARTITION_METHODS = {
+    "kmetis": ("multilevel_kway", {}),
+    "pmetis": ("multilevel_recursive_bisection", {}),
+    "spectral-rqi": ("spectral_kway", {"method": "rqi"}),
+    "spectral-lan": ("spectral_kway", {"method": "lanczos"}),
 }
 
 
@@ -149,15 +144,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load(args.graph, directed=args.directed)
     if g.directed:
         g = g.as_undirected()
-    tracer = Tracer() if args.profile else None
-    t0 = time.perf_counter()
-    with _make_ctx(args, tracer) as ctx, (
-        use_tracer(tracer) if tracer else _nullcm()
-    ):
-        result = _CLUSTERERS[args.algorithm](g, args, ctx)
-    dt = time.perf_counter() - t0
-    print(f"{result.summary()}  [{dt:.2f}s]")
-    _finish_profile(args, tracer, ctx, dt)
+    name, flags = _CLUSTER_ALGORITHMS[args.algorithm]
+    res = _run(args, name, g, **{f: getattr(args, f) for f in flags})
+    result = res.value
+    print(f"{result.summary()}  [{res.elapsed_seconds:.2f}s]")
+    _save_profile(args, res)
     if args.output:
         with open(args.output, "w") as f:
             for v, lab in enumerate(result.labels):
@@ -170,31 +161,16 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     g = _load(args.graph, directed=args.directed)
     if g.directed:
         g = g.as_undirected()
-    tracer = Tracer() if args.profile else None
-    t0 = time.perf_counter()
-    with _make_ctx(args, tracer) as ctx, (
-        use_tracer(tracer) if tracer else _nullcm()
-    ):
-        methods = {
-            "kmetis": lambda: multilevel_kway(g, args.k, ctx=ctx),
-            "pmetis": lambda: multilevel_recursive_bisection(
-                g, args.k, ctx=ctx
-            ),
-            "spectral-rqi": lambda: spectral_kway(
-                g, args.k, method="rqi", ctx=ctx
-            ),
-            "spectral-lan": lambda: spectral_kway(
-                g, args.k, method="lanczos", ctx=ctx
-            ),
-        }
-        try:
-            parts = methods[args.method]()
-        except (ConvergenceError, PartitioningError) as exc:
-            print(f"partitioning failed: {exc}", file=sys.stderr)
-            return 1
+    name, params = _PARTITION_METHODS[args.method]
+    try:
+        res = _run(args, name, g, args.k, **params)
+    except (ConvergenceError, PartitioningError) as exc:
+        print(f"partitioning failed: {exc}", file=sys.stderr)
+        return 1
+    parts = res.value
     print(f"edge cut: {edge_cut(g, parts):,.0f}")
     print(f"balance : {partition_balance(g, parts, args.k):.3f}")
-    _finish_profile(args, tracer, ctx, time.perf_counter() - t0)
+    _save_profile(args, res)
     if args.output:
         np.savetxt(args.output, parts, fmt="%d")
         print(f"partition written to {args.output}")
@@ -274,7 +250,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         read_events,
         write_events,
     )
-    from repro.dynamic.sources import CRAWL_POLICIES
 
     analytics = tuple(
         a.strip() for a in args.analytics.split(",") if a.strip()
@@ -304,11 +279,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ckpt_dir = Path(args.checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "stream.ckpt"
-    tracer = Tracer() if args.profile else None
-    t0 = time.perf_counter()
-    with _make_ctx(args, tracer) as ctx, (
-        use_tracer(tracer) if tracer else _nullcm()
-    ):
+
+    @algorithm("stream", register=False)
+    def replay(events, *, ctx=None):
         batches = list(group_batches(events))
         engine = StreamEngine(n, analytics=analytics, k=args.k, ctx=ctx)
         start = 0
@@ -338,15 +311,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 line += f" Q={r.modularity:.4f}"
             line += f" crc={r.checksum:08x}"
             print(line)
-        # Replayed batches included: a resumed run's output document is
-        # bit-identical to an uninterrupted one (no timing fields).
-        rows = engine.results
-    dt = time.perf_counter() - t0
+        return engine
+
+    res = _run(args, replay, events)
+    engine = res.value
+    # Replayed batches included: a resumed run's output document is
+    # bit-identical to an uninterrupted one (no timing fields).
+    rows = engine.results
     print(
         f"stream done: {len(rows)} batches, {engine.n_edges} edges "
-        f"[{dt:.2f}s]"
+        f"[{res.elapsed_seconds:.2f}s]"
     )
-    _finish_profile(args, tracer, ctx, dt)
+    _save_profile(args, res)
     if args.output:
         doc = {
             "source": str(args.source),
@@ -671,7 +647,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             every=max(1, args.checkpoint_every),
             resume=args.resume,
         )
-    ctx = _make_ctx(args)
+    ctx = ExecutionOptions.from_args(args).make_context()
     driver = BSPDriver(ss, ctx=ctx, mem_budget=budget, checkpointer=ckpt)
     # The run-level checkpoint (tag "run") records each finished
     # algorithm as ``(algo, result row)``, so a resumed multi-algorithm
@@ -759,7 +735,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch_delay=args.max_batch_delay,
         max_batch=args.max_batch,
         batch_runners=args.batch_runners,
-        profile_path=args.profile,
         state_dir=args.state_dir,
     )
     with ReproServer(config, verbose=args.verbose) as server:
@@ -806,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="community detection")
     p.add_argument("graph")
     p.add_argument("--directed", action="store_true")
-    p.add_argument("-a", "--algorithm", choices=sorted(_CLUSTERERS),
+    p.add_argument("-a", "--algorithm", choices=sorted(_CLUSTER_ALGORITHMS),
                    default="pla")
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -819,8 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("-k", type=int, default=8)
     p.add_argument("-m", "--method", default="kmetis",
-                   choices=["kmetis", "pmetis", "spectral-rqi",
-                            "spectral-lan"])
+                   choices=list(_PARTITION_METHODS))
     p.add_argument("-o", "--output")
     add_execution_flags(p)
     p.set_defaults(fn=_cmd_partition)

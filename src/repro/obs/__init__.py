@@ -8,8 +8,8 @@ algorithm through the canonical entrypoint surface
 * :mod:`repro.obs.tracer` — nested wall-clock spans with counters; the
   disabled :data:`~repro.obs.tracer.NULL_TRACER` is a falsy no-op so
   untraced runs stay honest benchmarks;
-* :mod:`repro.obs.sinks` — JSON tree, JSON-lines and flame-summary
-  exports of a recorded span tree;
+* :mod:`repro.obs.sinks` — JSON-lines and flame-summary exports of a
+  recorded span tree;
 * :mod:`repro.obs.api` — the :func:`~repro.obs.api.algorithm` decorator
   (registry, ``seed=``/``trace=`` normalization, deprecation shims);
 * :mod:`repro.obs.runner` — :func:`~repro.obs.runner.run` and the
@@ -19,12 +19,7 @@ algorithm through the canonical entrypoint surface
 
 from repro.obs.api import ALGORITHMS, algorithm, algorithm_names, get_algorithm
 from repro.obs.runner import RunResult, run
-from repro.obs.sinks import (
-    flame_summary,
-    iter_jsonl,
-    span_tree,
-    write_json,
-)
+from repro.obs.sinks import flame_summary, iter_jsonl
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -47,8 +42,6 @@ __all__ = [
     "ALGORITHMS",
     "run",
     "RunResult",
-    "span_tree",
-    "write_json",
     "iter_jsonl",
     "flame_summary",
 ]

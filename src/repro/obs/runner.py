@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.obs.api import get_algorithm, resolve_tracer
-from repro.obs.sinks import flame_summary, write_json
+from repro.obs.sinks import flame_summary
 from repro.obs.tracer import NULL_TRACER, Span, Tracer
 
 __all__ = ["RunResult", "run"]
@@ -70,12 +70,15 @@ class RunResult:
             "pool": self.pool.as_dict(),
         }
 
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist :meth:`to_dict` as a JSON document (atomic replace)."""
+    def save(self, path: Union[str, Path], **extra) -> Path:
+        """Persist :meth:`to_dict`, plus any ``extra`` top-level keys, as
+        a JSON document (atomic replace)."""
         from repro.durable import write_json_atomic
 
         path = Path(path)
-        write_json_atomic(path, self.to_dict(), indent=2, sort_keys=True)
+        write_json_atomic(
+            path, {**self.to_dict(), **extra}, indent=2, sort_keys=True
+        )
         return path
 
 

@@ -1,9 +1,9 @@
-"""Trace sinks: JSON tree, JSON-lines stream, human-readable flame view.
+"""Trace sinks: JSON-lines stream, human-readable flame view.
 
-Three consumers of one :class:`~repro.obs.tracer.Span` tree:
+Two views of one :class:`~repro.obs.tracer.Span` tree besides its
+nested :meth:`~repro.obs.tracer.Span.to_dict` (the ``trace`` of every
+profile document, written by :meth:`repro.obs.RunResult.save`):
 
-* :func:`span_tree` / :func:`write_json` — the nested dict the CLI's
-  ``--profile``/``profile`` commands persist (and benchmarks diff);
 * :func:`iter_jsonl` — one flat JSON object per span (``id``/``parent``
   links), the streaming-friendly export;
 * :func:`flame_summary` — per-path aggregation (calls, total/self
@@ -13,34 +13,14 @@ Three consumers of one :class:`~repro.obs.tracer.Span` tree:
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.obs.tracer import Span
 
 __all__ = [
-    "span_tree",
-    "write_json",
     "iter_jsonl",
     "flame_summary",
 ]
-
-
-def span_tree(root: Span) -> dict:
-    """The JSON-ready nested representation of a span tree."""
-    return root.to_dict()
-
-
-def write_json(root: Span, path: Union[str, Path], *, extra: dict = None) -> Path:
-    """Write a span tree (plus optional sibling metadata) as one JSON doc."""
-    from repro.durable import write_json_atomic
-
-    payload = {"trace": span_tree(root)}
-    if extra:
-        payload.update(extra)
-    path = Path(path)
-    write_json_atomic(path, payload, indent=2, sort_keys=True)
-    return path
 
 
 def iter_jsonl(root: Span) -> Iterator[str]:

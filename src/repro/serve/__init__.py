@@ -25,7 +25,7 @@ Layers:
 """
 
 from repro.serve.coalescer import Coalescer, ServeRequest
-from repro.serve.registry import GraphRegistry, ResidentGraph, graph_nbytes
+from repro.serve.registry import GraphRegistry, ResidentGraph
 from repro.serve.server import ReproServer, ServeConfig
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ServeRequest",
     "GraphRegistry",
     "ResidentGraph",
-    "graph_nbytes",
     "ReproServer",
     "ServeConfig",
 ]

@@ -44,9 +44,10 @@ retries.
 
 Each request resolves to a full :class:`~repro.obs.runner.RunResult`
 whose ``extras["serve"]`` records queue wait, batch size and whether
-the request was coalesced; when profiling is enabled the per-batch
-span tree (``serve.batch`` → ``serve.request``\\ s + algorithm spans)
-is handed to ``on_batch``.
+the request was coalesced.  With an ``on_batch`` sink (the daemon's
+profile) every counted batch runs traced under its own tracer, and its
+timed ``serve.batch`` span (one ``serve.request`` per request plus the
+algorithm's span tree) is handed to the sink.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.kernels._frontier import vertex_ids
 from repro.kernels.bfs import MSBFSResult
 from repro.obs.api import split_operands, validate_params
 from repro.obs.runner import RunResult, run as obs_run
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.resilience import policy_for
 
 __all__ = ["ServeRequest", "Coalescer", "MERGEABLE"]
@@ -140,7 +142,6 @@ class Coalescer:
         max_batch_delay: float = 0.005,
         max_batch: int = 64,
         batch_runners: int = 2,
-        trace: bool = False,
         on_batch: Optional[Callable[[dict], None]] = None,
     ) -> None:
         if max_batch < 1:
@@ -151,7 +152,6 @@ class Coalescer:
         self.ctx = ctx
         self.max_batch_delay = float(max_batch_delay)
         self.max_batch = int(max_batch)
-        self.trace = bool(trace)
         self.on_batch = on_batch
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -334,38 +334,67 @@ class Coalescer:
                 self.n_coalesced += len(live) - 1
                 self.n_merged += len(live) if len(live) > 1 else 0
                 self.queue_wait_total += float(sum(queue_waits))
-        for req in expired:
-            self._expire(req)
         if not live:
+            for req in expired:
+                self._expire(req)
             return
+        # A counted batch records under its own tracer when there is a
+        # profile sink; without one it builds none.
+        tr = Tracer() if self.on_batch is not None else NULL_TRACER
+        with tr.span(
+            "serve.batch", graph=key[0], algo=key[1],
+            batch_size=len(live), n_expired=len(expired),
+            queue_wait_max_s=round(max(queue_waits), 6),
+        ):
+            for req in expired:
+                with tr.span("serve.request", request_id=req.id,
+                             algo=req.algo, expired=True):
+                    self._expire(req)
+            result, slicer, error = self._run_pinned(key, live)
+            if result is not None and result.trace is not None:
+                for sp in result.trace.children:  # the algorithm's spans
+                    tr.graft(sp.to_dict())
+            n_ran = sum(not r.future.done() for r in live)
+            for req, wait in zip(live, queue_waits):
+                with tr.span("serve.request", request_id=req.id,
+                             algo=req.algo, queue_wait_s=round(wait, 6),
+                             expired=False):
+                    self._resolve(req, result, slicer, error, wait, n_ran)
+        if tr:
+            self.on_batch(tr.finish().children[0].to_dict())
+
+    def _run_pinned(self, key: tuple, live: list[ServeRequest]):
+        """Run one batch on its pinned graph: ``(result, slicer, error)``."""
         try:
             entry = self.registry.pin(live[0].graph)
         except ServeError as exc:
-            for req in live:
-                req.future.set_exception(exc)
-            return
+            return None, None, exc
         try:
-            algo = key[1]
-            if algo in _MERGED and live[0].algo in MERGEABLE:
-                result, slicer = self._run_merged(algo, entry, live)
+            if key[1] in _MERGED and live[0].algo in MERGEABLE:
+                result, slicer = self._run_merged(key[1], entry, live)
             else:
                 result, slicer = self._run_dedup(entry, live)
                 with self._lock:
                     self.n_dedup_hits += len(live) - 1
-            ran = [(r, w) for r, w in zip(live, queue_waits)
-                   if not r.future.done()]  # a merge refuses bad sources
-            for req, wait in ran:
-                if req.future.set_running_or_notify_cancel():
-                    req.future.set_result(
-                        self._envelope(req, result, slicer(req), wait, len(ran))
-                    )
+            return result, slicer, None
         except BaseException as exc:  # noqa: BLE001 - futures carry it
-            for req in live:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+            return None, None, exc
         finally:
             self.registry.unpin(live[0].graph)
-            self._record_batch(key, live, queue_waits, expired)
+
+    def _resolve(self, req, result, slicer, error, wait, n_ran) -> None:
+        """Settle one request's future from its batch's outcome."""
+        if req.future.done():  # a merge refused its sources, or cancelled
+            return
+        if error is None:
+            try:
+                value = self._envelope(req, result, slicer(req), wait, n_ran)
+            except Exception as exc:  # noqa: BLE001 - the future carries it
+                error = exc
+        if error is not None:
+            req.future.set_exception(error)
+        elif req.future.set_running_or_notify_cancel():
+            req.future.set_result(value)
 
     def _run_merged(self, algo: str, entry, requests: list[ServeRequest]):
         """One msbfs/closeness dispatch covering every request's sources;
@@ -453,7 +482,7 @@ class Coalescer:
         return obs_run(
             algo, graph, *operands,
             ctx=self.ctx,
-            trace=self.trace,
+            trace=self.on_batch is not None,
             fault_policy=self._batch_policy(requests),
             **kwargs,
         )
@@ -476,45 +505,6 @@ class Coalescer:
         }
         return dataclasses.replace(
             batch_result, algorithm=req.algo, value=value, extras=extras
-        )
-
-    def _record_batch(self, key, live, queue_waits, expired) -> None:
-        if self.on_batch is None:
-            return
-        now = time.perf_counter()
-        children = [
-            {
-                "name": "serve.request",
-                "t0": now, "t1": now, "duration_s": 0.0,
-                "attrs": {
-                    "request_id": r.id, "algo": r.algo,
-                    "queue_wait_s": round(w, 6), "expired": False,
-                },
-                "children": [],
-            }
-            for r, w in zip(live, queue_waits)
-        ] + [
-            {
-                "name": "serve.request",
-                "t0": now, "t1": now, "duration_s": 0.0,
-                "attrs": {"request_id": r.id, "algo": r.algo, "expired": True},
-                "children": [],
-            }
-            for r in expired
-        ]
-        self.on_batch(
-            {
-                "name": "serve.batch",
-                "t0": now, "t1": now, "duration_s": 0.0,
-                "attrs": {
-                    "graph": key[0],
-                    "algo": key[1],
-                    "batch_size": len(live),
-                    "n_expired": len(expired),
-                    "queue_wait_max_s": round(max(queue_waits, default=0.0), 6),
-                },
-                "children": children,
-            }
         )
 
     # ------------------------------------------------------------------

@@ -195,7 +195,8 @@ def parse_ingest(doc: Any) -> dict:
 
         {"graph": "<resident name>",
          "events": [[t, "add"|"delete", u, v] | [t, op, u, v, w], ...],
-         "analytics": ["components", ...]}   # optional
+         "analytics": ["components", ...],   # optional
+         "k": 10}                            # optional
 
     Events must carry non-decreasing timestamps (batch boundaries are
     timestamp changes, exactly as in ``.events`` files).
@@ -239,8 +240,8 @@ def parse_ingest(doc: Any) -> dict:
             isinstance(a, str) for a in analytics
         ):
             raise ProtocolError("'analytics' must be a list of strings")
-    k = doc.get("k", 10)
-    if not isinstance(k, int) or k < 1:
+    k = doc.get("k")  # omitted: the graph's engine keeps its own
+    if k is not None and (not isinstance(k, int) or k < 1):
         raise ProtocolError("'k' must be a positive integer")
     return {"graph": graph, "events": events, "analytics": analytics, "k": k}
 

@@ -40,15 +40,6 @@ from repro.graph.io import read_auto
 __all__ = ["ResidentGraph", "GraphRegistry"]
 
 
-def graph_nbytes(graph: Graph) -> int:
-    """Resident size of a graph's CSR arrays (what shm residency costs)."""
-    n = graph.offsets.nbytes + graph.targets.nbytes
-    n += graph.arc_edge_ids.nbytes
-    if graph.weights is not None:
-        n += graph.weights.nbytes
-    return int(n)
-
-
 @dataclass
 class ResidentGraph:
     """One named resident graph and its residency bookkeeping."""
@@ -167,9 +158,11 @@ class GraphRegistry:
         name becomes visible, so a failure leaves the registry exactly
         as it was.
         """
+        from repro.sharded.shards import in_core_nbytes
+
         if graph.directed:
             graph = graph.as_undirected()
-        nbytes = graph_nbytes(graph)
+        nbytes = in_core_nbytes(graph)
         with self._lock:
             existing = self._graphs.get(name)
             if existing is not None:

@@ -31,10 +31,11 @@ Failures map onto the structured :class:`~repro.errors.ServeError`
 codes (bad_request 400, graph_not_resident 404, deadline_expired 408,
 admission_denied 507); anything else is a 500 with the exception type.
 
-With ``profile_path`` set the server accumulates every batch's
-span tree (``serve.batch`` → ``serve.request`` spans + the grafted
-algorithm spans) and writes one profile JSON document — including the
-final coalescing-hit-rate, queue-wait and pool gauges — on shutdown.
+With a profile path (``options.profile``, the ``--profile`` flag) the
+server accumulates every counted batch's span tree (a timed
+``serve.batch`` → one ``serve.request`` per request + the algorithm's
+own spans) and writes one profile JSON document — including the final
+coalescing-hit-rate, queue-wait and pool gauges — on shutdown.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class ServeConfig:
 
     ``options`` is a shared :class:`~repro.cli_options.ExecutionOptions`
     (the same object the other subcommands build from their flags), so
-    the daemon's backend / workers / resilience knobs are
+    the daemon's backend / workers / resilience / profile knobs are
     one surface with the rest of the CLI.
     """
 
@@ -109,7 +110,6 @@ class ServeConfig:
         max_batch_delay: float = 0.005,
         max_batch: int = 64,
         batch_runners: int = 2,
-        profile_path: Optional[str] = None,
         state_dir: Optional[str] = None,
     ) -> None:
         from repro.cli_options import ExecutionOptions
@@ -121,7 +121,6 @@ class ServeConfig:
         self.max_batch_delay = float(max_batch_delay)
         self.max_batch = int(max_batch)
         self.batch_runners = int(batch_runners)
-        self.profile_path = profile_path
         self.state_dir = state_dir
 
 
@@ -289,11 +288,10 @@ class ReproServer:
             max_batch_delay=config.max_batch_delay,
             max_batch=config.max_batch,
             batch_runners=config.batch_runners,
-            trace=config.profile_path is not None,
         )
         self._profile_lock = threading.Lock()
         self._batch_spans: list[dict] = []
-        if config.profile_path is not None:
+        if config.options.profile is not None:
             self.session.coalescer.on_batch = self._collect_batch
         self._tickets: "OrderedDict[str, Future]" = OrderedDict()
         self._tickets_lock = threading.Lock()
@@ -504,7 +502,7 @@ class ReproServer:
 
     def write_profile(self) -> Optional[Path]:
         """Dump the accumulated serve span forest + final counters."""
-        if self.config.profile_path is None:
+        if self.config.options.profile is None:
             return None
         with self._profile_lock:
             spans = list(self._batch_spans)
@@ -514,7 +512,7 @@ class ReproServer:
         }
         from repro.durable import write_json_atomic
 
-        path = Path(self.config.profile_path)
+        path = Path(self.config.options.profile)
         write_json_atomic(path, doc, indent=2, sort_keys=True)
         return path
 

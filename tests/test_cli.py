@@ -105,6 +105,58 @@ class TestBackendFlags:
         assert "coarsen" in names
 
 
+class TestOneRunPath:
+    """``analyze``/``cluster``/``partition``/``stream`` run through
+    ``repro.obs.run`` and write its document under ``--profile``."""
+
+    PROFILE_KEYS = {
+        "command", "algorithm", "trace", "cost_model", "pool", "backend",
+        "n_workers", "elapsed_seconds",
+    }
+
+    def test_stream_profile_output(self, karate_file, tmp_path, capsys):
+        prof = tmp_path / "stream.json"
+        assert main(["stream", karate_file, "--profile", str(prof)]) == 0
+        doc = json.loads(prof.read_text())
+        assert self.PROFILE_KEYS <= set(doc)
+        assert doc["command"] == "stream"
+        assert [c["name"] for c in doc["trace"]["children"]] == ["stream"]
+        assert f"profile written to {prof}" in capsys.readouterr().out
+
+    def test_spectral_partition_profile_output(self, karate_file, tmp_path):
+        prof = tmp_path / "partition.json"
+        assert main(
+            ["partition", karate_file, "-k", "2", "-m", "spectral-lan",
+             "--profile", str(prof)]
+        ) == 0
+        doc = json.loads(prof.read_text())
+        assert self.PROFILE_KEYS <= set(doc)
+        assert doc["command"] == "partition"
+        assert doc["algorithm"] == "spectral_kway"
+        assert doc["backend"] == "serial" and doc["n_workers"] == 1
+
+    @pytest.mark.parametrize("algo, line", [
+        ("pla", "pLA: 3 clusters, Q = 0.3755"),
+        ("pma", "pMA: 3 clusters, Q = 0.3807"),
+        ("pbd", "pBD: 5 clusters, Q = 0.4013"),
+        ("gn", "GN: 5 clusters, Q = 0.4013"),
+        ("cnm", "CNM: 3 clusters, Q = 0.3807"),
+    ])
+    def test_cluster_q_lines(self, karate_file, capsys, algo, line):
+        assert main(["cluster", karate_file, "-a", algo]) == 0
+        assert capsys.readouterr().out.startswith(f"{line}  [")
+
+    @pytest.mark.parametrize("algo", ["pma", "gn", "cnm"])
+    def test_cluster_passes_only_flags_the_algorithm_takes(
+        self, karate_file, algo
+    ):
+        # pma/cnm take neither flag and gn no seed: passing one raises
+        assert main(
+            ["cluster", karate_file, "-a", algo, "--seed", "3",
+             "--patience", "2"]
+        ) == 0
+
+
 class TestProfile:
     def test_profile_file_input(self, karate_file, tmp_path, capsys):
         out = tmp_path / "profile.json"

@@ -16,6 +16,7 @@ between supersteps / a checkpoint file left mid-stream); the
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import socket
@@ -358,19 +359,27 @@ def test_one_serving_composition_in_src():
     """A serving stack (registry, coalescer, stream engines) is composed
     in one place, ``repro.api.Session``; the daemon is a session behind
     HTTP and builds no context, registry, coalescer or engine of its
-    own."""
+    own.  Likewise the CLI runs its algorithms through ``repro.obs.run``:
+    it builds no tracer, and a context only for ``shard run``."""
+    from repro import cli
+
+    shard_cmd = inspect.getsource(cli._cmd_shard)
     offenders = []
     for path in sorted((REPO / "src").rglob("*.py")):
         rel = path.relative_to(REPO).as_posix()
         if rel == "src/repro/api.py":
             continue
         needles = ["GraphRegistry(", "Coalescer(", "StreamEngine.from_graph("]
+        text = path.read_text()
         if rel == "src/repro/serve/server.py":
             needles += ["make_context(", "ParallelContext(", "self.engines"]
-        text = path.read_text()
+        if rel == "src/repro/cli.py":
+            assert text.count(shard_cmd) == 1
+            text = text.replace(shard_cmd, "")
+            needles += ["Tracer(", "make_context(", "ParallelContext("]
         offenders += [f"{rel}: {n}" for n in needles if n in text]
     assert not offenders, (
-        f"a second serving composition outside repro.api.Session: {offenders}"
+        f"a second serving or run composition: {offenders}"
     )
 
 

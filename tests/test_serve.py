@@ -44,6 +44,8 @@ from hypothesis import given, settings, strategies as st
 import repro
 import repro.api as api
 from repro import generators
+from repro.cli_options import ExecutionOptions
+from repro.datasets import karate_club
 from repro.errors import (
     AdmissionDenied,
     DeadlineExpired,
@@ -61,11 +63,12 @@ from repro.obs.api import (
     validate_params,
 )
 from repro.parallel.shm import live_segment_names
-from repro.serve import Coalescer, GraphRegistry, graph_nbytes
+from repro.serve import Coalescer, GraphRegistry
 from repro.serve import server as serve_server
 from repro.serve.client import ServeClient, _expand_sparse
 from repro.serve.protocol import SPARSE_MAX_FILL, request_schema, to_jsonable
 from repro.serve.server import ReproServer, ServeConfig
+from repro.sharded import in_core_nbytes
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,7 @@ class TestRegistry:
         assert reg.loads == 1 and reg.load_hits == 1
 
     def test_lru_eviction_under_byte_pressure(self, small_world):
-        nbytes = graph_nbytes(small_world)
+        nbytes = in_core_nbytes(small_world)
         reg = GraphRegistry(max_bytes=2 * nbytes + 16)
         reg.add("a", small_world)
         reg.add("b", small_world)
@@ -104,13 +107,13 @@ class TestRegistry:
         assert reg.evictions == 1
 
     def test_admission_denied_oversized(self, small_world):
-        reg = GraphRegistry(max_bytes=graph_nbytes(small_world) // 2)
+        reg = GraphRegistry(max_bytes=in_core_nbytes(small_world) // 2)
         with pytest.raises(AdmissionDenied):
             reg.add("a", small_world)
         assert reg.names() == []
 
     def test_pinned_graphs_never_evicted(self, small_world):
-        nbytes = graph_nbytes(small_world)
+        nbytes = in_core_nbytes(small_world)
         reg = GraphRegistry(max_bytes=nbytes + 16)
         reg.add("a", small_world)
         reg.pin("a")
@@ -120,6 +123,13 @@ class TestRegistry:
         reg.unpin("a")
         reg.add("b", small_world)
         assert reg.names() == ["b"]
+
+    def test_byte_count_leaves_lazy_edge_ids_alone(self):
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)], directed=True)
+        before = in_core_nbytes(g)
+        assert g._arc_edge_ids is None  # counting did not build the map
+        g.arc_edge_ids  # noqa: B018 - materialize it
+        assert in_core_nbytes(g) == before
 
     def test_failed_load_leaves_no_name(self, tmp_path):
         reg = GraphRegistry()
@@ -1162,6 +1172,45 @@ class TestSpecs:
 # ----------------------------------------------------------------------
 # Streaming ingestion (/v1/ingest + Session.ingest)
 # ----------------------------------------------------------------------
+def span_names(span):
+    """Every span name in a serialized span subtree."""
+    yield span["name"]
+    for child in span["children"]:
+        yield from span_names(child)
+
+
+class TestServeProfile:
+    def test_daemon_profile_records_real_batch_spans(self, tmp_path, rmat):
+        """Every counted batch, a refused one included, is one timed
+        ``serve.batch`` span holding a ``serve.request`` per request and
+        the algorithm's own span tree."""
+        prof = tmp_path / "serve.json"
+        path = tmp_path / "g.npz"
+        graph_io.save_npz(rmat, path)
+        config = ServeConfig(
+            port=0, options=ExecutionOptions(profile=str(prof))
+        )
+        with ReproServer(config) as srv:
+            srv.start_background()
+            with ServeClient(*srv.address) as client:
+                client.load(str(path), name="g")
+                client.submit("g", "msbfs", sources=[0, 1, 2])
+                client.submit("g", "pla", seed=0)
+                with pytest.raises(GraphNotResident):
+                    client.submit("nope", "msbfs", sources=[0])
+        doc = json.loads(prof.read_text())
+        batches = doc["batches"]
+        assert len(batches) == doc["serve"]["coalescer"]["batches"] == 3
+        assert all(b["duration_s"] > 0 for b in batches)
+        by_key = {(b["attrs"]["graph"], b["attrs"]["algo"]): b for b in batches}
+        assert "msbfs" in span_names(by_key["g", "msbfs"])
+        assert "pla" in span_names(by_key["g", "pla"])
+        assert "msbfs" not in span_names(by_key["nope", "msbfs"])
+        for b in batches:
+            requests = [c for c in b["children"] if c["name"] == "serve.request"]
+            assert len(requests) == b["attrs"]["batch_size"] == 1
+
+
 class TestIngest:
     def test_http_ingest_updates_resident_graph(self, server):
         srv, client, g = server
@@ -1284,6 +1333,42 @@ class TestIngest:
                 client.ingest("g", [[2, "add", 1, 4]])
             got = edge_list(srv.session.registry.get("g").graph)
         assert got == [(1, 4), (4, 5)]
+
+    def test_session_ingest_refuses_other_analytics_or_k(self):
+        with api.Session() as s:
+            s.add("karate", karate_club())
+            first = s.ingest(
+                "karate", [("add", 0, 9, 1)], analytics=["components"]
+            )
+            with pytest.raises(ProtocolError,
+                               match=r"analytics=\['components'\], k=10"):
+                s.ingest("karate", [("add", 0, 14, 2)],
+                         analytics=["degree", "closeness"], k=5)
+            with pytest.raises(ProtocolError, match="k=10"):
+                s.ingest("karate", [("add", 0, 14, 2)], k=5)
+            # omitted settings continue with the engine's, and so do
+            # equal ones (analytics compared as a set)
+            doc = s.ingest("karate", [("add", 0, 14, 2)])
+            again = s.ingest("karate", [("add", 0, 15, 3)],
+                             analytics=["components", "components"], k=10)
+        assert doc["n_batches_total"] == first["n_batches_total"] + 1
+        assert again["n_batches_total"] == doc["n_batches_total"] + 1
+        for batch in doc["batches"] + again["batches"]:
+            assert batch["n_components"] is not None
+            assert batch["degree_topk"] is None
+            assert batch["closeness_topk"] is None
+
+    def test_http_ingest_refuses_other_analytics_or_k(self, server):
+        _, client, _ = server
+        first = client.ingest("g", [[1, "add", 0, 2]], analytics=["components"])
+        with pytest.raises(ProtocolError, match="analytics=.'components'."):
+            client.ingest("g", [[2, "add", 0, 3]],
+                          analytics=["degree", "closeness"], k=5)
+        with pytest.raises(ProtocolError, match="k=10"):
+            client.ingest("g", [[2, "add", 0, 3]], k=5)
+        doc = client.ingest("g", [[2, "add", 0, 3]])
+        assert doc["n_batches_total"] == first["n_batches_total"] + 1
+        assert doc["batches"][0]["degree_topk"] is None
 
     def test_session_refused_ingest_leaves_nothing_behind(self):
         with api.Session() as s:

@@ -3,10 +3,11 @@
 §6's dynamic-networks future work).
 
 Simulates a stream of interaction events ("massive, transient data
-streams") over a fixed entity population: connectivity, degree and
-triangle statistics stay exact under every insertion/deletion, a
-windowed burst score flags an injected anomaly, and periodic CSR
-snapshots feed the heavier static analyses (community structure via
+streams") over a fixed entity population, ingested in batches by a
+:class:`~repro.dynamic.StreamEngine`: connectivity, degree and triangle
+statistics stay exact under every insertion/deletion, a burst score
+over the last events flags an injected anomaly, and the engine's CSR
+snapshot feeds the heavier static analyses (community structure via
 spectral modularity).
 
 Run:  python examples/streaming_monitor.py
@@ -14,11 +15,15 @@ Run:  python examples/streaming_monitor.py
 
 from __future__ import annotations
 
+from collections import Counter, deque
+
 import numpy as np
 
 from repro.community import spectral_modularity
-from repro.dynamic import IncrementalComponents, StreamingStats
-from repro.graph import from_edge_list
+from repro.dynamic import EdgeEvent, StreamEngine
+
+BATCH = 64
+WINDOW = 256
 
 
 def main() -> None:
@@ -26,14 +31,24 @@ def main() -> None:
     n = 400
     blocks = np.repeat(np.arange(4), n // 4)  # latent communities
 
-    stats = StreamingStats(n, window=256)
-    conn = IncrementalComponents(n)
+    engine = StreamEngine(n, analytics=("components", "stats", "degree"))
+    recent: deque[EdgeEvent] = deque(maxlen=WINDOW)
+    pending: list[EdgeEvent] = []
     live: list[tuple[int, int]] = []
+    last = None
 
-    def emit(u: int, v: int) -> None:
-        if u != v and stats.add_edge(u, v):
-            conn.add_edge(u, v)
-            live.append((u, v))
+    def flush():
+        nonlocal last
+        if pending:
+            last = engine.apply_batch(pending)
+            pending.clear()
+
+    def emit(kind: str, u: int, v: int) -> None:
+        ev = EdgeEvent(kind, u, v, t=engine.n_batches)
+        pending.append(ev)
+        recent.append(ev)
+        if len(pending) == BATCH:
+            flush()
 
     # --- phase 1: organic growth (mostly intra-community contacts) ----
     for step in range(4000):
@@ -43,40 +58,44 @@ def main() -> None:
             u, v = rng.choice(members, size=2, replace=False)
         else:
             u, v = rng.integers(0, n, size=2)
-        emit(int(u), int(v))
+        if u != v:
+            emit("add", int(u), int(v))
+            live.append((int(u), int(v)))
+    flush()
     print(
-        f"after growth: {stats.n_edges} edges, "
-        f"{conn.n_components} components, "
-        f"clustering {stats.global_clustering:.3f}, "
-        f"{stats.n_triangles} triangles"
+        f"after growth: {last.n_edges} edges, "
+        f"{last.n_components} components, "
+        f"clustering {last.global_clustering:.3f}, "
+        f"{last.n_triangles} triangles"
     )
 
     # --- phase 2: churn (drop stale contacts) --------------------------
     rng.shuffle(live)
     for u, v in live[:600]:
-        if stats.delete_edge(u, v):
-            conn.delete_edge(u, v)
+        emit("delete", u, v)
+    flush()
     print(
-        f"after churn:  {stats.n_edges} edges, "
-        f"{conn.n_components} components, "
-        f"clustering {stats.global_clustering:.3f}"
+        f"after churn:  {last.n_edges} edges, "
+        f"{last.n_components} components, "
+        f"clustering {last.global_clustering:.3f}"
     )
 
     # --- phase 3: anomaly — one entity suddenly contacts everyone ------
     attacker = 13
     for _ in range(120):
-        emit(attacker, int(rng.integers(0, n)))
-    scores = [(v, stats.burst_score(v)) for v in range(n)]
-    top = sorted(scores, key=lambda t: -t[1])[:3]
-    print("burst scores (top 3):",
-          [(v, round(s, 2)) for v, s in top])
+        emit("add", attacker, int(rng.integers(0, n)))
+    flush()
+    touches = Counter(x for ev in recent for x in {ev.u, ev.v})
+    top = [(v, c / len(recent)) for v, c in touches.most_common(3)]
+    print("burst scores (top 3):", [(v, round(s, 2)) for v, s in top])
     assert top[0][0] == attacker, "anomaly detection missed the attacker"
     print(f"flagged entity {top[0][0]} "
           f"({top[0][1]:.0%} of recent events) — matches injected anomaly")
 
     # --- phase 4: snapshot → static community analysis -----------------
-    snapshot = stats._snapshot()
-    result = spectral_modularity(snapshot, rng=np.random.default_rng(0))
+    result = spectral_modularity(
+        engine.snapshot(), rng=np.random.default_rng(0)
+    )
     print(f"snapshot communities: {result.summary()}")
     # latent blocks should dominate the found communities
     agreement = 0.0

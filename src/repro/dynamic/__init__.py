@@ -7,16 +7,16 @@ machinery that extension needs:
 * :class:`~repro.dynamic.components.IncrementalComponents` —
   union–find connectivity maintained under edge insertions, with O(α)
   queries (deletions trigger an epoch rebuild, the standard trade-off);
-* :class:`~repro.dynamic.stream.StreamingStats` — exact degree
-  statistics and triangle counts maintained per update, with a
-  windowed event log for burst detection;
+  its labels-only base :class:`~repro.dynamic.components.UnionFind` is
+  the stream engine's;
 * :mod:`~repro.dynamic.events` — the timestamped edge-event vocabulary
   and ``.events`` file format;
 * :mod:`~repro.dynamic.sources` — crawler policies (rc/rw/bfs/mod)
   revealing a hidden graph batch-by-batch;
 * :class:`~repro.dynamic.engine.StreamEngine` — ingests event batches
-  and maintains incremental analytics (components, triangle/wedge
-  stats, degree/closeness top-k, community labels), checkpointable and
+  into one edge set (a CSR plus its net delta) and maintains incremental
+  analytics at batch cost (components, triangle/wedge stats,
+  degree/closeness top-k, community labels), checkpointable and
   prefix-differentially tested (:mod:`repro.qa.prefix`).
 """
 
@@ -36,7 +36,6 @@ from repro.dynamic.events import (
     write_events,
 )
 from repro.dynamic.sources import CRAWL_POLICIES, crawl_events
-from repro.dynamic.stream import StreamingStats, StreamEvent
 
 __all__ = [
     "ANALYTICS",
@@ -45,9 +44,7 @@ __all__ = [
     "EdgeEvent",
     "IncrementalComponents",
     "StreamEngine",
-    "StreamEvent",
     "StreamReplayResult",
-    "StreamingStats",
     "canonical_final_edges",
     "crawl_events",
     "group_batches",

@@ -192,21 +192,6 @@ class HybridAdjacency:
             return su.intersection(sv).keys_array()
         return np.intersect1d(self.neighbors(u), self.neighbors(v))
 
-    def count_common(self, u: int, v: int) -> int:
-        """Number of common neighbors of ``u`` and ``v``.
-
-        Counting-only fast path over the membership mirror —
-        O(min degree) set intersection with no sorted materialization,
-        the hot operation behind per-edge triangle deltas in
-        :class:`~repro.dynamic.stream.StreamingStats`.
-        """
-        self._check(u)
-        self._check(v)
-        su, sv = self._sets[u], self._sets[v]
-        if len(su) > len(sv):
-            su, sv = sv, su
-        return len(su & sv)
-
     @classmethod
     def from_csr(
         cls, graph: Graph, *, degree_threshold: int = DEFAULT_DEGREE_THRESHOLD

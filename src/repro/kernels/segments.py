@@ -308,8 +308,10 @@ def _segment_keys(offsets: np.ndarray, targets: np.ndarray) -> tuple:
     globally sorted because each CSR segment is; built once per graph."""
     n_seg = offsets.shape[0] - 1
     stride = np.int64(max(int(targets.max(initial=0)) + 1, n_seg, 1))
-    seg_of_arc = np.repeat(np.arange(n_seg, dtype=np.int64), np.diff(offsets))
-    return seg_of_arc * stride + targets, stride
+    keys = np.repeat(np.arange(n_seg, dtype=np.int64), np.diff(offsets))
+    keys *= stride
+    keys += targets
+    return keys, stride
 
 
 def _probe_segments(offsets, targets, keys, stride, left, right) -> tuple:

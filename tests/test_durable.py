@@ -950,7 +950,7 @@ class TestStreamDurability:
 
     @pytest.mark.parametrize("name, value", [
         pytest.param(name, value, id=name) for name, value in (
-            ("k", 5), ("window", 2), ("resweep_passes", 1),
+            ("k", 5), ("resweep_passes", 1),
             ("community_escalate", False),
         )
     ])
@@ -970,6 +970,21 @@ class TestStreamDurability:
         assert cli_main(["stream", str(path), "--analytics", ",".join(analytics),
                          "--checkpoint-dir", str(ckpt_dir)]) == 1
         assert f"parameter '{name}' mismatch" in capsys.readouterr().err
+
+    def test_cli_resume_log_with_window_refused(self, events_file, tmp_path,
+                                                capsys):
+        """A log written while the engine still had a burst ``window``
+        carries it in its params, so it is refused by that name."""
+        path, batches, n = events_file
+        ckpt_dir = tmp_path / "ck"
+        ckpt_dir.mkdir()
+        params = {**StreamEngine(n)._config(), "window": 1024}
+        RecordLog(ckpt_dir / "stream.ckpt", kind="stream-checkpoint",
+                  params=params).append(
+                      [(e.kind, e.u, e.v, e.t, e.weight) for e in batches[0]])
+        assert cli_main(["stream", str(path),
+                         "--checkpoint-dir", str(ckpt_dir)]) == 1
+        assert "parameter 'window' mismatch" in capsys.readouterr().err
 
     def test_cli_resume_older_format_refused(self, events_file, tmp_path,
                                              capsys):
@@ -1363,8 +1378,9 @@ class TestServeDurability:
         state.mkdir()
         from repro.serve.server import STATE_LOG_KIND
 
-        # /1 engines still carried a DynamicGraph beside their snapshot
-        for older in ("session-state/0", "session-state/1"):
+        # /1 engines still carried a DynamicGraph beside their snapshot,
+        # /2 ones a StreamingStats and an edge set
+        for older in ("session-state/0", "session-state/1", "session-state/2"):
             (state / "state.log").unlink(missing_ok=True)
             RecordLog(state / "state.log", kind=STATE_LOG_KIND,
                       params={"snapshot": older}).append(

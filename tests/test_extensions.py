@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.community import modularity, pma, spectral_modularity
 from repro.datasets import karate_club
-from repro.dynamic import IncrementalComponents, StreamingStats
+from repro.dynamic import EdgeEvent, IncrementalComponents, StreamEngine
 from repro.errors import ClusteringError, GraphStructureError
 from repro.generators import planted_partition
 from repro.graph import from_edge_list
@@ -149,64 +149,50 @@ class TestIncrementalComponents:
                 assert (mine[a] == mine[b]) == (ref[a] == ref[b])
 
 
+def _feed(engine, *batches):
+    """Apply ``batches`` of ``(kind, u, v)`` at t = 0, 1, ...; the last result."""
+    for t, batch in enumerate(batches):
+        res = engine.apply_batch([EdgeEvent(k, u, v, t=t) for k, u, v in batch])
+    return res
+
+
 class TestStreamingStats:
+    """The stream engine's ``stats`` analytic: exact triangle, wedge and
+    clustering counts maintained per batch."""
+
     def test_triangle_counting(self):
-        ss = StreamingStats(5)
-        ss.add_edge(0, 1)
-        ss.add_edge(1, 2)
-        assert ss.n_triangles == 0
-        ss.add_edge(0, 2)
-        assert ss.n_triangles == 1
-        ss.add_edge(2, 3)
-        ss.add_edge(3, 0)
-        assert ss.n_triangles == 2  # 0-1-2 and 0-2-3
-        ss.delete_edge(0, 2)
-        assert ss.n_triangles == 0  # edge 0-2 was in both
-        ss.check()
+        eng = StreamEngine(5, analytics=("stats",))
+        assert _feed(eng, [("add", 0, 1), ("add", 1, 2)]).n_triangles == 0
+        assert _feed(eng, [("add", 0, 2)]).n_triangles == 1
+        res = _feed(eng, [("add", 2, 3), ("add", 3, 0)])
+        assert res.n_triangles == 2  # 0-1-2 and 0-2-3
+        res = _feed(eng, [("delete", 0, 2)])
+        assert res.n_triangles == 0  # edge 0-2 was in both
+        assert int(triangle_counts(eng.snapshot()).sum()) // 3 == 0
 
     def test_matches_static_metrics(self):
         rng = np.random.default_rng(3)
-        ss = StreamingStats(40)
+        ops = []
         for _ in range(300):
             u, v = rng.integers(0, 40, size=2)
             if u != v:
-                if rng.random() < 0.85:
-                    ss.add_edge(int(u), int(v))
-                else:
-                    ss.delete_edge(int(u), int(v))
-        ss.check()
-        g = ss._snapshot()
-        assert ss.global_clustering == pytest.approx(
+                kind = "add" if rng.random() < 0.85 else "delete"
+                ops.append((kind, int(u), int(v)))
+        eng = StreamEngine(40, analytics=("stats",))
+        res = _feed(eng, *(ops[i:i + 16] for i in range(0, len(ops), 16)))
+        g = eng.snapshot()
+        assert res.global_clustering == pytest.approx(
             global_clustering_coefficient(g)
         )
-        assert ss.n_triangles == int(triangle_counts(g).sum()) // 3
+        assert res.n_triangles == int(triangle_counts(g).sum()) // 3
 
     def test_average_degree(self):
-        ss = StreamingStats(4)
-        ss.add_edge(0, 1)
-        ss.add_edge(2, 3)
-        assert ss.average_degree == pytest.approx(1.0)
-
-    def test_burst_score(self):
-        ss = StreamingStats(10, window=8)
-        for v in range(1, 7):
-            ss.add_edge(0, v)  # vertex 0 in every event
-        assert ss.burst_score(0) == 1.0
-        assert ss.burst_score(9) == 0.0
-        assert 0.0 < ss.burst_score(3) < 0.5
-
-    def test_window_bounds_memory(self):
-        ss = StreamingStats(50, window=4)
-        for v in range(1, 20):
-            ss.add_edge(0, v)
-        assert len(ss.recent_activity()) == 4
+        eng = StreamEngine(4, analytics=("degree",))
+        res = _feed(eng, [("add", 0, 1), ("add", 2, 3)])
+        assert np.mean([s for _, s in res.degree_topk]) * 3 == pytest.approx(1.0)
 
     def test_duplicate_and_missing(self):
-        ss = StreamingStats(3)
-        assert ss.add_edge(0, 1)
-        assert not ss.add_edge(0, 1)
-        assert not ss.delete_edge(1, 2)
-
-    def test_bad_window(self):
-        with pytest.raises(GraphStructureError):
-            StreamingStats(3, window=0)
+        eng = StreamEngine(3, analytics=("stats",))
+        res = _feed(eng, [("add", 0, 1), ("add", 1, 0), ("delete", 1, 2)])
+        assert res.n_applied == 1 and res.n_edges == 1
+        assert _feed(eng, [("add", 0, 1)]).n_applied == 0

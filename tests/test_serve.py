@@ -828,6 +828,23 @@ class TestHTTP:
         assert [o["name"] for o in bfs_spec["operands"]] == ["source"]
         assert doc["algorithms"]["pla"]["coalesce"] == "dedup-identical"
 
+    def test_schema_lost_only_the_stream_window(self, server):
+        """With ``stream_replay``'s burst ``window`` put back, the schema
+        hashes to the one published before that knob was removed."""
+        import hashlib
+
+        _, client, _ = server
+        doc = client.algorithms()
+        params = doc["algorithms"]["stream_replay"]["params"]
+        assert "window" not in params
+        params["window"] = {"type": "integer", "default": 1024}
+        digest = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "4434fa1ac5f643f70084b057360e105b032a75d132725cc30043d904202b059f"
+        )
+
     def test_stats_and_residency(self, server):
         _, client, _ = server
         client.submit("g", "bfs", source=0)

@@ -96,3 +96,61 @@ def test_pooled_all_source_brandes_working_set():
         assert ctx.pool.batch_calls > 2  # more than one round per call
     assert pooled < POOLED_BRANDES_PEAK_MB
     assert pooled < 2.0 * peak_mb(lambda: brandes(g))
+
+
+def _weighted(g):
+    """``g`` with explicit weights: the CSR a stream engine holds."""
+    u, v = g.edge_endpoints()
+    w = 1.0 + (np.arange(u.shape[0]) % 7) / 4
+    return repro.graph.builder.from_edge_array(
+        g.n_vertices, u, v, weights=w, dedupe=False
+    )
+
+
+def test_seeded_stream_engine_holds_one_edge_set():
+    """A seeded engine's only edge set is its CSR: seeding peaks at a
+    few CSRs, and its state is that CSR plus O(n) arrays.  Before the
+    seed came from the CSR (an event per edge into an edge set and a
+    hybrid adjacency): a 21.6x peak and a 2.5x state on R-MAT 12.  The
+    state bound is taken on a weighted input, whose CSR is the engine's:
+    the engine always stores weights, which an unweighted input lacks."""
+    import pickle
+
+    from repro.dynamic import EdgeEvent, StreamEngine
+    from repro.sharded.shards import in_core_nbytes
+
+    g = _rmat(12)
+    peak = peak_mb(lambda: StreamEngine.from_graph(g)) * 2**20
+    assert peak <= 4 * in_core_nbytes(g)
+
+    gw = _weighted(g)
+    eng = StreamEngine.from_graph(gw)
+    assert in_core_nbytes(eng.snapshot()) == in_core_nbytes(gw)
+    assert len(pickle.dumps(eng.state())) <= 1.5 * in_core_nbytes(gw)
+
+    rng = np.random.default_rng(5)
+    u, v = gw.edge_endpoints()
+    gone = rng.choice(gw.n_edges, 128, replace=False)
+    batch = [EdgeEvent("delete", int(u[e]), int(v[e]), t=1) for e in gone]
+    batch += [EdgeEvent("add", int(a), int(b), t=1)
+              for a, b in rng.integers(gw.n_vertices, size=(128, 2))]
+
+    def assert_no_per_edge_container():
+        for obj in (eng, eng._cc):
+            for name, val in vars(obj).items():
+                if isinstance(val, (set, dict, list)):
+                    assert len(val) <= max(1024, len(batch)), name
+
+    assert_no_per_edge_container()
+    eng.apply_batch(batch)
+    assert_no_per_edge_container()
+
+
+@pytest.mark.parametrize("block", [1, 1 << 40], ids=["one_query", "one_block"])
+def test_stream_triangles_exact_at_any_block(block, monkeypatch):
+    from repro.dynamic import StreamEngine, engine
+
+    g = _rmat(10)
+    want = int(triangle_counts(g).sum()) // 3
+    monkeypatch.setattr(engine, "PROBE_BLOCK", block)
+    assert StreamEngine.from_graph(g).results[0].n_triangles == want

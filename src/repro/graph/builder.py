@@ -78,6 +78,14 @@ def from_edge_array(
     return _build_undirected(n, src, dst, weights, dedupe)
 
 
+def _first_of_each(key: np.ndarray) -> np.ndarray:
+    """Index of each distinct ``key``'s first occurrence, in key order:
+    one default-kind (SIMD) argsort, then each equal run's least index."""
+    order = np.argsort(key)  # keys are >= 0: -1 opens the first run
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return np.minimum.reduceat(order, starts)
+
+
 def _build_directed(
     n: int,
     src: np.ndarray,
@@ -85,14 +93,9 @@ def _build_directed(
     weights: Optional[np.ndarray],
     dedupe: bool,
 ) -> Graph:
-    if dedupe and src.shape[0]:
-        key = src * n + dst
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        src, dst = src[first], dst[first]
-        if weights is not None:
-            weights = weights[first]
-    order = pair_order(src, dst, n)
+    # Deduplicated keys come out in ascending order: already CSR order.
+    order = (_first_of_each(src * n + dst) if dedupe and src.shape[0]
+             else pair_order(src, dst, n))
     src, dst = src[order], dst[order]
     if weights is not None:
         weights = weights[order]
@@ -112,9 +115,7 @@ def _build_undirected(
     u = np.minimum(src, dst)
     v = np.maximum(src, dst)
     if dedupe and u.shape[0]:
-        key = u * n + v
-        _, first = np.unique(key, return_index=True)
-        first.sort()
+        first = np.sort(_first_of_each(u * n + v))  # ids in input order
         u, v = u[first], v[first]
         if weights is not None:
             weights = weights[first]
@@ -125,7 +126,9 @@ def _build_undirected(
     arc_dst = np.concatenate([v, u])
     arc_eid = np.concatenate([edge_ids, edge_ids])
     arc_w = None if weights is None else np.concatenate([weights, weights])
-    order = pair_order(arc_src, arc_dst, n)
+    # Deduplicated arc keys are unique, so any sort is the stable one.
+    order = (np.argsort(arc_src * n + arc_dst) if dedupe
+             else pair_order(arc_src, arc_dst, n))
     arc_src, arc_dst, arc_eid = arc_src[order], arc_dst[order], arc_eid[order]
     if arc_w is not None:
         arc_w = arc_w[order]

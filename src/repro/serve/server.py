@@ -43,9 +43,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from contextlib import nullcontext
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
@@ -53,7 +53,9 @@ from typing import Optional
 from repro.api import Session
 from repro.durable import RecordLog
 from repro.errors import (
+    AdmissionDenied,
     CorruptCheckpoint,
+    GraphFormatError,
     GraphNotResident,
     ProtocolError,
     ServiceRecovering,
@@ -87,7 +89,8 @@ STATE_LOG_PARAMS = {"snapshot": "session-state/3"}
 #: The JSON-lines journal the state log replaced; refused by name.
 OLD_JOURNAL_NAME = "registry.journal"
 
-#: Cap on unfetched async tickets; oldest resolved ones are dropped.
+#: Cap on unfetched async tickets: past it the oldest resolved ones are
+#: dropped, and while all are pending a ``wait=false`` submit is refused.
 MAX_TICKETS = 1024
 
 
@@ -230,24 +233,24 @@ class _Handler(BaseHTTPRequestHandler):
         path = doc.get("path")
         if not isinstance(path, str):
             raise ProtocolError("load requires a string 'path'")
-        entry = self.app.load(
-            path,
-            name=doc.get("name"),
-            directed=bool(doc.get("directed", False)),
-        )
+        try:
+            entry = self.app.load(path, name=doc.get("name"),
+                                  directed=bool(doc.get("directed", False)))
+        except (GraphFormatError, FileNotFoundError, IsADirectoryError,
+                PermissionError) as exc:  # the file, not the daemon
+            raise ProtocolError(f"cannot load {path!r}: {exc}") from exc
         self._send(200, entry.describe())
 
     def _submit(self, doc: dict) -> None:
         req = protocol.parse_submit(doc)
-        fut = self.app.session.coalescer.submit(
-            req["graph"], req["algo"], req["params"],
-            deadline_s=req["deadline_s"],
+        submit = partial(
+            self.app.session.coalescer.submit, req["graph"], req["algo"],
+            req["params"], deadline_s=req["deadline_s"],
         )
         if not req["wait"]:
-            ticket = self.app.register_ticket(fut)
-            self._send(202, {"ticket": ticket})
+            self._send(202, {"ticket": self.app.register_ticket(submit)})
             return
-        self._respond_with(fut, req["deadline_s"])
+        self._respond_with(submit(), req["deadline_s"])
 
     def _respond_with(self, fut: Future, deadline_s: Optional[float]) -> None:
         # The dispatcher enforces the request deadline; the transport
@@ -261,13 +264,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, protocol.result_envelope(result))
 
     def _result(self, ticket: str) -> None:
-        fut = self.app.get_ticket(ticket)
+        fut = self.app.take_ticket(ticket)
         if fut is None:
-            raise GraphNotResident(f"unknown or already-fetched ticket {ticket!r}")
-        if not fut.done():
             self._send(202, {"ticket": ticket, "pending": True})
             return
-        self.app.pop_ticket(ticket)
         self._respond_with(fut, None)
 
 
@@ -293,7 +293,7 @@ class ReproServer:
         self._batch_spans: list[dict] = []
         if config.options.profile is not None:
             self.session.coalescer.on_batch = self._collect_batch
-        self._tickets: "OrderedDict[str, Future]" = OrderedDict()
+        self._tickets: dict[str, Future] = {}  # insertion-ordered
         self._tickets_lock = threading.Lock()
         self._ticket_seq = 0
         # Durable daemon state (DESIGN §13): with a state_dir, load /
@@ -452,22 +452,29 @@ class ReproServer:
             self._batch_spans.append(span_doc)
 
     # -- async tickets -------------------------------------------------
-    def register_ticket(self, fut: Future) -> str:
+    def register_ticket(self, submit) -> str:
+        """Queue ``submit()`` under a new ticket.  At :data:`MAX_TICKETS`
+        the oldest resolved one makes room; if all are pending, refuse."""
         with self._tickets_lock:
+            if len(self._tickets) >= MAX_TICKETS:
+                done = [t for t, f in self._tickets.items() if f.done()]
+                if not done:
+                    raise AdmissionDenied(f"{MAX_TICKETS} async tickets pending")
+                del self._tickets[done[0]]
+            fut = submit()
             self._ticket_seq += 1
             ticket = f"t{self._ticket_seq}"
             self._tickets[ticket] = fut
-            while len(self._tickets) > MAX_TICKETS:
-                self._tickets.popitem(last=False)
             return ticket
 
-    def get_ticket(self, ticket: str) -> Optional[Future]:
+    def take_ticket(self, ticket: str) -> Optional[Future]:
+        """``ticket``'s finished future, removed in the same locked step
+        so it is fetched once; None while it is pending."""
         with self._tickets_lock:
-            return self._tickets.get(ticket)
-
-    def pop_ticket(self, ticket: str) -> None:
-        with self._tickets_lock:
-            self._tickets.pop(ticket, None)
+            fut = self._tickets.get(ticket)
+            if fut is None:
+                raise GraphNotResident(f"unknown or already-fetched ticket {ticket!r}")
+            return self._tickets.pop(ticket) if fut.done() else None
 
     # -- lifecycle -----------------------------------------------------
     @property

@@ -36,6 +36,7 @@ import socket
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -752,6 +753,72 @@ class TestHTTP:
         doc = client.wait(ticket, timeout=60)
         iso = repro.closeness_centrality(g)
         assert np.allclose(np.asarray(doc["value"]), iso)
+
+    def test_pending_ticket_is_never_dropped(self, server, monkeypatch):
+        # Past the cap a wait=false submit evicts the oldest *resolved*
+        # ticket; while every held ticket is pending it is refused (507)
+        # before it is queued.  The cap used to pop t1 while it was queued.
+        srv, client, g = server
+        monkeypatch.setattr(serve_server, "MAX_TICKETS", 2)
+        gate = Gate(srv.session.registry)
+        gate.hold(srv.session.coalescer)
+        t1 = client.submit("g", "bfs", source=1, wait=False)["ticket"]
+        t2 = client.submit("g", "bfs", source=2, wait=False)["ticket"]
+        queued = client.stats()["coalescer"]["requests"]
+        with pytest.raises(AdmissionDenied, match="pending"):
+            client.submit("g", "bfs", source=3, wait=False)
+        assert client.stats()["coalescer"]["requests"] == queued
+        assert client.result(t1) is None  # still held, still pending
+        gate.open()
+        wait_until(lambda: all(f.done() for f in srv._tickets.values()))
+        t3 = client.submit("g", "bfs", source=3, wait=False)["ticket"]
+        with pytest.raises(GraphNotResident, match="t1"):
+            client.result(t1)  # the oldest resolved one made room
+        for t, s in ((t2, 2), (t3, 3)):
+            got = client.wait(t, timeout=60)["value"]
+            assert np.array_equal(got, repro.bfs(g, s).distances)
+
+    def test_finished_ticket_is_fetched_once(self, server):
+        srv, _, _ = server
+        fut = Future()
+        fut.set_result(None)
+        ticket = srv.register_ticket(lambda: fut)
+        start, got = threading.Barrier(8), []
+
+        def take():
+            start.wait()
+            try:
+                got.append(srv.take_ticket(ticket))
+            except GraphNotResident:
+                pass
+
+        threads = [threading.Thread(target=take) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [fut]
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad.gr", "p sp 3 1\na 1 x 1.0\n"),
+        ("bad.graph", "3 2\n2 x\n1\n\n"),
+        ("bad.txt", "0 1\n1\n"),
+        ("missing.txt", None),
+    ], ids=["dimacs", "metis", "edge-list", "missing"])
+    def test_bad_load_is_a_bad_request(self, server, tmp_path, name, text):
+        _, client, _ = server
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ProtocolError, match="cannot load"):
+            client.load(str(path), name="bad")
+        assert "bad" not in [r["name"] for r in client.graphs()["resident"]]
 
     def test_result_envelope_keys(self, server):
         # exactly the keys protocol.py documents: a field cannot reappear

@@ -51,175 +51,66 @@ executes any registered algorithm (or callable) on a bare graph under
 full observability.
 """
 
-from repro import _memory
+from repro import _lazy, _memory
 
 _memory.apply()  # the one call site; forked pool/BSP/daemon workers inherit it
 
-from repro import (  # noqa: E402
-    centrality,
-    community,
-    datasets,
-    dynamic,
-    generators,
-    graph,
-    kernels,
-    metrics,
-    obs,
-    parallel,
-    partitioning,
-)
-from repro.centrality import (
-    approximate_vertex_betweenness,
-    betweenness_centrality,
-    brandes,
-    closeness_centrality,
-    degree_centrality,
-    edge_betweenness_centrality,
-    sampled_betweenness,
-)
-from repro.community import (
-    cnm,
-    girvan_newman,
-    local_resweep,
-    pbd,
-    pla,
-    pma,
-    spectral_modularity,
-)
-from repro.dynamic import StreamEngine, stream_replay
-from repro.errors import (
-    ClusteringError,
-    ConvergenceError,
-    ExecutionError,
-    GraphFormatError,
-    GraphStructureError,
-    PartitioningError,
-    RetryExhausted,
-    SnapError,
-    TaskTimeout,
-)
-from repro.graph import Graph, from_edge_list, from_edge_array
-from repro.kernels import (
-    articulation_points,
-    bfs,
-    biconnected_components,
-    boruvka_msf,
-    bridges,
-    connected_components,
-    delta_stepping,
-    dijkstra,
-    kruskal_msf,
-    minimum_spanning_forest,
-    msbfs,
-    prim_mst,
-    st_connectivity,
-)
-from repro.obs import (
-    ALGORITHMS,
-    NULL_TRACER,
-    RunResult,
-    Span,
-    Tracer,
-    algorithm_names,
-    current_tracer,
-    get_algorithm,
-    use_tracer,
-)
-from repro import api  # noqa: E402  (needs the symbols above)
-from repro.parallel import ChaosMonkey, ChaosPlan, Fault, FaultPolicy, ParallelContext
-from repro.partitioning import (
-    multilevel_bisection,
-    multilevel_kway,
-    multilevel_recursive_bisection,
-    spectral_bisection,
-    spectral_kway,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
+#: Each re-exported name -> the module that defines it, in ``__all__``
+#: order.  Nothing here is imported until it is first read, so
+#: ``import repro.<x>`` costs only ``<x>`` and what it imports.
+_HOMES = {
     # stable facade
-    "api",
+    "api": "repro.api",
     # subpackages
-    "graph",
-    "parallel",
-    "kernels",
-    "centrality",
-    "metrics",
-    "community",
-    "partitioning",
-    "generators",
-    "datasets",
-    "dynamic",
-    "obs",
+    **{name: f"repro.{name}" for name in (
+        "graph", "parallel", "kernels", "centrality", "metrics", "community",
+        "partitioning", "generators", "datasets", "dynamic", "obs",
+    )},
     # graph construction
-    "Graph",
-    "from_edge_list",
-    "from_edge_array",
+    **dict.fromkeys(("Graph", "from_edge_list", "from_edge_array"), "repro.graph"),
     # observability / dispatch
-    "RunResult",
-    "Tracer",
-    "Span",
-    "NULL_TRACER",
-    "current_tracer",
-    "use_tracer",
-    "ALGORITHMS",
-    "algorithm_names",
-    "get_algorithm",
-    "ParallelContext",
+    **dict.fromkeys((
+        "RunResult", "Tracer", "Span", "NULL_TRACER", "current_tracer",
+        "use_tracer", "ALGORITHMS", "algorithm_names", "get_algorithm",
+    ), "repro.obs"),
+    "ParallelContext": "repro.parallel",
     # resilience / chaos
-    "FaultPolicy",
-    "ChaosPlan",
-    "ChaosMonkey",
-    "Fault",
+    **dict.fromkeys(("FaultPolicy", "ChaosPlan", "ChaosMonkey", "Fault"), "repro.parallel"),
     # kernels
-    "bfs",
-    "msbfs",
-    "st_connectivity",
-    "connected_components",
-    "biconnected_components",
-    "articulation_points",
-    "bridges",
-    "dijkstra",
-    "delta_stepping",
-    "boruvka_msf",
-    "kruskal_msf",
-    "prim_mst",
-    "minimum_spanning_forest",
+    **dict.fromkeys((
+        "bfs", "msbfs", "st_connectivity", "connected_components",
+        "biconnected_components", "articulation_points", "bridges",
+        "dijkstra", "delta_stepping", "boruvka_msf", "kruskal_msf",
+        "prim_mst", "minimum_spanning_forest",
+    ), "repro.kernels"),
     # centrality
-    "degree_centrality",
-    "closeness_centrality",
-    "betweenness_centrality",
-    "edge_betweenness_centrality",
-    "brandes",
-    "sampled_betweenness",
-    "approximate_vertex_betweenness",
+    **dict.fromkeys((
+        "degree_centrality", "closeness_centrality", "betweenness_centrality",
+        "edge_betweenness_centrality", "brandes", "sampled_betweenness",
+        "approximate_vertex_betweenness",
+    ), "repro.centrality"),
     # community
-    "pbd",
-    "girvan_newman",
-    "pma",
-    "pla",
-    "cnm",
-    "local_resweep",
-    "spectral_modularity",
+    **dict.fromkeys((
+        "pbd", "girvan_newman", "pma", "pla", "cnm", "local_resweep",
+        "spectral_modularity",
+    ), "repro.community"),
     # streaming
-    "StreamEngine",
-    "stream_replay",
+    **dict.fromkeys(("StreamEngine", "stream_replay"), "repro.dynamic"),
     # partitioning
-    "multilevel_bisection",
-    "multilevel_recursive_bisection",
-    "multilevel_kway",
-    "spectral_bisection",
-    "spectral_kway",
+    **dict.fromkeys((
+        "multilevel_bisection", "multilevel_recursive_bisection",
+        "multilevel_kway", "spectral_bisection", "spectral_kway",
+    ), "repro.partitioning"),
     # errors
-    "SnapError",
-    "GraphFormatError",
-    "GraphStructureError",
-    "ConvergenceError",
-    "PartitioningError",
-    "ClusteringError",
-    "ExecutionError",
-    "TaskTimeout",
-    "RetryExhausted",
-    "__version__",
-]
+    **dict.fromkeys((
+        "SnapError", "GraphFormatError", "GraphStructureError",
+        "ConvergenceError", "PartitioningError", "ClusteringError",
+        "ExecutionError", "TaskTimeout", "RetryExhausted",
+    ), "repro.errors"),
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+__getattr__, __dir__ = _lazy.exports(globals(), _HOMES)

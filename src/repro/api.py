@@ -134,6 +134,11 @@ class Session:
 
         self.options = options if options is not None else ExecutionOptions()
         self.ctx = self.options.make_context()
+        if self.ctx.backend == "process":
+            # Fork the workers while this is the only thread (the pool
+            # forks on its first submit): a worker forked beside a busy
+            # thread inherits any lock it holds, e.g. an import lock.
+            self.ctx._ensure_process_pool().submit(int).result()
         self.registry = GraphRegistry(max_bytes=max_bytes, ctx=self.ctx)
         self.coalescer = Coalescer(
             self.registry,

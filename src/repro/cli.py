@@ -36,6 +36,7 @@ chosen by extension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -44,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro import generators, metrics
 from repro.cli_options import ExecutionOptions, add_execution_flags
 from repro.durable import write_json_atomic
 from repro.errors import (
@@ -56,7 +56,6 @@ from repro.errors import (
 from repro.graph import io as graph_io
 from repro.graph.io import read_auto as _load
 from repro.obs import algorithm, run as obs_run
-from repro.partitioning import edge_cut, partition_balance
 
 _WRITERS = {
     "edgelist": graph_io.write_edge_list,
@@ -86,16 +85,22 @@ def _save_profile(args: argparse.Namespace, res) -> None:
         print(f"profile written to {args.profile}")
 
 
-#: ``analyze`` runs the preprocessing battery as one (unregistered)
-#: algorithm, so its kernels nest under one root span.
-_preprocess = algorithm("preprocess", register=False)(metrics.preprocess)
+@functools.cache
+def _preprocess():
+    """``analyze`` runs the preprocessing battery as one (unregistered)
+    algorithm, so its kernels nest under one root span."""
+    from repro.metrics import preprocess
+
+    return algorithm("preprocess", register=False)(preprocess)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro import metrics
+
     g = _load(args.graph, directed=args.directed)
     print(f"graph: {g}")
     gg = g.as_undirected() if g.directed else g
-    res = _run(args, _preprocess, gg)
+    res = _run(args, _preprocess(), gg)
     _save_profile(args, res)
     report = res.value
     print(f"components          : {report.n_components} "
@@ -158,6 +163,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.partitioning import edge_cut, partition_balance
+
     g = _load(args.graph, directed=args.directed)
     if g.directed:
         g = g.as_undirected()
@@ -198,7 +205,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         g = _load(args.graph)
         source = args.graph
     else:
-        g = generators.rmat(
+        from repro.generators import rmat
+
+        g = rmat(
             args.rmat_scale, args.edge_factor,
             rng=np.random.default_rng(args.seed),
         )
@@ -463,10 +472,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Fault-matrix self-test: every fault kind on every backend must be
     survived with results bit-identical to the fault-free run."""
+    from repro.generators import rmat
     from repro.parallel.chaos import FAULT_KINDS, ChaosPlan, Fault
     from repro.parallel.resilience import FaultPolicy
 
-    g = generators.rmat(
+    g = rmat(
         args.scale, args.edge_factor, rng=np.random.default_rng(args.seed)
     )
     if g.directed:
@@ -523,6 +533,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro import generators
+
     rng = np.random.default_rng(args.seed)
     if args.family == "rmat":
         g = generators.rmat(args.scale, args.edge_factor, rng=rng)

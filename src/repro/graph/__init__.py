@@ -8,6 +8,7 @@ and :class:`~repro.graph.hybrid.HybridAdjacency` (unsorted arrays for
 low-degree vertices, treaps for high-degree vertices).
 """
 
+from repro import _lazy
 from repro.graph.csr import Graph, EdgeSubsetView
 from repro.graph.builder import (
     from_edge_array,
@@ -18,9 +19,13 @@ from repro.graph.builder import (
     compress_vertices,
     contract,
 )
-from repro.graph.dynamic import DynamicGraph
-from repro.graph.treap import Treap
-from repro.graph.hybrid import HybridAdjacency
+
+# the dynamic representations load on first use
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "DynamicGraph": "repro.graph.dynamic",
+    "Treap": "repro.graph.treap",
+    "HybridAdjacency": "repro.graph.hybrid",
+})
 
 __all__ = [
     "Graph",

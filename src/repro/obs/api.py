@@ -25,7 +25,9 @@ count ``k``) and everything else is keyword-only.  The
 from __future__ import annotations
 
 import functools
+import importlib
 import inspect
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +44,52 @@ __all__ = [
     "ALGORITHMS",
 ]
 
-ALGORITHMS: dict[str, Callable] = {}
+#: The packages whose import registers the algorithms, in the order a
+#: registry miss imports them.
+_PACKAGES = ("kernels", "centrality", "community", "partitioning", "dynamic")
+
+
+class _Registry(dict):
+    """Canonical name -> decorated entrypoint, filled on first use.
+
+    A missing name imports the algorithm packages in :data:`_PACKAGES`
+    order until it is registered; reading the registry whole (``in``,
+    ``len``, iteration, ``keys``/``values``/``items``) imports them all.
+    """
+
+    _lock = threading.RLock()  # one importer at a time, in one order
+    _complete = False
+
+    def _load(self, name=None) -> None:
+        with self._lock:
+            for package in _PACKAGES:
+                if name is not None and dict.__contains__(self, name):
+                    return
+                importlib.import_module(f"repro.{package}")
+            self._complete = True
+
+    def _whole(method):
+        @functools.wraps(method)
+        def read(self, *args):
+            if not self._complete:
+                self._load()
+            return method(self, *args)
+        return read
+
+    def __missing__(self, name):
+        self._load(name)
+        if not dict.__contains__(self, name):
+            raise KeyError(name)
+        return dict.__getitem__(self, name)
+
+    __contains__, __iter__, __len__ = map(
+        _whole, (dict.__contains__, dict.__iter__, dict.__len__)
+    )
+    keys, values, items = map(_whole, (dict.keys, dict.values, dict.items))
+    del _whole
+
+
+ALGORITHMS: dict[str, Callable] = _Registry()
 """Registry: canonical name -> decorated entrypoint."""
 
 

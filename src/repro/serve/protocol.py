@@ -40,7 +40,9 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.obs.api import algorithm_names, algorithm_spec, validate_params
+from repro.obs.api import (
+    algorithm_names, algorithm_spec, get_algorithm, validate_params,
+)
 from repro.obs.runner import RunResult
 from repro.serve.coalescer import MERGEABLE
 
@@ -156,9 +158,10 @@ def parse_submit(doc: Any) -> dict:
     algo = doc.get("algo")
     if not isinstance(algo, str):
         raise ProtocolError("request requires a string 'algo' name")
-    if algo not in algorithm_names():
-        known = ", ".join(algorithm_names())
-        raise ProtocolError(f"unknown algorithm {algo!r}; known: {known}")
+    try:
+        get_algorithm(algo)  # imports only the packages up to its own
+    except KeyError as exc:
+        raise ProtocolError(exc.args[0]) from None
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")

@@ -5,14 +5,7 @@ community kernels shard-at-a-time under a BSP superstep driver, with
 results bit-identical to the in-core paths.
 """
 
-from repro.sharded.algorithms import (
-    sharded_closeness,
-    sharded_connected_components,
-    sharded_contract,
-    sharded_modularity,
-    sharded_msbfs,
-    sharded_pla,
-)
+from repro import _lazy
 from repro.sharded.bsp import (
     CHECKPOINT_DIRNAME,
     BSPCheckpointer,
@@ -29,6 +22,13 @@ from repro.sharded.shards import (
     load_shard,
     open_shard_set,
 )
+
+# the kernels (and the community code they call) load on first use, so
+# opening or sizing a shard set imports only shards and bsp
+__getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
+    "sharded_msbfs", "sharded_closeness", "sharded_connected_components",
+    "sharded_modularity", "sharded_contract", "sharded_pla",
+), "repro.sharded.algorithms"))
 
 __all__ = [
     "Shard",

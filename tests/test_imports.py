@@ -1,0 +1,180 @@
+"""Import what you run: the package binds its names on first use.
+
+Every check runs in a fresh interpreter (``test_memory_policy.fresh``):
+which modules a process has loaded, and in what order the registry
+imported them, cannot be observed from a pytest process that has
+imported everything already.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from tests.test_memory_policy import fresh
+
+#: Modules that no daemon start, first load, ``import repro`` or
+#: closeness lookup uses: each loads only when something reads it.
+NOT_ON_THE_SERVE_PATH = (
+    "repro.community",
+    "repro.partitioning",
+    "repro.generators",
+    "repro.metrics",
+    "repro.datasets",
+    "repro.sharded.algorithms",
+    "repro.graph.dynamic",
+    "repro.graph.hybrid",
+    "repro.graph.treap",
+)
+
+LOADED = (
+    "import json, sys\n"
+    f"far = {NOT_ON_THE_SERVE_PATH!r}\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith(far))\n"
+)
+
+#: The registry's algorithms, as the eager package registered them.
+ALGORITHM_NAMES = [
+    "approximate_vertex_betweenness", "articulation_points", "betweenness",
+    "bfs", "biconnected_components", "boruvka_msf", "brandes", "bridges",
+    "closeness", "cnm", "connected_components", "degree", "delta_stepping",
+    "dijkstra", "edge_betweenness", "girvan_newman", "kruskal_msf",
+    "local_resweep", "minimum_spanning_forest", "msbfs",
+    "multilevel_bisection", "multilevel_kway",
+    "multilevel_recursive_bisection", "pbd", "pla", "pma", "prim_mst",
+    "sampled_betweenness", "spectral_bisection", "spectral_kway",
+    "spectral_modularity", "st_connectivity", "stream_replay",
+]
+
+#: SHA-256 of ``GET /v1/algorithms`` from the eager package.
+SCHEMA_SHA256 = "79f373ceaf465008c0e0b0faaa1bf034b3016629d85c758bb79f61e7802fb103"
+
+PACKAGES = ("kernels", "centrality", "community", "partitioning", "dynamic")
+
+
+# ---------------------------------------------------------------------
+# the import boundary
+# ---------------------------------------------------------------------
+@pytest.mark.parametrize("code", [
+    "import repro",
+    "import repro.cli",
+    "import repro.api\nrepro.get_algorithm('closeness')",
+], ids=["repro", "repro.cli", "api+closeness"])
+def test_import_loads_nothing_off_its_path(code):
+    got = fresh(f"{code}\n{LOADED}print(json.dumps(loaded))")
+    assert got == []
+
+
+def test_daemon_first_load_loads_nothing_off_its_path(tmp_path):
+    from repro.centrality import closeness_centrality
+    from repro.graph import from_edge_list
+
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    got = fresh(
+        "from repro.serve.client import ServeClient\n"
+        "from repro.serve.server import ReproServer, ServeConfig\n"
+        "with ReproServer(ServeConfig(port=0)) as srv:\n"
+        "    srv.start_background()\n"
+        "    with ServeClient(*srv.address) as c:\n"
+        f"        c.load({str(path)!r}, name='g')\n"
+        "        value = c.submit('g', 'closeness', sources=[0])['value']\n"
+        f"{LOADED}print(json.dumps([loaded, value]))"
+    )
+    expect = closeness_centrality(from_edge_list(edges), sources=[0])
+    assert got == [[], expect.tolist()]
+
+
+# ---------------------------------------------------------------------
+# the registry contract
+# ---------------------------------------------------------------------
+def test_whole_registry_reads_register_every_algorithm():
+    got = fresh(
+        "import json\n"
+        "from repro.obs.api import ALGORITHMS, algorithm_names\n"
+        "reads = [len(ALGORITHMS), 'pla' in ALGORITHMS, sorted(ALGORITHMS),\n"
+        "         algorithm_names(), sorted(ALGORITHMS.keys()),\n"
+        "         len(ALGORITHMS.values()), len(ALGORITHMS.items())]\n"
+        "print(json.dumps(reads))"
+    )
+    assert got == [33, True, ALGORITHM_NAMES, ALGORITHM_NAMES,
+                   ALGORITHM_NAMES, 33, 33]
+    for read in ("len(ALGORITHMS)", "'bfs' in ALGORITHMS", "list(ALGORITHMS)",
+                 "list(ALGORITHMS.keys())", "list(ALGORITHMS.values())",
+                 "list(ALGORITHMS.items())", "algorithm_names()"):
+        n = fresh(
+            "import json\n"
+            "from repro.obs.api import ALGORITHMS, algorithm_names\n"
+            f"{read}\n"
+            "print(json.dumps(dict.__len__(ALGORITHMS)))"
+        )
+        assert n == 33, read
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_each_name_resolves_in_package_order(name):
+    """A miss imports the algorithm packages in one fixed order, up to
+    the one that registers the name and no further."""
+    got = fresh(
+        "import json, sys\n"
+        "from repro.obs.api import get_algorithm\n"
+        f"fn = get_algorithm({name!r})\n"
+        f"pkgs = [p for p in {PACKAGES!r} if 'repro.' + p in sys.modules]\n"
+        "print(json.dumps([fn.__algorithm__, fn.__module__, pkgs]))"
+    )
+    algorithm, module, packages = got
+    assert algorithm == name
+    home = module.split(".")[1]
+    assert packages == list(PACKAGES[: PACKAGES.index(home) + 1])
+
+
+def test_unknown_name_lists_every_algorithm():
+    got = fresh(
+        "import json\n"
+        "from repro.obs.api import get_algorithm\n"
+        "try:\n"
+        "    get_algorithm('nope')\n"
+        "except KeyError as exc:\n"
+        "    print(json.dumps(exc.args[0]))"
+    )
+    assert got == f"unknown algorithm 'nope'; known: {', '.join(ALGORITHM_NAMES)}"
+
+
+def test_threads_resolving_at_once_finish():
+    names = ["stream_replay", "spectral_kway", "pla", "closeness", "bfs",
+             "multilevel_kway", "cnm", "brandes"]
+    got = fresh(
+        "import json, threading, time\n"
+        "from repro.obs.api import get_algorithm\n"
+        f"names = {names!r}\n"
+        "start, found = threading.Barrier(len(names)), {}\n"
+        "def resolve(name):\n"
+        "    start.wait()\n"
+        "    found[name] = get_algorithm(name).__algorithm__\n"
+        "threads = [threading.Thread(target=resolve, args=(n,), daemon=True)\n"
+        "           for n in names]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "deadline = time.monotonic() + 10\n"
+        "for t in threads:\n"
+        "    t.join(max(0.0, deadline - time.monotonic()))\n"
+        "print(json.dumps(found))"
+    )
+    assert got == {n: n for n in names}
+
+
+def test_algorithms_schema_is_the_first_request():
+    got = fresh(
+        "import hashlib, http.client, json\n"
+        "from repro.serve.server import ReproServer, ServeConfig\n"
+        "with ReproServer(ServeConfig(port=0)) as srv:\n"
+        "    srv.start_background()\n"
+        "    conn = http.client.HTTPConnection(*srv.address, timeout=30)\n"
+        "    conn.request('GET', '/v1/algorithms')\n"
+        "    body = conn.getresponse().read()\n"
+        "    conn.close()\n"
+        "print(json.dumps(hashlib.sha256(body).hexdigest()))"
+    )
+    assert got == SCHEMA_SHA256

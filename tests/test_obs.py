@@ -27,6 +27,30 @@ from repro.obs import (
     use_tracer,
 )
 from repro.parallel.runtime import ParallelContext
+from tests.test_memory_policy import fresh
+
+#: ``repro.__all__`` as the eagerly importing package listed it.
+TOP_LEVEL_ALL = [
+    "api", "graph", "parallel", "kernels", "centrality", "metrics",
+    "community", "partitioning", "generators", "datasets", "dynamic",
+    "obs", "Graph", "from_edge_list", "from_edge_array", "RunResult",
+    "Tracer", "Span", "NULL_TRACER", "current_tracer", "use_tracer",
+    "ALGORITHMS", "algorithm_names", "get_algorithm", "ParallelContext",
+    "FaultPolicy", "ChaosPlan", "ChaosMonkey", "Fault", "bfs", "msbfs",
+    "st_connectivity", "connected_components", "biconnected_components",
+    "articulation_points", "bridges", "dijkstra", "delta_stepping",
+    "boruvka_msf", "kruskal_msf", "prim_mst", "minimum_spanning_forest",
+    "degree_centrality", "closeness_centrality", "betweenness_centrality",
+    "edge_betweenness_centrality", "brandes", "sampled_betweenness",
+    "approximate_vertex_betweenness", "pbd", "girvan_newman", "pma", "pla",
+    "cnm", "local_resweep", "spectral_modularity", "StreamEngine",
+    "stream_replay", "multilevel_bisection",
+    "multilevel_recursive_bisection", "multilevel_kway",
+    "spectral_bisection", "spectral_kway", "SnapError", "GraphFormatError",
+    "GraphStructureError", "ConvergenceError", "PartitioningError",
+    "ClusteringError", "ExecutionError", "TaskTimeout", "RetryExhausted",
+    "__version__",
+]
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +221,33 @@ class TestAlgorithmSurface:
 
         for name in ("pbd", "closeness_centrality", "Tracer"):
             assert name in repro.__all__
+        # the surface the eagerly importing package had, name for name
+        assert repro.__all__ == TOP_LEVEL_ALL
+        assert set(dir(repro)) >= set(repro.__all__)
+        with pytest.raises(AttributeError, match="module 'repro' has no attribute 'nope'"):
+            repro.nope  # noqa: B018
+
+    def test_top_level_names_resolve_on_first_use(self):
+        """In a fresh process each ``__all__`` name, read first, is the
+        object its home module defines, and ``import *`` binds them all."""
+        got = fresh(
+            "import importlib, json\n"
+            "import repro\n"
+            "wrong = []\n"
+            "for name in repro.__all__[:-1]:\n"
+            "    got = getattr(repro, name)\n"
+            "    home = importlib.import_module(repro._HOMES[name])\n"
+            "    if got is not getattr(repro, name) or got is not (\n"
+            "            home if home.__name__ == 'repro.' + name\n"
+            "            else getattr(home, name)):\n"
+            "        wrong.append(name)\n"
+            "star = {}\n"
+            "exec('from repro import *', star)\n"
+            "star.pop('__builtins__')\n"
+            "same = all(star[n] is getattr(repro, n) for n in repro.__all__)\n"
+            "print(json.dumps([wrong, sorted(star), same]))"
+        )
+        assert got == [[], sorted(TOP_LEVEL_ALL), True]
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,17 @@ import http.client
 import inspect
 import itertools
 import json
+import os
+import re
 import select
+import signal
 import socket
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 from concurrent.futures import Future
 
 import numpy as np
@@ -1476,3 +1482,148 @@ def edge_list(graph):
     """A graph's canonical ``(u, v)`` edges, sorted."""
     u, v = graph.edge_endpoints()
     return sorted(zip(u.tolist(), v.tolist()))
+
+
+# ----------------------------------------------------------------------
+# Process backend: workers fork before any thread starts
+# ----------------------------------------------------------------------
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: A first closeness query and a first ingest, sent at once to a fresh
+#: process-backend daemon; the ingest goes to its own graph, so the
+#: answers do not depend on which one runs first.
+FIRST_SOURCES = [0, 3, 17, 64]
+FIRST_EVENTS = [[1, "add", 0, 700], [1, "add", 5, 900], [2, "delete", 0, 700]]
+REQUEST_TIMEOUT_S = 30.0
+
+
+def _first_requests_serially(path):
+    """The two first requests' answers on the serial backend."""
+    with api.Session() as s:
+        s.load(str(path), name="g")
+        s.load(str(path), name="s")
+        value = s.submit("g", "closeness", sources=FIRST_SOURCES).result().value
+        doc = s.ingest("s", [(op, u, v, t) for t, op, u, v in FIRST_EVENTS])
+    return [float(x) for x in value], json.loads(json.dumps(doc))
+
+
+def _shm_names() -> set:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _first_requests_on_a_fresh_daemon(path) -> dict:
+    """Start ``repro serve --backend process --workers 2``, send both
+    first requests together, stop it with SIGINT and kill whatever of
+    its process group is left; report answers, stop and leaked shm."""
+    before = _shm_names()
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--backend", "process", "--workers", "2",
+         "--graph", f"g={path}", "--graph", f"s={path}"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env, start_new_session=True,
+    )
+    out = {"closeness": None, "ingest": None, "errors": [], "stopped": False}
+    try:
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        for line in proc.stdout:
+            found = re.search(r"listening on http://[^:]+:(\d+)", line)
+            if found:
+                port = int(found.group(1))
+                break
+        else:
+            raise AssertionError("daemon exited before listening")
+        watchdog.cancel()
+
+        def closeness():
+            with ServeClient(port=port, timeout=REQUEST_TIMEOUT_S) as c:
+                out["closeness"] = c.submit(
+                    "g", "closeness", sources=FIRST_SOURCES
+                )["value"]
+
+        def ingest():
+            with ServeClient(port=port, timeout=REQUEST_TIMEOUT_S) as c:
+                out["ingest"] = c.ingest("s", FIRST_EVENTS)
+
+        def guarded(fn):
+            try:
+                fn()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                out["errors"].append(repr(exc))
+
+        threads = [threading.Thread(target=guarded, args=(fn,))
+                   for fn in (closeness, ingest)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(2 * REQUEST_TIMEOUT_S)
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=15)
+            out["stopped"] = True
+        except subprocess.TimeoutExpired:
+            pass
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
+    leaked = _shm_names() - before
+    for name in leaked:  # a killed daemon's segments: never left behind
+        os.unlink(f"/dev/shm/{name}")
+    out["leaked"] = sorted(leaked)
+    return out
+
+
+class TestProcessBackendStart:
+    def test_session_forks_its_workers_before_any_thread(self):
+        """Every fork of a serving process-backend ``Session`` happens
+        while its process runs one thread, so no worker inherits a lock
+        another thread holds."""
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent("""
+                import json, os, threading
+                forks = []
+                os.register_at_fork(
+                    before=lambda: forks.append(threading.active_count()))
+                import numpy as np
+                from repro.api import Session
+                from repro.cli_options import ExecutionOptions
+                from repro.generators import rmat
+
+                g = rmat(10, 8, rng=np.random.default_rng(5)).as_undirected()
+                opts = ExecutionOptions(backend="process", workers=2)
+                with Session(options=opts) as s:
+                    s.add("g", g)
+                    s.add("s", g)
+                    fut = s.submit("g", "closeness", sources=[0, 3, 17, 64])
+                    s.ingest("s", [("add", 0, 700, 1)])
+                    fut.result(timeout=60)
+                    fut = s.submit("g", "closeness", sources=[1, 2])
+                    fut.result(timeout=60)
+                print(json.dumps(forks))
+            """)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the two workers, forked once, each while one thread ran
+        assert json.loads(proc.stdout.splitlines()[-1]) == [1, 1]
+
+    def test_first_query_and_first_ingest_together(self, tmp_path):
+        """Ten fresh process-backend daemons each answer a concurrent
+        first query and first ingest as the serial backend does, stop on
+        SIGINT and leave no shared-memory segment behind."""
+        g = generators.rmat(10, 8, rng=np.random.default_rng(3)).as_undirected()
+        path = tmp_path / "g.npz"
+        graph_io.save_npz(g, path)
+        expected = _first_requests_serially(path)
+        for _ in range(10):
+            out = _first_requests_on_a_fresh_daemon(path)
+            assert out["errors"] == []
+            assert out["stopped"]
+            assert out["leaked"] == []
+            assert (out["closeness"], out["ingest"]) == expected

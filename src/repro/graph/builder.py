@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.graph.csr import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, Graph
-from repro.kernels.segments import grouped_label_weights, pair_order
 
 
 def from_edge_array(
@@ -78,6 +77,14 @@ def from_edge_array(
     return _build_undirected(n, src, dst, weights, dedupe)
 
 
+def _pair_order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
+    """``kernels.segments.pair_order``, imported on first use: importing
+    it runs ``repro/kernels/__init__.py``, which loads every kernel."""
+    from repro.kernels.segments import pair_order
+
+    return pair_order(major, minor, n_minor)
+
+
 def _first_of_each(key: np.ndarray) -> np.ndarray:
     """Index of each distinct ``key``'s first occurrence, in key order:
     one default-kind (SIMD) argsort, then each equal run's least index."""
@@ -95,7 +102,7 @@ def _build_directed(
 ) -> Graph:
     # Deduplicated keys come out in ascending order: already CSR order.
     order = (_first_of_each(src * n + dst) if dedupe and src.shape[0]
-             else pair_order(src, dst, n))
+             else _pair_order(src, dst, n))
     src, dst = src[order], dst[order]
     if weights is not None:
         weights = weights[order]
@@ -128,7 +135,7 @@ def _build_undirected(
     arc_w = None if weights is None else np.concatenate([weights, weights])
     # Deduplicated arc keys are unique, so any sort is the stable one.
     order = (np.argsort(arc_src * n + arc_dst) if dedupe
-             else pair_order(arc_src, arc_dst, n))
+             else _pair_order(arc_src, arc_dst, n))
     arc_src, arc_dst, arc_eid = arc_src[order], arc_dst[order], arc_eid[order]
     if arc_w is not None:
         arc_w = arc_w[order]
@@ -278,6 +285,8 @@ def compress_vertices(graph: Graph, labels: np.ndarray) -> Graph:
     if src.shape[0] == 0:
         return from_edge_array(k, src, dst, directed=graph.directed)
     # Merge parallel edges, summing weights in stable (src, dst) order.
+    from repro.kernels.segments import grouped_label_weights
+
     src, dst, merged_w = grouped_label_weights(src, dst, w)
     return from_edge_array(
         k, src, dst, weights=merged_w, directed=graph.directed, dedupe=False
@@ -326,6 +335,8 @@ def contract_chunks(
     every merged weight is summed in the one-pass stable (lo, hi) order
     and the coarse graph is bit-identical however the stream is cut.
     """
+    from repro.kernels.segments import grouped_label_weights
+
     labels = np.asarray(labels, dtype=VERTEX_DTYPE)
     if labels.shape[0] != n_vertices:
         raise GraphStructureError("labels must have one entry per vertex")

@@ -22,6 +22,7 @@ each kernel records its own phases, so the profile does not depend on
 the backend.
 """
 
+from repro import _lazy
 from repro.parallel.chaos import ChaosMonkey, ChaosPlan, Fault
 from repro.parallel.costmodel import CostModel, MachineModel
 from repro.parallel.resilience import FaultPolicy
@@ -38,7 +39,11 @@ from repro.parallel.partitioner import (
     chunk_ranges,
     imbalance_factor,
 )
-from repro.parallel.scheduler import WorkStealingScheduler, simulate_work_stealing
+
+# the work-stealing model loads on first use (kernels.mst's lazy-sync model)
+__getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
+    "WorkStealingScheduler", "simulate_work_stealing",
+), "repro.parallel.scheduler"))
 
 __all__ = [
     "ChaosMonkey",

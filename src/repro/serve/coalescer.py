@@ -65,8 +65,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.errors import DeadlineExpired, GraphStructureError, ProtocolError, ServeError
-from repro.kernels._frontier import vertex_ids
-from repro.kernels.bfs import MSBFSResult
 from repro.obs.api import split_operands, validate_params
 from repro.obs.runner import RunResult, run as obs_run
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -100,6 +98,8 @@ def _normalize_sources(algo: str, params: dict) -> None:
     """Check a mergeable request's source ids and store them as plain
     ints, so merging and slicing see int lists and a non-integer id is
     refused here instead of truncated, or failing a merged batch."""
+    from repro.kernels._frontier import vertex_ids  # loads every kernel
+
     key = MERGEABLE[algo]
     ids = params.get(key)
     if ids is None:
@@ -446,6 +446,7 @@ class Coalescer:
                 base_params, requests,
             )
             dist = result.value.distances
+            from repro.kernels.bfs import MSBFSResult
 
             def slicer(req: ServeRequest):
                 if req.algo == "bfs":

@@ -52,7 +52,6 @@ import numpy as np
 from repro.durable import write_json_atomic
 from repro.errors import GraphFormatError, GraphStructureError, PartitioningError, SnapError
 from repro.graph.csr import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, Graph
-from repro.kernels.segments import concat_ranges
 
 FORMAT_NAME = "repro-shard-set"
 FORMAT_VERSION = 1
@@ -562,6 +561,8 @@ class ShardSet:
     # -- reconstruction -----------------------------------------------------
     def stitch(self) -> Graph:
         """Reassemble the original in-core CSR graph, bit-exactly."""
+        from repro.kernels.segments import concat_ranges  # loads every kernel
+
         n = self.n_vertices
         deg = np.zeros(n, dtype=EDGE_DTYPE)
         for s in range(self.k):
@@ -742,6 +743,8 @@ def build_shard_set(
     ``"block"`` (contiguous arc-balanced ranges — O(n), used for quick
     builds at very large scale).
     """
+    from repro.kernels.segments import concat_ranges  # loads every kernel
+
     if graph.directed:
         raise GraphStructureError("shard sets require an undirected graph")
     n = graph.n_vertices

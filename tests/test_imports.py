@@ -28,11 +28,28 @@ NOT_ON_THE_SERVE_PATH = (
     "repro.graph.treap",
 )
 
-LOADED = (
-    "import json, sys\n"
-    f"far = {NOT_ON_THE_SERVE_PATH!r}\n"
-    "loaded = sorted(m for m in sys.modules if m.startswith(far))\n"
+#: Modules no request has needed yet: ``repro``, ``repro.cli`` and a
+#: daemon up to its first load import none of them.  Any
+#: ``repro.kernels.*`` import runs the package ``__init__``, which loads
+#: every kernel module.
+NOT_BEFORE_A_REQUEST = (
+    "repro.kernels.biconnected",
+    "repro.kernels.mst",
+    "repro.kernels.sssp",
+    "repro.kernels.connected",
+    "repro.kernels.spanning",
+    "repro.parallel.scheduler",
 )
+
+
+def loaded(far) -> str:
+    """Code defining ``loaded()``: the modules of ``far`` imported so far."""
+    return (
+        "import json, sys\n"
+        "def loaded():\n"
+        f"    return sorted(m for m in sys.modules if m.startswith({far!r}))\n"
+    )
+
 
 #: The registry's algorithms, as the eager package registered them.
 ALGORITHM_NAMES = [
@@ -56,13 +73,14 @@ PACKAGES = ("kernels", "centrality", "community", "partitioning", "dynamic")
 # ---------------------------------------------------------------------
 # the import boundary
 # ---------------------------------------------------------------------
-@pytest.mark.parametrize("code", [
-    "import repro",
-    "import repro.cli",
-    "import repro.api\nrepro.get_algorithm('closeness')",
+@pytest.mark.parametrize("code,far", [
+    ("import repro", NOT_ON_THE_SERVE_PATH + NOT_BEFORE_A_REQUEST),
+    ("import repro.cli", NOT_ON_THE_SERVE_PATH + NOT_BEFORE_A_REQUEST),
+    # a registry miss imports repro.kernels whole
+    ("import repro.api\nrepro.get_algorithm('closeness')", NOT_ON_THE_SERVE_PATH),
 ], ids=["repro", "repro.cli", "api+closeness"])
-def test_import_loads_nothing_off_its_path(code):
-    got = fresh(f"{code}\n{LOADED}print(json.dumps(loaded))")
+def test_import_loads_nothing_off_its_path(code, far):
+    got = fresh(f"{code}\n{loaded(far)}print(json.dumps(loaded()))")
     assert got == []
 
 
@@ -74,17 +92,21 @@ def test_daemon_first_load_loads_nothing_off_its_path(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("".join(f"{u} {v}\n" for u, v in edges))
     got = fresh(
+        f"{loaded(NOT_ON_THE_SERVE_PATH + NOT_BEFORE_A_REQUEST)}"
         "from repro.serve.client import ServeClient\n"
         "from repro.serve.server import ReproServer, ServeConfig\n"
         "with ReproServer(ServeConfig(port=0)) as srv:\n"
         "    srv.start_background()\n"
+        "    at_listen = loaded()\n"
         "    with ServeClient(*srv.address) as c:\n"
         f"        c.load({str(path)!r}, name='g')\n"
+        "        at_load = loaded()\n"
         "        value = c.submit('g', 'closeness', sources=[0])['value']\n"
-        f"{LOADED}print(json.dumps([loaded, value]))"
+        f"{loaded(NOT_ON_THE_SERVE_PATH)}"
+        "print(json.dumps([at_listen, at_load, loaded(), value]))"
     )
     expect = closeness_centrality(from_edge_list(edges), sources=[0])
-    assert got == [[], expect.tolist()]
+    assert got == [[], [], [], expect.tolist()]
 
 
 # ---------------------------------------------------------------------

@@ -423,9 +423,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return _cmd_check_stream(args)
 
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    reps = tuple(
-        r.strip() for r in args.representations.split(",") if r.strip()
-    )
     checks = (
         tuple(c.strip() for c in args.checks.split(",") if c.strip())
         if args.checks
@@ -449,7 +446,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         n_graphs=args.graphs,
         budget=args.budget,
         backends=backends,
-        representations=reps,
         checks=checks,
         n_workers=args.workers,
         fault=args.fault,
@@ -464,7 +460,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if report.ok:
         print(
             f"OK: {report.n_runs} oracle comparisons agreed across "
-            f"backends={'/'.join(backends)} representations={'/'.join(reps)}"
+            f"backends={'/'.join(backends)}"
         )
     return 0 if report.ok else 1
 
@@ -837,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check",
         help="differential correctness check: fuzz kernels against "
-             "pure-Python oracles across backends and representations",
+             "pure-Python oracles across backends",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graphs", type=int, default=56,
@@ -846,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="soft wall-clock budget in seconds")
     p.add_argument("--backends", default="serial,thread,process",
                    help="comma-separated execution backends")
-    p.add_argument("--representations", default="csr,dynamic,hybrid,treap",
-                   help="comma-separated graph representations")
     p.add_argument("--checks", default=None,
                    help="comma-separated check names (default: all)")
     p.add_argument("--workers", type=int, default=2)

@@ -184,12 +184,20 @@ class HybridAdjacency:
         """Sorted intersection of two adjacencies.
 
         When both vertices are promoted this uses treap intersection —
-        the set-algebra path the paper motivates; otherwise a vectorized
-        sorted-array intersection.
+        the set-algebra path the paper motivates.  When one is, the
+        array side's neighbours are filtered by membership in the hub's
+        mirror set, so the hub's treap is never walked.  Otherwise a
+        vectorized sorted-array intersection.
         """
         su, sv = self._slots[u], self._slots[v]
         if isinstance(su, Treap) and isinstance(sv, Treap):
             return su.intersection(sv).keys_array()
+        if isinstance(su, Treap) or isinstance(sv, Treap):
+            small, hub = (sv, u) if isinstance(su, Treap) else (su, v)
+            members = self._sets[hub]
+            return np.asarray(
+                sorted(x for x in small.ids if x in members), dtype=VERTEX_DTYPE
+            )
         return np.intersect1d(self.neighbors(u), self.neighbors(v))
 
     @classmethod

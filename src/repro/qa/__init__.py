@@ -6,10 +6,9 @@ Three layers, each usable on its own:
   reference implementations of the paper's kernels;
 * :mod:`repro.qa.invariants` — structural validators for every graph
   representation and shape checkers for algorithm results;
-* :mod:`repro.qa.differential` — the seeded fuzz driver that crosses a
-  graph corpus with all backend × representation combinations, compares
-  against the oracles, and shrinks failures to minimal edge-list
-  reproducers;
+* :mod:`repro.qa.differential` — the seeded fuzz driver that runs every
+  check once per corpus graph's CSR on each backend, compares against
+  the oracles, and shrinks failures to minimal edge-list reproducers;
 * :mod:`repro.qa.prefix` — the streaming prefix-differential driver
   that replays every batch prefix of crawler event streams through the
   incremental engine against full recomputation, shrinking failures to
@@ -33,7 +32,6 @@ from repro.qa.differential import (
     BACKENDS,
     CHECKS,
     FAULTS,
-    REPRESENTATIONS,
     CorpusGraph,
     Failure,
     Report,
@@ -61,7 +59,6 @@ __all__ = [
     "check_forest",
     "check_dendrogram",
     "BACKENDS",
-    "REPRESENTATIONS",
     "CHECKS",
     "FAULTS",
     "CorpusGraph",

@@ -1,14 +1,13 @@
-"""Differential fuzz harness: corpus × backends × representations × oracles.
+"""Differential fuzz harness: corpus × backends × oracles.
 
 The driver generates a seeded corpus of small graphs (random families
-plus pathological shapes), builds each graph through every mutable
-representation path (direct CSR, dynamic arrays with insert/delete
-churn, hybrid array↔treap adjacency, pure per-vertex treaps), runs each
+plus pathological shapes), builds each graph's CSR once, runs each
 registered check across the serial/thread/process execution backends,
 and compares every result against the pure-Python oracles in
 :mod:`repro.qa.oracles` under per-check tolerance rules.  Structural
-invariants (:mod:`repro.qa.invariants`) are asserted on every
-intermediate representation and on result shapes.
+invariants (:mod:`repro.qa.invariants`) are asserted on every CSR and
+on result shapes.  One corpus family carries every edge at weight 1.0,
+so each kernel's weighted branch must give the hop-count answer.
 
 On a mismatch the failing graph is shrunk by greedy vertex deletion
 then greedy edge deletion to a minimal reproducer, which is dumped as a
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import random
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -33,9 +31,6 @@ import numpy as np
 
 from repro.graph import builder
 from repro.graph.csr import Graph
-from repro.graph.dynamic import DynamicGraph
-from repro.graph.hybrid import HybridAdjacency
-from repro.graph.treap import Treap
 from repro.parallel.runtime import ParallelContext
 from repro.qa import invariants, oracles
 
@@ -47,13 +42,11 @@ __all__ = [
     "run_differential",
     "shrink",
     "BACKENDS",
-    "REPRESENTATIONS",
     "CHECKS",
     "FAULTS",
 ]
 
 BACKENDS = ("serial", "thread", "process")
-REPRESENTATIONS = ("csr", "dynamic", "hybrid", "treap")
 
 DEFAULT_ARTIFACT_DIR = Path("benchmarks") / "results" / "qa"
 
@@ -76,14 +69,13 @@ class CorpusGraph:
     name: str
     n: int
     edges: tuple
-    directed: bool = False
 
     @property
     def weighted(self) -> bool:
         return any(len(e) > 2 for e in self.edges)
 
     def ref(self) -> oracles.RefGraph:
-        return oracles.RefGraph(self.n, self.edges, directed=self.directed)
+        return oracles.RefGraph(self.n, self.edges)
 
     def csr(self) -> Graph:
         src = np.asarray([e[0] for e in self.edges], dtype=np.int64)
@@ -93,9 +85,7 @@ class CorpusGraph:
             if self.weighted
             else None
         )
-        return builder.from_edge_array(
-            self.n, src, dst, weights=w, directed=self.directed
-        )
+        return builder.from_edge_array(self.n, src, dst, weights=w)
 
 
 def _path(n: int) -> list[tuple[int, int]]:
@@ -202,7 +192,16 @@ def _rand_weighted(rng: random.Random, name: str) -> CorpusGraph:
     return CorpusGraph(name, base.n, edges)
 
 
-_FAMILIES = (_rand_er, _rand_rmat, _rand_planted, _rand_weighted)
+def _rand_unit_weighted(rng: random.Random, name: str) -> CorpusGraph:
+    # Weighted inputs whose weights are all 1.0: every kernel's weighted
+    # branch must answer exactly as its hop-count branch does.
+    base = _rand_er(rng, name)
+    return CorpusGraph(name, base.n, tuple((u, v, 1.0) for u, v in base.edges))
+
+
+_FAMILIES = (
+    _rand_er, _rand_rmat, _rand_planted, _rand_weighted, _rand_unit_weighted
+)
 
 
 def corpus(seed: int, n_graphs: int = 56) -> list[CorpusGraph]:
@@ -218,122 +217,6 @@ def corpus(seed: int, n_graphs: int = 56) -> list[CorpusGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Representations: edge list -> CSR Graph, through different mutable paths
-# ---------------------------------------------------------------------------
-def _canonical_edges(item: CorpusGraph) -> list[tuple[int, int, float]]:
-    """Canonical (u<v, deduped, loop-free) weighted edge list — what every
-    representation must converge to."""
-    return sorted(item.ref().edges)
-
-
-def _build_csr(item: CorpusGraph, rng: random.Random) -> Graph:
-    return item.csr()
-
-
-def _churn_plan(item: CorpusGraph, rng: random.Random):
-    """Decoy edges to insert then delete, exercising the mutation paths."""
-    present = {(min(u, v), max(u, v)) for u, v, _ in _canonical_edges(item)}
-    decoys = []
-    for _ in range(min(3 * item.n, 40)):
-        u, v = rng.randrange(item.n), rng.randrange(item.n)
-        if u != v and (min(u, v), max(u, v)) not in present:
-            decoys.append((u, v))
-    return decoys
-
-
-def _build_dynamic(item: CorpusGraph, rng: random.Random) -> Graph:
-    dyn = DynamicGraph(item.n, sorted_adjacency=rng.random() < 0.5)
-    edges = _canonical_edges(item)
-    rng.shuffle(edges)
-    for u, v, w in edges:
-        dyn.add_edge(u, v, w)
-    for u, v in _churn_plan(item, rng):
-        dyn.add_edge(u, v, 9.0)
-        dyn.delete_edge(u, v)
-    invariants.assert_valid(dyn)
-    return dyn.to_csr()
-
-
-def _from_adjacency(item: CorpusGraph, neighbors: Callable[[int], Sequence[int]]) -> Graph:
-    """Rebuild a CSR graph from a topology-only adjacency, reattaching
-    the canonical weights."""
-    wmap = {(u, v): w for u, v, w in _canonical_edges(item)}
-    src, dst, wgt = [], [], []
-    for u in range(item.n):
-        for v in neighbors(u):
-            v = int(v)
-            if u < v:
-                src.append(u)
-                dst.append(v)
-                wgt.append(wmap[(u, v)])
-    return builder.from_edge_array(
-        item.n,
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        weights=np.asarray(wgt) if item.weighted else None,
-        directed=False,
-        dedupe=False,
-    )
-
-
-def _build_hybrid(item: CorpusGraph, rng: random.Random) -> Graph:
-    # A tiny threshold forces array->treap promotion (and demotion on
-    # churn deletes) even on small fuzz graphs.
-    hyb = HybridAdjacency(item.n, degree_threshold=rng.choice((2, 3, 4)))
-    edges = _canonical_edges(item)
-    rng.shuffle(edges)
-    for u, v, _ in edges:
-        hyb.add_edge(u, v)
-    for u, v in _churn_plan(item, rng):
-        hyb.add_edge(u, v)
-        hyb.delete_edge(u, v)
-    invariants.assert_valid(hyb)
-    return _from_adjacency(item, hyb.neighbors)
-
-
-def _build_treap(item: CorpusGraph, rng: random.Random) -> Graph:
-    slots = [Treap(seed=rng.randrange(1 << 30)) for _ in range(item.n)]
-    edges = _canonical_edges(item)
-    rng.shuffle(edges)
-    for u, v, w in edges:
-        slots[u].insert(v, w)
-        slots[v].insert(u, w)
-    for u, v in _churn_plan(item, rng):
-        slots[u].insert(v)
-        slots[v].insert(u)
-        slots[u].delete(v)
-        slots[v].delete(u)
-    for t in slots:
-        invariants.assert_valid(t)
-    return _from_adjacency(item, lambda u: slots[u].keys_array())
-
-
-_REP_BUILDERS = {
-    "csr": _build_csr,
-    "dynamic": _build_dynamic,
-    "hybrid": _build_hybrid,
-    "treap": _build_treap,
-}
-
-
-def build_representation(item: CorpusGraph, representation: str, seed: int) -> Graph:
-    """Build ``item`` through the named representation path, validating
-    both the intermediate structure and the final CSR snapshot."""
-    if representation != "csr" and (item.directed or representation not in _REP_BUILDERS):
-        raise ValueError(
-            f"representation {representation!r} unsupported for this item"
-        )
-    # hash() on strings is salted per process; crc32 keeps the churn
-    # plan reproducible across runs and across pool workers.
-    rng = random.Random(
-        zlib.crc32(f"{seed}:{item.name}:{representation}".encode())
-    )
-    g = _REP_BUILDERS[representation](item, rng)
-    invariants.assert_valid(g)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -345,7 +228,6 @@ class Check:
     oracle: Callable  # (ref: RefGraph) -> expected
     compare: Callable  # (value, expected, graph) -> Optional[str]
     weighted_ok: bool = True
-    directed_ok: bool = False
     min_vertices: int = 0
 
 
@@ -624,11 +506,11 @@ def _run_sharded(kind: str):
 
 CHECKS: tuple[Check, ...] = (
     Check("bfs", _run_bfs, lambda ref: oracles.bfs_levels(ref, 0),
-          _cmp_int_arrays, directed_ok=True, min_vertices=1),
+          _cmp_int_arrays, min_vertices=1),
     Check("msbfs", _run_msbfs, _oracle_msbfs,
-          _cmp_int_arrays, directed_ok=True, min_vertices=1),
+          _cmp_int_arrays, min_vertices=1),
     Check("connected_sv", _run_cc("sv"), oracles.connected_components,
-          _cmp_int_arrays, directed_ok=True),
+          _cmp_int_arrays),
     Check("connected_bfs", _run_cc("bfs"), oracles.connected_components,
           _cmp_int_arrays),
     Check("betweenness", _run_betweenness,
@@ -706,7 +588,6 @@ class Failure:
 
     check: str
     backend: str
-    representation: str
     graph_name: str
     detail: str
     n_vertices: int
@@ -715,7 +596,7 @@ class Failure:
     artifact: Optional[Path] = None
 
     def summary(self) -> str:
-        where = f"{self.check} [{self.backend}/{self.representation}] on {self.graph_name}"
+        where = f"{self.check} [{self.backend}] on {self.graph_name}"
         extra = ""
         if self.minimal is not None:
             extra = (
@@ -735,7 +616,6 @@ class Report:
     failures: list[Failure] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     backends: tuple = BACKENDS
-    representations: tuple = REPRESENTATIONS
     faults_injected: int = 0
 
     @property
@@ -760,8 +640,6 @@ class Report:
 def _applicable(check: Check, item: CorpusGraph) -> bool:
     if item.n < check.min_vertices:
         return False
-    if item.directed and not check.directed_ok:
-        return False
     if item.weighted and not check.weighted_ok:
         return False
     return True
@@ -770,15 +648,14 @@ def _applicable(check: Check, item: CorpusGraph) -> bool:
 def _evaluate(
     check: Check,
     item: CorpusGraph,
-    representation: str,
     ctx,
-    seed: int,
     fault_fn: Optional[Callable],
 ) -> Optional[str]:
-    """Run one (check, graph, representation) cell.  Returns the failure
-    detail string, or None on agreement."""
+    """Run one (check, graph) cell.  Returns the failure detail string,
+    or None on agreement."""
     try:
-        graph = build_representation(item, representation, seed)
+        graph = item.csr()
+        invariants.assert_valid(graph)
         value = check.run(graph, ctx)
         if fault_fn is not None:
             value = fault_fn(value, graph)
@@ -818,9 +695,7 @@ def shrink(
                 u2 = e[0] - 1 if e[0] > v else e[0]
                 v2 = e[1] - 1 if e[1] > v else e[1]
                 kept.append((u2, v2, *e[2:]))
-            cand = CorpusGraph(
-                best.name, best.n - 1, tuple(kept), directed=best.directed
-            )
+            cand = CorpusGraph(best.name, best.n - 1, tuple(kept))
             if try_candidate(cand):
                 progress = True
                 break
@@ -831,10 +706,7 @@ def shrink(
         progress = False
         for i in range(len(best.edges)):
             cand = CorpusGraph(
-                best.name,
-                best.n,
-                best.edges[:i] + best.edges[i + 1 :],
-                directed=best.directed,
+                best.name, best.n, best.edges[:i] + best.edges[i + 1 :]
             )
             if try_candidate(cand):
                 progress = True
@@ -850,12 +722,10 @@ def _write_artifact(failure: Failure, directory: Path) -> Path:
         failure.graph_name, failure.n_vertices, failure.edges
     )
     path = directory / (
-        f"{failure.check}-{failure.backend}-{failure.representation}-"
-        f"{failure.graph_name}.edgelist"
+        f"{failure.check}-{failure.backend}-{failure.graph_name}.edgelist"
     )
     lines = [
-        f"# differential failure: {failure.check} "
-        f"backend={failure.backend} representation={failure.representation}",
+        f"# differential failure: {failure.check} backend={failure.backend}",
         f"# source graph: {failure.graph_name}",
         f"# detail: {failure.detail}",
         f"# n_vertices: {item.n}",
@@ -873,7 +743,6 @@ def run_differential(
     n_graphs: int = 56,
     budget: Optional[float] = None,
     backends: Sequence[str] = BACKENDS,
-    representations: Sequence[str] = REPRESENTATIONS,
     checks: Optional[Sequence[str]] = None,
     n_workers: int = 2,
     fault: Optional[str] = None,
@@ -906,11 +775,7 @@ def run_differential(
         unknown = set(checks) - {c.name for c in CHECKS}
         if unknown:
             raise ValueError(f"unknown check(s): {sorted(unknown)}")
-    report = Report(
-        seed=seed,
-        backends=tuple(backends),
-        representations=tuple(representations),
-    )
+    report = Report(seed=seed, backends=tuple(backends))
 
     def _make_ctx(backend: str) -> ParallelContext:
         if not chaos:
@@ -940,49 +805,36 @@ def run_differential(
             # keeping the backend pools warm (ctx.reset would close them).
             for ctx in ctxs.values():
                 ctx.cost.reset()
-            reps = [
-                r for r in representations if r == "csr" or not item.directed
-            ]
-            for representation in reps:
-                for check in active:
-                    if not _applicable(check, item):
+            for check in active:
+                if not _applicable(check, item):
+                    continue
+                for backend in backends:
+                    this_fault = fault_fn if check.name == fault_check else None
+                    detail = _evaluate(check, item, ctxs[backend], this_fault)
+                    report.n_runs += 1
+                    if detail is None:
                         continue
-                    for backend in backends:
-                        this_fault = (
-                            fault_fn if check.name == fault_check else None
+                    failure = Failure(
+                        check=check.name,
+                        backend=backend,
+                        graph_name=item.name,
+                        detail=detail,
+                        n_vertices=item.n,
+                        edges=item.edges,
+                    )
+                    if shrink_failures:
+                        ctx = ctxs[backend]
+                        failure.minimal = shrink(
+                            item,
+                            lambda cand: _evaluate(
+                                check, cand, ctx, this_fault
+                            ) is not None,
                         )
-                        detail = _evaluate(
-                            check, item, representation,
-                            ctxs[backend], seed, this_fault,
+                    if artifact_dir is not None:
+                        failure.artifact = _write_artifact(
+                            failure, Path(artifact_dir)
                         )
-                        report.n_runs += 1
-                        if detail is None:
-                            continue
-                        failure = Failure(
-                            check=check.name,
-                            backend=backend,
-                            representation=representation,
-                            graph_name=item.name,
-                            detail=detail,
-                            n_vertices=item.n,
-                            edges=item.edges,
-                        )
-                        if shrink_failures:
-                            ctx = ctxs[backend]
-                            failure.minimal = shrink(
-                                item,
-                                lambda cand: _evaluate(
-                                    check, cand, representation,
-                                    ctx, seed, this_fault,
-                                ) is not None,
-                            )
-                        if artifact_dir is not None:
-                            failure.artifact = _write_artifact(
-                                failure, Path(artifact_dir)
-                            )
-                        report.failures.append(failure)
-                        if len(report.failures) >= max_failures:
-                            break
+                    report.failures.append(failure)
                     if len(report.failures) >= max_failures:
                         break
                 if len(report.failures) >= max_failures:

@@ -86,8 +86,6 @@ def event_stream(
     exercised on every corpus graph.
     """
     g = item.csr()
-    if g.directed:
-        g = g.as_undirected()
     rng = np.random.default_rng(
         zlib.crc32(f"{seed}:{item.name}:{policy}".encode())
     )

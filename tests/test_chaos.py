@@ -575,7 +575,6 @@ class TestDifferentialChaos:
             n_graphs=8,
             checks=("bfs", "connected_sv", "betweenness"),
             backends=("thread",),
-            representations=("csr",),
             chaos=0.5,  # high rate so the tiny smoke corpus sees faults
             artifact_dir=None,
             shrink_failures=False,
@@ -666,7 +665,6 @@ class TestChaosFullMatrix:
             seed=0,
             n_graphs=16,
             backends=("serial", "thread", "process"),
-            representations=("csr",),
             chaos=True,
             artifact_dir=None,
             shrink_failures=False,

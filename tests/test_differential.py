@@ -1,33 +1,40 @@
 """Differential correctness harness: smoke run, self-test, CLI front-end.
 
-Tier-1 runs a budget-capped smoke corpus plus the fault-injection
-self-test (an intentionally corrupted kernel output must be caught and
-shrunk to a tiny reproducer).  The full matrix — big corpus, every
-backend × representation combination — is behind the ``fuzz_full``
-marker: ``pytest -m fuzz_full tests/test_differential.py``.
+Tier-1 runs the 56-graph corpus (one CSR build per graph, every check on
+the serial and thread backends) plus the fault-injection self-test (an
+intentionally corrupted kernel output must be caught and shrunk to a
+tiny reproducer).  The mutable structures (dynamic arrays, hybrid
+array↔treap adjacency, per-vertex treaps) are checked once here to
+rebuild the corpus CSR's arrays, so the kernels are fuzzed on that CSR
+alone.  The full matrix — three seeds on all three backends — is behind
+the ``fuzz_full`` marker: ``pytest -m fuzz_full tests/test_differential.py``.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.datasets.karate import karate_club
+from repro.graph import builder
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.hybrid import HybridAdjacency
+from repro.graph.treap import Treap
 from repro.qa import (
-    CHECKS,
     FAULTS,
-    REPRESENTATIONS,
     CorpusGraph,
+    assert_valid,
     corpus,
     run_differential,
     shrink,
 )
-from repro.qa.differential import build_representation
 
 
 # ---------------------------------------------------------------------------
-# Corpus and representation builders
+# Corpus, and the mutable structures that converge to its CSR
 # ---------------------------------------------------------------------------
 def test_corpus_is_deterministic():
     a = corpus(3, 30)
@@ -45,26 +52,85 @@ def test_corpus_covers_pathological_shapes():
         assert required in names
 
 
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_every_representation_converges_to_same_csr(representation):
+def _from_adjacency(item, neighbors):
+    """CSR rebuilt from a topology-only adjacency, reattaching the
+    canonical weights."""
+    wmap = {(u, v): w for u, v, w in item.ref().edges}
+    pairs = [(u, int(v)) for u in range(item.n) for v in neighbors(u) if u < v]
+    src = np.asarray([u for u, _ in pairs], dtype=np.int64)
+    dst = np.asarray([v for _, v in pairs], dtype=np.int64)
+    return builder.from_edge_array(
+        item.n, src, dst,
+        weights=np.asarray([wmap[p] for p in pairs]) if item.weighted else None,
+        dedupe=False,
+    )
+
+
+def _build_dynamic(item, edges, rng):
+    dyn = DynamicGraph(item.n, sorted_adjacency=rng.random() < 0.5)
+    for u, v, w in edges:
+        dyn.add_edge(u, v, w)
+        assert_valid(dyn)
+    return dyn.to_csr()
+
+
+def _build_hybrid(item, edges, rng):
+    # A tiny threshold forces array->treap promotion on small graphs.
+    hyb = HybridAdjacency(item.n, degree_threshold=rng.choice((2, 3, 4)))
+    for u, v, _ in edges:
+        hyb.add_edge(u, v)
+        assert_valid(hyb)
+    return _from_adjacency(item, hyb.neighbors)
+
+
+def _build_treap(item, edges, rng):
+    slots = [Treap(seed=rng.randrange(1 << 30)) for _ in range(item.n)]
+    for u, v, w in edges:
+        slots[u].insert(v, w)
+        slots[v].insert(u, w)
+        assert_valid(slots[u])
+        assert_valid(slots[v])
+    return _from_adjacency(item, lambda u: slots[u].keys_array())
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _canonical_arc_edge_ids(g):
+    """``arc_edge_ids`` with edges renumbered in ``(u, v)`` order.  A
+    corpus CSR numbers edges by first occurrence in its input; the
+    mutable structures number them in ``(u, v)`` order."""
+    u, v = g.edge_endpoints()
+    rank = np.empty_like(g.arc_edge_ids)
+    rank[np.lexsort((v, u))] = np.arange(g.n_edges, dtype=rank.dtype)
+    return rank[g.arc_edge_ids]
+
+
+@pytest.mark.parametrize("build", [_build_dynamic, _build_hybrid, _build_treap],
+                         ids=["dynamic", "hybrid", "treap"])
+def test_every_representation_converges_to_same_csr(build):
+    """Each mutable structure, filled by shuffled insertion, rebuilds the
+    corpus CSR's arc arrays byte for byte (edge ids up to their ``(u, v)``
+    renumbering) — the premise of fuzzing the CSR alone."""
+    rng = random.Random(1)
     for item in corpus(1, 20):
-        if item.directed and representation != "csr":
-            continue
-        g = build_representation(item, representation, seed=1)
-        ref = item.ref()
-        assert g.n_vertices == ref.n
-        assert g.n_edges == ref.m
-        got = sorted(zip(*[a.tolist() for a in g.edge_endpoints()]))
-        exp = sorted((u, v) for u, v, _ in ref.edges)
-        assert got == exp
-
-
-def test_build_representation_is_deterministic():
-    item = corpus(0)[11]  # karate
-    a = build_representation(item, "hybrid", seed=7)
-    b = build_representation(item, "hybrid", seed=7)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.targets, b.targets)
+        edges = sorted(item.ref().edges)
+        rng.shuffle(edges)
+        g = build(item, edges, rng)
+        assert_valid(g)
+        want = item.csr()
+        assert g.n_vertices == want.n_vertices
+        assert _same_bytes(g.offsets, want.offsets), item.name
+        assert _same_bytes(g.targets, want.targets), item.name
+        assert _same_bytes(g.arc_edge_ids, _canonical_arc_edge_ids(want)), item.name
+        if item.weighted:
+            assert _same_bytes(g.weights, want.weights), item.name
+        elif build is _build_dynamic:
+            # DynamicGraph.to_csr always returns a weights array.
+            assert np.array_equal(g.weights, np.ones(g.n_arcs)), item.name
+        else:
+            assert g.weights is None, item.name
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +138,11 @@ def test_build_representation_is_deterministic():
 # ---------------------------------------------------------------------------
 def test_smoke_corpus_agrees_with_oracles():
     report = run_differential(
-        0, n_graphs=16, budget=60.0, backends=("serial", "thread"),
-        artifact_dir=None,
+        0, n_graphs=56, backends=("serial", "thread"), artifact_dir=None,
     )
     assert report.ok, report.summary()
-    assert report.n_runs > 100
-    assert report.n_graphs == 16
+    assert report.n_graphs == 56
+    assert report.n_runs >= 2000
 
 
 def test_unknown_check_rejected():
@@ -99,7 +164,7 @@ def test_budget_stops_corpus_early():
 def test_injected_fault_is_caught_and_shrunk(fault, tmp_path):
     check_name, _ = FAULTS[fault]
     report = run_differential(
-        0, n_graphs=14, backends=("serial",), representations=("csr",),
+        0, n_graphs=14, backends=("serial",),
         checks=(check_name,), fault=fault, artifact_dir=tmp_path,
         max_failures=1,
     )
@@ -142,7 +207,7 @@ def test_cli_check_smoke(capsys):
 
 def test_cli_check_fault_fails(tmp_path, capsys):
     rc = cli_main(["check", "--seed", "0", "--graphs", "3",
-                   "--backends", "serial", "--representations", "csr",
+                   "--backends", "serial",
                    "--checks", "bfs", "--fault", "bfs_plus_one",
                    "--artifacts", str(tmp_path)])
     out = capsys.readouterr().out
@@ -183,9 +248,8 @@ def test_oracles_match_known_karate_facts():
 # ---------------------------------------------------------------------------
 @pytest.mark.fuzz_full
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_full_matrix_all_backends_all_representations(seed, tmp_path):
+def test_full_matrix_all_backends(seed, tmp_path):
     report = run_differential(seed, n_graphs=56, artifact_dir=tmp_path)
     assert report.ok, report.summary()
     assert report.n_graphs == 56
-    expected_cells = len(CHECKS) * len(REPRESENTATIONS)
-    assert report.n_runs > expected_cells  # sanity: matrix actually ran
+    assert report.n_runs >= 3000

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graph import (
     DynamicGraph,
@@ -190,6 +190,9 @@ def test_dynamic_graph_matches_reference(operations, sorted_adj):
 
 @given(ops)
 @settings(max_examples=60, deadline=None)
+# A promoted hub (0) beside an array vertex (6) with a neighbour (7)
+# the hub lacks: the mixed common_neighbors path must filter it out.
+@example([("add", 0, v) for v in (1, 2, 3, 4)] + [("add", 6, 1), ("add", 6, 7)])
 def test_hybrid_adjacency_matches_reference(operations):
     hyb = HybridAdjacency(12, degree_threshold=3)  # force promotions
     ref: set[frozenset] = set()
@@ -204,9 +207,11 @@ def test_hybrid_adjacency_matches_reference(operations):
             assert hyb.delete_edge(u, v) == (key in ref)
             ref.discard(key)
     assert hyb.n_edges == len(ref)
+    adj = [{next(iter(k - {u})) for k in ref if u in k} for u in range(12)]
     for u in range(12):
-        expect = sorted(next(iter(k - {u})) for k in ref if u in k)
-        assert hyb.neighbors(u).tolist() == expect
+        assert hyb.neighbors(u).tolist() == sorted(adj[u])
+        for v in range(12):
+            assert hyb.common_neighbors(u, v).tolist() == sorted(adj[u] & adj[v])
 
 
 @given(ops)

@@ -267,13 +267,13 @@ def test_contract_vertex_map_equivalence(edges, labels):
 
 
 def test_contract_round_trips_on_fuzz_corpus():
-    from repro.qa.differential import build_representation, corpus
+    from repro.qa.differential import corpus
 
     rng = np.random.default_rng(0)
     for item in corpus(0, 20):
-        if item.directed or item.n == 0:
+        if item.n == 0:
             continue
-        g = build_representation(item, "csr", 0)
+        g = item.csr()
         labels = rng.integers(0, max(1, item.n // 2), g.n_vertices)
         coarse, vmap = contract(g, labels)
         assert coarse.n_vertices == int(np.unique(labels).shape[0])

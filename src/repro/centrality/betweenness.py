@@ -381,7 +381,7 @@ def brandes(
     ).tolist()
 
     weighted = weights == "weight" or (
-        weights is None and graph.is_weighted and not _unit_weights(graph)
+        weights is None and not graph.has_unit_weights
     )
     # Coarse granularity: one phase of |S| traversals of ~O(m) work
     # each, p-way distributed.  Fine: the levels are the phases.
@@ -455,8 +455,3 @@ def edge_betweenness_centrality(
     return brandes(
         g, normalized=normalized, granularity=granularity, ctx=ctx
     ).edge
-
-
-def _unit_weights(graph) -> bool:
-    """True if every stored arc weight equals 1 (hop metric suffices)."""
-    return graph.weights is None or bool(np.all(graph.weights == 1.0))

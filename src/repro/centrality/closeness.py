@@ -68,9 +68,10 @@ def closeness_centrality(
 ) -> np.ndarray:
     """Closeness centrality for ``sources`` (default: every vertex).
 
-    Unweighted graphs use batched BFS distances; weighted graphs use
-    Dijkstra.  Directed graphs measure *incoming* distance (networkx
-    convention), computed on the reversed graph.
+    Unweighted graphs, and graphs whose every weight is 1, use batched
+    BFS distances; other weighted graphs use Dijkstra.  Directed graphs
+    measure *incoming* distance (networkx convention), computed on the
+    reversed graph.
     """
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
@@ -81,7 +82,7 @@ def closeness_centrality(
     out = np.zeros(n, dtype=np.float64)
     per_traversal = max(1.0, float(graph.n_arcs))
 
-    if graph.is_weighted:
+    if not graph.has_unit_weights:
         work_g: GraphLike = g
         if graph.directed:
             # d(u -> v) for all u is a traversal of the transpose from v.

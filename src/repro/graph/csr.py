@@ -129,6 +129,12 @@ class Graph:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
+    @property
+    def has_unit_weights(self) -> bool:
+        """True if no arc weighs other than 1: hop counts are then the
+        shortest-path distances, so BFS answers what Dijkstra would."""
+        return self.weights is None or bool(np.all(self.weights == 1.0))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "directed" if self.directed else "undirected"
         w = "weighted" if self.is_weighted else "unweighted"

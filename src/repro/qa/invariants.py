@@ -19,15 +19,17 @@ value is available.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import SnapError
 from repro.graph.csr import Graph
-from repro.graph.dynamic import DynamicGraph
-from repro.graph.hybrid import HybridAdjacency, _ArrayAdj
-from repro.graph.treap import Treap
+
+if TYPE_CHECKING:
+    from repro.graph.dynamic import DynamicGraph
+    from repro.graph.hybrid import HybridAdjacency
+    from repro.graph.treap import Treap
 
 __all__ = [
     "InvariantViolation",
@@ -132,6 +134,9 @@ def _validate_dynamic(g: DynamicGraph) -> list[str]:
 
 
 def _validate_hybrid(h: HybridAdjacency) -> list[str]:
+    from repro.graph.hybrid import _ArrayAdj
+    from repro.graph.treap import Treap
+
     bad: list[str] = []
     deg_sum = 0
     for v in range(h.n_vertices):
@@ -180,6 +185,11 @@ def validate(obj) -> list[str]:
     """Structural violations of any graph representation (empty = sound)."""
     if isinstance(obj, Graph):
         return _validate_csr_graph(obj)
+    # The paper's §3 containers load only when one is validated.
+    from repro.graph.dynamic import DynamicGraph
+    from repro.graph.hybrid import HybridAdjacency
+    from repro.graph.treap import Treap
+
     if isinstance(obj, DynamicGraph):
         return _validate_dynamic(obj)
     if isinstance(obj, HybridAdjacency):

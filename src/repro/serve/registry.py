@@ -12,11 +12,11 @@ registry is the bookkeeping for that residency:
   least-recently-used residents until it fits; a graph that cannot fit
   even then (or only pinned graphs remain) is refused with
   :class:`~repro.errors.AdmissionDenied` *before* any state changes.
-* **Prompt release** — eviction closes the graph's shared segment
-  immediately (``/dev/shm`` is a finite resource on a daemon host; the
-  old behaviour of sweeping segments at interpreter exit is only the
-  last-resort backstop) and unregisters it from the execution
-  context's adopted-segment table.
+* **Prompt release** — evicting the last name that holds a graph
+  closes its one shared segment immediately (``/dev/shm`` is a finite
+  resource on a daemon host; the old behaviour of sweeping segments at
+  interpreter exit is only the last-resort backstop) and unregisters it
+  from the execution context's adopted-segment table.
 * **Pinning** — the coalescer pins a graph for the duration of a batch
   so eviction can never unmap CSR arrays under a running kernel.
 * **Atomic load** — a failed read/share leaves *no* trace: the name is
@@ -131,14 +131,17 @@ class GraphRegistry:
 
     def _evict_entry(self, entry: ResidentGraph) -> None:
         self._graphs.pop(entry.name, None)
-        if self.ctx is not None:
-            try:
-                self.ctx.discard_shared_graph(entry.graph)
-            except Exception:
-                pass
-        if entry.shared is not None:
-            entry.shared.close()  # prompt /dev/shm release, not atexit
-            entry.shared = None
+        # A segment belongs to the Graph it packs: it goes with the last
+        # entry that holds that Graph, never under another name's batch.
+        if not any(e.graph is entry.graph for e in self._graphs.values()):
+            if self.ctx is not None:
+                try:
+                    self.ctx.discard_shared_graph(entry.graph)
+                except Exception:
+                    pass
+            if entry.shared is not None:
+                entry.shared.close()  # prompt /dev/shm release, not atexit
+        entry.shared = None
         self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -171,8 +174,11 @@ class GraphRegistry:
                 existing.last_used = time.monotonic()
                 return existing
             self._make_room(nbytes)
-            shared = None
-            if self.share:
+            # An already-resident Graph under a second name reuses its segment.
+            shared = next(
+                (e.shared for e in self._graphs.values() if e.graph is graph), None
+            )
+            if self.share and shared is None:
                 from repro.parallel.shm import share_graph
 
                 shared = share_graph(graph)  # may raise: nothing registered yet

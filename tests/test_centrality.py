@@ -79,6 +79,34 @@ class TestCloseness:
         for v, x in ref.items():
             assert mine[v] == pytest.approx(x)
 
+    def test_unit_weights_are_hops(self, monkeypatch):
+        """All-ones weights answer from BFS, bit for bit: Dijkstra is
+        never called (integer distance sums are exact in float64)."""
+        import sys
+
+        from repro.generators.rmat import rmat
+        from repro.graph.csr import Graph
+        from repro.qa.differential import corpus
+
+        def no_dijkstra(*args, **kwargs):
+            raise AssertionError("unit weights took the Dijkstra branch")
+
+        monkeypatch.setattr(
+            sys.modules["repro.centrality.closeness"], "dijkstra", no_dijkstra
+        )
+        bare = rmat(10, 8.0, rng=np.random.default_rng(4))
+        graphs = [Graph(bare.offsets, bare.targets, directed=False,
+                        weights=np.ones(bare.n_arcs),
+                        arc_edge_ids=bare.arc_edge_ids)]
+        graphs += [c.csr() for c in corpus(0)
+                   if c.name.startswith("rand_unit_weighted") and c.edges]
+        for g in graphs:
+            assert g.is_weighted and np.all(g.weights == 1.0)
+            hops = Graph(g.offsets, g.targets, directed=False,
+                         arc_edge_ids=g.arc_edge_ids, n_edges=g.n_edges)
+            assert np.array_equal(closeness_centrality(g),
+                                  closeness_centrality(hops))
+
     def test_isolated_vertex_zero(self):
         g = from_edge_list([(0, 1)], n_vertices=3)
         assert closeness_centrality(g)[2] == 0.0

@@ -84,6 +84,18 @@ def test_import_loads_nothing_off_its_path(code, far):
     assert got == []
 
 
+#: The paper's §3 containers, which only their own validators need.
+SECTION_3_MODULES = ("repro.graph.dynamic", "repro.graph.hybrid", "repro.graph.treap")
+
+
+def test_import_qa_loads_no_section_3_container():
+    got = fresh(
+        f"import repro.qa\n{loaded(SECTION_3_MODULES)}"
+        "print(json.dumps(loaded()))"
+    )
+    assert got == []
+
+
 def test_daemon_first_load_loads_nothing_off_its_path(tmp_path):
     from repro.centrality import closeness_centrality
     from repro.graph import from_edge_list

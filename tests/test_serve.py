@@ -155,11 +155,12 @@ class TestRegistry:
         reg.evict("a")
         assert not created & set(live_segment_names())
 
-    def test_close_releases_all_segments(self, small_world):
+    def test_close_releases_all_segments(self, small_world, rmat):
         before = set(live_segment_names())
         with GraphRegistry(share=True) as reg:
             reg.add("a", small_world)
-            reg.add("b", small_world)
+            reg.add("b", small_world)  # one Graph, one segment
+            reg.add("c", rmat)
             assert len(set(live_segment_names()) - before) == 2
         assert set(live_segment_names()) == before
 
@@ -1612,6 +1613,31 @@ class TestProcessBackendStart:
         assert proc.returncode == 0, proc.stderr
         # the two workers, forked once, each while one thread ran
         assert json.loads(proc.stdout.splitlines()[-1]) == [1, 1]
+
+    def test_alias_ingest_leaves_the_held_batch_its_segment(self):
+        """One Graph admitted under two names packs one segment.  An
+        ingest into one name while the other name's batch is held leaves
+        that batch the Graph's segment: no re-share, no second copy, and
+        closing the session unlinks every segment."""
+        from repro.parallel import live_segment_names
+
+        g = generators.rmat(10, 8, rng=np.random.default_rng(5)).as_undirected()
+        sources = [0, 3, 17, 64]
+        opts = ExecutionOptions(backend="process", workers=2)
+        with api.Session(options=opts) as s:
+            s.add("g", g)
+            s.add("s", g)
+            assert len(live_segment_names()) == 1
+            gate = Gate(s.registry, prefix="g", limit=1)
+            fut = s.submit("g", "closeness", sources=sources)
+            assert gate.holding.acquire(timeout=10)
+            s.ingest("s", [("add", 0, 700, 1)])
+            assert len(live_segment_names()) == 2  # g's, and the new snapshot's
+            gate.open()
+            got = fut.result(timeout=60).value
+            assert s.ctx.pool.shm_segments == 0  # the held batch re-shared nothing
+        assert np.array_equal(got, repro.closeness_centrality(g, sources=sources))
+        assert live_segment_names() == ()
 
     def test_first_query_and_first_ingest_together(self, tmp_path):
         """Ten fresh process-backend daemons each answer a concurrent

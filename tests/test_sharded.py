@@ -10,6 +10,7 @@ in-core path cannot meet.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import mmap
 import os
@@ -30,6 +31,7 @@ from repro.datasets.karate import karate_club
 from repro.errors import GraphFormatError, GraphStructureError, MemoryBudgetExceeded
 from repro.generators.rmat import rmat
 from repro.graph import from_edge_array
+from repro.graph.csr import Graph
 from repro.graph.builder import contract
 from repro.kernels import connected
 from repro.kernels.bfs import msbfs
@@ -155,6 +157,66 @@ class TestRoundTrip:
         assert is_shard_set_path(ss.root)
         assert is_shard_set_path(ss.root / "manifest.json")
         assert not is_shard_set_path(tmp_path)
+
+
+def _weighted_rmat10_labels():
+    """A weighted R-MAT 10 under random, non-contiguous shard labels."""
+    g = rmat(10, 8.0, rng=np.random.default_rng(5))
+    u, v = g.edge_endpoints()
+    rng = np.random.default_rng(6)
+    w = rng.integers(1, 9, size=u.shape[0]).astype(np.float64)
+    wg = from_edge_array(g.n_vertices, u, v, weights=w, directed=False)
+    return wg, {"labels": rng.integers(0, 4, size=g.n_vertices)}
+
+
+def _no_arc_edge_ids():
+    """K(3,5) plus an isolated vertex, built by hand without an arc→edge
+    map: each edge's id is the index of its arc with u <= v."""
+    left, right = 3, 5
+    rows = ([list(range(left, left + right))] * left
+            + [list(range(left))] * right + [[]])
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    targets = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
+    return Graph(offsets, targets, directed=False), {"k": 2, "method": "block"}
+
+
+#: SHA-256 of ``json.dumps(manifest, sort_keys=True)`` — every CRC, byte
+#: count and statistic — as the ``np.savez`` builder wrote each set.
+PINNED_MANIFESTS = {
+    "karate_block_k3": (
+        lambda: (karate_club(), {"k": 3, "method": "block"}),
+        "646ec96375d48e2ff5780f1255ab02c70d2d49fc30707be8bfebf1660d3608cd"),
+    "rmat10_multilevel_k4": (
+        lambda: (rmat(10, 8.0, rng=np.random.default_rng(7)), {"k": 4}),
+        "e183a17208bd19ca766ab9b547f24c2b00111ad557c09b0b0f34e4c05a8671ed"),
+    "weighted_rmat10_labels": (
+        _weighted_rmat10_labels,
+        "5be54252c27caad78a0665ad2a8f783520e47fd9aa99bd0b54c1a87e8271b1ab"),
+    "weighted_self_loops_isolated_k4": (
+        lambda: (_weighted_messy(), {"k": 4}),
+        "7f8f93df6a0218cab9944e571cd34d44251c2597ab2dce0e6936f665affb5a12"),
+    "no_arc_edge_ids": (
+        _no_arc_edge_ids,
+        "b8028c61f4b93f51bce704f7f6d24290d31038ca2613a56ad5493710d06c488c"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MANIFESTS))
+def test_build_output_is_pinned(name, tmp_path):
+    """The builder writes the same files it always wrote, and every file
+    reads the same through ``np.load`` and the memory-mapped reader."""
+    make, want = PINNED_MANIFESTS[name]
+    g, kwargs = make()
+    ss = build_shard_set(g, tmp_path / "s", **kwargs)
+    doc = json.dumps(ss.manifest, sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == want
+    for path in sorted(ss.root.glob("*.npz")):
+        mapped = shards.mmap_npz(path)
+        with np.load(path) as eager:
+            assert eager.files == list(mapped)
+            for member in eager.files:
+                assert eager[member].dtype == mapped[member].dtype
+                assert np.array_equal(eager[member], mapped[member])
 
 
 graph_edges = st.lists(

@@ -190,3 +190,34 @@ def test_read_edge_list_exact_at_any_chunk(chunk, monkeypatch, tmp_path):
             assert (a is None and b is None) or np.array_equal(a, b), name
         np.testing.assert_array_equal(got.offsets, src.offsets)
         np.testing.assert_array_equal(got.arc_weights(), src.arc_weights())
+
+
+def test_build_shard_set_working_set(tmp_path):
+    """A shard-set build holds one shard's arcs and one edge-stream
+    column beside the graph, and caches nothing on the caller's graph
+    (the ``np.savez`` builder traced 2.15x, and left the graph's arc
+    sources and edge endpoints behind)."""
+    from repro.sharded import build_shard_set, in_core_nbytes
+
+    build_shard_set(karate_club(), tmp_path / "warm", k=2, method="block")
+    g = _rmat(14)
+    assert g._arc_sources is None and g._edge_endpoints is None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_shard_set(g, tmp_path / "s", k=4, method="block")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * in_core_nbytes(g)
+    assert g._arc_sources is None and g._edge_endpoints is None
+
+
+def test_verify_reads_members_in_blocks(tmp_path):
+    """``verify`` checksums a ~2 MB member in fixed blocks, not whole."""
+    from repro.sharded import build_shard_set
+
+    ss = build_shard_set(_rmat(14), tmp_path / "s", k=1)
+    assert ss.manifest["shards"][0]["n_arcs"] * 8 > 2e6
+    assert ss.verify() == []
+    assert peak_mb(ss.verify) < 1.0

@@ -13,9 +13,9 @@ Paper observations reproduced here:
 Wall-clock T(1) is measured directly (single-core CPython); the
 speedup-vs-threads curves come from the work–span/synchronization
 profile each run records and the calibrated machine model (DESIGN.md
-§3, substitution 1).  Default instance: RMAT scale 10–11 with the
-paper's edge factor 4 (the paper's RMAT-SF is 400k/1.6M; pBD in pure
-Python needs minutes already at 1–2k vertices).
+§3, substitution 1).  Default instances: R-MAT scale 10 for pBD and 12
+for pMA/pLA, with the paper's edge factor 4 and one more scale per
+doubling of ``SNAP_BENCH_SCALE`` (the paper's RMAT-SF is 400k/1.6M).
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ from repro.generators import rmat
 from repro.parallel import ParallelContext
 from repro.parallel.runtime import DEFAULT_THREAD_COUNTS
 
-from _common import bench_scale, timed, write_result
+from _common import bench_scale, check, criterion, report, timed
+
+
+PAPER_SPEEDUP_32 = {"pBD": 13.0, "pMA": 9.0, "pLA": 12.0}
 
 
 def _instance(bits: int):
@@ -64,50 +67,27 @@ def test_figure2_scaling(benchmark):
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    paper_speedup_32 = {"pBD": 13.0, "pMA": 9.0, "pLA": 12.0}
-    lines = [
-        "Figure 2 reproduction: execution time and modeled relative speedup",
-        "on RMAT-SF instances (paper speedups at 32 threads: pBD 13, pMA 9, pLA 12)",
-        "",
-    ]
-    for name, (g, t1, curve, _) in results.items():
-        lines.append(
-            f"({'abc'[list(results).index(name)]}) {name} on "
-            f"n={g.n_vertices:,} m={g.n_edges:,}: "
-            f"measured T(1) = {t1:.2f}s wall"
-        )
-        lines.append(
-            "    threads : " + "".join(f"{p:>7d}" for p in curve)
-        )
-        lines.append(
-            "    speedup : " + "".join(f"{s:>7.2f}" for s in curve.values())
-        )
-        lines.append(
-            f"    paper speedup @32 ≈ {paper_speedup_32[name]:.0f}"
-        )
-        lines.append("")
-    write_result("figure2_scaling", lines)
-
-    # --- shape assertions ---
+    criteria = {}
     curves = {name: c for name, (_, _, c, _) in results.items()}
     for name, curve in curves.items():
-        s = list(curve.values())
-        ps = list(curve.keys())
-        assert s[0] == 1.0
+        criteria[f"{name}: speedup(1) == 1"] = criterion(curve[1] == 1.0, curve[1], 1.0)
         # monotone through the mid-range, bounded by p
-        for i in range(1, len(s)):
-            assert s[i] <= ps[i] + 1e-9
-        assert s[ps.index(8)] > 2.5, f"{name} barely scales at 8 threads"
+        for p, s in list(curve.items())[1:]:
+            criteria[f"{name}: speedup({p}) <= {p}"] = check(s, "<=", p + 1e-9)
+        criteria[f"{name}: speedup(8) > 2.5"] = check(curve[8], ">", 2.5)
     s32 = {name: curve[32] for name, curve in curves.items()}
-    assert 6.0 <= s32["pBD"] <= 20.0, s32
-    assert 3.0 <= s32["pMA"] <= 16.0, s32
-    assert 6.0 <= s32["pLA"] <= 20.0, s32
+    for name, lo, hi in (("pBD", 6.0, 20.0), ("pMA", 3.0, 16.0), ("pLA", 6.0, 20.0)):
+        criteria[f"{name}: {lo} <= speedup(32) <= {hi}"] = criterion(
+            lo <= s32[name] <= hi, s32[name], [lo, hi]
+        )
     # pMA saturates lowest (the paper's ordering)
-    assert s32["pMA"] <= s32["pBD"] + 0.5
-    assert s32["pMA"] <= s32["pLA"] + 0.5
+    for other in ("pBD", "pLA"):
+        criteria[f"pMA speedup(32) <= {other} speedup(32) + 0.5"] = check(
+            s32["pMA"], "<=", s32[other] + 0.5
+        )
     # pBD is the expensive algorithm in absolute time (per edge) — in the
     # machine model's T(1), the quantity the curves above are ratios of.
-    # (Measured wall time is recorded but not asserted: the batched
+    # (Measured wall time is recorded but not a criterion: the batched
     # traversal engine sped pBD's wall clock up ~4x while pMA's
     # heap-bound merges stayed put, so a wall-clock ratio tests the host
     # and the engine, not the figure.)
@@ -115,5 +95,16 @@ def test_figure2_scaling(benchmark):
         name: modeled_t1 / g.n_edges
         for name, (g, _, _, modeled_t1) in results.items()
     }
-    assert per_edge["pBD"] > 3 * per_edge["pMA"], per_edge
-    assert per_edge["pBD"] > 3 * per_edge["pLA"], per_edge
+    for other in ("pMA", "pLA"):
+        criteria[f"pBD modeled T(1) per edge > 3 x {other}'s"] = check(
+            per_edge["pBD"], ">", 3 * per_edge[other]
+        )
+
+    rows = [
+        {"algorithm": name, "n": g.n_vertices, "m": g.n_edges}
+        | {f"p={p}": s for p, s in curve.items()}
+        | {"p=32 paper": PAPER_SPEEDUP_32[name]}
+        for name, (g, _, curve, _) in results.items()
+    ]
+    wall = [{"T(1) s": t1} for _, t1, _, _ in results.values()]
+    report("figure2_scaling", rows, criteria, wall)

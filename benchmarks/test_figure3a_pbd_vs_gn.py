@@ -30,7 +30,7 @@ from repro.community import girvan_newman, pbd
 from repro.datasets import load_surrogate
 from repro.parallel import ParallelContext
 
-from _common import bench_scale, timed, write_result
+from _common import bench_scale, check, report, timed
 
 # Small scales keep the GN baseline runnable; the engineering ratio
 # *grows* with size (GN is O(n·m) per deletion vs pBD's O(ρ·n·m)), so
@@ -52,7 +52,7 @@ PAPER_RATIOS = {  # GN/pBD single-thread ratios reported in Figure 3(a)
 
 def test_figure3a_pbd_speedup_over_gn(benchmark):
     def run():
-        rows = []
+        rows, wall = [], []
         for name, base in INSTANCES:
             scale = min(1.0, base * bench_scale(1.0))
             g = load_surrogate(name, scale=scale)
@@ -66,52 +66,34 @@ def test_figure3a_pbd_speedup_over_gn(benchmark):
                 pbd, g, patience=PATIENCE, max_iterations=MAX_ITER,
                 rng=np.random.default_rng(0), ctx=ctx,
             )
-            rows.append(
-                dict(
-                    name=name,
-                    n=g.n_vertices,
-                    m=g.n_edges,
-                    t_gn=t_gn,
-                    t_bd=t_bd,
-                    q_gn=r_gn.modularity,
-                    q_bd=r_bd.modularity,
-                    parallel_speedup=ctx.cost.speedup(32),
-                )
-            )
-        return rows
+            rows.append({
+                "network": name, "n": g.n_vertices, "m": g.n_edges,
+                "parallel x32": ctx.cost.speedup(32),
+                "Q(GN)": r_gn.modularity, "Q(pBD)": r_bd.modularity,
+                "eng. ratio paper": PAPER_RATIOS[name],
+            })
+            eng = t_gn / max(t_bd, 1e-9)
+            wall.append({
+                "eng. ratio": eng, "overall": eng * rows[-1]["parallel x32"],
+                "GN s": t_gn, "pBD s": t_bd,
+            })
+        return rows, wall
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, wall = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    lines = [
-        "Figure 3(a) reproduction: pBD speedup over GN",
-        "(engineering ratio = measured wall-clock GN/pBD on 1 thread;",
-        " overall = engineering x modeled 32-thread parallel speedup;",
-        " paper single-thread ratios in parentheses)",
-        f"{'Network':10s}{'n':>8s}{'m':>9s}{'eng. ratio':>12s}"
-        f"{'parallel':>10s}{'overall':>9s}{'Q(GN)':>8s}{'Q(pBD)':>8s}",
-    ]
-    for r in rows:
-        eng = r["t_gn"] / max(r["t_bd"], 1e-9)
-        overall = eng * r["parallel_speedup"]
-        lines.append(
-            f"{r['name']:10s}{r['n']:>8,d}{r['m']:>9,d}"
-            f"{eng:>6.1f} ({PAPER_RATIOS[r['name']]:.0f}) "
-            f"{r['parallel_speedup']:>9.1f}{overall:>9.0f}"
-            f"{r['q_gn']:>8.3f}{r['q_bd']:>8.3f}"
-        )
-    write_result("figure3a_pbd_vs_gn", lines)
-
-    # --- shape assertions ---
-    for r in rows:
-        eng = r["t_gn"] / max(r["t_bd"], 1e-9)
+    criteria, wall_criteria = {}, {}
+    for r, w in zip(rows, wall):
+        name = r["network"]
         # pBD beats GN in wall time on every instance...
-        assert eng > 1.5, f"{r['name']}: engineering ratio only {eng:.2f}"
+        wall_criteria[f"{name}: eng. ratio > 1.5"] = check(w["eng. ratio"], ">", 1.5)
         # ... without giving up clustering quality (Table 2's claim)
-        assert r["q_bd"] >= r["q_gn"] - 0.1
+        criteria[f"{name}: Q(pBD) >= Q(GN) - 0.1"] = check(r["Q(pBD)"], ">=", r["Q(GN)"] - 0.1)
         # multiplied by parallelism the overall factor is large
-        assert eng * r["parallel_speedup"] > 20
+        wall_criteria[f"{name}: overall > 20"] = check(w["overall"], ">", 20)
     # the engineering gain grows with instance size (n·m scaling gap)
-    by_work = sorted(rows, key=lambda r: r["n"] * r["m"])
-    eng_small = by_work[0]["t_gn"] / by_work[0]["t_bd"]
-    eng_large = by_work[-1]["t_gn"] / by_work[-1]["t_bd"]
-    assert eng_large > eng_small
+    by_work = sorted(zip(rows, wall), key=lambda rw: rw[0]["n"] * rw[0]["m"])
+    (small, w_small), (large, w_large) = by_work[0], by_work[-1]
+    wall_criteria[
+        f"eng. ratio on {large['network']} > on {small['network']} (largest vs smallest n*m)"
+    ] = check(w_large["eng. ratio"], ">", w_small["eng. ratio"])
+    report("figure3a_pbd_vs_gn", rows, criteria, wall, wall_criteria)

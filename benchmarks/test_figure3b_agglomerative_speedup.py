@@ -18,7 +18,7 @@ from repro.community import pla, pma
 from repro.datasets import load_surrogate
 from repro.parallel import ParallelContext
 
-from _common import bench_scale, timed, write_result
+from _common import bench_scale, check, criterion, report, timed
 
 INSTANCES = [
     ("PPI", 0.10),
@@ -31,7 +31,7 @@ INSTANCES = [
 
 def test_figure3b_agglomerative_speedups(benchmark):
     def run():
-        rows = []
+        rows, wall = [], []
         for name, base in INSTANCES:
             scale = min(1.0, base * bench_scale(1.0))
             g = load_surrogate(name, scale=scale)
@@ -43,46 +43,24 @@ def test_figure3b_agglomerative_speedups(benchmark):
             r_la, t_la = timed(
                 pla, g, rng=np.random.default_rng(0), ctx=ctx_la
             )
-            rows.append(
-                dict(
-                    name=name,
-                    n=g.n_vertices,
-                    m=g.n_edges,
-                    s_ma=ctx_ma.cost.speedup(32),
-                    s_la=ctx_la.cost.speedup(32),
-                    t_ma=t_ma,
-                    t_la=t_la,
-                    q_ma=r_ma.modularity,
-                    q_la=r_la.modularity,
-                )
+            rows.append({
+                "network": name, "n": g.n_vertices, "m": g.n_edges,
+                "pMA x32": ctx_ma.cost.speedup(32), "pLA x32": ctx_la.cost.speedup(32),
+                "Q pMA": r_ma.modularity, "Q pLA": r_la.modularity,
+            })
+            wall.append({"T(1) pMA s": t_ma, "T(1) pLA s": t_la})
+        return rows, wall
+
+    rows, wall = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    criteria = {}
+    for r in rows:
+        for algo, hi in (("pMA", 20.0), ("pLA", 24.0)):
+            s = r[f"{algo} x32"]
+            criteria[f"{r['network']}: 2 <= {algo} x32 <= {hi:g}"] = criterion(
+                2.0 <= s <= hi, s, [2.0, hi]
             )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    lines = [
-        "Figure 3(b) reproduction: modeled 32-thread speedup of pMA and pLA",
-        f"{'Network':10s}{'n':>8s}{'m':>9s}"
-        f"{'pMA x32':>9s}{'pLA x32':>9s}{'T1 pMA':>9s}{'T1 pLA':>9s}"
-        f"{'Q pMA':>8s}{'Q pLA':>8s}",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['name']:10s}{r['n']:>8,d}{r['m']:>9,d}"
-            f"{r['s_ma']:>9.1f}{r['s_la']:>9.1f}"
-            f"{r['t_ma']:>8.1f}s{r['t_la']:>8.1f}s"
-            f"{r['q_ma']:>8.3f}{r['q_la']:>8.3f}"
-        )
-    higher = sum(1 for r in rows if r["s_la"] >= r["s_ma"])
-    lines.append(
-        f"pLA speedup >= pMA on {higher}/{len(rows)} instances "
-        "(paper: 'slightly higher in most cases')"
-    )
-    write_result("figure3b_agglomerative_speedup", lines)
-
-    # --- shape assertions ---
-    for r in rows:
-        assert 2.0 <= r["s_ma"] <= 20.0, r
-        assert 2.0 <= r["s_la"] <= 24.0, r
     # pLA's coarser parallelism wins on most instances
-    assert higher >= len(rows) - 1
+    higher = sum(1 for r in rows if r["pLA x32"] >= r["pMA x32"])
+    criteria["instances where pLA x32 >= pMA x32"] = check(higher, ">=", len(rows) - 1)
+    report("figure3b_agglomerative_speedup", rows, criteria, wall)

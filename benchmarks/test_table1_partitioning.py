@@ -1,17 +1,11 @@
-"""Table 1 — edge cut of balanced 32-way partitioning.
-
-Paper row layout::
-
-    Graph Instance   Metis-kway  Metis-recur  Chaco-RQI  Chaco-LAN
-    Physical (road)       1,856        1,703      2,937      3,913
-    Sparse random       685,211      706,625    717,960    737,747
-    Small-world         805,903      736,560          –          –
+"""Table 1 — edge cut of balanced 32-way partitioning (paper rows in
+``PAPER_ROWS``; "–" is a method that failed).
 
 The paper's instances are ~200k vertices / ~1M edges; the default
 harness scale is 2 % of that (≈4k vertices / ≈20k edges) so the bench
 completes in minutes — set ``SNAP_BENCH_SCALE=50`` to reach paper size.
 
-Shape criteria (asserted):
+Shape criteria:
 * the road cut is at least an order of magnitude below random and
   small-world cuts (the paper shows ≈2 orders at full scale; the gap
   grows with instance size because geometric cuts scale as O(√n) while
@@ -23,7 +17,6 @@ Shape criteria (asserted):
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.errors import ConvergenceError, PartitioningError
 from repro.generators import gnm_random, rmat, road_network
@@ -35,7 +28,7 @@ from repro.partitioning import (
     spectral_kway,
 )
 
-from _common import bench_scale, timed, write_result
+from _common import bench_scale, check, criterion, report
 
 K = 32
 PAPER_ROWS = {
@@ -74,52 +67,47 @@ def test_table1_edge_cuts(benchmark):
 
     def run():
         cuts: dict[str, dict[str, float | None]] = {}
+        criteria = {}
         for gname, graph in instances.items():
             cuts[gname] = {}
             for pname, part in partitioners.items():
                 try:
-                    labels, secs = timed(part, graph)
-                    bal = partition_balance(graph, labels, K)
-                    cuts[gname][pname] = edge_cut(graph, labels)
-                    assert bal < 1.6, f"{pname} unbalanced on {gname}: {bal}"
+                    labels = part(graph)
                 except (ConvergenceError, PartitioningError):
                     cuts[gname][pname] = None  # the paper's "–"
-        return cuts
+                    continue
+                bal = partition_balance(graph, labels, K)
+                criteria[f"{pname} on {gname}: balance < 1.6"] = check(bal, "<", 1.6)
+                cuts[gname][pname] = edge_cut(graph, labels)
+        return cuts, criteria
 
-    cuts = benchmark.pedantic(run, rounds=1, iterations=1)
+    cuts, criteria = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    header = f"{'Graph Instance':18s}" + "".join(
-        f"{p:>14s}" for p in _partitioners()
-    )
-    lines = [
-        "Table 1 reproduction: edge cut of balanced 32-way partitioning",
-        f"(instances at {bench_scale(0.02):.3f} of paper scale; paper values in parentheses)",
-        header,
-    ]
-    for gname, row in cuts.items():
-        cells = []
-        for i, pname in enumerate(_partitioners()):
-            val = row[pname]
-            paper = PAPER_ROWS[gname][i]
-            mine = f"{val:,.0f}" if val is not None else "–"
-            ref = f"({paper:,})" if paper is not None else "(–)"
-            cells.append(f"{mine + ' ' + ref:>22s}")
-        lines.append(f"{gname:18s}" + "".join(cells))
-    write_result("table1_partitioning", lines)
-
-    # --- shape assertions ---
-    road = cuts["Physical (road)"]
-    rand = cuts["Sparse random"]
-    sw = cuts["Small-world"]
+    road, rand, sw = (cuts[g] for g in PAPER_ROWS)
     for pname in ("Metis-kway", "Metis-recur"):
-        assert road[pname] is not None and rand[pname] is not None
-        assert rand[pname] > 8 * road[pname], (
-            f"{pname}: random cut {rand[pname]} not ≫ road cut {road[pname]}"
-        )
-        assert sw[pname] is not None
-        assert sw[pname] > 8 * road[pname]
+        r, x, w = road[pname], rand[pname], sw[pname]
+        criteria[f"{pname}: road and random cuts exist"] = criterion(None not in (r, x), [r, x], None)
+        criteria[f"{pname}: small-world cut exists"] = criterion(w is not None, w, None)
+        for other, cut in (("random", x), ("small-world", w)):
+            criteria[f"{pname}: {other} cut > 8 x road cut"] = criterion(
+                None not in (r, cut) and cut > 8 * r, cut, r and 8 * r
+            )
     # Spectral on small-world: fails (paper behaviour) or at least is
     # no better than the multilevel cut.
+    multilevel = [sw["Metis-kway"], sw["Metis-recur"]]
+    bound = None if None in multilevel else 0.5 * min(multilevel)
     for pname in ("Chaco-RQI", "Chaco-LAN"):
-        if sw[pname] is not None:
-            assert sw[pname] > 0.5 * min(sw["Metis-kway"], sw["Metis-recur"])
+        w = sw[pname]
+        criteria[f"{pname}: small-world fails or cut > 0.5 x best multilevel"] = (
+            criterion(w is None or (bound is not None and w > bound), w, bound)
+        )
+
+    rows = [
+        {"instance": gname} | {
+            col: val
+            for pname, paper in zip(partitioners, PAPER_ROWS[gname])
+            for col, val in ((pname, row[pname]), (f"{pname} paper", paper))
+        }
+        for gname, row in cuts.items()
+    ]
+    report("table1_partitioning", rows, criteria)

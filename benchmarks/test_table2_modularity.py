@@ -1,17 +1,9 @@
-"""Table 2 — modularity achieved by GN vs pBD / pMA / pLA.
-
-Paper row layout (network, n, GN, pBD, pMA, pLA, best known)::
-
-    Karate          34   0.401  0.397  0.381  0.397  0.431
-    Political books 105  0.509  0.502  0.498  0.487  0.527
-    Jazz musicians  198  0.405  0.405  0.439  0.398  0.445
-    Metabolic       453  0.403  0.402  0.402  0.402  0.435
-    E-mail          1133 0.532  0.547  0.494  0.487  0.574
-    Key signing     10680 0.816 0.846  0.733  0.794  0.855
+"""Table 2 — modularity achieved by GN vs pBD / pMA / pLA (paper rows in
+``repro.community.PAPER_TABLE2``: n, GN, pBD, pMA, pLA, best known).
 
 karate is the exact Zachary graph; the other five are matched synthetic
 surrogates (DESIGN.md §3), so absolute Q values differ from the paper —
-the asserted *shape* is the paper's comparison: pBD tracks GN closely
+the *shape* criteria are the paper's comparison: pBD tracks GN closely
 (sometimes better), pMA and pLA land in the same band, and all stay
 below the instance's attainable optimum.
 
@@ -27,18 +19,11 @@ see the same number of traversals).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.community import (
-    PAPER_TABLE2,
-    girvan_newman,
-    pbd,
-    pla,
-    pma,
-)
+from repro.community import PAPER_TABLE2, girvan_newman, pbd, pla, pma
 from repro.datasets import load_surrogate
 
-from _common import bench_scale, timed, write_result
+from _common import bench_scale, check, criterion, report, timed
 
 # (dataset, default scale): the two largest are shrunk so GN finishes.
 NETWORKS = [
@@ -50,11 +35,12 @@ NETWORKS = [
     ("keysigning", 0.06),
 ]
 PATIENCE = 20
+ALGOS = ("GN", "pBD", "pMA", "pLA")
 
 
 def test_table2_modularity(benchmark):
     def run():
-        rows = []
+        rows, wall = [], []
         for name, base_scale in NETWORKS:
             scale = min(1.0, base_scale * bench_scale(1.0))
             g = load_surrogate(name, scale=scale)
@@ -63,69 +49,45 @@ def test_table2_modularity(benchmark):
             r_bd, t_bd = timed(
                 pbd, g, patience=PATIENCE, sample_fraction=0.1, rng=rng
             )
-            r_ma, t_ma = timed(pma, g)
-            r_la, t_la = timed(pla, g, rng=np.random.default_rng(2))
-            rows.append(
-                dict(
-                    name=name,
-                    n=g.n_vertices,
-                    m=g.n_edges,
-                    gn=r_gn.modularity,
-                    pbd=r_bd.modularity,
-                    pma=r_ma.modularity,
-                    pla=r_la.modularity,
-                    t_gn=t_gn,
-                    t_bd=t_bd,
-                )
-            )
-        return rows
+            r_ma = pma(g)
+            r_la = pla(g, rng=np.random.default_rng(2))
+            paper = PAPER_TABLE2[name]
+            row = {"network": name, "n": g.n_vertices, "n paper": paper[0],
+                   "m": g.n_edges}
+            for i, (algo, r) in enumerate(zip(ALGOS, (r_gn, r_bd, r_ma, r_la))):
+                row |= {algo: r.modularity, f"{algo} paper": paper[1 + i]}
+            rows.append(row | {"best known paper": paper[5]})
+            wall.append({"GN s": t_gn, "pBD s": t_bd})
+        return rows, wall
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, wall = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    lines = [
-        "Table 2 reproduction: modularity Q by algorithm",
-        "(karate exact; others synthetic surrogates — paper values in parentheses)",
-        f"{'Network':12s}{'n':>7s}  {'GN':>16s}{'pBD':>16s}{'pMA':>16s}"
-        f"{'pLA':>16s}{'best(paper)':>12s}",
-    ]
+    criteria = {}
     for row in rows:
-        paper = PAPER_TABLE2[row["name"]]
-        lines.append(
-            f"{row['name']:12s}{row['n']:>7d}  "
-            f"{row['gn']:.3f} ({paper[1]:.3f})  "
-            f"{row['pbd']:.3f} ({paper[2]:.3f})  "
-            f"{row['pma']:.3f} ({paper[3]:.3f})  "
-            f"{row['pla']:.3f} ({paper[4]:.3f})  "
-            f"{paper[5]:>8.3f}"
-        )
-        lines.append(
-            f"{'':12s}{'':7s}  GN {row['t_gn']:.1f}s vs pBD {row['t_bd']:.1f}s "
-            f"(pBD {row['t_gn'] / max(row['t_bd'], 1e-9):.0f}x faster)"
-        )
-    write_result("table2_modularity", lines)
-
-    # --- shape assertions ---
-    close_count = 0
-    for row in rows:
+        name, gn = row["network"], row["GN"]
         # pBD never collapses relative to GN...
-        assert row["pbd"] >= row["gn"] - 0.2, (
-            f"{row['name']}: pBD {row['pbd']:.3f} far below GN {row['gn']:.3f}"
-        )
-        close_count += row["pbd"] >= row["gn"] - 0.08
+        criteria[f"{name}: pBD >= GN - 0.2"] = check(row["pBD"], ">=", gn - 0.2)
         # The agglomerative heuristics land in the same band.
-        assert row["pma"] >= row["gn"] - 0.12
-        assert row["pla"] >= row["gn"] - 0.12
+        for algo in ("pMA", "pLA"):
+            criteria[f"{name}: {algo} >= GN - 0.12"] = check(row[algo], ">=", gn - 0.12)
         # Everything finds real structure on these community graphs.
-        if row["name"] != "karate":
-            assert min(row["gn"], row["pbd"], row["pma"], row["pla"]) > 0.25
+        if name != "karate":
+            low = min(row[algo] for algo in ALGOS)
+            criteria[f"{name}: every Q > 0.25"] = check(low, ">", 0.25)
     # ...and tracks it closely on the large majority of networks (the
     # paper's headline quality claim; sampling noise on one small
     # surrogate is tolerated).
-    assert close_count >= len(rows) - 1, close_count
+    close = sum(row["pBD"] >= row["GN"] - 0.08 for row in rows)
+    criteria["networks where pBD >= GN - 0.08"] = check(close, ">=", len(rows) - 1)
     # karate (exact data): compare to the paper's absolute values.
-    karate = rows[0]
-    assert karate["gn"] == pytest.approx(0.401, abs=0.01)
-    assert karate["pma"] == pytest.approx(0.381, abs=0.01)
+    for algo, paper in (("GN", 0.401), ("pMA", 0.381)):
+        q = rows[0][algo]
+        criteria[f"karate: {algo} within 0.01 of paper {paper}"] = criterion(
+            abs(q - paper) <= 0.01, q, [paper - 0.01, paper + 0.01]
+        )
     # pBD is much cheaper than GN on the larger instances.
-    big = rows[-1]
-    assert big["t_gn"] > 2 * big["t_bd"]
+    big = wall[-1]
+    wall_criteria = {
+        f"{rows[-1]['network']}: GN s > 2 x pBD s": check(big["GN s"], ">", 2 * big["pBD s"])
+    }
+    report("table2_modularity", rows, criteria, wall, wall_criteria)

@@ -1,13 +1,6 @@
-"""Table 3 — the small-world networks used in the experimental study.
-
-Paper rows (label, network, n, m, type)::
-
-    PPI       human protein interaction network     8,503     32,191  undirected
-    Citations citation network (KDD Cup 2003)      27,400    352,504  directed
-    DBLP      CS publication coauthorship network  310,138  1,024,262 undirected
-    NDwww     web-crawl (nd.edu)                   325,729  1,090,107 directed
-    Actor     IMDB movie-actor network             392,400 31,788,592 undirected
-    RMAT-SF   synthetic small-world network        400,000  1,600,000 undirected
+"""Table 3 — the small-world networks used in the experimental study
+(paper label, description, n, m and directedness in
+``repro.datasets.SURROGATE_SPECS``).
 
 This harness regenerates the inventory from the surrogate generators:
 it builds each instance (at the default 5 % scale; SNAP_BENCH_SCALE=20
@@ -27,64 +20,48 @@ from repro.graph.builder import induced_subgraph
 from repro.metrics import effective_diameter
 from repro.metrics.basic import degree_skewness
 
-from _common import bench_scale, write_result
+from _common import bench_scale, check, criterion, report
 
 
 def test_table3_dataset_inventory(benchmark):
     scale = min(1.0, 0.05 * bench_scale(1.0))
 
     def run():
-        nets = table3_networks(scale=scale)
         rows = []
-        for name, g in nets.items():
+        for name, g in table3_networks(scale=scale).items():
             spec = SURROGATE_SPECS[name]
             und = g.as_undirected() if g.directed else g
             core, _ = induced_subgraph(und, largest_component(und))
-            rows.append(
-                dict(
-                    name=name,
-                    kind=spec.kind,
-                    n=g.n_vertices,
-                    m=g.n_edges,
-                    directed=g.directed,
-                    paper_n=spec.paper_n,
-                    paper_m=spec.paper_m,
-                    paper_directed=spec.directed,
-                    skew=degree_skewness(und),
-                    diameter=effective_diameter(
-                        core, n_samples=24, rng=np.random.default_rng(0)
-                    ),
-                )
-            )
+            rows.append({
+                "label": name, "network": spec.kind,
+                "n": g.n_vertices, "n paper": spec.paper_n,
+                "m": g.n_edges, "m paper": spec.paper_m,
+                "directed": g.directed, "directed paper": spec.directed,
+                "degree skew": degree_skewness(und),
+                "effective diameter": effective_diameter(
+                    core, n_samples=24, rng=np.random.default_rng(0)
+                ),
+            })
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    lines = [
-        "Table 3 reproduction: small-world network inventory "
-        f"(surrogates at scale={scale:g}; paper sizes in parentheses)",
-        f"{'Label':10s}{'n':>10s}{'m':>12s}{'type':>12s}"
-        f"{'deg skew':>10s}{'eff diam':>10s}",
-    ]
+    criteria = {}
     for r in rows:
-        kind = "directed" if r["directed"] else "undirected"
-        lines.append(
-            f"{r['name']:10s}{r['n']:>10,d}{r['m']:>12,d}{kind:>12s}"
-            f"{r['skew']:>10.2f}{r['diameter']:>10.1f}"
-            f"    ({r['paper_n']:,} / {r['paper_m']:,})"
+        name = r["label"]
+        criteria[f"{name}: directed as in the paper"] = criterion(
+            r["directed"] == r["directed paper"], r["directed"], r["directed paper"]
         )
-        lines.append(f"{'':10s}{r['kind']}")
-    write_result("table3_datasets", lines)
-
-    # --- shape assertions ---
-    for r in rows:
-        assert r["directed"] == r["paper_directed"], r["name"]
         # density (m/n) of the surrogate tracks the paper's within 2x
-        paper_density = r["paper_m"] / r["paper_n"]
-        mine_density = r["m"] / r["n"]
-        assert 0.4 * paper_density < mine_density < 2.5 * paper_density, (
-            f"{r['name']}: density {mine_density:.1f} vs paper {paper_density:.1f}"
+        paper_density = r["m paper"] / r["n paper"]
+        density = r["m"] / r["n"]
+        lo, hi = 0.4 * paper_density, 2.5 * paper_density
+        criteria[f"{name}: 0.4 x paper density < density < 2.5 x paper density"] = (
+            criterion(lo < density < hi, density, [lo, hi])
         )
         # small-world character: skewed degrees, low diameter
-        assert r["skew"] > 0.5, f"{r['name']} lacks degree skew"
-        assert r["diameter"] <= 12, f"{r['name']} diameter too large"
+        criteria[f"{name}: degree skew > 0.5"] = check(r["degree skew"], ">", 0.5)
+        criteria[f"{name}: effective diameter <= 12"] = check(
+            r["effective diameter"], "<=", 12
+        )
+    report("table3_datasets", rows, criteria)

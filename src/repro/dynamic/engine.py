@@ -205,9 +205,7 @@ class StreamEngine:
 
         self._cc = UnionFind(n)
         empty = np.empty(0, dtype=np.int64)
-        self._snap = builder.from_edge_array(
-            n, empty, empty, weights=empty.astype(np.float64), dedupe=False
-        )
+        self._snap = builder.from_edge_array(n, empty, empty, dedupe=False)
         self._added: dict[tuple[int, int], float] = {}
         self._deleted: set[tuple[int, int]] = set()
         # With stats on, every batch that applies merges the delta, so
@@ -332,6 +330,13 @@ class StreamEngine:
                 if added.pop(key, None) is None:
                     deleted.add(key)
                 sign[i] = -1
+        if self._snap.weights is None and any(
+            ev.weight != 1.0 for ev, d in zip(events, sign) if d > 0
+        ):  # the first non-unit weight: the snapshot is weighted from now on
+            s = self._snap
+            self._snap = Graph(s.offsets, s.targets, directed=False,
+                               weights=np.ones(s.n_arcs), arc_edge_ids=s.arc_edge_ids,
+                               n_edges=s.n_edges, validate=False)
         delta = np.asarray(sign, dtype=np.int64)
         applied = delta != 0
         for end in (lo, hi):
@@ -603,8 +608,8 @@ class StreamEngine:
 
 def _seed_snapshot(g: Graph, empty: Graph) -> tuple[Graph, np.ndarray]:
     """The canonical CSR of undirected ``g``'s edge set (parallel edges
-    keep their first weight, self-loops are dropped) and its ascending
-    edge keys.  A simple ``g`` lends its rows: each arc's edge id is
+    keep their first weight, self-loops are dropped, unweighted if every
+    weight is 1) and its ascending edge keys.  A simple ``g`` lends its rows: each arc's edge id is
     then the rank of its ``(min, max)`` key."""
     n = g.n_vertices
     src, tgt = g.arc_sources(), g.targets
@@ -620,7 +625,8 @@ def _seed_snapshot(g: Graph, empty: Graph) -> tuple[Graph, np.ndarray]:
     eid *= n
     eid += np.maximum(src, tgt)
     eid = np.searchsorted(key, eid)
-    snap = Graph(g.offsets, g.targets, directed=False, weights=w[eid],
+    snap = Graph(g.offsets, g.targets, directed=False,
+                 weights=None if g.has_unit_weights else w[eid],
                  arc_edge_ids=eid, n_edges=key.shape[0], validate=False)
     return snap, key
 

@@ -158,7 +158,8 @@ def merge_edges(base: Graph, add: tuple, delete: tuple) -> Graph:
     every pair with ``u < v``.  ``base`` is an undirected CSR as
     :func:`from_edge_array` builds it from edges in canonical order;
     the result is, in every array, the one it would build from the
-    surviving edges, without a sort of ``base``.
+    surviving edges, without a sort of ``base``.  It is unweighted while
+    ``base`` is and every added weight is 1.
     """
     n, m = base.n_vertices, base.n_edges
     src, tgt, eid = base.arc_sources(), base.targets, base.arc_edge_ids
@@ -193,7 +194,8 @@ def merge_edges(base: Graph, add: tuple, delete: tuple) -> Graph:
         offsets,
         np.concatenate([tgt, a_tgt])[take],
         directed=False,
-        weights=np.concatenate([base.arc_weights(), aw, aw])[take],
+        weights=(None if base.weights is None and (aw == 1.0).all()
+                 else np.concatenate([base.arc_weights(), aw, aw])[take]),
         arc_edge_ids=np.concatenate([new_id[eid], a_id, a_id])[take],
         n_edges=m - gone.shape[0] + q.shape[0],
         validate=False,

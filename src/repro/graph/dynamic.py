@@ -50,6 +50,7 @@ class DynamicGraph:
         ]
         self._deg = np.zeros(self._n, dtype=np.int64)
         self._m = 0
+        self._weighted = False
 
     # ------------------------------------------------------------------
     @property
@@ -59,6 +60,12 @@ class DynamicGraph:
     @property
     def n_edges(self) -> int:
         return self._m
+
+    @property
+    def is_weighted(self) -> bool:
+        """True once a non-unit weight has been added: only then does
+        :meth:`to_csr` return weights."""
+        return self._weighted
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -97,6 +104,7 @@ class DynamicGraph:
         self._insert_half(u, v, weight)
         self._insert_half(v, u, weight)
         self._m += 1
+        self._weighted |= weight != 1.0
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
@@ -159,7 +167,7 @@ class DynamicGraph:
             self._n,
             src[order],
             dst[order],
-            weights=w[order],
+            weights=w[order] if self._weighted else None,
             directed=False,
             dedupe=False,
         )

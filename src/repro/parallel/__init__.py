@@ -42,7 +42,7 @@ from repro.parallel.partitioner import (
 
 # the work-stealing model loads on first use (kernels.mst's lazy-sync model)
 __getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
-    "WorkStealingScheduler", "simulate_work_stealing",
+    "simulate_work_stealing",
 ), "repro.parallel.scheduler"))
 
 __all__ = [
@@ -61,6 +61,5 @@ __all__ = [
     "balanced_chunks",
     "chunk_ranges",
     "imbalance_factor",
-    "WorkStealingScheduler",
     "simulate_work_stealing",
 ]

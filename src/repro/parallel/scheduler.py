@@ -97,29 +97,3 @@ def simulate_work_stealing(
         heapq.heappush(heap, (t + steal_cost + c, w))
     return StealStats(finish, steals, total)
 
-
-class WorkStealingScheduler:
-    """Convenience wrapper that executes tasks *now* (sequentially) while
-    simulating their parallel schedule for the cost model.
-
-    ``run(fn, items, costs)`` calls ``fn(item)`` for each item in a
-    deterministic order and returns both the results and the simulated
-    :class:`StealStats` for ``p`` workers.
-    """
-
-    def __init__(self, p: int, *, steal_cost: float = 2.0, seed: int = 0) -> None:
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        self.p = p
-        self.steal_cost = steal_cost
-        self.seed = seed
-
-    def run(self, fn, items, costs) -> tuple[list, StealStats]:
-        costs = np.asarray(costs, dtype=np.float64)
-        if len(items) != costs.shape[0]:
-            raise ValueError("items and costs must align")
-        results = [fn(item) for item in items]
-        stats = simulate_work_stealing(
-            costs, self.p, steal_cost=self.steal_cost, seed=self.seed
-        )
-        return results, stats

@@ -457,7 +457,8 @@ def dynamic_to_csr_loop(dyn) -> Graph:
     src, dst, w = (np.concatenate(a) for a in (src, dst, w))
     order = pair_order(src, dst, n)
     return builder.from_edge_array(
-        n, src[order], dst[order], weights=w[order], directed=False, dedupe=False
+        n, src[order], dst[order], weights=w[order] if dyn.is_weighted else None,
+        directed=False, dedupe=False,
     )
 
 

@@ -8,7 +8,7 @@ registry is the bookkeeping for that residency:
 * **Named residency** — graphs are addressable by name; loading an
   already-resident name is a cache hit (no re-read, no re-share).
 * **Byte-budget admission control** — ``max_bytes`` caps the summed
-  CSR bytes of resident graphs.  Admission of a new graph evicts
+  CSR bytes of resident graphs (one resident under two names counts once).  Admission of a new graph evicts
   least-recently-used residents until it fits; a graph that cannot fit
   even then (or only pinned graphs remain) is refused with
   :class:`~repro.errors.AdmissionDenied` *before* any state changes.
@@ -107,8 +107,10 @@ class GraphRegistry:
     # ------------------------------------------------------------------
     @property
     def resident_bytes(self) -> int:
+        """CSR bytes of the distinct resident graphs: a second name for
+        a resident ``Graph`` adds none."""
         with self._lock:
-            return sum(e.nbytes for e in self._graphs.values())
+            return sum({id(e.graph): e.nbytes for e in self._graphs.values()}.values())
 
     def _make_room(self, incoming: int) -> None:
         """Evict LRU unpinned residents until ``incoming`` bytes fit."""
@@ -119,7 +121,7 @@ class GraphRegistry:
                 f"graph of {incoming} bytes exceeds the registry budget "
                 f"of {self.max_bytes} bytes"
             )
-        while sum(e.nbytes for e in self._graphs.values()) + incoming > self.max_bytes:
+        while self.resident_bytes + incoming > self.max_bytes:
             victims = [e for e in self._graphs.values() if e.pins == 0]
             if not victims:
                 raise AdmissionDenied(
@@ -173,11 +175,12 @@ class GraphRegistry:
                 existing.hits += 1
                 existing.last_used = time.monotonic()
                 return existing
-            self._make_room(nbytes)
-            # An already-resident Graph under a second name reuses its segment.
-            shared = next(
-                (e.shared for e in self._graphs.values() if e.graph is graph), None
-            )
+            # An already-resident Graph under a second name costs no bytes
+            # and reuses its segment.
+            alias = next((e for e in self._graphs.values() if e.graph is graph), None)
+            if alias is None:
+                self._make_room(nbytes)
+            shared = alias.shared if alias is not None else None
             if self.share and shared is None:
                 from repro.parallel.shm import share_graph
 
@@ -319,7 +322,7 @@ class GraphRegistry:
         with self._lock:
             return {
                 "resident": [e.describe() for e in self._graphs.values()],
-                "resident_bytes": sum(e.nbytes for e in self._graphs.values()),
+                "resident_bytes": self.resident_bytes,
                 "max_bytes": self.max_bytes,
                 "loads": self.loads,
                 "load_hits": self.load_hits,

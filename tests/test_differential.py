@@ -54,14 +54,15 @@ def test_corpus_covers_pathological_shapes():
 
 def _from_adjacency(item, neighbors):
     """CSR rebuilt from a topology-only adjacency, reattaching the
-    canonical weights."""
+    canonical weights unless every one is 1."""
     wmap = {(u, v): w for u, v, w in item.ref().edges}
     pairs = [(u, int(v)) for u in range(item.n) for v in neighbors(u) if u < v]
     src = np.asarray([u for u, _ in pairs], dtype=np.int64)
     dst = np.asarray([v for _, v in pairs], dtype=np.int64)
     return builder.from_edge_array(
         item.n, src, dst,
-        weights=np.asarray([wmap[p] for p in pairs]) if item.weighted else None,
+        weights=(None if item.csr().has_unit_weights
+                 else np.asarray([wmap[p] for p in pairs])),
         dedupe=False,
     )
 
@@ -124,13 +125,10 @@ def test_every_representation_converges_to_same_csr(build):
         assert _same_bytes(g.offsets, want.offsets), item.name
         assert _same_bytes(g.targets, want.targets), item.name
         assert _same_bytes(g.arc_edge_ids, _canonical_arc_edge_ids(want)), item.name
-        if item.weighted:
-            assert _same_bytes(g.weights, want.weights), item.name
-        elif build is _build_dynamic:
-            # DynamicGraph.to_csr always returns a weights array.
-            assert np.array_equal(g.weights, np.ones(g.n_arcs)), item.name
-        else:
+        if want.has_unit_weights:
             assert g.weights is None, item.name
+        else:
+            assert _same_bytes(g.weights, want.weights), item.name
 
 
 # ---------------------------------------------------------------------------

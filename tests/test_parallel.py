@@ -15,7 +15,6 @@ from repro.parallel import (
     chunk_ranges,
     imbalance_factor,
     simulate_work_stealing,
-    WorkStealingScheduler,
 )
 from repro.parallel.partitioner import chunk_work, split_heavy_items
 
@@ -229,18 +228,6 @@ class TestWorkStealing:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             simulate_work_stealing(np.asarray([-1.0]), 2)
-
-    def test_scheduler_wrapper_runs_all(self):
-        sched = WorkStealingScheduler(4)
-        items = list(range(10))
-        results, stats = sched.run(lambda x: x * x, items, np.ones(10))
-        assert results == [x * x for x in items]
-        assert stats.total_work == 10.0
-
-    def test_scheduler_mismatched_costs(self):
-        sched = WorkStealingScheduler(2)
-        with pytest.raises(ValueError):
-            sched.run(lambda x: x, [1, 2], np.ones(3))
 
 
 class TestParallelContext:

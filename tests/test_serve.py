@@ -61,6 +61,7 @@ from repro.errors import (
     SnapError,
 )
 from repro.graph import from_edge_list
+from repro.graph.csr import Graph
 from repro.graph import io as graph_io
 from repro.obs.api import (
     ALGORITHMS,
@@ -85,6 +86,11 @@ def small_world():
     )
 
 
+def _twin(g):
+    """A distinct resident-able Graph with ``g``'s arrays (same bytes)."""
+    return Graph(g.offsets, g.targets, directed=g.directed)
+
+
 @pytest.fixture(scope="module")
 def rmat():
     return generators.rmat(8, 8, rng=np.random.default_rng(0)).as_undirected()
@@ -106,10 +112,10 @@ class TestRegistry:
     def test_lru_eviction_under_byte_pressure(self, small_world):
         nbytes = in_core_nbytes(small_world)
         reg = GraphRegistry(max_bytes=2 * nbytes + 16)
-        reg.add("a", small_world)
-        reg.add("b", small_world)
+        reg.add("a", _twin(small_world))
+        reg.add("b", _twin(small_world))
         reg.get("a")  # touch: b becomes LRU
-        reg.add("c", small_world)
+        reg.add("c", _twin(small_world))
         assert reg.names() == ["a", "c"]
         assert reg.evictions == 1
 
@@ -122,14 +128,28 @@ class TestRegistry:
     def test_pinned_graphs_never_evicted(self, small_world):
         nbytes = in_core_nbytes(small_world)
         reg = GraphRegistry(max_bytes=nbytes + 16)
+        other = _twin(small_world)
         reg.add("a", small_world)
         reg.pin("a")
         with pytest.raises(AdmissionDenied):
-            reg.add("b", small_world)
+            reg.add("b", other)
         assert reg.names() == ["a"]
         reg.unpin("a")
-        reg.add("b", small_world)
+        reg.add("b", other)
         assert reg.names() == ["b"]
+
+    def test_second_name_for_a_resident_graph_costs_no_bytes(self):
+        g = karate_club()
+        nbytes = in_core_nbytes(g)
+        reg = GraphRegistry(max_bytes=int(1.5 * nbytes))
+        reg.add("a", g)
+        reg.add("b", g)
+        assert reg.names() == ["a", "b"]
+        assert reg.evictions == 0
+        assert reg.resident_bytes == nbytes == reg.stats()["resident_bytes"]
+        # evicting one alias frees nothing; the last one frees the graph
+        reg.add("c", _twin(g))
+        assert reg.names() == ["c"] and reg.evictions == 2
 
     def test_byte_count_leaves_lazy_edge_ids_alone(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)], directed=True)
@@ -1362,6 +1382,31 @@ class TestIngest:
             r.checksum for r in ref_results
         ]
         assert got.n_edges == ref.n_edges
+
+    def test_unit_weight_ingest_keeps_graph_unweighted(self, rmat):
+        """Unit-weight adds into an unweighted resident graph leave it
+        unweighted, and closeness on it is the library's on the merged
+        graph, bit for bit; the first non-unit weight makes it weighted."""
+        from repro.graph import from_edge_array
+
+        new = [(u, v) for u, v in ((0, 9), (3, 7), (5, 200), (11, 12))
+               if not rmat.has_edge(u, v)]
+        u, v = rmat.edge_endpoints()
+        merged = from_edge_array(
+            rmat.n_vertices, np.concatenate([u, [a for a, _ in new]]),
+            np.concatenate([v, [b for _, b in new]]))
+        sources = [0, 3, 9, 200]
+        with api.Session() as s:
+            s.add("g", rmat)
+            s.ingest("g", [("add", a, b, 1) for a, b in new])
+            (doc,) = s.registry.stats()["resident"]
+            assert doc["weighted"] is False
+            assert s.registry.get("g").graph.weights is None
+            got = s.run("closeness", "g", sources=sources).value
+            assert np.array_equal(
+                got, repro.closeness_centrality(merged, sources=sources))
+            s.ingest("g", [("add", 1, 250, 2, 2.5)])
+            assert s.registry.get("g").graph.is_weighted
 
     def test_session_engine_keeps_no_history(self, rmat, tmp_path):
         """After each ingest the resident graph's engine drops its

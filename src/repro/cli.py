@@ -18,8 +18,7 @@ one execution-options surface (:mod:`repro.cli_options`): ``--backend
 backend and ``--profile out.json`` records the run's span tree, cost
 model and pool gauges (the first four run through
 :func:`repro.obs.run` and write its :class:`~repro.obs.RunResult`
-document); ``--timeout SEC`` / ``--retries N`` /
-``--on-worker-crash {rebuild,degrade,raise}`` arm the fault-tolerant
+document); ``--timeout SEC`` / ``--retries N`` arm the fault-tolerant
 dispatch layer (see DESIGN.md §8).  ``serve`` starts the long-lived
 graph-service daemon (DESIGN.md §10): resident shared graphs behind a
 request-coalescing scheduler over HTTP/JSON.  ``profile`` is the dedicated

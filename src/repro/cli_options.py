@@ -2,7 +2,7 @@
 
 The CLI subcommands (``analyze``/``cluster``/``partition``/…), the
 ``repro serve`` daemon config and programmatic embedders all describe
-the same six knobs — backend, worker count, the three resilience
+the same five knobs — backend, worker count, the two resilience
 settings and an optional profile output.  Historically each
 subcommand wired its own copy of the argparse flags and its own
 ``args``-to-``ParallelContext`` translation; this module is the single
@@ -28,7 +28,6 @@ from typing import Optional
 __all__ = ["ExecutionOptions", "add_execution_flags"]
 
 BACKENDS = ("serial", "thread", "process")
-CRASH_RESPONSES = ("rebuild", "degrade", "raise")
 
 
 @dataclass
@@ -39,21 +38,12 @@ class ExecutionOptions:
     workers: int = 1
     timeout: Optional[float] = None
     retries: Optional[int] = None
-    on_worker_crash: Optional[str] = None
     profile: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if (
-            self.on_worker_crash is not None
-            and self.on_worker_crash not in CRASH_RESPONSES
-        ):
-            raise ValueError(
-                f"on_worker_crash must be one of {CRASH_RESPONSES}, "
-                f"got {self.on_worker_crash!r}"
             )
 
     @classmethod
@@ -64,14 +54,12 @@ class ExecutionOptions:
             workers=getattr(args, "workers", 1),
             timeout=getattr(args, "timeout", None),
             retries=getattr(args, "retries", None),
-            on_worker_crash=getattr(args, "on_worker_crash", None),
             profile=getattr(args, "profile", None),
         )
 
     def fault_policy(self):
         """FaultPolicy from the resilience knobs; None when untouched."""
-        if self.timeout is None and self.retries is None \
-                and self.on_worker_crash is None:
+        if self.timeout is None and self.retries is None:
             return None
         from repro.parallel.resilience import FaultPolicy
 
@@ -80,8 +68,6 @@ class ExecutionOptions:
             kw["task_timeout"] = self.timeout
         if self.retries is not None:
             kw["max_retries"] = self.retries
-        if self.on_worker_crash is not None:
-            kw["on_worker_crash"] = self.on_worker_crash
         return FaultPolicy(**kw)
 
     def make_context(self, tracer=None):
@@ -111,9 +97,7 @@ def add_execution_flags(
                         help="per-task timeout; hung workers are replaced "
                              "and the task retried")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="per-task retry budget for transient worker "
-                             "failures (default 2 when resilience is on)")
-    parser.add_argument("--on-worker-crash", default=None,
-                        choices=list(CRASH_RESPONSES),
-                        help="crash response: rebuild the pool, degrade "
-                             "process->thread->serial, or raise")
+                        help="per-task retry and per-dispatch pool-rebuild "
+                             "budget before degrading process->thread->"
+                             "serial (default 2 when resilience is on; 0 "
+                             "retries nothing)")

@@ -68,9 +68,6 @@ class Dendrogram:
             parent[find(b)] = find(a)
         return np.asarray([find(v) for v in range(self.n_vertices)], dtype=np.int64)
 
-    def best_labels(self) -> np.ndarray:
-        return self.labels_at(self.best_step())
-
 
 @dataclass
 class DivisiveTrace:

@@ -21,6 +21,8 @@ continuing from garbage.
 State (numpy arrays, nested dicts) is pickled inside the envelope —
 these files are internal state written and read by the same codebase,
 and the payload CRC is verified before any byte reaches the unpickler.
+:func:`save_state` writes one envelope of a whole state; no reader in
+this package accepts it (a :class:`RecordLog` refuses it by name).
 
 A :class:`RecordLog` is the one durable log: a header envelope with the
 parameters of the run it belongs to, then one envelope per
@@ -52,11 +54,7 @@ __all__ = [
     "atomic_write_text",
     "write_json_atomic",
     "pack_envelope",
-    "unpack_envelope",
     "save_state",
-    "load_state",
-    "verify_envelope",
-    "check_envelope",
     "RecordLog",
     "check_log",
 ]
@@ -214,45 +212,10 @@ def _parse_envelope(blob: bytes, off: int, path: str) -> tuple[str, bytes, int]:
     return header.get("kind"), payload, p0 + length
 
 
-def unpack_envelope(
-    blob: bytes, *, kind: Optional[str] = None, path: str = "<bytes>"
-) -> tuple[str, bytes]:
-    """Validate an envelope and return ``(kind, payload)``.
-
-    Raises :class:`CorruptCheckpoint` on any integrity failure —
-    truncation, bit flip (header or payload), bad magic, trailing bytes,
-    or a ``kind`` mismatch when one is expected.
-    """
-    found, payload, end = _parse_envelope(blob, 0, path)
-    if end < len(blob):
-        raise CorruptCheckpoint(
-            f"corrupt checkpoint {path}: trailing garbage "
-            f"({len(blob) - end} bytes after the payload)"
-        )
-    if kind is not None and found != kind:
-        raise CorruptCheckpoint(
-            f"corrupt checkpoint {path}: kind mismatch "
-            f"(expected {kind!r}, found {found!r})"
-        )
-    return found, payload
-
-
 def save_state(path: Union[str, Path], state, *, kind: str) -> None:
     """Atomically persist ``state`` (pickled) inside an envelope."""
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     atomic_write_bytes(path, pack_envelope(kind, payload))
-
-
-def load_state(path: Union[str, Path], *, kind: Optional[str] = None):
-    """Load and integrity-check a :func:`save_state` file.
-
-    Raises :class:`CorruptCheckpoint` on any integrity failure and
-    ``FileNotFoundError`` when the file does not exist.
-    """
-    path = Path(path)
-    blob = path.read_bytes()
-    _, payload = unpack_envelope(blob, kind=kind, path=str(path))
-    return _unpickle(payload, path)
 
 
 def _unpickle(payload: bytes, path):
@@ -286,32 +249,6 @@ def _check_params(path, saved: dict, params: dict) -> None:
                 f"(checkpoint {got!r} vs run {want!r}) — it was written "
                 "for a different run; delete it or rerun the original command"
             )
-
-
-def verify_envelope(
-    path: Union[str, Path], *, kind: Optional[str] = None
-) -> str:
-    """Validate an envelope file's integrity; return its kind.
-
-    Raises :class:`CorruptCheckpoint` (or ``FileNotFoundError``) on
-    failure.  Does not unpickle the payload.
-    """
-    path = Path(path)
-    found, _ = unpack_envelope(path.read_bytes(), kind=kind, path=str(path))
-    return found
-
-
-def check_envelope(path: Union[str, Path]) -> list[str]:
-    """Problem-list form of :func:`verify_envelope` for verify surfaces."""
-    try:
-        verify_envelope(path)
-    except FileNotFoundError:
-        return [f"{path}: missing"]
-    except CorruptCheckpoint as exc:
-        return [str(exc)]
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    return []
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,9 @@
 dynamic networks" (paper §6).  This package provides the incremental
 machinery that extension needs:
 
-* :class:`~repro.dynamic.components.IncrementalComponents` —
-  union–find connectivity maintained under edge insertions, with O(α)
-  queries (deletions trigger an epoch rebuild, the standard trade-off);
-  its labels-only base :class:`~repro.dynamic.components.UnionFind` is
-  the stream engine's;
+* :class:`~repro.dynamic.components.UnionFind` — min-root labels
+  maintained under edge insertions, with O(α) queries; the stream
+  engine resets it from the batch kernel after a batch that deletes;
 * :mod:`~repro.dynamic.events` — the timestamped edge-event vocabulary
   and ``.events`` file format;
 * :mod:`~repro.dynamic.sources` — crawler policies (rc/rw/bfs/mod)
@@ -20,7 +18,6 @@ machinery that extension needs:
   prefix-differentially tested (:mod:`repro.qa.prefix`).
 """
 
-from repro.dynamic.components import IncrementalComponents
 from repro.dynamic.engine import (
     ANALYTICS,
     BatchResult,
@@ -42,7 +39,6 @@ __all__ = [
     "BatchResult",
     "CRAWL_POLICIES",
     "EdgeEvent",
-    "IncrementalComponents",
     "StreamEngine",
     "StreamReplayResult",
     "canonical_final_edges",

@@ -6,13 +6,6 @@ vertex, and path compression keeps ``connected`` queries near O(1)
 while edges stream in.  It holds no edge set, so deletions are the
 owner's business: :class:`~repro.dynamic.engine.StreamEngine` hands it
 the batch kernel's labels after a batch that deletes.
-
-:class:`IncrementalComponents` is the standalone structure with its own
-edge set: :meth:`~IncrementalComponents.delete_edge` records the
-deletion and flips it into a *stale* state; the next query triggers an
-epoch rebuild from the surviving edges (O(m α) — the classic offline
-fallback, amortized well when deletions are rare, which is the paper's
-stated streaming regime).
 """
 
 from __future__ import annotations
@@ -86,77 +79,3 @@ class UnionFind:
         self._parent = roots  # full compression for later finds
         return roots.copy()
 
-
-class IncrementalComponents(UnionFind):
-    """Dynamic connectivity over a fixed vertex set, with its edge set."""
-
-    def __init__(self, n_vertices: int) -> None:
-        super().__init__(n_vertices)
-        self._edges: set[tuple[int, int]] = set()
-        self._stale = False
-
-    @property
-    def n_components(self) -> int:
-        self._ensure_fresh()
-        return self._n_components
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    def _check(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise GraphStructureError(f"vertex {v} out of range [0, {self._n})")
-
-    def _ensure_fresh(self) -> None:
-        if not self._stale:
-            return
-        self._parent = np.arange(self._n, dtype=np.int64)
-        self._n_components = self._n
-        for u, v in self._edges:
-            self.union(u, v)
-        self._stale = False
-
-    # ------------------------------------------------------------------
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge (u, v); returns True if newly inserted."""
-        self._check(u)
-        self._check(v)
-        if u == v:
-            raise GraphStructureError("self-loops are not supported")
-        key = (min(u, v), max(u, v))
-        if key in self._edges:
-            return False
-        self._edges.add(key)
-        if not self._stale:
-            self.union(u, v)
-        return True
-
-    def delete_edge(self, u: int, v: int) -> bool:
-        """Remove edge (u, v); returns True if it existed.
-
-        Marks connectivity stale; the next query rebuilds.
-        """
-        self._check(u)
-        self._check(v)
-        key = (min(u, v), max(u, v))
-        if key not in self._edges:
-            return False
-        self._edges.discard(key)
-        self._stale = True
-        return True
-
-    def connected(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        self._ensure_fresh()
-        return self._find(u) == self._find(v)
-
-    def component_size(self, v: int) -> int:
-        self._check(v)
-        labels = self.labels()
-        return int(np.count_nonzero(labels == labels[v]))
-
-    def labels(self) -> np.ndarray:
-        self._ensure_fresh()
-        return super().labels()

@@ -63,10 +63,12 @@ class TransientWorkerError(ExecutionError):
 class WorkerCrashError(TransientWorkerError):
     """A worker process died mid-task (or a thread-backend simulation).
 
-    On the process backend this wraps ``BrokenProcessPool``: the pool is
-    rebuilt and only the batches without results are re-run.  The chaos
-    harness's ``exit`` planter raises it directly on in-process backends
-    where a hard ``os._exit`` would kill the interpreter.
+    On the process backend this wraps ``BrokenProcessPool`` when the
+    policy's ``max_retries`` is 0 (the default without a policy);
+    otherwise the pool is rebuilt and only the batches without results
+    are re-run.  The chaos harness's ``exit`` planter raises it directly
+    on in-process backends where a hard ``os._exit`` would kill the
+    interpreter.
     """
 
 
@@ -81,8 +83,8 @@ class ShmAttachError(TransientWorkerError):
 class TaskTimeout(ExecutionError):
     """A task exceeded the policy's per-task deadline.
 
-    Retried while ``retry_timeouts`` allows; terminal once the retry
-    budget is spent (the hung worker's pool is rebuilt either way).
+    Retried while the task's ``max_retries`` budget lasts; terminal once
+    it is spent (the hung worker's pool is replaced either way).
     """
 
 
@@ -106,7 +108,8 @@ class BackendUnavailable(ExecutionError):
     """An execution backend could not be (re)built.
 
     Raised when pool construction fails, or when the pool-rebuild budget
-    is spent and the degradation ladder is disabled or exhausted.
+    (``max_retries``) is spent, and no lower rung remains or
+    ``max_retries`` is 0.
     """
 
 

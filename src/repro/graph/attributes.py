@@ -31,10 +31,6 @@ class AttributeTable:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def column_names(self) -> list[str]:
-        return sorted(self._columns)
-
     def add_column(
         self, name: str, values: Optional[Iterable[Any]] = None, *, fill: Any = None
     ) -> None:

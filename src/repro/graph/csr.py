@@ -22,7 +22,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -247,12 +247,6 @@ class Graph:
         out = np.empty(self.n_edges, dtype=WEIGHT_DTYPE)
         out[self.arc_edge_ids] = self.weights
         return out
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate canonical edges as ``(u, v)`` tuples."""
-        u, v = self.edge_endpoints()
-        for i in range(self.n_edges):
-            yield int(u[i]), int(v[i])
 
     # ------------------------------------------------------------------
     # Derived graphs

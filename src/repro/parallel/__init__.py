@@ -34,11 +34,7 @@ from repro.parallel.shm import (
     live_segment_names,
     share_graph,
 )
-from repro.parallel.partitioner import (
-    balanced_chunks,
-    chunk_ranges,
-    imbalance_factor,
-)
+from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 
 # the work-stealing model loads on first use (kernels.mst's lazy-sync model)
 __getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
@@ -58,7 +54,6 @@ __all__ = [
     "attach_graph",
     "live_segment_names",
     "share_graph",
-    "balanced_chunks",
     "chunk_ranges",
     "imbalance_factor",
     "simulate_work_stealing",

@@ -29,9 +29,10 @@ identically on every backend.  Two planners are provided:
 
 Install either on a context via ``ParallelContext(chaos=...)`` or for
 one run via ``repro.obs.run(chaos=...)``, beside a
-:class:`~repro.parallel.resilience.FaultPolicy` (without one, the first
-planted fault propagates); the contract under test is that results with
-chaos enabled are **bit-identical** to the fault-free run.
+:class:`~repro.parallel.resilience.FaultPolicy` (without one, or with
+``max_retries=0``, the first planted fault propagates); the contract
+under test is that results with chaos enabled are **bit-identical** to
+the fault-free run.
 """
 
 from __future__ import annotations

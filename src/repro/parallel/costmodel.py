@@ -234,9 +234,6 @@ class CostModel:
         tp = self.modeled_time(p)
         return t1 / tp if tp > 0 else 1.0
 
-    def speedup_curve(self, ps: list[int]) -> dict[int, float]:
-        return {p: self.speedup(p) for p in ps}
-
     def reset(self) -> None:
         self._phases.clear()
         self.serial_work = 0.0

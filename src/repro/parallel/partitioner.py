@@ -5,8 +5,9 @@ processors "without considering their degree, it is highly probable
 that there will be phases with severe work imbalance" — so SNAP first
 estimates the processing work per vertex and assigns vertices to
 processors accordingly, and visits the adjacencies of high-degree
-vertices in parallel.  These helpers implement that assignment and
-quantify the imbalance the cost model charges for.
+vertices in parallel.  These helpers build the degree-oblivious
+baseline assignment and quantify the imbalance the cost model charges
+it (:func:`repro.parallel.runtime.phase_of_work`).
 """
 
 from __future__ import annotations
@@ -34,29 +35,6 @@ def chunk_ranges(n: int, p: int) -> list[tuple[int, int]]:
     return out
 
 
-def balanced_chunks(work: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """Split item indices into ``p`` contiguous ranges of ~equal *work*.
-
-    ``work[i]`` is the estimated processing cost of item ``i`` (e.g. its
-    degree in a frontier expansion).  Boundaries come from searching the
-    work prefix sum — the degree-aware assignment of paper §3.
-    """
-    work = np.asarray(work, dtype=np.float64)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    n = work.shape[0]
-    if n == 0:
-        return [(0, 0)] * p
-    if np.any(work < 0):
-        raise ValueError("work estimates must be non-negative")
-    prefix = np.cumsum(work)
-    total = prefix[-1]
-    cuts = np.searchsorted(prefix, total * np.arange(1, p) / p, side="left")
-    bounds = np.concatenate([[0], np.minimum(cuts + 1, n), [n]])
-    bounds = np.maximum.accumulate(bounds)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(p)]
-
-
 def chunk_work(work: np.ndarray, chunks: list[tuple[int, int]]) -> np.ndarray:
     """Total work per chunk."""
     work = np.asarray(work, dtype=np.float64)
@@ -75,17 +53,3 @@ def imbalance_factor(work: np.ndarray, chunks: list[tuple[int, int]]) -> float:
         return 1.0
     return float(per.max() / mean)
 
-
-def split_heavy_items(
-    work: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition item indices into (light, heavy) by work threshold.
-
-    Heavy items (high-degree vertices) get their adjacency visited in
-    parallel — the paper's second load-balancing lever.  Returns the two
-    index arrays.
-    """
-    work = np.asarray(work, dtype=np.float64)
-    heavy = work > threshold
-    idx = np.arange(work.shape[0])
-    return idx[~heavy], idx[heavy]

@@ -1,31 +1,31 @@
 """Fault-tolerant dispatch for the parallel runtime.
 
 Every :class:`~repro.parallel.runtime.ParallelContext` ``map`` /
-``map_batches`` call runs through :func:`drive`, under the policy
-:func:`policy_for` resolves.  With none, the first failure propagates:
-nothing is retried, rebuilt or degraded, a dead worker raises
-:class:`~repro.errors.WorkerCrashError` and its pool is abandoned (the
-next dispatch builds a fresh one), and an interrupt cancels the
-outstanding futures.  A :class:`FaultPolicy` wraps the pools with:
+``map_batches`` call runs through :func:`drive`, under the
+:class:`FaultPolicy` :func:`policy_for` resolves (no policy is
+``FaultPolicy(max_retries=0)``).  One rule covers every failure:
 
-* **per-task timeouts** and a **per-phase deadline** — a hung worker is
-  detected at ``task_timeout``, its pool rebuilt, the task retried;
-  ``phase_deadline`` bounds the whole dispatch call and is terminal;
-* **retry with exponential backoff + jitter** for transient failures
-  (:class:`~repro.errors.TransientWorkerError` and subclasses, plus any
-  ``transient_types`` the policy adds) — deterministic jitter from the
-  policy's seed;
-* **worker-crash recovery** — ``BrokenProcessPool`` (or an in-band
-  :class:`~repro.errors.WorkerCrashError`) marks the pool dead; it is
-  rebuilt and only the tasks *without* results are re-submitted;
-* **graceful degradation** — when a backend keeps failing (pool rebuild
-  budget spent, pool construction impossible), execution steps down a
-  ladder (process → thread → serial) instead of aborting, and the
-  shared-memory graph handoff falls back to per-task pickling on
-  attach/allocation failures (:class:`~repro.errors.ShmAttachError`).
+* a worker crash (``BrokenProcessPool`` or an in-band
+  :class:`~repro.errors.WorkerCrashError`), a task timeout or a
+  transient error (:class:`~repro.errors.TransientWorkerError` and
+  subclasses) spends one retry of each task it lost, after a seeded
+  exponential backoff; a crashed or hung pool is rebuilt and only the
+  tasks *without* results are re-submitted;
+* one dispatch rebuilds its pool at most ``max_retries`` times, then
+  steps down the ladder process → thread → serial (as it does when a
+  pool cannot be built at all), and the shared-memory graph handoff
+  falls back to per-task pickling on attach failures
+  (:class:`~repro.errors.ShmAttachError`);
+* with ``max_retries == 0`` nothing is retried, rebuilt or degraded:
+  the first failure propagates, a dead worker raises
+  :class:`~repro.errors.WorkerCrashError` and its pool is abandoned
+  (the next dispatch builds a fresh one).
 
-Every fault, retry, rebuild, fallback and degradation is counted on the
-context's :class:`~repro.parallel.runtime.PoolStats` and emitted as a
+``task_timeout`` detects a hung worker; ``phase_deadline`` bounds the
+whole dispatch call and is terminal.  An interrupt cancels the
+outstanding futures.  Every fault, retry, rebuild, fallback and
+degradation is counted on the context's
+:class:`~repro.parallel.runtime.PoolStats` and emitted as a
 ``fault.*`` tracer event span, so ``RunResult``/``repro profile``
 output tells the user exactly what the runtime survived.
 
@@ -57,7 +57,13 @@ from repro.errors import (
 
 __all__ = ["FaultPolicy", "drive", "policy_for", "run_policy"]
 
-_CRASH_MODES = ("rebuild", "degrade", "raise")
+# Backoff between retry rounds: ``_BACKOFF_BASE * _BACKOFF_FACTOR **
+# round`` seconds, capped at ``_BACKOFF_MAX``, times a symmetric
+# ``±_JITTER`` drawn from ``random.Random(call_index & 0xFFFF)``.
+_BACKOFF_BASE = 0.01
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 0.25
+_JITTER = 0.25
 
 
 @dataclass(frozen=True)
@@ -66,67 +72,36 @@ class FaultPolicy:
 
     ``task_timeout`` / ``phase_deadline`` are seconds (``None`` =
     unbounded); timeouts are enforced on pooled backends only — the
-    serial rung cannot preempt its own thread.  ``max_retries`` is the
-    per-task budget for transient failures; ``max_pool_rebuilds`` is
-    the per-dispatch budget of pool rebuilds before the backend is
-    considered unhealthy and the degradation ladder steps down
-    (process → thread → serial).  ``on_worker_crash`` picks the crash
-    response: ``"rebuild"`` (default) rebuilds the pool and re-runs
-    missing tasks, ``"degrade"`` steps down immediately, ``"raise"``
-    propagates :class:`~repro.errors.WorkerCrashError`.
+    serial rung cannot preempt its own thread.  ``max_retries`` is both
+    the per-task retry budget and the per-dispatch pool-rebuild budget
+    before the ladder steps down; 0 turns all recovery off (see the
+    module docstring).
     """
 
     task_timeout: Optional[float] = None
     phase_deadline: Optional[float] = None
     max_retries: int = 2
-    retry_timeouts: bool = True
-    backoff_base: float = 0.01
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.25
-    jitter: float = 0.25
-    max_pool_rebuilds: int = 2
-    degradation: bool = True
-    on_worker_crash: str = "rebuild"
-    transient_types: tuple = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.on_worker_crash not in _CRASH_MODES:
-            raise ValueError(
-                f"on_worker_crash must be one of {_CRASH_MODES}, "
-                f"got {self.on_worker_crash!r}"
-            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
         for t in (self.task_timeout, self.phase_deadline):
             if t is not None and t <= 0:
                 raise ValueError("timeouts must be positive (or None)")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     def is_transient(self, exc: BaseException) -> bool:
         """True if ``exc`` should be retried rather than propagated."""
-        return isinstance(exc, (TransientWorkerError,) + self.transient_types)
+        return isinstance(exc, TransientWorkerError)
 
     def backoff_seconds(self, retry_round: int, rng: random.Random) -> float:
         """Exponential backoff with symmetric seeded jitter."""
-        base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** retry_round,
-        )
-        return max(0.0, base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0)))
+        base = min(_BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_FACTOR ** retry_round)
+        return base * (1.0 + _JITTER * (2.0 * rng.random() - 1.0))
 
 
-# What a context without a policy runs under: the first failure
-# propagates.  Private, so "no policy" has exactly one meaning.
-_NO_POLICY = FaultPolicy(
-    max_retries=0,
-    max_pool_rebuilds=0,
-    degradation=False,
-    on_worker_crash="raise",
-)
+# What a context without a policy runs under, so "no policy" and "zero
+# retries" are one behaviour: the first failure propagates.
+_NO_POLICY = FaultPolicy(max_retries=0)
 
 # (ctx, fault_policy, chaos) of the run in progress on this thread: a
 # ContextVar, so concurrent runs on one shared context never see each
@@ -195,6 +170,7 @@ def drive(
     untracked.
     """
     policy, chaos = _resolve(ctx)
+    recover = policy.max_retries > 0  # else nothing retries/rebuilds/degrades
     stats = ctx.pool
     tracer = ctx.tracer
     rng = None  # backoff jitter source, seeded at its first use
@@ -224,7 +200,7 @@ def drive(
                 return r
             except Exception as exc:
                 event("fault.backend_unavailable", backend=ladder[r])
-                if policy.degradation and r + 1 < len(ladder):
+                if recover and r + 1 < len(ladder):
                     stats.degradations += 1
                     r += 1
                     continue
@@ -238,7 +214,7 @@ def drive(
     def degrade(reason: str) -> bool:
         """Step down the ladder; fresh retry budgets on the new rung."""
         nonlocal rung, rebuilds
-        if not policy.degradation or rung + 1 >= len(ladder):
+        if not recover or rung + 1 >= len(ladder):
             return False
         try:
             runner.abandon()
@@ -280,7 +256,7 @@ def drive(
     def note_retry(i: int, exc: BaseException, *, kind: str) -> None:
         """Book one transient failure; raises when the budget is spent."""
         if attempts[i] >= policy.max_retries:
-            if policy.max_retries == 0:
+            if not recover:
                 raise exc  # nothing was retried: the failure itself
             raise RetryExhausted(
                 f"task {i} still failing after {attempts[i] + 1} "
@@ -324,9 +300,7 @@ def drive(
                         # collect what was submitted, then rebuild below.
                         crashed = True
                         pool_suspect = True
-                        if isinstance(exc, BrokenExecutor) and (
-                            policy.on_worker_crash == "raise"
-                        ):
+                        if isinstance(exc, BrokenExecutor) and not recover:
                             stats.worker_crashes += 1
                             event("fault.crash", backend=ladder[rung])
                             raise WorkerCrashError(
@@ -358,9 +332,7 @@ def drive(
                             "fault.timeout", task=i, attempt=attempts[i],
                             timeout_s=policy.task_timeout,
                         )
-                        if not policy.retry_timeouts or (
-                            attempts[i] >= policy.max_retries
-                        ):
+                        if attempts[i] >= policy.max_retries:
                             raise TaskTimeout(
                                 f"task {i} exceeded its "
                                 f"{policy.task_timeout}s deadline on "
@@ -376,13 +348,11 @@ def drive(
                             crashed = True
                             stats.worker_crashes += 1
                             event("fault.crash", backend=ladder[rung])
-                        if policy.on_worker_crash == "raise":
+                        if not recover:
                             raise WorkerCrashError(
                                 f"worker crashed on backend "
                                 f"{ladder[rung]!r}: {exc!r}"
                             ) from exc
-                        if policy.on_worker_crash == "degrade":
-                            continue  # degrade at end of pass
                         note_retry(i, exc, kind="worker_crash")
                     except Exception as exc:
                         if not policy.is_transient(exc):
@@ -390,14 +360,6 @@ def drive(
                         if isinstance(exc, WorkerCrashError):
                             stats.worker_crashes += 1
                             event("fault.crash", backend=ladder[rung])
-                            if policy.on_worker_crash == "raise":
-                                raise
-                            if policy.on_worker_crash == "degrade":
-                                # Crash responses step down the ladder
-                                # without spending the retry budget.
-                                crashed = True
-                                pool_suspect = True
-                                continue
                         if isinstance(exc, ShmAttachError):
                             if runner.disable_shm():
                                 stats.shm_fallbacks += 1
@@ -408,14 +370,7 @@ def drive(
                         done[i] = True
 
                 if pool_suspect:
-                    if crashed and policy.on_worker_crash == "degrade":
-                        if not degrade("worker_crash"):
-                            raise WorkerCrashError(
-                                f"worker crashed on backend "
-                                f"{ladder[rung]!r} and no degradation "
-                                f"rung remains"
-                            )
-                    elif rebuilds >= policy.max_pool_rebuilds:
+                    if rebuilds >= policy.max_retries:
                         if not degrade("rebuild_budget"):
                             raise BackendUnavailable(
                                 f"backend {ladder[rung]!r} still broken "
@@ -438,9 +393,7 @@ def drive(
 
             if any(not d for d in done):
                 if rng is None:
-                    rng = random.Random(
-                        (int(policy.seed) << 16) ^ (call_index & 0xFFFF)
-                    )
+                    rng = random.Random(call_index & 0xFFFF)
                 delay = policy.backoff_seconds(retry_round, rng)
                 retry_round += 1
                 if delay > 0.0:

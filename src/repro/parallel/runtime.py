@@ -23,7 +23,8 @@ thread count.  It bundles
 Every :meth:`~ParallelContext.map` / :meth:`~ParallelContext.map_batches`
 call runs through one path, :func:`repro.parallel.resilience.drive`,
 whether or not a :class:`~repro.parallel.resilience.FaultPolicy` is
-set; without one the first failure propagates (see that module).
+set; without one, as with ``max_retries=0``, the first failure
+propagates (see that module).
 Dispatch charges nothing to the cost model: the calling kernel records
 its own decomposition's *modeled* phases, so Figure 2/3 style profiles
 are the same whatever backend ran the tasks.
@@ -50,11 +51,7 @@ from repro.obs.tracer import current_tracer
 from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
 from repro.parallel.costmodel import CostModel
-from repro.parallel.partitioner import (
-    balanced_chunks,
-    chunk_ranges,
-    imbalance_factor,
-)
+from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 from repro.parallel.resilience import FaultPolicy
 
 T = TypeVar("T")
@@ -125,8 +122,8 @@ class PoolStats:
     busy_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     # Fault-tolerance counters (repro.parallel.resilience).  Without a
-    # FaultPolicy only worker_crashes (counted, then raised) and
-    # shm_fallbacks (segment allocation failed) can move.
+    # FaultPolicy (or with max_retries=0) only worker_crashes (counted,
+    # then raised) and shm_fallbacks (segment allocation failed) move.
     retries: int = 0
     task_timeouts: int = 0
     worker_crashes: int = 0
@@ -367,22 +364,6 @@ class ParallelContext:
         """A parallel region (charged a worker wake-up in the model)."""
         self.cost.region()
         yield self
-
-    # ------------------------------------------------------------------
-    # Chunking
-    # ------------------------------------------------------------------
-    def chunks_for(
-        self, n_items: int, work: Optional[np.ndarray] = None
-    ) -> list[tuple[int, int]]:
-        """Contiguous chunk ranges for the current worker count.
-
-        With ``degree_aware`` and a ``work`` estimate array, boundaries
-        equalize *work* (paper's degree-aware assignment); otherwise
-        item counts.
-        """
-        if self.degree_aware and work is not None:
-            return balanced_chunks(work, self.n_workers)
-        return chunk_ranges(n_items, self.n_workers)
 
     def record_phase_from_work(self, work: Optional[np.ndarray]) -> None:
         """Record a phase whose items have per-item ``work`` costs

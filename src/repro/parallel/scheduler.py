@@ -26,11 +26,6 @@ class StealStats:
     steals: int
     total_work: float
 
-    @property
-    def efficiency(self) -> float:
-        """Fraction of ideal ``W/p`` time actually achieved (≤ 1)."""
-        return 0.0 if self.makespan == 0 else self.total_work / self.makespan
-
 
 def simulate_work_stealing(
     task_costs: np.ndarray,

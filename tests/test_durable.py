@@ -19,6 +19,7 @@ import hashlib
 import inspect
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -35,15 +36,12 @@ from repro.datasets.karate import karate_club
 from repro.durable import (
     ENVELOPE_MAGIC,
     RecordLog,
-    check_envelope,
     check_log,
-    load_state,
     pack_envelope,
     save_state,
-    unpack_envelope,
-    verify_envelope,
     write_json_atomic,
 )
+from repro.durable.atomic import LOG_FORMAT
 from repro.dynamic import (
     EdgeEvent,
     StreamEngine,
@@ -109,69 +107,87 @@ class TestAtomicWrites:
         write_json_atomic(path, {"v": 2})
         assert json.loads(path.read_text()) == {"v": 2}
 
-    def test_envelope_roundtrip(self):
-        payload = b"\x00\x01payload bytes\xff"
-        blob = pack_envelope("unit-test", payload)
-        assert blob.startswith(ENVELOPE_MAGIC)
-        kind, got = unpack_envelope(blob, kind="unit-test")
-        assert kind == "unit-test"
-        assert got == payload
+    # The envelope framing, as RecordLog.load / check_log read it: a
+    # header envelope holding the log's parameters, then one per record.
+    @staticmethod
+    def _framed(path, *records, kind="t"):
+        """Frame ``records`` by hand into a record log at ``path``; the
+        header envelope's bytes end at the returned offset."""
+        head = {"format": LOG_FORMAT, "params": {"n": 1}}
+        envs = [
+            pack_envelope(kind, pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL))
+            for r in (head, *records)
+        ]
+        path.write_bytes(b"".join(envs))
+        return len(envs[0])
 
-    def test_save_load_state_numpy_bit_identical(self, tmp_path):
+    @staticmethod
+    def _load(path, kind="t"):
+        return RecordLog(path, kind=kind, params={"n": 1}).load()
+
+    def test_envelope_roundtrip(self, tmp_path):
+        payload = b"\x00\x01payload bytes\xff"
         path = tmp_path / "s.ckpt"
-        arr = np.arange(257, dtype=np.int32).reshape(1, -1)
-        save_state(path, {"arr": arr, "n": 7}, kind="unit-test")
-        st = load_state(path, kind="unit-test")
-        assert st["n"] == 7
-        assert st["arr"].tobytes() == arr.tobytes()
-        assert st["arr"].dtype == arr.dtype
-        assert verify_envelope(path) == "unit-test"
-        assert check_envelope(path) == []
+        self._framed(path, payload, kind="unit-test")
+        blob = path.read_bytes()
+        assert blob.startswith(ENVELOPE_MAGIC)
+        assert self._load(path, kind="unit-test") == [payload]
+        # RecordLog writes exactly this framing.
+        RecordLog(path, kind="unit-test", params={"n": 1}).append(payload)
+        assert path.read_bytes() == blob
 
     def test_kind_mismatch_refused(self, tmp_path):
         path = tmp_path / "s.ckpt"
-        save_state(path, {"x": 1}, kind="alpha")
-        with pytest.raises(CorruptCheckpoint, match="kind mismatch"):
-            load_state(path, kind="beta")
+        self._framed(path, "a")
+        with path.open("ab") as f:
+            f.write(pack_envelope("alpha", pickle.dumps("b")))
+        with pytest.raises(CorruptCheckpoint, match="record 1 has kind 'alpha'"):
+            self._load(path)
+        assert "kind 'alpha'" in check_log(path)[0]
 
     @pytest.mark.parametrize("cut", [0, 4, 11, 30, -1])
     def test_truncation_detected(self, tmp_path, cut):
+        # Cut inside the header envelope: only a torn *record* is dropped.
         path = tmp_path / "s.ckpt"
-        save_state(path, {"x": list(range(100))}, kind="t")
+        head_end = self._framed(path, list(range(100)))
         blob = path.read_bytes()
-        path.write_bytes(blob[:cut])
+        path.write_bytes(blob[:cut if cut >= 0 else head_end + cut])
         with pytest.raises(CorruptCheckpoint, match="truncated|CRC"):
-            load_state(path, kind="t")
-        assert check_envelope(path) != []
+            self._load(path)
+        assert check_log(path) != []
 
     @pytest.mark.parametrize("where", ["magic", "header", "payload"])
     def test_bit_flip_detected(self, tmp_path, where):
         path = tmp_path / "s.ckpt"
-        save_state(path, {"x": list(range(100))}, kind="t")
+        self._framed(path, list(range(100)))
         blob = bytearray(path.read_bytes())
         offset = {"magic": 2, "header": 20, "payload": len(blob) - 5}[where]
         blob[offset] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptCheckpoint):
-            load_state(path, kind="t")
-        problems = check_envelope(path)
+            self._load(path)
+        problems = check_log(path)
         assert problems and str(path) in problems[0]
 
     def test_trailing_garbage_detected(self, tmp_path):
         path = tmp_path / "s.ckpt"
-        save_state(path, {"x": 1}, kind="t")
+        self._framed(path, 1)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(CorruptCheckpoint, match="trailing garbage"):
-            verify_envelope(path)
+        with pytest.raises(CorruptCheckpoint, match="bad magic"):
+            self._load(path)
+        assert "bad magic" in check_log(path)[0]
 
     def test_non_envelope_file_refused(self, tmp_path):
         path = tmp_path / "s.ckpt"
         path.write_bytes(b"this is not an envelope at all, not even close")
         with pytest.raises(CorruptCheckpoint, match="bad magic"):
-            verify_envelope(path)
+            self._load(path)
+        assert "bad magic" in check_log(path)[0]
 
     def test_check_envelope_missing_file(self, tmp_path):
-        assert check_envelope(tmp_path / "absent.ckpt") != []
+        assert check_log(tmp_path / "absent.ckpt") == [
+            f"{tmp_path / 'absent.ckpt'}: missing"
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.community import modularity, pma, spectral_modularity
 from repro.datasets import karate_club
-from repro.dynamic import EdgeEvent, IncrementalComponents, StreamEngine
+from repro.dynamic import EdgeEvent, StreamEngine
 from repro.errors import ClusteringError, GraphStructureError
 from repro.generators import planted_partition
 from repro.graph import from_edge_list
@@ -76,77 +76,75 @@ class TestSpectralModularity:
 
 
 class TestIncrementalComponents:
+    """The stream engine's ``components`` analytic: union–find labels
+    under insertions, reset from the batch kernel after a delete."""
+
+    @staticmethod
+    def _engine(n):
+        return StreamEngine(n, analytics=("components",))
+
     def test_insert_merges(self):
-        ic = IncrementalComponents(5)
-        assert ic.n_components == 5
-        ic.add_edge(0, 1)
-        ic.add_edge(1, 2)
-        assert ic.n_components == 3
-        assert ic.connected(0, 2)
-        assert not ic.connected(0, 3)
-        assert ic.component_size(2) == 3
+        eng = self._engine(5)
+        assert _feed(eng, [("add", 0, 1)]).n_components == 4
+        res = _feed(eng, [("add", 1, 2)])
+        lab = res.labels
+        assert res.n_components == 3
+        assert lab[0] == lab[2]
+        assert lab[0] != lab[3]
+        assert int(np.count_nonzero(lab == lab[2])) == 3
 
     def test_duplicate_insert(self):
-        ic = IncrementalComponents(3)
-        assert ic.add_edge(0, 1)
-        assert not ic.add_edge(1, 0)
-        assert ic.n_edges == 1
+        res = _feed(self._engine(3), [("add", 0, 1), ("add", 1, 0)])
+        assert res.n_applied == 1
+        assert res.n_edges == 1
 
     def test_delete_rebuilds(self):
-        ic = IncrementalComponents(4)
-        ic.add_edge(0, 1)
-        ic.add_edge(1, 2)
-        ic.add_edge(2, 3)
-        assert ic.n_components == 1
-        assert ic.delete_edge(1, 2)
-        assert not ic.connected(0, 3)
-        assert ic.n_components == 2
+        eng = self._engine(4)
+        res = _feed(eng, [("add", 0, 1), ("add", 1, 2), ("add", 2, 3)])
+        assert res.n_components == 1
+        res = _feed(eng, [("delete", 1, 2)])
+        assert res.n_applied == 1
+        assert res.labels[0] != res.labels[3]
+        assert res.n_components == 2
 
     def test_delete_redundant_edge_keeps_connectivity(self):
-        ic = IncrementalComponents(3)
-        for e in [(0, 1), (1, 2), (0, 2)]:
-            ic.add_edge(*e)
-        ic.delete_edge(0, 1)
-        assert ic.connected(0, 1)  # still via 2
+        eng = self._engine(3)
+        _feed(eng, [("add", 0, 1), ("add", 1, 2), ("add", 0, 2)])
+        res = _feed(eng, [("delete", 0, 1)])
+        assert res.labels[0] == res.labels[1]  # still via 2
 
     def test_delete_missing(self):
-        ic = IncrementalComponents(3)
-        assert not ic.delete_edge(0, 1)
+        assert _feed(self._engine(3), [("delete", 0, 1)]).n_applied == 0
 
     def test_self_loop_rejected(self):
+        eng = self._engine(3)
+        res = _feed(eng, [("add", 1, 1)])  # a loop carries no structure
+        assert (res.n_applied, res.n_edges, res.n_components) == (0, 0, 3)
         with pytest.raises(GraphStructureError):
-            IncrementalComponents(3).add_edge(1, 1)
+            eng.apply_batch([EdgeEvent("add", 1, 3)])
 
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["add", "del"]),
+                st.sampled_from(["add", "delete"]),
                 st.integers(0, 9),
                 st.integers(0, 9),
             ),
+            min_size=1,
             max_size=60,
         )
     )
     @settings(max_examples=50, deadline=None)
     def test_matches_static_recompute(self, ops):
-        ic = IncrementalComponents(10)
+        eng = self._engine(10)
+        res = _feed(eng, *(ops[i:i + 8] for i in range(0, len(ops), 8)))
         edges: set[tuple[int, int]] = set()
         for kind, u, v in ops:
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if kind == "add":
-                ic.add_edge(u, v)
-                edges.add(key)
-            else:
-                ic.delete_edge(u, v)
-                edges.discard(key)
+            if u != v:
+                key = (min(u, v), max(u, v))
+                (edges.add if kind == "add" else edges.discard)(key)
         g = from_edge_list(sorted(edges), n_vertices=10)
-        ref = connected_components(g)
-        mine = ic.labels()
-        for a in range(10):
-            for b in range(a + 1, 10):
-                assert (mine[a] == mine[b]) == (ref[a] == ref[b])
+        assert np.array_equal(res.labels, connected_components(g))
 
 
 def _feed(engine, *batches):

@@ -116,17 +116,6 @@ class TestSpectralEdges:
 
 
 class TestContextEdges:
-    def test_chunks_for_degree_aware(self):
-        ctx = ParallelContext(4, degree_aware=True)
-        work = np.asarray([100.0, 1, 1, 1, 1, 1, 1, 1])
-        chunks = ctx.chunks_for(8, work)
-        assert chunks[0] == (0, 1)  # the heavy item gets its own chunk
-
-    def test_chunks_for_oblivious(self):
-        ctx = ParallelContext(4, degree_aware=False)
-        chunks = ctx.chunks_for(8, np.ones(8))
-        assert chunks == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
     def test_region_records_spawn(self):
         ctx = ParallelContext(8)
         with ctx.region():

@@ -11,12 +11,11 @@ from repro.parallel import (
     CostModel,
     MachineModel,
     ParallelContext,
-    balanced_chunks,
     chunk_ranges,
     imbalance_factor,
     simulate_work_stealing,
 )
-from repro.parallel.partitioner import chunk_work, split_heavy_items
+from repro.parallel.partitioner import chunk_work
 
 
 def _lanes(graph, batch, payload) -> int:
@@ -160,35 +159,17 @@ class TestPartitioner:
         for (a, b), (c, d) in zip(chunks, chunks[1:]):
             assert b == c and a <= b and c <= d
 
-    def test_balanced_chunks_skewed(self):
+    def test_imbalance_factor_skewed(self):
         work = np.asarray([100, 1, 1, 1, 1, 1, 1, 1], dtype=float)
-        naive = chunk_ranges(8, 4)
-        smart = balanced_chunks(work, 4)
-        assert imbalance_factor(work, smart) <= imbalance_factor(work, naive)
-
-    @given(
-        st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=60),
-        st.integers(1, 8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_balanced_chunks_partition_property(self, work, p):
-        work = np.asarray(work)
-        chunks = balanced_chunks(work, p)
-        assert len(chunks) == p
-        assert chunks[0][0] == 0 and chunks[-1][1] == work.shape[0]
-        assert chunk_work(work, chunks).sum() == pytest.approx(work.sum())
-
-    def test_split_heavy_items(self):
-        work = np.asarray([1, 50, 2, 80, 3], dtype=float)
-        light, heavy = split_heavy_items(work, 10)
-        assert light.tolist() == [0, 2, 4]
-        assert heavy.tolist() == [1, 3]
+        # the oblivious chunk (0, 2) holds 101 of 107 units of work
+        assert imbalance_factor(work, chunk_ranges(8, 4)) == pytest.approx(
+            101 / (107 / 4)
+        )
+        assert imbalance_factor(np.ones(8), chunk_ranges(8, 4)) == 1.0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             chunk_ranges(5, 0)
-        with pytest.raises(ValueError):
-            balanced_chunks(np.asarray([-1.0]), 2)
 
 
 class TestWorkStealing:

@@ -1,15 +1,15 @@
 """Streaming ingestion: dynamic structures, events, crawlers, engine.
 
-Property tests (hypothesis) pin the two incremental structures against
-from-scratch recomputation on arbitrary churn sequences:
+Property tests (hypothesis) pin the engine's two incremental analytics
+against from-scratch recomputation on arbitrary churn sequences split
+into random batches:
 
-* :class:`IncrementalComponents` — labels after any add/delete/re-insert
-  sequence equal a scratch union-find over the surviving edge set, and
-  ``labels()`` is the canonical min-vertex-id form the batch
-  ``connected_components`` kernel produces.
-* the engine's ``stats`` analytic — triangle/wedge/clustering counts
-  and degrees equal a scratch recount after every batch of any
-  operation sequence split into random batches.
+* the ``components`` analytic — labels after any add/delete/re-insert
+  batch equal a scratch union-find over the surviving edge set, in the
+  canonical min-vertex-id form the batch ``connected_components``
+  kernel produces.
+* the ``stats`` analytic — triangle/wedge/clustering counts and
+  degrees equal a scratch recount after every batch.
 
 The engine tests cover the per-batch replay surface: crawl determinism
 and coverage per policy, ``.events`` IO round-trips, prefix correctness,
@@ -30,7 +30,6 @@ from repro.dynamic import (
     ANALYTICS,
     CRAWL_POLICIES,
     EdgeEvent,
-    IncrementalComponents,
     StreamEngine,
     canonical_final_edges,
     crawl_events,
@@ -41,6 +40,7 @@ from repro.dynamic import (
 )
 from repro.errors import GraphStructureError
 from repro.graph.builder import from_edge_array
+from repro.kernels.bfs import st_connectivity
 from repro.kernels.connected import connected_components
 
 
@@ -80,59 +80,65 @@ def _scratch_components(n, live_edges):
     return np.asarray(roots, dtype=np.int64)
 
 
-def _apply_ops(n, sequence):
-    """Run one op sequence through IncrementalComponents + a live-set."""
-    cc = IncrementalComponents(n)
+def _batches(sequence, cuts):
+    """``sequence`` split into consecutive batches of the ``cuts`` sizes
+    (cycled), as timestamped events."""
+    out, i, t = [], 0, 0
+    while i < len(sequence):
+        size = cuts[t % len(cuts)]
+        out.append([EdgeEvent(kind, u, v, t=t)
+                    for kind, u, v in sequence[i:i + size]])
+        i, t = i + size, t + 1
+    return out
+
+
+def _apply_ops(n, sequence, cuts):
+    """Run one op sequence, split into batches of the ``cuts`` sizes,
+    through the engine's ``components`` analytic; yields each batch's
+    result with the live edge set after it."""
+    eng = StreamEngine(n, analytics=("components",))
     live = set()
-    for kind, u, v in sequence:
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if kind == "add":
-            changed = cc.add_edge(u, v)
-            assert changed == (key not in live)
-            live.add(key)
-        else:
-            changed = cc.delete_edge(u, v)
-            assert changed == (key in live)
-            live.discard(key)
-    return cc, live
+    for batch in _batches(sequence, cuts):
+        res = eng.apply_batch(batch)
+        for ev in batch:
+            if ev.u != ev.v:
+                (live.add if ev.kind == "add" else live.discard)(ev.key)
+        yield eng, res, live
 
 
 class TestIncrementalComponentsProperties:
-    @given(ops)
+    @given(ops, st.lists(st.integers(1, 8), min_size=1, max_size=6))
     @settings(max_examples=120, deadline=None)
-    def test_churn_equals_scratch_union_find(self, sequence):
-        cc, live = _apply_ops(N, sequence)
-        ref = _scratch_components(N, sorted(live))
-        got = cc.labels()
-        assert np.array_equal(got, ref)
-        assert cc.n_components == len(np.unique(ref))
-        assert cc.n_edges == len(live)
+    def test_churn_equals_scratch_union_find(self, sequence, cuts):
+        for _, res, live in _apply_ops(N, sequence, cuts):
+            ref = _scratch_components(N, sorted(live))
+            assert np.array_equal(res.labels, ref)
+            assert res.n_components == len(np.unique(ref))
+            assert res.n_edges == len(live)
 
-    @given(ops)
+    @given(ops, st.lists(st.integers(1, 8), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
-    def test_labels_canonical_and_stable(self, sequence):
-        # labels() is min-vertex-id per component, so two calls with no
-        # mutation in between are bit-identical, and each label is the
-        # smallest member of its component.
-        cc, _ = _apply_ops(N, sequence)
-        a = cc.labels()
-        b = cc.labels()
-        assert np.array_equal(a, b)
-        for lbl in np.unique(a):
-            members = np.nonzero(a == lbl)[0]
-            assert lbl == members.min()
+    def test_labels_canonical_and_stable(self, sequence, cuts):
+        # Labels are min-vertex-id per component, so a batch that
+        # applies nothing leaves them bit-identical, and each label is
+        # the smallest member of its component.
+        for eng, res, _ in _apply_ops(N, sequence, cuts):
+            for lbl in np.unique(res.labels):
+                members = np.nonzero(res.labels == lbl)[0]
+                assert lbl == members.min()
+            again = eng.apply_batch([EdgeEvent("add", 0, 0, t=res.t)])
+            assert again.n_applied == 0
+            assert np.array_equal(again.labels, res.labels)
 
-    @given(ops)
+    @given(ops, st.lists(st.integers(1, 8), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
-    def test_connectivity_queries_match_labels(self, sequence):
-        cc, _ = _apply_ops(N, sequence)
-        lab = cc.labels()
-        for u, v in [(0, 1), (2, 9), (N - 1, N - 2)]:
-            assert cc.connected(u, v) == (lab[u] == lab[v])
-        for v in (0, N // 2):
-            assert cc.component_size(v) == int((lab == lab[v]).sum())
+    def test_connectivity_queries_match_labels(self, sequence, cuts):
+        for eng, res, _ in _apply_ops(N, sequence, cuts):
+            snap = eng.snapshot()
+            lab = res.labels
+            for u, v in [(0, 1), (2, 9), (N - 1, N - 2)]:
+                assert st_connectivity(snap, u, v) == (lab[u] == lab[v])
+            assert np.array_equal(lab, connected_components(snap))
 
 
 def _scratch_stats(n, live_edges):
@@ -147,18 +153,6 @@ def _scratch_stats(n, live_edges):
     deg = [len(a) for a in adj]
     wedges = sum(d * (d - 1) // 2 for d in deg)
     return tri, wedges, deg
-
-
-def _batches(sequence, cuts):
-    """``sequence`` split into consecutive batches of the ``cuts`` sizes
-    (cycled), as timestamped events."""
-    out, i, t = [], 0, 0
-    while i < len(sequence):
-        size = cuts[t % len(cuts)]
-        out.append([EdgeEvent(kind, u, v, t=t)
-                    for kind, u, v in sequence[i:i + size]])
-        i, t = i + size, t + 1
-    return out
 
 
 class TestStreamingStatsProperties:

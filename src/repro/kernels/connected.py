@@ -3,10 +3,11 @@
 Two engines:
 
 * ``method="sv"`` (default): a vectorized Shiloach–Vishkin-style
-  hook-and-compress loop.  Each round hooks every cross-component arc's
-  larger root onto the smaller root (a scatter-min), then pointer-jumps
-  to full compression.  O(log n) rounds of O(m) vectorized work — the
-  parallel-friendly scheme SNAP uses.
+  hook-and-compress loop.  Each round folds every row's smallest
+  neighbour label, hooks the root of each row that found a smaller one
+  onto it (a scatter-min), then pointer-jumps to full compression.
+  O(log n) rounds of O(m) vectorized work — the parallel-friendly
+  scheme SNAP uses.
 * ``method="bfs"``: repeated level-synchronous BFS, the simple
   comparison baseline.
 
@@ -25,6 +26,7 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, unwrap
 from repro.kernels.bfs import default_batch_size, msbfs
+from repro.kernels.segments import reduce_over_rows
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -55,28 +57,35 @@ def _sv_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
     label = np.arange(n, dtype=np.int64)
     if graph.n_arcs == 0:
         return label
-    src = graph.arc_sources()
-    dst = graph.targets
+    offsets, targets = graph.offsets, graph.targets
     if edge_active is not None:
-        keep = edge_active[graph.arc_edge_ids]
-        src, dst = src[keep], dst[keep]
+        # The live arcs as their own CSR: row r keeps its live arcs.
+        live = np.flatnonzero(edge_active[graph.arc_edge_ids])
+        offsets = np.searchsorted(live, offsets)
+        targets = targets.take(live)
     if graph.directed:
-        # Weak connectivity: treat arcs as symmetric.
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    m2 = src.shape[0]
+        # Weak connectivity: symmetrise the arcs once.
+        src = np.arange(n, dtype=np.int64).repeat(np.diff(offsets))
+        src, dst = np.concatenate([src, targets]), np.concatenate([targets, src])
+        targets = dst[np.argsort(src, kind="stable")]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    deg = np.diff(offsets)
+    m2 = targets.shape[0]
     with ctx.region():
         while True:
-            ls, ld = label[src], label[dst]
-            cross = ls != ld
+            cross = np.count_nonzero(label.take(targets) != label.repeat(deg))
             # Hooking pass over all arcs; the scatter-min CAS per cross
             # arc is data-parallel, so it is charged as phase work (two
             # ops each), not as contended synchronization events.
-            ctx.phase(float(m2 + 2 * int(cross.sum())), 1.0)
-            if not np.any(cross):
+            ctx.phase(float(m2 + 2 * cross), 1.0)
+            if not cross:
                 break
-            hi = np.maximum(ls[cross], ld[cross])
-            lo = np.minimum(ls[cross], ld[cross])
-            label = _hook_round(label, hi, lo, ctx)
+            # The sharded kernel's round: every row's smallest neighbour
+            # label; each row that found a smaller one hooks its root.
+            low = reduce_over_rows(np.minimum, label, offsets, targets, label.copy())
+            rows = (low < label).nonzero()[0]
+            label = _hook_round(label, label.take(rows), low.take(rows), ctx)
     return label
 
 
@@ -92,8 +101,8 @@ def _hook_round(
 
     ``label`` must be fully compressed (every label a root), so the
     hooks join whole trees and ``label[label]`` jumps each vertex to its
-    representative's label.  The sharded coordinator calls it with each
-    round's per-row minima, the in-core kernel with its cross arcs;
+    representative's label.  The in-core kernel and the sharded
+    coordinator both call it with each round's per-row minima;
     ``ctx`` charges each jump as one phase.  Returns the new labels.
     """
     np.minimum.at(label, roots, lows)

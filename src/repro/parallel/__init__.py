@@ -27,19 +27,18 @@ from repro.parallel.chaos import ChaosMonkey, ChaosPlan, Fault
 from repro.parallel.costmodel import CostModel, MachineModel
 from repro.parallel.resilience import FaultPolicy
 from repro.parallel.runtime import ParallelContext
-from repro.parallel.shm import (
-    GraphSpec,
-    SharedGraph,
-    attach_graph,
-    live_segment_names,
-    share_graph,
-)
 from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 
-# the work-stealing model loads on first use (kernels.mst's lazy-sync model)
-__getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
-    "simulate_work_stealing",
-), "repro.parallel.scheduler"))
+# the work-stealing model (kernels.mst's lazy-sync model) and the
+# shared-memory handoff (the process backend's) load on first use
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "simulate_work_stealing": "repro.parallel.scheduler",
+    **dict.fromkeys((
+        "GraphSpec", "SharedGraph", "attach_graph", "live_segment_names",
+        "share_graph",
+    ), "repro.parallel.shm"),
+    "shm": "repro.parallel.shm",
+})
 
 __all__ = [
     "ChaosMonkey",

@@ -38,11 +38,10 @@ from __future__ import annotations
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import resource_tracker
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,6 +52,9 @@ from repro.parallel import resilience as _resilience
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 from repro.parallel.resilience import FaultPolicy
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -382,9 +384,15 @@ class ParallelContext:
 
     def _ensure_process_pool(self) -> ProcessPoolExecutor:
         if self._process_pool is None:
-            # Workers fork from this process: give them its resource
-            # tracker, so a dead worker's private tracker never unlinks a
-            # shared graph (bpo-38119), and none of its freed heap.
+            # The process stack loads at the first pool, and shm before
+            # the fork so workers inherit it.  Workers get this process's
+            # resource tracker, so a dead worker's private tracker never
+            # unlinks a shared graph (bpo-38119), and none of its freed heap.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import resource_tracker
+
+            from repro.parallel import shm  # noqa: F401
+
             resource_tracker.ensure_running()
             _memory.release()
             self._process_pool = ProcessPoolExecutor(max_workers=self.n_workers)

@@ -24,9 +24,18 @@ Layers:
 * :mod:`repro.serve.client`    — stdlib http.client, kept-alive client.
 """
 
-from repro.serve.coalescer import Coalescer, ServeRequest
-from repro.serve.registry import GraphRegistry, ResidentGraph
-from repro.serve.server import ReproServer, ServeConfig
+from repro import _lazy
+
+# An in-process Session imports the coalescer and registry through this
+# package; the HTTP daemon (server.py) loads only when something reads it.
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "Coalescer": "repro.serve.coalescer",
+    "ServeRequest": "repro.serve.coalescer",
+    "GraphRegistry": "repro.serve.registry",
+    "ResidentGraph": "repro.serve.registry",
+    "ReproServer": "repro.serve.server",
+    "ServeConfig": "repro.serve.server",
+})
 
 __all__ = [
     "Coalescer",

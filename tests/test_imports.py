@@ -96,6 +96,99 @@ def test_import_qa_loads_no_section_3_container():
     assert got == []
 
 
+#: The process backend's stack: the shared-memory handoff, the process
+#: pool and OpenSSL (``shared_memory`` -> ``secrets`` -> ``hashlib``).
+PROCESS_STACK = (
+    "multiprocessing.shared_memory",
+    "concurrent.futures.process",
+    "repro.parallel.shm",
+    "_hashlib",
+)
+
+#: The HTTP daemon and what its stdlib server and client pull in.
+HTTP_STACK = ("repro.serve.server", "http.server", "ssl", "email")
+
+
+@pytest.fixture(scope="module")
+def shard_set_dir(tmp_path_factory):
+    from repro.datasets.karate import karate_club
+    from repro.sharded import build_shard_set
+
+    out = tmp_path_factory.mktemp("imports") / "karate.shards"
+    build_shard_set(karate_club(), out, k=2)
+    return out
+
+
+def test_serial_map_loads_no_process_stack():
+    got = fresh(
+        f"{loaded(PROCESS_STACK)}"
+        "from repro.parallel import ParallelContext\n"
+        "out = ParallelContext().map(abs, [-1, 2])\n"
+        "print(json.dumps([out, loaded()]))"
+    )
+    assert got == [[1, 2], []]
+
+
+def test_serial_sharded_msbfs_loads_no_process_stack(shard_set_dir):
+    got = fresh(
+        f"{loaded(PROCESS_STACK)}"
+        "import repro.sharded\n"
+        f"ss = repro.sharded.open_shard_set({str(shard_set_dir)!r})\n"
+        "repro.sharded.sharded_msbfs(ss, [0, 5])\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert got == []
+
+
+def test_cli_analyze_loads_no_process_stack(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n2 0\n2 3\n")
+    got = fresh(
+        f"{loaded(PROCESS_STACK)}"
+        "from repro.cli import main\n"
+        f"code = main(['analyze', {str(path)!r}])\n"
+        "print()\n"
+        "print(json.dumps([code, loaded()]))"
+    )
+    assert got == [0, []]
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_session_loads_no_http_daemon(backend):
+    got = fresh(
+        f"{loaded(HTTP_STACK)}"
+        "from repro.api import Session\n"
+        "from repro.cli_options import ExecutionOptions\n"
+        "from repro.datasets.karate import karate_club\n"
+        f"opts = ExecutionOptions(backend={backend!r}, workers=2)\n"
+        "with Session(options=opts) as s:\n"
+        "    s.add('g', karate_club())\n"
+        "    out = s.run('closeness', 'g', sources=[0, 5]).value\n"
+        "print(json.dumps([out.tolist(), loaded()]))"
+    )
+    from repro.centrality import closeness_centrality
+    from repro.datasets.karate import karate_club
+
+    expect = closeness_centrality(karate_club(), sources=[0, 5])
+    assert got == [expect.tolist(), []]
+
+
+def test_process_workers_inherit_the_shm_module():
+    """shm loads at the first pool, before the fork, so a worker's first
+    task finds it already imported instead of importing it per worker."""
+    got = fresh(
+        "import json, sys\n"
+        "from repro.parallel import ParallelContext\n"
+        "def seen(_):\n"
+        "    return 'repro.parallel.shm' in sys.modules\n"
+        "with ParallelContext(2, backend='process') as ctx:\n"
+        "    before = 'repro.parallel.shm' in sys.modules\n"
+        "    out = ctx.map(seen, [0, 1])\n"
+        "print(json.dumps([before, out]))"
+    )
+    assert got == [False, [True, True]]
+
+
 def test_daemon_first_load_loads_nothing_off_its_path(tmp_path):
     from repro.centrality import closeness_centrality
     from repro.graph import from_edge_list

@@ -1659,6 +1659,37 @@ class TestProcessBackendStart:
         # the two workers, forked once, each while one thread ran
         assert json.loads(proc.stdout.splitlines()[-1]) == [1, 1]
 
+    def test_unclosed_default_process_session_unlinks_at_exit(self, tmp_path):
+        """A process whose default Session runs the process backend and
+        exits without closing it leaves no segment in ``/dev/shm``.  shm
+        registers its exit sweep at the first pool, after the default
+        session's close, so the sweep runs first and the close after."""
+        g = generators.rmat(10, 8, rng=np.random.default_rng(5)).as_undirected()
+        path = tmp_path / "g.npz"
+        graph_io.save_npz(g, path)
+        before = _shm_names()
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(f"""
+                import json
+                from repro import api
+                from repro.cli_options import ExecutionOptions
+                from repro.parallel import live_segment_names
+
+                api._DEFAULT = api.Session(
+                    options=ExecutionOptions(backend="process", workers=2))
+                h = api.load({str(path)!r})
+                api.run("closeness", h, sources=[0, 3])
+                print(json.dumps(list(live_segment_names())))
+            """)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
+        names = json.loads(proc.stdout.splitlines()[-1])
+        assert len(names) == 1
+        assert _shm_names() - before == set()
+
     def test_alias_ingest_leaves_the_held_batch_its_segment(self):
         """One Graph admitted under two names packs one segment.  An
         ingest into one name while the other name's batch is held leaves

@@ -8,28 +8,23 @@
   Bader–Kintali–Madduri–Mihail [7] that pBD builds on.
 """
 
-from repro.centrality.degree import degree_centrality
-from repro.centrality.closeness import closeness_centrality
-from repro.centrality.betweenness import (
-    BrandesResult,
-    betweenness_centrality,
-    edge_betweenness_centrality,
-    brandes,
-)
-from repro.centrality.approximate import (
-    approximate_vertex_betweenness,
-    sampled_betweenness,
-    AdaptiveSampleResult,
-)
+from repro import _lazy
 
-__all__ = [
-    "degree_centrality",
-    "closeness_centrality",
-    "BrandesResult",
-    "betweenness_centrality",
-    "edge_betweenness_centrality",
-    "brandes",
-    "approximate_vertex_betweenness",
-    "sampled_betweenness",
-    "AdaptiveSampleResult",
-]
+#: Each export -> the module that defines it, in the order a registry
+#: miss imports them.  A module loads when one of its names is first read.
+_HOMES = {
+    "degree_centrality": "repro.centrality.degree",
+    "closeness_centrality": "repro.centrality.closeness",
+    **dict.fromkeys((
+        "BrandesResult", "betweenness_centrality",
+        "edge_betweenness_centrality", "brandes",
+    ), "repro.centrality.betweenness"),
+    **dict.fromkeys((
+        "approximate_vertex_betweenness", "sampled_betweenness",
+        "AdaptiveSampleResult",
+    ), "repro.centrality.approximate"),
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = _lazy.exports(globals(), _HOMES)

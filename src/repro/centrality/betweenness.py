@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, expand_batch, unwrap, vertex_ids
 from repro.kernels.bfs import default_batch_size, source_batches
+from repro.kernels.segments import distinct
 from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
 from repro.parallel.runtime import ParallelContext, ensure_context, phase_of_work
@@ -160,7 +161,7 @@ def _claimed_frontier(
     """
     if cand.shape[0] * 8 >= kn:
         return np.flatnonzero(dist_flat == new_level)
-    return np.unique(cand)
+    return distinct(cand)
 
 
 def _brandes_batch(

@@ -588,6 +588,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         sharded_msbfs,
         sharded_pla,
     )
+    from repro.kernels.segments import distinct
 
     if args.action == "build":
         g = _load(args.graph, directed=False)
@@ -700,7 +701,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             info = {"sum": float(cc.sum()), "max": float(cc.max())}
         elif algo == "components":
             labels = sharded_connected_components(ss, driver=driver)
-            info = {"n_components": int(np.unique(labels).shape[0])}
+            info = {"n_components": int(distinct(labels).shape[0])}
         elif algo == "pla":
             res = sharded_pla(ss, driver=driver)
             info = {"modularity": res.modularity,

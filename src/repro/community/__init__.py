@@ -17,36 +17,30 @@ direction, spectral modularity maximization
 (:func:`~repro.community.spectral_mod.spectral_modularity`).
 """
 
-from repro.community.modularity import (
-    modularity,
-    ModularityTracker,
-    labels_to_communities,
-)
-from repro.community.dendrogram import Dendrogram, DivisiveTrace
-from repro.community.result import ClusteringResult
-from repro.community.cnm import cnm
-from repro.community.pma import pma
-from repro.community.gn import girvan_newman
-from repro.community.pbd import pbd
-from repro.community.pla import pla
-from repro.community.best_known import BEST_KNOWN_MODULARITY, PAPER_TABLE2
-from repro.community.resweep import local_resweep
-from repro.community.spectral_mod import spectral_modularity
+from repro import _lazy
 
-__all__ = [
-    "modularity",
-    "ModularityTracker",
-    "labels_to_communities",
-    "Dendrogram",
-    "DivisiveTrace",
-    "ClusteringResult",
-    "cnm",
-    "pma",
-    "girvan_newman",
-    "pbd",
-    "pla",
-    "local_resweep",
-    "BEST_KNOWN_MODULARITY",
-    "PAPER_TABLE2",
-    "spectral_modularity",
-]
+#: Each export -> the module that defines it, in the order a registry
+#: miss imports them.  A module loads when one of its names is first read.
+_HOMES = {
+    **dict.fromkeys((
+        "modularity", "ModularityTracker", "labels_to_communities",
+    ), "repro.community.modularity"),
+    **dict.fromkeys((
+        "Dendrogram", "DivisiveTrace",
+    ), "repro.community.dendrogram"),
+    "ClusteringResult": "repro.community.result",
+    "cnm": "repro.community.cnm",
+    "pma": "repro.community.pma",
+    "girvan_newman": "repro.community.gn",
+    "pbd": "repro.community.pbd",
+    "pla": "repro.community.pla",
+    **dict.fromkeys((
+        "BEST_KNOWN_MODULARITY", "PAPER_TABLE2",
+    ), "repro.community.best_known"),
+    "local_resweep": "repro.community.resweep",
+    "spectral_modularity": "repro.community.spectral_mod",
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = _lazy.exports(globals(), _HOMES)

@@ -40,6 +40,7 @@ from repro.errors import ClusteringError, GraphStructureError
 from repro.graph.csr import EdgeSubsetView, Graph
 from repro.kernels.bfs import bfs
 from repro.kernels.connected import connected_components
+from repro.kernels.segments import distinct
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 # score_fn(view, component_vertices, ctx) -> per-edge scores for the
@@ -82,7 +83,7 @@ def divisive_clustering(
 
     # Initial scoring, one component at a time (concurrently in SNAP).
     comp_list = [
-        np.nonzero(labels0 == c)[0] for c in np.unique(labels0)
+        np.nonzero(labels0 == c)[0] for c in distinct(labels0)
     ]
     for members in comp_list:
         if members.shape[0] < 2:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.graph.csr import Graph
+from repro.kernels.segments import distinct
 
 
 def modularity(graph: Graph, labels: np.ndarray) -> float:
@@ -137,7 +138,7 @@ class ModularityTracker:
         # Per-cluster sums, stored sparsely.
         self._intra: dict[int, float] = {}
         self._strength: dict[int, float] = {}
-        for c in np.unique(labels):
+        for c in distinct(labels):
             self._intra[int(c)] = 0.0
             self._strength[int(c)] = 0.0
         if graph.n_edges:

@@ -54,6 +54,7 @@ from repro.graph.csr import Graph
 from repro.kernels.biconnected import biconnected_components
 from repro.kernels.connected import connected_components
 from repro.kernels.segments import (
+    distinct,
     group_offsets,
     grouped_label_weights,
     segment_argmax,
@@ -127,7 +128,7 @@ def pla(
         for e in bic.bridges:
             view.deactivate(int(e))
     comp = connected_components(view, ctx=ctx)
-    n_bridge_components = int(np.unique(comp).shape[0])
+    n_bridge_components = int(distinct(comp).shape[0])
 
     degree_strength = np.zeros(n, dtype=np.float64)
     u_arr, v_arr = graph.edge_endpoints()
@@ -533,7 +534,7 @@ def _coarsen(
                 g, labels_g, W, max_passes, ctx, level=level + len(level_maps)
             )
             n_sweeps += swept
-            n_clusters = int(np.unique(labels_g).shape[0])
+            n_clusters = int(distinct(labels_g).shape[0])
             if n_clusters == g.n_vertices:
                 break  # no merge at this level: hierarchy converged
             with (

@@ -8,6 +8,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.community.modularity import labels_to_communities
+from repro.kernels.segments import distinct
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ClusteringResult:
 
     @property
     def n_clusters(self) -> int:
-        return int(np.unique(self.labels).shape[0])
+        return int(distinct(self.labels).shape[0])
 
     def communities(self) -> list[np.ndarray]:
         """Vertex-id arrays, one per cluster."""

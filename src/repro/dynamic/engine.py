@@ -60,7 +60,9 @@ from repro.durable import RecordLog
 from repro.errors import GraphStructureError
 from repro.graph import builder
 from repro.graph.csr import Graph
-from repro.kernels.segments import _probe_segments, _segment_keys, chunk_bounds
+from repro.kernels.segments import (
+    _probe_segments, _segment_keys, chunk_bounds, distinct,
+)
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -354,7 +356,7 @@ class StreamEngine:
             self._cc.assign_labels(
                 connected_components(self.snapshot(), ctx=self.ctx)
             )
-        return np.unique(ends[applied]), n_applied
+        return distinct(ends[applied]), n_applied
 
     def _tri_delta(
         self, old: Graph, new: Graph, gone: np.ndarray, add: np.ndarray
@@ -437,7 +439,7 @@ class StreamEngine:
         from repro.centrality.closeness import closeness_centrality
 
         cc_labels = self._cc.labels()
-        hot = np.unique(cc_labels[touched])
+        hot = distinct(cc_labels[touched])
         invalid = np.nonzero(np.isin(cc_labels, hot))[0]
         fresh = closeness_centrality(
             self.snapshot(), sources=invalid.tolist(), ctx=self.ctx
@@ -615,11 +617,12 @@ def _seed_snapshot(g: Graph, empty: Graph) -> tuple[Graph, np.ndarray]:
     src, tgt = g.arc_sources(), g.targets
     fwd = np.flatnonzero(src < tgt)
     key = src[fwd] * n + tgt[fwd]
-    w = g.weights[fwd] if g.is_weighted else np.ones(fwd.shape[0])
+    w = g.weights[fwd] if g.is_weighted else None
     if 2 * fwd.shape[0] != g.n_arcs or not (key[1:] > key[:-1]).all():
         key, first = np.unique(key, return_index=True)
         u, v = np.divmod(key, n)
-        add, gone = (u, v, w[first]), (key[:0], key[:0])
+        add = (u, v, np.ones(key.shape[0]) if w is None else w[first])
+        gone = (key[:0], key[:0])
         return builder.merge_edges(empty, add, gone), key
     eid = np.minimum(src, tgt)
     eid *= n

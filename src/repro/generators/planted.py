@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.graph import builder
 from repro.graph.csr import Graph, VERTEX_DTYPE
+from repro.kernels.segments import distinct
 
 
 @dataclass
@@ -30,7 +31,7 @@ class PlantedPartition:
 
     @property
     def n_communities(self) -> int:
-        return int(np.unique(self.labels).shape[0])
+        return int(distinct(self.labels).shape[0])
 
 
 def planted_partition(

@@ -78,8 +78,8 @@ def from_edge_array(
 
 
 def _pair_order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
-    """``kernels.segments.pair_order``, imported on first use: importing
-    it runs ``repro/kernels/__init__.py``, which loads every kernel."""
+    """``kernels.segments.pair_order``, imported on first use, so that
+    ``import repro.graph`` loads no kernel module."""
     from repro.kernels.segments import pair_order
 
     return pair_order(major, minor, n_minor)
@@ -245,7 +245,9 @@ def induced_subgraph(
     vertex of ``graph`` that became vertex ``i`` of the subgraph.  Used by
     pBD/pLA when switching to coarse-grained per-component processing.
     """
-    vertices = np.unique(np.asarray(vertices, dtype=VERTEX_DTYPE))
+    from repro.kernels.segments import distinct
+
+    vertices = distinct(np.asarray(vertices, dtype=VERTEX_DTYPE))
     if vertices.shape[0] and (
         vertices[0] < 0 or vertices[-1] >= graph.n_vertices
     ):

@@ -8,80 +8,36 @@ where meaningful — the divisive clustering algorithms depend on the
 latter.
 """
 
-from repro.kernels.bfs import (
-    BFSResult,
-    MSBFSResult,
-    bfs,
-    bfs_distances,
-    default_batch_size,
-    msbfs,
-    source_batches,
-    st_connectivity,
-)
-from repro.kernels.connected import (
-    connected_components,
-    component_sizes,
-    largest_component,
-)
-from repro.kernels.biconnected import (
-    BiconnectedResult,
-    biconnected_components,
-    articulation_points,
-    bridges,
-)
-from repro.kernels.mst import (
-    minimum_spanning_forest,
-    kruskal_msf,
-    prim_mst,
-    boruvka_msf,
-)
-from repro.kernels.sssp import (
-    SSSPResult,
-    delta_stepping,
-    dijkstra,
-)
-from repro.kernels.spanning import spanning_forest
-from repro.kernels.segments import (
-    segment_sums,
-    segment_maxes,
-    segment_argmax,
-    group_offsets,
-    grouped_label_weights,
-    boundary_vertices,
-    intersect_sorted_segments,
-    compact_adjacency,
-)
+from repro import _lazy
 
-__all__ = [
-    "BFSResult",
-    "MSBFSResult",
-    "bfs",
-    "bfs_distances",
-    "default_batch_size",
-    "msbfs",
-    "source_batches",
-    "st_connectivity",
-    "connected_components",
-    "component_sizes",
-    "largest_component",
-    "BiconnectedResult",
-    "biconnected_components",
-    "articulation_points",
-    "bridges",
-    "minimum_spanning_forest",
-    "kruskal_msf",
-    "prim_mst",
-    "boruvka_msf",
-    "SSSPResult",
-    "delta_stepping",
-    "dijkstra",
-    "spanning_forest",
-    "segment_sums",
-    "segment_maxes",
-    "segment_argmax",
-    "group_offsets",
-    "grouped_label_weights",
-    "boundary_vertices",
-    "intersect_sorted_segments",
-    "compact_adjacency",
-]
+#: Each export -> the module that defines it, in the order a registry
+#: miss imports them.  A module loads when one of its names is first read.
+_HOMES = {
+    **dict.fromkeys((
+        "BFSResult", "MSBFSResult", "bfs", "bfs_distances",
+        "default_batch_size", "msbfs", "source_batches", "st_connectivity",
+    ), "repro.kernels.bfs"),
+    **dict.fromkeys((
+        "connected_components", "component_sizes", "largest_component",
+    ), "repro.kernels.connected"),
+    **dict.fromkeys((
+        "BiconnectedResult", "biconnected_components", "articulation_points",
+        "bridges",
+    ), "repro.kernels.biconnected"),
+    **dict.fromkeys((
+        "minimum_spanning_forest", "kruskal_msf", "prim_mst", "boruvka_msf",
+    ), "repro.kernels.mst"),
+    **dict.fromkeys((
+        "SSSPResult", "delta_stepping", "dijkstra",
+    ), "repro.kernels.sssp"),
+    "spanning_forest": "repro.kernels.spanning",
+    **dict.fromkeys((
+        "segment_sums", "segment_maxes", "segment_argmax", "group_offsets",
+        "grouped_label_weights", "boundary_vertices",
+        "intersect_sorted_segments", "compact_adjacency",
+    ), "repro.kernels.segments"),
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = _lazy.exports(globals(), _HOMES)

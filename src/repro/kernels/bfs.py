@@ -32,7 +32,7 @@ from repro.kernels._frontier import (
     unwrap,
     vertex_ids,
 )
-from repro.kernels.segments import pair_order
+from repro.kernels.segments import distinct, pair_order
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -236,7 +236,7 @@ def _seed_lane_words(srcs: np.ndarray, dist: np.ndarray):
     dist[lane_ids, srcs] = 0
     seen = np.zeros(dist.shape[1], dtype=word)
     np.bitwise_or.at(seen, srcs, (1 << lane_ids.astype(np.uint64)).astype(word))
-    verts = np.unique(srcs)
+    verts = distinct(srcs)
     return seen, verts, seen.take(verts)
 
 
@@ -443,7 +443,7 @@ def st_connectivity(
             _, tgts, _ = expand(gph, front, edge_active)
             if tgts.shape[0] and np.any(owner[tgts] == other):
                 return True
-            fresh = np.unique(tgts[owner[tgts] == 0]) if tgts.shape[0] else tgts
+            fresh = distinct(tgts[owner[tgts] == 0]) if tgts.shape[0] else tgts
             owner[fresh] = mine
             if forward:
                 f_front = fresh

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels.segments import distinct
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 from repro.parallel.scheduler import simulate_work_stealing
@@ -71,7 +72,7 @@ def boruvka_msf(
             np.minimum.at(best, cu, cr)
             np.minimum.at(best, cv, cr)
             ctx.phase(float(2 * cr.shape[0]), 1.0)
-            sel_rank = np.unique(best[best != np.iinfo(np.int64).max])
+            sel_rank = distinct(best[best != np.iinfo(np.int64).max])
             sel_mask = np.isin(cr, sel_rank)
             sel_u, sel_v, sel_id = cu[sel_mask], cv[sel_mask], cid[sel_mask]
             chosen.extend(sel_id.tolist())

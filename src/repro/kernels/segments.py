@@ -45,6 +45,7 @@ __all__ = [
     "group_offsets",
     "grouped_label_weights",
     "boundary_vertices",
+    "distinct",
     "chunk_bounds",
     "concat_ranges",
     "reduce_over_rows",
@@ -205,6 +206,16 @@ def boundary_vertices(
     return mask
 
 
+def distinct(values) -> np.ndarray:
+    """``np.unique(values)`` for integer input, by one sort.  numpy's
+    own one-argument ``unique`` asks ``np.ma.is_masked``, which imports
+    ``numpy.ma`` into every process that calls it."""
+    out = np.sort(np.asarray(values), axis=None)
+    keep = np.ones(out.shape[0], dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def chunk_bounds(work: np.ndarray, limit: int) -> np.ndarray:
     """Cut points so each block ``[b[i], b[i+1])`` sums ≲ ``limit`` work
     (it overshoots by less than its last item: a heavier item is a block
@@ -219,7 +230,7 @@ def chunk_bounds(work: np.ndarray, limit: int) -> np.ndarray:
     cuts = np.searchsorted(
         cum, np.arange(limit, total, limit, dtype=np.int64), side="left",
     ) + 1
-    return np.unique(np.concatenate((
+    return distinct(np.concatenate((
         np.zeros(1, dtype=np.int64), cuts, np.array([nv], dtype=np.int64)
     )))
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, expand, unwrap
+from repro.kernels.segments import distinct
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -135,7 +136,7 @@ def delta_stepping(
                     req = improved
             # Heavy-edge pass over everything settled in this bucket.
             if settled_this_bucket:
-                allv = np.unique(np.concatenate(settled_this_bucket))
+                allv = distinct(np.concatenate(settled_this_bucket))
                 srcs, tgts, arc_idx = expand(graph, allv, edge_active)
                 ctx.record_phase_from_work(degs[allv])
                 if arc_idx.shape[0]:

@@ -8,54 +8,32 @@ that "combined together potentially offer an order of magnitude speedup
 or more for key analysis kernels".
 """
 
-from repro.metrics.basic import (
-    average_degree,
-    degree_distribution,
-    degree_histogram,
-    density,
-)
-from repro.metrics.clustering import (
-    local_clustering_coefficients,
-    average_clustering,
-    global_clustering_coefficient,
-    triangle_counts,
-)
-from repro.metrics.paths import (
-    average_shortest_path_length,
-    effective_diameter,
-    eccentricity_sample,
-)
-from repro.metrics.richclub import rich_club_coefficient
-from repro.metrics.assortativity import (
-    degree_assortativity,
-    average_neighbor_degree,
-    neighbor_connectivity,
-)
-from repro.metrics.preprocess import (
-    PreprocessReport,
-    preprocess,
-    lethality_screen,
-    is_bipartite,
-)
+from repro import _lazy
 
-__all__ = [
-    "average_degree",
-    "degree_distribution",
-    "degree_histogram",
-    "density",
-    "local_clustering_coefficients",
-    "average_clustering",
-    "global_clustering_coefficient",
-    "triangle_counts",
-    "average_shortest_path_length",
-    "effective_diameter",
-    "eccentricity_sample",
-    "rich_club_coefficient",
-    "degree_assortativity",
-    "average_neighbor_degree",
-    "neighbor_connectivity",
-    "PreprocessReport",
-    "preprocess",
-    "lethality_screen",
-    "is_bipartite",
-]
+#: Each export -> the module that defines it.  A module loads when one
+#: of its names is first read.
+_HOMES = {
+    **dict.fromkeys((
+        "average_degree", "degree_distribution", "degree_histogram", "density",
+    ), "repro.metrics.basic"),
+    **dict.fromkeys((
+        "local_clustering_coefficients", "average_clustering",
+        "global_clustering_coefficient", "triangle_counts",
+    ), "repro.metrics.clustering"),
+    **dict.fromkeys((
+        "average_shortest_path_length", "effective_diameter",
+        "eccentricity_sample",
+    ), "repro.metrics.paths"),
+    "rich_club_coefficient": "repro.metrics.richclub",
+    **dict.fromkeys((
+        "degree_assortativity", "average_neighbor_degree",
+        "neighbor_connectivity",
+    ), "repro.metrics.assortativity"),
+    **dict.fromkeys((
+        "PreprocessReport", "preprocess", "lethality_screen", "is_bipartite",
+    ), "repro.metrics.preprocess"),
+}
+
+__all__ = list(_HOMES)
+
+__getattr__, __dir__ = _lazy.exports(globals(), _HOMES)

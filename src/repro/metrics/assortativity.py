@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.errors import GraphStructureError
 from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels.segments import distinct
 
 
 def _active_arc_endpoints(g: GraphLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,7 +77,7 @@ def neighbor_connectivity(g: GraphLike) -> dict[int, float]:
     _, _, deg = _active_arc_endpoints(g)
     annd = average_neighbor_degree(g)
     out: dict[int, float] = {}
-    for k in np.unique(deg):
+    for k in distinct(deg):
         if k == 0:
             continue
         mask = deg == k

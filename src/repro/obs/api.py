@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro import _lazy
 from repro.obs.tracer import current_tracer, use_tracer
 
 __all__ = [
@@ -49,11 +50,19 @@ __all__ = [
 _PACKAGES = ("kernels", "centrality", "community", "partitioning", "dynamic")
 
 
+def _registering_modules():
+    """Each package of :data:`_PACKAGES`, then the modules its export
+    table names, in table order."""
+    for package in _PACKAGES:
+        yield f"repro.{package}"
+        yield from _lazy.modules(f"repro.{package}")
+
+
 class _Registry(dict):
     """Canonical name -> decorated entrypoint, filled on first use.
 
-    A missing name imports the algorithm packages in :data:`_PACKAGES`
-    order until it is registered; reading the registry whole (``in``,
+    A missing name imports :func:`_registering_modules` in order until it
+    is registered; reading the registry whole (``in``,
     ``len``, iteration, ``keys``/``values``/``items``) imports them all.
     """
 
@@ -62,10 +71,10 @@ class _Registry(dict):
 
     def _load(self, name=None) -> None:
         with self._lock:
-            for package in _PACKAGES:
+            for module in _registering_modules():
                 if name is not None and dict.__contains__(self, name):
                     return
-                importlib.import_module(f"repro.{package}")
+                importlib.import_module(module)
             self._complete = True
 
     def _whole(method):

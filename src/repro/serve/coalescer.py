@@ -98,7 +98,7 @@ def _normalize_sources(algo: str, params: dict) -> None:
     """Check a mergeable request's source ids and store them as plain
     ints, so merging and slicing see int lists and a non-integer id is
     refused here instead of truncated, or failing a merged batch."""
-    from repro.kernels._frontier import vertex_ids  # loads every kernel
+    from repro.kernels._frontier import vertex_ids
 
     key = MERGEABLE[algo]
     ids = params.get(key)

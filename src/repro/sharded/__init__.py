@@ -6,29 +6,23 @@ results bit-identical to the in-core paths.
 """
 
 from repro import _lazy
-from repro.sharded.bsp import (
-    CHECKPOINT_DIRNAME,
-    BSPCheckpointer,
-    BSPDriver,
-    MemoryBudget,
-    SuperstepStats,
-)
-from repro.sharded.shards import (
-    Shard,
-    ShardSet,
-    build_shard_set,
-    in_core_nbytes,
-    is_shard_set_path,
-    load_shard,
-    open_shard_set,
-)
 
-# the kernels (and the community code they call) load on first use, so
-# opening or sizing a shard set imports only shards and bsp
-__getattr__, __dir__ = _lazy.exports(globals(), dict.fromkeys((
-    "sharded_msbfs", "sharded_closeness", "sharded_connected_components",
-    "sharded_modularity", "sharded_contract", "sharded_pla",
-), "repro.sharded.algorithms"))
+# each module loads on first use: telling a shard set from a graph file
+# imports only shards, running a kernel also bsp and algorithms
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    **dict.fromkeys((
+        "Shard", "ShardSet", "build_shard_set", "in_core_nbytes",
+        "is_shard_set_path", "load_shard", "open_shard_set",
+    ), "repro.sharded.shards"),
+    **dict.fromkeys((
+        "CHECKPOINT_DIRNAME", "BSPCheckpointer", "BSPDriver", "MemoryBudget",
+        "SuperstepStats",
+    ), "repro.sharded.bsp"),
+    **dict.fromkeys((
+        "sharded_msbfs", "sharded_closeness", "sharded_connected_components",
+        "sharded_modularity", "sharded_contract", "sharded_pla",
+    ), "repro.sharded.algorithms"),
+})
 
 __all__ = [
     "Shard",

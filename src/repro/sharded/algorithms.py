@@ -40,7 +40,7 @@ from repro.kernels.bfs import (
     source_batches,
 )
 from repro.kernels.connected import _hook_round
-from repro.kernels.segments import concat_ranges, reduce_over_rows
+from repro.kernels.segments import concat_ranges, distinct, reduce_over_rows
 from repro.sharded.bsp import BSPDriver
 from repro.sharded.shards import ShardSet, _cached_shard
 
@@ -518,7 +518,7 @@ def sharded_pla(
         # Level 0 converged: contract it out of core, run levels >= 1
         # through the in-core level loop (the coarse graph fits in
         # core), then refine the projected labels with sharded sweeps.
-        if int(np.unique(labels).shape[0]) != n:
+        if int(distinct(labels).shape[0]) != n:
             g, vmap = sharded_contract(ss, labels)
             coarse, n_levels = np.arange(g.n_vertices, dtype=np.int64), 1
             if g.n_vertices > 1:

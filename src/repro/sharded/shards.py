@@ -583,7 +583,7 @@ class ShardSet:
     # -- reconstruction -----------------------------------------------------
     def stitch(self) -> Graph:
         """Reassemble the original in-core CSR graph, bit-exactly."""
-        from repro.kernels.segments import concat_ranges  # loads every kernel
+        from repro.kernels.segments import concat_ranges
 
         n = self.n_vertices
         deg = np.zeros(n, dtype=EDGE_DTYPE)
@@ -765,7 +765,7 @@ def build_shard_set(
     ``"block"`` (contiguous arc-balanced ranges — O(n), used for quick
     builds at very large scale).
     """
-    from repro.kernels.segments import concat_ranges  # loads every kernel
+    from repro.kernels.segments import concat_ranges
 
     if graph.directed:
         raise GraphStructureError("shard sets require an undirected graph")

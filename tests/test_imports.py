@@ -8,7 +8,9 @@ imported everything already.
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +31,10 @@ NOT_ON_THE_SERVE_PATH = (
 )
 
 #: Modules no request has needed yet: ``repro``, ``repro.cli`` and a
-#: daemon up to its first load import none of them.  Any
-#: ``repro.kernels.*`` import runs the package ``__init__``, which loads
-#: every kernel module.
+#: daemon up to its first load import none of them.  The algorithm
+#: packages bind their names lazily, so a ``repro.kernels.*`` import
+#: loads that module and its own imports; a registry miss, which a
+#: request makes, walks every kernel module before centrality's.
 NOT_BEFORE_A_REQUEST = (
     "repro.kernels.biconnected",
     "repro.kernels.mst",
@@ -39,15 +42,18 @@ NOT_BEFORE_A_REQUEST = (
     "repro.kernels.connected",
     "repro.kernels.spanning",
     "repro.parallel.scheduler",
+    "repro.sharded.bsp",
 )
 
 
 def loaded(far) -> str:
-    """Code defining ``loaded()``: the modules of ``far`` imported so far."""
+    """Code defining ``loaded()``: the modules of ``far``, and their
+    submodules, imported so far."""
+    under = tuple(f"{m}." for m in far)
     return (
         "import json, sys\n"
         "def loaded():\n"
-        f"    return sorted(m for m in sys.modules if m.startswith({far!r}))\n"
+        f"    return sorted(m for m in sys.modules if f'{{m}}.'.startswith({under!r}))\n"
     )
 
 
@@ -76,7 +82,7 @@ PACKAGES = ("kernels", "centrality", "community", "partitioning", "dynamic")
 @pytest.mark.parametrize("code,far", [
     ("import repro", NOT_ON_THE_SERVE_PATH + NOT_BEFORE_A_REQUEST),
     ("import repro.cli", NOT_ON_THE_SERVE_PATH + NOT_BEFORE_A_REQUEST),
-    # a registry miss imports repro.kernels whole
+    # a registry miss imports every kernel module, then closeness's
     ("import repro.api\nrepro.get_algorithm('closeness')", NOT_ON_THE_SERVE_PATH),
 ], ids=["repro", "repro.cli", "api+closeness"])
 def test_import_loads_nothing_off_its_path(code, far):
@@ -187,6 +193,109 @@ def test_process_workers_inherit_the_shm_module():
         "print(json.dumps([before, out]))"
     )
     assert got == [False, [True, True]]
+
+
+def test_sharded_msbfs_loads_no_unused_community_module(shard_set_dir):
+    """The sharded kernels import the pLA steps they share with the
+    in-core code, not the whole community package."""
+    unused = tuple(f"repro.community.{m}" for m in ("cnm", "pma", "gn", "pbd", "spectral_mod"))
+    got = fresh(
+        f"{loaded(unused)}"
+        "import repro.sharded\n"
+        f"ss = repro.sharded.open_shard_set({str(shard_set_dir)!r})\n"
+        "repro.sharded.sharded_msbfs(ss, [0, 5])\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert got == []
+
+
+#: A single-argument ``np.unique`` imports numpy's masked arrays
+#: (``np.ma.is_masked``); ``kernels.segments.distinct`` does not.
+MASKED_ARRAYS = ("numpy.ma",)
+
+RUNS = {
+    "serial-traversal": (
+        "from repro.centrality import brandes, closeness_centrality\n"
+        "from repro.generators import rmat\n"
+        "from repro.kernels import msbfs\n"
+        "g = rmat(9, 8, rng=np.random.default_rng(1))\n"
+        "msbfs(g, [0, 1, 2])\n"
+        "closeness_centrality(g, sources=[0, 3])\n"
+        "brandes(g, sources=list(range(8)))\n"
+    ),
+    "sharded": (
+        "import repro.sharded as S\n"
+        "ss = S.open_shard_set(SHARDS)\n"
+        "S.sharded_msbfs(ss, [0, 5])\n"
+        "S.sharded_closeness(ss, sources=[0, 5])\n"
+        "S.sharded_connected_components(ss)\n"
+    ),
+    "pla+kway": (
+        "from repro.community import pla\n"
+        "from repro.generators import rmat\n"
+        "from repro.partitioning import multilevel_kway\n"
+        "g = rmat(9, 8, rng=np.random.default_rng(1))\n"
+        "pla(g, seed=1)\n"
+        "multilevel_kway(g, 4, seed=1)\n"
+    ),
+    "session": (
+        "from repro.api import Session\n"
+        "from repro.datasets.karate import karate_club\n"
+        "with Session() as s:\n"
+        "    s.add('g', karate_club())\n"
+        "    s.run('closeness', 'g', sources=[0, 5])\n"
+        "    s.ingest('g', [['add', 0, 9, 1], ['delete', 0, 1, 1]])\n"
+    ),
+}
+
+
+def test_src_calls_no_single_argument_np_unique():
+    """Outside ``qa/``, ``src/repro`` takes distinct values from
+    ``distinct``; ``np.unique`` only with an index, inverse or counts."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    extras = {"return_index", "return_inverse", "return_counts"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).parts[0] == "qa":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and not extras & {k.arg for k in node.keywords}):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_runs_load_no_masked_arrays(run, shard_set_dir):
+    got = fresh(
+        f"{loaded(MASKED_ARRAYS)}"
+        f"import numpy as np\nSHARDS = {str(shard_set_dir)!r}\n{RUNS[run]}"
+        "print(json.dumps(loaded()))"
+    )
+    assert got == []
+
+
+def test_closeness_worker_loads_only_closeness_and_its_kernels():
+    """A worker forked before any algorithm ran imports closeness (and
+    the BFS kernel) when it unpickles its first task, nothing else of
+    the algorithm packages."""
+    far = ("repro.centrality.betweenness", "repro.kernels.mst", "numpy.ma")
+    got = fresh(
+        f"{loaded(far + ('repro.centrality.closeness',))}"
+        "from repro.parallel import ParallelContext\n"
+        "def seen(_):\n"
+        "    return loaded()\n"
+        "with ParallelContext(2, backend='process') as ctx:\n"
+        "    ctx.map(abs, [0, 1])\n"
+        "    from repro.centrality import closeness_centrality\n"
+        "    from repro.datasets.karate import karate_club\n"
+        "    closeness_centrality(karate_club(), ctx=ctx)\n"
+        "    out = ctx.map(seen, range(4))\n"
+        "print(json.dumps(sorted(set(m for mods in out for m in mods))))"
+    )
+    assert got == ["repro.centrality.closeness"]
 
 
 def test_daemon_first_load_loads_nothing_off_its_path(tmp_path):

@@ -19,6 +19,7 @@ from repro.graph import contract, from_edge_array
 from repro.kernels.segments import (
     boundary_vertices,
     compact_adjacency,
+    distinct,
     group_offsets,
     grouped_label_weights,
     intersect_sorted_segments,
@@ -123,13 +124,19 @@ def test_grouped_label_weights_matches_dict():
 )
 def test_pair_order_is_the_lexsort_permutation(pairs, n_minor, dtype):
     """Unsorted majors, duplicate pairs, empty input, ``n_minor = 1``
-    and int32 inputs all yield exactly ``np.lexsort((minor, major))``."""
+    and int32 inputs all yield exactly ``np.lexsort((minor, major))``;
+    ``distinct`` of the same keys is ``np.unique``'s, values and dtype."""
     major = np.asarray([p[0] for p in pairs], dtype=dtype)
     minor = np.asarray([p[1] % n_minor for p in pairs], dtype=dtype)
     got = pair_order(major, minor, n_minor)
     assert np.array_equal(got, np.lexsort((minor, major)))
     # the permutation depends only on the pairs' order, not on n_minor
     assert np.array_equal(got, pair_order(major, minor, n_minor + 7))
+    # empty, unsorted, sorted, reversed and duplicate-heavy (minor < 10)
+    for keys in (major[:0], major, np.sort(major), np.sort(major)[::-1], minor):
+        want = np.unique(keys)
+        assert distinct(keys).dtype == want.dtype
+        assert np.array_equal(distinct(keys), want)
 
 
 def test_pair_order_refuses_an_overflowing_key():

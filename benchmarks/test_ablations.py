@@ -105,7 +105,7 @@ def test_ablation_degree_aware_balancing(benchmark):
         bfs(g, hub, ctx=aware)
         oblivious = ParallelContext(32, degree_aware=False)
         bfs(g, hub, ctx=oblivious)
-        return aware.modeled_time(32), oblivious.modeled_time(32)
+        return aware.cost.modeled_time(32), oblivious.cost.modeled_time(32)
 
     t_aware, t_obl = benchmark.pedantic(run, rounds=1, iterations=1)
     # the paper's warning: oblivious assignment suffers on skewed graphs

@@ -79,25 +79,25 @@ def approximate_vertex_betweenness(
     k = 0
     stopped = False
     lanes = min(ADAPTIVE_BATCH_CAP, default_batch_size(n))
-    with ctx.region():
-        per = float(max(1, graph.n_arcs))
-        # Sources traverse in batched lanes; the stopping rule is still
-        # applied one sample at a time (lanes are independent, so the
-        # per-source dependency of ``v`` is exactly ``delta[lane, v]``),
-        # which preserves the adaptive estimator's semantics.
-        for start in range(0, budget, lanes):
-            batch = order[start : start + lanes]
-            delta, _, _ = _brandes_batch(graph, edge_active, batch)
-            dep_v = delta[:, v]
-            for j in range(batch.shape[0]):
-                ctx.phase(per, per)  # one traversal = one sequential sample
-                s_total += float(dep_v[j])
-                k += 1
-                if s_total >= c * n:
-                    stopped = True
-                    break
-            if stopped:
+    ctx.cost.region()
+    per = float(max(1, graph.n_arcs))
+    # Sources traverse in batched lanes; the stopping rule is still
+    # applied one sample at a time (lanes are independent, so the
+    # per-source dependency of ``v`` is exactly ``delta[lane, v]``),
+    # which preserves the adaptive estimator's semantics.
+    for start in range(0, budget, lanes):
+        batch = order[start : start + lanes]
+        delta, _, _ = _brandes_batch(graph, edge_active, batch)
+        dep_v = delta[:, v]
+        for j in range(batch.shape[0]):
+            ctx.cost.phase(per, per)  # one traversal = one sequential sample
+            s_total += float(dep_v[j])
+            k += 1
+            if s_total >= c * n:
+                stopped = True
                 break
+        if stopped:
+            break
     if k == 0:
         return AdaptiveSampleResult(0.0, 0, False)
     # Undirected pair convention (each unordered pair counted once).

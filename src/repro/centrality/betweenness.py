@@ -42,7 +42,8 @@ from repro.kernels.bfs import default_batch_size, source_batches
 from repro.kernels.segments import distinct
 from repro.obs.api import algorithm
 from repro.obs.tracer import current_tracer
-from repro.parallel.runtime import ParallelContext, ensure_context, phase_of_work
+from repro.parallel.costmodel import phase_of_work
+from repro.parallel.runtime import ParallelContext, ensure_context
 
 #: Soft cap on lane-arcs per batch: the σ-arc replay cache plus the
 #: bottom-up expansion hold ~20 B per lane-arc, so the default K keeps
@@ -120,7 +121,7 @@ def _single_source_accumulate_weighted(
             elif abs(nd - dist[u]) <= 1e-12 and not done[u]:
                 sigma[u] += sigma[v]
                 preds[u].append(a)
-    ctx.serial(float(ops))
+    ctx.cost.serial(float(ops))
     delta = np.zeros(n, dtype=np.float64)
     # arc a points from its predecessor v into w; the cached per-arc
     # source array recovers v in O(1) instead of an O(log n)
@@ -388,12 +389,12 @@ def brandes(
     # each, p-way distributed.  Fine: the levels are the phases.
     per_traversal = float(max(1, graph.n_arcs))
     if weighted:
-        with ctx.region():
-            ctx.phase(per_traversal * len(src_list), per_traversal)
-            for s in src_list:
-                _single_source_accumulate_weighted(
-                    graph, edge_active, s, vertex_acc, edge_acc, ctx
-                )
+        ctx.cost.region()
+        ctx.cost.phase(per_traversal * len(src_list), per_traversal)
+        for s in src_list:
+            _single_source_accumulate_weighted(
+                graph, edge_active, s, vertex_acc, edge_acc, ctx
+            )
     elif src_list:
         batches = source_batches(src_list, _brandes_batch_size(graph, batch_size), n)
         fine = granularity == "fine"
@@ -401,20 +402,20 @@ def brandes(
         # Rounds bound the live partials (n + m floats per batch); each
         # is reduced, in batch order, before the next is dispatched.
         per_round = max(ctx.n_workers, BATCH_ARC_BUDGET // (n + graph.n_edges))
-        with ctx.region():
-            if not fine:
-                ctx.phase(per_traversal * len(src_list), per_traversal)
-            for start in range(0, len(batches), per_round):
-                for vertex_partial, edge_partial, phases in ctx.map_batches(
-                    _brandes_batch_worker,
-                    graph,
-                    batches[start : start + per_round],
-                    payload=payload,
-                ):
-                    vertex_acc += vertex_partial
-                    edge_acc += edge_partial
-                    for ph in phases:
-                        ctx.phase(*ph)
+        ctx.cost.region()
+        if not fine:
+            ctx.cost.phase(per_traversal * len(src_list), per_traversal)
+        for start in range(0, len(batches), per_round):
+            for vertex_partial, edge_partial, phases in ctx.map_batches(
+                _brandes_batch_worker,
+                graph,
+                batches[start : start + per_round],
+                payload=payload,
+            ):
+                vertex_acc += vertex_partial
+                edge_acc += edge_partial
+                for ph in phases:
+                    ctx.cost.phase(*ph)
 
     # Undirected double-counting: each unordered pair contributes from
     # both endpoints as sources.

@@ -47,6 +47,21 @@ def _lane_scores(
     return cc
 
 
+def _transpose(graph, edge_active: Optional[np.ndarray]):
+    """The transpose of a directed graph over its active arcs only:
+    ``d(u -> v)`` for every ``u`` is one traversal of it from ``v``."""
+    if edge_active is None:
+        return graph.reverse()
+    from repro.graph.builder import from_edge_array
+
+    keep = edge_active.take(graph.arc_edge_ids)
+    w = graph.weights
+    return from_edge_array(
+        graph.n_vertices, graph.targets[keep], graph.arc_sources()[keep],
+        weights=None if w is None else w[keep], directed=True, dedupe=False,
+    )
+
+
 def _closeness_batch_worker(graph, batch, mask):
     """One source batch → per-lane ``(reached_count, distance_total)``.
 
@@ -71,7 +86,7 @@ def closeness_centrality(
     Unweighted graphs, and graphs whose every weight is 1, use batched
     BFS distances; other weighted graphs use Dijkstra.  Directed graphs
     measure *incoming* distance (networkx convention), computed on the
-    reversed graph.
+    transpose of the active arcs.
     """
     graph, edge_active = unwrap(g)
     ctx = ensure_context(ctx)
@@ -83,10 +98,7 @@ def closeness_centrality(
     per_traversal = max(1.0, float(graph.n_arcs))
 
     if not graph.has_unit_weights:
-        work_g: GraphLike = g
-        if graph.directed:
-            # d(u -> v) for all u is a traversal of the transpose from v.
-            work_g = graph.reverse()
+        work_g = _transpose(graph, edge_active) if graph.directed else g
 
         def one(v: int) -> None:
             dist = dijkstra(work_g, v).distances
@@ -103,26 +115,24 @@ def closeness_centrality(
 
         if src_list:
             # One phase of per-source traversals (coarse-grained).
-            with ctx.region():
-                ctx.phase(per_traversal * len(src_list), per_traversal)
+            ctx.cost.region()
+            ctx.cost.phase(per_traversal * len(src_list), per_traversal)
         ctx.map(one, src_list)
         return out
 
     if graph.directed:
-        # Edge masks index the forward graph's edge ids; the transpose
-        # renumbers them, so directed closeness drops the mask (as the
-        # original per-source path did).
-        base, mask = graph.reverse(), None
+        # The transpose renumbers edges, so it keeps only the active ones.
+        base, mask = _transpose(graph, edge_active), None
     else:
         base, mask = graph, edge_active
     batches = source_batches(src_list, batch_size, n)
     if batches:
         # One phase whose tasks are the source batches.
-        with ctx.region():
-            ctx.phase(
-                per_traversal * len(src_list),
-                per_traversal * max(len(b) for b in batches),
-            )
+        ctx.cost.region()
+        ctx.cost.phase(
+            per_traversal * len(src_list),
+            per_traversal * max(len(b) for b in batches),
+        )
     results = ctx.map_batches(_closeness_batch_worker, base, batches, payload=mask)
     for batch, (r, total) in zip(batches, results):
         out[batch] = _lane_scores(r, total, n, wf_improved)

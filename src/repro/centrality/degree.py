@@ -36,7 +36,7 @@ def degree_centrality(
         deg = np.bincount(
             graph.arc_sources()[keep], minlength=n
         ).astype(np.float64)
-    ctx.phase(float(max(n, graph.n_arcs)), 1.0)
+    ctx.cost.phase(float(max(n, graph.n_arcs)), 1.0)
     if normalized and n > 1:
         deg /= n - 1
     return deg

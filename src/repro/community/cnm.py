@@ -88,7 +88,7 @@ def cnm(
         zip((-gains).tolist(), gsrc[pair].tolist(), gtgt[pair].tolist())
     )
     heapq.heapify(heap)
-    ctx.serial(float(2 * graph.n_edges))
+    ctx.cost.serial(float(2 * graph.n_edges))
 
     q = modularity(graph, np.arange(n))
     dendro = Dendrogram(n, initial_score=q)
@@ -116,7 +116,7 @@ def cnm(
         for x in rows[a]:
             lo, hi = (a, x) if a < x else (x, a)
             heapq.heappush(heap, (-dq(lo, hi), lo, hi))
-        ctx.serial(float(len(row_b) + len(rows[a]) + 1))
+        ctx.cost.serial(float(len(row_b) + len(rows[a]) + 1))
         dendro.record(a, b, q)
 
     step = dendro.best_step()

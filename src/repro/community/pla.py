@@ -179,7 +179,7 @@ def pla(
             cw[x][a] = cw[a][x]
         strength[a] += strength[b]
         strength[b] = 0.0
-        ctx.cas(1)
+        ctx.cost.cas(1)
 
     arc_active = view.arc_active()
 
@@ -216,7 +216,7 @@ def pla(
         merged_this_pass = 0
         # One pass = one parallel phase over all seeds (across components).
         ctx.cost.region()
-        ctx.phase(float(max(1, graph.n_arcs)), max(1.0, max_deg))
+        ctx.cost.phase(float(max(1, graph.n_arcs)), max(1.0, max_deg))
         for v in seed_order:
             v = int(v)
             c = find(v)
@@ -456,13 +456,13 @@ def _local_moving_refinement(
 
     def sweep(labels: np.ndarray, q: float) -> tuple[np.ndarray, float, int]:
         ctx.cost.region()
-        ctx.phase(float(max(1, work)), max(1.0, max_deg))
+        ctx.cost.phase(float(max(1, work)), max(1.0, max_deg))
         with tr.span(span, **span_attrs, n_vertices=n) if tr else _noop():
             labels, q, moved = _guarded_sweep(
                 labels, strength_v, q, q_of,
                 lambda S: _best_moves(labels, strength_v, S, W, src, tgt, w),
             )
-        ctx.cas(moved)
+        ctx.cost.cas(moved)
         return labels, q, moved
 
     return _sweep_loop(labels, q_of(labels), sweep, max_passes)
@@ -548,7 +548,7 @@ def _coarsen(
                 else _noop()
             ):
                 g, vmap = contract(g, labels_g)
-            ctx.serial(float(max(1, g.n_arcs)))
+            ctx.cost.serial(float(max(1, g.n_arcs)))
             level_maps.append(vmap)
             labels_g = np.arange(g.n_vertices, dtype=np.int64)
             if g.n_vertices <= 1:

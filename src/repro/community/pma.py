@@ -143,7 +143,7 @@ def pma(
             lo, hi = (a, int(x)) if a < x else (int(x), a)
             heap.append((-gain, lo, hi))
     heapq.heapify(heap)
-    ctx.serial(float(2 * graph.n_edges))
+    ctx.cost.serial(float(2 * graph.n_edges))
 
     def push_pair(a: int, x: int, gain: float) -> None:
         lo, hi = (a, x) if a < x else (x, a)
@@ -203,7 +203,7 @@ def pma(
         merged = _Row.merged(rows[a], row_b)
         # Phase 1: parallel row merge (vectorized union), flag-synced —
         # only the updating workers need to hand off, not all p.
-        ctx.phase(float(max(1, len(rows[a]) + len(row_b))), 1.0, flag_sync=True)
+        ctx.cost.phase(float(max(1, len(rows[a]) + len(row_b))), 1.0, flag_sync=True)
         strength[a] += strength[b]
         strength[b] = 0.0
         rows[a] = merged
@@ -220,9 +220,9 @@ def pma(
         # Phase 2: parallel neighbor updates (each ΔQ row of a neighbor
         # of the merged pair is touched independently); the global heap
         # inserts are batched into one serialized section per iteration.
-        ctx.phase(float(max(1, len(merged))), 1.0, flag_sync=True)
-        ctx.serial(float(np.log2(max(2, len(heap) + 1))))
-        ctx.lock(1)
+        ctx.cost.phase(float(max(1, len(merged))), 1.0, flag_sync=True)
+        ctx.cost.serial(float(np.log2(max(2, len(heap) + 1))))
+        ctx.cost.lock(1)
         for i in range(len(merged)):
             x = int(merged.keys[i])
             w_ax = float(merged.weights[i])

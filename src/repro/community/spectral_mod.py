@@ -202,7 +202,7 @@ def spectral_modularity(
         if fine_tune:
             s = _fine_tune(adj, degrees, group, s, two_w)
         gain = _split_gain(adj, degrees, group, s, two_w)
-        ctx.phase(float(max(1, 8 * group.shape[0])), 1.0)
+        ctx.cost.phase(float(max(1, 8 * group.shape[0])), 1.0)
         side_a = group[s > 0]
         side_b = group[s < 0]
         if gain <= 1e-12 or side_a.shape[0] < min_group or side_b.shape[0] < min_group:

@@ -129,40 +129,40 @@ def bfs(
     level = 0
     degs_all = graph.degrees()
     tr = ctx.tracer
-    with ctx.region():
-        while frontier.shape[0]:
-            if max_depth is not None and level >= max_depth:
-                break
-            sp = (
-                tr.begin("level", depth=level, frontier=int(frontier.shape[0]))
-                if tr
-                else None
-            )
-            srcs, tgts, _ = expand(graph, frontier, edge_active)
-            # Record this level as one barrier-separated phase.
-            ctx.record_phase_from_work(degs_all[frontier])
-            arcs = int(tgts.shape[0])
-            fresh = dist[tgts] == UNREACHED
-            tgts, srcs = tgts[fresh], srcs[fresh]
-            if tgts.shape[0]:
-                # Deterministic benign-race resolution: the smallest parent
-                # claims each duplicate target (first occurrence after sort).
-                order = pair_order(tgts, srcs, n)
-                tgts, srcs = tgts[order], srcs[order]
-                first = np.empty(tgts.shape[0], dtype=bool)
-                first[0] = True
-                np.not_equal(tgts[1:], tgts[:-1], out=first[1:])
-                nxt = tgts[first]
-                dist[nxt] = level + 1
-                parent[nxt] = srcs[first]
-            else:
-                nxt = tgts
-            if sp is not None:
-                tr.end(sp, arcs=arcs, discovered=int(nxt.shape[0]))
-            if nxt.shape[0] == 0:
-                break
-            frontier = nxt
-            level += 1
+    ctx.cost.region()
+    while frontier.shape[0]:
+        if max_depth is not None and level >= max_depth:
+            break
+        sp = (
+            tr.begin("level", depth=level, frontier=int(frontier.shape[0]))
+            if tr
+            else None
+        )
+        srcs, tgts, _ = expand(graph, frontier, edge_active)
+        # Record this level as one barrier-separated phase.
+        ctx.cost.phase_from_work(degs_all[frontier])
+        arcs = int(tgts.shape[0])
+        fresh = dist[tgts] == UNREACHED
+        tgts, srcs = tgts[fresh], srcs[fresh]
+        if tgts.shape[0]:
+            # Deterministic benign-race resolution: the smallest parent
+            # claims each duplicate target (first occurrence after sort).
+            order = pair_order(tgts, srcs, n)
+            tgts, srcs = tgts[order], srcs[order]
+            first = np.empty(tgts.shape[0], dtype=bool)
+            first[0] = True
+            np.not_equal(tgts[1:], tgts[:-1], out=first[1:])
+            nxt = tgts[first]
+            dist[nxt] = level + 1
+            parent[nxt] = srcs[first]
+        else:
+            nxt = tgts
+        if sp is not None:
+            tr.end(sp, arcs=arcs, discovered=int(nxt.shape[0]))
+        if nxt.shape[0] == 0:
+            break
+        frontier = nxt
+        level += 1
     return BFSResult(dist, parent, level)
 
 
@@ -214,15 +214,15 @@ def msbfs(
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
     push, pull = _arc_steps(graph, edge_active, ctx)
     n_levels = 0
-    with ctx.region():
-        for lo in range(0, k, _WORD_LANES):
-            rows = dist[lo : lo + _WORD_LANES]
-            start = _seed_lane_words(srcs[lo : lo + _WORD_LANES], rows)
-            depth = _msbfs_word(
-                (*start, 0), rows, push, pull, graph.degrees(), graph.n_arcs,
-                max_depth, ctx.tracer,
-            )
-            n_levels = max(n_levels, depth)
+    ctx.cost.region()
+    for lo in range(0, k, _WORD_LANES):
+        rows = dist[lo : lo + _WORD_LANES]
+        start = _seed_lane_words(srcs[lo : lo + _WORD_LANES], rows)
+        depth = _msbfs_word(
+            (*start, 0), rows, push, pull, graph.degrees(), graph.n_arcs,
+            max_depth, ctx.tracer,
+        )
+        n_levels = max(n_levels, depth)
     return MSBFSResult(srcs, dist, n_levels)
 
 
@@ -314,7 +314,7 @@ def _arc_steps(graph, edge_active, ctx):
 
     def push(verts, words):
         arc_idx, degs = frontier_arc_indices(graph, verts)
-        ctx.record_phase_from_work(degs)
+        ctx.cost.phase_from_work(degs)
         tgt = targets.take(arc_idx)
         got = words.repeat(degs)
         if edge_active is not None:
@@ -328,7 +328,7 @@ def _arc_steps(graph, edge_active, ctx):
 
     def pull(frontier, seen):
         nonlocal seg_verts, seg_starts, dead
-        ctx.record_phase_from_work(degs_all)
+        ctx.cost.phase_from_work(degs_all)
         if seg_verts is None:
             # reduceat misreads empty segments; reduce only the non-empty
             # ones (their starts still delimit exactly).
@@ -433,20 +433,20 @@ def st_connectivity(
     b_front = np.asarray([t], dtype=np.int64)
     degs_f = fwd_graph.degrees()
     degs_b = bwd_graph.degrees()
-    with ctx.region():
-        while f_front.shape[0] and b_front.shape[0]:
-            forward = degs_f[f_front].sum() <= degs_b[b_front].sum()
-            gph = fwd_graph if forward else bwd_graph
-            front = f_front if forward else b_front
-            mine, other = (1, 2) if forward else (2, 1)
-            ctx.record_phase_from_work((degs_f if forward else degs_b)[front])
-            _, tgts, _ = expand(gph, front, edge_active)
-            if tgts.shape[0] and np.any(owner[tgts] == other):
-                return True
-            fresh = distinct(tgts[owner[tgts] == 0]) if tgts.shape[0] else tgts
-            owner[fresh] = mine
-            if forward:
-                f_front = fresh
-            else:
-                b_front = fresh
+    ctx.cost.region()
+    while f_front.shape[0] and b_front.shape[0]:
+        forward = degs_f[f_front].sum() <= degs_b[b_front].sum()
+        gph = fwd_graph if forward else bwd_graph
+        front = f_front if forward else b_front
+        mine, other = (1, 2) if forward else (2, 1)
+        ctx.cost.phase_from_work((degs_f if forward else degs_b)[front])
+        _, tgts, _ = expand(gph, front, edge_active)
+        if tgts.shape[0] and np.any(owner[tgts] == other):
+            return True
+        fresh = distinct(tgts[owner[tgts] == 0]) if tgts.shape[0] else tgts
+        owner[fresh] = mine
+        if forward:
+            f_front = fresh
+        else:
+            b_front = fresh
     return False

@@ -92,7 +92,7 @@ def biconnected_components(
     # preprocessing steps run.  See DESIGN.md §3.
     rounds = max(1, int(np.ceil(np.log2(max(2, n)))))
     for _ in range(2 * rounds):
-        ctx.phase(float(graph.n_arcs + n) / (2 * rounds), 1.0)
+        ctx.cost.phase(float(graph.n_arcs + n) / (2 * rounds), 1.0)
 
     for root in range(n):
         if disc[root] >= 0:

@@ -72,20 +72,20 @@ def _sv_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     deg = np.diff(offsets)
     m2 = targets.shape[0]
-    with ctx.region():
-        while True:
-            cross = np.count_nonzero(label.take(targets) != label.repeat(deg))
-            # Hooking pass over all arcs; the scatter-min CAS per cross
-            # arc is data-parallel, so it is charged as phase work (two
-            # ops each), not as contended synchronization events.
-            ctx.phase(float(m2 + 2 * cross), 1.0)
-            if not cross:
-                break
-            # The sharded kernel's round: every row's smallest neighbour
-            # label; each row that found a smaller one hooks its root.
-            low = reduce_over_rows(np.minimum, label, offsets, targets, label.copy())
-            rows = (low < label).nonzero()[0]
-            label = _hook_round(label, label.take(rows), low.take(rows), ctx)
+    ctx.cost.region()
+    while True:
+        cross = np.count_nonzero(label.take(targets) != label.repeat(deg))
+        # Hooking pass over all arcs; the scatter-min CAS per cross
+        # arc is data-parallel, so it is charged as phase work (two
+        # ops each), not as contended synchronization events.
+        ctx.cost.phase(float(m2 + 2 * cross), 1.0)
+        if not cross:
+            break
+        # The sharded kernel's round: every row's smallest neighbour
+        # label; each row that found a smaller one hooks its root.
+        low = reduce_over_rows(np.minimum, label, offsets, targets, label.copy())
+        rows = (low < label).nonzero()[0]
+        label = _hook_round(label, label.take(rows), low.take(rows), ctx)
     return label
 
 
@@ -109,7 +109,7 @@ def _hook_round(
     while True:
         nxt = label[label]
         if ctx is not None:
-            ctx.phase(float(label.shape[0]), 1.0)
+            ctx.cost.phase(float(label.shape[0]), 1.0)
         if np.array_equal(nxt, label):
             return label
         label = nxt

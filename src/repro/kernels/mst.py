@@ -58,46 +58,49 @@ def boruvka_msf(
     rank = np.empty(order.shape[0], dtype=np.int64)
     rank[order] = np.arange(order.shape[0])
 
-    with ctx.region():
+    ctx.cost.region()
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        ctx.cost.phase(float(u.shape[0]), 1.0)
+        if not np.any(cross):
+            break
+        cu, cv, cr, cid = lu[cross], lv[cross], rank[cross], ids[cross]
+        # Min outgoing edge rank per component (both endpoints' view).
+        # The scatter-min CAS per candidate is data-parallel work.
+        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(best, cu, cr)
+        np.minimum.at(best, cv, cr)
+        ctx.cost.phase(float(2 * cr.shape[0]), 1.0)
+        sel_rank = distinct(best[best != np.iinfo(np.int64).max])
+        sel_mask = np.isin(cr, sel_rank)
+        sel_u, sel_v, sel_id = cu[sel_mask], cv[sel_mask], cid[sel_mask]
+        chosen.extend(sel_id.tolist())
+        # Hook components along selected edges, then pointer-jump.
+        hi = np.maximum(sel_u, sel_v)
+        lo = np.minimum(sel_u, sel_v)
+        np.minimum.at(label, hi, lo)
         while True:
-            lu, lv = label[u], label[v]
-            cross = lu != lv
-            ctx.phase(float(u.shape[0]), 1.0)
-            if not np.any(cross):
+            nxt = label[label]
+            ctx.cost.phase(float(n), 1.0)
+            if np.array_equal(nxt, label):
                 break
-            cu, cv, cr, cid = lu[cross], lv[cross], rank[cross], ids[cross]
-            # Min outgoing edge rank per component (both endpoints' view).
-            # The scatter-min CAS per candidate is data-parallel work.
-            best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(best, cu, cr)
-            np.minimum.at(best, cv, cr)
-            ctx.phase(float(2 * cr.shape[0]), 1.0)
-            sel_rank = distinct(best[best != np.iinfo(np.int64).max])
-            sel_mask = np.isin(cr, sel_rank)
-            sel_u, sel_v, sel_id = cu[sel_mask], cv[sel_mask], cid[sel_mask]
-            chosen.extend(sel_id.tolist())
-            # Hook components along selected edges, then pointer-jump.
-            hi = np.maximum(sel_u, sel_v)
-            lo = np.minimum(sel_u, sel_v)
-            np.minimum.at(label, hi, lo)
-            while True:
-                nxt = label[label]
-                ctx.phase(float(n), 1.0)
-                if np.array_equal(nxt, label):
-                    break
-                label = nxt
-            # Charge the irregular per-component selection work as a
-            # simulated work-stealing phase (lazy sync, not a barrier per
-            # component).
-            comp_ids, counts = np.unique(
-                np.concatenate([cu, cv]), return_counts=True
+            label = nxt
+        # Charge the irregular per-component selection work as a
+        # simulated work-stealing phase (lazy sync, not a barrier per
+        # component).
+        comp_ids, counts = np.unique(
+            np.concatenate([cu, cv]), return_counts=True
+        )
+        if comp_ids.shape[0] > 1:
+            stats = simulate_work_stealing(
+                counts.astype(np.float64), ctx.n_workers
             )
-            if comp_ids.shape[0] > 1:
-                stats = simulate_work_stealing(
-                    counts.astype(np.float64), ctx.n_workers
-                )
-                ctx.phase(stats.total_work, stats.makespan - stats.total_work / ctx.n_workers
-                          if ctx.n_workers > 1 else 1.0)
+            ctx.cost.phase(
+                stats.total_work,
+                stats.makespan - stats.total_work / ctx.n_workers
+                if ctx.n_workers > 1 else 1.0,
+            )
     return np.asarray(sorted(set(chosen)), dtype=np.int64)
 
 
@@ -120,7 +123,7 @@ def kruskal_msf(g: GraphLike, *, ctx: Optional[ParallelContext] = None) -> np.nd
             parent[x], x = root, int(parent[x])
         return root
 
-    ctx.serial(float(order.shape[0]))
+    ctx.cost.serial(float(order.shape[0]))
     out = []
     for i in order:
         ru, rv = find(int(u[i])), find(int(v[i]))
@@ -158,7 +161,7 @@ def prim_mst(
             heapq.heappush(heap, (float(wts[off]), e, int(graph.targets[a])))
 
     push(source)
-    ctx.serial(float(graph.degree(source)))
+    ctx.cost.serial(float(graph.degree(source)))
     out = []
     while heap:
         wt, e, tgt = heapq.heappop(heap)
@@ -167,7 +170,7 @@ def prim_mst(
         in_tree[tgt] = True
         out.append(e)
         push(tgt)
-        ctx.serial(float(graph.degree(tgt)))
+        ctx.cost.serial(float(graph.degree(tgt)))
     return np.asarray(sorted(out), dtype=np.int64)
 
 

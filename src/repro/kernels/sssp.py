@@ -106,45 +106,45 @@ def delta_stepping(
     bucket_of[source] = 0
     current = 0
     degs = graph.degrees()
-    with ctx.region():
-        while True:
-            members = np.nonzero(bucket_of == current)[0]
-            if members.shape[0] == 0:
-                later = bucket_of[bucket_of > current]
-                if later.shape[0] == 0:
-                    break
-                current = int(later.min())
-                continue
-            settled_this_bucket: list[np.ndarray] = []
-            # Light-edge phases until the bucket stops refilling.
-            req = members
-            while req.shape[0]:
-                settled_this_bucket.append(req)
-                bucket_of[req] = -2  # settled marker (may be re-bucketed)
-                srcs, tgts, arc_idx = expand(graph, req, edge_active)
-                ctx.record_phase_from_work(degs[req])
-                if arc_idx.shape[0]:
-                    keep = light_arc[arc_idx]
-                    improved = relax(srcs[keep], tgts[keep], arc_idx[keep])
-                else:
-                    improved = np.empty(0, dtype=np.int64)
+    ctx.cost.region()
+    while True:
+        members = np.nonzero(bucket_of == current)[0]
+        if members.shape[0] == 0:
+            later = bucket_of[bucket_of > current]
+            if later.shape[0] == 0:
+                break
+            current = int(later.min())
+            continue
+        settled_this_bucket: list[np.ndarray] = []
+        # Light-edge phases until the bucket stops refilling.
+        req = members
+        while req.shape[0]:
+            settled_this_bucket.append(req)
+            bucket_of[req] = -2  # settled marker (may be re-bucketed)
+            srcs, tgts, arc_idx = expand(graph, req, edge_active)
+            ctx.cost.phase_from_work(degs[req])
+            if arc_idx.shape[0]:
+                keep = light_arc[arc_idx]
+                improved = relax(srcs[keep], tgts[keep], arc_idx[keep])
+            else:
+                improved = np.empty(0, dtype=np.int64)
+            if improved.shape[0]:
+                new_bucket = (dist[improved] / delta).astype(np.int64)
+                bucket_of[improved] = new_bucket
+                req = improved[new_bucket == current]
+            else:
+                req = improved
+        # Heavy-edge pass over everything settled in this bucket.
+        if settled_this_bucket:
+            allv = distinct(np.concatenate(settled_this_bucket))
+            srcs, tgts, arc_idx = expand(graph, allv, edge_active)
+            ctx.cost.phase_from_work(degs[allv])
+            if arc_idx.shape[0]:
+                keep = ~light_arc[arc_idx]
+                improved = relax(srcs[keep], tgts[keep], arc_idx[keep])
                 if improved.shape[0]:
-                    new_bucket = (dist[improved] / delta).astype(np.int64)
-                    bucket_of[improved] = new_bucket
-                    req = improved[new_bucket == current]
-                else:
-                    req = improved
-            # Heavy-edge pass over everything settled in this bucket.
-            if settled_this_bucket:
-                allv = distinct(np.concatenate(settled_this_bucket))
-                srcs, tgts, arc_idx = expand(graph, allv, edge_active)
-                ctx.record_phase_from_work(degs[allv])
-                if arc_idx.shape[0]:
-                    keep = ~light_arc[arc_idx]
-                    improved = relax(srcs[keep], tgts[keep], arc_idx[keep])
-                    if improved.shape[0]:
-                        bucket_of[improved] = (dist[improved] / delta).astype(np.int64)
-            current += 1
+                    bucket_of[improved] = (dist[improved] / delta).astype(np.int64)
+        current += 1
     return SSSPResult(dist, parent)
 
 
@@ -183,6 +183,6 @@ def dijkstra(
                 dist[u] = nd
                 parent[u] = v
                 heapq.heappush(heap, (nd, u))
-    ctx.serial(float(ops))
+    ctx.cost.serial(float(ops))
     return SSSPResult(dist, parent)
 

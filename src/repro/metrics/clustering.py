@@ -56,7 +56,7 @@ def triangle_counts(
         )
     degs = np.diff(offsets)
     du, dv = degs[u_arr], degs[v_arr]
-    ctx.record_phase_from_work(du + dv)
+    ctx.cost.phase_from_work(du + dv)
     keys, stride = _segment_keys(offsets, targets)
     bounds = chunk_bounds(np.minimum(du, dv), QUERY_BLOCK)
     counts = np.empty(u_arr.shape[0], dtype=np.int64)

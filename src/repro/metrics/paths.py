@@ -55,8 +55,8 @@ def _batched_stats(g: GraphLike, srcs: np.ndarray, ctx: ParallelContext):
     per = float(max(1, graph.n_arcs))
     if batches:
         # One phase whose tasks are the source batches.
-        with ctx.region():
-            ctx.phase(per * len(srcs), per * max(len(b) for b in batches))
+        ctx.cost.region()
+        ctx.cost.phase(per * len(srcs), per * max(len(b) for b in batches))
     return ctx.map_batches(
         _distance_stats_batch, graph, batches, payload=edge_active
     )

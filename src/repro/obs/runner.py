@@ -34,7 +34,13 @@ __all__ = ["RunResult", "run"]
 
 @dataclass
 class RunResult:
-    """Uniform envelope: payload + observability artifacts of one run."""
+    """Uniform envelope: payload + observability artifacts of one run.
+
+    ``cost_model`` is the context's cost model
+    (:class:`~repro.parallel.costmodel.CostModel`): this run's profile on
+    a context of its own, the running total of every run so far on a
+    caller-owned one (a ``Session``, the daemon).
+    """
 
     algorithm: str
     value: Any

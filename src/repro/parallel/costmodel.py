@@ -14,18 +14,27 @@ its parallel decomposition faithfully and *records* it phase by phase:
   (tree-barrier latency, contention), which is what bends speedup
   curves over — exactly the saturation visible in the paper's Figure 2.
 
-``modeled_time(p)`` combines the records with a
-:class:`MachineModel`'s calibrated constants.  The defaults are tuned so
-that SNAP's kernels land in the paper's reported speedup range
-(≈9–13× on 32 threads) when run on the paper's workloads; the *shape*
-(which algorithm scales best, where curves flatten) is produced by the
-measured profile, not hand-set.
+Every term is linear in the records, so :class:`CostModel` keeps only
+running sums — parallel work ``W``, summed max items ``M``, serial work
+``S``, phase, flag-phase, lock, CAS and region counts — and
+``modeled_time(p)`` is the closed form ``S + W/p + (1 - 1/p)·M`` plus
+each phase's barrier (or flag), lock, CAS and wake-up costs, all
+weighted by a :class:`MachineModel`'s calibrated constants.  The
+defaults are tuned so that SNAP's kernels land in the paper's reported
+speedup range (≈9–13× on 32 threads) when run on the paper's workloads;
+the *shape* (which algorithm scales best, where curves flatten) is
+produced by the measured profile, not hand-set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,11 @@ class MachineModel:
     t_cas: float = 2.0
     cas_contention: float = 0.5
     t_spawn: float = 300.0
-    #: Cost of faulting one page of a memory-mapped shard into a worker
-    #: (in ``t_op`` units ≈ memory ops: a 4 KiB major fault costs far
-    #: more than the 512 words it delivers).
-    t_page_in: float = 2000.0
-    page_size: int = 4096
 
     def barrier_cost(self, p: int) -> float:
         if p <= 1:
             return 0.0
         return self.t_barrier_base + self.t_barrier_log * math.log2(p)
-
-    def page_in_cost(self, n_bytes: int) -> float:
-        """Modeled cost of paging ``n_bytes`` of a cold mmap'd shard in."""
-        if n_bytes <= 0:
-            return 0.0
-        pages = -(-int(n_bytes) // self.page_size)
-        return pages * self.t_page_in
 
     def lock_cost(self, p: int) -> float:
         if p <= 1:
@@ -95,38 +92,67 @@ class MachineModel:
         return self.t_cas + self.cas_contention * math.log2(p)
 
 
-@dataclass
-class _Phase:
-    work: float
-    max_item: float
-    count: int = 1  # identical phases are run-length compressed
-    flag_sync: bool = False  # flag/future sync instead of a full barrier
+def phase_of_work(
+    work: Optional[np.ndarray], n_workers: int, degree_aware: bool
+) -> Optional[tuple[float, float]]:
+    """``(work, max_item)`` of a phase whose items cost ``work`` each.
+
+    ``None`` for a phase with no work (nothing is recorded).  The
+    phase's ``max_item`` is the largest chunk's *excess* work
+    granularity: with degree-aware chunking this is the largest single
+    item; without it, the whole largest chunk may be the bottleneck,
+    which the model captures via the imbalance factor.  Pure, so a
+    worker can compute its phases and the coordinator record them.
+    """
+    if work is None or len(work) == 0:
+        return None
+    work = np.asarray(work, dtype=np.float64)
+    total = float(work.sum())
+    if total == 0.0:
+        return None
+    if degree_aware:
+        # Degree-aware assignment also visits the adjacencies of
+        # high-degree vertices in parallel (paper §3), so no single
+        # vertex is an indivisible work item.
+        return total, 1.0
+    imb = imbalance_factor(work, chunk_ranges(work.shape[0], n_workers))
+    # An oblivious schedule behaves as if its largest indivisible item
+    # were the whole overloaded chunk's excess.
+    top = float(work.max())
+    return total, max(top, (imb - 1.0) * total / n_workers + top)
 
 
 class CostModel:
-    """Accumulates a kernel run's work/span/sync profile.
+    """A run's work/span/sync profile as eight running sums.
 
-    Kernels call :meth:`phase`, :meth:`serial`, :meth:`lock` during
-    execution; harnesses call :meth:`modeled_time` / :meth:`speedup`
-    afterwards.  Profiles are composable via :meth:`merge` (e.g. a
-    clustering algorithm merges the profiles of its inner BFS calls).
+    Kernels charge it during execution (:meth:`phase`,
+    :meth:`phase_from_work`, :meth:`serial`, :meth:`lock`, :meth:`cas`,
+    :meth:`region`); harnesses read :meth:`modeled_time` /
+    :meth:`speedup` / :meth:`summary` afterwards.  Every sum is a float,
+    so a profile's size is fixed however much a long-lived context
+    (a ``Session``, the daemon) has charged it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n_workers: int = 1, degree_aware: bool = True) -> None:
         self.machine = MachineModel()
-        self._phases: list[_Phase] = []
-        self.serial_work: float = 0.0
-        self.lock_events: int = 0
-        self.cas_events: int = 0
-        self.regions: int = 0
+        self.n_workers = n_workers
+        self.degree_aware = degree_aware
+        self.parallel_work = 0.0
+        self.max_item_work = 0.0  # the phases' max items, summed
+        self.serial_work = 0.0
+        self.n_phases = 0.0
+        self.n_flag_phases = 0.0
+        self.lock_events = 0.0
+        self.cas_events = 0.0
+        self.regions = 0.0
 
     # ------------------------------------------------------------------
-    # Recording
+    # Charging
     # ------------------------------------------------------------------
     def phase(
         self, work: float, max_item: float = 1.0, *, flag_sync: bool = False
     ) -> None:
-        """Record one parallel phase.
+        """Charge one parallel phase.
 
         ``work`` is the phase's total work; ``max_item`` the largest
         indivisible chunk (1 when work is perfectly divisible).  With
@@ -137,75 +163,48 @@ class CostModel:
         """
         if work < 0 or max_item < 0:
             raise ValueError("work and max_item must be non-negative")
-        max_item = min(max_item, work) if work else 0.0
-        tail = self._phases[-1] if self._phases else None
-        if (
-            tail is not None
-            and tail.work == work
-            and tail.max_item == max_item
-            and tail.flag_sync == flag_sync
-        ):
-            tail.count += 1
-        else:
-            self._phases.append(_Phase(work, max_item, flag_sync=flag_sync))
+        self.parallel_work += float(work)
+        self.max_item_work += float(min(max_item, work)) if work else 0.0
+        self.n_phases += 1
+        if flag_sync:
+            self.n_flag_phases += 1
+
+    def phase_from_work(self, work: Optional[np.ndarray]) -> None:
+        """Charge a phase whose items cost ``work`` each, chunked as this
+        model's context chunks (see :func:`phase_of_work`)."""
+        ph = phase_of_work(work, self.n_workers, self.degree_aware)
+        if ph is not None:
+            self.phase(*ph)
 
     def serial(self, work: float) -> None:
-        """Record work that runs on one processor regardless of ``p``."""
+        """Charge work that runs on one processor regardless of ``p``."""
         if work < 0:
             raise ValueError("work must be non-negative")
-        self.serial_work += work
+        self.serial_work += float(work)
 
     def lock(self, count: int = 1) -> None:
-        """Record ``count`` mutex acquisitions."""
-        self.lock_events += count
+        """Charge ``count`` mutex acquisitions."""
+        self.lock_events += float(count)
 
     def cas(self, count: int = 1) -> None:
-        """Record ``count`` single-word atomic (CAS) operations."""
-        self.cas_events += count
+        """Charge ``count`` single-word atomic (CAS) operations."""
+        self.cas_events += float(count)
 
     def region(self, count: int = 1) -> None:
-        """Record entry into a parallel region (worker wake-up cost)."""
-        self.regions += count
-
-    def page_in(self, n_bytes: int) -> None:
-        """Record paging ``n_bytes`` of a cold memory-mapped shard in.
-
-        Charged as one maximally-granular phase: a shard's page-in is
-        one worker's sequential fault stream, so it contributes its full
-        cost to the span (other workers fault their own shards
-        concurrently, which *is* the phase-parallelism).
-        """
-        cost = self.machine.page_in_cost(n_bytes)
-        if cost:
-            self.phase(cost, cost)
-
-    def merge(self, other: "CostModel") -> None:
-        """Fold another profile into this one (phases concatenate)."""
-        self._phases.extend(replace_list(other._phases))
-        self.serial_work += other.serial_work
-        self.lock_events += other.lock_events
-        self.cas_events += other.cas_events
-        self.regions += other.regions
+        """Charge entry into a parallel region (worker wake-up cost)."""
+        self.regions += float(count)
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def parallel_work(self) -> float:
-        return sum(ph.work * ph.count for ph in self._phases)
-
-    @property
     def total_work(self) -> float:
         return self.parallel_work + self.serial_work
 
     @property
-    def n_barriers(self) -> int:
-        return sum(ph.count for ph in self._phases)
-
-    @property
     def span(self) -> float:
         """Critical-path work: serial work plus each phase's max item."""
-        return self.serial_work + sum(ph.max_item * ph.count for ph in self._phases)
+        return self.serial_work + self.max_item_work
 
     def modeled_time(self, p: int) -> float:
         """Modeled execution time on ``p`` processors."""
@@ -213,17 +212,13 @@ class CostModel:
             raise ValueError("p must be >= 1")
         mach = self.machine
         t = self.serial_work * mach.t_op
-        t += self.regions * (mach.t_spawn if p > 1 else 0.0)
-        barrier = mach.barrier_cost(p)
-        flag = mach.cas_cost(p)
-        for ph in self._phases:
-            if p == 1:
-                per_phase = ph.work * mach.t_op
-            else:
-                makespan = ph.work / p + (1.0 - 1.0 / p) * ph.max_item
-                sync = flag if ph.flag_sync else barrier
-                per_phase = makespan * mach.t_op + sync
-            t += per_phase * ph.count
+        if p == 1:
+            t += self.parallel_work * mach.t_op
+        else:
+            makespan = self.parallel_work / p + (1.0 - 1.0 / p) * self.max_item_work
+            barriers = self.n_phases - self.n_flag_phases
+            t += self.regions * mach.t_spawn + makespan * mach.t_op
+            t += barriers * mach.barrier_cost(p) + self.n_flag_phases * mach.cas_cost(p)
         t += self.lock_events * mach.lock_cost(p)
         t += self.cas_events * mach.cas_cost(p)
         return t
@@ -234,69 +229,14 @@ class CostModel:
         tp = self.modeled_time(p)
         return t1 / tp if tp > 0 else 1.0
 
-    def reset(self) -> None:
-        self._phases.clear()
-        self.serial_work = 0.0
-        self.lock_events = 0
-        self.cas_events = 0
-        self.regions = 0
-
     def summary(self) -> dict[str, float]:
         """Human-readable profile summary."""
         return {
             "parallel_work": self.parallel_work,
             "serial_work": self.serial_work,
             "span": self.span,
-            "barriers": float(self.n_barriers),
-            "lock_events": float(self.lock_events),
-            "cas_events": float(self.cas_events),
-            "regions": float(self.regions),
+            "barriers": self.n_phases,
+            "lock_events": self.lock_events,
+            "cas_events": self.cas_events,
+            "regions": self.regions,
         }
-
-
-def replace_list(phases: list[_Phase]) -> list[_Phase]:
-    """Deep-copy a phase list (phases are mutable run-length cells)."""
-    return [replace(ph) for ph in phases]
-
-
-#: Halo fraction assumed when sizing shards before a partition exists:
-#: multilevel partitions of small-world graphs typically replicate
-#: 5–25% of a shard's vertices as ghosts; 0.15 is the middle of that
-#: band and errs toward more shards (safer under a hard budget).
-DEFAULT_HALO_FRACTION = 0.15
-
-#: Per-worker overhead besides the mapped shard: superstep payloads,
-#: result buffers and interpreter slack, as a fraction of shard bytes.
-WORKING_SET_FACTOR = 1.5
-
-
-def recommend_shards(
-    graph_bytes: int,
-    mem_budget: int,
-    *,
-    halo_fraction: float = DEFAULT_HALO_FRACTION,
-    max_shards: int = 4096,
-) -> int:
-    """Smallest shard count whose per-shard working set fits the budget.
-
-    ``graph_bytes`` is the in-core CSR size (see
-    :func:`repro.sharded.shards.in_core_nbytes`); ``mem_budget`` the
-    bytes one worker may keep resident.  A ``k``-way split leaves
-    roughly ``graph_bytes / k`` owned payload per shard, inflated by the
-    halo layer (``k > 1`` only) and the superstep working set; we pick
-    the smallest ``k`` that fits so shards stay as coarse — and page-in
-    as sequential — as possible.
-    """
-    if graph_bytes < 0:
-        raise ValueError("graph_bytes must be non-negative")
-    if mem_budget <= 0:
-        raise ValueError("mem_budget must be positive")
-    if graph_bytes == 0:
-        return 1
-    for k in range(1, max_shards + 1):
-        per_shard = graph_bytes / k
-        if k > 1:
-            per_shard *= 1.0 + halo_fraction
-        if per_shard * WORKING_SET_FACTOR <= mem_budget:
-            return k
-    return max_shards

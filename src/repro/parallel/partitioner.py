@@ -7,7 +7,7 @@ estimates the processing work per vertex and assigns vertices to
 processors accordingly, and visits the adjacencies of high-degree
 vertices in parallel.  These helpers build the degree-oblivious
 baseline assignment and quantify the imbalance the cost model charges
-it (:func:`repro.parallel.runtime.phase_of_work`).
+it (:func:`repro.parallel.costmodel.phase_of_work`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`ParallelContext` is what kernels receive instead of a raw
 thread count.  It bundles
 
 * the configured worker count ``p`` (the paper sweeps 1..32 threads),
-* a :class:`~repro.parallel.costmodel.CostModel` accumulating the run's
-  work/span/sync profile (phases, barriers, lock and CAS events),
+* ``cost``, a :class:`~repro.parallel.costmodel.CostModel` summing the
+  run's work/span/sync profile, which kernels charge directly,
 * chunking policy (degree-aware or oblivious — paper §3), and
 * a real execution **backend** for coarse-grained task maps
   (per-component clustering, per-source traversal batches):
@@ -18,7 +18,7 @@ thread count.  It bundles
     ``multiprocessing.shared_memory`` (see :mod:`repro.parallel.shm`).
 
   Pools are created lazily, reused across calls, and released by
-  :meth:`close` / :meth:`reset` or the context-manager protocol.
+  :meth:`close` or the context-manager protocol.
 
 Every :meth:`~ParallelContext.map` / :meth:`~ParallelContext.map_batches`
 call runs through one path, :func:`repro.parallel.resilience.drive`,
@@ -39,9 +39,8 @@ import pickle
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from repro.obs.tracer import current_tracer
 from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
 from repro.parallel.costmodel import CostModel
-from repro.parallel.partitioner import chunk_ranges, imbalance_factor
 from repro.parallel.resilience import FaultPolicy
 
 if TYPE_CHECKING:
@@ -71,36 +69,6 @@ def _picklable_by_reference(fn: Callable) -> bool:
         return pickle.loads(pickle.dumps(fn)) is fn
     except Exception:
         return False
-
-
-def phase_of_work(
-    work: Optional[np.ndarray], n_workers: int, degree_aware: bool
-) -> Optional[tuple[float, float]]:
-    """``(work, max_item)`` of a phase whose items cost ``work`` each.
-
-    ``None`` for a phase with no work (nothing is recorded).  The
-    phase's ``max_item`` is the largest chunk's *excess* work
-    granularity: with degree-aware chunking this is the largest single
-    item; without it, the whole largest chunk may be the bottleneck,
-    which the model captures via the imbalance factor.  Pure, so a
-    worker can compute its phases and the coordinator record them.
-    """
-    if work is None or len(work) == 0:
-        return None
-    work = np.asarray(work, dtype=np.float64)
-    total = float(work.sum())
-    if total == 0.0:
-        return None
-    if degree_aware:
-        # Degree-aware assignment also visits the adjacencies of
-        # high-degree vertices in parallel (paper §3), so no single
-        # vertex is an indivisible work item.
-        return total, 1.0
-    imb = imbalance_factor(work, chunk_ranges(work.shape[0], n_workers))
-    # An oblivious schedule behaves as if its largest indivisible item
-    # were the whole overloaded chunk's excess.
-    top = float(work.max())
-    return total, max(top, (imb - 1.0) * total / n_workers + top)
 
 
 @dataclass
@@ -160,10 +128,6 @@ class PoolStats:
             "shm_fallbacks": self.shm_fallbacks,
             "faults_injected": self.faults_injected,
         }
-
-    def reset(self) -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, type(getattr(self, f))(0))
 
 
 class _RunnerBase:
@@ -313,7 +277,7 @@ class ParallelContext:
         self.n_workers = int(n_workers)
         self.degree_aware = bool(degree_aware)
         self.backend = backend
-        self.cost = CostModel()
+        self.cost = CostModel(self.n_workers, self.degree_aware)
         self.pool = PoolStats()
         # Read per dispatch by repro.parallel.resilience.policy_for;
         # never reassigned (obs.run arms a run without writing here).
@@ -342,37 +306,6 @@ class ParallelContext:
     @tracer.setter
     def tracer(self, value) -> None:
         self._tracer = value
-
-    # ------------------------------------------------------------------
-    # Instrumentation passthroughs
-    # ------------------------------------------------------------------
-    def phase(
-        self, work: float, max_item: float = 1.0, *, flag_sync: bool = False
-    ) -> None:
-        """Record one barrier- (or flag-) separated parallel phase."""
-        self.cost.phase(work, max_item, flag_sync=flag_sync)
-
-    def serial(self, work: float) -> None:
-        self.cost.serial(work)
-
-    def lock(self, count: int = 1) -> None:
-        self.cost.lock(count)
-
-    def cas(self, count: int = 1) -> None:
-        self.cost.cas(count)
-
-    @contextmanager
-    def region(self):
-        """A parallel region (charged a worker wake-up in the model)."""
-        self.cost.region()
-        yield self
-
-    def record_phase_from_work(self, work: Optional[np.ndarray]) -> None:
-        """Record a phase whose items have per-item ``work`` costs
-        (see :func:`phase_of_work`)."""
-        ph = phase_of_work(work, self.n_workers, self.degree_aware)
-        if ph is not None:
-            self.phase(*ph)
 
     # ------------------------------------------------------------------
     # Execution backend plumbing
@@ -636,20 +569,6 @@ class ParallelContext:
                 ),
             )
             return [out for out, _ in pairs]
-
-    # ------------------------------------------------------------------
-    def modeled_time(self, p: Optional[int] = None) -> float:
-        """Modeled execution time at ``p`` (default: configured) workers."""
-        return self.cost.modeled_time(p if p is not None else self.n_workers)
-
-    def speedup(self, p: Optional[int] = None) -> float:
-        return self.cost.speedup(p if p is not None else self.n_workers)
-
-    def reset(self) -> None:
-        """Clear instrumentation and release pools/shared segments."""
-        self.cost.reset()
-        self.pool.reset()
-        self.close()
 
 
 def ensure_context(ctx: Optional[ParallelContext]) -> ParallelContext:

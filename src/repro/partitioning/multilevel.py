@@ -175,7 +175,7 @@ def multilevel_bisection(
             graph, coarsest_size=max(64, 2), rng=rng,
             vertex_weights=vertex_weights,
         )
-    ctx.serial(float(sum(l.graph.n_arcs for l in levels)))
+    ctx.cost.serial(float(sum(l.graph.n_arcs for l in levels)))
     with (
         tr.span("initial_partition", n_coarse=levels[-1].graph.n_vertices)
         if tr
@@ -270,7 +270,7 @@ def multilevel_kway(
     tr = ctx.tracer
     with (tr.span("coarsen") if tr else _noop()):
         levels = _coarsen(graph, coarsest_size=max(20 * k, 128), rng=rng)
-    ctx.serial(float(sum(l.graph.n_arcs for l in levels)))
+    ctx.cost.serial(float(sum(l.graph.n_arcs for l in levels)))
     coarsest = levels[-1]
     with (
         tr.span("initial_partition", n_coarse=coarsest.graph.n_vertices)

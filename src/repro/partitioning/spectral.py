@@ -235,7 +235,7 @@ def spectral_bisection(
     ctx = ensure_context(ctx)
     rng = rng or np.random.default_rng(0)
     f = fiedler_vector(graph, method=method, rng=rng)
-    ctx.serial(float(graph.n_arcs))
+    ctx.cost.serial(float(graph.n_arcs))
     side = f > np.median(f)
     if refine:
         side = fm_refine_bisection(graph, side)

@@ -801,10 +801,6 @@ def run_differential(
             if len(report.failures) >= max_failures:
                 break
             report.n_graphs += 1
-            # Bound cost-model memory across thousands of runs while
-            # keeping the backend pools warm (ctx.reset would close them).
-            for ctx in ctxs.values():
-                ctx.cost.reset()
             for check in active:
                 if not _applicable(check, item):
                     continue

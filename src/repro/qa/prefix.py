@@ -457,7 +457,6 @@ def run_prefix_differential(
                 break
             if len(report.failures) >= max_failures:
                 break
-            ctx.cost.reset()
             policy = CRAWL_POLICIES[i % len(CRAWL_POLICIES)]
             n, events = event_stream(
                 item, seed, policy=policy, batch_size=batch_size

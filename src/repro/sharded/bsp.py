@@ -209,7 +209,6 @@ class BSPDriver:
     stats: list = field(default_factory=list)
     last_completed: int = -1
     checkpointer: Optional[BSPCheckpointer] = None
-    _paged_in: set = field(default_factory=set)
     _last_saved: int = -1
     _logs: dict = field(default_factory=dict)  # tag -> _TagLog
 
@@ -236,20 +235,9 @@ class BSPDriver:
         coordinator state that only advances *between* supersteps.
         """
         index = self.last_completed + 1
-        # Model the mmap page-in of each shard the first time a
-        # superstep touches it (later touches re-fault from the page
-        # cache); payloads lead with (path, shard_index, ...).
-        for p in payloads:
-            if isinstance(p, tuple) and len(p) >= 2 and isinstance(p[1], int):
-                s = p[1]
-                if s not in self._paged_in and 0 <= s < self.shard_set.k:
-                    self._paged_in.add(s)
-                    self.ctx.cost.page_in(
-                        int(self.shard_set.shard_meta(s)["bytes"])
-                    )
         if payloads:
-            with self.ctx.region():
-                self.ctx.phase(float(len(payloads)), 1.0)
+            self.ctx.cost.region()
+            self.ctx.cost.phase(float(len(payloads)), 1.0)
         t0 = time.perf_counter()
         results = self.ctx.map(worker, list(payloads))
         seconds = time.perf_counter() - t0
@@ -291,9 +279,9 @@ class BSPDriver:
         ``record`` is what the algorithm's last step wrote; the records
         :meth:`resume` returns, folded in order, must rebuild the state.
         Each append carries the pending records plus the ledger entries
-        the log does not hold yet, ``last_completed`` and the paged-in
-        set, so a resumed run's metrics cover the pre-crash supersteps
-        too.  Returns whether an append was made.
+        the log does not hold yet and ``last_completed``, so a resumed
+        run's metrics cover the pre-crash supersteps too.  Returns
+        whether an append was made.
         """
         cp = self.checkpointer
         if cp is None:
@@ -305,7 +293,6 @@ class BSPDriver:
         tl.log.append({
             "records": tl.pending,
             "last_completed": self.last_completed,
-            "paged_in": sorted(self._paged_in),
             "stats": [s.as_dict() for s in self.stats[tl.n_stats:]],
         })
         tl.pending, tl.n_stats = [], len(self.stats)
@@ -342,7 +329,6 @@ class BSPDriver:
         if int(last["last_completed"]) > self.last_completed:
             self.last_completed = int(last["last_completed"])
             self.stats = stats
-            self._paged_in = set(last["paged_in"])
         self._last_saved = self.last_completed
         return [r for a in appends for r in a["records"]]
 

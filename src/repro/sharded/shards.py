@@ -96,6 +96,44 @@ def in_core_nbytes(graph: Graph) -> int:
     return int(total)
 
 
+#: Halo fraction assumed when sizing shards before a partition exists:
+#: multilevel partitions of small-world graphs typically replicate
+#: 5–25% of a shard's vertices as ghosts; 0.15 is the middle of that
+#: band and errs toward more shards (safer under a hard budget).
+HALO_FRACTION = 0.15
+
+#: Per-worker overhead besides the mapped shard: superstep payloads,
+#: result buffers and interpreter slack, as a fraction of shard bytes.
+WORKING_SET_FACTOR = 1.5
+
+MAX_SHARDS = 4096
+
+
+def recommend_shards(graph_bytes: int, mem_budget: int) -> int:
+    """Smallest shard count whose per-shard working set fits the budget.
+
+    ``graph_bytes`` is the in-core CSR size (:func:`in_core_nbytes`);
+    ``mem_budget`` the bytes one worker may keep resident.  A ``k``-way
+    split leaves roughly ``graph_bytes / k`` owned payload per shard,
+    inflated by the halo layer (``k > 1`` only) and the superstep
+    working set; the smallest ``k`` that fits keeps shards as coarse as
+    possible.
+    """
+    if graph_bytes < 0:
+        raise ValueError("graph_bytes must be non-negative")
+    if mem_budget <= 0:
+        raise ValueError("mem_budget must be positive")
+    if graph_bytes == 0:
+        return 1
+    for k in range(1, MAX_SHARDS + 1):
+        per_shard = graph_bytes / k
+        if k > 1:
+            per_shard *= 1.0 + HALO_FRACTION
+        if per_shard * WORKING_SET_FACTOR <= mem_budget:
+            return k
+    return MAX_SHARDS
+
+
 # ---------------------------------------------------------------------------
 # Memory-mapped .npz access
 # ---------------------------------------------------------------------------
@@ -758,8 +796,8 @@ def build_shard_set(
     """Partition ``graph`` into ``k`` shards and persist them under
     ``out_dir``.
 
-    ``k`` defaults to :func:`repro.parallel.costmodel.recommend_shards`
-    applied to the graph's in-core bytes when ``mem_budget`` is given.
+    ``k`` defaults to :func:`recommend_shards` applied to the graph's
+    in-core bytes when ``mem_budget`` is given.
     ``labels`` overrides the partitioner with an explicit assignment.
     ``method`` selects ``"multilevel"`` (METIS-style, default) or
     ``"block"`` (contiguous arc-balanced ranges — O(n), used for quick
@@ -780,8 +818,6 @@ def build_shard_set(
         if k is None:
             if mem_budget is None:
                 raise SnapError("build_shard_set needs k, mem_budget or labels")
-            from repro.parallel.costmodel import recommend_shards
-
             k = recommend_shards(in_core_nbytes(graph), mem_budget)
         k = max(1, min(int(k), max(1, n)))
         labels, partitioner = _partition_labels(graph, k, method, seed, ctx)

@@ -87,7 +87,7 @@ class TestBFS:
         ctx = ParallelContext(4)
         bfs(two_triangles_bridge, 0, ctx=ctx)
         assert ctx.cost.parallel_work > 0
-        assert ctx.cost.n_barriers >= 1
+        assert ctx.cost.n_phases >= 1
 
     def test_single_vertex(self):
         g = from_edge_list([], n_vertices=1)

@@ -118,7 +118,7 @@ class TestSpectralEdges:
 class TestContextEdges:
     def test_region_records_spawn(self):
         ctx = ParallelContext(8)
-        with ctx.region():
-            ctx.phase(100, 1)
+        ctx.cost.region()
+        ctx.cost.phase(100, 1)
         assert ctx.cost.regions == 1
-        assert ctx.modeled_time(8) > ctx.cost.parallel_work / 8
+        assert ctx.cost.modeled_time(8) > ctx.cost.parallel_work / 8

@@ -203,21 +203,35 @@ COST_RUNS: dict[str, tuple[str, dict]] = {
 }
 
 
-def cost_digests() -> dict[str, str]:
+def _cost_models():
+    """``(pin name, cost model)`` of every ``COST_RUNS`` run."""
     import repro
     from repro.parallel import ParallelContext
 
     g = karate_club()
-    out = {}
     for name, (algo, kwargs) in COST_RUNS.items():
         for key, aware in ((name, True), (f"{name}@oblivious", False)):
             ctx = ParallelContext(32, degree_aware=aware)
             repro.obs.run(algo, g, ctx=ctx, trace=False, **kwargs)
-            summary = sorted(ctx.cost.summary().items())
-            out[key] = _sha1(
-                repr([(k, float(v).hex()) for k, v in summary]).encode()
-            )
-    return out
+            yield key, ctx.cost
+
+
+def cost_digests() -> dict[str, str]:
+    return {
+        key: _sha1(repr([
+            (k, float(v).hex()) for k, v in sorted(cost.summary().items())
+        ]).encode())
+        for key, cost in _cost_models()
+    }
+
+
+def modeled_curves() -> dict[str, tuple[float, ...]]:
+    from repro.parallel.runtime import DEFAULT_THREAD_COUNTS
+
+    return {
+        key: tuple(cost.speedup(p) for p in DEFAULT_THREAD_COUNTS)
+        for key, cost in _cost_models()
+    }
 
 
 PINNED_COSTS: dict[str, str] = {
@@ -244,6 +258,111 @@ PINNED_COSTS: dict[str, str] = {
 
 def test_cost_summaries_match_pinned_digests():
     assert cost_digests() == PINNED_COSTS
+
+
+#: ``speedup(p)`` of each ``COST_RUNS`` profile at every p in
+#: ``DEFAULT_THREAD_COUNTS`` — the Figure 2/3 curves — recorded while the
+#: model still kept one cell per distinct phase; the closed form over
+#: running sums may differ from them only by float rounding.
+PINNED_CURVES: dict[str, tuple[float, ...]] = {
+    "betweenness": (
+        1.0, 1.5516627078384797, 2.308303886925795,
+        2.884105960264901, 3.0531779347969703, 3.099644128113879,
+        3.0844126299330257, 3.033081834010447,
+    ),
+    "betweenness@oblivious": (
+        1.0, 1.4851568241309565, 2.098600938981865,
+        2.5174191982342298, 2.6285570186927654, 2.654424839995655,
+        2.634871941424481, 2.593272515064237,
+    ),
+    "closeness": (
+        1.0, 0.9629629629629629, 0.9732110091743119,
+        0.9766157245442828, 0.9768496846277279, 0.9765258215962441,
+        0.9755919457906245, 0.9746864519685763,
+    ),
+    "closeness@oblivious": (
+        1.0, 0.9629629629629629, 0.9732110091743119,
+        0.9766157245442828, 0.9768496846277279, 0.9765258215962441,
+        0.9755919457906245, 0.9746864519685763,
+    ),
+    "girvan_newman": (
+        1.0, 0.9459592963234967, 1.1031537881270048,
+        1.1360505089898123, 1.11583859454451, 1.0914808257229676,
+        1.0494698923946812, 1.017059016613982,
+    ),
+    "girvan_newman@oblivious": (
+        1.0, 0.9014483702682332, 1.015446127053158,
+        1.0292418530992795, 1.0081832458610562, 0.9861372470229043,
+        0.9497505408160695, 0.9222024383957101,
+    ),
+    "local_resweep": (
+        1.0, 0.34928955718030075, 0.35853865760407816,
+        0.35447291054178914, 0.3488651544942472, 0.34411524870888827,
+        0.33681476146808853, 0.33141361256544505,
+    ),
+    "local_resweep@oblivious": (
+        1.0, 0.34928955718030075, 0.35853865760407816,
+        0.35447291054178914, 0.3488651544942472, 0.34411524870888827,
+        0.33681476146808853, 0.33141361256544505,
+    ),
+    "msbfs": (
+        1.0, 0.8203506754814602, 0.8777487313547594,
+        0.8449411590555843, 0.8060745749056162, 0.7753591197745101,
+        0.7312888448506557, 0.7008087908040332,
+    ),
+    "msbfs@oblivious": (
+        1.0, 0.7463145163926388, 0.7571923657286882,
+        0.7167758898088922, 0.683863984812008, 0.6594293677411901,
+        0.6253028673354015, 0.6019678246984904,
+    ),
+    "pbd": (
+        1.0, 0.9869454377470187, 1.2030407624847492,
+        1.3098315707011359, 1.328801934288594, 1.3283707113187506,
+        1.3141624672070638, 1.297514329054416,
+    ),
+    "pbd@oblivious": (
+        1.0, 0.977687769019485, 1.1825666289559207,
+        1.2816458052732094, 1.2984534926460989, 1.297368531334168,
+        1.2831538297029175, 1.266956404437537,
+    ),
+    "pla": (
+        1.0, 0.4648810208069893, 0.46153846153846156,
+        0.4353536440951663, 0.41630502605805014, 0.40246815286624205,
+        0.3833042922952059, 0.3702279593518264,
+    ),
+    "pla@oblivious": (
+        1.0, 0.4648810208069893, 0.46153846153846156,
+        0.4353536440951663, 0.41630502605805014, 0.40246815286624205,
+        0.3833042922952059, 0.3702279593518264,
+    ),
+    "pla_ml": (
+        1.0, 0.3330446330619551, 0.33759620731029233,
+        0.33111841444337603, 0.3248088618618062, 0.31977159172019987,
+        0.3122752176126639, 0.3068421735097268,
+    ),
+    "pla_ml@oblivious": (
+        1.0, 0.3330446330619551, 0.33759620731029233,
+        0.33111841444337603, 0.3248088618618062, 0.31977159172019987,
+        0.3122752176126639, 0.3068421735097268,
+    ),
+    "pma": (
+        1.0, 0.9762944405428708, 0.9817246513646769,
+        0.9352775759016279, 0.8985157508736631, 0.8711463706724758,
+        0.8326164579299777, 0.8060050746672036,
+    ),
+    "pma@oblivious": (
+        1.0, 0.9762944405428708, 0.9817246513646769,
+        0.9352775759016279, 0.8985157508736631, 0.8711463706724758,
+        0.8326164579299777, 0.8060050746672036,
+    ),
+}
+
+
+def test_modeled_curves_match_pinned_values():
+    got = modeled_curves()
+    assert got.keys() == PINNED_CURVES.keys()
+    for key, curve in PINNED_CURVES.items():
+        assert got[key] == pytest.approx(curve, rel=1e-12, abs=0), key
 
 
 def span_digests() -> dict[str, str]:
@@ -425,6 +544,7 @@ if __name__ == "__main__":  # regenerate the table
             width=100,
         )
     pprint.pprint(cost_digests(), width=100)
+    pprint.pprint(modeled_curves(), width=100)
     pprint.pprint(span_digests(), width=100)
     pprint.pprint(level_digests(), width=100)
     with tempfile.TemporaryDirectory() as tmp:

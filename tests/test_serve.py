@@ -1185,6 +1185,22 @@ class TestFacade:
         b = api.run("bfs", rmat, source=0)
         assert np.array_equal(a.value.distances, b.value.distances)
 
+    def test_session_cost_model_stays_one_size(self, rmat):
+        """Every request charges the session's one context, and its cost
+        model is running sums: 200 requests leave it the size of 20."""
+        import pickle
+
+        n = rmat.n_vertices
+        sizes = []
+        with api.Session() as s:
+            h = s.add("g", rmat)
+            for i in range(1, 201):
+                srcs = [i % n, (7 * i) % n, (31 * i) % n][: 1 + i % 3]
+                s.run("msbfs" if i % 2 else "closeness", h, sources=srcs)
+                if i in (20, 200):
+                    sizes.append(len(pickle.dumps(s.ctx.cost)))
+        assert sizes[0] == sizes[1]
+
     def test_one_validation_path(self, rmat):
         with pytest.raises(TypeError, match="bogus"):
             api.run("bfs", rmat, source=0, bogus=1)

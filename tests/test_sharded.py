@@ -37,7 +37,6 @@ from repro.kernels import connected
 from repro.kernels.bfs import msbfs
 from repro.kernels.connected import connected_components
 from repro.parallel import ChaosPlan, Fault, FaultPolicy, ParallelContext
-from repro.parallel.costmodel import CostModel, recommend_shards
 from repro.sharded import (
     BSPCheckpointer,
     BSPDriver,
@@ -55,6 +54,7 @@ from repro.sharded import (
     sharded_pla,
     shards,
 )
+from repro.sharded.shards import recommend_shards
 
 
 @pytest.fixture(scope="module")
@@ -844,14 +844,6 @@ class TestBudget:
         assert recommend_shards(1 << 30, 32 << 20) >= k
         with pytest.raises(ValueError):
             recommend_shards(100, 0)
-
-    def test_page_in_cost_recorded(self):
-        cm = CostModel()
-        cm.page_in(10_000)  # 3 pages
-        assert cm.parallel_work == 3 * cm.machine.t_page_in
-        before = cm.span
-        cm.page_in(0)
-        assert cm.span == before
 
     def test_ledger_independent_of_directory_name(self, karate, tmp_path):
         """Boundary bytes are a property of the graph and the algorithm,

@@ -148,10 +148,6 @@ class Session:
             batch_runners=batch_runners,
         )
         self._closed = False
-        # Streaming ingestion state: name -> (StreamEngine, the snapshot
-        # it last published), surviving across ingest() calls so
-        # analytics stay incremental.
-        self._engines: dict = {}
         self._ingest_lock = threading.Lock()
 
     # -- residency -----------------------------------------------------
@@ -234,13 +230,13 @@ class Session:
         one differing from it (``analytics`` compared as a set) is
         refused with :class:`~repro.errors.ProtocolError`.
 
-        An engine continues only the snapshot it last published: a name
-        evicted and re-admitted, or re-admitted by anyone else, seeds a
-        fresh engine from what is resident.  The engine leaves the table
-        while it applies and returns only once ``registry.replace``
-        succeeds, so a refused or failed ingest leaves nothing behind; it
-        returns without its batch history, so a resident graph's engine
-        holds O(graph), however long it ingests.
+        The engine lives on the resident entry it published, so it goes
+        when the entry goes: a name evicted and re-admitted seeds a fresh
+        engine from what is resident.  The engine leaves the entry while
+        it applies and is set on the entry ``registry.replace`` returns,
+        so a refused or failed ingest leaves nothing behind; it keeps no
+        batch history, so a resident graph's engine holds O(graph),
+        however long it ingests.
         """
         from repro.dynamic.engine import StreamEngine
         from repro.dynamic.events import EdgeEvent, group_batches
@@ -268,8 +264,8 @@ class Session:
                     raise ProtocolError(
                         f"event vertex out of range [0, {n}): ({e.u}, {e.v})"
                     )
-            engine, published = self._engines.get(name, (None, None))
-            if published is not entry.graph:
+            engine = entry.engine
+            if engine is None:
                 engine = StreamEngine.from_graph(
                     entry.graph,
                     analytics=tuple(analytics or ("components", "stats", "degree")),
@@ -283,7 +279,7 @@ class Session:
                     f"{list(engine.analytics)}, k={engine.k}; omit "
                     "'analytics'/'k' or pass those"
                 )
-            self._engines.pop(name, None)
+            entry.engine = None
             base = engine.n_batches
             try:
                 results = [engine.apply_batch(b) for b in group_batches(evs)]
@@ -293,9 +289,8 @@ class Session:
                 raise ProtocolError(
                     f"ingest failed at batch {engine.n_batches - base}: {exc}"
                 ) from exc
-            published = self.registry.replace(name, engine.snapshot()).graph
             engine.forget_history()  # the session never reads it back
-            self._engines[name] = (engine, published)
+            self.registry.replace(name, engine.snapshot()).engine = engine
         return {
             "graph": name,
             "n_vertices": n,
@@ -311,19 +306,15 @@ class Session:
         snapshot: what the daemon compacts its state log into.
 
         Each graph carries its CSR, so restoring it reads no source
-        file; an engine is kept only while it still continues the
-        resident graph (see :meth:`ingest`).
+        file; an engine is the one on its resident entry (see
+        :meth:`ingest`).
         """
         with self._ingest_lock:
-            graphs = []
-            for e in self.registry.entries():
-                engine, published = self._engines.get(e.name, (None, None))
-                graphs.append({
-                    "name": e.name, "graph": e.graph, "source": e.source,
-                    "shards": e.shards,
-                    "engine": engine.state() if published is e.graph else None,
-                })
-            return {"graphs": graphs}
+            return {"graphs": [{
+                "name": e.name, "graph": e.graph, "source": e.source,
+                "shards": e.shards,
+                "engine": e.engine.state() if e.engine is not None else None,
+            } for e in self.registry.entries()]}
 
     def restore(self, state: dict) -> int:
         """Admit a :meth:`state` snapshot; returns the graphs admitted.
@@ -340,8 +331,7 @@ class Session:
                     shards=doc["shards"],
                 )
                 if doc["engine"] is not None:
-                    engine = StreamEngine.from_state(doc["engine"], ctx=self.ctx)
-                    self._engines[entry.name] = (engine, entry.graph)
+                    entry.engine = StreamEngine.from_state(doc["engine"], ctx=self.ctx)
         return len(state["graphs"])
 
     # -- lifecycle -----------------------------------------------------

@@ -188,7 +188,6 @@ class StreamEngine:
         k: int = 10,
         resweep_passes: int = 16,
         resweep_radius: int = 1,
-        community_escalate: bool = True,
         ctx: Optional[ParallelContext] = None,
     ) -> None:
         for a in analytics:
@@ -201,7 +200,6 @@ class StreamEngine:
         self.k = int(k)
         self.resweep_passes = int(resweep_passes)
         self.resweep_radius = int(resweep_radius)
-        self.community_escalate = bool(community_escalate)
         self.ctx = ensure_context(ctx)
         n = self.n_vertices
 
@@ -451,11 +449,10 @@ class StreamEngine:
 
         The localized re-sweep is the fast path and usually wins (warm
         start + full settle), but a warm start can trap the partition
-        in a local optimum a fresh run escapes.  With
-        ``community_escalate`` (default) the engine also runs a fresh
-        single-level pLA and keeps the higher-Q partition — ties prefer
-        the repair, preserving label continuity across batches.  This
-        makes the harness invariant *modularity ≥ full single-level
+        in a local optimum a fresh run escapes.  So the engine also runs
+        a fresh single-level pLA and keeps the higher-Q partition — ties
+        prefer the repair, preserving label continuity across batches.
+        This makes the harness invariant *modularity ≥ full single-level
         re-run* unconditional rather than empirical.
         """
         from repro.community.pla import pla
@@ -473,7 +470,7 @@ class StreamEngine:
             ctx=self.ctx,
         )
         labels, q = res.labels, float(res.modularity)
-        if self.community_escalate and snap.n_arcs > 0:
+        if snap.n_arcs > 0:
             full = pla(snap, seed=0, ctx=self.ctx)
             if float(full.modularity) > q:
                 labels = np.unique(full.labels, return_inverse=True)[1]
@@ -490,7 +487,6 @@ class StreamEngine:
             "k": self.k,
             "resweep_passes": self.resweep_passes,
             "resweep_radius": self.resweep_radius,
-            "community_escalate": self.community_escalate,
         }
 
     def save(self, path) -> None:

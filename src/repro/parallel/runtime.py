@@ -36,6 +36,7 @@ context, so the instrumentation is always exercised.
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,8 @@ class PoolStats:
     :class:`~repro.obs.runner.RunResult` and the CLI profile output.
     ``busy_seconds`` (summed task wall time) is only known when tracing
     is enabled — utilization is busy time over ``elapsed × workers``.
+    ``shm_segments``/``shm_bytes`` count every segment the context
+    made, for a dispatch or for a resident registry's admission.
     """
 
     map_calls: int = 0
@@ -232,7 +235,7 @@ class _BatchRunner(_RunnerBase):
         self.spec = None
         if mode == "process":
             try:
-                self.spec = ctx._shared_graph(graph).spec
+                self.spec = ctx.share_graph(graph).spec
                 self.use_shm = True
             except Exception:
                 # Allocation failed: fall back to pickled graph handoff.
@@ -290,13 +293,11 @@ class ParallelContext:
         self._tracer = trace
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
-        # id(graph) -> (graph, SharedGraph); the strong graph reference
-        # keeps the id stable while the shared segment is cached.
+        # id(graph) -> (graph, SharedGraph): every segment this context
+        # made.  The strong graph reference keeps the id stable while the
+        # segment lives; the lock makes concurrent first shares make one.
         self._shared_graphs: dict = {}
-        # Externally-owned segments (graph-service registry): reused by
-        # map_batches like the cached ones, but never closed here —
-        # their lifecycle belongs to whoever adopted them in.
-        self._adopted_shared: dict = {}
+        self._share_lock = threading.Lock()
 
     @property
     def tracer(self):
@@ -331,44 +332,29 @@ class ParallelContext:
             self._process_pool = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._process_pool
 
-    def _shared_graph(self, graph):
-        """Shared-memory handle for ``graph``, cached per context."""
+    def share_graph(self, graph):
+        """The shared-memory segment of ``graph``, made on first use.
+
+        The context owns every segment it makes: one per ``Graph``
+        however many threads ask at once, closed by
+        :meth:`discard_shared_graph` or :meth:`close`.
+        """
         from repro.parallel import shm as _shm
 
-        adopted = self._adopted_shared.get(id(graph))
-        if adopted is not None and adopted[0] is graph:
-            return adopted[1]
-        entry = self._shared_graphs.get(id(graph))
-        if entry is None or entry[0] is not graph:
-            entry = (graph, _shm.share_graph(graph))
-            self._shared_graphs[id(graph)] = entry
-            self.pool.shm_segments += 1
-            self.pool.shm_bytes += entry[1].nbytes
+        with self._share_lock:
+            entry = self._shared_graphs.get(id(graph))
+            if entry is None:
+                entry = (graph, _shm.share_graph(graph))
+                self._shared_graphs[id(graph)] = entry
+                self.pool.shm_segments += 1
+                self.pool.shm_bytes += entry[1].nbytes
         return entry[1]
 
-    def adopt_shared_graph(self, graph, shared) -> None:
-        """Register an externally-owned shared segment for ``graph``.
-
-        Long-lived services share a graph's CSR arrays once (in their
-        resident registry) and let every dispatch on this context reuse
-        that segment — ``map_batches`` will ship ``shared.spec`` instead
-        of re-sharing, and :meth:`close` leaves the segment alone.  The
-        caller owns the segment's lifecycle and must
-        :meth:`discard_shared_graph` before closing it.
-        """
-        if shared.shm is None:
-            raise ValueError("cannot adopt a closed shared segment")
-        self._adopted_shared[id(graph)] = (graph, shared)
-
     def discard_shared_graph(self, graph) -> None:
-        """Forget an adopted (or cached) segment for ``graph``.
-
-        Adopted segments are merely unregistered (the owner closes
-        them); context-owned cached segments are closed immediately —
-        eviction must release ``/dev/shm`` promptly, not at exit.
-        """
-        self._adopted_shared.pop(id(graph), None)
-        entry = self._shared_graphs.pop(id(graph), None)
+        """Close ``graph``'s segment now, if it has one: eviction must
+        release ``/dev/shm`` promptly, not at exit."""
+        with self._share_lock:
+            entry = self._shared_graphs.pop(id(graph), None)
         if entry is not None:
             entry[1].close()
 
@@ -401,7 +387,6 @@ class ParallelContext:
                     f"close failed: {exc!r}"
                 )
         self._shared_graphs.clear()
-        getattr(self, "_adopted_shared", {}).clear()
         if problems:
             warnings.warn(
                 "ParallelContext.close: " + "; ".join(problems),

@@ -12,11 +12,11 @@ registry is the bookkeeping for that residency:
   least-recently-used residents until it fits; a graph that cannot fit
   even then (or only pinned graphs remain) is refused with
   :class:`~repro.errors.AdmissionDenied` *before* any state changes.
-* **Prompt release** — evicting the last name that holds a graph
-  closes its one shared segment immediately (``/dev/shm`` is a finite
-  resource on a daemon host; the old behaviour of sweeping segments at
-  interpreter exit is only the last-resort backstop) and unregisters it
-  from the execution context's adopted-segment table.
+* **Prompt release** — evicting the last name that holds a graph has
+  the execution context close its one shared segment immediately
+  (``/dev/shm`` is a finite resource on a daemon host; sweeping
+  segments at interpreter exit is only the last-resort backstop), and
+  drops the entry's stream engine with the entry.
 * **Pinning** — the coalescer pins a graph for the duration of a batch
   so eviction can never unmap CSR arrays under a running kernel.
 * **Atomic load** — a failed read/share leaves *no* trace: the name is
@@ -48,7 +48,7 @@ class ResidentGraph:
     graph: Graph
     nbytes: int
     source: str
-    shared: Optional[object] = None  # repro.parallel.shm.SharedGraph
+    engine: Optional[object] = None  # repro.dynamic.StreamEngine
     pins: int = 0
     hits: int = 0
     shards: Optional[int] = None  # k when loaded from a shard set
@@ -76,25 +76,16 @@ class GraphRegistry:
 
     ``ctx`` is the service's long-lived
     :class:`~repro.parallel.runtime.ParallelContext`; on the process
-    backend each admitted graph is shared into one segment up front and
-    adopted into the context, so every request-batch dispatch reuses
-    the same mapping instead of re-sharing per ``map_batches`` call.
+    backend each admitted graph is shared into the context's one
+    segment for it up front, so every request-batch dispatch reuses the
+    same mapping instead of re-sharing per ``map_batches`` call.
     """
 
-    def __init__(
-        self,
-        *,
-        max_bytes: Optional[int] = None,
-        ctx=None,
-        share: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, *, max_bytes: Optional[int] = None, ctx=None) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None)")
         self.max_bytes = max_bytes
         self.ctx = ctx
-        if share is None:
-            share = ctx is not None and getattr(ctx, "backend", "") == "process"
-        self.share = bool(share)
         self._lock = threading.RLock()
         self._graphs: dict[str, ResidentGraph] = {}
         # Monotone counters for the stats surface / tests.
@@ -133,17 +124,13 @@ class GraphRegistry:
 
     def _evict_entry(self, entry: ResidentGraph) -> None:
         self._graphs.pop(entry.name, None)
+        entry.engine = None
         # A segment belongs to the Graph it packs: it goes with the last
         # entry that holds that Graph, never under another name's batch.
-        if not any(e.graph is entry.graph for e in self._graphs.values()):
-            if self.ctx is not None:
-                try:
-                    self.ctx.discard_shared_graph(entry.graph)
-                except Exception:
-                    pass
-            if entry.shared is not None:
-                entry.shared.close()  # prompt /dev/shm release, not atexit
-        entry.shared = None
+        if self.ctx is not None and not any(
+            e.graph is entry.graph for e in self._graphs.values()
+        ):
+            self.ctx.discard_shared_graph(entry.graph)
         self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -177,23 +164,13 @@ class GraphRegistry:
                 return existing
             # An already-resident Graph under a second name costs no bytes
             # and reuses its segment.
-            alias = next((e for e in self._graphs.values() if e.graph is graph), None)
-            if alias is None:
+            if not any(e.graph is graph for e in self._graphs.values()):
                 self._make_room(nbytes)
-            shared = alias.shared if alias is not None else None
-            if self.share and shared is None:
-                from repro.parallel.shm import share_graph
-
-                shared = share_graph(graph)  # may raise: nothing registered yet
-                if self.ctx is not None:
-                    try:
-                        self.ctx.adopt_shared_graph(graph, shared)
-                    except Exception:
-                        shared.close()
-                        raise
+            if self.ctx is not None and self.ctx.backend == "process":
+                self.ctx.share_graph(graph)  # may raise: nothing registered yet
             entry = ResidentGraph(
                 name=name, graph=graph, nbytes=nbytes,
-                source=source, shared=shared, shards=shards,
+                source=source, shards=shards,
             )
             self._graphs[name] = entry
             self.loads += 1

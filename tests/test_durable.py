@@ -967,13 +967,12 @@ class TestStreamDurability:
     @pytest.mark.parametrize("name, value", [
         pytest.param(name, value, id=name) for name, value in (
             ("k", 5), ("resweep_passes", 1),
-            ("community_escalate", False),
         )
     ])
     def test_cli_resume_config_mismatch_refused(self, events_file, tmp_path,
                                                 capsys, name, value):
-        """Every engine setting is checked — the last two change the
-        community output but are not CLI flags."""
+        """Every engine setting is checked — ``resweep_passes`` changes
+        the community output but is not a CLI flag."""
         path, batches, n = events_file
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
@@ -989,18 +988,20 @@ class TestStreamDurability:
 
     def test_cli_resume_log_with_window_refused(self, events_file, tmp_path,
                                                 capsys):
-        """A log written while the engine still had a burst ``window``
-        carries it in its params, so it is refused by that name."""
+        """A log written while the engine still had a burst ``window``,
+        or a ``community_escalate`` switch, carries it in its params, so
+        it is refused by that name."""
         path, batches, n = events_file
-        ckpt_dir = tmp_path / "ck"
-        ckpt_dir.mkdir()
-        params = {**StreamEngine(n)._config(), "window": 1024}
-        RecordLog(ckpt_dir / "stream.ckpt", kind="stream-checkpoint",
-                  params=params).append(
-                      [(e.kind, e.u, e.v, e.t, e.weight) for e in batches[0]])
-        assert cli_main(["stream", str(path),
-                         "--checkpoint-dir", str(ckpt_dir)]) == 1
-        assert "parameter 'window' mismatch" in capsys.readouterr().err
+        for name, value in (("window", 1024), ("community_escalate", True)):
+            ckpt_dir = tmp_path / name
+            ckpt_dir.mkdir()
+            params = {**StreamEngine(n)._config(), name: value}
+            RecordLog(ckpt_dir / "stream.ckpt", kind="stream-checkpoint",
+                      params=params).append(
+                          [(e.kind, e.u, e.v, e.t, e.weight) for e in batches[0]])
+            assert cli_main(["stream", str(path),
+                             "--checkpoint-dir", str(ckpt_dir)]) == 1
+            assert f"parameter '{name}' mismatch" in capsys.readouterr().err
 
     def test_cli_resume_older_format_refused(self, events_file, tmp_path,
                                              capsys):

@@ -165,6 +165,36 @@ def test_src_charges_the_cost_model_directly():
     assert found == []
 
 
+def test_only_the_context_makes_shared_segments():
+    """``ParallelContext`` owns every shared-memory segment: no other
+    ``src/`` module calls ``shm.share_graph`` (``ctx.share_graph`` is
+    the one way in), so none can make a segment the context never
+    closes."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "parallel/runtime.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("shm")
+            for alias in node.names if alias.name == "share_graph"
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "share_graph"
+                    and ast.unparse(f.value).split(".")[-1] in ("shm", "_shm")
+                    or isinstance(f, ast.Name) and f.id in imported):
+                found.append(f"{rel}:{node.lineno}")
+    assert found == []
+
+
 class TestPartitioner:
     def test_chunk_ranges_cover(self):
         chunks = chunk_ranges(10, 3)
@@ -266,6 +296,42 @@ class TestParallelContext:
         # same total work, worse granularity for the oblivious schedule
         assert aware.cost.parallel_work == obliv.cost.parallel_work
         assert aware.cost.modeled_time(8) <= obliv.cost.modeled_time(8)
+
+    def test_concurrent_first_dispatches_share_a_graph_once(self):
+        """Two threads making the first process-backend dispatch on one
+        new graph make one segment between them, and ``close()``
+        unlinks it."""
+        import threading
+
+        from repro import generators
+        from repro.centrality import closeness_centrality
+        from repro.parallel import live_segment_names
+
+        g = generators.rmat(16, 8, rng=np.random.default_rng(1))
+        before = set(live_segment_names())
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def query(ctx, i):
+            try:
+                barrier.wait(timeout=30)
+                closeness_centrality(g, sources=[i, i + 2], ctx=ctx)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        with ParallelContext(2, backend="process") as ctx:
+            # fork the workers while this is the only thread, as Session does
+            ctx._ensure_process_pool().submit(int).result()
+            threads = [threading.Thread(target=query, args=(ctx, i))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert errors == []
+            assert len(set(live_segment_names()) - before) == 1
+            assert ctx.pool.shm_segments == 1
+        assert set(live_segment_names()) == before
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

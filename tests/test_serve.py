@@ -70,6 +70,7 @@ from repro.obs.api import (
     split_operands,
     validate_params,
 )
+from repro.parallel import ParallelContext
 from repro.parallel.shm import live_segment_names
 from repro.serve import Coalescer, GraphRegistry
 from repro.serve import server as serve_server
@@ -167,7 +168,7 @@ class TestRegistry:
         assert reg.names() == []
 
     def test_eviction_releases_segment_promptly(self, small_world):
-        reg = GraphRegistry(share=True)
+        reg = GraphRegistry(ctx=ParallelContext(2, backend="process"))
         before = set(live_segment_names())
         reg.add("a", small_world)
         created = set(live_segment_names()) - before
@@ -177,7 +178,7 @@ class TestRegistry:
 
     def test_close_releases_all_segments(self, small_world, rmat):
         before = set(live_segment_names())
-        with GraphRegistry(share=True) as reg:
+        with GraphRegistry(ctx=ParallelContext(2, backend="process")) as reg:
             reg.add("a", small_world)
             reg.add("b", small_world)  # one Graph, one segment
             reg.add("c", rmat)
@@ -1449,7 +1450,7 @@ class TestIngest:
             for b in batches[:50]:
                 doc = s.ingest("g", b)
                 got += [x["checksum"] for x in doc["batches"]]
-            engine, _ = s._engines["g"]
+            engine = s.registry.get("g").engine
             assert engine.applied_batches == [] and engine.results == []
             with pytest.raises(ValueError, match="no batch history"):
                 engine.save(tmp_path / "stream.ckpt")
@@ -1470,6 +1471,31 @@ class TestIngest:
             s.add("g", from_edge_list([(4, 5)], n_vertices=6))
             s.ingest("g", [("add", 1, 4, 2)])
             assert edge_list(s.registry.get("g").graph) == [(1, 4), (4, 5)]
+
+    def test_evicted_name_drops_its_engine(self):
+        """A name's stream engine goes with its resident entry, whether
+        the name is evicted by ``registry.evict`` or by LRU admission
+        under the session's byte budget."""
+        import gc
+        import weakref
+
+        from repro.dynamic import StreamEngine
+
+        karate = karate_club()
+        for lru in (False, True):
+            with api.Session(max_bytes=in_core_nbytes(karate)) as s:
+                s.add("g", from_edge_list(PATH, n_vertices=6))
+                s.ingest("g", [("add", 0, 5, 1)])
+                engines = [weakref.ref(o) for o in gc.get_objects()
+                           if isinstance(o, StreamEngine) and o.ctx is s.ctx]
+                assert len(engines) == 1
+                if lru:
+                    s.add("karate", karate)  # only fits alone
+                else:
+                    s.registry.evict("g")
+                assert "g" not in s.registry.names()
+                gc.collect()
+                assert engines[0]() is None
 
     def test_http_reloaded_name_starts_from_what_is_resident(self, tmp_path):
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
@@ -1727,7 +1753,8 @@ class TestProcessBackendStart:
             assert len(live_segment_names()) == 2  # g's, and the new snapshot's
             gate.open()
             got = fut.result(timeout=60).value
-            assert s.ctx.pool.shm_segments == 0  # the held batch re-shared nothing
+            # the registry's two admissions; the held batch re-shared nothing
+            assert s.ctx.pool.shm_segments == 2
         assert np.array_equal(got, repro.closeness_centrality(g, sources=sources))
         assert live_segment_names() == ()
 

@@ -138,7 +138,7 @@ class Session:
             # Fork the workers while this is the only thread (the pool
             # forks on its first submit): a worker forked beside a busy
             # thread inherits any lock it holds, e.g. an import lock.
-            self.ctx._ensure_process_pool().submit(int).result()
+            self.ctx._pool("process").submit(int).result()
         self.registry = GraphRegistry(max_bytes=max_bytes, ctx=self.ctx)
         self.coalescer = Coalescer(
             self.registry,

@@ -11,14 +11,16 @@ Every :class:`~repro.parallel.runtime.ParallelContext` ``map`` /
   subclasses) spends one retry of each task it lost, after a seeded
   exponential backoff; a crashed or hung pool is rebuilt and only the
   tasks *without* results are re-submitted;
+* any exception from a submit — the pool is broken, shut down or
+  cannot be built at all — is a failure of the pool: it is rebuilt
+  and the unsubmitted tasks go again, spending no retry;
 * one dispatch rebuilds its pool at most ``max_retries`` times, then
-  steps down the ladder process → thread → serial (as it does when a
-  pool cannot be built at all), and the shared-memory graph handoff
-  falls back to per-task pickling on attach failures
-  (:class:`~repro.errors.ShmAttachError`);
+  steps down the ladder process → thread → serial, and the
+  shared-memory graph handoff falls back to per-task pickling on
+  attach failures (:class:`~repro.errors.ShmAttachError`);
 * with ``max_retries == 0`` nothing is retried, rebuilt or degraded:
   the first failure propagates, a dead worker raises
-  :class:`~repro.errors.WorkerCrashError` and its pool is abandoned
+  :class:`~repro.errors.WorkerCrashError` and its pool is dropped
   (the next dispatch builds a fresh one).
 
 ``task_timeout`` detects a hung worker; ``phase_deadline`` bounds the
@@ -31,7 +33,8 @@ output tells the user exactly what the runtime survived.
 
 The driver is deliberately backend-agnostic: the runtime hands it a
 ``make_runner(mode)`` factory producing small runner objects (submit /
-run_inline / rebuild / abandon / disable_shm) per degradation rung.
+run_inline / disable_shm) per degradation rung, and the context's
+``_drop_pool(mode)`` is the one way it tears a pool down.
 """
 
 from __future__ import annotations
@@ -164,10 +167,10 @@ def drive(
 
     On *any* exception — terminal fault, programming error in a task,
     ``KeyboardInterrupt`` — outstanding futures are cancelled and, if
-    the pool is suspect (hung or broken) or the exception is an
-    interrupt, the pool is abandoned so ``close()`` never blocks on a
-    wedged worker.  No future, pool or segment outlives the call
-    untracked.
+    the pool is suspect (hung, broken or failing at submit) or the
+    exception is an interrupt, the pool is dropped without waiting so
+    ``close()`` never blocks on a wedged worker.  No future, pool or
+    segment outlives the call untracked.
     """
     policy, chaos = _resolve(ctx)
     recover = policy.max_retries > 0  # else nothing retries/rebuilds/degrades
@@ -188,46 +191,8 @@ def drive(
             tracer.end(tracer.begin(name, **attrs))
 
     rung = 0
-    runner = None
-
-    def build_runner(start: int) -> int:
-        """Instantiate the first constructible rung at or below ``start``."""
-        nonlocal runner
-        r = start
-        while True:
-            try:
-                runner = make_runner(ladder[r])
-                return r
-            except Exception as exc:
-                event("fault.backend_unavailable", backend=ladder[r])
-                if recover and r + 1 < len(ladder):
-                    stats.degradations += 1
-                    r += 1
-                    continue
-                raise BackendUnavailable(
-                    f"could not build {ladder[r]!r} backend: {exc}"
-                ) from exc
-
-    rung = build_runner(0)
+    runner = make_runner(ladder[0])
     rebuilds = 0
-
-    def degrade(reason: str) -> bool:
-        """Step down the ladder; fresh retry budgets on the new rung."""
-        nonlocal rung, rebuilds
-        if not recover or rung + 1 >= len(ladder):
-            return False
-        try:
-            runner.abandon()
-        except Exception:
-            pass
-        stats.degradations += 1
-        rung = build_runner(rung + 1)
-        rebuilds = 0
-        for i in range(n_tasks):
-            if not done[i]:
-                attempts[i] = 0
-        event("fault.degrade", to=ladder[rung], reason=reason)
-        return True
 
     def planted_fault(i: int):
         if chaos is None:
@@ -295,19 +260,22 @@ def drive(
                     fault = planted_fault(i)
                     try:
                         outstanding[i] = runner.submit(i, fault)
-                    except RuntimeError as exc:
-                        # Pool died (or was shut down) at submit time;
-                        # collect what was submitted, then rebuild below.
+                    except Exception as exc:
+                        # The pool is broken, shut down or cannot be
+                        # built; collect what was submitted, then
+                        # rebuild below.
                         crashed = True
                         pool_suspect = True
-                        if isinstance(exc, BrokenExecutor) and not recover:
+                        if recover:
+                            break
+                        if isinstance(exc, BrokenExecutor):
                             stats.worker_crashes += 1
                             event("fault.crash", backend=ladder[rung])
                             raise WorkerCrashError(
                                 f"worker pool broken at submit on backend "
                                 f"{ladder[rung]!r}: {exc!r}"
                             ) from exc
-                        break
+                        raise
                 for i in list(outstanding):
                     fut = outstanding.pop(i)
                     timeout = policy.task_timeout
@@ -370,25 +338,31 @@ def drive(
                         done[i] = True
 
                 if pool_suspect:
-                    if rebuilds >= policy.max_retries:
-                        if not degrade("rebuild_budget"):
-                            raise BackendUnavailable(
-                                f"backend {ladder[rung]!r} still broken "
-                                f"after {rebuilds} pool rebuild(s)"
-                            )
-                    else:
+                    # The next submit builds a fresh pool; past the
+                    # rebuild budget the next rung takes over instead.
+                    ctx._drop_pool(ladder[rung])
+                    if rebuilds < policy.max_retries:
                         rebuilds += 1
-                        try:
-                            runner.rebuild()
-                        except Exception as exc:
-                            if not degrade("rebuild_failed"):
-                                raise BackendUnavailable(
-                                    f"could not rebuild {ladder[rung]!r} "
-                                    f"pool: {exc}"
-                                ) from exc
-                        else:
-                            stats.pool_rebuilds += 1
-                            event("fault.rebuild", backend=ladder[rung])
+                        stats.pool_rebuilds += 1
+                        event("fault.rebuild", backend=ladder[rung])
+                    elif recover and rung + 1 < len(ladder):
+                        # Fresh retry budgets on the new rung.
+                        stats.degradations += 1
+                        rung += 1
+                        runner = make_runner(ladder[rung])
+                        rebuilds = 0
+                        for i in range(n_tasks):
+                            if not done[i]:
+                                attempts[i] = 0
+                        event(
+                            "fault.degrade", to=ladder[rung],
+                            reason="rebuild_budget",
+                        )
+                    else:
+                        raise BackendUnavailable(
+                            f"backend {ladder[rung]!r} still broken "
+                            f"after {rebuilds} pool rebuild(s)"
+                        )
                     pool_suspect = False
 
             if any(not d for d in done):
@@ -407,9 +381,6 @@ def drive(
             except Exception:
                 pass
         if pool_suspect or isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            try:
-                runner.abandon()
-            except Exception:
-                pass
+            ctx._drop_pool(ladder[rung])
         raise
     return results

@@ -40,8 +40,8 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from repro.parallel import chaos as _chaos
 from repro.parallel import resilience as _resilience
 from repro.parallel.costmodel import CostModel
 from repro.parallel.resilience import FaultPolicy
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -114,22 +111,9 @@ class PoolStats:
 
     def as_dict(self) -> dict:
         return {
-            "map_calls": self.map_calls,
-            "batch_calls": self.batch_calls,
-            "tasks_dispatched": self.tasks_dispatched,
-            "batches_dispatched": self.batches_dispatched,
-            "lanes_dispatched": self.lanes_dispatched,
-            "shm_segments": self.shm_segments,
-            "shm_bytes": self.shm_bytes,
+            **asdict(self),
             "busy_seconds": round(self.busy_seconds, 6),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "retries": self.retries,
-            "task_timeouts": self.task_timeouts,
-            "worker_crashes": self.worker_crashes,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degradations": self.degradations,
-            "shm_fallbacks": self.shm_fallbacks,
-            "faults_injected": self.faults_injected,
         }
 
 
@@ -138,10 +122,11 @@ class _RunnerBase:
 
     Duck type consumed by :func:`repro.parallel.resilience.drive`:
     ``submit``/``run_inline`` execute one task (optionally carrying a
-    planted chaos fault), ``rebuild``/``abandon`` manage the backing
-    pool, ``disable_shm`` downgrades the graph handoff.  Subclasses
-    supply ``_task(i, fault)`` -> ``(trampoline, *args)``.  Runners reuse
-    the context's persistent pools, so pools stay warm across calls.
+    planted chaos fault), ``disable_shm`` downgrades the graph handoff.
+    Subclasses supply ``_task(i, fault)`` -> ``(trampoline, *args)``.
+    ``submit`` runs on the context's persistent pool of the rung's mode
+    (:meth:`ParallelContext._pool`), so pools stay warm across calls;
+    the context alone builds and drops them.
     """
 
     def __init__(self, ctx: "ParallelContext", mode: str, traced: bool) -> None:
@@ -150,13 +135,8 @@ class _RunnerBase:
         self.traced = traced
         self.serial = mode == "serial"
 
-    def _pool(self):
-        if self.mode == "process":
-            return self.ctx._ensure_process_pool()
-        return self.ctx._ensure_thread_pool()
-
     def submit(self, i: int, fault):
-        return self._pool().submit(*self._task(i, fault))
+        return self.ctx._pool(self.mode).submit(*self._task(i, fault))
 
     def run_inline(self, i: int, fault):
         entry, *args = self._task(i, fault)
@@ -164,36 +144,6 @@ class _RunnerBase:
 
     def disable_shm(self) -> bool:
         return False
-
-    def rebuild(self) -> None:
-        """Drop the (suspect) pool; a fresh one is built at next submit."""
-        self.abandon()
-
-    def abandon(self) -> None:
-        """Detach the pool without waiting: hung or dead workers must
-        never block the coordinator (or a later ``close()``)."""
-        ctx = self.ctx
-        if self.mode == "process":
-            pool, ctx._process_pool = ctx._process_pool, None
-            if pool is not None:
-                for proc in list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                ):
-                    try:
-                        proc.terminate()
-                    except Exception:
-                        pass
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-        elif self.mode == "thread":
-            pool, ctx._thread_pool = ctx._thread_pool, None
-            if pool is not None:
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
 
 
 def _fault_args(fault) -> tuple:
@@ -291,8 +241,10 @@ class ParallelContext:
         # use time so a context created before tracing was installed
         # still records.  An explicit tracer pins it.
         self._tracer = trace
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
+        # mode ("thread" / "process") -> its persistent executor: the
+        # lock makes concurrent first dispatches build one pool.
+        self._pools: dict = {}
+        self._pool_lock = threading.Lock()
         # id(graph) -> (graph, SharedGraph): every segment this context
         # made.  The strong graph reference keeps the id stable while the
         # segment lives; the lock makes concurrent first shares make one.
@@ -311,26 +263,56 @@ class ParallelContext:
     # ------------------------------------------------------------------
     # Execution backend plumbing
     # ------------------------------------------------------------------
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._thread_pool
+    def _pool(self, mode: str):
+        """The persistent ``mode`` executor, built once however many
+        threads ask; :meth:`_drop_pool` is its only teardown."""
+        with self._pool_lock:
+            pool = self._pools.get(mode)
+            if pool is not None:
+                return pool
+            if mode == "process":
+                # The process stack loads at the first pool, and shm
+                # before the fork so workers inherit it.  Workers get this
+                # process's resource tracker, so a dead worker's private
+                # tracker never unlinks a shared graph (bpo-38119), and
+                # none of its freed heap.
+                from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import resource_tracker
 
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            # The process stack loads at the first pool, and shm before
-            # the fork so workers inherit it.  Workers get this process's
-            # resource tracker, so a dead worker's private tracker never
-            # unlinks a shared graph (bpo-38119), and none of its freed heap.
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import resource_tracker
+                from repro.parallel import shm  # noqa: F401
 
-            from repro.parallel import shm  # noqa: F401
+                resource_tracker.ensure_running()
+                _memory.release()
+                pool = ProcessPoolExecutor(max_workers=self.n_workers)
+            else:
+                pool = ThreadPoolExecutor(max_workers=self.n_workers)
+            self._pools[mode] = pool
+            return pool
 
-            resource_tracker.ensure_running()
-            _memory.release()
-            self._process_pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._process_pool
+    def _drop_pool(self, mode: str, *, wait: bool = False) -> None:
+        """Detach the ``mode`` pool, if any; the next submit builds anew.
+
+        Without ``wait`` its workers are terminated and queued work is
+        cancelled, and nothing raises: hung or dead workers must never
+        block the coordinator (or a later ``close()``).  With ``wait``
+        the pool is joined and a shutdown failure propagates.
+        """
+        with self._pool_lock:
+            pool = self._pools.pop(mode, None)
+        if pool is None:
+            return
+        if wait:
+            pool.shutdown(wait=True)
+            return
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                proc.terminate()
+            except Exception:
+                pass
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
 
     def share_graph(self, graph):
         """The shared-memory segment of ``graph``, made on first use.
@@ -368,16 +350,12 @@ class ParallelContext:
         """
         problems: list[str] = []
         # getattr defaults guard a context whose __init__ raised before
-        # the pool attributes existed.
-        for attr in ("_thread_pool", "_process_pool"):
-            pool = getattr(self, attr, None)
-            if pool is None:
-                continue
-            setattr(self, attr, None)
+        # the pool table existed.
+        for mode in list(getattr(self, "_pools", ())):
             try:
-                pool.shutdown(wait=True)
+                self._drop_pool(mode, wait=True)
             except Exception as exc:
-                problems.append(f"{attr.lstrip('_')} shutdown failed: {exc!r}")
+                problems.append(f"{mode}_pool shutdown failed: {exc!r}")
         for _, shared in list(getattr(self, "_shared_graphs", {}).values()):
             try:
                 shared.close()
@@ -401,11 +379,7 @@ class ParallelContext:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - gc timing dependent
-        leaked: list[str] = []
-        if getattr(self, "_thread_pool", None) is not None:
-            leaked.append("thread pool")
-        if getattr(self, "_process_pool", None) is not None:
-            leaked.append("process pool")
+        leaked = [f"{mode} pool" for mode in getattr(self, "_pools", ())]
         leaked.extend(
             f"shared segment {shared.spec.shm_name!r}"
             for _, shared in getattr(self, "_shared_graphs", {}).values()

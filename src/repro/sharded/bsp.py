@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -155,14 +155,7 @@ class SuperstepStats:
     bytes_in: int   # workers → coordinator (results)
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "n_tasks": self.n_tasks,
-            "seconds": self.seconds,
-            "bytes_out": self.bytes_out,
-            "bytes_in": self.bytes_in,
-        }
+        return asdict(self)
 
 
 @dataclass

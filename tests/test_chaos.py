@@ -244,16 +244,20 @@ class TestRecovery:
         # A process pool that cannot be rebuilt after the planted crash
         # steps down to the thread rung, where the second planted crash
         # is retried in band.
-        from repro.parallel import runtime
+        import concurrent.futures
 
-        rebuild = runtime._RunnerBase.rebuild
+        builds = []
 
-        def refuse_process(runner):
-            if runner.mode == "process":
-                raise OSError("cannot start workers")
-            rebuild(runner)
+        class RefuseRebuild(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                if len(builds) > 1:
+                    raise OSError("cannot start workers")
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runtime._RunnerBase, "rebuild", refuse_process)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", RefuseRebuild
+        )
         g = _small_graph()
         with ParallelContext(
             2, backend="process",
@@ -327,7 +331,7 @@ class TestNoPolicy:
                 ctx.map(_exit_on_three, [1, 2, 3, 4])
             assert ctx.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
             # A worker killed while the pool idles is the same crash.
-            for proc in list(ctx._process_pool._processes.values()):
+            for proc in list(ctx._pools["process"]._processes.values()):
                 proc.kill()
                 proc.join(10)
             with pytest.raises(WorkerCrashError):
@@ -456,6 +460,49 @@ class TestNoPolicy:
         # ... and none was left behind on the shared context.
         assert ctx.fault_policy is None
         assert ctx.chaos is None
+
+
+class TestUnbuildablePool:
+    """A process pool that cannot start is a failure of the pool: with a
+    policy the dispatch steps down the ladder, without one the error
+    itself propagates, and neither leaves a segment or a worker."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_process_pool(self, monkeypatch):
+        import concurrent.futures
+
+        class Refuse(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise OSError("cannot start workers")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refuse)
+
+    @pytest.mark.parametrize("policy", [FaultPolicy(), None],
+                             ids=["policy", "no_policy"])
+    def test_process_pool_that_cannot_start(self, policy):
+        import multiprocessing
+
+        segments = live_segment_names()
+        children = set(multiprocessing.active_children())
+        g = _small_graph()
+        with ParallelContext(
+            2, backend="process", fault_policy=policy
+        ) as ctx:
+            if policy is None:
+                with pytest.raises(OSError) as info:
+                    ctx.map_batches(_degrees, g, _batches())
+                assert info.value.args == ("cannot start workers",)
+            else:
+                out = ctx.map_batches(_degrees, g, _batches())
+                assert list(ctx._pools) == ["thread"]
+                assert ctx.pool.degradations == 1
+                with ParallelContext(1) as serial:
+                    expected = serial.map_batches(_degrees, g, _batches())
+                for got, exp in zip(out, expected, strict=True):
+                    assert got.dtype == exp.dtype
+                    assert np.array_equal(got, exp)
+        assert live_segment_names() == segments
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestObservability:
@@ -598,7 +645,7 @@ class TestKeyboardInterrupt:
         # would have hung
         assert time.monotonic() - t0 < min(2.0, hang)
         # pools were abandoned, segments released, nothing left behind
-        assert ctx._thread_pool is None and ctx._process_pool is None
+        assert ctx._pools == {}
         assert live_segment_names() == ()
         assert _shm_entries() - before == set()
 

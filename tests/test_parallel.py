@@ -195,6 +195,35 @@ def test_only_the_context_makes_shared_segments():
     assert found == []
 
 
+def test_only_the_context_builds_process_pools():
+    """``ParallelContext`` owns its executors: no other ``src/`` module
+    constructs a ``ProcessPoolExecutor`` (``ctx._pool("process")`` is
+    the one way in), so none can fork workers the context never
+    drops."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "parallel/runtime.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = {"ProcessPoolExecutor"} | {
+            alias.asname
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name == "ProcessPoolExecutor" and alias.asname
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "ProcessPoolExecutor"
+                    or isinstance(f, ast.Name) and f.id in names):
+                found.append(f"{rel}:{node.lineno}")
+    assert found == []
+
+
 class TestPartitioner:
     def test_chunk_ranges_cover(self):
         chunks = chunk_ranges(10, 3)
@@ -321,7 +350,7 @@ class TestParallelContext:
 
         with ParallelContext(2, backend="process") as ctx:
             # fork the workers while this is the only thread, as Session does
-            ctx._ensure_process_pool().submit(int).result()
+            ctx._pool("process").submit(int).result()
             threads = [threading.Thread(target=query, args=(ctx, i))
                        for i in range(2)]
             for t in threads:
@@ -332,6 +361,65 @@ class TestParallelContext:
             assert len(set(live_segment_names()) - before) == 1
             assert ctx.pool.shm_segments == 1
         assert set(live_segment_names()) == before
+
+    def test_concurrent_first_dispatches_build_one_pool(self, monkeypatch):
+        """Four threads making the first process-backend ``map`` on a
+        fresh context build one ``ProcessPoolExecutor`` between them,
+        and ``close()`` leaves no worker behind."""
+        import concurrent.futures
+        import multiprocessing
+        import threading
+
+        from repro import _memory
+
+        built = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        # The build calls _memory.release(): holding each builder there
+        # until the others arrive (or 0.5 s passes) lets every thread
+        # into an unguarded build every time.
+        n = 4
+        window = threading.Barrier(n)
+        release = _memory.release
+
+        def wait_for_the_other():
+            try:
+                window.wait(timeout=0.5)
+            except threading.BrokenBarrierError:
+                pass
+            return release()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(_memory, "release", wait_for_the_other)
+        children = set(multiprocessing.active_children())
+        start = threading.Barrier(n)
+        errors, results = [], []
+
+        def first_map(ctx):
+            try:
+                start.wait(timeout=30)
+                results.append(ctx.map(abs, [-1, 2, -3]))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        with ParallelContext(2, backend="process") as ctx:
+            threads = [threading.Thread(target=first_map, args=(ctx,))
+                       for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        left = set(multiprocessing.active_children()) - children
+        for pool in built:  # a pool the context lost is still shut down
+            pool.shutdown(wait=True)
+        assert errors == []
+        assert results == [[1, 2, 3]] * n
+        assert len(built) == 1
+        assert left == set()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,12 @@ sources, or literally the same run.  The coalescer exploits both:
   parameter set matches (graph, algo, params, seed) share a single
   execution; every waiter gets the same payload.  This is what makes a
   thundering herd of identical pLA queries cost one pLA.
+* **Answer memo** — a closeness score is a per-source scalar of an
+  immutable resident graph, so a merged closeness batch runs only the
+  sources its entry's memo (``ResidentGraph.closeness``, keyed by
+  ``wf_improved``) has not answered yet, and answers the rest from it.
+  The memo lives and dies with the entry; ``max_batch=1`` neither
+  reads nor writes it, so it stays one run per request.
 
 Mechanics: :meth:`Coalescer.submit` enqueues a request under its batch
 key and returns a ``concurrent.futures.Future``.  A source-merged key
@@ -168,6 +174,7 @@ class Coalescer:
         self.n_dedup_hits = 0    # identical-run waiters beyond the first
         self.n_coalesced = 0     # Σ (batch size − 1): dispatches saved
         self.n_expired = 0
+        self.n_memo_hits = 0     # closeness sources answered from a memo
         self.queue_wait_total = 0.0
         self._runner_pool = ThreadPoolExecutor(
             max_workers=self._runners,
@@ -345,12 +352,12 @@ class Coalescer:
             "serve.batch", graph=key[0], algo=key[1],
             batch_size=len(live), n_expired=len(expired),
             queue_wait_max_s=round(max(queue_waits), 6),
-        ):
+        ) as batch_span:
             for req in expired:
                 with tr.span("serve.request", request_id=req.id,
                              algo=req.algo, expired=True):
                     self._expire(req)
-            result, slicer, error = self._run_pinned(key, live)
+            result, slicer, error = self._run_pinned(key, live, batch_span)
             if result is not None and result.trace is not None:
                 for sp in result.trace.children:  # the algorithm's spans
                     tr.graft(sp.to_dict())
@@ -363,7 +370,7 @@ class Coalescer:
         if tr:
             self.on_batch(tr.finish().children[0].to_dict())
 
-    def _run_pinned(self, key: tuple, live: list[ServeRequest]):
+    def _run_pinned(self, key: tuple, live: list[ServeRequest], span):
         """Run one batch on its pinned graph: ``(result, slicer, error)``."""
         try:
             entry = self.registry.pin(live[0].graph)
@@ -371,7 +378,7 @@ class Coalescer:
             return None, None, exc
         try:
             if key[1] in _MERGED and live[0].algo in MERGEABLE:
-                result, slicer = self._run_merged(key[1], entry, live)
+                result, slicer = self._run_merged(key[1], entry, live, span)
             else:
                 result, slicer = self._run_dedup(entry, live)
                 with self._lock:
@@ -396,9 +403,11 @@ class Coalescer:
         elif req.future.set_running_or_notify_cancel():
             req.future.set_result(value)
 
-    def _run_merged(self, algo: str, entry, requests: list[ServeRequest]):
+    def _run_merged(self, algo: str, entry, requests: list[ServeRequest],
+                    span):
         """One msbfs/closeness dispatch covering every request's sources;
-        a request naming a source ``>= n`` fails alone (ProtocolError)."""
+        a request naming a source ``>= n`` fails alone (ProtocolError).
+        Closeness runs only the sources ``entry``'s memo lacks."""
         g = entry.graph
         n = g.n_vertices
         for req in requests:
@@ -423,11 +432,25 @@ class Coalescer:
                     merged.append(s)
         base_params = dict(requests[0].params)
         if algo == "closeness":
-            base_params["sources"] = (
-                None if full_closeness or not merged else merged
-            )
+            want = np.arange(n) if full_closeness else np.asarray(
+                merged, dtype=np.int64)
+            todo, memo = want, None
+            if self.max_batch > 1:  # max_batch=1: one run per request
+                wf = bool(base_params.get("wf_improved", True))
+                with self._lock:  # two runners may open one entry's memo
+                    memo = entry.closeness.get(wf)
+                    if memo is None:
+                        memo = entry.closeness[wf] = np.full(n, np.nan)
+                    todo = want[np.isnan(memo[want])]
+            base_params["sources"] = None if len(todo) == n else todo.tolist()
             result = self._execute("closeness", g, (), base_params, requests)
             value = result.value
+            span.set(memo_hits=len(want) - len(todo))
+            if memo is not None:
+                with self._lock:  # a score's bits never change once set
+                    memo[todo] = value[todo]
+                    self.n_memo_hits += len(want) - len(todo)
+                value = memo.copy()  # no response aliases the memo
 
             def slicer(req: ServeRequest):
                 srcs = req.params.get("sources")
@@ -516,6 +539,7 @@ class Coalescer:
                 "batches": self.n_batches,
                 "merged_requests": self.n_merged,
                 "dedup_hits": self.n_dedup_hits,
+                "memo_hits": self.n_memo_hits,
                 "expired": self.n_expired,
                 "in_flight": self._in_flight,
                 "coalescing_hit_rate": (

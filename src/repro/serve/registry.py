@@ -42,13 +42,23 @@ __all__ = ["ResidentGraph", "GraphRegistry"]
 
 @dataclass
 class ResidentGraph:
-    """One named resident graph and its residency bookkeeping."""
+    """One named resident graph and its residency bookkeeping.
+
+    ``closeness`` is the coalescer's answer memo: ``wf_improved`` ->
+    float64[n] closeness scores, NaN where a source has not run, made
+    at the entry's first merged closeness batch; at most 8·n bytes per
+    key.  It goes with the entry (an ingest publishes a new entry,
+    eviction drops it, a restore admits fresh ones, a pinned entry is
+    never replaced), so it needs no invalidation; it is never
+    persisted, and ``max_batch=1`` never touches it.
+    """
 
     name: str
     graph: Graph
     nbytes: int
     source: str
     engine: Optional[object] = None  # repro.dynamic.StreamEngine
+    closeness: dict = field(default_factory=dict)
     pins: int = 0
     hits: int = 0
     shards: Optional[int] = None  # k when loaded from a shard set

@@ -60,7 +60,7 @@ from repro.errors import (
     ProtocolError,
     SnapError,
 )
-from repro.graph import from_edge_list
+from repro.graph import from_edge_array, from_edge_list
 from repro.graph.csr import Graph
 from repro.graph import io as graph_io
 from repro.obs.api import (
@@ -1337,6 +1337,204 @@ class TestServeProfile:
         for b in batches:
             requests = [c for c in b["children"] if c["name"] == "serve.request"]
             assert len(requests) == b["attrs"]["batch_size"] == 1
+
+
+def memo_graphs():
+    """R-MAT 10, a weighted graph (the Dijkstra branch) and a directed
+    one; residency keeps a directed graph's undirected view, so that
+    view is the library's reference for it."""
+    rng = np.random.default_rng(11)
+    base = generators.rmat(10, 8, rng=rng)
+    small = generators.rmat(7, 8, rng=rng)  # a Dijkstra per source
+    u, v = small.edge_endpoints()
+    weighted = from_edge_array(small.n_vertices, u, v,
+                               weights=rng.integers(1, 6, size=u.shape[0]))
+    directed = generators.rmat(8, 8, directed=True, rng=rng)
+    assert not weighted.has_unit_weights and directed.directed
+    return {"rmat10": (base, base), "weighted": (weighted, weighted),
+            "directed": (directed, directed.as_undirected())}
+
+
+def memo_hits(s):
+    return s.stats()["coalescer"]["memo_hits"]
+
+
+def memo_arrays(s, name):
+    """Every float64 array the named entry's closeness memo holds."""
+    return list(s.registry.get(name).closeness.values())
+
+
+class TestClosenessMemo:
+    """A resident entry answers each closeness source once per
+    ``wf_improved``: a repeat is the memoised score, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rmat10", "weighted", "directed"])
+    def test_answers_are_the_library_bit_for_bit(self, name):
+        g, ref_graph = memo_graphs()[name]
+        n = g.n_vertices
+        plan = [[3, 1, 4], [3, 1, 4], [4, 5, 9, 2], None, [6, 5], [0]]
+        with api.Session(max_batch=64) as s:
+            s.add("g", g)
+            for wf in (True, False):
+                seen, hits = set(), memo_hits(s)
+                for srcs in plan:
+                    got = s.run("closeness", "g", sources=srcs,
+                                wf_improved=wf).value
+                    want = repro.closeness_centrality(
+                        ref_graph, sources=srcs, wf_improved=wf)
+                    assert np.array_equal(got, want)
+                    if srcs is not None:
+                        off = np.ones(n, dtype=bool)
+                        off[srcs] = False
+                        assert not got[off].any()
+                    asked = set(range(n) if srcs is None else srcs)
+                    hits += len(asked & seen)
+                    seen |= asked
+                    assert memo_hits(s) == hits
+
+    def test_repeats_over_http_and_on_the_batch_span(self, server):
+        srv, client, g = server
+        records = []
+        srv.session.coalescer.on_batch = records.append
+        for srcs in ([0, 7, 9], [7, 9, 11]):
+            got = client.submit("g", "closeness", sources=srcs)["value"]
+            assert np.array_equal(np.asarray(got),
+                                  repro.closeness_centrality(g, sources=srcs))
+        assert client.stats()["coalescer"]["memo_hits"] == 2
+        assert [r["attrs"]["memo_hits"] for r in records] == [0, 2]
+
+    def test_ingest_publishes_a_cold_memo(self, rmat):
+        srcs = [0, 3, 9, 200]
+        with api.Session() as s:
+            s.add("g", rmat)
+            before = s.run("closeness", "g", sources=srcs).value
+            s.ingest("g", [("add", a, b, 1) for a, b in
+                           ((0, 200), (3, 150), (9, 77)) if not rmat.has_edge(a, b)])
+            snapshot = s.registry.get("g").graph
+            got = s.run("closeness", "g", sources=srcs).value
+        want = repro.closeness_centrality(snapshot, sources=srcs)
+        assert not np.array_equal(before, want)  # the ingest moved them
+        assert np.array_equal(got, want)
+
+    def test_eviction_drops_the_memo(self, rmat):
+        import gc
+        import weakref
+
+        with api.Session() as s:
+            s.add("g", rmat)
+            s.run("closeness", "g", sources=[1, 2])
+            (memo,) = memo_arrays(s, "g")
+            ref = weakref.ref(memo)
+            del memo
+            s.registry.evict("g")
+            gc.collect()
+            assert ref() is None
+
+    def test_memo_is_not_persisted(self, rmat):
+        import pickle
+
+        with api.Session() as s:
+            s.add("g", rmat)
+            # fill the graph's own lazy caches as a closeness run does
+            repro.closeness_centrality(s.registry.get("g").graph, sources=[0])
+            cold = pickle.dumps(s.state())
+            s.run("closeness", "g")
+            assert memo_arrays(s, "g")
+            assert pickle.dumps(s.state()) == cold
+
+    def test_max_batch_one_runs_every_request(self, rmat, monkeypatch):
+        ran = []
+        execute = Coalescer._execute
+
+        def counting(self, algo, graph, operands, kwargs, requests):
+            ran.append(kwargs["sources"])
+            return execute(self, algo, graph, operands, kwargs, requests)
+
+        monkeypatch.setattr(Coalescer, "_execute", counting)
+        with api.Session(max_batch=1) as s:
+            s.add("g", rmat)
+            for _ in range(3):
+                got = s.run("closeness", "g", sources=[5, 6]).value
+                assert np.array_equal(
+                    got, repro.closeness_centrality(rmat, sources=[5, 6]))
+            assert ran == [[5, 6]] * 3
+            assert memo_hits(s) == 0
+            assert s.registry.get("g").closeness == {}
+
+    def test_one_array_per_wf_improved(self, rmat):
+        n = rmat.n_vertices
+        with api.Session() as s:
+            s.add("g", rmat)
+            for wf in (True, False):
+                s.run("closeness", "g", wf_improved=wf)
+            for batch_size in (1, 7, 64):
+                s.run("closeness", "g", sources=[1, 2, 3],
+                      batch_size=batch_size, wf_improved=batch_size % 2 == 1)
+            arrays = memo_arrays(s, "g")
+        assert len(arrays) == 2
+        assert all(a.dtype == np.float64 and a.shape == (n,) for a in arrays)
+        assert not any(np.isnan(a).any() for a in arrays)
+
+    def test_failed_batch_leaves_the_memo_unchanged(self, rmat, monkeypatch):
+        execute = Coalescer._execute
+        failures = iter([RuntimeError("kernel failed")])
+
+        def flaky(self, *args):
+            exc = next(failures, None)
+            if exc is not None:
+                raise exc
+            return execute(self, *args)
+
+        with api.Session() as s:
+            s.add("g", rmat)
+            s.run("closeness", "g", sources=[1, 2])
+            (memo,) = memo_arrays(s, "g")
+            before = memo.copy()
+            monkeypatch.setattr(Coalescer, "_execute", flaky)
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                s.run("closeness", "g", sources=[2, 3, 4])
+            assert np.array_equal(memo, before, equal_nan=True)
+            got = s.run("closeness", "g", sources=[2, 3, 4]).value
+            assert memo_hits(s) == 1
+        assert np.array_equal(
+            got, repro.closeness_centrality(rmat, sources=[2, 3, 4]))
+
+    def test_two_runners_write_one_memo(self, rmat):
+        plans = [[i % 5, (i + 1) % 5, 5 + i] for i in range(8)]
+        # behind busy runners the eight queue up and leave in batches of
+        # at most two, which the two runners take at once
+        with api.Session(max_batch=2, max_batch_delay=60.0) as s:
+            s.add("g", rmat)
+            gate = Gate(s.registry)
+            gate.hold(s.coalescer)
+            futs = [None] * len(plans)
+            submitted = threading.Barrier(len(plans) + 1)
+
+            def client(i):
+                futs[i] = s.submit("g", "closeness", sources=plans[i])
+                submitted.wait(10)
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            submitted.wait(10)
+            gate.open()
+            for t in threads:
+                t.join(10)
+            got = [f.result(timeout=30) for f in futs]
+        for srcs, res in zip(plans, got):
+            assert res.extras["serve"]["batch_size"] <= 2
+            assert np.array_equal(
+                res.value, repro.closeness_centrality(rmat, sources=srcs))
+
+    def test_memo_key_covers_every_closeness_parameter(self):
+        params = set(inspect.signature(repro.closeness_centrality).parameters)
+        assert params == {"g", "sources", "wf_improved", "batch_size",
+                          "ctx"}, (
+            "closeness_centrality's parameters changed: a new parameter "
+            "must join the coalescer's closeness memo key (wf_improved) "
+            "or be shown not to change a source's score")
 
 
 class TestIngest:

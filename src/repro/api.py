@@ -289,7 +289,6 @@ class Session:
                 raise ProtocolError(
                     f"ingest failed at batch {engine.n_batches - base}: {exc}"
                 ) from exc
-            engine.forget_history()  # the session never reads it back
             self.registry.replace(name, engine.snapshot()).engine = engine
         return {
             "graph": name,

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cli_options import ExecutionOptions, add_execution_flags
-from repro.durable import write_json_atomic
+from repro.durable import RecordLog, write_json_atomic
 from repro.errors import (
     ConvergenceError,
     CorruptCheckpoint,
@@ -292,21 +292,28 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     def replay(events, *, ctx=None):
         batches = list(group_batches(events))
         engine = StreamEngine(n, analytics=analytics, k=args.k, ctx=ctx)
-        start = 0
-        if ckpt_path is not None and ckpt_path.is_file():
+        log, n_logged = None, 0
+        if ckpt_path is not None:
             # Crash resume: the log holds one record per *completed*
-            # batch (appended after each apply), so replaying it and
-            # continuing at the next input batch applies the
-            # interrupted batch exactly once.
-            engine.resume(ckpt_path)
-            _check_stream_resume(engine, ckpt_path, batches)
-            start = engine.n_batches
-            print(f"resumed {ckpt_path}: {start} batches replayed")
+            # batch (appended after each apply), so re-applying the
+            # logged batches and continuing at the next input batch
+            # applies the interrupted batch exactly once.
+            log = RecordLog(ckpt_path, kind=STREAM_CHECKPOINT_KIND,
+                            params=engine._config())
+            logged = log.load()
+            if logged is not None:
+                _check_stream_resume(logged, ckpt_path, batches)
+                n_logged = len(logged)
+                print(f"resumed {ckpt_path}: {n_logged} batches replayed")
         print(f"stream: {origin} -> {n} vertices, analytics={analytics}")
-        for batch in batches[start:]:
+        rows = []
+        for i, batch in enumerate(batches):
             r = engine.apply_batch(batch)
-            if ckpt_path is not None:
-                engine.save(ckpt_path)
+            rows.append(r.summary())
+            if i < n_logged:
+                continue
+            if log is not None:
+                log.append(_stream_record(batch))
             line = (
                 f"  t={r.t:<4d} events={r.n_events:<4d} "
                 f"applied={r.n_applied:<4d} edges={r.n_edges:<6d}"
@@ -319,13 +326,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 line += f" Q={r.modularity:.4f}"
             line += f" crc={r.checksum:08x}"
             print(line)
-        return engine
+        return engine, rows
 
     res = _run(args, replay, events)
-    engine = res.value
     # Replayed batches included: a resumed run's output document is
     # bit-identical to an uninterrupted one (no timing fields).
-    rows = engine.results
+    engine, rows = res.value
     print(
         f"stream done: {len(rows)} batches, {engine.n_edges} edges "
         f"[{res.elapsed_seconds:.2f}s]"
@@ -337,31 +343,37 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "n_vertices": n,
             "analytics": list(analytics),
             "k": args.k,
-            "batches": [r.summary() for r in rows],
+            "batches": rows,
         }
         write_json_atomic(Path(args.output), doc, indent=2, sort_keys=True)
         print(f"results written to {args.output}")
     return 0
 
 
-def _check_stream_resume(engine, ckpt_path, batches) -> None:
+#: ``RecordLog`` kind of ``repro stream`` checkpoints (DESIGN §13).
+STREAM_CHECKPOINT_KIND = "stream-checkpoint"
+
+
+def _stream_record(batch) -> list:
+    """A batch as its stream-checkpoint record."""
+    return [(e.kind, e.u, e.v, e.t, e.weight) for e in batch]
+
+
+def _check_stream_resume(logged, ckpt_path, batches) -> None:
     """Refuse a stream checkpoint that does not match this run's input.
 
-    The applied-batch log must be an exact prefix of the input batches
+    The logged batches must be an exact prefix of the input batches
     (same events, same order) — otherwise "resume" would silently splice
     two different streams together.  (The engine config is checked by
-    :meth:`StreamEngine.resume` itself.)
+    the log's params on load.)
     """
-    logged = engine.applied_batches
     if len(logged) > len(batches):
         raise CorruptCheckpoint(
             f"corrupt checkpoint {ckpt_path}: {len(logged)} applied "
             f"batches but the input stream has only {len(batches)}"
         )
-    for i, lb in enumerate(logged):
-        got = [(e.kind, e.u, e.v, e.t, e.weight) for e in lb]
-        want = [(e.kind, e.u, e.v, e.t, e.weight) for e in batches[i]]
-        if got != want:
+    for i, (record, batch) in enumerate(zip(logged, batches)):
+        if record != _stream_record(batch):
             raise CorruptCheckpoint(
                 f"corrupt checkpoint {ckpt_path}: applied batch {i} is "
                 "not a prefix of this input stream (different events) — "

@@ -14,8 +14,8 @@ machinery that extension needs:
 * :class:`~repro.dynamic.engine.StreamEngine` — ingests event batches
   into one edge set (a CSR plus its net delta) and maintains incremental
   analytics at batch cost (components, triangle/wedge stats,
-  degree/closeness top-k, community labels), checkpointable and
-  prefix-differentially tested (:mod:`repro.qa.prefix`).
+  degree/closeness top-k, community labels), its whole state one
+  picklable dict, prefix-differentially tested (:mod:`repro.qa.prefix`).
 """
 
 from repro.dynamic.engine import (

@@ -34,13 +34,11 @@ carries a CRC-32 checksum over its result arrays, which the
 prefix-differential harness (:mod:`repro.qa.prefix`), the
 chaos-recovery tests, and backend-parity tests compare bit-for-bit.
 
-A checkpoint is a :class:`~repro.durable.RecordLog` with one record
-per applied batch (batches, not a flat event log — adjacent batches may
-share a timestamp after truncation, and community repair is
-cadence-sensitive), so :meth:`StreamEngine.resume` replays
-batch-by-batch and lands on the exact same state, checksums included.
-:meth:`StreamEngine.state` is the same state in one piece, for the
-daemon's compacted log.
+The engine keeps no batch history: a caller that needs one logs the
+batches it applies (``repro stream --checkpoint-dir`` keeps one record
+per batch and replays them batch by batch, since community repair is
+cadence-sensitive).  :meth:`StreamEngine.state` is the engine's whole
+state in one piece, for the daemon's compacted log.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from __future__ import annotations
 import zlib
 from contextlib import nullcontext as _noop
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,7 +53,6 @@ import numpy as np
 from repro.dynamic.components import UnionFind
 from repro.dynamic.events import EdgeEvent, group_batches
 from repro.dynamic.sources import crawl_events
-from repro.durable import RecordLog
 from repro.errors import GraphStructureError
 from repro.graph import builder
 from repro.graph.csr import Graph
@@ -75,10 +71,6 @@ __all__ = [
 ]
 
 ANALYTICS = ("components", "stats", "degree", "closeness", "community")
-
-#: ``RecordLog`` kind of durable stream checkpoints (DESIGN §13).
-STREAM_CHECKPOINT_KIND = "stream-checkpoint"
-
 
 def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Top-``k`` (vertex, score) pairs, ties broken by smaller id."""
@@ -209,7 +201,7 @@ class StreamEngine:
         self._added: dict[tuple[int, int], float] = {}
         self._deleted: set[tuple[int, int]] = set()
         # With stats on, every batch that applies merges the delta, so
-        # a batch starts from an empty one (see _apply_events).
+        # a batch starts from an empty one (see _fold_events).
         self._tri: Optional[int] = 0 if "stats" in self.analytics else None
         self._deg = np.zeros(n, dtype=np.int64)
         # Closeness cache: all-zero is exact for the initial edgeless
@@ -217,42 +209,13 @@ class StreamEngine:
         self._clo = np.zeros(n, dtype=np.float64)
         self._community = np.arange(n, dtype=np.int64)
         self._modularity = 0.0
-        self._applied_batches: list[list[EdgeEvent]] = []
-        self._results: list[BatchResult] = []
-        # batches folded into the state this engine was rebuilt or seeded from
-        self._n_restored = 0
-        self._log: Optional[RecordLog] = None  # set by save() / resume()
-        self._n_logged = 0  # applied batches the log already holds
+        self.n_batches = 0  # batches applied, a from_graph seed included
 
     # ------------------------------------------------------------------
-    @property
-    def n_batches(self) -> int:
-        return self._n_restored + len(self._applied_batches)
-
     @property
     def n_edges(self) -> int:
         # a deleted-then-re-added CSR edge sits in both halves of the delta
         return self._snap.n_edges + len(self._added) - len(self._deleted)
-
-    @property
-    def results(self) -> list[BatchResult]:
-        return list(self._results)
-
-    @property
-    def applied_batches(self) -> list[list[EdgeEvent]]:
-        """The batches applied since the engine was built or rebuilt
-        from :meth:`state` (read-only copy of the outer list)."""
-        return list(self._applied_batches)
-
-    def forget_history(self) -> None:
-        """Drop the applied batches and their results, keeping their
-        count: the engine's analytics and later checksums are unchanged,
-        but it can no longer :meth:`save` (like a :meth:`from_state`
-        engine).  A long-lived engine calls this to hold O(graph), not
-        O(history)."""
-        self._n_restored = self.n_batches
-        self._applied_batches.clear()
-        self._results.clear()
 
     def snapshot(self) -> Graph:
         """The current edge set as a canonical CSR graph: the last one
@@ -266,10 +229,6 @@ class StreamEngine:
         return self._snap
 
     # ------------------------------------------------------------------
-    def apply_events(self, events: Iterable[EdgeEvent]) -> list[BatchResult]:
-        """Group ``events`` by timestamp and apply each batch."""
-        return [self.apply_batch(batch) for batch in group_batches(events)]
-
     def apply_batch(self, events: Sequence[EdgeEvent]) -> BatchResult:
         """Apply one batch of events, refresh analytics, return results.
 
@@ -288,13 +247,12 @@ class StreamEngine:
             if tr
             else _noop()
         ):
-            touched, n_applied = self._apply_events(events)
+            touched, n_applied = self._fold_events(events)
             result = self._result(int(events[0].t), len(events), n_applied, touched)
-        self._applied_batches.append(events)
-        self._results.append(result)
+        self.n_batches += 1
         return result
 
-    def _apply_events(self, events: list[EdgeEvent]) -> tuple[np.ndarray, int]:
+    def _fold_events(self, events: list[EdgeEvent]) -> tuple[np.ndarray, int]:
         """Fold ``events`` into the edge set, degrees, union–find and
         triangle count; returns the touched vertices (ascending) and the
         number of events that applied."""
@@ -489,73 +447,16 @@ class StreamEngine:
             "resweep_radius": self.resweep_radius,
         }
 
-    def save(self, path) -> None:
-        """Durably log the batches applied since the last save: one
-        :class:`~repro.durable.RecordLog` record each, under the engine
-        config as the log's parameters.
-
-        Called after every applied batch by ``repro stream
-        --checkpoint-dir``, so a save costs O(batch), not O(history).  A
-        crash *during* a batch leaves the log without it and a crash
-        mid-append leaves a torn final record, which :meth:`resume`
-        drops; either way resume re-applies exactly that batch —
-        exactly-once application without a write-ahead log.  The first
-        save to a path this engine did not resume from starts a fresh
-        log there.
-        """
-        if self._n_restored:
-            raise ValueError("an engine seeded by from_graph(), rebuilt from "
-                             "state() or past forget_history() has no batch "
-                             "history to log")
-        path = Path(path)
-        if self._log is None or self._log.path != path:
-            self._log = RecordLog(
-                path, kind=STREAM_CHECKPOINT_KIND, params=self._config()
-            )
-            self._n_logged = 0
-        for batch in self._applied_batches[self._n_logged:]:
-            self._log.append([(e.kind, e.u, e.v, e.t, e.weight) for e in batch])
-            self._n_logged += 1
-
-    def resume(self, path) -> None:
-        """Replay a :meth:`save` log into this fresh engine; later saves
-        to ``path`` extend it.
-
-        The log must have been saved by an engine with this one's config
-        (:class:`~repro.errors.CorruptCheckpoint` names the first
-        differing setting); integrity failures raise the same way before
-        any replay, and a missing log raises ``FileNotFoundError``.
-        Replay is batch-by-batch (community repair is
-        cadence-sensitive), so the per-batch checksums match the saving
-        engine's bit-for-bit.
-        """
-        if self.n_batches:
-            raise ValueError("resume() needs an engine with no applied batches")
-        log = RecordLog(path, kind=STREAM_CHECKPOINT_KIND, params=self._config())
-        batches = log.load()
-        if batches is None:
-            raise FileNotFoundError(f"no stream checkpoint at {path}")
-        for batch in batches:
-            self.apply_batch(
-                [EdgeEvent(kind, u, v, t=t, weight=w) for kind, u, v, t, w in batch]
-            )
-        self._log, self._n_logged = log, len(batches)
-
     def state(self) -> dict:
         """Everything that shapes later batches, as one picklable dict.
 
         :meth:`from_state` rebuilds an engine whose next batches carry
         the same checksums as this one's would (a tier-1 test holds
-        this with every analytic on).  Its size is the graph's, not the
-        history's: left out are the execution context, any open
-        checkpoint log, and the applied batches and their results
-        (only their count is kept).  The dict shares the engine's
-        objects: pickle it before the engine applies another batch.
+        this with every analytic on).  Only the execution context is
+        left out.  The dict shares the engine's objects: pickle it
+        before the engine applies another batch.
         """
-        state = {k: v for k, v in vars(self).items() if k != "ctx"}
-        state.update(_log=None, _n_logged=0, _results=[], _applied_batches=[],
-                     _n_restored=self.n_batches)
-        return state
+        return {k: v for k, v in vars(self).items() if k != "ctx"}
 
     @classmethod
     def from_state(
@@ -575,8 +476,7 @@ class StreamEngine:
         (parallel edges keep their first weight, self-loops are
         skipped), but no event is built: the snapshot comes from the
         CSR, sharing its rows when the graph is simple, and the labels,
-        degrees and triangle count from the batch kernels.  Like a
-        :meth:`from_state` engine it has no batch history to :meth:`save`.
+        degrees and triangle count from the batch kernels.
         """
         from repro.kernels.connected import connected_components
 
@@ -597,10 +497,10 @@ class StreamEngine:
             engine._deg = np.diff(engine._snap.offsets)
             if engine._tri is not None:
                 engine._tri = _triangles_through(engine._snap, key)
-            result = engine._result(0, n_events, int(key.shape[0]),
-                                    np.flatnonzero(engine._deg))
-        engine._results.append(result)
-        engine._n_restored = 1
+            # for its closeness and community refresh; the row is dropped
+            engine._result(0, n_events, int(key.shape[0]),
+                           np.flatnonzero(engine._deg))
+        engine.n_batches = 1
         return engine
 
 
@@ -690,19 +590,19 @@ def stream_replay(
         resweep_radius=resweep_radius,
         ctx=ctx,
     )
-    results = engine.apply_events(events)
-    last = results[-1] if results else None
+    checksums, last = [], None
+    for batch in group_batches(events):
+        last = engine.apply_batch(batch)
+        checksums.append(last.checksum)
     return StreamReplayResult(
-        n_batches=len(results),
+        n_batches=len(checksums),
         n_edges=engine.n_edges,
         labels=engine._cc.labels(),
         n_components=engine._cc.n_components,
         n_triangles=getattr(last, "n_triangles", None) or 0,
         n_wedges=getattr(last, "n_wedges", None) or 0,
         global_clustering=getattr(last, "global_clustering", None) or 0.0,
-        batch_checksums=np.asarray(
-            [r.checksum for r in results], dtype=np.int64
-        ),
+        batch_checksums=np.asarray(checksums, dtype=np.int64),
         degree_topk=(last.degree_topk or []) if last else [],
         closeness_topk=(last.closeness_topk or []) if last else [],
         community_labels=last.community_labels if last else None,

@@ -107,6 +107,19 @@ class Graph:
         self._edge_endpoints: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._arc_sources: Optional[np.ndarray] = None
 
+    def __getstate__(self) -> tuple:
+        """The data alone: a pickle carries no lazy cache, so its size
+        does not depend on what ran on the graph (a directed graph's
+        ``arc_edge_ids`` is ``arange`` and a cache too)."""
+        eids = None if self.directed else self._arc_edge_ids
+        return (self.offsets, self.targets, self.weights, self.directed,
+                eids, self._n_edges)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.offsets, self.targets, self.weights, self.directed,
+         self._arc_edge_ids, self._n_edges) = state
+        self._degrees = self._edge_endpoints = self._arc_sources = None
+
     # ------------------------------------------------------------------
     # Size accessors
     # ------------------------------------------------------------------

@@ -84,7 +84,7 @@ STATE_LOG_KIND = "serve-state"
 #: record.  Bump it whenever ``Session.state()`` or
 #: ``StreamEngine.state()`` changes shape, so an older log is refused by
 #: name rather than restored into the wrong attributes.
-STATE_LOG_PARAMS = {"snapshot": "session-state/3"}
+STATE_LOG_PARAMS = {"snapshot": "session-state/4"}
 
 #: The JSON-lines journal the state log replaced; refused by name.
 OLD_JOURNAL_NAME = "registry.journal"

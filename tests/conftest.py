@@ -69,3 +69,36 @@ def random_gnm(n: int, m: int, seed: int, *, directed: bool = False):
         np.asarray(dst, dtype=np.int64),
         directed=directed,
     )
+
+
+def plant_stream_log(path, batches, *, n_vertices, **config):
+    """A ``repro stream --checkpoint-dir`` log at ``path`` holding
+    ``batches``: kind ``stream-checkpoint``, the engine config as its
+    params, one ``(kind, u, v, t, weight)`` list per batch."""
+    from repro.durable import RecordLog
+    from repro.dynamic import StreamEngine
+
+    log = RecordLog(path, kind="stream-checkpoint",
+                    params=StreamEngine(n_vertices, **config)._config())
+    for batch in batches:
+        log.append([(e.kind, e.u, e.v, e.t, e.weight) for e in batch])
+    return log
+
+
+def stream_cli(monkeypatch, argv, **run_kwargs):
+    """Run ``repro stream`` in process and return its ``(engine, rows)``:
+    the engine after the last batch and the ``-o`` document's batch rows.
+    ``run_kwargs`` (e.g. ``chaos``, ``fault_policy``) go to ``obs.run``,
+    over the CLI's own."""
+    from repro import cli
+    from repro.obs import run
+
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(run(*args, **{**kwargs, **run_kwargs}))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "obs_run", spy)
+    assert cli.main(["stream", *map(str, argv)]) == 0
+    return runs[-1].value

@@ -47,6 +47,7 @@ from repro.parallel import (
     ParallelContext,
     live_segment_names,
 )
+from tests.conftest import plant_stream_log, stream_cli
 
 
 def _double(x):
@@ -793,57 +794,48 @@ class TestStreamChaos:
             n, analytics=("components", "stats", "degree", "closeness"),
             k=5, ctx=ctx,
         )
-        for b in batches:
-            eng.apply_batch(b)
-        return eng
+        return eng, [eng.apply_batch(b) for b in batches]
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_worker_death_mid_batch_bit_identical(self, backend):
         n, batches = self._batches()
-        clean = self._run(n, batches)
+        clean, want = self._run(n, batches)
         plan = ChaosPlan([Fault("exit", task_index=0, call_index=1)])
         with ParallelContext(
             2, backend=backend,
             fault_policy=FaultPolicy(),
             chaos=plan,
         ) as ctx:
-            chaotic = self._run(n, batches, ctx=ctx)
+            chaotic, got = self._run(n, batches, ctx=ctx)
             assert plan.n_fired >= 1
             assert ctx.pool.faults_injected >= 1
-        assert (
-            [r.checksum for r in chaotic.results]
-            == [r.checksum for r in clean.results]
-        )
-        assert np.array_equal(
-            chaotic.results[-1].labels, clean.results[-1].labels
-        )
+        assert [r.checksum for r in got] == [r.checksum for r in want]
+        assert np.array_equal(got[-1].labels, want[-1].labels)
         assert np.array_equal(chaotic._clo, clean._clo)
         assert live_segment_names() == ()
 
-    def test_resume_from_last_applied_batch(self, tmp_path):
-        # Crash-and-restart shape: the engine dies after batch j-1, a
-        # replacement resumes from its checkpoint and replays the
-        # remaining batches; the stitched run is bit-identical to an
-        # uninterrupted one, including under chaos on the replay side.
+    def test_resume_from_last_applied_batch(self, tmp_path, monkeypatch):
+        # Crash-and-restart shape: `repro stream --checkpoint-dir` dies
+        # after batch j-1, a rerun re-applies its log and the remaining
+        # batches; the stitched run is bit-identical to an uninterrupted
+        # one, including under chaos on the replay side.
+        from repro.dynamic import write_events
+
         n, batches = self._batches()
-        clean = self._run(n, batches)
+        clean, want = self._run(n, batches)
         j = len(batches) // 2
-        first = self._run(n, batches[:j])
-        first.save(tmp_path / "stream.ckpt")
-        del first  # the "dead" process
+        path = tmp_path / "crawl.events"
+        write_events(path, [e for b in batches for e in b], n_vertices=n)
+        analytics = ("components", "stats", "degree", "closeness")
+        plant_stream_log(tmp_path / "stream.ckpt", batches[:j],
+                         n_vertices=n, analytics=analytics, k=5)
 
         plan = ChaosPlan([Fault("raise", task_index=0)])
-        with ParallelContext(
-            2, backend="thread",
-            fault_policy=FaultPolicy(),
-            chaos=plan,
-        ) as ctx:
-            resumed = self._run(n, [], ctx=ctx)
-            resumed.resume(tmp_path / "stream.ckpt")
-            for b in batches[j:]:
-                resumed.apply_batch(b)
-        assert (
-            [r.checksum for r in resumed.results]
-            == [r.checksum for r in clean.results]
-        )
+        resumed, rows = stream_cli(monkeypatch, [
+            path, "--analytics", ",".join(analytics), "-k", 5,
+            "--checkpoint-dir", tmp_path, "--backend", "thread",
+            "--workers", 2,
+        ], chaos=plan, fault_policy=FaultPolicy())
+        assert plan.n_fired >= 1
+        assert [r["checksum"] for r in rows] == [r.checksum for r in want]
         assert np.array_equal(resumed._clo, clean._clo)

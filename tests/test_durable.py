@@ -70,6 +70,7 @@ from repro.sharded import (
     sharded_pla,
 )
 from repro.sharded.bsp import CHECKPOINT_KIND
+from tests.conftest import plant_stream_log, stream_cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -341,10 +342,10 @@ def test_no_raw_json_writes_in_src():
 
 
 #: The durable surfaces, each writing one ``RecordLog``: the BSP
-#: driver, the stream engine and the daemon's state log.
+#: driver, ``repro stream --checkpoint-dir`` and the daemon's state log.
 _LOG_WRITERS = (
     "src/repro/sharded/bsp.py",
-    "src/repro/dynamic/engine.py",
+    "src/repro/cli.py",
     "src/repro/serve/server.py",
 )
 
@@ -897,7 +898,11 @@ class TestShardRunResume:
 # Stream engine durability (tier-1)
 # ---------------------------------------------------------------------------
 class TestStreamDurability:
-    def test_save_load_mid_stream_bit_identical(self, karate, tmp_path):
+    """``repro stream --checkpoint-dir`` logs each batch it applies and,
+    rerun on the same input, re-applies the log and continues."""
+
+    def test_save_load_mid_stream_bit_identical(self, karate, tmp_path,
+                                                monkeypatch):
         evs = crawl_events(
             karate, policy="mod", batch_size=6,
             rng=np.random.default_rng(1),
@@ -905,33 +910,34 @@ class TestStreamDurability:
         batches = list(group_batches(evs))
         cut = len(batches) // 2
         full = StreamEngine(karate.n_vertices, k=5)
-        for b in batches:
-            full.apply_batch(b)
+        want = [full.apply_batch(b).checksum for b in batches]
 
-        part = StreamEngine(karate.n_vertices, k=5)
-        for b in batches[:cut]:
-            part.apply_batch(b)
-        ckpt = tmp_path / "stream.ckpt"
-        part.save(ckpt)
-        resumed = StreamEngine(karate.n_vertices, k=5)
-        resumed.resume(ckpt)
-        for b in batches[cut:]:
-            resumed.apply_batch(b)
-        assert [r.checksum for r in full.results] == [
-            r.checksum for r in resumed.results
-        ]
+        path = tmp_path / "mod.events"
+        write_events(path, evs, n_vertices=karate.n_vertices)
+        ckpt_dir = tmp_path / "ck"
+        ckpt_dir.mkdir()
+        plant_stream_log(ckpt_dir / "stream.ckpt", batches[:cut],
+                         n_vertices=karate.n_vertices, k=5)
+        _, rows = stream_cli(monkeypatch,
+                             [path, "-k", 5, "--checkpoint-dir", ckpt_dir])
+        assert [r["checksum"] for r in rows] == want
 
-    def test_corrupt_stream_checkpoint_refused(self, karate, tmp_path):
-        eng = StreamEngine(karate.n_vertices)
-        for t, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)]):
-            eng.apply_batch([EdgeEvent("add", u, v, t=t)])
-        ckpt = tmp_path / "stream.ckpt"
-        eng.save(ckpt)
+    def test_corrupt_stream_checkpoint_refused(self, karate, tmp_path,
+                                               capsys):
+        batches = [[EdgeEvent("add", u, v, t=t)]
+                   for t, (u, v) in enumerate([(0, 1), (1, 2), (2, 3)])]
+        path = tmp_path / "three.events"
+        write_events(path, [e for b in batches for e in b],
+                     n_vertices=karate.n_vertices)
+        ckpt = tmp_path / "ck" / "stream.ckpt"
+        ckpt.parent.mkdir()
+        plant_stream_log(ckpt, batches, n_vertices=karate.n_vertices)
         blob = bytearray(ckpt.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         ckpt.write_bytes(bytes(blob))
-        with pytest.raises(CorruptCheckpoint):
-            StreamEngine(karate.n_vertices).resume(ckpt)
+        assert cli_main(["stream", str(path),
+                         "--checkpoint-dir", str(ckpt.parent)]) == 1
+        assert f"error: corrupt checkpoint {ckpt}" in capsys.readouterr().err
 
     @pytest.fixture()
     def events_file(self, karate, tmp_path):
@@ -953,16 +959,19 @@ class TestStreamDurability:
         # the process dies during the next batch).
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
-        part = StreamEngine(n)  # CLI defaults: components,stats,degree k=10
-        for b in batches[: len(batches) // 2]:
-            part.apply_batch(b)
-        part.save(ckpt_dir / "stream.ckpt")
+        # CLI defaults: components,stats,degree k=10
+        log = plant_stream_log(ckpt_dir / "stream.ckpt",
+                               batches[: len(batches) // 2], n_vertices=n)
 
         out_resumed = tmp_path / "resumed.json"
         assert cli_main(["stream", str(path),
                          "--checkpoint-dir", str(ckpt_dir),
                          "-o", str(out_resumed)]) == 0
         assert out_resumed.read_bytes() == out_full.read_bytes()
+        # the log holds each input batch once, the replayed ones included
+        assert log.load() == [
+            [(e.kind, e.u, e.v, e.t, e.weight) for e in b] for b in batches
+        ]
 
     @pytest.mark.parametrize("name, value", [
         pytest.param(name, value, id=name) for name, value in (
@@ -977,15 +986,12 @@ class TestStreamDurability:
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
         analytics = ("components", "community")
-        part = StreamEngine(n, **{"analytics": analytics, "k": 10,
-                                  name: value})  # the CLI's but one
-        for b in batches[:2]:
-            part.apply_batch(b)
-        part.save(ckpt_dir / "stream.ckpt")
+        plant_stream_log(ckpt_dir / "stream.ckpt", batches[:2], n_vertices=n,
+                         **{"analytics": analytics, "k": 10,
+                            name: value})  # the CLI's but one
         assert cli_main(["stream", str(path), "--analytics", ",".join(analytics),
                          "--checkpoint-dir", str(ckpt_dir)]) == 1
         assert f"parameter '{name}' mismatch" in capsys.readouterr().err
-
     def test_cli_resume_log_with_window_refused(self, events_file, tmp_path,
                                                 capsys):
         """A log written while the engine still had a burst ``window``,
@@ -1025,9 +1031,8 @@ class TestStreamDurability:
         path, _, n = events_file
         ckpt_dir = tmp_path / "ck"
         ckpt_dir.mkdir()
-        other = StreamEngine(n)
-        other.apply_batch([EdgeEvent("add", 0, 1, t=0)])
-        other.save(ckpt_dir / "stream.ckpt")
+        plant_stream_log(ckpt_dir / "stream.ckpt",
+                         [[EdgeEvent("add", 0, 1, t=0)]], n_vertices=n)
         assert cli_main(["stream", str(path),
                          "--checkpoint-dir", str(ckpt_dir)]) == 1
         assert "not a prefix" in capsys.readouterr().err
@@ -1055,10 +1060,8 @@ class TestStreamDurability:
         out_full = tmp_path / "full.json"
         assert cli_main(["stream", str(path), "-o", str(out_full)]) == 0
         ckpt = tmp_path / "ck" / "stream.ckpt"
-        part = StreamEngine(n)
-        for b in batches[:3]:
-            part.apply_batch(b)
-            part.save(ckpt)
+        ckpt.parent.mkdir()
+        plant_stream_log(ckpt, batches[:3], n_vertices=n)
         ckpt.write_bytes(ckpt.read_bytes()[:-9])
         assert "truncated final record" in check_log(ckpt)[0]
         out = tmp_path / "resumed.json"
@@ -1066,25 +1069,41 @@ class TestStreamDurability:
                          str(ckpt.parent), "-o", str(out)]) == 0
         assert out.read_bytes() == out_full.read_bytes()
 
-    def test_save_appends_one_batch_at_a_time(self, tmp_path):
-        """Saving after every batch appends that batch alone: over 256
-        equal-shaped batches the i-th save adds the same bytes for
+    def test_save_appends_one_batch_at_a_time(self, tmp_path, monkeypatch):
+        """The log gets each batch alone, right after it applies: over
+        256 equal-shaped batches the i-th append adds the same bytes for
         every i (up to the decimal width of the envelope's CRC), where
         rewriting the history grew linearly."""
-        eng = StreamEngine(256)
-        ckpt = tmp_path / "stream.ckpt"
+        batches = [[EdgeEvent("add", t, (t + 1) % 256, t=t)]
+                   for t in range(256)]
+        path = tmp_path / "ring.events"
+        write_events(path, [e for b in batches for e in b], n_vertices=256)
+        ckpt = tmp_path / "ck" / "stream.ckpt"
         sizes = []
-        for t in range(256):
-            eng.apply_batch([EdgeEvent("add", t, (t + 1) % 256, t=t)])
-            eng.save(ckpt)
-            sizes.append(ckpt.stat().st_size)
+        append = RecordLog.append
+
+        def sized(log, record):
+            append(log, record)
+            sizes.append(log.path.stat().st_size)
+
+        monkeypatch.setattr(RecordLog, "append", sized)
+        out = tmp_path / "out.json"
+        assert cli_main(["stream", str(path), "--checkpoint-dir",
+                         str(ckpt.parent), "-o", str(out)]) == 0
+        monkeypatch.undo()
+        assert len(sizes) == 256
         added = np.diff(sizes)
         assert added.max() - added.min() < 10
-        resumed = StreamEngine(256)
-        resumed.resume(ckpt)
-        assert [r.checksum for r in resumed.results] == [
-            r.checksum for r in eng.results
+        log = RecordLog(ckpt, kind="stream-checkpoint",
+                        params=StreamEngine(256)._config())
+        assert log.load() == [
+            [(e.kind, e.u, e.v, e.t, e.weight) for e in b] for b in batches
         ]
+        # a rerun replays all 256 and lands on the same document
+        again = tmp_path / "again.json"
+        assert cli_main(["stream", str(path), "--checkpoint-dir",
+                         str(ckpt.parent), "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_engine_state_resumes_bit_identical(self, karate):
         """What the daemon snapshots: an engine rebuilt from a pickled
@@ -1102,15 +1121,14 @@ class TestStreamDurability:
                             EdgeEvent("add", 0, int(v[j]), t=t + 1 + i)])
         analytics = ("components", "stats", "degree", "closeness", "community")
         full = StreamEngine(karate.n_vertices, analytics=analytics, k=5)
-        for b in batches:
-            full.apply_batch(b)
+        want = [full.apply_batch(b).checksum for b in batches]
         for cut in (1, len(batches) // 2, len(batches) - 3):
             part = StreamEngine(karate.n_vertices, analytics=analytics, k=5)
             for b in batches[:cut]:
                 part.apply_batch(b)
             back = StreamEngine.from_state(pickle.loads(pickle.dumps(part.state())))
             got = [back.apply_batch(b).checksum for b in batches[cut:]]
-            assert got == [r.checksum for r in full.results[cut:]]
+            assert got == want[cut:]
             assert back.n_batches == full.n_batches
 
 
@@ -1396,8 +1414,10 @@ class TestServeDurability:
         from repro.serve.server import STATE_LOG_KIND
 
         # /1 engines still carried a DynamicGraph beside their snapshot,
-        # /2 ones a StreamingStats and an edge set
-        for older in ("session-state/0", "session-state/1", "session-state/2"):
+        # /2 ones a StreamingStats and an edge set, /3 ones a batch count
+        # split between a history and the batches restored
+        for older in ("session-state/0", "session-state/1", "session-state/2",
+                      "session-state/3"):
             (state / "state.log").unlink(missing_ok=True)
             RecordLog(state / "state.log", kind=STATE_LOG_KIND,
                       params={"snapshot": older}).append(

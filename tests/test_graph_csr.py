@@ -126,6 +126,24 @@ class TestEdgeIds:
         with pytest.raises(GraphStructureError):
             triangle_plus_tail.edge_weight(0, 3)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pickle_carries_the_data_not_the_caches(self, directed):
+        """A pickle holds the arrays that define the graph (an undirected
+        graph's ``arc_edge_ids`` among them) and no lazy cache."""
+        import pickle
+
+        g = random_gnm(40, 120, seed=7, directed=directed)
+        cold = pickle.dumps(g)
+        g.degrees(), g.edge_endpoints(), g.arc_edge_ids
+        assert pickle.dumps(g) == cold
+        back = pickle.loads(cold)
+        for name in ("offsets", "targets", "arc_edge_ids"):
+            assert np.array_equal(getattr(back, name), getattr(g, name)), name
+        assert (back.directed, back.weights, back.n_edges) == (
+            g.directed, g.weights, g.n_edges)
+        assert back._degrees is back._arc_sources is back._edge_endpoints is None
+        assert np.array_equal(back.edge_endpoints(), g.edge_endpoints())
+
 
 class TestDerivedGraphs:
     def test_reverse_directed(self):

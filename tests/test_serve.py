@@ -1435,11 +1435,23 @@ class TestClosenessMemo:
 
         with api.Session() as s:
             s.add("g", rmat)
-            # fill the graph's own lazy caches as a closeness run does
-            repro.closeness_centrality(s.registry.get("g").graph, sources=[0])
             cold = pickle.dumps(s.state())
             s.run("closeness", "g")
             assert memo_arrays(s, "g")
+            assert pickle.dumps(s.state()) == cold
+
+    def test_state_bytes_do_not_depend_on_queries(self):
+        """A resident graph's lazy caches stay out of the snapshot: on an
+        unchanged graph the state pickles to the same bytes before and
+        after a closeness and a ``pla`` query."""
+        import pickle
+
+        g = generators.rmat(12, 8, rng=np.random.default_rng(1)).as_undirected()
+        with api.Session() as s:
+            s.add("g", g)
+            cold = pickle.dumps(s.state())
+            s.run("closeness", "g", sources=[0, 1, 2, 3])
+            s.run("pla", "g")
             assert pickle.dumps(s.state()) == cold
 
     def test_max_batch_one_runs_every_request(self, rmat, monkeypatch):
@@ -1623,11 +1635,11 @@ class TestIngest:
             s.ingest("g", [("add", 1, 250, 2, 2.5)])
             assert s.registry.get("g").graph.is_weighted
 
-    def test_session_engine_keeps_no_history(self, rmat, tmp_path):
-        """After each ingest the resident graph's engine drops its
-        applied batches and results; its batch count and every checksum,
-        also across a state() restore, are those of an engine that kept
-        them."""
+    def test_session_engine_keeps_no_history(self, rmat):
+        """After 50 ingests the resident graph's engine pickles to the
+        size of one seeded from its snapshot; its batch count and every checksum,
+        also across a state() restore, are those of one engine fed every
+        batch."""
         import pickle
 
         from repro.dynamic import EdgeEvent, StreamEngine
@@ -1649,9 +1661,12 @@ class TestIngest:
                 doc = s.ingest("g", b)
                 got += [x["checksum"] for x in doc["batches"]]
             engine = s.registry.get("g").engine
-            assert engine.applied_batches == [] and engine.results == []
-            with pytest.raises(ValueError, match="no batch history"):
-                engine.save(tmp_path / "stream.ckpt")
+            seeded = StreamEngine.from_graph(
+                engine.snapshot(), analytics=("components", "stats", "degree"),
+                k=10,
+            )
+            assert (len(pickle.dumps(engine.state()))
+                    == len(pickle.dumps(seeded.state())))
             assert doc["n_batches_total"] == 1 + 50
             state = pickle.loads(pickle.dumps(s.state()))
         with api.Session() as s:

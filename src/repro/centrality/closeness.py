@@ -47,21 +47,6 @@ def _lane_scores(
     return cc
 
 
-def _transpose(graph, edge_active: Optional[np.ndarray]):
-    """The transpose of a directed graph over its active arcs only:
-    ``d(u -> v)`` for every ``u`` is one traversal of it from ``v``."""
-    if edge_active is None:
-        return graph.reverse()
-    from repro.graph.builder import from_edge_array
-
-    keep = edge_active.take(graph.arc_edge_ids)
-    w = graph.weights
-    return from_edge_array(
-        graph.n_vertices, graph.targets[keep], graph.arc_sources()[keep],
-        weights=None if w is None else w[keep], directed=True, dedupe=False,
-    )
-
-
 def _closeness_batch_worker(graph, batch, mask):
     """One source batch → per-lane ``(reached_count, distance_total)``.
 
@@ -98,7 +83,9 @@ def closeness_centrality(
     per_traversal = max(1.0, float(graph.n_arcs))
 
     if not graph.has_unit_weights:
-        work_g = _transpose(graph, edge_active) if graph.directed else g
+        # Compacted once; a directed graph's transpose answers d(u -> v)
+        # for every u with one traversal from v.
+        work_g = g.live().reverse()
 
         def one(v: int) -> None:
             dist = dijkstra(work_g, v).distances
@@ -121,9 +108,11 @@ def closeness_centrality(
         return out
 
     if graph.directed:
-        # The transpose renumbers edges, so it keeps only the active ones.
-        base, mask = _transpose(graph, edge_active), None
+        # The transpose renumbers edges, so it keeps only the live ones.
+        base, mask = g.live().reverse(), None
     else:
+        # The base graph plus the mask: a process pool reuses the base
+        # graph's one shared segment rather than exporting a new one.
         base, mask = graph, edge_active
     batches = source_batches(src_list, batch_size, n)
     if batches:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 from repro.obs.api import algorithm
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -26,16 +26,10 @@ def degree_centrality(
     a simple graph), matching the conventional definition.  Edge masks
     are honoured (deleted edges do not count).
     """
-    graph, edge_active = unwrap(g)
+    graph = g.live()
     ctx = ensure_context(ctx)
     n = graph.n_vertices
-    if edge_active is None:
-        deg = graph.degrees().astype(np.float64)
-    else:
-        keep = edge_active[graph.arc_edge_ids]
-        deg = np.bincount(
-            graph.arc_sources()[keep], minlength=n
-        ).astype(np.float64)
+    deg = graph.degrees().astype(np.float64)
     ctx.cost.phase(float(max(n, graph.n_arcs)), 1.0)
     if normalized and n > 1:
         deg /= n - 1

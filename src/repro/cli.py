@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -1053,6 +1054,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (``repro stream ... | head``): stop
+        # without a traceback, and point stdout at devnull so that the
+        # interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

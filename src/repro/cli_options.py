@@ -82,17 +82,14 @@ class ExecutionOptions:
         )
 
 
-def add_execution_flags(
-    parser: argparse.ArgumentParser, *, profile: bool = True,
-) -> None:
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Install the canonical execution flags on a (sub)parser."""
     parser.add_argument("--backend", choices=list(BACKENDS), default=None,
                         help="execution backend (default: serial)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker count for thread/process backends")
-    if profile:
-        parser.add_argument("--profile", metavar="OUT.json", default=None,
-                            help="record a span-tree profile of the run")
+    parser.add_argument("--profile", metavar="OUT.json", default=None,
+                        help="record a span-tree profile of the run")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-task timeout; hung workers are replaced "
                              "and the task retried")

@@ -181,13 +181,11 @@ def pla(
         strength[b] = 0.0
         ctx.cost.cas(1)
 
-    arc_active = view.arc_active()
+    live = view.live()
 
     def candidate_cluster(v: int, cv: int) -> Optional[int]:
         """Step 7: pick the adjacent cluster by the local metric."""
-        lo, hi = graph.arc_range(v)
-        mask = arc_active[lo:hi]
-        nbrs = graph.targets[lo:hi][mask]
+        nbrs = live.neighbors(v)
         if nbrs.shape[0] == 0:
             return None
         cn = np.asarray([find(int(x)) for x in nbrs], dtype=np.int64)
@@ -196,7 +194,7 @@ def pla(
             return None
         nbrs, cn = nbrs[other], cn[other]
         if local_metric == "weight":
-            wts = graph.neighbor_weights(v)[mask][other]
+            wts = live.neighbor_weights(v)[other]
             per: dict[int, float] = {}
             for c, w in zip(cn.tolist(), wts.tolist()):
                 per[c] = per.get(c, 0.0) + w

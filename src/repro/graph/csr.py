@@ -297,6 +297,10 @@ class Graph:
         """A logical-deletion view over this graph (see EdgeSubsetView)."""
         return EdgeSubsetView(self, edge_active)
 
+    def live(self) -> "Graph":
+        """This graph: every edge is live (see :meth:`EdgeSubsetView.live`)."""
+        return self
+
     # ------------------------------------------------------------------
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n_vertices:
@@ -312,6 +316,13 @@ class EdgeSubsetView:
     highest-betweenness edge.  Rebuilding CSR arrays per deletion is
     O(m); instead kernels accept this view and filter expanded arcs by
     ``active[arc_edge_ids]`` — an O(frontier) vectorized mask.
+
+    The rule: a kernel whose work per call is O(frontier) (BFS, msbfs,
+    s–t connectivity, Δ-stepping, Brandes) or whose result names edges
+    (biconnected components, MST) filters dead arcs; every other kernel
+    reads every arc anyway, so it compacts once with :meth:`live` and
+    runs on a plain :class:`Graph` (``Graph.live()`` is the graph
+    itself, so the call needs no branch).
 
     The view is mutable (edges can be deactivated/reactivated) while the
     underlying :class:`Graph` stays immutable and shared.
@@ -354,15 +365,25 @@ class EdgeSubsetView:
         """Per-arc activity mask (length ``n_arcs``)."""
         return self.active[self.graph.arc_edge_ids]
 
-    def active_neighbors(self, v: int) -> np.ndarray:
-        """Targets of still-active arcs out of ``v``."""
-        lo, hi = self.graph.arc_range(v)
-        mask = self.active[self.graph.arc_edge_ids[lo:hi]]
-        return self.graph.targets[lo:hi][mask]
-
-    def active_degree(self, v: int) -> int:
-        lo, hi = self.graph.arc_range(v)
-        return int(np.count_nonzero(self.active[self.graph.arc_edge_ids[lo:hi]]))
+    def live(self) -> Graph:
+        """The live arcs as their own CSR (the base graph when every edge
+        is live).  Rows and weights keep their order, and edge ids are
+        renumbered by rank, so ``edge_endpoints()`` and ``edge_weights()``
+        equal the base's arrays ``[active]``."""
+        g = self.graph
+        if self.active.all():
+            return g
+        arcs = np.flatnonzero(self.arc_active())
+        eids = None
+        if not g.directed:
+            rank = np.cumsum(self.active) - 1
+            eids = rank.take(g.arc_edge_ids.take(arcs))
+        return Graph(
+            np.searchsorted(arcs, g.offsets), g.targets.take(arcs),
+            directed=g.directed,
+            weights=None if g.weights is None else g.weights.take(arcs),
+            arc_edge_ids=eids, n_edges=self.n_active_edges, validate=False,
+        )
 
 
 def _validate_csr(

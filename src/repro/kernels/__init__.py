@@ -34,7 +34,7 @@ _HOMES = {
     **dict.fromkeys((
         "segment_sums", "segment_maxes", "segment_argmax", "group_offsets",
         "grouped_label_weights", "boundary_vertices",
-        "intersect_sorted_segments", "compact_adjacency",
+        "intersect_sorted_segments",
     ), "repro.kernels.segments"),
 }
 

@@ -11,10 +11,11 @@ Two engines:
 * ``method="bfs"``: repeated level-synchronous BFS, the simple
   comparison baseline.
 
-Both honour :class:`~repro.graph.csr.EdgeSubsetView` edge masks, which
-is what lets pBD/Girvan–Newman track fragmentation as edges are
-removed.  Directed graphs yield *weakly* connected components (the
-paper ignores directivity for these analyses).
+Both run on a masked :class:`~repro.graph.csr.EdgeSubsetView`'s live
+arcs (compacted once by ``live()``), which is what lets pBD and pLA
+track fragmentation as edges are removed.  Directed graphs yield
+*weakly* connected components (the paper ignores directivity for these
+analyses).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 from repro.kernels.bfs import default_batch_size, msbfs
 from repro.kernels.segments import reduce_over_rows
 from repro.obs.api import algorithm
@@ -51,18 +52,15 @@ def connected_components(
 
 
 def _sv_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
-    graph, edge_active = unwrap(g)
+    graph = g.live()
     ctx = ensure_context(ctx)
     n = graph.n_vertices
     label = np.arange(n, dtype=np.int64)
-    if graph.n_arcs == 0:
+    if graph is g and graph.n_arcs == 0:
+        # An arcless Graph charges nothing; a view whose every arc is
+        # dead still charges the one hooking pass that finds nothing.
         return label
     offsets, targets = graph.offsets, graph.targets
-    if edge_active is not None:
-        # The live arcs as their own CSR: row r keeps its live arcs.
-        live = np.flatnonzero(edge_active[graph.arc_edge_ids])
-        offsets = np.searchsorted(live, offsets)
-        targets = targets.take(live)
     if graph.directed:
         # Weak connectivity: symmetrise the arcs once.
         src = np.arange(n, dtype=np.int64).repeat(np.diff(offsets))
@@ -120,7 +118,7 @@ def _bfs_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
     from the smallest still-unlabeled vertices (one lane each), so whole
     groups of components are swept in one vectorized pass instead of one
     Python-level BFS per component."""
-    graph, _ = unwrap(g)
+    graph = g.live()
     ctx = ensure_context(ctx)
     if graph.directed:
         # Weak connectivity needs symmetric adjacency; fall back to SV,
@@ -134,7 +132,7 @@ def _bfs_components(g: GraphLike, ctx: Optional[ParallelContext]) -> np.ndarray:
         if unlabeled.shape[0] == 0:
             break
         seeds = unlabeled[:k]
-        reached = msbfs(g, seeds, ctx=ctx).reached
+        reached = msbfs(graph, seeds, ctx=ctx).reached
         # Seeds are ascending, so the first lane reaching a vertex is
         # the smallest seed in its component — the canonical label.
         hit = reached.any(axis=0)

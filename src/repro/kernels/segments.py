@@ -50,7 +50,6 @@ __all__ = [
     "concat_ranges",
     "reduce_over_rows",
     "intersect_sorted_segments",
-    "compact_adjacency",
 ]
 
 
@@ -358,26 +357,4 @@ def _probe_segments(offsets, targets, keys, stride, left, right) -> tuple:
     found[inb] = keys[pos[inb]] == probe[inb]
     counts = np.bincount(pair_of_q[found], minlength=n_pairs).astype(np.int64)
     return counts, queries[found], pair_of_q[found]
-
-
-def compact_adjacency(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    arc_keep: np.ndarray,
-    n_vertices: int,
-    weights: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Filter a CSR adjacency by a per-arc mask, keeping segment order.
-
-    Returns new ``(offsets, targets, weights)`` arrays containing only
-    the kept arcs; within-segment sortedness is preserved because the
-    mask filter is order-stable.
-    """
-    src = np.repeat(np.arange(n_vertices, dtype=np.int64), np.diff(offsets))
-    new_deg = np.bincount(src[arc_keep], minlength=n_vertices)
-    new_offsets = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(new_deg, out=new_offsets[1:])
-    new_targets = targets[arc_keep]
-    new_weights = None if weights is None else weights[arc_keep]
-    return new_offsets, new_targets, new_weights
 

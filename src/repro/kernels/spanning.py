@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 from repro.kernels.bfs import bfs
 from repro.parallel.runtime import ParallelContext, ensure_context
 
@@ -25,7 +25,7 @@ def spanning_forest(
     Unreached is impossible — every vertex is the root of its own tree
     until claimed by a BFS from an earlier root.
     """
-    graph, _ = unwrap(g)
+    graph = g.live()
     if graph.directed:
         raise GraphStructureError("spanning forest requires an undirected graph")
     ctx = ensure_context(ctx)
@@ -34,7 +34,7 @@ def spanning_forest(
     for v in range(n):
         if parent[v] >= 0:
             continue
-        res = bfs(g, v, ctx=ctx)
+        res = bfs(graph, v, ctx=ctx)
         reached = res.reached
         parent[reached] = res.parents[reached]
     return parent

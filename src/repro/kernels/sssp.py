@@ -152,8 +152,8 @@ def delta_stepping(
 def dijkstra(
     g: GraphLike, source: int, *, ctx: Optional[ParallelContext] = None
 ) -> SSSPResult:
-    """Binary-heap Dijkstra baseline."""
-    graph, edge_active = unwrap(g)
+    """Binary-heap Dijkstra baseline (on the live arcs of a view)."""
+    graph = g.live()
     ctx = ensure_context(ctx)
     _check(graph, source)
     n = graph.n_vertices
@@ -161,7 +161,6 @@ def dijkstra(
     parent = np.full(n, -1, dtype=np.int64)
     dist[source] = 0.0
     parent[source] = source
-    eids = graph.arc_edge_ids
     heap: list[tuple[float, int]] = [(0.0, source)]
     done = np.zeros(n, dtype=bool)
     ops = 0
@@ -170,15 +169,10 @@ def dijkstra(
         if done[v]:
             continue
         done[v] = True
-        lo, hi = graph.arc_range(v)
-        wts = graph.neighbor_weights(v)
-        ops += hi - lo
-        for off in range(hi - lo):
-            a = lo + off
-            if edge_active is not None and not edge_active[eids[a]]:
-                continue
-            u = int(graph.targets[a])
-            nd = d + float(wts[off])
+        adj = graph.neighbors(v)
+        ops += adj.shape[0]
+        for u, w in zip(adj.tolist(), graph.neighbor_weights(v).tolist()):
+            nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v

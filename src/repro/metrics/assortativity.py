@@ -11,20 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 from repro.kernels.segments import distinct
-
-
-def _active_arc_endpoints(g: GraphLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(arc sources, arc targets, effective degrees) honouring masks."""
-    graph, edge_active = unwrap(g)
-    src = graph.arc_sources()
-    dst = graph.targets
-    if edge_active is not None:
-        keep = edge_active[graph.arc_edge_ids]
-        src, dst = src[keep], dst[keep]
-    deg = np.bincount(src, minlength=graph.n_vertices)
-    return src, dst, deg
 
 
 def degree_assortativity(g: GraphLike) -> float:
@@ -33,16 +21,16 @@ def degree_assortativity(g: GraphLike) -> float:
     +1: hubs link to hubs (assortative, social-network-like);
     −1: hubs link to leaves (disassortative, technological-network-like).
     """
-    graph, _ = unwrap(g)
+    graph = g.live()
     if graph.directed:
         raise GraphStructureError(
             "degree assortativity implemented for undirected graphs"
         )
-    src, dst, deg = _active_arc_endpoints(g)
-    if src.shape[0] == 0:
+    if graph.n_arcs == 0:
         return 0.0
-    x = deg[src].astype(np.float64)
-    y = deg[dst].astype(np.float64)
+    deg = graph.degrees()
+    x = deg[graph.arc_sources()].astype(np.float64)
+    y = deg[graph.targets].astype(np.float64)
     # Pearson correlation over (symmetric) arc list.
     mx = x.mean()
     vx = x.var()
@@ -54,11 +42,11 @@ def degree_assortativity(g: GraphLike) -> float:
 
 def average_neighbor_degree(g: GraphLike) -> np.ndarray:
     """Per-vertex mean degree of its neighbors (0 for isolated)."""
-    graph, _ = unwrap(g)
-    src, dst, deg = _active_arc_endpoints(g)
+    graph = g.live()
+    deg = graph.degrees()
     total = np.zeros(graph.n_vertices, dtype=np.float64)
-    if src.shape[0]:
-        np.add.at(total, src, deg[dst].astype(np.float64))
+    if graph.n_arcs:
+        np.add.at(total, graph.arc_sources(), deg[graph.targets].astype(np.float64))
     out = np.zeros(graph.n_vertices, dtype=np.float64)
     ok = deg > 0
     out[ok] = total[ok] / deg[ok]
@@ -73,9 +61,9 @@ def neighbor_connectivity(g: GraphLike) -> dict[int, float]:
     instances of specific graph classes" before choosing a clustering
     algorithm.
     """
-    graph, _ = unwrap(g)
-    _, _, deg = _active_arc_endpoints(g)
-    annd = average_neighbor_degree(g)
+    graph = g.live()
+    deg = graph.degrees()
+    annd = average_neighbor_degree(graph)
     out: dict[int, float] = {}
     for k in distinct(deg):
         if k == 0:

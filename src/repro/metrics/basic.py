@@ -4,34 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels._frontier import GraphLike, unwrap
-
-
-def _effective_degrees(g: GraphLike) -> np.ndarray:
-    graph, edge_active = unwrap(g)
-    if edge_active is None:
-        return graph.degrees().copy()
-    keep = edge_active[graph.arc_edge_ids]
-    return np.bincount(graph.arc_sources()[keep], minlength=graph.n_vertices)
+from repro.kernels._frontier import GraphLike
 
 
 def average_degree(g: GraphLike) -> float:
     """Mean (out-)degree."""
-    graph, _ = unwrap(g)
-    if graph.n_vertices == 0:
+    if g.n_vertices == 0:
         return 0.0
-    return float(_effective_degrees(g).mean())
+    return float(g.live().degrees().mean())
 
 
 def density(g: GraphLike) -> float:
     """Edge density m / (n choose 2) (or m / n(n-1) for directed)."""
-    graph, _ = unwrap(g)
+    graph = g.live()
     n = graph.n_vertices
     if n < 2:
         return 0.0
     possible = n * (n - 1) if graph.directed else n * (n - 1) / 2
-    m = graph.n_edges if not hasattr(g, "n_active_edges") else g.n_active_edges
-    return float(m / possible)
+    return float(graph.n_edges / possible)
 
 
 def degree_distribution(g: GraphLike) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +31,7 @@ def degree_distribution(g: GraphLike) -> tuple[np.ndarray, np.ndarray]:
     ascending; convenient for log-log plotting of the skewed
     distributions the paper exploits.
     """
-    deg = _effective_degrees(g)
+    deg = g.live().degrees()
     if deg.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     values, counts = np.unique(deg, return_counts=True)
@@ -50,7 +40,7 @@ def degree_distribution(g: GraphLike) -> tuple[np.ndarray, np.ndarray]:
 
 def degree_histogram(g: GraphLike) -> np.ndarray:
     """``hist[k]`` = number of vertices of degree ``k``."""
-    deg = _effective_degrees(g)
+    deg = g.live().degrees()
     if deg.shape[0] == 0:
         return np.zeros(1, dtype=np.int64)
     return np.bincount(deg)
@@ -63,7 +53,7 @@ def degree_skewness(g: GraphLike) -> float:
     tail of hubs); Euclidean meshes are near zero.  Used by the
     preprocessing report to pick algorithms.
     """
-    deg = _effective_degrees(g).astype(np.float64)
+    deg = g.live().degrees().astype(np.float64)
     if deg.shape[0] < 2:
         return 0.0
     mu = deg.mean()

@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, unwrap
-from repro.kernels.segments import _probe_segments, _segment_keys
-from repro.kernels.segments import chunk_bounds, compact_adjacency
+from repro.kernels._frontier import GraphLike
+from repro.kernels.segments import _probe_segments, _segment_keys, chunk_bounds
 from repro.parallel.runtime import ParallelContext, ensure_context
 
 #: Probe queries per intersection block: ~a dozen int64 temporaries of
@@ -36,7 +35,7 @@ def triangle_counts(
     g: GraphLike, *, ctx: Optional[ParallelContext] = None
 ) -> np.ndarray:
     """Number of triangles through each vertex."""
-    graph, edge_active = unwrap(g)
+    graph = g.live()
     if graph.directed:
         raise GraphStructureError("triangle counting requires an undirected graph")
     ctx = ensure_context(ctx)
@@ -46,14 +45,7 @@ def triangle_counts(
         return tri
 
     u_arr, v_arr = graph.edge_endpoints()
-    if edge_active is None:
-        offsets, targets = graph.offsets, graph.targets
-    else:
-        u_arr, v_arr = u_arr[edge_active], v_arr[edge_active]
-        arc_keep = edge_active[graph.arc_edge_ids]
-        offsets, targets, _ = compact_adjacency(
-            graph.offsets, graph.targets, arc_keep, n
-        )
+    offsets, targets = graph.offsets, graph.targets
     degs = np.diff(offsets)
     du, dv = degs[u_arr], degs[v_arr]
     ctx.cost.phase_from_work(du + dv)
@@ -77,15 +69,9 @@ def local_clustering_coefficients(
     g: GraphLike, *, ctx: Optional[ParallelContext] = None
 ) -> np.ndarray:
     """C(v) = triangles(v) / (deg(v) choose 2); 0 for degree < 2."""
-    graph, edge_active = unwrap(g)
-    tri = triangle_counts(g, ctx=ctx)
-    if edge_active is None:
-        deg = graph.degrees().astype(np.float64)
-    else:
-        keep = edge_active[graph.arc_edge_ids]
-        deg = np.bincount(
-            graph.arc_sources()[keep], minlength=graph.n_vertices
-        ).astype(np.float64)
+    graph = g.live()
+    tri = triangle_counts(graph, ctx=ctx)
+    deg = graph.degrees().astype(np.float64)
     pairs = deg * (deg - 1) / 2.0
     out = np.zeros(graph.n_vertices, dtype=np.float64)
     ok = pairs > 0
@@ -95,8 +81,7 @@ def local_clustering_coefficients(
 
 def average_clustering(g: GraphLike, *, ctx: Optional[ParallelContext] = None) -> float:
     """Mean of the local clustering coefficients (Watts–Strogatz C)."""
-    graph, _ = unwrap(g)
-    if graph.n_vertices == 0:
+    if g.n_vertices == 0:
         return 0.0
     return float(local_clustering_coefficients(g, ctx=ctx).mean())
 
@@ -105,15 +90,9 @@ def global_clustering_coefficient(
     g: GraphLike, *, ctx: Optional[ParallelContext] = None
 ) -> float:
     """Transitivity: 3 · triangles / connected triples."""
-    graph, edge_active = unwrap(g)
-    tri = triangle_counts(g, ctx=ctx)
-    if edge_active is None:
-        deg = graph.degrees().astype(np.float64)
-    else:
-        keep = edge_active[graph.arc_edge_ids]
-        deg = np.bincount(
-            graph.arc_sources()[keep], minlength=graph.n_vertices
-        ).astype(np.float64)
+    graph = g.live()
+    tri = triangle_counts(graph, ctx=ctx)
+    deg = graph.degrees().astype(np.float64)
     triples = float((deg * (deg - 1) / 2.0).sum())
     if triples == 0:
         return 0.0

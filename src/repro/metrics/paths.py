@@ -74,9 +74,8 @@ def average_shortest_path_length(
     Disconnected pairs are ignored (the small-world "short paths"
     statistic is conventionally reported on the giant component).
     """
-    graph, _ = unwrap(g)
     ctx = ensure_context(ctx)
-    n = graph.n_vertices
+    n = g.n_vertices
     if n < 2:
         return 0.0
     rng = rng or np.random.default_rng(0)
@@ -106,9 +105,8 @@ def effective_diameter(
     """
     if not 0.0 < percentile <= 1.0:
         raise ValueError("percentile must be in (0, 1]")
-    graph, _ = unwrap(g)
     ctx = ensure_context(ctx)
-    n = graph.n_vertices
+    n = g.n_vertices
     if n < 2:
         return 0.0
     rng = rng or np.random.default_rng(0)
@@ -139,9 +137,8 @@ def eccentricity_sample(
 
     The max is a lower bound on the true diameter.
     """
-    graph, _ = unwrap(g)
     ctx = ensure_context(ctx)
-    n = graph.n_vertices
+    n = g.n_vertices
     if n == 0:
         raise GraphStructureError("graph has no vertices")
     rng = rng or np.random.default_rng(0)

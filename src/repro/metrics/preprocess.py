@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 from repro.kernels.bfs import bfs
 from repro.kernels.biconnected import biconnected_components
 from repro.kernels.connected import component_sizes, connected_components
@@ -63,24 +63,19 @@ class PreprocessReport:
 
 def is_bipartite(g: GraphLike, *, ctx: Optional[ParallelContext] = None) -> bool:
     """Two-coloring test via level parity of BFS."""
-    graph, edge_active = unwrap(g)
+    graph = g.live()
     ctx = ensure_context(ctx)
     n = graph.n_vertices
     color = np.full(n, -1, dtype=np.int64)
-    src_all = graph.arc_sources()
-    dst_all = graph.targets
-    if edge_active is not None:
-        keep = edge_active[graph.arc_edge_ids]
-        src_all, dst_all = src_all[keep], dst_all[keep]
     for v in range(n):
         if color[v] >= 0:
             continue
-        res = bfs(g, v, ctx=ctx)
+        res = bfs(graph, v, ctx=ctx)
         reached = res.reached
         color[reached] = res.distances[reached] % 2
-    if src_all.shape[0] == 0:
+    if graph.n_arcs == 0:
         return True
-    return bool((color[src_all] != color[dst_all]).all())
+    return bool((color[graph.arc_sources()] != color[graph.targets]).all())
 
 
 def lethality_screen(
@@ -96,34 +91,27 @@ def lethality_screen(
     their criticality is an artifact of sparse sampling.  Returns the
     vertex ids flagged by the screen.
     """
-    graph, edge_active = unwrap(g)
-    res = biconnected_components(g, ctx=ctx)
-    if edge_active is None:
-        deg = graph.degrees()
-    else:
-        keep = edge_active[graph.arc_edge_ids]
-        deg = np.bincount(graph.arc_sources()[keep], minlength=graph.n_vertices)
-    mask = res.articulation_mask & (deg <= degree_threshold)
+    graph = g.live()
+    res = biconnected_components(graph, ctx=ctx)
+    mask = res.articulation_mask & (graph.degrees() <= degree_threshold)
     return np.nonzero(mask)[0]
 
 
 def preprocess(
     g: GraphLike, *, ctx: Optional[ParallelContext] = None
 ) -> PreprocessReport:
-    """Run the full preprocessing battery and summarize."""
-    graph, _ = unwrap(g)
+    """Run the full preprocessing battery and summarize.
+
+    A masked input is compacted once; every sub-metric reads the live
+    graph, made undirected when it is directed."""
+    graph = g.live()
     ctx = ensure_context(ctx)
     n = graph.n_vertices
-    undirected = graph if not graph.directed else graph.as_undirected()
-    gg: GraphLike = undirected if graph.directed else g
+    gg = graph.as_undirected()
     labels = connected_components(gg, ctx=ctx)
     sizes = component_sizes(labels) if n else {}
     largest = max(sizes.values()) if sizes else 0
-    bic = (
-        biconnected_components(gg, ctx=ctx)
-        if undirected.n_edges
-        else None
-    )
+    bic = biconnected_components(gg, ctx=ctx) if gg.n_edges else None
     return PreprocessReport(
         n_vertices=n,
         n_edges=graph.n_edges,

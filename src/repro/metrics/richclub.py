@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphStructureError
-from repro.kernels._frontier import GraphLike, unwrap
+from repro.kernels._frontier import GraphLike
 
 
 def rich_club_coefficient(g: GraphLike) -> dict[int, float]:
@@ -19,20 +19,14 @@ def rich_club_coefficient(g: GraphLike) -> dict[int, float]:
 
     Matches ``networkx.rich_club_coefficient(normalized=False)``.
     """
-    graph, edge_active = unwrap(g)
+    graph = g.live()
     if graph.directed:
         raise GraphStructureError("rich-club requires an undirected graph")
-    if edge_active is None:
-        deg = graph.degrees()
-    else:
-        keep = edge_active[graph.arc_edge_ids]
-        deg = np.bincount(graph.arc_sources()[keep], minlength=graph.n_vertices)
+    deg = graph.degrees()
     n = graph.n_vertices
     if n == 0:
         return {}
     u, v = graph.edge_endpoints()
-    if edge_active is not None:
-        u, v = u[edge_active], v[edge_active]
     # For each edge, the smaller endpoint degree: the edge survives in
     # the >k subgraph for all k < min(deg_u, deg_v).
     edge_min_deg = np.minimum(deg[u], deg[v])

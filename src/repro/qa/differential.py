@@ -439,6 +439,31 @@ def _run_clustering(graph: Graph, ctx) -> np.ndarray:
     return local_clustering_coefficients(graph, ctx=ctx)
 
 
+def _masked_run(run: Callable) -> Callable:
+    """``run`` on a view of the graph whose every third edge in
+    ``(u, v)`` order is dead: a masked input for the kernels that
+    compact views."""
+
+    def masked(graph: Graph, ctx):
+        u, v = graph.edge_endpoints()
+        view = graph.view()
+        view.active[np.lexsort((v, u))[2::3]] = False
+        return run(view, ctx)
+
+    return masked
+
+
+def _masked_oracle(oracle: Callable) -> Callable:
+    """``oracle`` on the reference graph without the edges that
+    :func:`_masked_run` kills (the same ``(u, v)`` order)."""
+
+    def masked(ref: oracles.RefGraph):
+        live = [e for i, e in enumerate(sorted(ref.edges)) if i % 3 != 2]
+        return oracle(oracles.RefGraph(ref.n, live, directed=ref.directed))
+
+    return masked
+
+
 def _run_pla_multilevel(graph: Graph, ctx):
     from repro.community.pla import pla
 
@@ -532,6 +557,11 @@ CHECKS: tuple[Check, ...] = (
           _cmp_scalar),
     Check("clustering", _run_clustering, oracles.local_clustering,
           _cmp_float_arrays),
+    # Masked inputs: the per-vertex kernels compact a view once.
+    Check("connected_masked", _masked_run(_run_cc("sv")),
+          _masked_oracle(oracles.connected_components), _cmp_int_arrays),
+    Check("clustering_masked", _masked_run(_run_clustering),
+          _masked_oracle(oracles.local_clustering), _cmp_float_arrays),
     # min_vertices=1: clustering an empty graph raises by contract.
     Check("cnm", _run_cnm, lambda ref: ref, _cmp_reported_modularity,
           min_vertices=1),

@@ -1105,6 +1105,33 @@ class TestStreamDurability:
                          str(ckpt.parent), "-o", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
 
+    def test_closed_stdout_stops_without_traceback(self, tmp_path):
+        """``repro stream ... | head -1``: the reader closes stdout after
+        the first line, so the CLI exits non-zero with nothing on stderr,
+        and its log holds an exact prefix of the input batches.  The
+        output (~190 kB) outgrows the pipe, so the write must fail."""
+        batches = [[EdgeEvent("add", t % 512, (7 * t + 1) % 512, t=t)]
+                   for t in range(2000)]
+        path = tmp_path / "many.events"
+        write_events(path, [e for b in batches for e in b], n_vertices=512)
+        ckpt = tmp_path / "ck"
+        proc = subprocess.Popen(
+            _cli_argv("stream", str(path), "--checkpoint-dir", str(ckpt)),
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"stream:")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert err == ""
+        log = RecordLog(ckpt / "stream.ckpt", kind="stream-checkpoint",
+                        params=StreamEngine(512)._config())
+        records = log.load()
+        assert 0 < len(records) < len(batches)
+        assert records == [[(e.kind, e.u, e.v, e.t, e.weight) for e in b]
+                           for b in batches[:len(records)]]
+
     def test_engine_state_resumes_bit_identical(self, karate):
         """What the daemon snapshots: an engine rebuilt from a pickled
         :meth:`StreamEngine.state` at any batch carries the uninterrupted

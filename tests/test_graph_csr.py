@@ -198,8 +198,8 @@ class TestEdgeSubsetView:
         )
         view.deactivate(eid)
         assert view.n_active_edges == 3
-        assert 3 not in view.active_neighbors(2).tolist()
-        assert view.active_degree(3) == 0
+        assert 3 not in view.live().neighbors(2).tolist()
+        assert view.live().degree(3) == 0
 
     def test_double_delete_raises(self, triangle_plus_tail):
         view = triangle_plus_tail.view()
@@ -221,6 +221,25 @@ class TestEdgeSubsetView:
         view = triangle_plus_tail.view()
         view.deactivate(0)
         assert triangle_plus_tail.n_edges == 4
+
+    def test_live_preserves_order(self):
+        g = from_edge_array(
+            4,
+            np.asarray([0, 0, 1, 2]),
+            np.asarray([1, 2, 2, 3]),
+            directed=False,
+        )
+        view = g.view()
+        assert view.live() is g and g.live() is g
+        np.testing.assert_array_equal(view.live().offsets, g.offsets)
+        np.testing.assert_array_equal(view.live().targets, g.targets)
+        # drop every edge of vertex 0
+        u, _ = g.edge_endpoints()
+        for e in np.flatnonzero(u == 0):
+            view.deactivate(int(e))
+        live = view.live()
+        assert live.offsets[1] - live.offsets[0] == 0
+        np.testing.assert_array_equal(live.targets, g.targets[view.arc_active()])
 
 
 class TestNetworkxInterop:

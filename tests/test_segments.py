@@ -18,7 +18,6 @@ from repro.datasets.karate import karate_club
 from repro.graph import contract, from_edge_array
 from repro.kernels.segments import (
     boundary_vertices,
-    compact_adjacency,
     distinct,
     group_offsets,
     grouped_label_weights,
@@ -195,24 +194,6 @@ def test_intersect_empty_inputs():
     )
     assert counts.tolist() == [0]
     assert common.shape[0] == 0 and pair_ids.shape[0] == 0
-
-
-def test_compact_adjacency_preserves_order():
-    g = from_edge_array(
-        4,
-        np.asarray([0, 0, 1, 2]),
-        np.asarray([1, 2, 2, 3]),
-        directed=False,
-    )
-    keep = np.ones(g.n_arcs, dtype=bool)
-    offs, tgts, w = compact_adjacency(g.offsets, g.targets, keep, 4)
-    np.testing.assert_array_equal(offs, g.offsets)
-    np.testing.assert_array_equal(tgts, g.targets)
-    # drop every arc of vertex 0
-    keep2 = g.arc_sources() != 0
-    offs2, tgts2, _ = compact_adjacency(g.offsets, g.targets, keep2, 4)
-    assert offs2[1] - offs2[0] == 0
-    np.testing.assert_array_equal(tgts2, g.targets[keep2])
 
 
 # ---------------------------------------------------------------------------
